@@ -1,19 +1,15 @@
-"""Sweep engine bench: end-to-end speedup of the fig6 grid vs the seed path.
+"""Sweep engine bench: the fig6 grid through the in-process and store tiers.
 
-The reference leg disables memoization and routes the simulator through the
-scalar per-kernel estimator — the seed implementation's algorithm — then the
-engine regenerates the same grid cold (empty cache) and warm.  Output rows
-must be byte-identical across all three; the measured speedups land in the
-benchmark's extra_info (and ``scripts/bench_sweep.py`` writes them to
-``BENCH_sweep.json``).  A second benchmark times the persistent-store tier:
-a fresh in-memory cache backed by a warm artifact store, i.e. what every new
-process pays.
+The engine regenerates the fig6 grid cold (empty cache) and warm, and the
+output rows must be byte-identical across both legs.  A second benchmark
+times the persistent-store tier: a fresh in-memory cache backed by a warm
+artifact store, i.e. what every new process pays.  Wall-time comparisons
+between commits belong to ``python3 bench/run.py``.
 """
 
 import time
 
 from repro.analysis import run_fig6
-from repro.runtime.simulator import use_reference_backend
 from repro.sweep.cache import PLAN_CACHE
 from repro.sweep.store import ArtifactStore
 
@@ -25,12 +21,6 @@ def test_sweep_engine_speedup(benchmark, results_dir):
     original_store = PLAN_CACHE.store
     try:
         PLAN_CACHE.store = None
-        PLAN_CACHE.clear()
-        with PLAN_CACHE.disabled(), use_reference_backend():
-            start = time.perf_counter()
-            reference = run_fig6(iterations=2)
-            reference_s = time.perf_counter() - start
-
         PLAN_CACHE.clear()
         result = benchmark.pedantic(
             lambda: run_fig6(iterations=2), rounds=1, iterations=1
@@ -44,19 +34,11 @@ def test_sweep_engine_speedup(benchmark, results_dir):
         PLAN_CACHE.store = original_store
         PLAN_CACHE.clear()
 
-    # the engine is an optimization, not a remodel: identical output rows
-    assert result.rows == reference.rows
-    assert warm.rows == reference.rows
+    # the cache is an accelerator, not a remodel: identical output rows
+    assert warm.rows == result.rows
 
-    benchmark.extra_info["reference_s"] = round(reference_s, 4)
+    benchmark.extra_info["engine_cold_s"] = round(cold_s, 4)
     benchmark.extra_info["engine_warm_s"] = round(warm_s, 4)
-    benchmark.extra_info["speedup_cold"] = round(reference_s / cold_s, 2)
-    benchmark.extra_info["speedup_warm"] = round(reference_s / warm_s, 2)
-
-    # loose floors so CI noise cannot flake the suite; nominal values are
-    # ~5-6x cold and >50x warm (see BENCH_sweep.json)
-    assert reference_s / cold_s > 2.0
-    assert reference_s / warm_s > 10.0
 
 
 def test_disk_warm_store_speedup(benchmark, tmp_path):
@@ -93,6 +75,6 @@ def test_disk_warm_store_speedup(benchmark, tmp_path):
 
     benchmark.extra_info["engine_cold_s"] = round(cold_s, 4)
     benchmark.extra_info["speedup_disk_warm"] = round(cold_s / disk_warm_s, 2)
-    # loose floor (nominal ~9-10x, see BENCH_sweep.json); the acceptance
-    # target for the persistent path is >= 3x vs today's cold suite
+    # loose floor; the acceptance target for the persistent path is >= 3x
+    # vs a cold run
     assert cold_s / disk_warm_s > 2.0

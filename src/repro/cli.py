@@ -150,11 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="trace length in requests (--requests is an alias)",
     )
     p_serve.add_argument(
-        "--backend", choices=("fast", "reference"), default="fast",
-        help="columnar fast backend or the scalar reference loop"
-        " (bit-identical results)",
-    )
-    p_serve.add_argument(
         "--record-requests", type=int, default=None,
         help="cap materialized per-request records (streaming percentiles +"
         " a seeded uniform sample); default keeps everything",
@@ -233,11 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument(
         "--num-requests", "--requests", dest="requests", type=int, default=32,
         help="trace length in requests (--requests is an alias)",
-    )
-    p_cluster.add_argument(
-        "--backend", choices=("fast", "reference"), default="fast",
-        help="chunked-arrival fast backend or the per-event reference loop"
-        " (bit-identical results)",
     )
     p_cluster.add_argument(
         "--record-requests", type=int, default=None,
@@ -574,7 +564,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_batch=args.max_batch,
             max_wait_s=args.max_wait_ms * 1e-3,
             seq_len=args.seq_len,
-            backend=args.backend,
             record_requests=args.record_requests,
         )
     )
@@ -596,7 +585,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             [
                 {
                     "requests": result.num_requests_served,
-                    "backend": result.backend_used or args.backend,
+                    "backend": result.backend_used,
                     "offered_rps": round(result.offered_rate_rps, 2),
                     "served_rps": round(result.throughput_rps, 2),
                     "p50_ms": round(result.p50_s * 1e3, 3),
@@ -742,7 +731,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             hedge_after_s=ms(args.hedge_ms),
             shed_queue_s=ms(args.shed_ms),
             deadline_s=ms(args.deadline_ms),
-            backend=args.backend,
             record_requests=args.record_requests,
             autoscale=autoscale,
         )
@@ -768,7 +756,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                         if result.num_requests_total is not None
                         else len(result.records)
                     ),
-                    "backend": result.backend_used or args.backend,
+                    "backend": result.backend_used,
                     "offered_rps": round(result.offered_rate_rps, 2),
                     "served_rps": round(result.throughput_rps, 2),
                     "goodput_pct": round(100 * result.goodput, 1),
@@ -878,7 +866,6 @@ def _cluster_sweep(args: argparse.Namespace, loads: tuple[float, ...]) -> int:
         hedge_after_s=ms(args.hedge_ms),
         shed_queue_s=ms(args.shed_ms),
         deadline_s=ms(args.deadline_ms),
-        backend=args.backend,
         record_requests=args.record_requests,
         autoscalers=(args.autoscaler,),
         autoscale_min_replicas=args.min_replicas,

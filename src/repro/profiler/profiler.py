@@ -24,7 +24,6 @@ from repro.flows.plan import ExecutionPlan
 from repro.hardware.device import DeviceKind, as_device_kind
 from repro.hardware.platform import Platform
 from repro.ir.graph import Graph
-from repro.hardware.cost_model import BOUND_LABELS
 from repro.ops.base import OpCategory
 from repro.profiler.records import ProfileResult, report_group
 from repro.runtime.simulator import _CATEGORIES, plan_arrays, simulate
@@ -101,15 +100,6 @@ def profile_graph(
     std_lat = samples.std(axis=0)
     totals = samples.sum(axis=1)
 
-    estimates = baseline.estimates
-    if estimates is not None:
-        bound_code = estimates.bound_code
-    else:
-        # reference-backend run: recover the codes from the scalar records so
-        # ProfileResult has a single record-materialization path either way.
-        bound_code = np.array(
-            [BOUND_LABELS.index(b) for b in baseline.bound_labels()], dtype=np.int8
-        )
     groups, group_pos = _plan_group_index(plan)
 
     memory = cached_profile_memory(graph)
@@ -135,7 +125,7 @@ def profile_graph(
         plan=plan,
         kernel_latency_s=mean_lat,
         kernel_latency_std_s=std_lat,
-        bound_code=bound_code,
+        bound_code=baseline.estimates.bound_code,
         gemm_mask=plan_arrays(plan).is_gemm,
         group_categories=groups,
         group_pos=group_pos,

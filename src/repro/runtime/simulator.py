@@ -28,9 +28,7 @@ Two implementations produce bit-identical results:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -371,27 +369,6 @@ class SimulationResult:
         return self._records
 
 
-#: active simulation backend; flipped by :func:`use_reference_backend` so
-#: benchmarks can time the scalar path through the exact same call sites.
-_BACKEND = "vectorized"
-
-
-@contextmanager
-def use_reference_backend() -> Iterator[None]:
-    """Route :func:`simulate` through the scalar reference implementation.
-
-    For benchmarking and validation only — results are bit-identical, just
-    orders of magnitude more Python work.
-    """
-    global _BACKEND
-    previous = _BACKEND
-    _BACKEND = "reference"
-    try:
-        yield
-    finally:
-        _BACKEND = previous
-
-
 def _raise_missing_devices(
     plan: ExecutionPlan, platform: Platform, missing_mask: np.ndarray
 ) -> None:
@@ -419,8 +396,6 @@ def simulate(plan: ExecutionPlan, platform: Platform) -> SimulationResult:
 
     Vectorized over all kernels; bit-identical to :func:`simulate_reference`.
     """
-    if _BACKEND == "reference":
-        return simulate_reference(plan, platform)
     arrays = plan_arrays(plan)
     tables = _device_tables(platform)
     didx = arrays.device_idx

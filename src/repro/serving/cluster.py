@@ -266,12 +266,6 @@ class ClusterConfig:
     shed_queue_s: float | None = None
     #: goodput deadline recorded on the result (``None``: any completion).
     deadline_s: float | None = None
-    #: ``"fast"`` advances arrivals in chunks over the trace columns (no
-    #: per-arrival heap events, no ``Request`` list); ``"reference"`` pushes
-    #: every arrival through the event heap.  Results are bit-identical —
-    #: arrivals are the only priority-2 events, so a cursor merged against
-    #: the heap head preserves the exact event order.
-    backend: str = "fast"
     #: cap on materialized records (cluster-level and per-replica); ``None``
     #: keeps full record lists.  See :attr:`ServingConfig.record_requests`.
     record_requests: int | None = None
@@ -291,11 +285,6 @@ class ClusterConfig:
                     f" must equal the provisioned fleet size"
                     f" ({len(self.platforms)} platforms)"
                 )
-        if self.backend not in ("fast", "reference"):
-            raise ServingError(
-                f"unknown cluster backend {self.backend!r};"
-                " expected 'fast' or 'reference'"
-            )
         if self.record_requests is not None and self.record_requests < 1:
             raise ServingError(
                 f"record_requests must be >= 1, got {self.record_requests}"
@@ -309,7 +298,8 @@ class ClusterConfig:
             ("shed_queue_s", self.shed_queue_s),
             ("deadline_s", self.deadline_s),
         ):
-            if value is not None and value <= 0.0:
+            # ``not >`` also rejects NaN, which every comparison lets through.
+            if value is not None and not value > 0.0:
                 raise ServingError(f"{knob} must be positive, got {value}")
 
 
@@ -575,8 +565,7 @@ class ClusterRouter:
         )
         if trace.num_requests == 0:
             result.backend_used = "reference"
-            if config.backend == "fast":
-                result.fast_path_fallback_reason = "empty trace"
+            result.fast_path_fallback_reason = "empty trace"
             return apply_static_lifecycle(result)
         arrival_times = trace.arrival_column().tolist()
         request_ids = trace.id_column().tolist()
@@ -626,24 +615,22 @@ class ClusterRouter:
                 replica.cost_spans.append([0.0, math.inf])
                 replica.active_spans.append([0.0, math.inf])
 
-        fallback_reason = None
-        if config.backend == "fast":
-            from repro.serving.columnar_cluster import (
-                fast_path_fallback_reason,
-                needs_faulted_path,
-                run_fast_cluster,
-                run_fast_faulted,
-            )
+        from repro.serving.columnar_cluster import (
+            fast_path_fallback_reason,
+            needs_faulted_path,
+            run_fast_cluster,
+            run_fast_faulted,
+        )
 
-            fallback_reason = fast_path_fallback_reason(
-                config, policy, replicas[0].scheduler
-            )
-            if fallback_reason is None:
-                if needs_faulted_path(config, injector):
-                    return run_fast_faulted(
-                        self, trace, result, policy, policy_rng, injector
-                    )
-                return run_fast_cluster(self, trace, result, policy, policy_rng)
+        fallback_reason = fast_path_fallback_reason(
+            config, policy, replicas[0].scheduler
+        )
+        if fallback_reason is None:
+            if needs_faulted_path(config, injector):
+                return run_fast_faulted(
+                    self, trace, result, policy, policy_rng, injector
+                )
+            return run_fast_cluster(self, trace, result, policy, policy_rng)
 
         total = trace.num_requests
         tracked: dict[int, _Tracked] = {}
@@ -654,14 +641,9 @@ class ClusterRouter:
         def push(time_s: float, prio: int, kind: str, payload: object) -> None:
             heapq.heappush(heap, (time_s, prio, next(seq), kind, payload))
 
-        # the fast backend keeps arrivals in their trace columns and merges a
-        # cursor against the heap head in the drain loop; the reference
-        # backend materializes every arrival as a heap event up front.
-        chunked_arrivals = config.backend == "fast"
+        # arrivals stay in their trace columns: the drain loop merges a
+        # cursor over them against the heap head.
         arrive_index = 0
-        if not chunked_arrivals:
-            for request in trace.requests:
-                push(request.arrival_s, _PRIO_ARRIVE, "arrive", request)
         for t in injector.transitions():
             push(t, _PRIO_FAULT, "fault", None)
 
@@ -1154,7 +1136,7 @@ class ClusterRouter:
             candidates: list[float] = []
             if heap:
                 candidates.append(heap[0][0])
-            if chunked_arrivals and arrive_index < total:
+            if arrive_index < total:
                 candidates.append(arrival_times[arrive_index])
             for replica in replicas:
                 if replica.down or not replica.online:
@@ -1170,11 +1152,10 @@ class ClusterRouter:
                 raise stall(f"next event at {advance_to} does not advance the clock")
             now = advance_to
             while True:
-                # merge the arrival cursor against the heap head: arrivals
-                # are the only _PRIO_ARRIVE events, so comparing (time, prio)
-                # reproduces the reference heap's exact processing order
-                # (equal-time arrivals fire in trace order, like heap seq).
-                if chunked_arrivals and arrive_index < total:
+                # merge the arrival cursor against the heap head: comparing
+                # (time, prio) orders arrivals exactly as if they were heap
+                # events (equal-time arrivals fire in trace order).
+                if arrive_index < total:
                     arrival_s = arrival_times[arrive_index]
                     if arrival_s <= now and (
                         not heap
@@ -1216,9 +1197,6 @@ class ClusterRouter:
                     replica, entry = payload
                     if not entry.cancelled:
                         on_complete(replica, entry)
-                elif kind == "arrive":
-                    arrivals_left -= 1
-                    on_arrival(payload, now)
                 elif kind == "retry":
                     on_retry(payload, now)
                 else:  # hedge
@@ -1392,7 +1370,6 @@ def serve_cluster_point(point) -> ClusterResult:
             hedge_after_s=point.hedge_after_s,
             shed_queue_s=point.shed_queue_s,
             deadline_s=point.deadline_s,
-            backend=getattr(point, "backend", "fast"),
             record_requests=getattr(point, "record_requests", None),
             autoscale=autoscale,
         )

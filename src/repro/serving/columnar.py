@@ -1,7 +1,7 @@
-"""Columnar fast backend for the discrete-event serving engine.
+"""Columnar fast path for the discrete-event serving engine.
 
-``backend="fast"`` (the default) replaces the reference loop in
-:meth:`repro.serving.engine.ServingEngine.run` with *columnar kernels*:
+:meth:`repro.serving.engine.ServingEngine.run` replaces the reference loop
+with *columnar kernels* whenever the scheduler declares one:
 specialized replays of each built-in scheduler's decision sequence that
 
 * advance arrivals in chunks over the trace's arrival **column** instead of
@@ -557,12 +557,13 @@ def kernel_for(scheduler) -> "object | None":
 def run_fast(
     engine, trace: RequestTrace, offered_rate_rps: "float | None" = None
 ) -> ServingResult:
-    """Serve ``trace`` on the columnar backend.
+    """Serve ``trace`` on the columnar path.
 
-    Dispatches to the scheduler's declared kernel; schedulers without one
-    fall back to the engine's reference loop (``record_requests`` capping
-    still applies, in :meth:`ServingEngine.run`).  Returns a result
-    bit-identical to ``backend="reference"``.
+    Dispatches to the scheduler's declared kernel; schedulers without one,
+    and empty traces, fall back to the engine's reference loop
+    (``record_requests`` capping still applies, in
+    :meth:`ServingEngine.run`).  Either way the result is bit-identical to
+    :meth:`ServingEngine._run_reference`.
     """
     from repro.serving.scheduler import get_scheduler
 

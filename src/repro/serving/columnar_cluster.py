@@ -1,8 +1,9 @@
 """Columnar fast path for the multi-replica cluster router.
 
-``backend="fast"`` on a :class:`~repro.serving.cluster.ClusterConfig` already
-advances arrivals in chunks; this module removes the per-event Python heap
-entirely on the **no-fault / no-retry / no-hedge rail**:
+The reference router (:meth:`~repro.serving.cluster.ClusterRouter.run`)
+already advances arrivals with a cursor over the trace columns; this module
+removes the per-event Python heap entirely on the **no-fault / no-retry /
+no-hedge rail**:
 
 1. **Routing pass** — admission decisions are computed in columns.
    Round-robin without shedding is closed form (``i mod R``: the cursor
@@ -21,7 +22,7 @@ entirely on the **no-fault / no-retry / no-hedge rail**:
 3. **Assembly** — per-replica results and cluster records are rebuilt in
    the reference router's exact orders (records by ``(admitted_s, id)``,
    accounting folded in launch order), so the result is **bit-identical**
-   to ``backend="reference"``: same ``ClusterResult``, same float
+   to the reference event loop: same ``ClusterResult``, same float
    accumulations, same capped/streaming blocks.
 
 Two rails share the module.  The closed forms above serve the
@@ -111,8 +112,6 @@ def fast_path_fallback_reason(config, policy, scheduler) -> "str | None":
         RoundRobinPolicy,
     )
 
-    if config.backend != "fast":
-        return "backend='reference' requested"
     if config.autoscale is not None:
         return "autoscale set (elastic lifecycle runs in the event loop)"
     if config.hedge_after_s is not None:
@@ -124,17 +123,6 @@ def fast_path_fallback_reason(config, policy, scheduler) -> "str | None":
     if kernel_for(scheduler) is None:
         return f"scheduler {scheduler.name!r} declares no columnar kernel"
     return None
-
-
-def supports_fast_path(config, injector, policy, scheduler) -> bool:
-    """Does *some* columnar rail serve this cluster run?
-
-    ``injector`` is accepted for signature stability but no longer matters:
-    fault schedules (windows, stragglers) and timeout retries run on the
-    fault-capable replay rather than falling back.
-    """
-    del injector
-    return fast_path_fallback_reason(config, policy, scheduler) is None
 
 
 def needs_faulted_path(config, injector) -> bool:
@@ -494,8 +482,9 @@ def run_fast_cluster(
     """Serve ``trace`` through the fleet on the columnar rail.
 
     ``result`` is the pre-populated :class:`ClusterResult` shell from
-    :meth:`ClusterRouter.run`; the caller has already verified
-    :func:`supports_fast_path`.  Bit-identical to the reference event loop.
+    :meth:`ClusterRouter.run`; the caller has already verified that
+    :func:`fast_path_fallback_reason` is ``None``.  Bit-identical to the
+    reference event loop.
     """
     config = router.config
     engines = router.engines
@@ -992,7 +981,7 @@ def run_fast_faulted(
     machines, and completions are resolved lazily — a request's fate is
     decided by its live dispatch record the first time an event (or the
     final sweep) looks at it, exactly as the reference's completion events
-    would have decided it.  Bit-identical to ``backend="reference"``.
+    would have decided it.  Bit-identical to the reference event loop.
     """
     config = router.config
     n = trace.num_requests

@@ -66,21 +66,13 @@ class ServingConfig:
     max_batch: int = DEFAULT_MAX_BATCH
     max_wait_s: float = DEFAULT_MAX_WAIT_S
     seq_len: int | None = None
-    #: ``"fast"`` runs the columnar kernels (bit-identical, see
-    #: :mod:`repro.serving.columnar`); ``"reference"`` forces the scalar loop.
-    backend: str = "fast"
     #: cap on materialized :class:`RequestRecord` samples; ``None`` keeps the
     #: full per-request record list and queue-depth timeline.  With a cap the
     #: result carries streaming aggregates plus a seeded reservoir sample —
-    #: O(cap) memory regardless of trace length, on either backend.
+    #: O(cap) memory regardless of trace length, on either path.
     record_requests: int | None = None
 
     def __post_init__(self) -> None:
-        if self.backend not in ("fast", "reference"):
-            raise ServingError(
-                f"unknown serving backend {self.backend!r};"
-                " expected 'fast' or 'reference'"
-            )
         if self.record_requests is not None and self.record_requests < 1:
             raise ServingError(
                 f"record_requests must be >= 1, got {self.record_requests}"
@@ -134,17 +126,14 @@ class ServingEngine:
     ) -> ServingResult:
         """Serve ``trace`` to completion and aggregate the metrics.
 
-        Dispatches to the columnar fast backend or the scalar reference loop
-        per ``config.backend`` (results are bit-identical), then applies the
-        ``record_requests`` streaming cap if one is configured.
+        Runs the scheduler's columnar kernel, or the scalar reference loop
+        when it declares none (results are bit-identical; ``backend_used``
+        says which ran), then applies the ``record_requests`` streaming cap
+        if one is configured.
         """
-        if self.config.backend == "fast":
-            from repro.serving.columnar import run_fast
+        from repro.serving.columnar import run_fast
 
-            result = run_fast(self, trace, offered_rate_rps)
-        else:
-            result = self._run_reference(trace, offered_rate_rps)
-            result.backend_used = "reference"
+        result = run_fast(self, trace, offered_rate_rps)
         cap = self.config.record_requests
         if cap is not None and result.record_cap is None:
             capped = cap_serving_result(result, cap)
@@ -341,7 +330,6 @@ def serve_point(point) -> ServingResult:
             max_batch=point.max_batch,
             max_wait_s=point.max_wait_s,
             seq_len=point.seq_len,
-            backend=getattr(point, "backend", "fast"),
             record_requests=getattr(point, "record_requests", None),
         )
     )

@@ -251,12 +251,12 @@ class ServingResult:
     record_cap: int | None = None
     #: O(1) streaming aggregates; present exactly when records are capped.
     stats: StreamingStats | None = None
-    #: which backend actually served the run ("columnar" / "reference");
+    #: which path actually served the run ("columnar" / "reference");
     #: diagnostic only, excluded from equality so fast-vs-reference
     #: crosschecks still compare every physical field.
     backend_used: str | None = field(default=None, compare=False)
-    #: why ``backend="fast"`` fell back to the reference loop (``None``
-    #: when the fast path ran or was never requested).
+    #: why the run fell back to the reference loop (``None`` when the
+    #: columnar path ran).
     fast_path_fallback_reason: str | None = field(default=None, compare=False)
 
     # -- latency -----------------------------------------------------------
@@ -511,13 +511,13 @@ class ClusterResult:
     #: streaming aggregates over admitted-completed latencies; present
     #: exactly when records are capped.
     stats: StreamingStats | None = None
-    #: which backend actually served the run ("columnar" for the no-fault
+    #: which path actually served the run ("columnar" for the no-fault
     #: closed forms, "columnar-faulted" for the fault-capable replay,
     #: "reference" for the event loop); diagnostic only, excluded from
     #: equality so fast-vs-reference crosschecks compare physical fields.
     backend_used: str | None = field(default=None, compare=False)
-    #: why ``backend="fast"`` fell back to the reference loop (``None``
-    #: when a fast path ran or was never requested).
+    #: why the run fell back to the reference event loop (``None`` when a
+    #: columnar path ran).
     fast_path_fallback_reason: str | None = field(default=None, compare=False)
 
     @property

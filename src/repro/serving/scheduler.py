@@ -99,7 +99,7 @@ class BatchScheduler:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ServingError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_s < 0.0:
+        if not self.max_wait_s >= 0.0:  # also rejects NaN
             raise ServingError(f"max_wait_s must be >= 0, got {self.max_wait_s}")
 
     def reset(self) -> None:

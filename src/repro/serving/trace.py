@@ -127,6 +127,15 @@ class RequestTrace:
         n = arrivals.shape[0]
         if n == 0:
             return
+        # NaN passes the ordering test below and would hang the event loops;
+        # an infinite arrival can never complete.  Reject both up front.
+        non_finite = ~np.isfinite(arrivals)
+        if bool(non_finite.any()):
+            index = int(np.argmax(non_finite))
+            raise ServingError(
+                f"trace {self.name!r} request {int(self._request_ids[index])}"
+                f" has a non-finite arrival time {float(arrivals[index])}"
+            )
         previous = np.empty_like(arrivals)
         previous[0] = 0.0
         previous[1:] = arrivals[:-1]
@@ -359,8 +368,10 @@ def closed_loop_trace(
 
 
 def _check_rate(rate_rps: float, num_requests: int) -> None:
-    if rate_rps <= 0.0:
-        raise ServingError(f"arrival rate must be positive, got {rate_rps}")
+    if not 0.0 < rate_rps < float("inf"):
+        raise ServingError(
+            f"arrival rate must be positive and finite, got {rate_rps}"
+        )
     if num_requests < 1:
         raise ServingError(f"num_requests must be >= 1, got {num_requests}")
 

@@ -72,9 +72,6 @@ class SweepPoint:
     hedge_after_s: float | None = None
     shed_queue_s: float | None = None
     deadline_s: float | None = None
-    #: serving backend ("fast" columnar kernels or the scalar "reference"
-    #: loop — bit-identical results either way).
-    backend: str = "fast"
     #: cap on materialized per-request records; None keeps everything.
     record_requests: int | None = None
     #: elastic-fleet axis: a non-None controller name autoscales the
@@ -163,8 +160,6 @@ class SweepSpec:
     hedge_after_s: float | None = None
     shed_queue_s: float | None = None
     deadline_s: float | None = None
-    #: serving backend for every load point of the grid ("fast"/"reference").
-    backend: str = "fast"
     #: record cap for every load point of the grid (None: keep everything).
     record_requests: int | None = None
     #: autoscale knobs shared by every autoscaler point of the grid.
@@ -285,7 +280,6 @@ class SweepSpec:
                     hedge_after_s=self.hedge_after_s,
                     shed_queue_s=self.shed_queue_s,
                     deadline_s=self.deadline_s,
-                    backend=self.backend,
                     record_requests=self.record_requests,
                     autoscaler=values["autoscaler"],
                     autoscale_min_replicas=self.autoscale_min_replicas,

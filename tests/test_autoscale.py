@@ -35,6 +35,8 @@ from repro.serving import columnar_cluster
 from repro.serving.autoscale import _AUTOSCALERS
 from repro.serving.columnar_cluster import fast_path_fallback_reason
 
+from oracles import reference_paths
+
 POLICIES = ("round-robin", "least-loaded", "power-of-two-choices")
 SCHEDULERS = ("fifo", "static", "dynamic", "continuous")
 CONTROLLERS = ("target-utilization", "goodput", "step")
@@ -251,13 +253,9 @@ class TestPinnedFleetRail:
     def test_pinned_controller_matches_static_router(self, scheduler, policy):
         """min == max: evaluations run, actions never fire, results match
         the plain router bit-for-bit (dataclass equality, every field)."""
-        common = dict(
-            scheduler=scheduler,
-            policy=policy,
-            platforms=("A", "A"),
-            backend="reference",
-        )
-        static = run_cluster(**common)
+        common = dict(scheduler=scheduler, policy=policy, platforms=("A", "A"))
+        with reference_paths():
+            static = run_cluster(**common)
         for controller in CONTROLLERS:
             auto = AutoscaleConfig(
                 controller=controller,
@@ -269,21 +267,19 @@ class TestPinnedFleetRail:
             assert pinned == static, (scheduler, policy, controller)
 
     def test_pinned_fast_config_matches_reference(self):
+        """The pinned event-loop run also matches the static columnar rail."""
         auto = AutoscaleConfig(
             controller="step", min_replicas=2, max_replicas=2
         )
-        fast = run_cluster(
-            autoscale=auto, platforms=("A", "A"), policy="least-loaded",
-            backend="fast",
+        pinned = run_cluster(
+            autoscale=auto, platforms=("A", "A"), policy="least-loaded"
         )
-        reference = run_cluster(
-            autoscale=auto, platforms=("A", "A"), policy="least-loaded",
-            backend="reference",
-        )
-        assert fast == reference
+        static = run_cluster(platforms=("A", "A"), policy="least-loaded")
+        assert pinned == static
+        assert static.backend_used == "columnar"
         # the fallback is explicit: elastic lifecycle needs the event loop.
-        assert fast.backend_used == "reference"
-        assert "autoscale" in fast.fast_path_fallback_reason
+        assert pinned.backend_used == "reference"
+        assert "autoscale" in pinned.fast_path_fallback_reason
 
 
 class TestColumnarFallback:
@@ -313,7 +309,6 @@ class TestColumnarFallback:
         result = run_cluster(
             platforms=("A", "A"),
             policy="round-robin",
-            backend="fast",
             autoscale=elastic_auto(max_replicas=2),
         )
         assert result.backend_used == "reference"

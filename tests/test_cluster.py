@@ -228,8 +228,9 @@ class TestClusterConfig:
             "timeout_s", "timeout_cap_s", "hedge_after_s", "shed_queue_s",
             "deadline_s",
         ):
-            with pytest.raises(ServingError):
-                cluster_config(**{knob: 0.0})
+            for bad in (0.0, float("nan")):
+                with pytest.raises(ServingError, match=knob):
+                    cluster_config(**{knob: bad})
 
     def test_unknown_policy_fails_fast(self):
         with pytest.raises(ServingError):

@@ -1,12 +1,12 @@
-"""Columnar fast backend and streaming metrics tests.
+"""Columnar fast path and streaming metrics tests.
 
 The load-bearing suite is the fast-vs-reference bit-identity battery: for
 every registered scheduler on every registered platform, the columnar
 kernels must reproduce the scalar reference event loop's result **exactly**
 — full dataclass equality, covering every float accumulation, queue-depth
 sample, and record — both for the single engine and for the cluster router
-(including faults, retries, and hedging, where the fast backend's chunked
-arrival cursor must preserve the reference heap's event order).
+(including faults, retries, and hedging).  The reference side of every pair
+runs through :func:`oracles.run_reference`.
 
 Alongside it: bit-identity of the vectorized trace generators against the
 historical per-request scalar loops, and accuracy bounds of the streaming
@@ -14,8 +14,6 @@ quantile estimator on adversarial samples.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
@@ -42,6 +40,8 @@ from repro.serving.scheduler import BatchScheduler, Dispatch
 from repro.sweep.cache import PLAN_CACHE
 from repro.sweep.spec import SweepSpec
 
+from oracles import run_reference
+
 MODEL = "vit-b"
 
 #: one upper-edge grid step of the streaming quantile estimator.
@@ -52,16 +52,8 @@ def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def engine_pair(backend_kwargs=None, **kwargs):
-    base = dict(model=MODEL, **kwargs)
-    extra = backend_kwargs or {}
-    fast = ServingEngine(
-        ServingConfig(**base, backend="fast", **extra), cache=PLAN_CACHE
-    )
-    ref = ServingEngine(
-        ServingConfig(**base, backend="reference", **extra), cache=PLAN_CACHE
-    )
-    return fast, ref
+def make_engine(**kwargs) -> ServingEngine:
+    return ServingEngine(ServingConfig(model=MODEL, **kwargs), cache=PLAN_CACHE)
 
 
 # -- fast vs reference: the bit-identity battery ------------------------------
@@ -73,35 +65,31 @@ class TestEngineBitIdentity:
         "platform", [p.platform_id for p in list_platforms()]
     )
     def test_every_scheduler_every_platform(self, scheduler, platform):
-        fast, ref = engine_pair(
-            platform=platform, scheduler=scheduler, max_batch=4
-        )
+        engine = make_engine(platform=platform, scheduler=scheduler, max_batch=4)
         for seed, (load, kind) in enumerate(
             [(0.4, "poisson"), (1.5, "bursty"), (0.8, "closed-loop")]
         ):
-            rate = load / fast.base_latency_s()
+            rate = load / engine.base_latency_s()
             trace = make_trace(kind, rate, 48, rng(seed), decode_steps=(1, 4))
-            assert fast.run(trace, offered_rate_rps=rate) == ref.run(
-                trace, offered_rate_rps=rate
+            assert engine.run(trace, offered_rate_rps=rate) == run_reference(
+                engine, trace, rate
             )
 
     def test_single_request_and_empty_trace(self):
-        fast, ref = engine_pair(scheduler="fifo")
+        engine = make_engine(scheduler="fifo")
         single = RequestTrace(
             "single", arrival_s=np.array([0.0]), decode_steps=np.array([1])
         )
-        assert fast.run(single) == ref.run(single)
+        assert engine.run(single) == run_reference(engine, single)
         empty = RequestTrace("empty", ())
-        assert fast.run(empty) == ref.run(empty)
+        assert engine.run(empty) == run_reference(engine, empty)
 
     def test_capped_results_identical(self):
-        fast, ref = engine_pair(
-            scheduler="dynamic", backend_kwargs=dict(record_requests=16)
-        )
-        rate = 0.9 / fast.base_latency_s()
+        engine = make_engine(scheduler="dynamic", record_requests=16)
+        rate = 0.9 / engine.base_latency_s()
         trace = make_trace("poisson", rate, 150, rng(3), decode_steps=(1, 6))
-        capped_fast = fast.run(trace, offered_rate_rps=rate)
-        capped_ref = ref.run(trace, offered_rate_rps=rate)
+        capped_fast = engine.run(trace, offered_rate_rps=rate)
+        capped_ref = run_reference(engine, trace, rate)
         assert capped_fast == capped_ref
         assert capped_fast.record_cap == 16
         assert len(capped_fast.records) == 16
@@ -109,36 +97,28 @@ class TestEngineBitIdentity:
         assert capped_fast.queue_depth_timeline == ()
 
     def test_capped_equals_capping_the_full_run(self):
-        fast, ref = engine_pair(
-            scheduler="continuous", backend_kwargs=dict(record_requests=12)
-        )
-        rate = 1.1 / fast.base_latency_s()
+        engine = make_engine(scheduler="continuous", record_requests=12)
+        rate = 1.1 / engine.base_latency_s()
         trace = make_trace("bursty", rate, 120, rng(9), decode_steps=(1, 5))
-        streamed = fast.run(trace, offered_rate_rps=rate)
-        full = ref.run(
-            trace.name
-            and make_trace("bursty", rate, 120, rng(9), decode_steps=(1, 5)),
-            offered_rate_rps=rate,
+        streamed = engine.run(trace, offered_rate_rps=rate)
+        full = run_reference(
+            engine, make_trace("bursty", rate, 120, rng(9), decode_steps=(1, 5)), rate
         )
         # the reference wrapper applied the cap too; recompute from a truly
         # full run to pin the pure-function contract.
-        plain = ServingEngine(
-            ServingConfig(model=MODEL, scheduler="continuous", backend="reference"),
-            cache=PLAN_CACHE,
-        ).run(make_trace("bursty", rate, 120, rng(9), decode_steps=(1, 5)),
-              offered_rate_rps=rate)
+        plain = run_reference(
+            make_engine(scheduler="continuous"),
+            make_trace("bursty", rate, 120, rng(9), decode_steps=(1, 5)),
+            rate,
+        )
         assert streamed == full == cap_serving_result(plain, 12)
 
     def test_streaming_percentiles_close_to_exact(self):
-        fast, _ = engine_pair(
-            scheduler="dynamic", backend_kwargs=dict(record_requests=8)
-        )
-        full_engine = ServingEngine(
-            ServingConfig(model=MODEL, scheduler="dynamic"), cache=PLAN_CACHE
-        )
-        rate = 1.0 / fast.base_latency_s()
+        engine = make_engine(scheduler="dynamic", record_requests=8)
+        full_engine = make_engine(scheduler="dynamic")
+        rate = 1.0 / engine.base_latency_s()
         trace = make_trace("poisson", rate, 200, rng(4), decode_steps=(1, 3))
-        streamed = fast.run(trace, offered_rate_rps=rate)
+        streamed = engine.run(trace, offered_rate_rps=rate)
         exact = full_engine.run(trace, offered_rate_rps=rate)
         for q in ("p50_s", "p95_s", "p99_s"):
             assert getattr(streamed, q) == pytest.approx(
@@ -175,17 +155,16 @@ class TestClusterBitIdentity:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     @pytest.mark.parametrize("scheduler", ["fifo", "continuous"])
     def test_fast_matches_reference(self, scenario, scheduler):
-        base = dict(
-            model=MODEL, scheduler=scheduler, max_batch=4, **self.SCENARIOS[scenario]
+        router = ClusterRouter(
+            ClusterConfig(
+                model=MODEL, scheduler=scheduler, max_batch=4, **self.SCENARIOS[scenario]
+            ),
+            cache=PLAN_CACHE,
         )
-        fast = ClusterRouter(ClusterConfig(**base, backend="fast"), cache=PLAN_CACHE)
-        ref = ClusterRouter(
-            ClusterConfig(**base, backend="reference"), cache=PLAN_CACHE
-        )
-        rate = 0.8 * fast.fleet_capacity_rps()
+        rate = 0.8 * router.fleet_capacity_rps()
         trace = make_trace("poisson", rate, 64, rng(11), decode_steps=(1, 4))
-        assert fast.run(trace, offered_rate_rps=rate) == ref.run(
-            trace, offered_rate_rps=rate
+        assert router.run(trace, offered_rate_rps=rate) == run_reference(
+            router, trace, rate
         )
 
     @pytest.mark.parametrize("scheduler", list_schedulers())
@@ -196,14 +175,10 @@ class TestClusterBitIdentity:
                 platforms=("A",),
                 scheduler=scheduler,
                 policy="round-robin",
-                backend="fast",
             ),
             cache=PLAN_CACHE,
         )
-        engine = ServingEngine(
-            ServingConfig(model=MODEL, scheduler=scheduler, backend="fast"),
-            cache=PLAN_CACHE,
-        )
+        engine = make_engine(scheduler=scheduler)
         rate = 0.7 / engine.base_latency_s()
         trace = make_trace("poisson", rate, 40, rng(2), decode_steps=(1, 4))
         clustered = cluster.run(trace, offered_rate_rps=rate)
@@ -211,21 +186,20 @@ class TestClusterBitIdentity:
         assert clustered.replicas[0] == single
 
     def test_capped_cluster_identical(self):
-        base = dict(
-            model=MODEL, platforms=("A", "A"), scheduler="dynamic", timeout_s=0.5
-        )
-        fast = ClusterRouter(
-            ClusterConfig(**base, backend="fast", record_requests=12),
+        router = ClusterRouter(
+            ClusterConfig(
+                model=MODEL,
+                platforms=("A", "A"),
+                scheduler="dynamic",
+                timeout_s=0.5,
+                record_requests=12,
+            ),
             cache=PLAN_CACHE,
         )
-        ref = ClusterRouter(
-            ClusterConfig(**base, backend="reference", record_requests=12),
-            cache=PLAN_CACHE,
-        )
-        rate = 0.9 * fast.fleet_capacity_rps()
+        rate = 0.9 * router.fleet_capacity_rps()
         trace = make_trace("bursty", rate, 120, rng(5), decode_steps=(1, 4))
-        capped = fast.run(trace, offered_rate_rps=rate)
-        assert capped == ref.run(trace, offered_rate_rps=rate)
+        capped = router.run(trace, offered_rate_rps=rate)
+        assert capped == run_reference(router, trace, rate)
         assert capped.record_cap == 12
         assert len(capped.records) == 12
         assert capped.num_requests_total == 120
@@ -290,11 +264,13 @@ class TestCustomSchedulerFallback:
 
         register_scheduler(scheduler_cls, replace=True)
         try:
-            fast, ref = engine_pair(scheduler=scheduler_cls.name)
-            rate = 0.8 / fast.base_latency_s()
+            engine = make_engine(scheduler=scheduler_cls.name)
+            rate = 0.8 / engine.base_latency_s()
             trace = make_trace("poisson", rate, 30, rng(6), decode_steps=(1, 3))
-            fast_result = fast.run(trace, offered_rate_rps=rate)
-            assert fast_result == ref.run(trace, offered_rate_rps=rate)
+            fast_result = engine.run(trace, offered_rate_rps=rate)
+            assert fast_result == run_reference(engine, trace, rate)
+            assert fast_result.backend_used == "reference"
+            assert "no columnar kernel" in fast_result.fast_path_fallback_reason
             # LIFO under load genuinely reorders service, so the fallback ran
             # the real scheduler, not the fifo kernel.
             assert fast_result.num_dispatches == 30
@@ -413,56 +389,38 @@ class TestStreamingQuantile:
 
 class TestKnobs:
     def test_engine_rejects_bad_knobs(self):
-        with pytest.raises(ServingError, match="backend"):
-            ServingConfig(model=MODEL, backend="warp")
         with pytest.raises(ServingError, match="record_requests"):
             ServingConfig(model=MODEL, record_requests=0)
-        with pytest.raises(ServingError, match="backend"):
-            ClusterConfig(model=MODEL, backend="warp")
         with pytest.raises(ServingError, match="record_requests"):
             ClusterConfig(model=MODEL, record_requests=-1)
 
-    def test_sweep_spec_carries_backend_knobs(self):
-        spec = SweepSpec(
-            models=(MODEL,),
-            loads=(0.5,),
-            backend="reference",
-            record_requests=64,
-        )
-        point = spec.points()[0]
-        assert point.backend == "reference"
-        assert point.record_requests == 64
+    def test_sweep_spec_carries_record_cap(self):
+        spec = SweepSpec(models=(MODEL,), loads=(0.5,), record_requests=64)
+        assert spec.points()[0].record_requests == 64
 
 
 class TestCLI:
     def test_serve_flags_and_backend_column(self, capsys):
         assert (
             cli_main(
-                [
-                    "serve", MODEL, "--num-requests", "24",
-                    "--backend", "reference", "--record-requests", "8",
-                ]
+                ["serve", MODEL, "--num-requests", "24", "--record-requests", "8"]
             )
             == 0
         )
         out = capsys.readouterr().out
         assert "backend" in out
-        assert "reference" in out
+        assert "columnar" in out
         assert "24" in out  # num served, not the 8 sampled records
 
     def test_serve_requests_alias(self, capsys):
         assert cli_main(["serve", MODEL, "--requests", "16"]) == 0
-        # the backend column reports the backend that actually served the
-        # run (backend_used), not the requested knob.
+        # the backend column reports the path that actually served the run.
         assert "columnar" in capsys.readouterr().out
 
     def test_cluster_flags(self, capsys):
         assert (
             cli_main(
-                [
-                    "cluster", MODEL, "--num-requests", "16",
-                    "--backend", "fast", "--record-requests", "4",
-                ]
+                ["cluster", MODEL, "--num-requests", "16", "--record-requests", "4"]
             )
             == 0
         )

@@ -18,9 +18,14 @@ resolved completions).  These tests pin four contracts:
   run) and stay bit-identical to the reference loop, including retry
   exhaustion, shed-under-fault, and capped streaming metrics;
 * **fallback** — hedging and custom policies/schedulers route to the
-  reference loop (neither fast entry point may run), still returning
-  identical results, with the reason recorded on the result.
+  reference loop (neither fast entry point may run), with the reason
+  recorded on the result.
+
+The reference side of every equivalence pair runs through
+:func:`oracles.run_reference`.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,7 +47,6 @@ from repro.serving.cluster import (
 from repro.serving.columnar_cluster import (
     fast_path_fallback_reason,
     needs_faulted_path,
-    supports_fast_path,
 )
 from repro.serving.faults import FaultInjector
 from repro.serving.scheduler import (
@@ -51,6 +55,8 @@ from repro.serving.scheduler import (
     get_scheduler,
     register_scheduler,
 )
+
+from oracles import run_reference
 
 POLICIES = ("round-robin", "least-loaded", "power-of-two-choices")
 SCHEDULERS = ("fifo", "static", "dynamic", "continuous")
@@ -65,17 +71,16 @@ FAULT_KNOBS = {
 
 
 def run_cluster(
-    backend,
     *,
     num_requests=400,
     load=1.5,
     seed=0,
     trace_kind="poisson",
     decode_steps=(1, 4),
+    reference=False,
     **overrides,
 ):
-    config = ClusterConfig(model="gpt2", backend=backend, **overrides)
-    router = ClusterRouter(config)
+    router = ClusterRouter(ClusterConfig(model="gpt2", **overrides))
     rate = load * router.fleet_capacity_rps()
     trace = make_trace(
         trace_kind,
@@ -84,12 +89,14 @@ def run_cluster(
         rng=np.random.default_rng(seed),
         decode_steps=decode_steps,
     )
+    if reference:
+        return run_reference(router, trace, rate)
     return router.run(trace, offered_rate_rps=rate)
 
 
 def assert_backends_identical(expect_backend="columnar", **overrides):
-    fast = run_cluster("fast", **overrides)
-    reference = run_cluster("reference", **overrides)
+    fast = run_cluster(**overrides)
+    reference = run_cluster(reference=True, **overrides)
     assert fast == reference
     assert fast.backend_used == expect_backend
     assert fast.fast_path_fallback_reason is None
@@ -145,7 +152,6 @@ class TestFastPathEquivalence:
     def test_policy_seed_respected(self):
         draws = [
             run_cluster(
-                "fast",
                 scheduler="fifo",
                 policy="power-of-two-choices",
                 platforms=("A",) * 4,
@@ -164,7 +170,7 @@ class TestFastPathEquivalence:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(columnar_cluster, "run_fast_cluster", spy)
-        run_cluster("fast", scheduler="fifo", policy="round-robin")
+        run_cluster(scheduler="fifo", policy="round-robin")
         assert len(calls) == 1
 
 
@@ -176,7 +182,6 @@ class TestSingleReplicaRail:
             platforms=("A",),
             scheduler=scheduler,
             policy="round-robin",
-            backend="fast",
         )
         router = ClusterRouter(config)
         rate = 1.5 * router.fleet_capacity_rps()
@@ -185,7 +190,7 @@ class TestSingleReplicaRail:
         )
         cluster = router.run(trace, offered_rate_rps=rate)
         solo = ServingEngine(
-            ServingConfig(model="gpt2", scheduler=scheduler, backend="fast")
+            ServingConfig(model="gpt2", scheduler=scheduler)
         ).run(trace, offered_rate_rps=rate)
         assert cluster.replicas[0] == solo
 
@@ -284,7 +289,6 @@ class TestFaultedFastPath:
 
         monkeypatch.setattr(columnar_cluster, "run_fast_faulted", spy)
         result = run_cluster(
-            "fast",
             scheduler="dynamic",
             policy="round-robin",
             fault_profile="crash",
@@ -321,17 +325,12 @@ class TestFallback:
     @pytest.mark.parametrize("knob", sorted(FALLBACK_KNOBS))
     def test_unsupported_knob_runs_reference_loop(self, knob, monkeypatch):
         _refuse_both_fast_paths(monkeypatch)
-        overrides = FALLBACK_KNOBS[knob]
-        fast = run_cluster(
-            "fast", scheduler="continuous", policy="least-loaded", **overrides
+        result = run_cluster(
+            scheduler="continuous", policy="least-loaded", **FALLBACK_KNOBS[knob]
         )
-        reference = run_cluster(
-            "reference", scheduler="continuous", policy="least-loaded", **overrides
-        )
-        assert fast == reference
-        assert fast.backend_used == "reference"
-        assert "hedge_after_s" in fast.fast_path_fallback_reason
-        assert reference.fast_path_fallback_reason is None
+        assert result.backend_used == "reference"
+        assert "hedge_after_s" in result.fast_path_fallback_reason
+        assert result.num_hedges > 0
 
     def test_custom_policy_falls_back(self, monkeypatch):
         class HighestIndexPolicy(AdmissionPolicy):
@@ -344,31 +343,36 @@ class TestFallback:
         register_policy(HighestIndexPolicy, replace=True)
         _refuse_both_fast_paths(monkeypatch)
         try:
-            fast = run_cluster("fast", scheduler="fifo", policy="test-highest-index")
-            reference = run_cluster(
-                "reference", scheduler="fifo", policy="test-highest-index"
-            )
+            result = run_cluster(scheduler="fifo", policy="test-highest-index")
         finally:
             _POLICIES.pop(HighestIndexPolicy.name, None)
-        assert fast == reference
+        assert result.backend_used == "reference"
+        assert "custom policy" in result.fast_path_fallback_reason
 
     def test_subclassed_scheduler_falls_back(self, monkeypatch):
         class SubclassedFIFOScheduler(FIFOScheduler):
             name = "test-fifo-subclass"
             description = "fifo subclass without its own columnar kernel"
 
+        # the subclass decides exactly like fifo, so the event loop it falls
+        # back to must reproduce the columnar fifo rail, names aside.
+        columnar = run_cluster(scheduler="fifo", policy="round-robin")
         register_scheduler(SubclassedFIFOScheduler, replace=True)
         _refuse_both_fast_paths(monkeypatch)
         try:
-            fast = run_cluster(
-                "fast", scheduler="test-fifo-subclass", policy="round-robin"
-            )
-            reference = run_cluster(
-                "reference", scheduler="test-fifo-subclass", policy="round-robin"
+            fallback = run_cluster(
+                scheduler="test-fifo-subclass", policy="round-robin"
             )
         finally:
             _SCHEDULERS.pop(SubclassedFIFOScheduler.name, None)
-        assert fast == reference
+        assert fallback.backend_used == "reference"
+        assert "custom scheduler" in fallback.fast_path_fallback_reason
+        name = SubclassedFIFOScheduler.name
+        assert fallback == replace(
+            columnar,
+            scheduler=name,
+            replicas=[replace(r, scheduler=name) for r in columnar.replicas],
+        )
 
 
 class TestSupportsFastPath:
@@ -378,7 +382,6 @@ class TestSupportsFastPath:
         profile="none",
         scheduler="fifo",
         policy="round-robin",
-        backend="fast",
         **config_overrides,
     ):
         return ClusterConfig(
@@ -387,18 +390,7 @@ class TestSupportsFastPath:
             scheduler=scheduler,
             policy=policy,
             fault_profile=profile,
-            backend=backend,
             **config_overrides,
-        )
-
-    def _probe(self, **kwargs):
-        config = self._config(**kwargs)
-        injector = FaultInjector(config.fault_profile, 2, 100.0, seed=0)
-        return supports_fast_path(
-            config,
-            injector,
-            get_policy(config.policy),
-            get_scheduler(config.scheduler),
         )
 
     def _reason(self, **kwargs):
@@ -410,20 +402,17 @@ class TestSupportsFastPath:
     def test_rail_conditions_hold(self):
         for scheduler in SCHEDULERS:
             for policy in POLICIES:
-                assert self._probe(scheduler=scheduler, policy=policy)
+                assert self._reason(scheduler=scheduler, policy=policy) is None
         # shedding, capping, and deadlines stay on the rail
-        assert self._probe(shed_queue_s=0.01, record_requests=32, deadline_s=0.1)
-        # faults and timeout retries now ride the fault-capable rail
-        assert self._probe(profile="crash", timeout_s=0.02)
-        assert self._probe(profile="accel-loss", timeout_s=0.02)
-        assert self._probe(profile="straggler")
-        assert self._probe(timeout_s=0.02)
+        assert self._reason(shed_queue_s=0.01, record_requests=32, deadline_s=0.1) is None
+        # faults and timeout retries ride the fault-capable rail
+        assert self._reason(profile="crash", timeout_s=0.02) is None
+        assert self._reason(profile="accel-loss", timeout_s=0.02) is None
+        assert self._reason(profile="straggler") is None
+        assert self._reason(timeout_s=0.02) is None
 
     def test_unsupported_knobs_fall_off(self):
         assert "hedge_after_s" in self._reason(hedge_after_s=0.01)
-        assert "backend" in self._reason(backend="reference")
-        assert not self._probe(hedge_after_s=0.01)
-        assert not self._probe(backend="reference")
 
     def test_faulted_rail_selection(self):
         def needs(**kwargs):

@@ -5,7 +5,6 @@ import pytest
 from repro import ops
 from repro.errors import RegistryError
 from repro.flows import (
-    ExecutionPlan,
     FusionConfig,
     ONNXRuntimeFlow,
     PyTorchEagerFlow,

@@ -89,6 +89,22 @@ class TestTraces:
         with pytest.raises(ServingError):
             RequestTrace("bad", (Request(0, 0.0, decode_steps=0),))
 
+    @pytest.mark.parametrize("kind", ["poisson", "bursty", "closed-loop"])
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_rate_rejected(self, kind, rate):
+        # a NaN rate used to yield all-NaN arrivals that hung the engine.
+        with pytest.raises(ServingError, match="finite"):
+            make_trace(kind, rate, 20, rng(0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_arrivals_rejected(self, bad):
+        with pytest.raises(ServingError, match="non-finite"):
+            RequestTrace(
+                "bad", arrival_s=np.array([0.0, bad]), decode_steps=np.array([1, 1])
+            )
+        with pytest.raises(ServingError, match="non-finite"):
+            RequestTrace("bad", (Request(0, bad),))
+
 
 # -- schedulers -------------------------------------------------------------
 
@@ -98,6 +114,14 @@ class TestSchedulers:
         assert list_schedulers() == ["continuous", "dynamic", "fifo", "static"]
         with pytest.raises(ServingError):
             get_scheduler("mystery")
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [dict(max_batch=0), dict(max_wait_s=-1e-3), dict(max_wait_s=float("nan"))],
+    )
+    def test_bad_knobs_rejected(self, knobs):
+        with pytest.raises(ServingError, match=next(iter(knobs))):
+            get_scheduler("dynamic", **knobs)
 
     def test_fresh_instance_per_call(self):
         assert get_scheduler("fifo") is not get_scheduler("fifo")

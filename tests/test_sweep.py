@@ -13,7 +13,7 @@ from repro.ir import Graph, TensorSpec
 from repro.models import build_model
 from repro.profiler import profile_graph
 from repro.runtime.memory import profile_memory
-from repro.runtime.simulator import simulate, simulate_reference, use_reference_backend
+from repro.runtime.simulator import simulate, simulate_reference
 from repro.sweep.cache import PLAN_CACHE, PlanCache
 from repro.sweep.runner import SweepRunner, run_point
 from repro.sweep.spec import SweepPoint, SweepSpec
@@ -49,24 +49,6 @@ class TestVectorizedEquivalence:
         for fast_rec, slow_rec in zip(fast.records, slow.records):
             assert fast_rec.estimate == slow_rec.estimate
             assert fast_rec.transfer_s == slow_rec.transfer_s
-
-    def test_reference_backend_context(self, tiny_transformer_graph):
-        plan = get_flow("pytorch").lower(tiny_transformer_graph, use_gpu=True)
-        with use_reference_backend():
-            result = simulate(plan, PLATFORM_A)
-        assert result.estimates is None  # scalar path taken
-        assert result.total_latency_s == simulate(plan, PLATFORM_A).total_latency_s
-
-    def test_profile_matches_reference_backend(self):
-        graph = build_model("swin-t", batch_size=1)
-        flow = get_flow("pytorch")
-        fast = profile_graph(graph, flow, PLATFORM_A, use_gpu=True, iterations=3, seed=7)
-        with use_reference_backend():
-            slow = profile_graph(graph, flow, PLATFORM_A, use_gpu=True, iterations=3, seed=7)
-        assert fast.total_latency_s == slow.total_latency_s
-        assert fast.gpu_energy_j == slow.gpu_energy_j
-        assert fast.latency_by_group() == slow.latency_by_group()
-        assert fast.records == slow.records
 
 
 class TestPlatformBitIdentity:
