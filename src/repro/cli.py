@@ -512,38 +512,31 @@ def _parse_decode_steps(raw: str) -> "int | tuple[int, int]":
     return int(raw)
 
 
+def _print_listings(args: argparse.Namespace, **registries) -> bool:
+    """Print the ``(name, description)`` table of every registry whose
+    ``--list-*`` flag (keyword name) is set; False when none is."""
+    tables = [
+        render_table(
+            [{registry.kind: name, "description": text} for name, text in registry.entries()]
+        )
+        for flag, registry in registries.items()
+        if getattr(args, flag)
+    ]
+    if tables:
+        print("\n\n".join(tables))
+    return bool(tables)
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.serving import (
-        ServingConfig,
-        ServingEngine,
-        make_trace,
-        scheduler_entries,
-        trace_entries,
-    )
+    from repro.serving import ServingConfig, ServingEngine, make_trace
+    from repro.serving.scheduler import SCHEDULER_REGISTRY
+    from repro.serving.trace import TRACE_REGISTRY
 
-    if args.list_schedulers or args.list_traces:
-        if args.list_schedulers:
-            print(
-                render_table(
-                    [
-                        {"scheduler": name, "policy": description}
-                        for name, description in scheduler_entries()
-                    ]
-                )
-            )
-        if args.list_traces:
-            if args.list_schedulers:
-                print()
-            print(
-                render_table(
-                    [
-                        {"trace": name, "arrival process": description}
-                        for name, description in trace_entries()
-                    ]
-                )
-            )
+    if _print_listings(
+        args, list_schedulers=SCHEDULER_REGISTRY, list_traces=TRACE_REGISTRY
+    ):
         return 0
     if args.model is None:
         print(
@@ -629,53 +622,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_cluster(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.serving import (
-        AutoscaleConfig,
-        ClusterConfig,
-        ClusterRouter,
-        autoscaler_entries,
-        fault_profile_entries,
-        make_trace,
-        policy_entries,
-        trace_entries,
-    )
+    from repro.serving import AutoscaleConfig, ClusterConfig, ClusterRouter, make_trace
+    from repro.serving.autoscale import AUTOSCALER_REGISTRY
+    from repro.serving.cluster import POLICY_REGISTRY
+    from repro.serving.faults import FAULT_PROFILE_REGISTRY
+    from repro.serving.trace import TRACE_REGISTRY
 
-    if (
-        args.list_policies
-        or args.list_faults
-        or args.list_autoscalers
-        or args.list_traces
+    if _print_listings(
+        args,
+        list_policies=POLICY_REGISTRY,
+        list_faults=FAULT_PROFILE_REGISTRY,
+        list_autoscalers=AUTOSCALER_REGISTRY,
+        list_traces=TRACE_REGISTRY,
     ):
-        tables = []
-        if args.list_policies:
-            tables.append(
-                [
-                    {"policy": name, "strategy": description}
-                    for name, description in policy_entries()
-                ]
-            )
-        if args.list_faults:
-            tables.append(
-                [
-                    {"profile": name, "faults": description}
-                    for name, description in fault_profile_entries()
-                ]
-            )
-        if args.list_autoscalers:
-            tables.append(
-                [
-                    {"autoscaler": name, "control law": description}
-                    for name, description in autoscaler_entries()
-                ]
-            )
-        if args.list_traces:
-            tables.append(
-                [
-                    {"trace": name, "arrivals": description}
-                    for name, description in trace_entries()
-                ]
-            )
-        print("\n\n".join(render_table(rows) for rows in tables))
         return 0
     if args.model is None:
         print(

@@ -1,5 +1,7 @@
 """Deployment flows: lowering operator graphs into executable plans."""
 
+import functools
+
 from repro.errors import RegistryError
 from repro.flows.base import DeploymentFlow
 from repro.flows.fusion import (
@@ -32,8 +34,9 @@ from repro.flows.pytorch_eager import PyTorchEagerFlow
 from repro.flows.reference import reference_lower
 from repro.flows.tensorrt import TensorRTFlow
 from repro.flows.torch_inductor import TorchInductorFlow
+from repro.registry import Registry
 
-_FLOWS: dict[str, type[DeploymentFlow]] = {}
+FLOW_REGISTRY: Registry[type[DeploymentFlow]] = Registry("flow")
 
 #: short names accepted by :func:`get_flow` alongside canonical flow names.
 _ALIASES = {
@@ -47,13 +50,6 @@ _ALIASES = {
 }
 
 
-#: memoized flow instances: flows are stateless besides their lazily-built
-#: (and content-addressed) pipeline, so the registry hands out one shared
-#: instance per name instead of rebuilding pipeline + signature per sweep
-#: point.  Invalidated when a registration is replaced.
-_INSTANCES: dict[str, DeploymentFlow] = {}
-
-
 def register_flow(flow_cls: type[DeploymentFlow], replace: bool = False) -> type[DeploymentFlow]:
     """Register a deployment flow class under its ``name`` for :func:`get_flow`.
 
@@ -61,17 +57,22 @@ def register_flow(flow_cls: type[DeploymentFlow], replace: bool = False) -> type
     ``examples/custom_flow_passes.py``); registered flows are immediately
     available to the sweep CLI's ``--flows`` axis and every harness.
     """
-    key = flow_cls.name.lower()
-    if key in _ALIASES:
+    alias = _ALIASES.get(str(flow_cls.name).casefold())
+    if alias is not None:
         raise RegistryError(
             f"flow name {flow_cls.name!r} collides with the built-in alias"
-            f" for {_ALIASES[key]!r}"
+            f" for {alias!r}"
         )
-    if key in _FLOWS and not replace:
-        raise RegistryError(f"flow {flow_cls.name!r} already registered")
-    _FLOWS[key] = flow_cls
-    _INSTANCES.pop(key, None)
-    return flow_cls
+    return FLOW_REGISTRY.register(flow_cls.name, flow_cls, replace)
+
+
+@functools.cache
+def _shared_instance(flow_cls: type[DeploymentFlow]) -> DeploymentFlow:
+    """One instance per registered class: flows are stateless besides their
+    lazily-built (and content-addressed) pipeline, so sweep points share it
+    instead of rebuilding pipeline + signature per point.  The cache holds
+    one entry per class ever looked up, like the registry holds classes."""
+    return flow_cls()
 
 
 for _cls in (
@@ -93,22 +94,11 @@ def get_flow(name: str) -> DeploymentFlow:
     :func:`register_flow` (aliases: ``pt``, ``inductor``, ``trt``, ``ort``,
     ``ortcpu``).
     """
-    key = _ALIASES.get(name.lower(), name.lower())
-    instance = _INSTANCES.get(key)
-    if instance is None:
-        try:
-            instance = _FLOWS[key]()
-        except KeyError:
-            raise RegistryError(
-                f"unknown flow {name!r}; known: {sorted(_FLOWS)}"
-            ) from None
-        _INSTANCES[key] = instance
-    return instance
+    alias = _ALIASES.get(name.casefold()) if isinstance(name, str) else None
+    return _shared_instance(FLOW_REGISTRY.get(alias or name))
 
 
-def list_flows() -> list[str]:
-    """Canonical names of all registered flows."""
-    return sorted(_FLOWS)
+list_flows = FLOW_REGISTRY.names
 
 
 __all__ = [
@@ -116,6 +106,7 @@ __all__ = [
     "CompositeExpansionPass",
     "DeploymentFlow",
     "ExecutionPlan",
+    "FLOW_REGISTRY",
     "FusionConfig",
     "FusionPass",
     "FusionResult",

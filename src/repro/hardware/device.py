@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from repro.errors import RegistryError
 from repro.ir.dtype import DType
+from repro.registry import Registry
 
 
 class DeviceKind(enum.Enum):
@@ -225,34 +226,16 @@ RADEON_780M = DeviceSpec(
 )
 
 
-_DEVICES: dict[str, DeviceSpec] = {}
+DEVICE_REGISTRY: Registry[DeviceSpec] = Registry("device")
 
 
 def register_device(spec: DeviceSpec, replace: bool = False) -> DeviceSpec:
-    """Register a device preset for :func:`get_device` lookup.
-
-    Mirrors :func:`repro.flows.register_flow`: returns the spec so it can be
-    used as-is after registration.
-    """
-    if spec.name in _DEVICES and not replace:
-        raise RegistryError(f"device {spec.name!r} already registered")
-    _DEVICES[spec.name] = spec
-    return spec
+    """Register a device preset under its ``name``; returns the spec."""
+    return DEVICE_REGISTRY.register(spec.name, spec, replace)
 
 
 for _spec in (A100, RTX4090, EPYC_7763, I9_13900K, RYZEN_7940HS, XDNA_NPU, RADEON_780M):
     register_device(_spec)
 
-
-def get_device(name: str) -> DeviceSpec:
-    """Look up a device preset by name."""
-    try:
-        return _DEVICES[name]
-    except KeyError:
-        known = ", ".join(sorted(_DEVICES))
-        raise RegistryError(f"unknown device {name!r}; known: {known}") from None
-
-
-def list_devices() -> list[DeviceSpec]:
-    """All registered device presets, sorted by name."""
-    return [_DEVICES[name] for name in sorted(_DEVICES)]
+get_device = DEVICE_REGISTRY.get
+list_devices = DEVICE_REGISTRY.values

@@ -8,9 +8,9 @@ XDNA NPU + Radeon 780M iGPU) built from published numbers.
 A platform holds at most one device per :class:`~repro.hardware.device.DeviceKind`
 and a directed link table; :meth:`Platform.transfer_time` replaces the old
 single-PCIe assumption with a per-pair lookup (asymmetric links supported,
-same-device transfers are free).  Platforms live in a registry mirroring
-``register_flow()``: :func:`register_platform`, :func:`get_platform`,
-:func:`list_platforms`.
+same-device transfers are free).  Platforms live in a
+:class:`~repro.registry.Registry`: :func:`register_platform`,
+:func:`get_platform`, :func:`list_platforms`.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from repro.hardware.device import (
     DeviceKind,
     DeviceSpec,
 )
+from repro.registry import Registry
 
 #: suffix reserved for :meth:`Platform.cpu_only` derived platform ids;
 #: :func:`register_platform` rejects it so derived ids can never collide
@@ -295,41 +296,23 @@ PLATFORM_C = Platform(
 )
 
 
-_PLATFORMS: dict[str, Platform] = {}
+PLATFORM_REGISTRY: Registry[Platform] = Registry("platform")
 
 
 def register_platform(platform: Platform, replace: bool = False) -> Platform:
-    """Register a platform for :func:`get_platform` lookup.
+    """Register a platform under its id; returns the platform.
 
     Ids ending in the reserved ``-cpu`` suffix are rejected: those name
-    :meth:`Platform.cpu_only` derivations, which the registry resolves from
-    the base platform instead of storing.
+    :meth:`Platform.cpu_only` derivations, which :func:`get_platform`
+    resolves from the base platform instead of storing.
     """
     pid = platform.platform_id
-    if pid.lower().endswith(CPU_ONLY_SUFFIX):
+    if pid.casefold().endswith(CPU_ONLY_SUFFIX):
         raise RegistryError(
             f"platform id {pid!r} uses the reserved {CPU_ONLY_SUFFIX!r} suffix"
             " (derived CPU-only variants); register the base platform instead"
         )
-    existing = _lookup(pid)
-    if existing is not None and not replace:
-        raise RegistryError(f"platform {pid!r} already registered")
-    if existing is not None and existing.platform_id != pid:
-        del _PLATFORMS[existing.platform_id]  # replace the case-insensitive twin
-    _PLATFORMS[pid] = platform
-    return platform
-
-
-def _lookup(platform_id: str) -> Platform | None:
-    """Exact-id lookup first, then unique case-insensitive match."""
-    found = _PLATFORMS.get(platform_id)
-    if found is not None:
-        return found
-    folded = platform_id.lower()
-    for pid, platform in _PLATFORMS.items():
-        if pid.lower() == folded:
-            return platform
-    return None
+    return PLATFORM_REGISTRY.register(pid, platform, replace)
 
 
 for _platform in (PLATFORM_A, PLATFORM_B, PLATFORM_C):
@@ -343,18 +326,11 @@ def get_platform(platform_id: str) -> Platform:
     :meth:`Platform.cpu_only` derivation, so ``get_platform("A-cpu")`` works
     and a registered platform can never be shadowed by a derived id.
     """
-    found = _lookup(platform_id)
-    if found is not None:
-        return found
-    if platform_id.lower().endswith(CPU_ONLY_SUFFIX):
-        base = _lookup(platform_id[: -len(CPU_ONLY_SUFFIX)])
-        if base is not None:
-            return base.cpu_only()
-    raise RegistryError(
-        f"unknown platform {platform_id!r}; known: {sorted(_PLATFORMS)}"
-    )
+    if isinstance(platform_id, str) and platform_id.casefold().endswith(CPU_ONLY_SUFFIX):
+        base = platform_id[: -len(CPU_ONLY_SUFFIX)]
+        if base in PLATFORM_REGISTRY:
+            return PLATFORM_REGISTRY.get(base).cpu_only()
+    return PLATFORM_REGISTRY.get(platform_id)
 
 
-def list_platforms() -> list[Platform]:
-    """All registered platforms, sorted by id."""
-    return [_PLATFORMS[pid] for pid in sorted(_PLATFORMS)]
+list_platforms = PLATFORM_REGISTRY.values

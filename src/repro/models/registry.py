@@ -12,7 +12,6 @@ import enum
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.errors import RegistryError
 from repro.ir.graph import Graph
 from repro.models import configs
 from repro.models.bert import build_bert
@@ -25,6 +24,7 @@ from repro.models.rcnn import build_faster_rcnn, build_mask_rcnn
 from repro.models.segformer import build_segformer
 from repro.models.swin import build_swin
 from repro.models.vit import build_vit
+from repro.registry import Registry
 
 
 class TaskDomain(enum.Enum):
@@ -51,27 +51,20 @@ class ModelEntry:
         return self.builder(self.config, batch_size=batch_size, **overrides)
 
 
-_REGISTRY: dict[str, ModelEntry] = {}
+MODEL_REGISTRY: Registry[ModelEntry] = Registry("model")
 
 
 def register_model(entry: ModelEntry, replace: bool = False) -> None:
     """Add a model to the registry (``replace=True`` to override a preset)."""
-    if entry.name in _REGISTRY and not replace:
-        raise RegistryError(f"model {entry.name!r} already registered")
-    _REGISTRY[entry.name] = entry
+    MODEL_REGISTRY.register(entry.name, entry, replace)
 
 
-def get_model(name: str) -> ModelEntry:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise RegistryError(
-            f"unknown model {name!r}; known: {', '.join(sorted(_REGISTRY))}"
-        ) from None
+get_model = MODEL_REGISTRY.get
 
 
 def list_models(domain: TaskDomain | None = None) -> list[ModelEntry]:
-    entries = sorted(_REGISTRY.values(), key=lambda e: (e.domain.value, e.name))
+    """Registered models ordered by task domain, then name."""
+    entries = sorted(MODEL_REGISTRY.values(), key=lambda e: (e.domain.value, e.name))
     if domain is None:
         return entries
     return [e for e in entries if e.domain is domain]

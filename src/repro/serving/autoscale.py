@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.errors import ServingError
+from repro.registry import Registry
 from repro.serving.metrics import nearest_rank
 
 
@@ -289,7 +290,7 @@ class StepAutoscaler(Autoscaler):
         return obs.active_replicas
 
 
-_AUTOSCALERS: dict[str, type[Autoscaler]] = {}
+AUTOSCALER_REGISTRY: Registry[type[Autoscaler]] = Registry("autoscaler", ServingError)
 
 
 def register_autoscaler(
@@ -300,15 +301,7 @@ def register_autoscaler(
     Usable as a decorator on custom controllers, exactly like
     :func:`~repro.serving.cluster.register_policy`.
     """
-    key = autoscaler_cls.name.lower()
-    if not key:
-        raise ServingError(
-            f"autoscaler {autoscaler_cls.__name__} declares no name"
-        )
-    if key in _AUTOSCALERS and not replace:
-        raise ServingError(f"autoscaler {autoscaler_cls.name!r} already registered")
-    _AUTOSCALERS[key] = autoscaler_cls
-    return autoscaler_cls
+    return AUTOSCALER_REGISTRY.register(autoscaler_cls.name, autoscaler_cls, replace)
 
 
 for _cls in (TargetUtilizationAutoscaler, GoodputAutoscaler, StepAutoscaler):
@@ -317,20 +310,8 @@ for _cls in (TargetUtilizationAutoscaler, GoodputAutoscaler, StepAutoscaler):
 
 def get_autoscaler(name: str) -> Autoscaler:
     """Instantiate a controller by name — a fresh instance per call."""
-    try:
-        autoscaler_cls = _AUTOSCALERS[name.lower()]
-    except KeyError:
-        raise ServingError(
-            f"unknown autoscaler {name!r}; known: {list_autoscalers()}"
-        ) from None
-    return autoscaler_cls()
+    return AUTOSCALER_REGISTRY.get(name)()
 
 
-def list_autoscalers() -> list[str]:
-    """Canonical names of all registered autoscalers."""
-    return sorted(_AUTOSCALERS)
-
-
-def autoscaler_entries() -> list[tuple[str, str]]:
-    """(name, description) rows for discovery surfaces (CLI, docs)."""
-    return [(name, _AUTOSCALERS[name].description) for name in list_autoscalers()]
+list_autoscalers = AUTOSCALER_REGISTRY.names
+autoscaler_entries = AUTOSCALER_REGISTRY.entries

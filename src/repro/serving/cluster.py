@@ -44,6 +44,7 @@ import numpy as np
 from repro.errors import ServingError
 from repro.hardware.device import DeviceKind
 from repro.hardware.platform import get_platform
+from repro.registry import Registry
 from repro.serving.autoscale import (
     AutoscaleConfig,
     AutoscaleObservation,
@@ -184,7 +185,7 @@ class PowerOfTwoPolicy(AdmissionPolicy):
         return first
 
 
-_POLICIES: dict[str, type[AdmissionPolicy]] = {}
+POLICY_REGISTRY: Registry[type[AdmissionPolicy]] = Registry("policy", ServingError)
 
 
 def register_policy(
@@ -197,13 +198,7 @@ def register_policy(
     are immediately available to ``nongemm-bench cluster`` and the sweep
     ``policy`` axis.
     """
-    key = policy_cls.name.lower()
-    if not key:
-        raise ServingError(f"policy {policy_cls.__name__} declares no name")
-    if key in _POLICIES and not replace:
-        raise ServingError(f"policy {policy_cls.name!r} already registered")
-    _POLICIES[key] = policy_cls
-    return policy_cls
+    return POLICY_REGISTRY.register(policy_cls.name, policy_cls, replace)
 
 
 for _cls in (RoundRobinPolicy, LeastLoadedPolicy, PowerOfTwoPolicy):
@@ -212,23 +207,11 @@ for _cls in (RoundRobinPolicy, LeastLoadedPolicy, PowerOfTwoPolicy):
 
 def get_policy(name: str) -> AdmissionPolicy:
     """Instantiate a policy by name — a fresh instance per call."""
-    try:
-        policy_cls = _POLICIES[name.lower()]
-    except KeyError:
-        raise ServingError(
-            f"unknown policy {name!r}; known: {list_policies()}"
-        ) from None
-    return policy_cls()
+    return POLICY_REGISTRY.get(name)()
 
 
-def list_policies() -> list[str]:
-    """Canonical names of all registered admission policies."""
-    return sorted(_POLICIES)
-
-
-def policy_entries() -> list[tuple[str, str]]:
-    """(name, description) rows for discovery surfaces (CLI, docs)."""
-    return [(name, _POLICIES[name].description) for name in list_policies()]
+list_policies = POLICY_REGISTRY.names
+policy_entries = POLICY_REGISTRY.entries
 
 
 # -- configuration ------------------------------------------------------------

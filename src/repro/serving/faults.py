@@ -31,6 +31,7 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import ServingError
+from repro.registry import Registry
 
 #: fault window kinds.
 CRASH = "crash"
@@ -102,23 +103,18 @@ class FaultSchedule:
 #: a fault profile maps (num_replicas, horizon_s, rng) -> FaultSchedule.
 FaultProfile = Callable[[int, float, np.random.Generator], FaultSchedule]
 
-_FAULT_PROFILES: dict[str, FaultProfile] = {}
+FAULT_PROFILE_REGISTRY: Registry[FaultProfile] = Registry("fault profile", ServingError)
 
 
 def register_fault_profile(
     name: str, fn: FaultProfile, replace: bool = False
 ) -> FaultProfile:
     """Register a fault profile under ``name`` (mirrors ``register_trace``)."""
-    key = name.lower()
-    if key in _FAULT_PROFILES and not replace:
-        raise ServingError(f"fault profile {name!r} already registered")
-    _FAULT_PROFILES[key] = fn
-    return fn
+    return FAULT_PROFILE_REGISTRY.register(name, fn, replace)
 
 
-def list_fault_profiles() -> list[str]:
-    """Canonical names of all registered fault profiles."""
-    return sorted(_FAULT_PROFILES)
+list_fault_profiles = FAULT_PROFILE_REGISTRY.names
+fault_profile_entries = FAULT_PROFILE_REGISTRY.entries
 
 
 def none_profile(
@@ -176,14 +172,6 @@ for _name, _fn in (
     register_fault_profile(_name, _fn)
 
 
-#: (name, one-line description) rows for discovery surfaces (CLI, docs).
-def fault_profile_entries() -> list[tuple[str, str]]:
-    return [
-        (name, (_FAULT_PROFILES[name].__doc__ or "").strip().splitlines()[0])
-        for name in list_fault_profiles()
-    ]
-
-
 class FaultInjector:
     """Seeded, replayable fault source for one cluster run.
 
@@ -202,13 +190,8 @@ class FaultInjector:
         horizon_s: float,
         seed: int = 0,
     ):
+        fn = FAULT_PROFILE_REGISTRY.get(profile)
         key = profile.lower()
-        try:
-            fn = _FAULT_PROFILES[key]
-        except KeyError:
-            raise ServingError(
-                f"unknown fault profile {profile!r}; known: {list_fault_profiles()}"
-            ) from None
         if num_replicas < 1:
             raise ServingError(f"num_replicas must be >= 1, got {num_replicas}")
         if not (horizon_s > 0.0) or not math.isfinite(horizon_s):

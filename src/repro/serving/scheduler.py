@@ -1,4 +1,4 @@
-"""Pluggable batching schedulers behind a registry mirroring ``register_flow()``.
+"""Pluggable batching schedulers behind a :class:`~repro.registry.Registry`.
 
 A scheduler owns the waiting queue and decides, at each engine decision
 point, what to launch next.  :meth:`BatchScheduler.next_dispatch` returns one
@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ServingError
+from repro.registry import Registry
 from repro.serving.trace import Request
 
 #: default scheduler knobs, shared by the CLI and the sweep spec.
@@ -285,7 +286,7 @@ class ContinuousBatchScheduler(BatchScheduler):
         )
 
 
-_SCHEDULERS: dict[str, type[BatchScheduler]] = {}
+SCHEDULER_REGISTRY: Registry[type[BatchScheduler]] = Registry("scheduler", ServingError)
 
 
 def register_scheduler(
@@ -297,13 +298,7 @@ def register_scheduler(
     :func:`repro.flows.register_flow`; registered schedulers are immediately
     available to ``nongemm-bench serve`` and the serving sweep axis.
     """
-    key = scheduler_cls.name.lower()
-    if not key:
-        raise ServingError(f"scheduler {scheduler_cls.__name__} declares no name")
-    if key in _SCHEDULERS and not replace:
-        raise ServingError(f"scheduler {scheduler_cls.name!r} already registered")
-    _SCHEDULERS[key] = scheduler_cls
-    return scheduler_cls
+    return SCHEDULER_REGISTRY.register(scheduler_cls.name, scheduler_cls, replace)
 
 
 for _cls in (
@@ -325,22 +320,11 @@ def get_scheduler(
     Returns a **fresh instance** per call (schedulers own mutable queue
     state), unlike the memoized :func:`repro.flows.get_flow`.
     """
-    try:
-        scheduler_cls = _SCHEDULERS[name.lower()]
-    except KeyError:
-        raise ServingError(
-            f"unknown scheduler {name!r}; known: {list_schedulers()}"
-        ) from None
+    scheduler_cls = SCHEDULER_REGISTRY.get(name)
     scheduler = scheduler_cls(max_batch=max_batch, max_wait_s=max_wait_s)
     scheduler.reset()
     return scheduler
 
 
-def list_schedulers() -> list[str]:
-    """Canonical names of all registered schedulers."""
-    return sorted(_SCHEDULERS)
-
-
-def scheduler_entries() -> list[tuple[str, str]]:
-    """(name, description) rows for discovery surfaces (CLI, docs)."""
-    return [(name, _SCHEDULERS[name].description) for name in list_schedulers()]
+list_schedulers = SCHEDULER_REGISTRY.names
+scheduler_entries = SCHEDULER_REGISTRY.entries

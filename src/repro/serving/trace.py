@@ -21,8 +21,8 @@ stream for one size-``k`` ``exponential`` call as for ``k`` scalar calls, so
 the batched draws are bit-identical to the historical per-request loops
 (pinned by the trace-identity tests).
 
-Three arrival processes ship built in, behind a registry mirroring
-``register_flow()``:
+Three arrival processes ship built in, behind a
+:class:`~repro.registry.Registry`:
 
 * ``poisson``     — memoryless open-loop arrivals at a target rate (the
   standard serving-benchmark load model).
@@ -46,6 +46,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro.errors import ServingError
+from repro.registry import Registry
 
 
 @dataclass(frozen=True)
@@ -378,16 +379,12 @@ def _check_rate(rate_rps: float, num_requests: int) -> None:
 
 TraceGenerator = Callable[..., RequestTrace]
 
-_TRACES: dict[str, TraceGenerator] = {}
+TRACE_REGISTRY: Registry[TraceGenerator] = Registry("trace", ServingError)
 
 
 def register_trace(name: str, fn: TraceGenerator, replace: bool = False) -> TraceGenerator:
     """Register an arrival-process generator for :func:`make_trace` lookup."""
-    key = name.lower()
-    if key in _TRACES and not replace:
-        raise ServingError(f"trace generator {name!r} already registered")
-    _TRACES[key] = fn
-    return fn
+    return TRACE_REGISTRY.register(name, fn, replace)
 
 
 for _name, _fn in (
@@ -397,21 +394,8 @@ for _name, _fn in (
 ):
     register_trace(_name, _fn)
 
-
-def list_traces() -> list[str]:
-    """Canonical names of all registered arrival processes."""
-    return sorted(_TRACES)
-
-
-def trace_entries() -> list[tuple[str, str]]:
-    """(name, one-line description) rows for discovery surfaces (CLI,
-    docs), mirroring ``fault_profile_entries``: the description is the
-    first line of the generator's docstring."""
-    entries = []
-    for name in list_traces():
-        doc = _TRACES[name].__doc__ or ""
-        entries.append((name, doc.strip().splitlines()[0] if doc.strip() else ""))
-    return entries
+list_traces = TRACE_REGISTRY.names
+trace_entries = TRACE_REGISTRY.entries
 
 
 def make_trace(
@@ -423,10 +407,4 @@ def make_trace(
 ) -> RequestTrace:
     """Generate a trace by registered process name (``poisson``, ``bursty``,
     ``closed-loop``, or anything passed to :func:`register_trace`)."""
-    try:
-        fn = _TRACES[kind.lower()]
-    except KeyError:
-        raise ServingError(
-            f"unknown trace kind {kind!r}; known: {list_traces()}"
-        ) from None
-    return fn(rate_rps, num_requests, rng, decode_steps)
+    return TRACE_REGISTRY.get(kind)(rate_rps, num_requests, rng, decode_steps)

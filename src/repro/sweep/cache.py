@@ -48,6 +48,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 from repro.hardware.device import DeviceKind, as_device_kind
 from repro.ir.graph import Graph, derived_hash
 from repro.models import build_model
+from repro.registry import Registry
 from repro.sweep.store import (
     ArtifactStore,
     StoredTransformResult,
@@ -64,23 +65,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 
 #: registered graph transforms usable from sweep specs (name -> callable
 #: returning an object with ``.graph`` and ``.stats``, like QuantizedModel).
-_TRANSFORMS: dict[str, Any] = {}
+TRANSFORM_REGISTRY: Registry[Any] = Registry("transform")
 
 
 def register_transform(name: str, fn: Any, replace: bool = False) -> None:
     """Register a graph transform for use in sweep specs (e.g. "llm-int8")."""
-    if name in _TRANSFORMS and not replace:
-        raise ValueError(f"transform {name!r} already registered")
-    _TRANSFORMS[name] = fn
+    TRANSFORM_REGISTRY.register(name, fn, replace)
 
 
-def get_transform(name: str) -> Any:
-    try:
-        return _TRANSFORMS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown transform {name!r}; known: {sorted(_TRANSFORMS)}"
-        ) from None
+get_transform = TRANSFORM_REGISTRY.get
 
 
 def _register_builtin_transforms() -> None:

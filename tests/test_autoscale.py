@@ -32,10 +32,11 @@ from repro.serving import (
     trace_entries,
 )
 from repro.serving import columnar_cluster
-from repro.serving.autoscale import _AUTOSCALERS
+from repro.serving.autoscale import AUTOSCALER_REGISTRY
 from repro.serving.columnar_cluster import fast_path_fallback_reason
 
 from oracles import reference_paths
+from registrations import restored
 
 POLICIES = ("round-robin", "least-loaded", "power-of-two-choices")
 SCHEDULERS = ("fifo", "static", "dynamic", "continuous")
@@ -126,14 +127,12 @@ class TestRegistry:
             def desired_replicas(self, obs):
                 return 3
 
-        try:
+        with restored(AUTOSCALER_REGISTRY):
             register_autoscaler(PinnedAutoscaler)
             assert "pinned-test" in list_autoscalers()
             with pytest.raises(ServingError, match="already registered"):
                 register_autoscaler(PinnedAutoscaler)
             register_autoscaler(PinnedAutoscaler, replace=True)
-        finally:
-            _AUTOSCALERS.pop("pinned-test", None)
 
     def test_nameless_controller_rejected(self):
         class Nameless(Autoscaler):

@@ -41,7 +41,11 @@ from repro.serving import (
     register_policy,
     simulate_cluster,
 )
+from repro.serving.cluster import POLICY_REGISTRY
+from repro.serving.faults import FAULT_PROFILE_REGISTRY
 from repro.sweep.cache import PLAN_CACHE
+
+from registrations import restored
 
 MODEL = "gpt2"
 
@@ -80,17 +84,13 @@ class TestFaultProfiles:
                 windows=(FaultWindow(0, CRASH, 0.0, horizon_s),)
             )
 
-        register_fault_profile("always-down-test", always_down)
-        try:
+        with restored(FAULT_PROFILE_REGISTRY):
+            register_fault_profile("always-down-test", always_down)
             assert "always-down-test" in list_fault_profiles()
             with pytest.raises(ServingError):
                 register_fault_profile("always-down-test", always_down)
             injector = FaultInjector("always-down-test", 2, 5.0)
             assert injector.is_crashed(0, 0.0) and not injector.is_crashed(1, 0.0)
-        finally:
-            from repro.serving import faults as faults_module
-
-            del faults_module._FAULT_PROFILES["always-down-test"]
 
     def test_injector_is_deterministic(self):
         a = FaultInjector("crash", 3, 2.0, seed=7)
@@ -199,8 +199,8 @@ class TestPolicies:
             def choose(self, now, candidates, generator):
                 return candidates[0]
 
-        register_policy(AlwaysFirst)
-        try:
+        with restored(POLICY_REGISTRY):
+            register_policy(AlwaysFirst)
             assert "always-first-test" in list_policies()
             with pytest.raises(ServingError):
                 register_policy(AlwaysFirst)
@@ -209,10 +209,6 @@ class TestPolicies:
                 RequestTrace("pair", (Request(0, 0.0), Request(1, 0.0))),
             )
             assert all(r.replica == 0 for r in result.records)
-        finally:
-            from repro.serving import cluster as cluster_module
-
-            del cluster_module._POLICIES["always-first-test"]
 
 
 # -- configuration -----------------------------------------------------------
@@ -329,8 +325,8 @@ class TestClusterRouter:
                 windows=(FaultWindow(0, CRASH, 0.0, 0.9 * horizon_s),)
             )
 
-        register_fault_profile("long-outage-test", long_outage)
-        try:
+        with restored(FAULT_PROFILE_REGISTRY):
+            register_fault_profile("long-outage-test", long_outage)
             config = cluster_config(
                 platforms=("A", "A"),
                 scheduler="fifo",
@@ -340,10 +336,6 @@ class TestClusterRouter:
             )
             trace, rate = fleet_trace(config, load=2.0)
             result = simulate_cluster(config, trace, rate)
-        finally:
-            from repro.serving import faults as faults_module
-
-            del faults_module._FAULT_PROFILES["long-outage-test"]
         assert result.num_failed > 0
         failed = [r for r in result.records if r.status == REQUEST_FAILED]
         assert failed and all(r.completion_s is None for r in failed)

@@ -36,11 +36,12 @@ from repro.serving import (
     nearest_rank,
     register_scheduler,
 )
-from repro.serving.scheduler import BatchScheduler, Dispatch
+from repro.serving.scheduler import SCHEDULER_REGISTRY, BatchScheduler, Dispatch
 from repro.sweep.cache import PLAN_CACHE
 from repro.sweep.spec import SweepSpec
 
 from oracles import run_reference
+from registrations import restored
 
 MODEL = "vit-b"
 
@@ -260,10 +261,8 @@ class TestCustomSchedulerFallback:
         "scheduler_cls", [_LIFOScheduler, _InheritingFIFO]
     )
     def test_fast_backend_still_correct_via_fallback(self, scheduler_cls):
-        from repro.serving.scheduler import _SCHEDULERS
-
-        register_scheduler(scheduler_cls, replace=True)
-        try:
+        with restored(SCHEDULER_REGISTRY):
+            register_scheduler(scheduler_cls, replace=True)
             engine = make_engine(scheduler=scheduler_cls.name)
             rate = 0.8 / engine.base_latency_s()
             trace = make_trace("poisson", rate, 30, rng(6), decode_steps=(1, 3))
@@ -274,8 +273,6 @@ class TestCustomSchedulerFallback:
             # LIFO under load genuinely reorders service, so the fallback ran
             # the real scheduler, not the fifo kernel.
             assert fast_result.num_dispatches == 30
-        finally:
-            _SCHEDULERS.pop(scheduler_cls.name, None)
 
 
 # -- trace vectorization: bit-identical to the historical scalar loops --------

@@ -39,7 +39,7 @@ from repro.serving import (
 )
 from repro.serving import columnar_cluster
 from repro.serving.cluster import (
-    _POLICIES,
+    POLICY_REGISTRY,
     AdmissionPolicy,
     get_policy,
     register_policy,
@@ -50,13 +50,14 @@ from repro.serving.columnar_cluster import (
 )
 from repro.serving.faults import FaultInjector
 from repro.serving.scheduler import (
-    _SCHEDULERS,
+    SCHEDULER_REGISTRY,
     FIFOScheduler,
     get_scheduler,
     register_scheduler,
 )
 
 from oracles import run_reference
+from registrations import restored
 
 POLICIES = ("round-robin", "least-loaded", "power-of-two-choices")
 SCHEDULERS = ("fifo", "static", "dynamic", "continuous")
@@ -340,12 +341,10 @@ class TestFallback:
             def choose(self, now, candidates, rng):
                 return candidates[-1]
 
-        register_policy(HighestIndexPolicy, replace=True)
         _refuse_both_fast_paths(monkeypatch)
-        try:
+        with restored(POLICY_REGISTRY):
+            register_policy(HighestIndexPolicy, replace=True)
             result = run_cluster(scheduler="fifo", policy="test-highest-index")
-        finally:
-            _POLICIES.pop(HighestIndexPolicy.name, None)
         assert result.backend_used == "reference"
         assert "custom policy" in result.fast_path_fallback_reason
 
@@ -357,14 +356,12 @@ class TestFallback:
         # the subclass decides exactly like fifo, so the event loop it falls
         # back to must reproduce the columnar fifo rail, names aside.
         columnar = run_cluster(scheduler="fifo", policy="round-robin")
-        register_scheduler(SubclassedFIFOScheduler, replace=True)
         _refuse_both_fast_paths(monkeypatch)
-        try:
+        with restored(SCHEDULER_REGISTRY):
+            register_scheduler(SubclassedFIFOScheduler, replace=True)
             fallback = run_cluster(
                 scheduler="test-fifo-subclass", policy="round-robin"
             )
-        finally:
-            _SCHEDULERS.pop(SubclassedFIFOScheduler.name, None)
         assert fallback.backend_used == "reference"
         assert "custom scheduler" in fallback.fast_path_fallback_reason
         name = SubclassedFIFOScheduler.name

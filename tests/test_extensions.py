@@ -1,13 +1,16 @@
-"""Tests for the extension surface: CNN baselines and trace export."""
+"""Tests for the extension surface: CNN baselines, trace export, and
+registration input checks."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.flows import get_flow
-from repro.hardware import PLATFORM_A
-from repro.models import build_model, get_model
+from repro.errors import RegistryError, ServingError
+from repro.flows import TensorRTFlow, get_flow, register_flow
+from repro.hardware import A100, EPYC_7763, PLATFORM_A, Platform, register_device, register_platform
+from repro.models import ModelEntry, TaskDomain, build_model, get_model, register_model
 from repro.models.cnn import (
     MobileNetV2Config,
     ResNetConfig,
@@ -17,6 +20,8 @@ from repro.models.cnn import (
 from repro.ops.base import OpCategory
 from repro.profiler import export_chrome_trace, profile_graph, trace_events
 from repro.runtime import run_graph
+from repro.serving import register_fault_profile, register_trace
+from repro.sweep import register_transform
 
 
 class TestResNet50:
@@ -92,3 +97,33 @@ class TestChromeTrace:
         assert payload["traceEvents"]
         groups = {e["cat"] for e in payload["traceEvents"] if e["ph"] == "X"}
         assert "GEMM-based" in groups and "Activation" in groups
+
+
+def _noop(*args):
+    """A registration that must never land."""
+
+
+class _NamelessFlow(TensorRTFlow):
+    name = ""
+
+
+#: every registration path that once accepted an empty name silently.
+EMPTY_NAME_REGISTRATIONS = {
+    "trace": (ServingError, lambda: register_trace("", _noop)),
+    "fault-profile": (ServingError, lambda: register_fault_profile(" ", _noop)),
+    "transform": (RegistryError, lambda: register_transform("", _noop)),
+    "device": (RegistryError, lambda: register_device(replace(A100, name=""))),
+    "flow": (RegistryError, lambda: register_flow(_NamelessFlow)),
+    "platform": (RegistryError, lambda: register_platform(Platform("", "x", cpu=EPYC_7763))),
+    "model": (
+        RegistryError,
+        lambda: register_model(ModelEntry("", TaskDomain.NLP, _noop, None, "none", "0")),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EMPTY_NAME_REGISTRATIONS))
+def test_empty_registration_names_rejected(kind):
+    error, register = EMPTY_NAME_REGISTRATIONS[kind]
+    with pytest.raises(error, match="declares no name"):
+        register()

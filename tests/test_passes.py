@@ -17,6 +17,7 @@ import pytest
 from repro import ops
 from repro.errors import PlanError, RegistryError
 from repro.flows import (
+    FLOW_REGISTRY,
     FusionConfig,
     ONNXRuntimeFlow,
     ORTCpuEpFlow,
@@ -26,7 +27,6 @@ from repro.flows import (
     reference_lower,
     register_flow,
 )
-from repro.flows import _FLOWS, _INSTANCES
 from repro.flows.passes import (
     CompositeExpansionPass,
     FusionPass,
@@ -43,6 +43,8 @@ from repro.hardware import DeviceKind
 from repro.ir import Graph, TensorSpec
 from repro.models import build_model, list_models
 from repro.sweep.cache import PlanCache
+
+from registrations import restored
 
 ALL_FLOWS = tuple(list_flows())
 ALL_MODELS = tuple(entry.name for entry in list_models())
@@ -403,13 +405,10 @@ class TestFlowRegistry:
         class ToyFlow(TensorRTFlow):
             name = "toy-trt"
 
-        try:
+        with restored(FLOW_REGISTRY):
             register_flow(ToyFlow)
             assert isinstance(get_flow("toy-trt"), ToyFlow)
             assert "toy-trt" in list_flows()
-        finally:
-            _FLOWS.pop("toy-trt", None)
-            _INSTANCES.pop("toy-trt", None)
 
     def test_get_flow_shares_instances(self):
         # flows are stateless: the registry memoizes one instance per name so

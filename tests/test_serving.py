@@ -33,8 +33,10 @@ from repro.serving import (
     resolve_serving_target,
     simulate_serving,
 )
-from repro.serving.scheduler import BatchScheduler, Dispatch
+from repro.serving.scheduler import SCHEDULER_REGISTRY, BatchScheduler, Dispatch
 from repro.sweep.cache import PLAN_CACHE
+
+from registrations import restored
 
 MODEL = "vit-b"
 
@@ -184,15 +186,11 @@ class TestSchedulers:
             def next_dispatch(self, now, arrivals_pending):
                 return None
 
-        register_scheduler(EveryOther)
-        try:
+        with restored(SCHEDULER_REGISTRY):
+            register_scheduler(EveryOther)
             assert "every-other-test" in list_schedulers()
             with pytest.raises(ServingError):
                 register_scheduler(EveryOther)
-        finally:
-            from repro.serving import scheduler as scheduler_module
-
-            del scheduler_module._SCHEDULERS["every-other-test"]
 
 
 # -- the equivalence battery ------------------------------------------------
@@ -309,14 +307,10 @@ class TestEngine:
             def next_dispatch(self, now, arrivals_pending):
                 return None
 
-        register_scheduler(Staller)
-        try:
+        with restored(SCHEDULER_REGISTRY):
+            register_scheduler(Staller)
             with pytest.raises(ServingError, match="outstanding"):
                 simulate_serving(self.config("staller-test"), single_request_trace())
-        finally:
-            from repro.serving import scheduler as scheduler_module
-
-            del scheduler_module._SCHEDULERS["staller-test"]
 
     def test_empty_trace(self):
         result = ServingEngine(self.config()).run(RequestTrace("empty", ()))

@@ -14,7 +14,7 @@ from repro.models import build_model
 from repro.profiler import profile_graph
 from repro.runtime.memory import profile_memory
 from repro.runtime.simulator import simulate, simulate_reference
-from repro.sweep.cache import PLAN_CACHE, PlanCache
+from repro.sweep.cache import PLAN_CACHE, PlanCache, get_transform, register_transform
 from repro.sweep.runner import SweepRunner, run_point
 from repro.sweep.spec import SweepPoint, SweepSpec
 
@@ -361,6 +361,15 @@ class TestSweepRunner:
             use_gpu=True, seq_len=128, iterations=2,
         )
         with pytest.raises(RegistryError, match="swin-t.*seq_len"):
+            run_point(point)
+
+    def test_transform_registry_errors_are_typed(self):
+        with pytest.raises(RegistryError, match="unknown transform 'nope'.*llm-int8"):
+            get_transform("nope")
+        with pytest.raises(RegistryError, match="already registered"):
+            register_transform("llm-int8", lambda graph: graph)
+        point = SweepSpec(models=("gpt2",), transforms=("nope",)).points()[0]
+        with pytest.raises(RegistryError, match="nope"):
             run_point(point)
 
     def test_parallel_matches_serial(self):
