@@ -12,7 +12,13 @@ no-hedge rail**:
    :meth:`~repro.serving.cluster._Replica.est_delay_s` against per-replica
    *virtual clock machines*: tiny recurrences over (host_free, accel_free,
    pending decode steps) that replay each scheduler's launch times without
-   scheduler objects, ``Request`` objects, or heap events.
+   scheduler objects, ``Request`` objects, or heap events.  Two registers
+   keep the per-arrival probes cheap: ``next_t``, the machine's next launch
+   time (``inf`` when idle), lets a probe skip a machine with no launch
+   due; ``horizon``, the busy horizon ``max(host_free, accel_free)``,
+   replaces the reference's walk over a per-device dict.  One launch loop
+   per scheduler kind (fifo, continuous, static/dynamic) keeps the
+   registers in locals while it runs.
 2. **Serving pass** — each replica's admitted sub-stream is a column slice
    of the trace, fed through the existing per-scheduler columnar kernels of
    :mod:`repro.serving.columnar`.  The only cluster-specific wrinkle is the
@@ -33,10 +39,10 @@ holding only fault transitions and retry timers, per-replica
 :class:`_SimReplica` machines that launch lazily, and lazily-resolved
 completions, with all accounting folded vectorized at assembly.
 :func:`fast_path_fallback_reason` names the only remaining fallback
-conditions — hedged dispatch and custom registered policies/schedulers —
-and :meth:`~repro.serving.cluster.ClusterRouter.run` falls back to the
-reference event loop automatically (silently, with the reason recorded on
-the result).
+conditions — autoscaling, hedged dispatch, and custom registered
+policies/schedulers — and :meth:`~repro.serving.cluster.ClusterRouter.run`
+falls back to the reference event loop automatically (silently, with the
+reason recorded on the result).
 
 Why launch times are a recurrence: the reference loop runs one decision
 pass per distinct event time, *after* draining that time's arrivals, and a
@@ -46,7 +52,8 @@ pure function of its queue and occupancy registers — ``max(ready, head
 admit)`` for fifo/continuous, ``max(host_free, cap-th admit)`` for a full
 batch, ``max(host_free, head admit + max_wait)`` for a dynamic flush — and
 admissions at time T strictly precede launches at T (the machines advance
-with a strict ``< T`` bound before every admission and delay probe).
+with a strict ``< T`` bound before every delay probe, and every admission
+follows a probe at its arrival time).
 During routing the global arrival stream is never exhausted, so static
 batching never flushes a partial batch inside the machines.
 """
@@ -101,10 +108,10 @@ def fast_path_fallback_reason(config, policy, scheduler) -> "str | None":
     "rail conditions" list and the fallback test battery enumerate exactly
     these knobs.  Fault windows, stragglers, and timeout retries are *not*
     fallback conditions anymore — they ride the fault-capable replay
-    (:func:`run_fast_faulted`); only hedging and custom registered
-    policies/schedulers still route to the reference loop.  The returned
-    string is surfaced as ``ClusterResult.fast_path_fallback_reason`` so a
-    silent fallback is diagnosable from the CLI.
+    (:func:`run_fast_faulted`); only autoscaling, hedging, and custom
+    registered policies/schedulers still route to the reference loop.  The
+    returned string is surfaced as ``ClusterResult.fast_path_fallback_reason``
+    so a silent fallback is diagnosable from the CLI.
     """
     from repro.serving.cluster import (
         LeastLoadedPolicy,
@@ -136,173 +143,350 @@ def needs_faulted_path(config, injector) -> bool:
 
 # -- routing pass -------------------------------------------------------------
 
+#: a machine's ``next_t`` when nothing can launch.
+_INF = float("inf")
+
 
 class _Machine:
     """Virtual clock of one replica: replays launch times and queue-delay
     estimates without a scheduler object or heap events.
 
-    State is exactly what :meth:`_Replica.est_delay_s` reads — ``host_free``,
-    the per-device ``accel_free`` horizon, and the scheduler's pending decode
-    steps — plus the admitted queue (admit time, steps) and, for continuous
-    batching, the in-flight remaining-step list.  ``advance(T)`` executes
-    every launch decided strictly before ``T`` with the reference launch
-    arithmetic verbatim, so a delay probe at an arrival time sees the same
-    registers as the scalar router's policy does.
+    State is what :meth:`_Replica.est_delay_s` reads — the busy ``horizon``
+    and the scheduler's pending decode steps — plus the occupancy registers
+    the reference ``launch()`` arithmetic moves (``host_free`` and one
+    ``accel_free`` float: a replica serves one engine, so its accelerator
+    work always queues on that engine's target) and the admitted queue
+    (admit time, steps).  ``next_t`` holds the next launch time (``inf`` when
+    nothing can launch), recomputed only on :meth:`admit` and after a
+    launch, so ``advance(T)`` is a no-op unless a launch is due strictly
+    before ``T`` and callers skip idle probes with ``if m.next_t < T``.  A
+    delay probe at an arrival time then sees the same registers as the
+    scalar router's policy does.
+
+    One subclass per scheduler kind supplies :meth:`admit` (re-arming
+    ``next_t``) and :meth:`advance` (the launch loop over locals).
     """
 
     __slots__ = (
         "index",
-        "kind",
         "max_batch",
-        "max_wait_s",
-        "_cost",
+        "target",
+        "_table",
+        "_rows",
         "unit_total_s",
+        "next_t",
         "host_free",
-        "ready_s",
         "accel_free",
+        "horizon",
+        "ready_s",
         "pending_steps",
         "q_admit",
         "q_steps",
         "head",
-        "flight",
     )
 
-    def __init__(self, index: int, engine, kind: str, max_batch: int, max_wait_s: float):
+    def __init__(self, index: int, engine, max_batch: int):
         self.index = index
-        self.kind = kind
         self.max_batch = max_batch
-        self.max_wait_s = max_wait_s
-        table = engine.costs.cost_table(max_batch)
-        self._cost = table.row  # dense column lookup, shared with the kernels
-        self.unit_total_s = table.row(1).total_s
+        self.target = engine.costs.target
+        self._table = engine.costs.cost_table(max_batch)
+        self._rows: list = [None] * (max_batch + 1)
+        self.unit_total_s = self._row(1)[2]
+        self.next_t = _INF
         self.host_free = 0.0
+        self.accel_free = 0.0
+        #: ``max(host_free, accel_free)``, refreshed after every launch loop.
+        #: Both registers only grow on this rail (no crash resets them), so
+        #: this is also the running max of every write — the reference's
+        #: ``accel_free`` dict walk, without the walk.
+        self.horizon = 0.0
+        #: end of the last barrier launch (fifo and continuous batching).
         self.ready_s = 0.0
-        self.accel_free: dict = {}
         self.pending_steps = 0
         self.q_admit: list[float] = []
         self.q_steps: list[int] = []
         self.head = 0
-        self.flight: list[int] = []
+
+    def _row(self, size: int) -> tuple:
+        """``(host_s, accel_s, total_s, has_accel)`` of a ``size`` batch,
+        read from the shared cost table once and cached per machine."""
+        row = self._rows[size]
+        if row is None:
+            cost = self._table.row(size)
+            # the single accel_free float stands for the reference's dict,
+            # which holds one key only while every row queues on one target.
+            assert cost.target == self.target, (cost.target, self.target)
+            row = self._rows[size] = (cost.host_s, cost.accel_s, cost.total_s, cost.has_accel)
+        return row
 
     def est_delay_s(self, now: float) -> float:
         """Verbatim :meth:`_Replica.est_delay_s` over the machine registers."""
-        horizon = self.host_free
-        for t in self.accel_free.values():
-            if t > horizon:
-                horizon = t
-        backlog = self.pending_steps * self.unit_total_s
-        delay = horizon - now
+        delay = self.horizon - now
         if delay < 0.0:
             delay = 0.0
-        return delay + backlog
+        return delay + self.pending_steps * self.unit_total_s
+
+    def _settle(self, host_free: float, accel_free: float, head: int) -> None:
+        """Store a launch loop's occupancy and queue registers."""
+        self.host_free = host_free
+        self.accel_free = accel_free
+        self.horizon = accel_free if accel_free > host_free else host_free
+        if head >= 8192:  # amortized queue compaction
+            del self.q_admit[:head]
+            del self.q_steps[:head]
+            head = 0
+        self.head = head
+
+
+def _occupy(row: tuple, cursor: float, iterations: int, host_free: float, accel_free: float):
+    """The reference ``launch()`` occupancy arithmetic, verbatim (straggler
+    multiplier omitted: it is exactly 1.0 on this rail).  Returns the
+    dispatch end and the new ``(host_free, accel_free)``."""
+    host_s, accel_s, total_s, has_accel = row
+    if has_accel:
+        for _ in range(iterations):
+            host_free = cursor + host_s
+            # max(host_end, accel_free) == host_end: the accelerator is
+            # idle by the time the host part ends.
+            if accel_free <= host_free:
+                cursor = cursor + total_s
+            else:
+                cursor = accel_free + accel_s
+            accel_free = cursor
+        return cursor, host_free, accel_free
+    for _ in range(iterations):
+        cursor = cursor + total_s
+    return cursor, cursor, accel_free
+
+
+class _FifoMachine(_Machine):
+    """One request per dispatch, all its decode steps; barrier launches."""
+
+    __slots__ = ()
 
     def admit(self, when: float, steps: int) -> None:
-        self.advance(when)
+        """Queue an arrival (the caller has advanced the machine to ``when``)."""
+        if self.head == len(self.q_admit):
+            ready = self.ready_s
+            self.next_t = when if when > ready else ready
         self.q_admit.append(when)
         self.q_steps.append(steps)
         self.pending_steps += steps
 
     def advance(self, until: float) -> None:
         """Execute every launch decided strictly before ``until``."""
-        while True:
-            t = self._next_launch()
-            if t is None or t >= until:
-                return
-            self._launch(t)
+        t = self.next_t
+        if not t < until:
+            return
+        q_admit = self.q_admit
+        q_steps = self.q_steps
+        head = self.head
+        tail = len(q_admit)
+        host_s, accel_s, total_s, has_accel = self._rows[1]  # priced in __init__
+        host_free = self.host_free
+        accel_free = self.accel_free
+        pending = self.pending_steps
+        while t < until:
+            steps = q_steps[head]
+            head += 1
+            pending -= steps
+            # _occupy, inlined
+            cursor = t if t > host_free else host_free
+            if has_accel:
+                for _ in range(steps):
+                    host_free = cursor + host_s
+                    if accel_free <= host_free:
+                        cursor = cursor + total_s
+                    else:
+                        cursor = accel_free + accel_s
+                    accel_free = cursor
+            else:
+                for _ in range(steps):
+                    cursor = cursor + total_s
+                host_free = cursor
+            # barrier: the next request launches once this one has ended.
+            if head < tail:
+                t = q_admit[head]
+                if cursor > t:
+                    t = cursor
+            else:
+                t = _INF
+        self.ready_s = cursor
+        self.next_t = t
+        self.pending_steps = pending
+        self._settle(host_free, accel_free, head)
 
-    def _next_launch(self) -> "float | None":
-        kind = self.kind
-        if kind == "continuous":
-            if self.flight:
-                return self.ready_s
-            if self.head < len(self.q_admit):
-                a = self.q_admit[self.head]
-                return a if a > self.ready_s else self.ready_s
-            return None
-        qlen = len(self.q_admit) - self.head
-        if qlen == 0:
-            return None
-        if kind == "fifo":
-            a = self.q_admit[self.head]
-            return a if a > self.ready_s else self.ready_s
-        if qlen >= self.max_batch:
-            a = self.q_admit[self.head + self.max_batch - 1]
-            return a if a > self.host_free else self.host_free
-        if kind == "dynamic":
-            d = self.q_admit[self.head] + self.max_wait_s
-            return d if d > self.host_free else self.host_free
-        # static partial batches flush only once the *global* arrival stream
-        # is exhausted — which never happens while requests are still routing.
-        return None
 
-    def _launch(self, t: float) -> None:
-        kind = self.kind
-        if kind == "continuous":
-            flight = self.flight
-            free = self.max_batch - len(flight)
-            if free > 0:
-                qlen = len(self.q_admit) - self.head
-                take = free if free < qlen else qlen
-                if take:
-                    stop = self.head + take
-                    flight.extend(self.q_steps[self.head : stop])
-                    self.head = stop
-            size = len(flight)
-            end = self._iterate(self._cost(size), t, 1)
-            self.flight = [rem - 1 for rem in flight if rem != 1]
-            self.pending_steps -= size
-            self.ready_s = end  # barrier
-        elif kind == "fifo":
-            steps = self.q_steps[self.head]
-            self.head += 1
-            end = self._iterate(self._cost(1), t, steps)
-            self.pending_steps -= steps
-            self.ready_s = end  # barrier
-        else:  # static / dynamic full-or-flush batch
-            qlen = len(self.q_admit) - self.head
-            size = qlen if qlen < self.max_batch else self.max_batch
-            stop = self.head + size
-            members = self.q_steps[self.head : stop]
-            self.head = stop
-            self._iterate(self._cost(size), t, max(members))
-            self.pending_steps -= sum(members)
-            # non-barrier: ready is max(when, host_free), and host_free has
-            # just advanced past the dispatch start.
-            self.ready_s = t if t > self.host_free else self.host_free
-        if self.head >= 8192:  # amortized queue compaction
-            del self.q_admit[: self.head]
-            del self.q_steps[: self.head]
-            self.head = 0
+class _ContinuousMachine(_Machine):
+    """Iteration-level batching: every launch is one decode iteration over
+    the in-flight set, topped up from the queue; barrier launches.
 
-    def _iterate(self, cost, when: float, iterations: int) -> float:
-        """The reference ``launch()`` occupancy arithmetic, verbatim
-        (straggler multiplier omitted: it is exactly 1.0 on this rail)."""
-        start = when if when > self.host_free else self.host_free
-        cursor = start
-        if cost.has_accel:
-            host_s = cost.host_s
-            accel_s = cost.accel_s
-            total_s = cost.total_s
-            target = cost.target
-            accel_free = self.accel_free
-            for _ in range(iterations):
-                host_end = cursor + host_s
-                accel_start = accel_free.get(target, 0.0)
-                if accel_start < host_end:
-                    accel_start = host_end
-                if accel_start == host_end:
-                    end = cursor + total_s
+    In-flight requests are counts keyed by the iteration they finish on, so
+    a launch touches only the requests joining or leaving the batch.
+    """
+
+    __slots__ = ("in_flight", "iteration", "done_at")
+
+    def __init__(self, index: int, engine, max_batch: int):
+        super().__init__(index, engine, max_batch)
+        self.in_flight = 0
+        self.iteration = 0
+        self.done_at: dict[int, int] = {}
+
+    def admit(self, when: float, steps: int) -> None:
+        """Queue an arrival (the caller has advanced the machine to ``when``)."""
+        if not self.in_flight and self.head == len(self.q_admit):
+            ready = self.ready_s
+            self.next_t = when if when > ready else ready
+        self.q_admit.append(when)
+        self.q_steps.append(steps)
+        self.pending_steps += steps
+
+    def advance(self, until: float) -> None:
+        """Execute every launch decided strictly before ``until``."""
+        t = self.next_t
+        if not t < until:
+            return
+        q_admit = self.q_admit
+        q_steps = self.q_steps
+        head = self.head
+        tail = len(q_admit)
+        max_batch = self.max_batch
+        rows = self._rows
+        done_at = self.done_at
+        in_flight = self.in_flight
+        iteration = self.iteration
+        host_free = self.host_free
+        accel_free = self.accel_free
+        pending = self.pending_steps
+        while t < until:
+            take = max_batch - in_flight
+            if take > tail - head:
+                take = tail - head
+            if take > 0:
+                # a request joining at this iteration runs its last step
+                # ``steps - 1`` iterations later.
+                last = iteration - 1
+                for steps in q_steps[head : head + take]:
+                    finish = last + steps
+                    done_at[finish] = done_at.get(finish, 0) + 1
+                head += take
+                in_flight += take
+            row = rows[in_flight] or self._row(in_flight)
+            pending -= in_flight
+            # _occupy for one iteration, inlined
+            cursor = t if t > host_free else host_free
+            host_s, accel_s, total_s, has_accel = row
+            if has_accel:
+                host_free = cursor + host_s
+                if accel_free <= host_free:
+                    cursor = cursor + total_s
                 else:
-                    end = accel_start + accel_s
-                accel_free[target] = end
-                self.host_free = host_end
-                cursor = end
+                    cursor = accel_free + accel_s
+                accel_free = cursor
+            else:
+                cursor = cursor + total_s
+                host_free = cursor
+            in_flight -= done_at.pop(iteration, 0)
+            iteration += 1
+            # barrier: the next iteration starts once this one has ended.
+            if in_flight:
+                t = cursor
+            elif head < tail:
+                t = q_admit[head]
+                if cursor > t:
+                    t = cursor
+            else:
+                t = _INF
+        self.ready_s = cursor
+        self.next_t = t
+        self.in_flight = in_flight
+        self.iteration = iteration
+        self.pending_steps = pending
+        self._settle(host_free, accel_free, head)
+
+
+class _BatchMachine(_Machine):
+    """Static and dynamic batching: a full batch launches once its last
+    member is admitted and the host is free; dynamic batching also flushes
+    a partial batch ``max_wait_s`` after its head arrived.  Static batching
+    (``max_wait_s`` is ``None``) flushes a partial batch only once the whole
+    trace has arrived, which never happens during routing."""
+
+    __slots__ = ("max_wait_s",)
+
+    def __init__(self, index: int, engine, max_batch: int, max_wait_s: "float | None"):
+        super().__init__(index, engine, max_batch)
+        self.max_wait_s = max_wait_s
+
+    def admit(self, when: float, steps: int) -> None:
+        """Queue an arrival (the caller has advanced the machine to ``when``)."""
+        self.q_admit.append(when)
+        self.q_steps.append(steps)
+        self.pending_steps += steps
+        queued = len(self.q_admit) - self.head
+        if queued == self.max_batch:
+            t = when  # the batch just filled
+        elif queued == 1 and self.max_wait_s is not None:
+            t = when + self.max_wait_s
         else:
-            total_s = cost.total_s
-            for _ in range(iterations):
-                cursor += total_s
-            self.host_free = cursor
-        return cursor
+            return  # the head, and so the next launch, is unchanged
+        host_free = self.host_free
+        self.next_t = t if t > host_free else host_free
+
+    def advance(self, until: float) -> None:
+        """Execute every launch decided strictly before ``until``."""
+        t = self.next_t
+        if not t < until:
+            return
+        q_admit = self.q_admit
+        q_steps = self.q_steps
+        head = self.head
+        tail = len(q_admit)
+        max_batch = self.max_batch
+        max_wait_s = self.max_wait_s
+        host_free = self.host_free
+        accel_free = self.accel_free
+        pending = self.pending_steps
+        while t < until:
+            size = tail - head
+            if size > max_batch:
+                size = max_batch
+            members = q_steps[head : head + size]
+            head += size
+            pending -= sum(members)
+            cursor = t if t > host_free else host_free
+            _, host_free, accel_free = _occupy(
+                self._row(size), cursor, max(members), host_free, accel_free
+            )
+            # non-barrier: the next batch may launch as soon as the host is
+            # free, while this one still runs on the accelerator.
+            queued = tail - head
+            if queued >= max_batch:
+                t = q_admit[head + max_batch - 1]
+            elif queued and max_wait_s is not None:
+                t = q_admit[head] + max_wait_s
+            else:
+                t = _INF
+            if host_free > t:
+                t = host_free
+        self.next_t = t
+        self.pending_steps = pending
+        self._settle(host_free, accel_free, head)
+
+
+def _machines(config, engines) -> list:
+    """One routing machine per replica, of the scheduler's kind."""
+    kind = type(get_scheduler(config.scheduler)).__dict__["columnar_kernel"]
+    max_batch = config.max_batch
+    if kind in ("static", "dynamic"):
+        max_wait_s = config.max_wait_s if kind == "dynamic" else None
+        return [
+            _BatchMachine(index, engine, max_batch, max_wait_s)
+            for index, engine in enumerate(engines)
+        ]
+    machine = _FifoMachine if kind == "fifo" else _ContinuousMachine
+    return [machine(index, engine, max_batch) for index, engine in enumerate(engines)]
 
 
 def _route(config, engines, trace: RequestTrace, policy, rng) -> np.ndarray:
@@ -312,6 +496,9 @@ def _route(config, engines, trace: RequestTrace, policy, rng) -> np.ndarray:
     loop — with the policy's own state transitions: the round-robin cursor
     advances even on shed arrivals (``choose`` runs before the shed check),
     and power-of-two draws from the seeded generator once per arrival.
+    Every probe first advances its machine to the arrival (admissions at
+    time T strictly precede launches at T), skipping machines with no
+    launch due.
     """
     from repro.serving.cluster import LeastLoadedPolicy, RoundRobinPolicy
 
@@ -322,21 +509,17 @@ def _route(config, engines, trace: RequestTrace, policy, rng) -> np.ndarray:
     if round_robin and shed_s is None:
         return np.arange(n, dtype=np.int64) % num_replicas
 
-    kind = type(get_scheduler(config.scheduler)).__dict__["columnar_kernel"]
-    machines = [
-        _Machine(index, engine, kind, config.max_batch, config.max_wait_s)
-        for index, engine in enumerate(engines)
-    ]
+    machines = _machines(config, engines)
     arrivals = trace.arrival_column().tolist()
     steps = trace.decode_column().tolist()
-    assigned = np.empty(n, dtype=np.int64)
+    assigned = [-1] * n
     if round_robin:
         for i in range(n):
             when = arrivals[i]
             chosen = machines[i % num_replicas]
-            chosen.advance(when)
+            if chosen.next_t < when:
+                chosen.advance(when)
             if chosen.est_delay_s(when) > shed_s:
-                assigned[i] = -1
                 continue
             chosen.admit(when, steps[i])
             assigned[i] = chosen.index
@@ -344,17 +527,21 @@ def _route(config, engines, trace: RequestTrace, policy, rng) -> np.ndarray:
         for i in range(n):
             when = arrivals[i]
             chosen = None
-            chosen_delay = 0.0
+            chosen_delay = _INF
             # min(key=(delay, index)) in index order: strict < keeps the
             # lowest-index replica on ties, like the reference min().
             for machine in machines:
-                machine.advance(when)
-                delay = machine.est_delay_s(when)
-                if chosen is None or delay < chosen_delay:
+                if machine.next_t < when:
+                    machine.advance(when)
+                # est_delay_s, inlined
+                delay = machine.horizon - when
+                if delay < 0.0:
+                    delay = 0.0
+                delay = delay + machine.pending_steps * machine.unit_total_s
+                if delay < chosen_delay:
                     chosen = machine
                     chosen_delay = delay
             if shed_s is not None and chosen_delay > shed_s:
-                assigned[i] = -1
                 continue
             chosen.admit(when, steps[i])
             assigned[i] = chosen.index
@@ -363,25 +550,27 @@ def _route(config, engines, trace: RequestTrace, policy, rng) -> np.ndarray:
             when = arrivals[i]
             if num_replicas == 1:
                 chosen = machines[0]
-                chosen.advance(when)
+                if chosen.next_t < when:
+                    chosen.advance(when)
             else:
                 first_i, second_i = sorted(
                     int(x) for x in rng.choice(num_replicas, size=2, replace=False)
                 )
                 first = machines[first_i]
                 second = machines[second_i]
-                first.advance(when)
-                second.advance(when)
+                if first.next_t < when:
+                    first.advance(when)
+                if second.next_t < when:
+                    second.advance(when)
                 if second.est_delay_s(when) < first.est_delay_s(when):
                     chosen = second
                 else:
                     chosen = first
             if shed_s is not None and chosen.est_delay_s(when) > shed_s:
-                assigned[i] = -1
                 continue
             chosen.admit(when, steps[i])
             assigned[i] = chosen.index
-    return assigned
+    return np.array(assigned, dtype=np.int64)
 
 
 # -- serving pass -------------------------------------------------------------
@@ -590,11 +779,14 @@ _STATUS_NAMES = {_ST_OK: REQUEST_OK, _ST_SHED: REQUEST_SHED, _ST_FAILED: REQUEST
 
 
 class _SimReplica:
-    """Virtual replica for the faulted rail: the routing machines of
-    :class:`_Machine` extended with everything faults and retries touch —
-    straggler multipliers, the accel-loss cost-table swap, crash resets,
-    queued-copy cancellation, the post-drain flush rule, and per-request
-    bookkeeping (admit times, first starts, depth samples, dispatch log).
+    """Virtual replica for the faulted rail: the launch recurrences of the
+    routing machines (:class:`_Machine`) extended with everything faults and
+    retries touch — straggler multipliers, the accel-loss cost-table swap,
+    crash resets, queued-copy cancellation, the post-drain flush rule, and
+    per-request bookkeeping (admit times, first starts, depth samples,
+    dispatch log).  Crash resets move ``host_free`` back to zero, so the
+    delay probe here walks the occupancy registers instead of keeping a
+    running ``horizon``.
 
     The dispatch log is columnar (parallel ``log_*`` lists, one entry per
     launch) holding only the fold *inputs* — end time, size, iterations,

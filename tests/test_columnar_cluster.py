@@ -9,7 +9,8 @@ resolved completions).  These tests pin four contracts:
 * **equivalence** — on the no-fault rail the fast path's ``ClusterResult``
   equals the reference router's, field for field, across schedulers,
   policies, shedding, capped streaming metrics, heterogeneous fleets, and
-  trace shapes;
+  trace shapes, plus an edge grid over fleet shape, device, batch cap and
+  shed threshold with Poisson and tied-arrival traces;
 * **the single-replica rail** — a 1-replica no-fault fast cluster stays
   bit-identical to plain ``ServingEngine.run`` for every registered
   scheduler;
@@ -33,6 +34,7 @@ import pytest
 from repro.serving import (
     ClusterConfig,
     ClusterRouter,
+    RequestTrace,
     ServingConfig,
     ServingEngine,
     make_trace,
@@ -173,6 +175,57 @@ class TestFastPathEquivalence:
         monkeypatch.setattr(columnar_cluster, "run_fast_cluster", spy)
         run_cluster(scheduler="fifo", policy="round-robin")
         assert len(calls) == 1
+
+
+def _tied_trace(rate):
+    """50 arrival instants of 4 equal-time requests each, at ``rate`` on
+    average, with ids in reverse trace order (so the ``(admitted_s, id)``
+    record order differs from trace order)."""
+    return RequestTrace(
+        "tied",
+        arrival_s=np.repeat(np.arange(50) * (4 / rate), 4),
+        decode_steps=np.random.default_rng(0).integers(1, 5, size=200),
+        request_ids=np.arange(200)[::-1],
+    )
+
+
+class TestEdgeGrid:
+    """The routing machines against the reference router on the full cross
+    product of fleet shape, device, batch cap and shed threshold — including
+    all-CPU fleets (no accelerator occupancy), single-request batches, and
+    shedding that rejects nearly everything (``1e-9``)."""
+
+    @pytest.mark.parametrize("trace_kind", ("poisson", "tied"))
+    @pytest.mark.parametrize("shed_queue_s", (None, 1e-9, 0.02))
+    @pytest.mark.parametrize("max_batch", (1, 8))
+    @pytest.mark.parametrize("device", ("gpu", "cpu"))
+    @pytest.mark.parametrize("platforms", (("A",), ("A", "A", "A"), ("A", "B", "C")))
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_matches_reference(
+        self, policy, scheduler, platforms, device, max_batch, shed_queue_s, trace_kind
+    ):
+        router = ClusterRouter(
+            ClusterConfig(
+                model="gpt2",
+                platforms=platforms,
+                device=device,
+                scheduler=scheduler,
+                policy=policy,
+                max_batch=max_batch,
+                shed_queue_s=shed_queue_s,
+            )
+        )
+        rate = 1.5 * router.fleet_capacity_rps()
+        if trace_kind == "tied":
+            trace = _tied_trace(rate)
+        else:
+            trace = make_trace(
+                "poisson", rate, 200, rng=np.random.default_rng(0), decode_steps=(1, 4)
+            )
+        fast = router.run(trace, offered_rate_rps=rate)
+        assert fast.backend_used == "columnar"
+        assert fast == run_reference(router, trace, rate)
 
 
 class TestSingleReplicaRail:

@@ -12,7 +12,10 @@ from repro.hardware import A100, EPYC_7763, estimate_kernel
 from repro.ir import DType, Graph, TensorSpec, broadcast_shapes
 from repro.ops.base import OpCategory, OpCost
 from repro.runtime import run_graph
+from repro.serving import ClusterConfig, ClusterRouter, RequestTrace
 from tests.conftest import run_op
+
+from oracles import run_reference
 
 dims = st.integers(min_value=1, max_value=8)
 shapes = st.lists(dims, min_size=1, max_size=4).map(tuple)
@@ -237,3 +240,44 @@ class TestGraphProperties:
         for node in g.nodes:
             for value in node.inputs:
                 assert value.node_id < node.node_id
+
+
+class TestClusterRoutingProperties:
+    @st.composite
+    def fault_free_runs(draw):
+        """A fault-free cluster config and a short trace: 1-24 requests,
+        zero gaps (equal-time arrivals) likely, ids in any order."""
+        config = ClusterConfig(
+            model="gpt2",
+            platforms=tuple(draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=3))),
+            device=draw(st.sampled_from(("gpu", "cpu"))),
+            scheduler=draw(st.sampled_from(("fifo", "static", "dynamic", "continuous"))),
+            policy=draw(
+                st.sampled_from(("round-robin", "least-loaded", "power-of-two-choices"))
+            ),
+            max_batch=draw(st.integers(1, 8)),
+            max_wait_s=draw(st.sampled_from((0.0, 0.002, 0.01))),
+            policy_seed=draw(st.integers(0, 3)),
+            shed_queue_s=draw(st.none() | st.floats(1e-9, 0.05)),
+            record_requests=draw(st.none() | st.integers(1, 8)),
+        )
+        n = draw(st.integers(1, 24))
+        gaps = draw(
+            st.lists(st.sampled_from((0.0, 0.0005, 0.002, 0.01)), min_size=n, max_size=n)
+        )
+        trace = RequestTrace(
+            "fuzz",
+            arrival_s=np.cumsum(gaps),
+            decode_steps=draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)),
+            request_ids=draw(st.permutations(range(n))),
+        )
+        return config, trace
+
+    @given(fault_free_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_columnar_rail_matches_oracle(self, run):
+        config, trace = run
+        router = ClusterRouter(config)
+        fast = router.run(trace)
+        assert fast.backend_used == "columnar"
+        assert fast == run_reference(router, trace)
