@@ -24,11 +24,15 @@ Subcommands mirror the paper artifact's scripts:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from repro.analysis import EXPERIMENTS
 from repro.core import BenchConfig, NonGemmReport, PerformanceReport, run_bench
+from repro.errors import RegistryError, ServingError
+from repro.knobs import pick
 from repro.models import build_model, list_models
+from repro.serving import AutoscaleConfig, ClusterConfig, ServingConfig
 from repro.viz.ascii import render_stacked_bar, render_table
 from repro.viz.csvout import write_csv
 
@@ -39,7 +43,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (ServingError, RegistryError) as exc:
+        print(f"error: {exc}")
+        return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -120,195 +128,43 @@ def _build_parser() -> argparse.ArgumentParser:
     p_work.add_argument("--batch", type=int, default=1)
     p_work.set_defaults(handler=_cmd_workload)
 
-    p_serve = sub.add_parser(
-        "serve", help="simulate serving a model under load (discrete-event engine)"
+    p_serve = _serving_parser(
+        sub, "serve",
+        help="simulate serving a model under load (discrete-event engine)",
+        lists="--list-schedulers",
+        load_type=float,
+        load_help="offered load as a fraction of single-stream capacity",
     )
-    p_serve.add_argument(
-        "model", nargs="?", default=None,
-        help="model to serve (omit with --list-schedulers)",
-    )
-    p_serve.add_argument("--flow", default="pytorch")
-    p_serve.add_argument("--platform", default="A")
-    p_serve.add_argument(
-        "--device", default="gpu", help="placement target (cpu/gpu/npu)"
-    )
-    p_serve.add_argument("--scheduler", default="dynamic")
-    p_serve.add_argument(
-        "--trace", default="poisson",
-        help="arrival process (poisson, bursty, closed-loop)",
-    )
-    p_serve.add_argument(
-        "--load", type=float, default=1.0,
-        help="offered load as a fraction of single-stream capacity",
-    )
-    p_serve.add_argument(
-        "--rate", type=float, default=None,
-        help="explicit arrival rate in requests/s (overrides --load)",
-    )
-    p_serve.add_argument(
-        "--num-requests", "--requests", dest="requests", type=int, default=32,
-        help="trace length in requests (--requests is an alias)",
-    )
-    p_serve.add_argument(
-        "--record-requests", type=int, default=None,
-        help="cap materialized per-request records (streaming percentiles +"
-        " a seeded uniform sample); default keeps everything",
-    )
-    p_serve.add_argument("--max-batch", type=int, default=8)
-    p_serve.add_argument(
-        "--max-wait-ms", type=float, default=2.0,
-        help="dynamic batching max wait before a partial batch launches",
-    )
-    p_serve.add_argument(
-        "--decode-steps", default="1",
-        help="decode iterations per request: a count, or an inclusive"
-        " 'lo:hi' range drawn per request from the seeded generator",
-    )
-    p_serve.add_argument("--seq-len", type=int, default=None)
-    p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument(
-        "--list-schedulers", action="store_true",
-        help="list registered batching schedulers and exit",
-    )
-    p_serve.add_argument(
-        "--list-traces", action="store_true",
-        help="list registered arrival processes and exit",
-    )
+    _add_flags(p_serve, ServingConfig)
+    _add_list_flags(p_serve, schedulers="batching schedulers", traces="arrival processes")
     p_serve.set_defaults(handler=_cmd_serve)
 
-    p_cluster = sub.add_parser(
-        "cluster",
+    p_cluster = _serving_parser(
+        sub, "cluster",
         help="simulate a fault-tolerant multi-replica serving cluster",
+        lists="--list-policies/--list-faults",
+        load_type=_floats,
+        load_help="offered load as a fraction of fleet capacity; a comma-separated"
+        " list sweeps every load through the sweep runner (see --workers)",
     )
     p_cluster.add_argument(
-        "model", nargs="?", default=None,
-        help="model to serve (omit with --list-policies/--list-faults)",
-    )
-    p_cluster.add_argument("--flow", default="pytorch")
-    p_cluster.add_argument(
-        "--platform", default="A",
-        help="platform id for every replica (see --platforms for a mix)",
-    )
-    p_cluster.add_argument(
-        "--platforms", default=None,
+        "--platforms", type=_names, default=None,
         help="comma-separated per-replica platform ids (overrides"
         " --platform/--replicas; one replica per entry)",
     )
     p_cluster.add_argument("--replicas", type=int, default=2)
     p_cluster.add_argument(
-        "--device", default="gpu", help="placement target (cpu/gpu/npu)"
-    )
-    p_cluster.add_argument("--scheduler", default="dynamic")
-    p_cluster.add_argument(
-        "--policy", default="least-loaded",
-        help="admission policy routing requests to replicas",
-    )
-    p_cluster.add_argument(
-        "--fault", default="none",
-        help="fault profile injected into the fleet (see --list-faults)",
-    )
-    p_cluster.add_argument("--fault-seed", type=int, default=0)
-    p_cluster.add_argument(
-        "--trace", default="poisson",
-        help="arrival process (poisson, bursty, closed-loop)",
-    )
-    p_cluster.add_argument(
-        "--load", default="1.0",
-        help="offered load as a fraction of fleet capacity; a comma-separated"
-        " list sweeps every load through the sweep runner (see --workers)",
-    )
-    p_cluster.add_argument(
-        "--rate", type=float, default=None,
-        help="explicit arrival rate in requests/s (overrides a single --load)",
-    )
-    p_cluster.add_argument(
         "--workers", type=int, default=0,
         help="process-pool size for multi-load sweeps (0/1 = in-process)",
     )
-    p_cluster.add_argument(
-        "--num-requests", "--requests", dest="requests", type=int, default=32,
-        help="trace length in requests (--requests is an alias)",
-    )
-    p_cluster.add_argument(
-        "--record-requests", type=int, default=None,
-        help="cap materialized records, cluster-level and per-replica"
-        " (streaming percentiles + a seeded uniform sample)",
-    )
-    p_cluster.add_argument("--max-batch", type=int, default=8)
-    p_cluster.add_argument(
-        "--max-wait-ms", type=float, default=2.0,
-        help="dynamic batching max wait before a partial batch launches",
-    )
-    p_cluster.add_argument(
-        "--decode-steps", default="1",
-        help="decode iterations per request: a count, or an inclusive"
-        " 'lo:hi' range drawn per request from the seeded generator",
-    )
-    p_cluster.add_argument(
-        "--timeout-ms", type=float, default=None,
-        help="per-request timeout before a copy is re-routed (required for"
-        " crash profiles; doubles per retry up to --timeout-cap-ms)",
-    )
-    p_cluster.add_argument("--retries", type=int, default=3)
-    p_cluster.add_argument("--timeout-cap-ms", type=float, default=None)
-    p_cluster.add_argument(
-        "--hedge-ms", type=float, default=None,
-        help="hedge a request to a second replica after this delay",
-    )
-    p_cluster.add_argument(
-        "--shed-ms", type=float, default=None,
-        help="shed arrivals whose estimated queue delay exceeds this",
-    )
-    p_cluster.add_argument(
-        "--deadline-ms", type=float, default=None,
-        help="goodput deadline (completions slower than this are not good)",
-    )
-    p_cluster.add_argument(
-        "--autoscaler", default=None,
-        help="elastic-fleet controller (see --list-autoscalers); the"
-        " replica count becomes the provisioned ceiling",
-    )
-    p_cluster.add_argument(
-        "--min-replicas", type=int, default=1,
-        help="autoscale floor (replicas that always stay online)",
-    )
-    p_cluster.add_argument(
-        "--scale-interval-ms", type=float, default=100.0,
-        help="autoscale controller evaluation period",
-    )
-    p_cluster.add_argument(
-        "--scale-cooldown-ms", type=float, default=0.0,
-        help="minimum time between autoscale actions",
-    )
-    p_cluster.add_argument(
-        "--provision-ms", type=float, default=100.0,
-        help="cold-start delay before a scaled-up replica admits work",
-    )
-    p_cluster.add_argument(
-        "--target-util", type=float, default=0.6,
-        help="busy-fraction set-point for the target-utilization controller",
-    )
-    p_cluster.add_argument(
-        "--slo-ms", type=float, default=None,
-        help="latency SLO for the goodput controller (default: --deadline-ms)",
-    )
-    p_cluster.add_argument("--seq-len", type=int, default=None)
-    p_cluster.add_argument("--seed", type=int, default=0)
-    p_cluster.add_argument(
-        "--list-policies", action="store_true",
-        help="list registered admission policies and exit",
-    )
-    p_cluster.add_argument(
-        "--list-faults", action="store_true",
-        help="list registered fault profiles and exit",
-    )
-    p_cluster.add_argument(
-        "--list-autoscalers", action="store_true",
-        help="list registered autoscale controllers and exit",
-    )
-    p_cluster.add_argument(
-        "--list-traces", action="store_true",
-        help="list registered arrival processes and exit",
+    _add_flags(p_cluster, ClusterConfig, policy="least-loaded")
+    _add_flags(p_cluster, AutoscaleConfig)
+    _add_list_flags(
+        p_cluster,
+        policies="admission policies",
+        faults="fault profiles",
+        autoscalers="autoscale controllers",
+        traces="arrival processes",
     )
     p_cluster.set_defaults(handler=_cmd_cluster)
 
@@ -328,6 +184,109 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cache.set_defaults(handler=_cmd_cache)
 
     return parser
+
+
+def _serving_parser(
+    sub, name: str, *, help: str, lists: str, load_type, load_help: str
+) -> argparse.ArgumentParser:
+    """A ``serve``/``cluster`` subparser holding the flags that are not config
+    fields: the model positional, the base platform and the request trace."""
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument(
+        "model", nargs="?", default=None, help=f"model to serve (omit with {lists})"
+    )
+    parser.add_argument(
+        "--platform", default="A",
+        help="platform id (cluster: of every replica, unless --platforms is given)",
+    )
+    parser.add_argument(
+        "--trace", default="poisson",
+        help="arrival process (poisson, bursty, closed-loop)",
+    )
+    parser.add_argument("--load", type=load_type, default="1.0", help=load_help)
+    parser.add_argument(
+        "--rate", type=float, default=None,
+        help="explicit arrival rate in requests/s (overrides a single --load)",
+    )
+    parser.add_argument(
+        "--num-requests", "--requests", dest="requests", type=int, default=32,
+        help="trace length in requests (--requests is an alias)",
+    )
+    parser.add_argument(
+        "--decode-steps", type=_decode_steps, default="1",
+        help="decode iterations per request: a count, or an inclusive"
+        " 'lo:hi' range drawn per request from the seeded generator",
+    )
+    parser.add_argument("--seed", type=int, default=0)
+    return parser
+
+
+#: flag value types by annotation; config modules postpone annotations, so
+#: an ``int | None`` field arrives as that string.
+_FLAG_TYPES = {"int": int, "float": float, "str": str}
+
+
+def _add_flags(parser: argparse.ArgumentParser, cls, **cli_defaults) -> None:
+    """One flag per ``knob(...)`` field of ``cls``, parsed into the field's
+    name so :func:`~repro.knobs.pick` hands it on.  An unset flag keeps the
+    field default (in seconds for ``ms`` knobs), or its ``cli_defaults``
+    entry where the CLI default differs from the library's."""
+    for f in dataclasses.fields(cls):
+        flags = f.metadata.get("flags")
+        if not flags:
+            continue
+        annotation = getattr(f.type, "__name__", str(f.type))
+        default = None if f.default is dataclasses.MISSING else f.default
+        parser.add_argument(
+            *flags,
+            dest=f.name,
+            metavar=flags[0].lstrip("-").replace("-", "_").upper(),
+            type=_ms if f.metadata["ms"] else _FLAG_TYPES[annotation.split(" ")[0]],
+            default=cli_defaults.get(f.name, default),
+            help=f.metadata["help"] or None,
+        )
+
+
+def _add_list_flags(parser: argparse.ArgumentParser, **listings: str) -> None:
+    """A ``--list-<key>`` discovery flag per keyword; the value says what
+    the registry holds."""
+    for key, what in listings.items():
+        parser.add_argument(
+            f"--list-{key}", action="store_true",
+            help=f"list registered {what} and exit",
+        )
+
+
+def _flag_type(parse, expected: str):
+    """An argparse ``type=`` callable: ``parse``, with a bad value reported
+    as a usage error naming what was ``expected``."""
+
+    def convert(raw: str):
+        try:
+            return parse(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {raw!r}") from None
+
+    return convert
+
+
+def _names(raw: str) -> tuple[str, ...]:
+    """A comma-separated list of names."""
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
+
+
+def _parse_decode_steps(raw: str) -> "int | tuple[int, int]":
+    if ":" in raw:
+        lo, hi = raw.split(":", 1)
+        return (int(lo), int(hi))
+    return int(raw)
+
+
+_ms = _flag_type(lambda raw: float(raw) * 1e-3, "a number of milliseconds")
+_floats = _flag_type(
+    lambda raw: tuple(float(part) for part in _names(raw)), "comma-separated numbers"
+)
+_decode_steps = _flag_type(_parse_decode_steps, "a count or an inclusive lo:hi range")
 
 
 def _cmd_list_models(args: argparse.Namespace) -> int:
@@ -385,22 +344,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.sweep.runner import SweepRunner
     from repro.sweep.spec import SweepSpec
 
-    def split(raw: str) -> tuple[str, ...]:
-        return tuple(part.strip() for part in raw.split(",") if part.strip())
-
-    models = tuple(PAPER_MODELS) if args.models == "paper" else split(args.models)
+    models = tuple(PAPER_MODELS) if args.models == "paper" else _names(args.models)
     seq_lens: tuple[int | None, ...] = (None,)
     if args.seq_lens:
-        seq_lens = tuple(int(s) for s in split(args.seq_lens))
+        seq_lens = tuple(int(s) for s in _names(args.seq_lens))
     loads: tuple[float | None, ...] = (None,)
     if args.load:
-        loads = tuple(float(v) for v in split(args.load))
+        loads = tuple(float(v) for v in _names(args.load))
     spec = SweepSpec(
         models=models,
-        platforms=split(args.platforms),
-        flows=split(args.flows),
-        batch_sizes=tuple(int(b) for b in split(args.batches)),
-        devices=split(args.devices),
+        platforms=_names(args.platforms),
+        flows=_names(args.flows),
+        batch_sizes=tuple(int(b) for b in _names(args.batches)),
+        devices=_names(args.devices),
         seq_lens=seq_lens,
         loads=loads,
         scheduler=args.scheduler,
@@ -441,19 +397,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         rows.append(row)
     print(render_table(rows))
-    hits = sum(result.cache_info.get("hits", {}).values())
-    disk_hits = sum(result.cache_info.get("disk_hits", {}).values())
-    misses = sum(result.cache_info.get("misses", {}).values())
-    # pool runs (--workers > 1) sum the deltas each worker ships back with
-    # its records, so these counters cover every per-process cache.
     print(
-        f"\n{len(result.records)} points in {result.wall_s:.2f}s"
-        f" (cache: {hits} hits, {disk_hits} disk hits, {misses} misses)"
+        f"\n{len(result.records)} points in {result.wall_s:.2f}s ({_cache_summary(result)})"
     )
     if args.csv:
         path = write_csv(rows, "sweep", args.csv)
         print(f"wrote {path}")
     return 0
+
+
+def _cache_summary(result) -> str:
+    """A sweep's cache activity.  Pool runs (``--workers`` > 1) sum the
+    deltas each worker ships back with its records, so the counters cover
+    every per-process cache."""
+    hits, disk_hits, misses = (
+        sum(result.cache_info.get(kind, {}).values())
+        for kind in ("hits", "disk_hits", "misses")
+    )
+    return f"cache: {hits} hits, {disk_hits} disk hits, {misses} misses"
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
@@ -504,17 +465,10 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_decode_steps(raw: str) -> "int | tuple[int, int]":
-    """A count, or an inclusive ``lo:hi`` range drawn per request."""
-    if ":" in raw:
-        lo, hi = raw.split(":", 1)
-        return (int(lo), int(hi))
-    return int(raw)
-
-
-def _print_listings(args: argparse.Namespace, **registries) -> bool:
-    """Print the ``(name, description)`` table of every registry whose
-    ``--list-*`` flag (keyword name) is set; False when none is."""
+def _discover(args: argparse.Namespace, **registries) -> "int | None":
+    """Handle the ``--list-*`` flags: print the ``(name, description)`` table
+    of every registry whose flag (keyword name) is set and return 0.  With
+    none set, a missing model returns 2; otherwise None (go on serving)."""
     tables = [
         render_table(
             [{registry.kind: name, "description": text} for name, text in registry.entries()]
@@ -524,42 +478,28 @@ def _print_listings(args: argparse.Namespace, **registries) -> bool:
     ]
     if tables:
         print("\n\n".join(tables))
-    return bool(tables)
+        return 0
+    if args.model is None:
+        flags = "/".join("--" + flag.replace("_", "-") for flag in registries)
+        print(f"error: a model is required unless {flags} is given")
+        return 2
+    return None
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.serving import ServingConfig, ServingEngine, make_trace
+    from repro.serving import ServingEngine, make_trace
     from repro.serving.scheduler import SCHEDULER_REGISTRY
     from repro.serving.trace import TRACE_REGISTRY
 
-    if _print_listings(
+    code = _discover(
         args, list_schedulers=SCHEDULER_REGISTRY, list_traces=TRACE_REGISTRY
-    ):
-        return 0
-    if args.model is None:
-        print(
-            "error: a model is required unless --list-schedulers/--list-traces"
-            " is given"
-        )
-        return 2
-
-    decode_steps = _parse_decode_steps(args.decode_steps)
-
-    engine = ServingEngine(
-        ServingConfig(
-            model=args.model,
-            flow=args.flow,
-            platform=args.platform,
-            device=args.device,
-            scheduler=args.scheduler,
-            max_batch=args.max_batch,
-            max_wait_s=args.max_wait_ms * 1e-3,
-            seq_len=args.seq_len,
-            record_requests=args.record_requests,
-        )
     )
+    if code is not None:
+        return code
+
+    engine = ServingEngine(ServingConfig(**pick(ServingConfig, args)))
     base_s = engine.base_latency_s()
     rate = args.rate if args.rate is not None else args.load / base_s
     trace = make_trace(
@@ -567,7 +507,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         rate,
         args.requests,
         rng=np.random.default_rng(args.seed),
-        decode_steps=decode_steps,
+        decode_steps=args.decode_steps,
     )
     result = engine.run(trace, offered_rate_rps=rate)
     utilization = result.utilization()
@@ -622,78 +562,36 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_cluster(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.serving import AutoscaleConfig, ClusterConfig, ClusterRouter, make_trace
+    from repro.serving import ClusterRouter, make_trace
     from repro.serving.autoscale import AUTOSCALER_REGISTRY
     from repro.serving.cluster import POLICY_REGISTRY
     from repro.serving.faults import FAULT_PROFILE_REGISTRY
     from repro.serving.trace import TRACE_REGISTRY
 
-    if _print_listings(
+    code = _discover(
         args,
         list_policies=POLICY_REGISTRY,
         list_faults=FAULT_PROFILE_REGISTRY,
         list_autoscalers=AUTOSCALER_REGISTRY,
         list_traces=TRACE_REGISTRY,
-    ):
-        return 0
-    if args.model is None:
-        print(
-            "error: a model is required unless a --list-* discovery flag"
-            " is given"
-        )
-        return 2
-
-    loads = tuple(float(part) for part in str(args.load).split(",") if part.strip())
-    if len(loads) > 1:
-        return _cluster_sweep(args, loads)
-    load = loads[0] if loads else 1.0
-
-    if args.platforms:
-        platforms = tuple(
-            part.strip() for part in args.platforms.split(",") if part.strip()
-        )
-    else:
-        platforms = (args.platform,) * args.replicas
-
-    def ms(value: float | None) -> float | None:
-        return None if value is None else value * 1e-3
-
-    autoscale = None
-    if args.autoscaler is not None:
-        autoscale = AutoscaleConfig(
-            controller=args.autoscaler,
-            min_replicas=args.min_replicas,
-            max_replicas=len(platforms),
-            interval_s=args.scale_interval_ms * 1e-3,
-            cooldown_s=args.scale_cooldown_ms * 1e-3,
-            provision_delay_s=args.provision_ms * 1e-3,
-            target_utilization=args.target_util,
-            slo_s=ms(args.slo_ms),
-        )
-
-    router = ClusterRouter(
-        ClusterConfig(
-            model=args.model,
-            flow=args.flow,
-            platforms=platforms,
-            device=args.device,
-            scheduler=args.scheduler,
-            policy=args.policy,
-            max_batch=args.max_batch,
-            max_wait_s=args.max_wait_ms * 1e-3,
-            seq_len=args.seq_len,
-            fault_profile=args.fault,
-            fault_seed=args.fault_seed,
-            timeout_s=ms(args.timeout_ms),
-            max_retries=args.retries,
-            timeout_cap_s=ms(args.timeout_cap_ms),
-            hedge_after_s=ms(args.hedge_ms),
-            shed_queue_s=ms(args.shed_ms),
-            deadline_s=ms(args.deadline_ms),
-            record_requests=args.record_requests,
-            autoscale=autoscale,
-        )
     )
+    if code is not None:
+        return code
+
+    platforms = args.platforms or (args.platform,) * args.replicas
+    autoscale = None
+    if args.controller is not None:
+        autoscale = AutoscaleConfig(
+            **pick(AutoscaleConfig, args, max_replicas=len(platforms))
+        )
+    config = ClusterConfig(
+        **pick(ClusterConfig, args, platforms=platforms, autoscale=autoscale)
+    )
+    if len(args.load) > 1:
+        return _cluster_sweep(args, config)
+    load = args.load[0] if args.load else 1.0
+
+    router = ClusterRouter(config)
     capacity = router.fleet_capacity_rps()
     rate = args.rate if args.rate is not None else load * capacity
     trace = make_trace(
@@ -701,7 +599,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         rate,
         args.requests,
         rng=np.random.default_rng(args.seed),
-        decode_steps=_parse_decode_steps(args.decode_steps),
+        decode_steps=args.decode_steps,
     )
     result = router.run(trace, offered_rate_rps=rate)
     print(result.describe())
@@ -773,15 +671,15 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             }
         )
     print(render_table(replica_rows))
-    print(f"\nfleet capacity {capacity:.1f} rps across {len(platforms)} replicas")
+    print(f"\nfleet capacity {capacity:.1f} rps across {len(config.platforms)} replicas")
     return 0
 
 
-def _cluster_sweep(args: argparse.Namespace, loads: tuple[float, ...]) -> int:
-    """Serve one cluster configuration at several loads through the sweep
+def _cluster_sweep(args: argparse.Namespace, config) -> int:
+    """Serve the cluster ``config`` at every ``--load`` through the sweep
     runner — optionally fanned out over a worker pool (``--workers``)."""
     from repro.sweep.runner import SweepRunner
-    from repro.sweep.spec import SweepSpec
+    from repro.sweep.spec import AUTOSCALE_KNOBS, SweepSpec
 
     if args.rate is not None:
         print("error: --rate fixes one arrival rate; use a single --load with it")
@@ -792,48 +690,38 @@ def _cluster_sweep(args: argparse.Namespace, loads: tuple[float, ...]) -> int:
             " --platforms mixes are single-load only"
         )
         return 2
-    if args.retries != 3:
+    if config.max_retries != 3:
         print("error: multi-load sweeps use the default retry budget (3)")
         return 2
 
-    def ms(value: float | None) -> float | None:
-        return None if value is None else value * 1e-3
-
-    steps = _parse_decode_steps(args.decode_steps)
+    steps = args.decode_steps
     if isinstance(steps, int):
         steps = (steps, steps)
+    autoscale = config.autoscale
+    autoscale_knobs = {} if autoscale is None else {
+        attr: getattr(autoscale, name) for name, attr in AUTOSCALE_KNOBS.items()
+    }
     spec = SweepSpec(
-        name="cli-cluster",
-        models=(args.model,),
-        platforms=(args.platform,),
-        flows=(args.flow,),
-        devices=(args.device,),
-        seq_lens=(args.seq_len,),
-        loads=loads,
-        policies=(args.policy,),
-        fault_profiles=(args.fault,),
-        scheduler=args.scheduler,
-        trace=args.trace,
-        num_requests=args.requests,
-        max_batch=args.max_batch,
-        max_wait_s=args.max_wait_ms * 1e-3,
-        decode_steps=steps,
-        num_replicas=args.replicas,
-        fault_seed=args.fault_seed,
-        timeout_s=ms(args.timeout_ms),
-        timeout_cap_s=ms(args.timeout_cap_ms),
-        hedge_after_s=ms(args.hedge_ms),
-        shed_queue_s=ms(args.shed_ms),
-        deadline_s=ms(args.deadline_ms),
-        record_requests=args.record_requests,
-        autoscalers=(args.autoscaler,),
-        autoscale_min_replicas=args.min_replicas,
-        autoscale_interval_s=args.scale_interval_ms * 1e-3,
-        autoscale_cooldown_s=args.scale_cooldown_ms * 1e-3,
-        autoscale_provision_s=args.provision_ms * 1e-3,
-        autoscale_target=args.target_util,
-        autoscale_slo_s=ms(args.slo_ms),
-        seed=args.seed,
+        **pick(
+            SweepSpec,
+            config,
+            name="cli-cluster",
+            models=(config.model,),
+            platforms=(args.platform,),
+            flows=(config.flow,),
+            devices=(config.device,),
+            seq_lens=(config.seq_len,),
+            loads=args.load,
+            policies=(config.policy,),
+            fault_profiles=(config.fault_profile,),
+            autoscalers=(args.controller,),
+            num_replicas=args.replicas,
+            trace=args.trace,
+            num_requests=args.requests,
+            decode_steps=steps,
+            seed=args.seed,
+            **autoscale_knobs,
+        )
     )
     result = SweepRunner(workers=args.workers).run(spec)
     rows = []
@@ -850,19 +738,15 @@ def _cluster_sweep(args: argparse.Namespace, loads: tuple[float, ...]) -> int:
             "failed": cluster.num_failed,
             "retries": cluster.num_retries,
         }
-        if args.autoscaler is not None:
+        if autoscale is not None:
             row["mean_repl"] = round(cluster.mean_replicas, 2)
             row["repl_s"] = round(cluster.replica_seconds, 2)
             row["scale_ev"] = len(cluster.scale_events)
         rows.append(row)
     print(render_table(rows))
-    hits = sum(result.cache_info.get("hits", {}).values())
-    disk_hits = sum(result.cache_info.get("disk_hits", {}).values())
-    misses = sum(result.cache_info.get("misses", {}).values())
     print(
         f"\n{len(result.records)} loads x {args.replicas} replicas in"
-        f" {result.wall_s:.2f}s (cache: {hits} hits, {disk_hits} disk hits,"
-        f" {misses} misses)"
+        f" {result.wall_s:.2f}s ({_cache_summary(result)})"
     )
     return 0
 

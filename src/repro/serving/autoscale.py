@@ -33,10 +33,11 @@ wall clock — so cluster runs replay bit-identically across processes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from typing import NamedTuple
 
 from repro.errors import ServingError
+from repro.knobs import knob
 from repro.registry import Registry
 from repro.serving.metrics import nearest_rank
 
@@ -46,24 +47,43 @@ class AutoscaleConfig:
     """One autoscaling scenario: controller, bounds, and timing knobs."""
 
     #: registered controller name (``list_autoscalers()``).
-    controller: str
+    controller: str = knob(
+        MISSING, "--autoscaler",
+        help="elastic-fleet controller (see --list-autoscalers); the"
+        " replica count becomes the provisioned ceiling",
+    )
     #: fleet-size bounds; ``max_replicas`` must equal the number of
     #: provisioned platforms in the cluster config (the ceiling is the
     #: hardware that exists, the floor is what always stays online).
-    min_replicas: int = 1
+    min_replicas: int = knob(
+        1, "--min-replicas",
+        help="autoscale floor (replicas that always stay online)",
+    )
     max_replicas: int = 8
     #: replicas online at t=0; ``None`` starts at ``min_replicas``.
     initial_replicas: int | None = None
     #: controller evaluation period (one observation window per interval).
-    interval_s: float = 0.1
+    interval_s: float = knob(
+        0.1, "--scale-interval-ms", ms=True,
+        help="autoscale controller evaluation period",
+    )
     #: minimum time between scale *actions*; evaluations inside the
     #: cooldown observe but do not act.  0 disables.
-    cooldown_s: float = 0.0
+    cooldown_s: float = knob(
+        0.0, "--scale-cooldown-ms", ms=True,
+        help="minimum time between autoscale actions",
+    )
     #: cold-start delay between a scale-up decision and the replica
     #: admitting work.  Replica-seconds cost accrues from the decision.
-    provision_delay_s: float = 0.1
+    provision_delay_s: float = knob(
+        0.1, "--provision-ms", ms=True,
+        help="cold-start delay before a scaled-up replica admits work",
+    )
     #: busy-fraction set-point for ``target-utilization``.
-    target_utilization: float = 0.6
+    target_utilization: float = knob(
+        0.6, "--target-util",
+        help="busy-fraction set-point for the target-utilization controller",
+    )
     #: half-width of the no-action band around the set-point.
     deadband: float = 0.1
     #: ``step`` controller thresholds (hysteresis gap between them).
@@ -71,7 +91,10 @@ class AutoscaleConfig:
     down_threshold: float = 0.25
     #: latency SLO for ``goodput``; ``None`` falls back to the cluster's
     #: ``deadline_s`` (the router resolves this before the run).
-    slo_s: float | None = None
+    slo_s: float | None = knob(
+        None, "--slo-ms", ms=True,
+        help="latency SLO for the goodput controller (default: --deadline-ms)",
+    )
     #: ``goodput`` scales down only when the windowed p99 sits below
     #: ``slo_margin * slo_s`` — the gap is the hysteresis that keeps the
     #: controller from surrendering capacity it just acquired.

@@ -44,6 +44,7 @@ import numpy as np
 from repro.errors import ServingError
 from repro.hardware.device import DeviceKind
 from repro.hardware.platform import get_platform
+from repro.knobs import knob, pick
 from repro.registry import Registry
 from repro.serving.autoscale import (
     AutoscaleConfig,
@@ -51,7 +52,7 @@ from repro.serving.autoscale import (
     get_autoscaler,
 )
 from repro.serving.cost import BatchCostModel
-from repro.serving.engine import ServingConfig, ServingEngine, resolve_serving_target
+from repro.serving.engine import EngineKnobs, ServingConfig, ServingEngine, resolve_serving_target
 from repro.serving.faults import CRASH, FaultInjector
 from repro.serving.metrics import (
     REQUEST_FAILED,
@@ -66,8 +67,6 @@ from repro.serving.metrics import (
     cap_cluster_result,
 )
 from repro.serving.scheduler import (
-    DEFAULT_MAX_BATCH,
-    DEFAULT_MAX_WAIT_S,
     BatchScheduler,
     Dispatch,
     get_scheduler,
@@ -218,40 +217,52 @@ policy_entries = POLICY_REGISTRY.entries
 
 
 @dataclass(frozen=True)
-class ClusterConfig:
-    """One cluster scenario: fleet shape, policy, faults, robustness knobs."""
+class ClusterConfig(EngineKnobs):
+    """One cluster scenario: fleet shape, policy, faults, robustness knobs.
 
-    model: str
-    flow: str = "pytorch"
+    ``record_requests`` caps cluster-level and per-replica records alike.
+    """
+
     #: one platform id per replica (repeat an id for a homogeneous fleet).
     platforms: tuple[str, ...] = ("A", "A")
-    device: str = "gpu"
-    scheduler: str = "dynamic"
-    policy: str = "round-robin"
-    max_batch: int = DEFAULT_MAX_BATCH
-    max_wait_s: float = DEFAULT_MAX_WAIT_S
-    seq_len: int | None = None
-    fault_profile: str = "none"
-    fault_seed: int = 0
+    policy: str = knob(
+        "round-robin", "--policy",
+        help="admission policy routing requests to replicas",
+    )
+    fault_profile: str = knob(
+        "none", "--fault",
+        help="fault profile injected into the fleet (see --list-faults)",
+    )
+    fault_seed: int = knob(0, "--fault-seed")
     #: seeds the router generator randomized policies draw from.
     policy_seed: int = 0
     #: per-request timeout before a queued/lost copy is re-routed; doubles
     #: per retry up to ``timeout_cap_s``.  Required when the fault profile
     #: produces crash windows (lost work is only ever detected by timeout).
-    timeout_s: float | None = None
-    max_retries: int = 3
-    timeout_cap_s: float | None = None
+    timeout_s: float | None = knob(
+        None, "--timeout-ms", ms=True,
+        help="per-request timeout before a copy is re-routed (required for"
+        " crash profiles; doubles per retry up to --timeout-cap-ms)",
+    )
+    max_retries: int = knob(3, "--retries")
+    timeout_cap_s: float | None = knob(None, "--timeout-cap-ms", ms=True)
     #: hedge delay: duplicate the request to a second replica once the
     #: primary has been outstanding this long.  ``None`` disables hedging.
-    hedge_after_s: float | None = None
+    hedge_after_s: float | None = knob(
+        None, "--hedge-ms", ms=True,
+        help="hedge a request to a second replica after this delay",
+    )
     #: admission-control threshold on estimated queue delay; ``None``
     #: disables shedding.
-    shed_queue_s: float | None = None
+    shed_queue_s: float | None = knob(
+        None, "--shed-ms", ms=True,
+        help="shed arrivals whose estimated queue delay exceeds this",
+    )
     #: goodput deadline recorded on the result (``None``: any completion).
-    deadline_s: float | None = None
-    #: cap on materialized records (cluster-level and per-replica); ``None``
-    #: keeps full record lists.  See :attr:`ServingConfig.record_requests`.
-    record_requests: int | None = None
+    deadline_s: float | None = knob(
+        None, "--deadline-ms", ms=True,
+        help="goodput deadline (completions slower than this are not good)",
+    )
     #: elastic fleet control (see :mod:`repro.serving.autoscale`); ``None``
     #: keeps every provisioned replica online for the whole run.  The
     #: controller's ``max_replicas`` must equal ``len(platforms)`` — the
@@ -268,13 +279,10 @@ class ClusterConfig:
                     f" must equal the provisioned fleet size"
                     f" ({len(self.platforms)} platforms)"
                 )
-        if self.record_requests is not None and self.record_requests < 1:
-            raise ServingError(
-                f"record_requests must be >= 1, got {self.record_requests}"
-            )
+        super().__post_init__()
         if self.max_retries < 0:
             raise ServingError(f"max_retries must be >= 0, got {self.max_retries}")
-        for knob, value in (
+        for knob_name, value in (
             ("timeout_s", self.timeout_s),
             ("timeout_cap_s", self.timeout_cap_s),
             ("hedge_after_s", self.hedge_after_s),
@@ -283,7 +291,7 @@ class ClusterConfig:
         ):
             # ``not >`` also rejects NaN, which every comparison lets through.
             if value is not None and not value > 0.0:
-                raise ServingError(f"{knob} must be positive, got {value}")
+                raise ServingError(f"{knob_name} must be positive, got {value}")
 
 
 # -- internal state -----------------------------------------------------------
@@ -508,16 +516,7 @@ class ClusterRouter:
             get_autoscaler(config.autoscale.controller)
         self.engines = [
             ServingEngine(
-                ServingConfig(
-                    model=config.model,
-                    flow=config.flow,
-                    platform=platform_id,
-                    device=config.device,
-                    scheduler=config.scheduler,
-                    max_batch=config.max_batch,
-                    max_wait_s=config.max_wait_s,
-                    seq_len=config.seq_len,
-                ),
+                ServingConfig(**pick(ServingConfig, config, platform=platform_id)),
                 cache=cache,
             )
             for platform_id in config.platforms
@@ -1318,6 +1317,7 @@ def serve_cluster_point(point) -> ClusterResult:
     saturates one serial engine in :func:`~repro.serving.engine.serve_point`.
     """
     from repro.serving.trace import make_trace
+    from repro.sweep.spec import AUTOSCALE_KNOBS
 
     if point.load is None or point.load <= 0.0:
         raise ServingError(f"cluster sweep point has no positive load: {point.load!r}")
@@ -1327,36 +1327,19 @@ def serve_cluster_point(point) -> ClusterResult:
     if getattr(point, "autoscaler", None) is not None:
         autoscale = AutoscaleConfig(
             controller=point.autoscaler,
-            min_replicas=point.autoscale_min_replicas,
             max_replicas=point.num_replicas,
-            interval_s=point.autoscale_interval_s,
-            cooldown_s=point.autoscale_cooldown_s,
-            provision_delay_s=point.autoscale_provision_s,
-            target_utilization=point.autoscale_target,
-            slo_s=point.autoscale_slo_s,
+            **{name: getattr(point, attr) for name, attr in AUTOSCALE_KNOBS.items()},
         )
-    router = ClusterRouter(
-        ClusterConfig(
-            model=point.model,
-            flow=point.flow,
+    config = ClusterConfig(
+        **pick(
+            ClusterConfig,
+            point,
             platforms=(point.platform,) * point.num_replicas,
-            device=point.device,
-            scheduler=point.scheduler,
-            policy=point.policy,
-            max_batch=point.max_batch,
-            max_wait_s=point.max_wait_s,
-            seq_len=point.seq_len,
             fault_profile=point.fault_profile or "none",
-            fault_seed=point.fault_seed,
-            timeout_s=point.timeout_s,
-            timeout_cap_s=point.timeout_cap_s,
-            hedge_after_s=point.hedge_after_s,
-            shed_queue_s=point.shed_queue_s,
-            deadline_s=point.deadline_s,
-            record_requests=getattr(point, "record_requests", None),
             autoscale=autoscale,
         )
     )
+    router = ClusterRouter(config)
     rate_rps = point.load * router.fleet_capacity_rps()
     trace = make_trace(
         point.trace,

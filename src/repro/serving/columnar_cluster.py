@@ -618,8 +618,6 @@ def _serve_replica(
         config.scheduler, max_batch=config.max_batch, max_wait_s=config.max_wait_s
     )
     run = _Run(engine, sub, scheduler)
-    run.cap = config.record_requests
-    run.full = run.cap is None
     kernel_for(scheduler)(run, more_until=more_until)
 
     # the reference router lists a replica's records by (admitted_s, id) —

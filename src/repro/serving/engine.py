@@ -40,6 +40,7 @@ from repro.errors import ServingError
 from repro.flows import get_flow
 from repro.hardware.device import DeviceKind, as_device_kind
 from repro.hardware.platform import Platform, get_platform
+from repro.knobs import knob, pick
 from repro.serving.cost import BatchCostModel
 from repro.serving.metrics import RequestRecord, ServingResult, cap_serving_result
 from repro.serving.scheduler import (
@@ -53,30 +54,43 @@ from repro.sweep.cache import PlanCache
 
 
 @dataclass(frozen=True)
-class ServingConfig:
-    """One serving scenario: what serves, where, and how it batches."""
+class EngineKnobs:
+    """The engine knobs a single engine and a cluster's replicas share."""
 
     model: str
-    flow: str = "pytorch"
-    platform: str = "A"
+    flow: str = knob("pytorch", "--flow")
     #: placement target mode (``cpu``/``gpu``/``npu``); targets the platform
     #: lacks fall back to the host CPU, exactly like ``profile_graph``.
-    device: str = "gpu"
-    scheduler: str = "dynamic"
-    max_batch: int = DEFAULT_MAX_BATCH
-    max_wait_s: float = DEFAULT_MAX_WAIT_S
-    seq_len: int | None = None
+    device: str = knob("gpu", "--device", help="placement target (cpu/gpu/npu)")
+    scheduler: str = knob("dynamic", "--scheduler")
+    max_batch: int = knob(DEFAULT_MAX_BATCH, "--max-batch")
+    max_wait_s: float = knob(
+        DEFAULT_MAX_WAIT_S, "--max-wait-ms", ms=True,
+        help="dynamic batching max wait before a partial batch launches",
+    )
+    seq_len: int | None = knob(None, "--seq-len")
     #: cap on materialized :class:`RequestRecord` samples; ``None`` keeps the
     #: full per-request record list and queue-depth timeline.  With a cap the
     #: result carries streaming aggregates plus a seeded reservoir sample —
     #: O(cap) memory regardless of trace length, on either path.
-    record_requests: int | None = None
+    record_requests: int | None = knob(
+        None, "--record-requests",
+        help="cap materialized per-request records (streaming percentiles +"
+        " a seeded uniform sample); default keeps everything",
+    )
 
     def __post_init__(self) -> None:
         if self.record_requests is not None and self.record_requests < 1:
             raise ServingError(
                 f"record_requests must be >= 1, got {self.record_requests}"
             )
+
+
+@dataclass(frozen=True)
+class ServingConfig(EngineKnobs):
+    """One serving scenario: what serves, where, and how it batches."""
+
+    platform: str = "A"
 
 
 def resolve_serving_target(
@@ -320,19 +334,7 @@ def serve_point(point) -> ServingResult:
 
     if point.load is None or point.load <= 0.0:
         raise ServingError(f"sweep point has no positive load: {point.load!r}")
-    engine = ServingEngine(
-        ServingConfig(
-            model=point.model,
-            flow=point.flow,
-            platform=point.platform,
-            device=point.device,
-            scheduler=point.scheduler,
-            max_batch=point.max_batch,
-            max_wait_s=point.max_wait_s,
-            seq_len=point.seq_len,
-            record_requests=getattr(point, "record_requests", None),
-        )
-    )
+    engine = ServingEngine(ServingConfig(**pick(ServingConfig, point)))
     rate_rps = point.load / engine.base_latency_s()
     trace = make_trace(
         point.trace,

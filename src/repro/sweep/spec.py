@@ -11,7 +11,7 @@ its exact row order — the CSV artifacts are byte-stable across engines.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro.errors import RegistryError
 from repro.hardware.device import DeviceKind, as_device_kind
@@ -34,37 +34,33 @@ DEVICE_CPU = "cpu"
 DEVICE_MODES = tuple(kind.value for kind in DeviceKind)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One fully-resolved configuration to profile."""
+#: :class:`~repro.serving.autoscale.AutoscaleConfig` field -> the sweep
+#: knob that carries it.
+AUTOSCALE_KNOBS = {
+    "min_replicas": "autoscale_min_replicas",
+    "interval_s": "autoscale_interval_s",
+    "cooldown_s": "autoscale_cooldown_s",
+    "provision_delay_s": "autoscale_provision_s",
+    "target_utilization": "autoscale_target",
+    "slo_s": "autoscale_slo_s",
+}
 
-    platform: str
-    model: str
-    flow: str
-    batch_size: int
-    use_gpu: bool
-    seq_len: int | None = None
-    transform: str | None = None
+
+@dataclass(frozen=True, kw_only=True)
+class SweepKnobs:
+    """The scalar knobs a :class:`SweepSpec` shares with every point of its
+    grid; :meth:`SweepSpec.points` copies them field by field."""
+
     iterations: int = 3
     seed: int = 0
-    #: named placement target from the sweep's ``device`` axis; None means
-    #: the legacy ``use_gpu`` boolean decides (gpu/cpu).
-    device_mode: str | None = None
-    #: offered load as a fraction of single-stream (batch-1) capacity; None
-    #: means a plain per-inference profile point (no serving simulation).
-    load: float | None = None
-    #: serving knobs, copied from the spec (only read when ``load`` is set).
+    #: serving knobs (only read by load points).
     scheduler: str = "dynamic"
     trace: str = "poisson"
     num_requests: int = 32
     max_batch: int = 8
     max_wait_s: float = 2e-3
     decode_steps: tuple[int, int] = (1, 1)
-    #: cluster axes: a non-None ``policy`` routes the load point through a
-    #: multi-replica ClusterRouter instead of a single engine.
-    policy: str | None = None
-    fault_profile: str | None = None
-    #: cluster knobs, copied from the spec (only read when ``policy`` is set).
+    #: cluster knobs (only read by policy points).
     num_replicas: int = 2
     fault_seed: int = 0
     timeout_s: float | None = None
@@ -74,17 +70,41 @@ class SweepPoint:
     deadline_s: float | None = None
     #: cap on materialized per-request records; None keeps everything.
     record_requests: int | None = None
-    #: elastic-fleet axis: a non-None controller name autoscales the
-    #: cluster between ``autoscale_min_replicas`` and ``num_replicas``
-    #: (the provisioned ceiling).  None keeps the whole fleet online.
-    autoscaler: str | None = None
-    #: autoscale knobs, copied from the spec (read when ``autoscaler`` set).
+    #: autoscale knobs (only read by autoscaler points): the controller
+    #: scales between ``autoscale_min_replicas`` and ``num_replicas`` (the
+    #: provisioned ceiling).
     autoscale_min_replicas: int = 1
     autoscale_interval_s: float = 0.1
     autoscale_cooldown_s: float = 0.0
     autoscale_provision_s: float = 0.1
     autoscale_target: float = 0.6
     autoscale_slo_s: float | None = None
+
+
+@dataclass(frozen=True)
+class SweepPoint(SweepKnobs):
+    """One fully-resolved configuration to profile."""
+
+    platform: str
+    model: str
+    flow: str
+    batch_size: int
+    use_gpu: bool
+    seq_len: int | None = None
+    transform: str | None = None
+    #: named placement target from the sweep's ``device`` axis; None means
+    #: the legacy ``use_gpu`` boolean decides (gpu/cpu).
+    device_mode: str | None = None
+    #: offered load as a fraction of single-stream (batch-1) capacity; None
+    #: means a plain per-inference profile point (no serving simulation).
+    load: float | None = None
+    #: cluster axes: a non-None ``policy`` routes the load point through a
+    #: multi-replica ClusterRouter instead of a single engine.
+    policy: str | None = None
+    fault_profile: str | None = None
+    #: elastic-fleet axis: a non-None controller name autoscales the
+    #: cluster; None keeps the whole fleet online.
+    autoscaler: str | None = None
 
     @property
     def device(self) -> str:
@@ -118,7 +138,7 @@ class SweepPoint:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(SweepKnobs):
     """A cross-product sweep grid plus the nesting order of its dimensions."""
 
     models: tuple[str, ...]
@@ -145,32 +165,6 @@ class SweepSpec:
     #: ``num_replicas`` is the provisioned ceiling the controller scales
     #: within.
     autoscalers: tuple[str | None, ...] = (None,)
-    #: serving knobs shared by every load point of the grid.
-    scheduler: str = "dynamic"
-    trace: str = "poisson"
-    num_requests: int = 32
-    max_batch: int = 8
-    max_wait_s: float = 2e-3
-    decode_steps: tuple[int, int] = (1, 1)
-    #: cluster knobs shared by every policy point of the grid.
-    num_replicas: int = 2
-    fault_seed: int = 0
-    timeout_s: float | None = None
-    timeout_cap_s: float | None = None
-    hedge_after_s: float | None = None
-    shed_queue_s: float | None = None
-    deadline_s: float | None = None
-    #: record cap for every load point of the grid (None: keep everything).
-    record_requests: int | None = None
-    #: autoscale knobs shared by every autoscaler point of the grid.
-    autoscale_min_replicas: int = 1
-    autoscale_interval_s: float = 0.1
-    autoscale_cooldown_s: float = 0.0
-    autoscale_provision_s: float = 0.1
-    autoscale_target: float = 0.6
-    autoscale_slo_s: float | None = None
-    iterations: int = 3
-    seed: int = 0
     #: outermost-to-innermost loop order; unlisted dimensions follow in
     #: canonical order after the listed ones.
     order: tuple[str, ...] = field(default=DIMENSIONS)
@@ -229,6 +223,7 @@ class SweepSpec:
             raise RegistryError(
                 f"num_replicas must be >= 1, got {self.num_replicas}"
             )
+        knobs = {f.name: getattr(self, f.name) for f in fields(SweepKnobs)}
         points = []
         for combo in itertools.product(*(self._values(d) for d in order)):
             values = dict(zip(order, combo))
@@ -261,33 +256,12 @@ class SweepSpec:
                     use_gpu=values["device"] != DEVICE_CPU,
                     seq_len=values["seq_len"],
                     transform=values["transform"],
-                    iterations=self.iterations,
-                    seed=self.seed,
                     device_mode=values["device"],
                     load=values["load"],
-                    scheduler=self.scheduler,
-                    trace=self.trace,
-                    num_requests=self.num_requests,
-                    max_batch=self.max_batch,
-                    max_wait_s=self.max_wait_s,
-                    decode_steps=self.decode_steps,
                     policy=values["policy"],
                     fault_profile=values["fault"],
-                    num_replicas=self.num_replicas,
-                    fault_seed=self.fault_seed,
-                    timeout_s=self.timeout_s,
-                    timeout_cap_s=self.timeout_cap_s,
-                    hedge_after_s=self.hedge_after_s,
-                    shed_queue_s=self.shed_queue_s,
-                    deadline_s=self.deadline_s,
-                    record_requests=self.record_requests,
                     autoscaler=values["autoscaler"],
-                    autoscale_min_replicas=self.autoscale_min_replicas,
-                    autoscale_interval_s=self.autoscale_interval_s,
-                    autoscale_cooldown_s=self.autoscale_cooldown_s,
-                    autoscale_provision_s=self.autoscale_provision_s,
-                    autoscale_target=self.autoscale_target,
-                    autoscale_slo_s=self.autoscale_slo_s,
+                    **knobs,
                 )
             )
         return points
