@@ -29,7 +29,7 @@ import sys
 
 from repro.analysis import EXPERIMENTS
 from repro.core import BenchConfig, NonGemmReport, PerformanceReport, run_bench
-from repro.errors import RegistryError, ServingError
+from repro.errors import ReproError
 from repro.knobs import pick
 from repro.models import build_model, list_models
 from repro.serving import AutoscaleConfig, ClusterConfig, ServingConfig
@@ -45,7 +45,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.handler(args)
-    except (ServingError, RegistryError) as exc:
+    except ReproError as exc:
         print(f"error: {exc}")
         return 2
 
@@ -118,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ins.add_argument("--cpu-only", action="store_true")
     p_ins.add_argument("--seq-len", type=int, default=None)
     p_ins.add_argument(
-        "--kernels", type=int, default=16,
+        "--kernels", type=_count, default=16,
         help="kernel rows to print (largest by traffic; 0 = all)",
     )
     p_ins.set_defaults(handler=_cmd_inspect)
@@ -287,6 +287,16 @@ _floats = _flag_type(
     lambda raw: tuple(float(part) for part in _names(raw)), "comma-separated numbers"
 )
 _decode_steps = _flag_type(_parse_decode_steps, "a count or an inclusive lo:hi range")
+
+
+def _parse_count(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise ValueError(raw)
+    return value
+
+
+_count = _flag_type(_parse_count, "a non-negative integer")
 
 
 def _cmd_list_models(args: argparse.Namespace) -> int:

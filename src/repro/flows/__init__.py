@@ -29,9 +29,14 @@ from repro.flows.passes import (
     TransferInsertionPass,
     UniformPlacement,
 )
-from repro.flows.plan import ExecutionPlan, PlannedKernel, group_cost, node_base_cost
+from repro.flows.plan import (
+    ExecutionPlan,
+    KernelTable,
+    PlannedKernel,
+    group_cost,
+    node_base_cost,
+)
 from repro.flows.pytorch_eager import PyTorchEagerFlow
-from repro.flows.reference import reference_lower
 from repro.flows.tensorrt import TensorRTFlow
 from repro.flows.torch_inductor import TorchInductorFlow
 from repro.registry import Registry
@@ -111,6 +116,7 @@ __all__ = [
     "FusionPass",
     "FusionResult",
     "KernelConstructionPass",
+    "KernelTable",
     "LoweringPass",
     "LoweringState",
     "MetadataElisionPass",
@@ -134,6 +140,5 @@ __all__ = [
     "group_cost",
     "list_flows",
     "node_base_cost",
-    "reference_lower",
     "register_flow",
 ]

@@ -36,7 +36,7 @@ from repro.flows.passes import (
     UniformPlacement,
 )
 from repro.flows.passes.state import LoweringState
-from repro.flows.plan import ExecutionPlan, PlannedKernel
+from repro.flows.plan import ExecutionPlan, KernelTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.device import DeviceKind
@@ -209,28 +209,11 @@ class DeploymentFlow(abc.ABC):
     def _finalize(self, state: LoweringState) -> ExecutionPlan:
         """Freeze kernel drafts into an immutable :class:`ExecutionPlan`."""
         assert state.drafts is not None, "pipeline produced no kernel drafts"
-        kernels = [
-            PlannedKernel(
-                draft.name,
-                draft.node_ids,
-                draft.op_kinds,
-                draft.category,
-                draft.device,
-                draft.cost,
-                draft.dtype,
-                draft.metadata_only,
-                draft.is_custom,
-                draft.launch_count,
-                draft.transfer_bytes_in,
-                draft.transfer_bytes_out,
-            )
-            for draft in state.drafts
-        ]
         plan = ExecutionPlan(
             graph=state.graph,
             flow=self.name,
             dispatch_profile=self.dispatch_profile,
-            kernels=kernels,
+            kernels=KernelTable.from_rows(state.drafts),
             target=state.target,
             gemm_peak_scale_f32=self.gemm_peak_scale_f32,
             gemm_saturation_scale=self.gemm_saturation_scale,

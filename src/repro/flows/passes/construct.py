@@ -3,7 +3,7 @@
 This is the single home of kernel construction: full lowerings and plan
 re-targeting (:class:`~repro.flows.passes.retarget.RetargetPass`) both
 produce :class:`~repro.flows.passes.state.KernelDraft` records that the flow
-freezes into :class:`~repro.flows.plan.PlannedKernel` tuples, so there is
+freezes into a :class:`~repro.flows.plan.KernelTable`, so there is
 exactly one place that knows how a kernel's name, cost, dtype, and flags are
 derived from graph structure.
 """

@@ -3,12 +3,12 @@
 A :class:`LoweringState` is the only thing passes read and write: the source
 graph, the target device mode, and three progressively-refined artifacts —
 fusion ``groups``, per-group ``devices``, and mutable :class:`KernelDraft`
-records that the flow finally freezes into immutable
-:class:`~repro.flows.plan.PlannedKernel` tuples.
+records that the flow finally freezes into an immutable
+:class:`~repro.flows.plan.KernelTable`.
 
 Drafts are deliberately tiny mutable objects (``__slots__``, no dataclass
 machinery): tens of thousands are minted per sweep, so their construction
-cost sits on the engine's cold path next to ``PlannedKernel`` itself.
+cost sits on the engine's cold path next to the table build itself.
 """
 
 from __future__ import annotations
@@ -25,7 +25,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class KernelDraft:
-    """A mutable kernel under construction; finalized into a PlannedKernel."""
+    """A mutable kernel under construction; frozen into a KernelTable row.
+
+    Carries the twelve :class:`~repro.flows.plan.PlannedKernel` field names,
+    which :meth:`~repro.flows.plan.KernelTable.from_rows` reads.
+    """
 
     __slots__ = (
         "name",

@@ -1,16 +1,26 @@
 """Execution plans: what a deployment flow actually runs.
 
-A flow lowers an operator graph into an ordered list of
-:class:`PlannedKernel`\\ s — possibly-fused groups of graph nodes assigned to
-a device, with fusion-adjusted cost and optional PCIe transfers (for
-CPU-fallback kernels).  The simulator walks this list.
+A flow lowers an operator graph into an ordered sequence of kernels —
+possibly-fused groups of graph nodes assigned to a device, with
+fusion-adjusted cost and optional PCIe transfers (for CPU-fallback kernels).
+
+A plan holds its kernels in one frozen form, a :class:`KernelTable`: numpy
+columns with small-int codes and vocabularies, built once when the flow
+freezes its drafts.  This module alone defines that column layout.  The
+simulator casts the columns into its per-kernel arrays, and the artifact
+store pickles the table as it is.  Indexing or iterating the table yields
+:class:`PlannedKernel` rows for code that reads kernels one at a time.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from itertools import chain
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.errors import PlanError
 from repro.hardware.device import DeviceKind
@@ -23,8 +33,9 @@ from repro.ops.base import OpCategory, OpCost
 class PlannedKernel(NamedTuple):
     """One schedulable unit: a single op or a fused group.
 
-    A NamedTuple: tens of thousands are minted per lowering, so construction
-    cost sits on the sweep engine's critical path.
+    The row type of a :class:`KernelTable`: what indexing and iterating
+    ``plan.kernels`` yields, and one way to describe kernels when building
+    an :class:`ExecutionPlan` by hand.
     """
 
     name: str
@@ -51,6 +62,174 @@ class PlannedKernel(NamedTuple):
         return self.category is OpCategory.GEMM
 
 
+#: vocabularies of the table's code columns: a code is the member's position
+#: in its enum's declaration order.
+CATEGORIES: tuple[OpCategory, ...] = tuple(OpCategory)
+DEVICE_KINDS: tuple[DeviceKind, ...] = tuple(DeviceKind)
+DTYPES: tuple[DType, ...] = tuple(DType)
+CATEGORY_CODE = {category: code for code, category in enumerate(CATEGORIES)}
+DEVICE_CODE = {kind: code for code, kind in enumerate(DEVICE_KINDS)}
+DTYPE_CODE = {dtype: code for code, dtype in enumerate(DTYPES)}
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+#: the table's columns, in pickle order.
+_COLUMNS = (
+    "names",
+    "node_ids",
+    "offsets",
+    "op_kind_vocab",
+    "op_kind_idx",
+    "category",
+    "device",
+    "dtype",
+    "flops",
+    "bytes_read",
+    "bytes_written",
+    "metadata_only",
+    "is_custom",
+    "launch_count",
+    "transfer_bytes_in",
+    "transfer_bytes_out",
+)
+
+
+class KernelTable:
+    """A plan's kernels as immutable columns, one row per kernel.
+
+    Columns, one per :class:`PlannedKernel` field:
+
+    * ``names``: a tuple of str;
+    * ``node_ids``: every kernel's node ids, flat (int64); kernel ``i`` owns
+      ``node_ids[offsets[i]:offsets[i + 1]]``;
+    * ``op_kinds``: kernel ``i`` ran ``op_kind_vocab[op_kind_idx[i]]``, a
+      deduplicated tuple of op kinds (index int32);
+    * ``category``, ``device``, ``dtype``: int8 codes into
+      :data:`CATEGORIES`, :data:`DEVICE_KINDS` and :data:`DTYPES`;
+    * ``cost`` as ``flops``, ``bytes_read``, ``bytes_written`` (int64);
+    * ``metadata_only``, ``is_custom`` (bool), ``launch_count`` (int32),
+      ``transfer_bytes_in``, ``transfer_bytes_out`` (int64).
+
+    The arrays are read-only.  Indexing and iteration yield
+    :class:`PlannedKernel` rows, built once on first use; that row cache is
+    left out when the table is pickled.
+    """
+
+    __slots__ = (*_COLUMNS, "_rows")
+
+    def __init__(self, **columns: object):
+        for name in _COLUMNS:
+            value = columns[name]
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            setattr(self, name, value)
+        self._rows: list[PlannedKernel] | None = None
+
+    @classmethod
+    def from_rows(cls, rows: Iterable) -> "KernelTable":
+        """Freeze ``rows`` into a table: the one loop that builds it.
+
+        A row is anything carrying the twelve :class:`PlannedKernel` field
+        names as attributes: ``PlannedKernel`` tuples, or the lowering
+        pipeline's kernel drafts.  Raises :class:`PlanError` when a cost or
+        transfer does not fit int64.
+        """
+        rows = list(rows)
+        (names, node_ids, op_kinds, categories, devices, costs, dtypes,
+         metadata_only, is_custom, launch_count, transfer_in, transfer_out) = (
+            list(map(attrgetter(name), rows)) for name in PlannedKernel._fields
+        )
+        flops, bytes_read, bytes_written = (
+            list(map(attrgetter(name), costs)) for name in OpCost._fields
+        )
+        offsets = np.zeros(len(names) + 1, dtype=np.int64)
+        np.cumsum(list(map(len, node_ids)), out=offsets[1:])
+        try:
+            flops, bytes_read, bytes_written, transfer_in, transfer_out = (
+                np.array(column, dtype=np.int64)
+                for column in (flops, bytes_read, bytes_written, transfer_in, transfer_out)
+            )
+        except OverflowError:
+            raise PlanError("a kernel's cost or transfer bytes exceed int64") from None
+        # the simulator sums the two in int64, where an overflow would wrap.
+        if np.any(bytes_written > _INT64_MAX - bytes_read):
+            raise PlanError("a kernel's total traffic exceeds int64")
+        vocab: dict[tuple[str, ...], int] = {}
+        op_kind_idx = [vocab.setdefault(kinds, len(vocab)) for kinds in op_kinds]
+        return cls(
+            names=tuple(names),
+            node_ids=np.fromiter(chain.from_iterable(node_ids), np.int64, int(offsets[-1])),
+            offsets=offsets,
+            op_kind_vocab=tuple(vocab),
+            op_kind_idx=np.array(op_kind_idx, dtype=np.int32),
+            category=np.array([CATEGORY_CODE[c] for c in categories], dtype=np.int8),
+            device=np.array([DEVICE_CODE[d] for d in devices], dtype=np.int8),
+            dtype=np.array([DTYPE_CODE[d] for d in dtypes], dtype=np.int8),
+            flops=flops,
+            bytes_read=bytes_read,
+            bytes_written=bytes_written,
+            metadata_only=np.array(metadata_only, dtype=bool),
+            is_custom=np.array(is_custom, dtype=bool),
+            launch_count=np.array(launch_count, dtype=np.int32),
+            transfer_bytes_in=transfer_in,
+            transfer_bytes_out=transfer_out,
+        )
+
+    def _row_list(self) -> list[PlannedKernel]:
+        rows = self._rows
+        if rows is None:
+            flat = self.node_ids.tolist()
+            bounds = self.offsets.tolist()
+            vocab = self.op_kind_vocab
+            rows = list(
+                map(
+                    PlannedKernel,
+                    self.names,
+                    [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])],
+                    [vocab[i] for i in self.op_kind_idx.tolist()],
+                    map(CATEGORIES.__getitem__, self.category.tolist()),
+                    map(DEVICE_KINDS.__getitem__, self.device.tolist()),
+                    map(
+                        OpCost,
+                        self.flops.tolist(),
+                        self.bytes_read.tolist(),
+                        self.bytes_written.tolist(),
+                    ),
+                    map(DTYPES.__getitem__, self.dtype.tolist()),
+                    self.metadata_only.tolist(),
+                    self.is_custom.tolist(),
+                    self.launch_count.tolist(),
+                    self.transfer_bytes_in.tolist(),
+                    self.transfer_bytes_out.tolist(),
+                )
+            )
+            self._rows = rows
+        return rows
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __iter__(self) -> Iterator[PlannedKernel]:
+        return iter(self._row_list())
+
+    def __getitem__(self, index):
+        return self._row_list()[index]
+
+    def __eq__(self, other: object) -> bool:
+        """Row-wise equality with another table or a PlannedKernel sequence."""
+        if isinstance(other, (KernelTable, list, tuple)):
+            return self._row_list() == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, name) for name in _COLUMNS)
+
+    def __setstate__(self, state: tuple) -> None:
+        self.__init__(**dict(zip(_COLUMNS, state)))
+
+
 @dataclass
 class ExecutionPlan:
     """A lowered graph, ready for simulation.
@@ -60,12 +239,15 @@ class ExecutionPlan:
     carry a lazy :class:`~repro.sweep.cache.GraphRef` (same ``content_hash``
     /``materialize``/``name`` surface), which the rare structure-walking
     paths resolve on demand — the profiling hot path never does.
+
+    ``kernels`` is always a :class:`KernelTable`; a sequence of
+    :class:`PlannedKernel` rows passed in is frozen into one.
     """
 
     graph: Graph  # or a lazy GraphRef (see docstring)
     flow: str
     dispatch_profile: str  # key into hardware.calibration.DISPATCH_PROFILES
-    kernels: list[PlannedKernel]
+    kernels: KernelTable
     #: the device class this lowering targeted; the simulator routes
     #: transfers of kernels forced off it over the platform's link table.
     #: (Defaults to GPU — the only accelerator the pre-N-device model knew.)
@@ -75,13 +257,17 @@ class ExecutionPlan:
     gemm_saturation_scale: float = 1.0
     notes: dict[str, object] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.kernels, KernelTable):
+            self.kernels = KernelTable.from_rows(self.kernels)
+
     @property
     def num_kernels(self) -> int:
         return len(self.kernels)
 
     @property
     def num_fused_kernels(self) -> int:
-        return sum(1 for k in self.kernels if k.fused)
+        return int(np.count_nonzero(np.diff(self.kernels.offsets) > 1))
 
     def content_hash(self) -> str:
         """Structural fingerprint of the lowered plan.
@@ -106,38 +292,22 @@ class ExecutionPlan:
         return digest.hexdigest()
 
     def covered_node_count(self) -> int:
-        """Number of graph nodes the kernels cover, memoized.
+        """Number of graph nodes the kernels cover.
 
         Equals ``len(graph.compute_nodes())`` for any validated plan (the
         kernels partition the compute nodes exactly), which lets profiling
-        report the graph's op count without touching graph structure — and,
-        for store-loaded plans, without decoding the kernel list.
+        report the graph's op count without touching graph structure.
         """
-        cached = self.__dict__.get("_covered_node_count")
-        if cached is None:
-            counter = getattr(self.kernels, "covered_node_count", None)
-            if counter is not None:  # LazyKernelList: answered undecoded
-                cached = counter()
-            else:
-                cached = sum(len(k.node_ids) for k in self.kernels)
-            self.__dict__["_covered_node_count"] = cached
-        return cached
-
-    def covered_node_ids(self) -> set[int]:
-        covered: set[int] = set()
-        for kernel in self.kernels:
-            covered.update(kernel.node_ids)
-        return covered
+        return int(self.kernels.offsets[-1])
 
     def validate(self) -> None:
         """Every compute node appears in exactly one kernel; order respects deps."""
         graph = self.graph.materialize()
         seen: set[int] = set()
-        for kernel in self.kernels:
-            for node_id in kernel.node_ids:
-                if node_id in seen:
-                    raise PlanError(f"node {node_id} planned twice in {self.flow}")
-                seen.add(node_id)
+        for node_id in self.kernels.node_ids.tolist():
+            if node_id in seen:
+                raise PlanError(f"node {node_id} planned twice in {self.flow}")
+            seen.add(node_id)
         expected = {n.node_id for n in graph.compute_nodes()}
         missing = expected - seen
         extra = seen - expected
@@ -161,19 +331,18 @@ class ExecutionPlan:
 
     def _compute_non_gemm_fusion_rate(self) -> float:
         nodes = self.graph.materialize().nodes
-        non_gemm_total = 0
-        non_gemm_fused = 0
-        for kernel in self.kernels:
-            for node_id in kernel.node_ids:
-                node = nodes[node_id]
-                if node.op.category is OpCategory.GEMM:
-                    continue
-                non_gemm_total += 1
-                if kernel.fused:
-                    non_gemm_fused += 1
+        gemm = OpCategory.GEMM
+        table = self.kernels
+        node_ids = table.node_ids.tolist()
+        non_gemm = np.fromiter(
+            (nodes[i].op.category is not gemm for i in node_ids), bool, len(node_ids)
+        )
+        sizes = np.diff(table.offsets)
+        fused = np.repeat(sizes > 1, sizes)
+        non_gemm_total = int(np.count_nonzero(non_gemm))
         if non_gemm_total == 0:
             return 0.0
-        return non_gemm_fused / non_gemm_total
+        return int(np.count_nonzero(non_gemm & fused)) / non_gemm_total
 
 
 def group_cost(graph: Graph, node_ids: tuple[int, ...]) -> OpCost:

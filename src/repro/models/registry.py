@@ -12,6 +12,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.errors import ConfigError
 from repro.ir.graph import Graph
 from repro.models import configs
 from repro.models.bert import build_bert
@@ -48,6 +49,13 @@ class ModelEntry:
     paper_params: str  # Table II's reported size, for the workload report
 
     def build(self, batch_size: int = 1, **overrides) -> Graph:
+        """The model's graph; raises :class:`ConfigError` on a batch size or
+        ``seq_len`` override below 1."""
+        if batch_size < 1:
+            raise ConfigError(f"{self.name}: batch size must be >= 1, got {batch_size}")
+        seq_len = overrides.get("seq_len")
+        if seq_len is not None and seq_len < 1:
+            raise ConfigError(f"{self.name}: seq_len must be >= 1, got {seq_len}")
         return self.builder(self.config, batch_size=batch_size, **overrides)
 
 

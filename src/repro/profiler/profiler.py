@@ -20,13 +20,13 @@ import math
 import numpy as np
 
 from repro.flows.base import DeploymentFlow
-from repro.flows.plan import ExecutionPlan
+from repro.flows.plan import CATEGORIES, ExecutionPlan
 from repro.hardware.device import DeviceKind, as_device_kind
 from repro.hardware.platform import Platform
 from repro.ir.graph import Graph
 from repro.ops.base import OpCategory
 from repro.profiler.records import ProfileResult, report_group
-from repro.runtime.simulator import _CATEGORIES, plan_arrays, simulate
+from repro.runtime.simulator import plan_arrays, simulate
 from repro.sweep.cache import cached_lower, cached_profile_memory
 
 #: relative run-to-run jitter of kernel latencies (std of multiplicative noise)
@@ -35,7 +35,7 @@ JITTER_STD = 0.03
 #: report-group category index of each fine category, aligned with the
 #: simulator's category order (used to group kernels without Python loops).
 _GROUP_OF_CATEGORY = np.array(
-    [_CATEGORIES.index(report_group(category)) for category in _CATEGORIES]
+    [CATEGORIES.index(report_group(category)) for category in CATEGORIES]
 )
 
 
@@ -54,7 +54,7 @@ def _plan_group_index(plan: ExecutionPlan) -> tuple[list[OpCategory], np.ndarray
         order = np.argsort(first_idx, kind="stable")
         rank = np.empty(len(order), dtype=np.int64)
         rank[order] = np.arange(len(order))
-        groups = [_CATEGORIES[unique_cats[i]] for i in order]
+        groups = [CATEGORIES[unique_cats[i]] for i in order]
         cached = (groups, rank[inverse])
         plan.__dict__["_group_index"] = cached
     return cached

@@ -13,17 +13,13 @@ for host kernels (fallback ops pull operands off the accelerator), the host
 CPU for accelerator kernels (sync readbacks) — which reduces to the historic
 single PCIe hop on two-device platforms.
 
-Two implementations produce bit-identical results:
-
-* :func:`simulate` — the production path.  It lifts the plan into per-kernel
-  numpy arrays (built once per plan and cached on it) and estimates every
-  kernel in one :func:`~repro.hardware.cost_model.estimate_kernels_batch`
-  call, so a 10k-kernel plan costs a handful of array operations instead of
-  10k Python-level roofline evaluations.
-* :func:`simulate_reference` — the original kernel-by-kernel loop over the
-  scalar :func:`~repro.hardware.cost_model.estimate_kernel`.  It is kept as
-  the executable specification; the equivalence tests assert the vectorized
-  path matches it exactly on every registered platform.
+:func:`simulate` is vectorized: it casts the plan's
+:class:`~repro.flows.plan.KernelTable` columns into per-kernel float and
+index arrays (:func:`plan_arrays`, cached on the plan) and estimates every
+kernel in one :func:`~repro.hardware.cost_model.estimate_kernels_batch`
+call, so a 10k-kernel plan costs a handful of array operations instead of
+10k Python-level roofline evaluations.  The scalar kernel-by-kernel loop it
+must match bit for bit lives with the tests, as their oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import RegistryError
-from repro.flows.plan import ExecutionPlan, PlannedKernel
+from repro.flows.plan import (
+    CATEGORIES,
+    CATEGORY_CODE,
+    DEVICE_CODE,
+    DEVICE_KINDS,
+    DTYPES,
+    ExecutionPlan,
+    PlannedKernel,
+)
 from repro.hardware.calibration import (
     FALLBACK_SYNC_S,
     DispatchProfile,
@@ -43,33 +47,26 @@ from repro.hardware.calibration import (
 from repro.hardware.cost_model import (
     BatchEstimates,
     LatencyEstimate,
-    estimate_kernel,
     estimate_kernels_batch,
 )
 from repro.hardware.device import DeviceKind, DeviceSpec
-from repro.hardware.energy import EnergyAccumulator
 from repro.hardware.platform import Platform
 from repro.ir.dtype import DType
 from repro.ops.base import OpCategory
 
-#: stable category order used to index the efficiency lookup tables.
-_CATEGORIES = tuple(OpCategory)
-_CATEGORY_INDEX = {category: i for i, category in enumerate(_CATEGORIES)}
-
-#: stable device-kind order for the per-kind parameter tables and the plan
-#: arrays' device column (rows: CPU, GPU, NPU — DeviceKind declaration order).
-_DEVICE_KINDS = tuple(DeviceKind)
-_KIND_INDEX = {kind: i for i, kind in enumerate(_DEVICE_KINDS)}
-
-#: dtype codes for GEMM peak selection: f32 (TF32-scalable), f16/bf16, i8,
-#: and "other" (falls back to the f32 pipe rate but never gets the TF32 scale).
+#: GEMM peak column of each table dtype code: f32 (TF32-scalable), f16/bf16,
+#: i8, and "other" (falls back to the f32 pipe rate but never gets the TF32
+#: scale).
 _DTYPE_F32, _DTYPE_F16, _DTYPE_I8, _DTYPE_OTHER = 0, 1, 2, 3
-_DTYPE_CODE = {
+_PEAK_OF_DTYPE = {
     DType.F32: _DTYPE_F32,
     DType.F16: _DTYPE_F16,
     DType.BF16: _DTYPE_F16,
     DType.I8: _DTYPE_I8,
 }
+_PEAK_COLUMN = np.array(
+    [_PEAK_OF_DTYPE.get(dtype, _DTYPE_OTHER) for dtype in DTYPES], dtype=np.int64
+)
 
 #: attribute used to cache the platform-independent arrays on a plan.
 _PLAN_ARRAYS_ATTR = "_simulator_arrays"
@@ -90,14 +87,14 @@ def _efficiency_tables() -> tuple[np.ndarray, np.ndarray]:
         _EFF_TABLES = (
             np.array(
                 [
-                    [efficiency_for_kind(c, kind).compute for c in _CATEGORIES]
-                    for kind in _DEVICE_KINDS
+                    [efficiency_for_kind(c, kind).compute for c in CATEGORIES]
+                    for kind in DEVICE_KINDS
                 ]
             ),
             np.array(
                 [
-                    [efficiency_for_kind(c, kind).memory for c in _CATEGORIES]
-                    for kind in _DEVICE_KINDS
+                    [efficiency_for_kind(c, kind).memory for c in CATEGORIES]
+                    for kind in DEVICE_KINDS
                 ]
             ),
         )
@@ -111,7 +108,7 @@ def _dispatch_table(profile: DispatchProfile) -> np.ndarray:
         table = np.array(
             [
                 [profile.dispatch_for(kind, False), profile.dispatch_for(kind, True)]
-                for kind in _DEVICE_KINDS
+                for kind in DEVICE_KINDS
             ]
         )
         _DISPATCH_TABLES[profile] = table
@@ -135,8 +132,8 @@ class KernelRecord:
 class PlanArrays:
     """Platform-independent per-kernel arrays lifted from a plan once."""
 
-    category_idx: np.ndarray  # int index into _CATEGORIES
-    device_idx: np.ndarray  # int index into _DEVICE_KINDS (kernel.device)
+    category_idx: np.ndarray  # int index into CATEGORIES
+    device_idx: np.ndarray  # int index into DEVICE_KINDS (kernel.device)
     is_gemm: np.ndarray
     flops: np.ndarray
     total_bytes: np.ndarray
@@ -149,47 +146,27 @@ class PlanArrays:
 
 
 def plan_arrays(plan: ExecutionPlan) -> PlanArrays:
-    """The per-kernel array view of ``plan``, built once and cached on it."""
-    cached = getattr(plan, _PLAN_ARRAYS_ATTR, None)
+    """The per-kernel array view of ``plan``, cast from its kernel table
+    once and cached on the plan."""
+    cached = plan.__dict__.get(_PLAN_ARRAYS_ATTR)
     if cached is not None:
         return cached
-    gemm = OpCategory.GEMM
-    kind_index = _KIND_INDEX
-    columns = [
-        (
-            _CATEGORY_INDEX[k.category],
-            kind_index[k.device],
-            k.category is gemm,
-            k.cost.flops,
-            k.cost.total_bytes,
-            k.metadata_only,
-            k.is_custom,
-            k.launch_count,
-            _DTYPE_CODE.get(k.dtype, _DTYPE_OTHER),
-            k.transfer_bytes_in,
-            k.transfer_bytes_out,
-        )
-        for k in plan.kernels
-    ]
-    if columns:
-        (cat, didx, is_gemm, flops, nbytes, meta, custom, launches, dcode,
-         tin, tout) = zip(*columns)
-    else:
-        cat = didx = is_gemm = flops = nbytes = meta = custom = launches = dcode = tin = tout = ()
+    table = plan.kernels
     arrays = PlanArrays(
-        category_idx=np.array(cat, dtype=np.int64),
-        device_idx=np.array(didx, dtype=np.int64),
-        is_gemm=np.array(is_gemm, dtype=bool),
-        flops=np.array(flops, dtype=np.float64),
-        total_bytes=np.array(nbytes, dtype=np.float64),
-        metadata_only=np.array(meta, dtype=bool),
-        is_custom=np.array(custom, dtype=bool),
-        launch_count=np.array(launches, dtype=np.float64),
-        dtype_code=np.array(dcode, dtype=np.int64),
-        transfer_in=np.array(tin, dtype=np.float64),
-        transfer_out=np.array(tout, dtype=np.float64),
+        category_idx=table.category.astype(np.int64),
+        device_idx=table.device.astype(np.int64),
+        is_gemm=table.category == CATEGORY_CODE[OpCategory.GEMM],
+        flops=table.flops.astype(np.float64),
+        # KernelTable guarantees the int64 sum cannot overflow.
+        total_bytes=(table.bytes_read + table.bytes_written).astype(np.float64),
+        metadata_only=table.metadata_only,
+        is_custom=table.is_custom,
+        launch_count=table.launch_count.astype(np.float64),
+        dtype_code=_PEAK_COLUMN[table.dtype],
+        transfer_in=table.transfer_bytes_in.astype(np.float64),
+        transfer_out=table.transfer_bytes_out.astype(np.float64),
     )
-    setattr(plan, _PLAN_ARRAYS_ATTR, arrays)
+    plan.__dict__[_PLAN_ARRAYS_ATTR] = arrays
     return arrays
 
 
@@ -217,7 +194,7 @@ def _device_tables(platform: Platform) -> DeviceTables:
     cache: dict = platform.__dict__.setdefault("_sim_tables", {})
     tables = cache.get("device")
     if tables is None:
-        n = len(_DEVICE_KINDS)
+        n = len(DEVICE_KINDS)
         present = np.zeros(n, dtype=bool)
         is_gpu = np.zeros(n, dtype=bool)
         is_async = np.zeros(n, dtype=bool)
@@ -227,7 +204,7 @@ def _device_tables(platform: Platform) -> DeviceTables:
         bandwidth = np.full(n, 1.0, dtype=np.float64)
         launch = np.zeros(n, dtype=np.float64)
         for spec in platform.devices:
-            row = _KIND_INDEX[spec.kind]
+            row = DEVICE_CODE[spec.kind]
             present[row] = True
             is_gpu[row] = spec.is_gpu
             is_async[row] = spec.async_dispatch
@@ -274,8 +251,8 @@ def _transfer_tables(platform: Platform, target: DeviceKind) -> np.ndarray:
     key = ("transfer", target)
     table = cache.get(key)
     if table is None:
-        table = np.zeros((len(_DEVICE_KINDS), 4), dtype=np.float64)
-        for row, kind in enumerate(_DEVICE_KINDS):
+        table = np.zeros((len(DEVICE_KINDS), 4), dtype=np.float64)
+        for row, kind in enumerate(DEVICE_KINDS):
             peer = _transfer_peer(target, kind)
             inbound = platform.link(peer, kind)
             outbound = platform.link(kind, peer)
@@ -376,11 +353,9 @@ def _raise_missing_devices(
     kinds the platform lacks (the old path re-called ``platform.device``
     solely to re-raise its error, losing the offending kernels)."""
     rows = np.unique(plan_arrays(plan).device_idx[missing_mask])
-    kinds = sorted(_DEVICE_KINDS[row].value.upper() for row in rows)
+    kinds = sorted(DEVICE_KINDS[row].value.upper() for row in rows)
     offenders = [
-        kernel.name
-        for kernel, absent in zip(plan.kernels, missing_mask)
-        if absent
+        name for name, absent in zip(plan.kernels.names, missing_mask) if absent
     ]
     shown = ", ".join(offenders[:5])
     if len(offenders) > 5:
@@ -394,7 +369,9 @@ def _raise_missing_devices(
 def simulate(plan: ExecutionPlan, platform: Platform) -> SimulationResult:
     """Estimate the wall-clock timeline of ``plan`` on ``platform``.
 
-    Vectorized over all kernels; bit-identical to :func:`simulate_reference`.
+    Vectorized over all kernels; bit-identical to the scalar loop over
+    :func:`~repro.hardware.cost_model.estimate_kernel` that the tests keep
+    as its oracle.
     """
     arrays = plan_arrays(plan)
     tables = _device_tables(platform)
@@ -455,7 +432,7 @@ def simulate(plan: ExecutionPlan, platform: Platform) -> SimulationResult:
     utilization = estimates.utilization
     energy = {
         spec.kind: _device_energy(
-            spec, didx == _KIND_INDEX[spec.kind], utilization, estimates.device_s, wall
+            spec, didx == DEVICE_CODE[spec.kind], utilization, estimates.device_s, wall
         )
         for spec in platform.devices
     }
@@ -482,54 +459,3 @@ def _device_energy(
     contributions = np.where(mask, dynamic_power * utilization * device_s, 0.0)
     dynamic_j = float(np.cumsum(contributions)[-1]) if len(contributions) else 0.0
     return device.idle_power_w * wall_s + dynamic_j
-
-
-def simulate_reference(plan: ExecutionPlan, platform: Platform) -> SimulationResult:
-    """Kernel-by-kernel scalar simulation — the reference implementation.
-
-    The vectorized :func:`simulate` must match this exactly; equivalence is
-    enforced by ``tests/test_sweep.py``.
-    """
-    profile = dispatch_profile(plan.dispatch_profile)
-    result = SimulationResult(plan=plan, platform=platform, records=[])
-    accumulators = {spec.kind: EnergyAccumulator(spec) for spec in platform.devices}
-    target = plan.target
-
-    for kernel in plan.kernels:
-        device = platform.device(kernel.device)
-        estimate = estimate_kernel(
-            device=device,
-            category=kernel.category,
-            cost=kernel.cost,
-            dtype=kernel.dtype,
-            dispatch_s=profile.dispatch_for(device.kind, kernel.metadata_only),
-            is_custom=kernel.is_custom,
-            metadata_only=kernel.metadata_only,
-            launch_count=kernel.launch_count,
-            gemm_peak_scale_f32=plan.gemm_peak_scale_f32,
-            gemm_saturation_scale=plan.gemm_saturation_scale,
-        )
-        peer = _transfer_peer(target, kernel.device)
-        transfer_s = 0.0
-        if kernel.transfer_bytes_in:
-            transfer_s += (
-                platform.transfer_time(peer, kernel.device, kernel.transfer_bytes_in)
-                + FALLBACK_SYNC_S
-            )
-        if kernel.transfer_bytes_out:
-            transfer_s += (
-                platform.transfer_time(kernel.device, peer, kernel.transfer_bytes_out)
-                + FALLBACK_SYNC_S
-            )
-        record = KernelRecord(kernel=kernel, estimate=estimate, transfer_s=transfer_s)
-        result.records.append(record)
-        result.total_latency_s += record.latency_s
-        accumulator = accumulators.get(kernel.device)
-        if accumulator is not None:
-            accumulator.add_kernel(estimate)
-
-    wall = result.total_latency_s
-    result.energy_j = {
-        kind: accumulator.total_j(wall) for kind, accumulator in accumulators.items()
-    }
-    return result

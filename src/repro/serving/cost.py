@@ -32,14 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.flows.base import DeploymentFlow
+from repro.flows.plan import DEVICE_CODE
 from repro.hardware.device import DeviceKind
 from repro.hardware.platform import Platform
-from repro.runtime.simulator import (
-    _KIND_INDEX,
-    SimulationResult,
-    plan_arrays,
-    simulate,
-)
+from repro.runtime.simulator import SimulationResult, plan_arrays, simulate
 from repro.sweep.cache import PLAN_CACHE, PlanCache
 
 
@@ -78,12 +74,12 @@ def batch_cost_from_simulation(sim: SimulationResult, batch_size: int) -> BatchC
     plan = sim.plan
     arrays = plan_arrays(plan)
     latencies = sim.latencies
-    host_mask = arrays.device_idx == _KIND_INDEX[DeviceKind.CPU]
+    host_mask = arrays.device_idx == DEVICE_CODE[DeviceKind.CPU]
     host_s = _ordered_sum(np.where(host_mask, latencies, 0.0))
     total_s = sim.total_latency_s
     busy_s = {
         spec.kind: _ordered_sum(
-            np.where(arrays.device_idx == _KIND_INDEX[spec.kind], latencies, 0.0)
+            np.where(arrays.device_idx == DEVICE_CODE[spec.kind], latencies, 0.0)
         )
         for spec in sim.platform.devices
     }

@@ -365,7 +365,7 @@ class PlanCache:
             plan = flow.derive_plan(sibling, target)
         else:
             plan = flow.lower(graph.materialize(), use_gpu=target)
-        if self.store is not None:  # don't pay the columnar encoding for a no-op
+        if self.store is not None:
             self.store.put(key, plan_payload(plan))
         self._put(key, plan)
         return plan

@@ -59,7 +59,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 #: (pickled :class:`~repro.serving.cost.BatchCost` per plan key + platform
 #: signature); the bump retires any same-named entries an older layout
 #: could have left behind.
-STORE_SCHEMA_VERSION = 3
+#: v4: plan payloads carry the plan's :class:`~repro.flows.plan.KernelTable`
+#: as it is, in place of the store's own kernel columns (or pickled kernel
+#: list), and drop the pre-seeded ``PlanArrays`` and covered-node count.
+STORE_SCHEMA_VERSION = 4
 
 #: default size cap; override with REPRO_CACHE_MAX_MB.
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
@@ -393,197 +396,26 @@ class ArtifactStore:
 # Plans are persisted *without* their source graph: the store key already
 # pins the graph's content hash, so the loader re-attaches whatever graph
 # (or lazy GraphRef) the caller resolved — typically without ever building
-# it.  The payload also carries the plan's memoized derivatives (simulator
-# arrays, fusion rate, coverage count) so a warm-from-disk process skips
-# those walks too.
-#
-# Kernels are the bulk of a plan — tens of thousands of NamedTuples whose
-# generic unpickling dominates a warm-from-disk run.  They are therefore
-# encoded *columnar* (numpy arrays for the numeric fields, a deduplicated
-# vocabulary for the op-kind tuples) and decoded lazily: the profiling hot
-# path reads only the pre-seeded simulator arrays and scalar derivatives, so
-# a loaded plan usually never rebuilds a single PlannedKernel.
-
-#: columnar values above this are ruled out (int64 overflow); such plans
-#: fall back to pickling the kernel list directly.
-_INT64_SAFE = 2**62
-
-
-def _encode_kernels(kernels: "list") -> dict | None:
-    """Columnar encoding of a kernel list; None when it doesn't fit int64."""
-    import numpy as np
-
-    from repro.hardware.device import DeviceKind
-    from repro.ir.dtype import DType
-    from repro.ops.base import OpCategory
-
-    categories = tuple(OpCategory)
-    devices = tuple(DeviceKind)
-    dtypes = tuple(DType)
-    kind_vocab: dict[tuple, int] = {}
-    names: list[str] = []
-    kind_idx: list[int] = []
-    flat_node_ids: list[int] = []
-    offsets = [0]
-    numeric: list[tuple] = []
-    for k in kernels:
-        if (
-            k.cost.flops > _INT64_SAFE
-            or k.cost.bytes_read > _INT64_SAFE
-            or k.cost.bytes_written > _INT64_SAFE
-            or k.transfer_bytes_in > _INT64_SAFE
-            or k.transfer_bytes_out > _INT64_SAFE
-        ):
-            return None
-        names.append(k.name)
-        kind_idx.append(kind_vocab.setdefault(k.op_kinds, len(kind_vocab)))
-        flat_node_ids.extend(k.node_ids)
-        offsets.append(len(flat_node_ids))
-        numeric.append(
-            (
-                categories.index(k.category),
-                devices.index(k.device),
-                dtypes.index(k.dtype),
-                k.cost.flops,
-                k.cost.bytes_read,
-                k.cost.bytes_written,
-                k.metadata_only,
-                k.is_custom,
-                k.launch_count,
-                k.transfer_bytes_in,
-                k.transfer_bytes_out,
-            )
-        )
-    columns = tuple(zip(*numeric)) if numeric else ((),) * 11
-    return {
-        "names": names,
-        "kind_vocab": list(kind_vocab),
-        "kind_idx": np.array(kind_idx, dtype=np.int32),
-        "node_ids": np.array(flat_node_ids, dtype=np.int64),
-        "offsets": np.array(offsets, dtype=np.int64),
-        "category": np.array(columns[0], dtype=np.int8),
-        "device": np.array(columns[1], dtype=np.int8),
-        "dtype": np.array(columns[2], dtype=np.int8),
-        "flops": np.array(columns[3], dtype=np.int64),
-        "bytes_read": np.array(columns[4], dtype=np.int64),
-        "bytes_written": np.array(columns[5], dtype=np.int64),
-        "metadata_only": np.array(columns[6], dtype=bool),
-        "is_custom": np.array(columns[7], dtype=bool),
-        "launch_count": np.array(columns[8], dtype=np.int32),
-        "transfer_in": np.array(columns[9], dtype=np.int64),
-        "transfer_out": np.array(columns[10], dtype=np.int64),
-    }
-
-
-class LazyKernelList:
-    """A kernel list decoded from columnar payload columns on first access.
-
-    Supports the cheap queries the profiling path needs (``len``, covered
-    node count) without decoding; iteration, indexing, and comparison
-    materialize the real :class:`~repro.flows.plan.PlannedKernel` list once.
-    """
-
-    __slots__ = ("_encoded", "_kernels")
-
-    def __init__(self, encoded: dict):
-        self._encoded = encoded
-        self._kernels: list | None = None
-
-    def covered_node_count(self) -> int:
-        """Total graph nodes covered — ``sum(len(k.node_ids))`` undecoded."""
-        if self._kernels is not None:
-            return sum(len(k.node_ids) for k in self._kernels)
-        return int(self._encoded["offsets"][-1])
-
-    def materialize(self) -> list:
-        if self._kernels is None:
-            from repro.flows.plan import PlannedKernel
-            from repro.hardware.device import DeviceKind
-            from repro.ir.dtype import DType
-            from repro.ops.base import OpCategory, OpCost
-
-            e = self._encoded
-            categories = tuple(OpCategory)
-            devices = tuple(DeviceKind)
-            dtypes = tuple(DType)
-            kind_vocab = e["kind_vocab"]
-            names = e["names"]
-            kind_idx = e["kind_idx"].tolist()
-            node_ids = e["node_ids"].tolist()
-            offsets = e["offsets"].tolist()
-            category = e["category"].tolist()
-            device = e["device"].tolist()
-            dtype = e["dtype"].tolist()
-            flops = e["flops"].tolist()
-            bytes_read = e["bytes_read"].tolist()
-            bytes_written = e["bytes_written"].tolist()
-            metadata_only = e["metadata_only"].tolist()
-            is_custom = e["is_custom"].tolist()
-            launch_count = e["launch_count"].tolist()
-            transfer_in = e["transfer_in"].tolist()
-            transfer_out = e["transfer_out"].tolist()
-            self._kernels = [
-                PlannedKernel(
-                    names[i],
-                    tuple(node_ids[offsets[i] : offsets[i + 1]]),
-                    kind_vocab[kind_idx[i]],
-                    categories[category[i]],
-                    devices[device[i]],
-                    OpCost(flops[i], bytes_read[i], bytes_written[i]),
-                    dtypes[dtype[i]],
-                    metadata_only[i],
-                    is_custom[i],
-                    launch_count[i],
-                    transfer_in[i],
-                    transfer_out[i],
-                )
-                for i in range(len(names))
-            ]
-        return self._kernels
-
-    def __len__(self) -> int:
-        return len(self._encoded["names"])
-
-    def __iter__(self):
-        return iter(self.materialize())
-
-    def __getitem__(self, index):
-        return self.materialize()[index]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, LazyKernelList):
-            other = other.materialize()
-        return self.materialize() == other
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "decoded" if self._kernels is not None else "encoded"
-        return f"<LazyKernelList {len(self)} kernels ({state})>"
+# it.  The kernels travel as the plan's KernelTable, pickled as it is: a few
+# numpy columns, which unpickle without minting a per-kernel object.  The
+# simulator's arrays are cheap casts of those columns and are recomputed in
+# the loading process; only the fusion rate, which needs the graph, rides
+# along as a memoized derivative.
 
 
 def plan_payload(plan: "ExecutionPlan") -> dict:
     """The persistable view of a lowered plan (everything but the graph)."""
-    from repro.runtime.simulator import plan_arrays
-
-    kernels = plan.kernels
-    if isinstance(kernels, LazyKernelList):
-        encoded, pickled = kernels._encoded, None
-    else:
-        encoded = _encode_kernels(kernels)
-        pickled = None if encoded is not None else kernels
     return {
         "flow": plan.flow,
         "dispatch_profile": plan.dispatch_profile,
         "target": plan.target,
-        "kernels_columnar": encoded,
-        "kernels_pickled": pickled,
+        "kernels": plan.kernels,
         "gemm_peak_scale_f32": plan.gemm_peak_scale_f32,
         "gemm_saturation_scale": plan.gemm_saturation_scale,
         "notes": plan.notes,
-        # memoized derivatives: cheap to compute now (the lowering process
-        # needs them moments later anyway), free for every later process.
+        # walks the graph: cheap now (the lowering process needs it moments
+        # later anyway), free for every later process.
         "fusion_rate": plan.non_gemm_fusion_rate(),
-        "covered_nodes": plan.covered_node_count(),
-        "arrays": plan_arrays(plan),
     }
 
 
@@ -591,28 +423,23 @@ def plan_from_payload(payload: dict, graph: "Graph") -> "ExecutionPlan":
     """Rebuild an :class:`ExecutionPlan` around the caller's graph handle.
 
     ``graph`` may be a materialized :class:`~repro.ir.graph.Graph` or a lazy
-    :class:`~repro.sweep.cache.GraphRef`; the pre-seeded derivatives and the
-    lazily-decoded kernel list serve the whole profiling path, so neither
-    the graph nor the kernels are built unless something walks them.
+    :class:`~repro.sweep.cache.GraphRef`; the kernel table and the pre-seeded
+    fusion rate serve the whole profiling path, so the graph is not built
+    unless something walks it.
     """
     from repro.flows.plan import ExecutionPlan
-    from repro.runtime.simulator import _PLAN_ARRAYS_ATTR
 
-    encoded = payload["kernels_columnar"]
-    kernels = LazyKernelList(encoded) if encoded is not None else payload["kernels_pickled"]
     plan = ExecutionPlan(
         graph=graph,
         flow=payload["flow"],
         dispatch_profile=payload["dispatch_profile"],
-        kernels=kernels,  # type: ignore[arg-type]
+        kernels=payload["kernels"],
         target=payload["target"],
         gemm_peak_scale_f32=payload["gemm_peak_scale_f32"],
         gemm_saturation_scale=payload["gemm_saturation_scale"],
         notes=payload["notes"],
     )
     plan.__dict__["_non_gemm_fusion_rate"] = payload["fusion_rate"]
-    plan.__dict__["_covered_node_count"] = payload["covered_nodes"]
-    setattr(plan, _PLAN_ARRAYS_ATTR, payload["arrays"])
     return plan
 
 

@@ -171,6 +171,10 @@ def test_single_and_multi_load_cluster_paths_agree(capsys):
         ["cluster", "gpt2", "--load", "0.5,x"],
         ["serve", "gpt2", "--max-batch", "0", "--requests", "4"],
         ["cluster", "gpt2", "--replicas", "0"],
+        ["profile", "gpt2", "--batch", "0"],
+        ["inspect", "gpt2", "--batch", "0"],
+        ["inspect", "gpt2", "--seq-len", "0"],
+        ["inspect", "gpt2", "--kernels", "-325"],
     ],
 )
 def test_bad_input_is_a_usage_error_not_a_traceback(capsys, argv):

@@ -216,8 +216,15 @@ class TestPlans:
 
     def test_plan_validate_catches_duplicates(self, tiny_transformer_graph):
         plan = PyTorchEagerFlow().lower(tiny_transformer_graph, use_gpu=True)
-        plan.kernels.append(plan.kernels[0])
         from repro.errors import PlanError
+        from repro.flows import ExecutionPlan
+
+        plan = ExecutionPlan(
+            graph=plan.graph,
+            flow=plan.flow,
+            dispatch_profile=plan.dispatch_profile,
+            kernels=[*plan.kernels, plan.kernels[0]],
+        )
 
         with pytest.raises(PlanError):
             plan.validate()

@@ -4,7 +4,7 @@ Covers three layers:
 
 * the **equivalence suite** — every registered flow, over every registered
   model, on both device classes, must produce exactly the plan the
-  pre-refactor monolithic planner (:func:`repro.flows.reference_lower`)
+  pre-refactor monolithic planner (:func:`oracles.reference_lower`)
   produced, kernel-for-kernel;
 * unit tests for the individual passes and the pass manager;
 * the cache contract: plans are keyed by pipeline signature, not flow name.
@@ -24,7 +24,6 @@ from repro.flows import (
     TensorRTFlow,
     get_flow,
     list_flows,
-    reference_lower,
     register_flow,
 )
 from repro.flows.passes import (
@@ -44,6 +43,7 @@ from repro.ir import Graph, TensorSpec
 from repro.models import build_model, list_models
 from repro.sweep.cache import PlanCache
 
+from oracles import reference_lower
 from registrations import restored
 
 ALL_FLOWS = tuple(list_flows())

@@ -14,16 +14,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.flows import get_flow
+from repro.errors import PlanError
+from repro.flows import KernelTable, get_flow
 from repro.hardware import PLATFORM_A
 from repro.models import build_model
 from repro.profiler import profile_graph
 from repro.profiler.profiler import profile_graph as profile_graph_direct
+from repro.runtime.simulator import simulate
 from repro.sweep.cache import GraphRef, PlanCache
 from repro.sweep.spec import SweepSpec
-from repro.sweep.store import ArtifactStore, LazyKernelList, plan_from_payload, plan_payload
+from repro.sweep.store import ArtifactStore, plan_from_payload, plan_payload
+
+from oracles import simulate_reference
 
 MODEL = "segformer"
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -55,7 +60,7 @@ class TestRoundTrip:
         assert loaded_memory == memory
         assert loaded_plan.content_hash() == plan.content_hash()
         # lazily-decoded kernels reconstruct the exact PlannedKernel list
-        assert isinstance(loaded_plan.kernels, LazyKernelList)
+        assert isinstance(loaded_plan.kernels, KernelTable)
         assert loaded_plan.kernels == plan.kernels
         assert loaded_plan.covered_node_count() == plan.covered_node_count()
         loaded_plan.validate()
@@ -400,6 +405,27 @@ class TestPayloads:
             assert list(restored.kernels) == plan.kernels
             assert restored.content_hash() == plan.content_hash()
             assert restored.non_gemm_fusion_rate() == plan.non_gemm_fusion_rate()
+            # the restored table simulates exactly like the scalar oracle
+            # walking the original plan's rows
+            fast = simulate(restored, PLATFORM_A)
+            slow = simulate_reference(plan, PLATFORM_A)
+            assert np.array_equal(fast.latencies, [r.latency_s for r in slow.records])
+            assert fast.total_latency_s == slow.total_latency_s
+            assert fast.energy_j == slow.energy_j
+
+    def test_kernel_table_rejects_flops_beyond_int64(self):
+        plan = get_flow("pytorch").lower(build_model("swin-t", batch_size=1))
+        row = plan.kernels[0]
+        huge = row._replace(cost=row.cost._replace(flops=2**63))
+        with pytest.raises(PlanError):
+            KernelTable.from_rows([huge])
+
+    def test_kernel_table_pickles_without_its_row_cache(self):
+        table = get_flow("pytorch").lower(build_model("swin-t", batch_size=1)).kernels
+        before = pickle.dumps(table)
+        rows = list(table)
+        assert pickle.dumps(table) == before
+        assert list(pickle.loads(before)) == rows
 
     def test_sweep_result_reports_disk_hits(self, tmp_path, monkeypatch):
         from repro.sweep import cache as cache_module

@@ -13,10 +13,12 @@ from repro.ir import Graph, TensorSpec
 from repro.models import build_model
 from repro.profiler import profile_graph
 from repro.runtime.memory import profile_memory
-from repro.runtime.simulator import simulate, simulate_reference
+from repro.runtime.simulator import simulate
 from repro.sweep.cache import PLAN_CACHE, PlanCache, get_transform, register_transform
 from repro.sweep.runner import SweepRunner, run_point
 from repro.sweep.spec import SweepPoint, SweepSpec
+
+from oracles import simulate_reference
 
 ALL_FLOWS = ("pytorch", "torchinductor", "tensorrt", "onnxruntime")
 SMALL_MODELS = ("swin-t", "segformer", "gpt2")
