@@ -548,7 +548,10 @@ class ClusterRouter:
         if trace.num_requests == 0:
             result.backend_used = "reference"
             result.fast_path_fallback_reason = "empty trace"
-            return apply_static_lifecycle(result)
+            apply_static_lifecycle(result)
+            if config.record_requests is not None:
+                cap_cluster_result(result, config.record_requests)
+            return result
         arrival_times = trace.arrival_column().tolist()
         request_ids = trace.id_column().tolist()
         decode_counts = trace.decode_column().tolist()

@@ -9,9 +9,11 @@ specialized replays of each built-in scheduler's decision sequence that
   objects at all),
 * keep per-device occupancy in scalar registers and write per-request
   starts/completions/batch sizes into preallocated numpy arrays,
-* fold per-dispatch accounting either with ``np.cumsum`` (a sequential
-  running fold, so bit-identical to the reference loop's repeated ``+=``)
-  or with the reference's own scalar adds in dispatch order.
+* emit one row per dispatch (size, iterations) and the queue-depth samples
+  as columns, which :func:`~repro.serving.metrics.assemble_replica` folds
+  and assembles into the :class:`ServingResult` (the accounting as a
+  ``np.cumsum`` — a sequential running fold, so bit-identical to the
+  reference loop's repeated ``+=``).
 
 Bit-identity is the contract, not an aspiration: every float in a fast
 result — starts, completions, busy/energy accumulators, the queue-depth
@@ -33,11 +35,11 @@ back to the reference loop — still correct, just not columnar — and the
 ``record_requests`` capping applies either way, so streaming results look
 the same regardless of which path served them.
 
-With a ``record_requests`` cap the kernels skip the per-event timeline and
-full record list entirely: queue-depth samples fold into count/sum/max
-accumulators, latencies into the fixed-grid streaming quantile estimator,
-and only the seeded reservoir sample of records is materialized — a
-million-request trace costs the five per-request columns (~40 B/request)
+With a ``record_requests`` cap the assembler skips the per-event timeline
+and the full record list entirely: queue-depth samples fold into
+count/sum/max accumulators, latencies into the fixed-grid streaming quantile
+estimator, and only the seeded reservoir sample of records is materialized
+— a million-request trace costs its per-request and per-dispatch columns
 and nothing else.
 """
 
@@ -48,188 +50,55 @@ from bisect import bisect_right
 import numpy as np
 
 from repro.errors import ServingError
-from repro.serving.metrics import (
-    RequestRecord,
-    ServingResult,
-    sample_record_indices,
-    streaming_stats,
-)
+from repro.serving.metrics import ServingResult, assemble_replica
 from repro.serving.trace import RequestTrace
 
 
-def _running_total(values: np.ndarray) -> float:
-    """Sequential left fold of per-dispatch contributions (see module doc)."""
-    if values.size == 0:
-        return 0.0
-    return float(np.cumsum(values)[-1])
-
-
 class _Run:
-    """Per-run columnar state shared by every kernel."""
+    """One kernel invocation: the trace's input columns, and the output
+    columns every kernel assigns — per-request ``start``/``completion``/
+    ``batch`` in trace order, per-dispatch ``sizes``/``iters`` in dispatch
+    order, and the queue-depth samples ``depth`` (see :func:`_depth`)."""
 
-    def __init__(self, engine, trace: RequestTrace, scheduler):
-        self.engine = engine
-        self.trace = trace
+    def __init__(self, trace: RequestTrace, table, scheduler, capped: bool):
         self.scheduler = scheduler
+        #: a capped result keeps only the depth samples' count/sum/max.
+        self.capped = capped
         self.n = trace.num_requests
         self.arrival = trace.arrival_column()
         self.steps = trace.decode_column()
         self.max_steps = int(self.steps.max()) if self.n else 0
-        #: dense (plan, platform) cost columns shared with the reference
-        #: loop; the iteration planes bound k by the trace's longest decode.
-        self.table = engine.costs.cost_table(scheduler.max_batch, self.max_steps)
-        # per-request output columns (trace order); every kernel assigns all
-        # three before finalize() reads them.
-        self.start: np.ndarray = None
-        self.completion: np.ndarray = None
-        self.batch: np.ndarray = None
-        self.cap = engine.config.record_requests
-        self.full = self.cap is None
-        #: (time, depth) samples in reference order — built only uncapped.
-        self.timeline: list[tuple[float, int]] = []
-        self.depth_count = 0
-        self.depth_sum = 0
-        self.depth_max = 0
-        self.busy = {spec.kind: 0.0 for spec in engine.platform.devices}
-        self.energy = {spec.kind: 0.0 for spec in engine.platform.devices}
-        self.gemm = 0.0
-        self.non_gemm = 0.0
-        self.dispatches = 0
-        self.iterations = 0
-        self.weighted = 0
+        #: the dense (plan, platform) cost columns shared with the reference
+        #: loop and the result assembler.
+        self.table = table
+        # an empty trace runs no kernel: no requests, dispatches or samples.
+        self.start = self.completion = np.zeros(0)
+        self.batch = self.sizes = self.iters = np.zeros(0, dtype=np.int64)
+        self.depth = (np.zeros(0), self.batch, None)
 
     def cost(self, size: int):
         return self.table.row(size)
 
-    def account_columns(self, sizes: np.ndarray, iters: np.ndarray) -> None:
-        """The reference loop's sequential per-dispatch accounting, folded
-        with ``cumsum`` over iteration-plane lookups (bit-identical: each
-        plane cell is the reference's ``seconds * iterations`` product, and
-        ``cumsum`` is a running left fold)."""
-        table = self.table
-        for kind in self.busy:
-            self.busy[kind] = _running_total(table.busy_k[kind][sizes, iters])
-        for kind in self.energy:
-            self.energy[kind] = _running_total(table.energy_k[kind][sizes, iters])
-        self.gemm = _running_total(table.gemm_k[sizes, iters])
-        self.non_gemm = _running_total(table.non_gemm_k[sizes, iters])
-        self.dispatches = int(sizes.size)
-        self.iterations = int(iters.sum())
-        self.weighted = int((sizes * iters).sum())
 
-    def depth_columns(
-        self,
-        admit_key: np.ndarray,
-        admit_depth: np.ndarray,
-        sample_time: np.ndarray,
-        sample_depth: np.ndarray,
-    ) -> None:
-        """Rebuild the queue-depth timeline (or its streaming accumulators)
-        from per-admission and per-dispatch columns.
+def _depth(run: _Run, admit_key, admit_depth, sample_time, sample_depth) -> tuple:
+    """Queue-depth samples from per-admission and per-dispatch columns.
 
-        ``admit_key`` is the index of the dispatch each admission precedes;
-        interleaving uses the stable-sort key trick (``2*admit_key`` vs
-        ``2*d + 1``) so admissions for a dispatch precede its sample and
-        equal-key admissions stay in arrival order — the reference's exact
-        append order."""
-        if self.full:
-            times = np.concatenate([self.arrival, sample_time])
-            depths = np.concatenate([admit_depth, sample_depth])
-            keys = np.concatenate(
-                [2 * admit_key, 2 * np.arange(sample_time.size, dtype=np.int64) + 1]
-            )
-            order = np.argsort(keys, kind="stable")
-            self.timeline = list(zip(times[order].tolist(), depths[order].tolist()))
-        else:
-            self.depth_count = int(admit_depth.size + sample_depth.size)
-            self.depth_sum = int(admit_depth.sum() + sample_depth.sum())
-            self.depth_max = int(
-                max(admit_depth.max(initial=0), sample_depth.max(initial=0))
-            )
-
-    # -- per-dispatch bookkeeping (scalar kernels) --------------------------
-
-    def note_depth(self, time_s: float, depth: int) -> None:
-        if self.full:
-            self.timeline.append((time_s, depth))
-        else:
-            self.depth_count += 1
-            self.depth_sum += depth
-            if depth > self.depth_max:
-                self.depth_max = depth
-
-    def account_dispatch(self, cost, size: int, iterations: int) -> None:
-        """The reference loop's per-dispatch accounting, verbatim."""
-        for kind, seconds in cost.busy_s.items():
-            self.busy[kind] += seconds * iterations
-        for kind, joules in cost.energy_j.items():
-            self.energy[kind] += joules * iterations
-        self.gemm += cost.gemm_s * iterations
-        self.non_gemm += cost.non_gemm_s * iterations
-        self.dispatches += 1
-        self.iterations += iterations
-        self.weighted += size * iterations
-
-    # -- result assembly ----------------------------------------------------
-
-    def finalize(self, offered_rate_rps: "float | None") -> ServingResult:
-        engine = self.engine
-        config = engine.config
-        result = ServingResult(
-            model=config.model,
-            flow=engine.flow.name,
-            platform_id=config.platform,
-            device=engine.target.value,
-            scheduler=self.scheduler.name,
-            trace=self.trace.name,
-            offered_rate_rps=(
-                self.trace.offered_rate_rps
-                if offered_rate_rps is None
-                else offered_rate_rps
-            ),
-        )
-        result.makespan_s = float(self.completion.max()) - float(self.arrival[0])
-        result.num_dispatches = self.dispatches
-        result.num_iterations = self.iterations
-        result.mean_batch_size = (
-            self.weighted / self.iterations if self.iterations else 0.0
-        )
-        result.busy_s = self.busy
-        result.energy_j = self.energy
-        result.gemm_busy_s = self.gemm
-        result.non_gemm_busy_s = self.non_gemm
-        if self.full:
-            result.records = self._records(np.arange(self.n))
-            result.queue_depth_timeline = tuple(self.timeline)
-        else:
-            # identical arithmetic to metrics.cap_serving_result, fed from
-            # columns instead of record objects — elementwise float64
-            # subtraction matches the per-record python subtraction.
-            result.stats = streaming_stats(
-                self.completion - self.arrival,
-                self.start - self.arrival,
-                depth_samples=self.depth_count,
-                depth_sum=self.depth_sum,
-                depth_max=self.depth_max,
-            )
-            result.num_served = self.n
-            result.record_cap = self.cap
-            result.records = self._records(sample_record_indices(self.n, self.cap))
-        return result
-
-    def _records(self, indices: np.ndarray) -> list[RequestRecord]:
-        ids = self.trace.id_column()[indices].tolist()
-        arrivals = self.arrival[indices].tolist()
-        starts = self.start[indices].tolist()
-        completions = self.completion[indices].tolist()
-        steps = self.steps[indices].tolist()
-        batches = self.batch[indices].tolist()
-        return [
-            RequestRecord(rid, a, s, c, d, b)
-            for rid, a, s, c, d, b in zip(
-                ids, arrivals, starts, completions, steps, batches
-            )
-        ]
+    ``admit_key`` is the index of the dispatch each admission precedes; the
+    returned interleave key (``2*admit_key`` vs ``2*d + 1``) sorts the
+    admissions for a dispatch before its sample, and a stable sort keeps
+    equal-key admissions in arrival order — the reference's exact append
+    order.  Capped runs skip the times and the key: the kernel's row lists
+    are still alive here, so this is the run's memory high-water mark."""
+    depths = np.concatenate([admit_depth, sample_depth])
+    if run.capped:
+        return None, depths, None
+    return (
+        np.concatenate([run.arrival, sample_time]),
+        depths,
+        np.concatenate(
+            [2 * admit_key, 2 * np.arange(sample_time.size, dtype=np.int64) + 1]
+        ),
+    )
 
 
 # -- kernels ------------------------------------------------------------------
@@ -265,19 +134,9 @@ def _run_fifo(run: _Run, more_until: float = float("-inf")) -> None:
     run.start = np.array(starts, dtype=np.float64)
     run.completion = np.array(completions, dtype=np.float64)
     run.batch = np.ones(run.n, dtype=np.int64)
-
-    # accounting: one dispatch per request with k_i iterations; cumsum of the
-    # per-dispatch contributions is the reference's sequential accumulation.
-    iteration_counts = run.steps
-    run.dispatches = run.n
-    run.iterations = int(iteration_counts.sum())
-    run.weighted = run.iterations  # size 1 per dispatch
-    for kind, seconds in cost.busy_s.items():
-        run.busy[kind] = _running_total(seconds * iteration_counts)
-    for kind, joules in cost.energy_j.items():
-        run.energy[kind] = _running_total(joules * iteration_counts)
-    run.gemm = _running_total(cost.gemm_s * iteration_counts)
-    run.non_gemm = _running_total(cost.non_gemm_s * iteration_counts)
+    # one dispatch per request with k_i iterations.
+    run.sizes = run.batch
+    run.iters = run.steps
 
     # queue-depth samples: request j is admitted right before dispatch
     # d(j) = first i with start_i >= arrival_j (starts strictly increase, so
@@ -287,20 +146,7 @@ def _run_fifo(run: _Run, more_until: float = float("-inf")) -> None:
     admit_depth = order_index + 1 - admit_before
     admitted_at = np.searchsorted(admit_before, order_index, side="right")
     dispatch_depth = admitted_at - order_index - 1
-    if run.full:
-        times = np.concatenate([run.arrival, run.start])
-        depths = np.concatenate([admit_depth, dispatch_depth])
-        # admissions for a dispatch precede the dispatch sample; the stable
-        # sort keeps equal-key admissions in arrival order.
-        keys = np.concatenate([2 * admit_before, 2 * order_index + 1])
-        order = np.argsort(keys, kind="stable")
-        run.timeline = list(zip(times[order].tolist(), depths[order].tolist()))
-    else:
-        run.depth_count = 2 * run.n
-        run.depth_sum = int(admit_depth.sum() + dispatch_depth.sum())
-        run.depth_max = int(
-            max(admit_depth.max(initial=0), dispatch_depth.max(initial=0))
-        )
+    run.depth = _depth(run, admit_before, admit_depth, run.start, dispatch_depth)
 
 
 def _run_batched(
@@ -406,7 +252,8 @@ def _run_batched(
     run.start = np.repeat(start_arr, sizes)
     run.completion = np.repeat(end_arr, sizes)
     run.batch = np.repeat(sizes, sizes)
-    run.account_columns(sizes, iters)
+    run.sizes = sizes
+    run.iters = iters
 
     # queue-depth reconstruction (see docstring): taken_before[d] is the
     # queue head when dispatch d's turn starts — also the head at every wait
@@ -418,7 +265,7 @@ def _run_batched(
     )
     admitted_at = np.searchsorted(run.arrival, now_arr, side="right")
     sample_depth = admitted_at - (taken_before + sizes)
-    run.depth_columns(admit_dispatch, admit_depth, start_arr, sample_depth)
+    run.depth = _depth(run, admit_dispatch, admit_depth, start_arr, sample_depth)
 
 
 def _run_static(run: _Run, more_until: float = float("-inf")) -> None:
@@ -524,13 +371,14 @@ def _run_continuous(run: _Run, more_until: float = float("-inf")) -> None:
     run.start = start_arr[join_turn]
     run.completion = end_arr[final_turn]
     run.batch = sizes[final_turn]
-    run.account_columns(sizes, np.ones(turns, dtype=np.int64))
+    run.sizes = sizes
+    run.iters = np.ones(turns, dtype=np.int64)
 
     admit_turn = np.searchsorted(now_arr, run.arrival, side="left")
     admit_depth = positions + 1 - joined_pre[admit_turn]
     admitted_at = np.searchsorted(run.arrival, now_arr, side="right")
     sample_depth = admitted_at - joined_post
-    run.depth_columns(admit_turn, admit_depth, start_arr, sample_depth)
+    run.depth = _depth(run, admit_turn, admit_depth, start_arr, sample_depth)
 
 
 _KERNELS = {
@@ -552,6 +400,58 @@ def kernel_for(scheduler) -> "object | None":
     if name is None:
         return None
     return _KERNELS.get(name)
+
+
+def result_header(engine, scheduler_name: str, trace_name: str, rate: float) -> dict:
+    """The identity fields of a :class:`ServingResult` served by ``engine``."""
+    return {
+        "model": engine.config.model,
+        "flow": engine.flow.name,
+        "platform_id": engine.config.platform,
+        "device": engine.target.value,
+        "scheduler": scheduler_name,
+        "trace": trace_name,
+        "offered_rate_rps": rate,
+    }
+
+
+def serve(
+    engine,
+    trace: RequestTrace,
+    scheduler,
+    kernel,
+    rate: float,
+    more_until: float = float("-inf"),
+    order: "np.ndarray | None" = None,
+) -> "tuple[ServingResult, np.ndarray]":
+    """Serve ``trace`` on ``kernel`` and assemble the result.
+
+    Records follow ``order`` (a permutation of trace positions; ``None``
+    keeps trace order).  Also returns the completion column in trace order,
+    for the fleet's cluster-level scatter.  An empty trace runs no kernel and
+    yields an idle replica's result.
+    """
+    cap = engine.config.record_requests
+    run = _Run(
+        trace, engine.costs.cost_table(scheduler.max_batch), scheduler, cap is not None
+    )
+    if run.n:
+        kernel(run, more_until=more_until)
+    requests = (
+        trace.id_column(), run.arrival, run.start, run.completion, run.steps, run.batch
+    )
+    if order is not None:
+        requests = tuple(column[order] for column in requests)
+    result = assemble_replica(
+        result_header(engine, scheduler.name, trace.name, rate),
+        requests,
+        run.sizes,
+        run.iters,
+        run.table,
+        run.depth,
+        cap,
+    )
+    return result, run.completion
 
 
 def run_fast(
@@ -581,8 +481,7 @@ def run_fast(
             else "empty trace"
         )
         return result
-    run = _Run(engine, trace, scheduler)
-    kernel(run)
-    result = run.finalize(offered_rate_rps)
+    rate = trace.offered_rate_rps if offered_rate_rps is None else offered_rate_rps
+    result, _ = serve(engine, trace, scheduler, kernel, rate)
     result.backend_used = "columnar"
     return result

@@ -25,11 +25,13 @@ no-hedge rail**:
    *global* ``arrivals_pending`` flag: static/dynamic batching hold a
    partial final batch until the whole trace's last arrival has been
    drained, which the kernels model with their ``more_until`` horizon.
-3. **Assembly** — per-replica results and cluster records are rebuilt in
-   the reference router's exact orders (records by ``(admitted_s, id)``,
-   accounting folded in launch order), so the result is **bit-identical**
-   to the reference event loop: same ``ClusterResult``, same float
-   accumulations, same capped/streaming blocks.
+3. **Assembly** — each replica's columns, permuted into the reference
+   router's record order (``(admitted_s, id)``) with dispatches in its fold
+   order, go through :func:`~repro.serving.metrics.assemble_replica`, and
+   the trace-order request columns through
+   :func:`~repro.serving.metrics.assemble_fleet_records`.  The result is
+   **bit-identical** to the reference event loop: same ``ClusterResult``,
+   same float accumulations, same capped/streaming blocks.
 
 Two rails share the module.  The closed forms above serve the
 **no-fault / no-retry** case; fault schedules that actually perturb the run
@@ -69,20 +71,18 @@ import numpy as np
 from repro.errors import ServingError
 from repro.hardware.device import DeviceKind
 from repro.hardware.platform import get_platform
-from repro.serving.columnar import _Run, _running_total, kernel_for
+from repro.serving.columnar import kernel_for, result_header, serve
 from repro.serving.cost import BatchCostModel
 from repro.serving.engine import resolve_serving_target
 from repro.serving.metrics import (
-    REQUEST_FAILED,
-    REQUEST_OK,
-    REQUEST_SHED,
-    ClusterRequestRecord,
+    STATUS_FAILED,
+    STATUS_OK,
+    STATUS_SHED,
     ClusterResult,
-    RequestRecord,
     ServingResult,
     apply_static_lifecycle,
-    sample_record_indices,
-    streaming_stats,
+    assemble_fleet_records,
+    assemble_replica,
 )
 from repro.serving.scheduler import (
     ContinuousBatchScheduler,
@@ -576,29 +576,6 @@ def _route(config, engines, trace: RequestTrace, policy, rng) -> np.ndarray:
 # -- serving pass -------------------------------------------------------------
 
 
-def _empty_replica_result(
-    engine, scheduler_name: str, config, platform_id: str, trace_name: str, rate: float
-) -> ServingResult:
-    """A replica that admitted nothing, in the reference's exact shape."""
-    result = ServingResult(
-        model=config.model,
-        flow=engine.flow.name,
-        platform_id=platform_id,
-        device=engine.target.value,
-        scheduler=scheduler_name,
-        trace=trace_name,
-        offered_rate_rps=rate,
-        busy_s={spec.kind: 0.0 for spec in engine.platform.devices},
-        energy_j={spec.kind: 0.0 for spec in engine.platform.devices},
-    )
-    if config.record_requests is not None:
-        empty = np.zeros(0, dtype=np.float64)
-        result.stats = streaming_stats(empty, empty)
-        result.num_served = 0
-        result.record_cap = config.record_requests
-    return result
-
-
 def _serve_replica(
     engine, config, trace: RequestTrace, indices: np.ndarray, more_until: float, rate: float
 ) -> "tuple[ServingResult, np.ndarray]":
@@ -617,47 +594,13 @@ def _serve_replica(
     scheduler = get_scheduler(
         config.scheduler, max_batch=config.max_batch, max_wait_s=config.max_wait_s
     )
-    run = _Run(engine, sub, scheduler)
-    kernel_for(scheduler)(run, more_until=more_until)
-
     # the reference router lists a replica's records by (admitted_s, id) —
     # identical to sub-stream order except when equal-time arrivals carry
-    # out-of-order ids, so order stats and records through the permutation.
-    perm = np.lexsort((sub.id_column(), run.arrival))
-    result = ServingResult(
-        model=config.model,
-        flow=engine.flow.name,
-        platform_id=engine.config.platform,
-        device=engine.target.value,
-        scheduler=scheduler.name,
-        trace=trace.name,
-        offered_rate_rps=rate,
+    # out-of-order ids.
+    order = np.lexsort((sub.id_column(), sub.arrival_column()))
+    return serve(
+        engine, sub, scheduler, kernel_for(scheduler), rate, more_until, order
     )
-    result.makespan_s = float(run.completion.max()) - float(run.arrival[0])
-    result.num_dispatches = run.dispatches
-    result.num_iterations = run.iterations
-    result.mean_batch_size = run.weighted / run.iterations if run.iterations else 0.0
-    result.busy_s = run.busy
-    result.energy_j = run.energy
-    result.gemm_busy_s = run.gemm
-    result.non_gemm_busy_s = run.non_gemm
-    if run.full:
-        result.records = run._records(perm)
-        result.queue_depth_timeline = tuple(run.timeline)
-    else:
-        # metrics.cap_serving_result's arithmetic, fed from columns in the
-        # reference's record order.
-        result.stats = streaming_stats(
-            run.completion[perm] - run.arrival[perm],
-            run.start[perm] - run.arrival[perm],
-            depth_samples=run.depth_count,
-            depth_sum=run.depth_sum,
-            depth_max=run.depth_max,
-        )
-        result.num_served = run.n
-        result.record_cap = run.cap
-        result.records = run._records(perm[sample_record_indices(run.n, run.cap)])
-    return result, run.completion
 
 
 # -- entry point --------------------------------------------------------------
@@ -674,79 +617,34 @@ def run_fast_cluster(
     reference event loop.
     """
     config = router.config
-    engines = router.engines
     n = trace.num_requests
     arrivals = trace.arrival_column()
-    rate = result.offered_rate_rps
     result.backend_used = "columnar"
 
-    assigned = _route(config, engines, trace, policy, policy_rng)
+    assigned = _route(config, router.engines, trace, policy, policy_rng)
     more_until = float(arrivals[-1])
-
-    scheduler_name = get_scheduler(config.scheduler).name
-    completion_all = np.empty(n, dtype=np.float64)
-    for index, engine in enumerate(engines):
+    completion = np.full(n, np.nan)
+    for index, engine in enumerate(router.engines):
         indices = np.nonzero(assigned == index)[0]
-        if indices.size == 0:
-            result.replicas.append(
-                _empty_replica_result(
-                    engine, scheduler_name, config, config.platforms[index],
-                    trace.name, rate,
-                )
-            )
-            continue
         replica_result, completions = _serve_replica(
-            engine, config, trace, indices, more_until, rate
+            engine, config, trace, indices, more_until, result.offered_rate_rps
         )
         result.replicas.append(replica_result)
-        completion_all[indices] = completions
+        completion[indices] = completions
 
-    ok_mask = assigned >= 0
-    num_ok = int(ok_mask.sum())
-    result.num_shed = n - num_ok
-    if num_ok:
-        result.makespan_s = float(completion_all[ok_mask].max()) - float(arrivals[0])
-
-    cap = config.record_requests
-    if cap is None:
-        keep = np.arange(n, dtype=np.int64)
-    else:
-        # metrics.cap_cluster_result's counters and streaming block, fed
-        # from columns (trace order, completed requests only) — the full
-        # record list is never materialized.
-        latencies = completion_all[ok_mask] - arrivals[ok_mask]
-        result.stats = streaming_stats(latencies)
-        result.num_requests_total = n
-        result.num_completed = num_ok
-        if config.deadline_s is None:
-            result.num_good = num_ok
-        else:
-            result.num_good = int((latencies <= config.deadline_s).sum())
-        result.record_cap = cap
-        keep = sample_record_indices(n, cap)
-
-    ids_kept = trace.id_column()[keep].tolist()
-    arrivals_kept = arrivals[keep].tolist()
-    replicas_kept = assigned[keep].tolist()
-    completions_kept = completion_all[keep].tolist()
-    records = []
-    for request_id, arrival_s, replica, completion_s in zip(
-        ids_kept, arrivals_kept, replicas_kept, completions_kept
-    ):
-        if replica < 0:
-            records.append(
-                ClusterRequestRecord(
-                    request_id, arrival_s, None, REQUEST_SHED, -1, 0, False, False
-                )
-            )
-        else:
-            records.append(
-                ClusterRequestRecord(
-                    request_id, arrival_s, completion_s, REQUEST_OK, replica,
-                    1, False, False,
-                )
-            )
-    result.records = records
+    ok = assigned >= 0
+    # int8 status and attempt columns: at 10^5 requests the fleet assembly
+    # is the fault-free run's memory high-water mark.
+    assemble_fleet_records(
+        result,
+        trace.id_column(),
+        arrivals,
+        completion,
+        np.where(ok, np.int8(STATUS_OK), np.int8(STATUS_SHED)),
+        assigned,
+        ok.astype(np.int8),
+        config.record_requests,
+    )
     # the columnar rails only serve fixed fleets (autoscale falls back),
     # so the lifecycle fields are the static single-step form.
     return apply_static_lifecycle(result)
@@ -769,11 +667,9 @@ _PRIO_FAULT = 0
 _PRIO_ARRIVE = 2
 _PRIO_RETRY = 3
 
-_PENDING = 0
-_ST_OK = 1
-_ST_SHED = 2
-_ST_FAILED = 3
-_STATUS_NAMES = {_ST_OK: REQUEST_OK, _ST_SHED: REQUEST_SHED, _ST_FAILED: REQUEST_FAILED}
+#: a request's status before it resolves; resolved requests hold their
+#: metrics ``STATUS_*`` code.
+_PENDING = -1
 
 
 class _SimReplica:
@@ -830,7 +726,8 @@ class _SimReplica:
         "flush_at",
         "starts",
         "admitted",
-        "depth_samples",
+        "depth_time",
+        "depth_value",
         "log_end",
         "log_size",
         "log_iter",
@@ -882,7 +779,9 @@ class _SimReplica:
         self.flush_at: "float | None" = None
         self.starts: dict[int, float] = {}
         self.admitted: dict[int, float] = {}
-        self.depth_samples: list[tuple[float, int]] = []
+        #: queue-depth samples (time, depth), one per admission and launch.
+        self.depth_time: list[float] = []
+        self.depth_value: list[int] = []
         #: columnar dispatch log, one entry per launch.
         self.log_end: list[float] = []
         self.log_size: list[int] = []
@@ -930,7 +829,8 @@ class _SimReplica:
         self.q_pos.append(pos)
         self.pending_steps += steps
         self.admitted[pos] = when
-        self.depth_samples.append((when, len(self.q_admit) - self.head))
+        self.depth_time.append(when)
+        self.depth_value.append(len(self.q_admit) - self.head)
 
     def cancel_queued(self, pos: int) -> None:
         """Withdraw an un-started copy (the reference's scheduler.cancel,
@@ -1116,10 +1016,11 @@ class _SimReplica:
             winner = self.winner
             index = self.index
             for pos in completes:
-                status[pos] = _ST_OK
+                status[pos] = STATUS_OK
                 completion[pos] = end
                 winner[pos] = index
-        self.depth_samples.append((start, len(self.q_admit) - self.head))
+        self.depth_time.append(start)
+        self.depth_value.append(len(self.q_admit) - self.head)
         if self.head >= 8192:  # amortized queue compaction
             del self.q_admit[: self.head]
             del self.q_steps[: self.head]
@@ -1197,7 +1098,7 @@ def run_fast_faulted(
         )
         for index, engine in enumerate(router.engines)
     ]
-    counters = {"shed": 0, "failed": 0, "retries": 0}
+    retries = 0
 
     heap: list = []
     #: retry timers whose fire times arrive in nondecreasing order (the
@@ -1237,7 +1138,7 @@ def run_fast_faulted(
         cancellation check."""
         end = live_end[pos]
         if end is not None and end <= when and not lost[pos]:
-            status[pos] = _ST_OK
+            status[pos] = STATUS_OK
             completion[pos] = end
             winner[pos] = live_replica[pos]
             return True
@@ -1266,9 +1167,9 @@ def run_fast_faulted(
     alive = list(machines)
 
     def route_primary(pos: int, when: float) -> None:
+        nonlocal retries
         if attempts[pos] >= 1 + config.max_retries:
-            status[pos] = _ST_FAILED
-            counters["failed"] += 1
+            status[pos] = STATUS_FAILED
             return
         previous = live_replica[pos]
         candidates = [m for m in alive if m.index != previous] or alive
@@ -1278,7 +1179,7 @@ def run_fast_faulted(
             push(when + timeouts[pos], _PRIO_RETRY, pos)
             return
         if attempts[pos] >= 1:
-            counters["retries"] += 1
+            retries += 1
             backoff = timeouts[pos] * 2.0
             if config.timeout_cap_s is not None:
                 backoff = min(backoff, config.timeout_cap_s)
@@ -1292,8 +1193,7 @@ def run_fast_faulted(
     def on_arrival(pos: int, when: float) -> None:
         if not alive:
             if config.shed_queue_s is not None:
-                status[pos] = _ST_SHED
-                counters["shed"] += 1
+                status[pos] = STATUS_SHED
                 return
             route_primary(pos, when)  # defers on the timeout
             return
@@ -1304,8 +1204,7 @@ def run_fast_faulted(
         if config.shed_queue_s is not None:
             chosen.advance(when)  # the shed check probes est_delay_s
             if chosen.est_delay_s(when) > config.shed_queue_s:
-                status[pos] = _ST_SHED
-                counters["shed"] += 1
+                status[pos] = STATUS_SHED
                 return
         admit_copy(pos, chosen, when)
 
@@ -1414,189 +1313,80 @@ def run_fast_faulted(
             raise stall(
                 float("inf"), f"request at trace position {pos} never completed"
             )
-        status[pos] = _ST_OK
+        status[pos] = STATUS_OK
         completion[pos] = end
         winner[pos] = live_replica[pos]
 
-    # -- assembly (reference aggregate orders, vectorized folds) -----------
+    # -- assembly (the reference aggregate's orders) ----------------------
 
-    ids_list = trace.id_column().tolist()
+    ids = trace.id_column()
+    ids_list = ids.tolist()
+    decode_column = trace.decode_column()
+    scheduler_name = get_scheduler(config.scheduler).name
     cap = config.record_requests
     for machine in machines:
         ends = np.asarray(machine.log_end, dtype=np.float64)
-        sizes = np.asarray(machine.log_size, dtype=np.int64)
-        iters = np.asarray(machine.log_iter, dtype=np.int64)
-        mults = np.asarray(machine.log_mult, dtype=np.float64)
-        log_completes = machine.log_completes
+        live = np.arange(ends.size)
         if machine.log_cancelled:
             # only crash-capable machines maintain the cancellation column;
             # everywhere else the whole log is live.
-            keep = ~np.asarray(machine.log_cancelled, dtype=bool)
-            ends = ends[keep]
-            sizes = sizes[keep]
-            iters = iters[keep]
-            mults = mults[keep]
-            log_completes = [
-                c for c, k in zip(log_completes, keep.tolist()) if k
-            ]
-        # per-replica accounting folds at completion-pop order: stable sort
-        # by end time over the launch-ordered log.
-        order = np.argsort(ends, kind="stable")
+            live = np.flatnonzero(~np.asarray(machine.log_cancelled, dtype=bool))
+        # accounting folds at the reference's completion-pop order: a stable
+        # sort by end time over the launch-ordered live log.
+        fold_order = live[np.argsort(ends[live], kind="stable")]
+        sizes = np.asarray(machine.log_size, dtype=np.int64)
+        fallback = None
         fallback_table = machine.fallback_table
-        use_fb = fallback_table is not None and fallback_table is not machine.table
-        if use_fb:
-            fb = np.asarray(machine.log_fb, dtype=bool)
-            if machine.log_cancelled:
-                fb = fb[keep]
-            use_fb = bool(fb.any())
-
-        def fold(base_col, fb_col) -> float:
-            vals = base_col[sizes]
-            if use_fb:
-                # device kinds the cpu-only fallback platform lacks
-                # contribute exact 0.0 terms — bit-neutral in the fold.
-                alt = np.zeros(sizes.size) if fb_col is None else fb_col[sizes]
-                vals = np.where(fb, alt, vals)
-            return _running_total(((vals * mults) * iters)[order])
-
-        table = machine.table
-        busy = {
-            dev_kind: fold(
-                col, fallback_table.busy_s.get(dev_kind) if use_fb else None
-            )
-            for dev_kind, col in table.busy_s.items()
-        }
-        energy = {
-            dev_kind: fold(
-                col, fallback_table.energy_j.get(dev_kind) if use_fb else None
-            )
-            for dev_kind, col in table.energy_j.items()
-        }
-        gemm = fold(table.gemm_s, fallback_table.gemm_s if use_fb else None)
-        non_gemm = fold(table.non_gemm_s, fallback_table.non_gemm_s if use_fb else None)
+        if fallback_table is not None and fallback_table is not machine.table:
+            mask = np.asarray(machine.log_fb, dtype=bool)[fold_order]
+            if mask.any():
+                fallback = (fallback_table, mask)
 
         completions: dict[int, tuple[float, int]] = {}
         ends_list = ends.tolist()
         sizes_list = sizes.tolist()
-        for i in order.tolist():
+        for i in fold_order.tolist():
             entry = (ends_list[i], sizes_list[i])
-            for pos in log_completes[i]:
+            for pos in machine.log_completes[i]:
                 completions[pos] = entry
         admitted = machine.admitted
         # the reference router lists a replica's records by (admitted, id).
-        order_pos = sorted(completions, key=lambda p: (admitted[p], ids_list[p]))
-
-        def record_for(pos: int) -> RequestRecord:
-            return RequestRecord(
-                request_id=ids_list[pos],
-                arrival_s=admitted[pos],
-                start_s=machine.starts[pos],
-                completion_s=completions[pos][0],
-                decode_steps=decode_counts[pos],
-                batch_size=completions[pos][1],
-            )
-
-        makespan = 0.0
-        if order_pos:
-            makespan = max(completions[p][0] for p in order_pos) - min(
-                admitted[p] for p in order_pos
-            )
-        engine = machine.engine
-        replica_result = ServingResult(
-            model=config.model,
-            flow=engine.flow.name,
-            platform_id=config.platforms[machine.index],
-            device=engine.target.value,
-            scheduler=get_scheduler(config.scheduler).name,
-            trace=trace.name,
-            offered_rate_rps=result.offered_rate_rps,
-            makespan_s=makespan,
-            num_dispatches=int(ends.size),
-            num_iterations=int(iters.sum()),
-            mean_batch_size=(
-                int((sizes * iters).sum()) / int(iters.sum())
-                if ends.size
-                else 0.0
-            ),
-            busy_s=busy,
-            energy_j=energy,
-            gemm_busy_s=gemm,
-            non_gemm_busy_s=non_gemm,
+        positions = sorted(completions, key=lambda p: (admitted[p], ids_list[p]))
+        requests = (
+            ids[positions],
+            np.array([admitted[p] for p in positions], dtype=np.float64),
+            np.array([machine.starts[p] for p in positions], dtype=np.float64),
+            np.array([completions[p][0] for p in positions], dtype=np.float64),
+            decode_column[positions],
+            np.array([completions[p][1] for p in positions], dtype=np.int64),
         )
-        if cap is None:
-            replica_result.records = [record_for(pos) for pos in order_pos]
-            replica_result.queue_depth_timeline = tuple(machine.depth_samples)
-        else:
-            # metrics.cap_serving_result's arithmetic fed from columns in
-            # record order — the full record list is never materialized.
-            arr_col = np.array(
-                [admitted[p] for p in order_pos], dtype=np.float64
+        result.replicas.append(
+            assemble_replica(
+                result_header(
+                    machine.engine, scheduler_name, trace.name, result.offered_rate_rps
+                ),
+                requests,
+                sizes[fold_order],
+                np.asarray(machine.log_iter, dtype=np.int64)[fold_order],
+                machine.table,
+                (machine.depth_time, machine.depth_value, None),
+                cap,
+                multipliers=np.asarray(machine.log_mult, dtype=np.float64)[fold_order],
+                fallback=fallback,
             )
-            comp_col = np.array(
-                [completions[p][0] for p in order_pos], dtype=np.float64
-            )
-            start_col = np.array(
-                [machine.starts[p] for p in order_pos], dtype=np.float64
-            )
-            depths = [depth for _, depth in machine.depth_samples]
-            replica_result.stats = streaming_stats(
-                comp_col - arr_col,
-                start_col - arr_col,
-                depth_samples=len(depths),
-                depth_sum=sum(depths),
-                depth_max=max(depths) if depths else 0,
-            )
-            replica_result.num_served = len(order_pos)
-            replica_result.record_cap = cap
-            sampled = sample_record_indices(len(order_pos), cap)
-            replica_result.records = [
-                record_for(order_pos[i]) for i in sampled.tolist()
-            ]
-        result.replicas.append(replica_result)
-
-    def cluster_record(pos: int) -> ClusterRequestRecord:
-        return ClusterRequestRecord(
-            request_id=ids_list[pos],
-            arrival_s=arrival_times[pos],
-            completion_s=completion[pos],
-            status=_STATUS_NAMES[status[pos]],
-            replica=winner[pos],
-            attempts=attempts[pos],
-            hedged=False,
-            hedge_won=False,
         )
 
-    if cap is None:
-        result.records = [cluster_record(pos) for pos in range(n)]
-    else:
-        # metrics.cap_cluster_result's counters and streaming block, fed
-        # from columns (trace order, completed requests only).
-        latencies = np.array(
-            [
-                completion[pos] - arrival_times[pos]
-                for pos in range(n)
-                if status[pos] == _ST_OK
-            ],
-            dtype=np.float64,
-        )
-        result.stats = streaming_stats(latencies)
-        result.num_requests_total = n
-        result.num_completed = int(latencies.size)
-        if config.deadline_s is None:
-            result.num_good = int(latencies.size)
-        else:
-            result.num_good = int((latencies <= config.deadline_s).sum())
-        result.record_cap = cap
-        result.records = [
-            cluster_record(pos)
-            for pos in sample_record_indices(n, cap).tolist()
-        ]
-    completed = [c for c in completion if c is not None]
-    if completed:
-        result.makespan_s = max(completed) - arrival_times[0]
-    result.num_shed = counters["shed"]
-    result.num_failed = counters["failed"]
-    result.num_retries = counters["retries"]
+    assemble_fleet_records(
+        result,
+        ids,
+        trace.arrival_column(),
+        np.array(completion, dtype=np.float64),
+        np.array(status, dtype=np.int8),
+        np.array(winner, dtype=np.int64),
+        np.array(attempts, dtype=np.int64),
+        cap,
+    )
+    result.num_retries = retries
     recovery = 0.0
     for window in injector.schedule.windows:
         victim = machines[window.replica]

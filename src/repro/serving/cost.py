@@ -102,11 +102,8 @@ class BatchCostTable:
     """Dense per-batch-size cost columns for one :class:`BatchCostModel`.
 
     One float64 column per decomposition field, indexed by batch size (row 0
-    is unused), plus — when ``decode_steps`` is given — *iteration planes*:
-    ``plane[size, k]`` holds the per-dispatch accounting contribution
-    ``column[size] * k``, the exact float product the reference loop computes
-    as ``seconds * iterations``, so a vectorized ``cumsum`` over plane
-    lookups reproduces the scalar accumulators bit for bit.
+    is unused).  The columnar result assembler folds per-dispatch accounting
+    by gathering these columns at the dispatch sizes.
 
     Rows fill lazily through :meth:`BatchCostModel.cost`, so the table
     shares :class:`BatchCost` objects (and the PlanCache behind them) with
@@ -118,7 +115,6 @@ class BatchCostTable:
     __slots__ = (
         "model",
         "max_batch",
-        "decode_steps",
         "rows",
         "total_s",
         "host_s",
@@ -127,16 +123,11 @@ class BatchCostTable:
         "non_gemm_s",
         "busy_s",
         "energy_j",
-        "gemm_k",
-        "non_gemm_k",
-        "busy_k",
-        "energy_k",
     )
 
-    def __init__(self, model: "BatchCostModel", max_batch: int, decode_steps: int | None = None):
+    def __init__(self, model: "BatchCostModel", max_batch: int):
         self.model = model
         self.max_batch = max_batch
-        self.decode_steps = decode_steps
         n = max_batch + 1
         self.rows: list[BatchCost | None] = [None] * n
         self.total_s = np.zeros(n)
@@ -147,17 +138,6 @@ class BatchCostTable:
         kinds = tuple(spec.kind for spec in model.platform.devices)
         self.busy_s = {kind: np.zeros(n) for kind in kinds}
         self.energy_j = {kind: np.zeros(n) for kind in kinds}
-        if decode_steps is None:
-            self.gemm_k = None
-            self.non_gemm_k = None
-            self.busy_k = None
-            self.energy_k = None
-        else:
-            shape = (n, decode_steps + 1)
-            self.gemm_k = np.zeros(shape)
-            self.non_gemm_k = np.zeros(shape)
-            self.busy_k = {kind: np.zeros(shape) for kind in kinds}
-            self.energy_k = {kind: np.zeros(shape) for kind in kinds}
 
     def row(self, batch_size: int) -> BatchCost:
         """The :class:`BatchCost` for ``batch_size``, filling the columns on
@@ -182,16 +162,6 @@ class BatchCostTable:
             self.busy_s[kind][batch_size] = seconds
         for kind, joules in cost.energy_j.items():
             self.energy_j[kind][batch_size] = joules
-        if self.decode_steps is not None:
-            # plane[size, k] = column[size] * k — a single float64 multiply
-            # per cell, the reference's ``seconds * iterations`` exactly.
-            ks = np.arange(self.decode_steps + 1, dtype=np.float64)
-            self.gemm_k[batch_size] = cost.gemm_s * ks
-            self.non_gemm_k[batch_size] = cost.non_gemm_s * ks
-            for kind, seconds in cost.busy_s.items():
-                self.busy_k[kind][batch_size] = seconds * ks
-            for kind, joules in cost.energy_j.items():
-                self.energy_k[kind][batch_size] = joules * ks
         return cost
 
 
@@ -224,18 +194,14 @@ class BatchCostModel:
         self.seq_len = seq_len
         self.cache = cache if cache is not None else PLAN_CACHE
         self._costs: dict[int, BatchCost] = {}
-        self._tables: dict[tuple[int, int | None], BatchCostTable] = {}
+        self._tables: dict[int, BatchCostTable] = {}
 
-    def cost_table(
-        self, max_batch: int, decode_steps: int | None = None
-    ) -> BatchCostTable:
-        """The memoized dense table for ``max_batch`` (and optionally a
-        ``decode_steps`` bound enabling the iteration planes).  Shared by the
+    def cost_table(self, max_batch: int) -> BatchCostTable:
+        """The memoized dense table for ``max_batch``.  Shared by the
         reference loops and every columnar kernel of this model."""
-        key = (max_batch, decode_steps)
-        table = self._tables.get(key)
+        table = self._tables.get(max_batch)
         if table is None:
-            table = self._tables[key] = BatchCostTable(self, max_batch, decode_steps)
+            table = self._tables[max_batch] = BatchCostTable(self, max_batch)
         return table
 
     def cost(self, batch_size: int) -> BatchCost:

@@ -400,12 +400,120 @@ def cap_serving_result(result: ServingResult, cap: int) -> ServingResult:
     return result
 
 
+# -- column-to-result assembly (the columnar paths) ----------------------------
+#
+# The columnar engine and fleet rails hand their outputs over as columns, and
+# the two assemblers below are the only production code that turns columns
+# into results.  The reference loops build full results in their own loops
+# and cap them with cap_serving_result / cap_cluster_result, so the
+# equivalence batteries compare two independent assemblies.
+
+
+def assemble_replica(
+    header: dict,
+    requests: "tuple[np.ndarray, ...]",
+    sizes: np.ndarray,
+    iterations: np.ndarray,
+    table,
+    depth: "tuple[np.ndarray, np.ndarray, np.ndarray | None]",
+    cap: int | None,
+    multipliers: "np.ndarray | float" = 1.0,
+    fallback: "tuple[object, np.ndarray] | None" = None,
+) -> ServingResult:
+    """One engine's (or fleet replica's) :class:`ServingResult` from columns.
+
+    * ``header`` — the identity fields (model, flow, platform_id, device,
+      scheduler, trace, offered_rate_rps);
+    * ``requests`` — per-request columns in :class:`RequestRecord` field
+      order (ids, arrival/admit times, starts, completions, decode steps,
+      batch sizes), each in record order;
+    * ``sizes`` / ``iterations`` — per-dispatch columns in fold order.  Every
+      accounting column folds as ``(column[sizes] * multipliers) *
+      iterations`` in a sequential ``cumsum`` — the reference's ``seconds *
+      multiplier * iterations`` accumulated with ``+=`` (without stragglers
+      the multiplier is 1.0, and ``x * 1.0 == x``);
+    * ``table`` — the :class:`~repro.serving.cost.BatchCostTable` that priced
+      the dispatches; ``fallback`` is ``(table, mask)`` when the dispatches
+      under ``mask`` were priced by an accelerator-loss fallback table (the
+      device kinds that table lacks contribute exact 0.0 terms);
+    * ``depth`` — queue-depth samples ``(times, depths, key)``: the timeline
+      is the samples stably sorted by ``key`` (``None``: already in order);
+      a capped result reads only ``depths``;
+    * ``cap`` — ``None`` keeps every record and the timeline; otherwise the
+      result takes :func:`cap_serving_result`'s capped form.
+
+    Zero requests and zero dispatches give an idle replica's result.
+    """
+    ids, arrival, start, completion = requests[:4]
+
+    def fold(column_of) -> float:
+        """The sequential fold of the column ``column_of(table)`` picks."""
+        values = column_of(table)[sizes]
+        if fallback is not None:
+            fallback_table, mask = fallback
+            alt = column_of(fallback_table)
+            alt = np.zeros(sizes.size) if alt is None else alt[sizes]
+            values = np.where(mask, alt, values)
+        return _ordered_sum((values * multipliers) * iterations)
+
+    num_iterations = int(iterations.sum())
+    result = ServingResult(
+        **header,
+        makespan_s=(
+            float(completion.max()) - float(arrival.min()) if ids.size else 0.0
+        ),
+        num_dispatches=int(sizes.size),
+        num_iterations=num_iterations,
+        mean_batch_size=(
+            int((sizes * iterations).sum()) / num_iterations if num_iterations else 0.0
+        ),
+        busy_s={kind: fold(lambda t: t.busy_s.get(kind)) for kind in table.busy_s},
+        energy_j={kind: fold(lambda t: t.energy_j.get(kind)) for kind in table.energy_j},
+        gemm_busy_s=fold(lambda t: t.gemm_s),
+        non_gemm_busy_s=fold(lambda t: t.non_gemm_s),
+    )
+    times, depths, key = depth
+    depths = np.asarray(depths, dtype=np.int64)
+    if cap is None:
+        times = np.asarray(times, dtype=np.float64)
+        if key is not None:
+            order = np.argsort(key, kind="stable")
+            times = times[order]
+            depths = depths[order]
+        result.queue_depth_timeline = tuple(zip(times.tolist(), depths.tolist()))
+        keep = None
+    else:
+        result.stats = streaming_stats(
+            completion - arrival,
+            start - arrival,
+            depth_samples=int(depths.size),
+            depth_sum=int(depths.sum()),
+            depth_max=int(depths.max(initial=0)),
+        )
+        result.num_served = int(ids.size)
+        result.record_cap = cap
+        keep = sample_record_indices(int(ids.size), cap)
+    result.records = [
+        RequestRecord(*row)
+        for row in zip(
+            *(
+                (column if keep is None else column[keep]).tolist()
+                for column in requests
+            )
+        )
+    ]
+    return result
+
+
 # -- cluster-level aggregation ----------------------------------------------
 
 #: terminal states of a cluster request.
 REQUEST_OK = "ok"
 REQUEST_SHED = "shed"
 REQUEST_FAILED = "failed"
+#: the states by their code in an :func:`assemble_fleet_records` status column.
+REQUEST_STATUSES = (REQUEST_OK, REQUEST_SHED, REQUEST_FAILED)
+STATUS_OK, STATUS_SHED, STATUS_FAILED = range(len(REQUEST_STATUSES))
 
 
 class ClusterRequestRecord(NamedTuple):
@@ -699,5 +807,64 @@ def cap_cluster_result(result: ClusterResult, cap: int) -> ClusterResult:
     result.replicas = [
         replica if replica.record_cap is not None else cap_serving_result(replica, cap)
         for replica in result.replicas
+    ]
+    return result
+
+
+def assemble_fleet_records(
+    result: ClusterResult,
+    ids: np.ndarray,
+    arrival: np.ndarray,
+    completion: np.ndarray,
+    status: np.ndarray,
+    replica: np.ndarray,
+    attempts: np.ndarray,
+    cap: int | None,
+) -> ClusterResult:
+    """Fill a columnar fleet run's request-level fields from trace-order
+    columns: ``records``, ``makespan_s``, ``num_shed``/``num_failed`` and,
+    under a ``cap``, :func:`cap_cluster_result`'s counters and streaming
+    block (latencies of completed requests, deadline from
+    ``result.deadline_s``).
+
+    ``status`` holds codes into :data:`REQUEST_STATUSES`; ``completion`` is
+    read only where the request completed, and ``replica`` is the winning
+    replica there and -1 elsewhere.  The columnar rails never hedge, so no
+    record is hedged.
+    """
+    total = int(status.size)
+    ok = status == STATUS_OK
+    if ok.any():
+        result.makespan_s = float(completion[ok].max()) - float(arrival[0])
+    result.num_shed = int((status == STATUS_SHED).sum())
+    result.num_failed = int((status == STATUS_FAILED).sum())
+    columns = (ids, arrival, completion, status, replica, attempts)
+    if cap is not None:
+        latencies = completion[ok] - arrival[ok]
+        result.stats = streaming_stats(latencies)
+        result.num_requests_total = total
+        result.num_completed = int(latencies.size)
+        result.num_good = (
+            int(latencies.size)
+            if result.deadline_s is None
+            else int((latencies <= result.deadline_s).sum())
+        )
+        result.record_cap = cap
+        keep = sample_record_indices(total, cap)
+        columns = tuple(column[keep] for column in columns)
+    result.records = [
+        ClusterRequestRecord(
+            request_id,
+            arrival_s,
+            completion_s if code == STATUS_OK else None,
+            REQUEST_STATUSES[code],
+            winner,
+            tries,
+            False,
+            False,
+        )
+        for request_id, arrival_s, completion_s, code, winner, tries in zip(
+            *(column.tolist() for column in columns)
+        )
     ]
     return result

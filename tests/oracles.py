@@ -22,8 +22,14 @@ fast path:
 * ``repro.serving.columnar_cluster.fast_path_fallback_reason`` returns a
   reason, so :meth:`ClusterRouter.run` serves on its event loop.
 
-Everything else (record capping, result assembly) runs unchanged, so a run
-inside :func:`reference_paths` is the oracle for the same run outside it.
+The two sides assemble their results independently: the fast paths hand
+columns to :func:`~repro.serving.metrics.assemble_replica` and
+:func:`~repro.serving.metrics.assemble_fleet_records`, while the reference
+side builds full results in its own loops and caps them with
+:func:`~repro.serving.metrics.cap_serving_result` /
+:func:`~repro.serving.metrics.cap_cluster_result`.  So a run inside
+:func:`reference_paths` is the oracle for the same run outside it, result
+assembly included.
 """
 
 from __future__ import annotations
@@ -57,11 +63,13 @@ FORCED_REASON = "reference path forced by tests/oracles.py"
 @contextmanager
 def reference_paths() -> Iterator[None]:
     """Serve every engine and cluster run in the block on the reference loops."""
+    # columnar_cluster first: patching it imports it, and an import under the
+    # kernel_for patch would bind the refusing stub into its globals for good.
     with mock.patch(
-        "repro.serving.columnar.kernel_for", lambda scheduler: None
-    ), mock.patch(
         "repro.serving.columnar_cluster.fast_path_fallback_reason",
         lambda config, policy, scheduler: FORCED_REASON,
+    ), mock.patch(
+        "repro.serving.columnar.kernel_for", lambda scheduler: None
     ):
         yield
 

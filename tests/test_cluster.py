@@ -428,6 +428,18 @@ class TestClusterRouter:
         )
         assert result.records == [] and result.replicas == []
         assert result.throughput_rps == 0.0 and result.goodput == 0.0
+        # a capped fleet reports the capped form even with nothing to serve,
+        # like the single engine does.
+        capped = simulate_cluster(
+            cluster_config(platforms=("A", "A"), record_requests=16),
+            RequestTrace("empty", ()),
+        )
+        assert capped.records == [] and capped.replicas == []
+        assert capped.record_cap == 16
+        assert capped.stats is not None and capped.stats.num_requests == 0
+        assert capped.num_requests_total == 0
+        assert capped.num_completed == 0 and capped.num_good == 0
+        assert capped.throughput_rps == 0.0 and capped.goodput == 0.0
 
     def test_heterogeneous_fleet_and_describe(self):
         config = cluster_config(platforms=("A", "B"), policy="least-loaded")

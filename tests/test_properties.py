@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,16 @@ from repro.errors import ShapeError
 from repro.flows import FusionConfig, PyTorchEagerFlow, TensorRTFlow, fuse_graph, group_cost
 from repro.hardware import A100, EPYC_7763, estimate_kernel
 from repro.ir import DType, Graph, TensorSpec, broadcast_shapes
+from repro.knobs import pick
 from repro.ops.base import OpCategory, OpCost
 from repro.runtime import run_graph
-from repro.serving import ClusterConfig, ClusterRouter, RequestTrace
+from repro.serving import (
+    ClusterConfig,
+    ClusterRouter,
+    RequestTrace,
+    ServingConfig,
+    ServingEngine,
+)
 from tests.conftest import run_op
 
 from oracles import run_reference
@@ -273,6 +282,22 @@ class TestClusterRoutingProperties:
         )
         return config, trace
 
+    @st.composite
+    def faulted_runs(draw):
+        """A fault-free run's axes plus a fault schedule and timeout retries
+        (``timeout_s`` always set), which put the run on the fault-capable
+        columnar replay."""
+        config, trace = draw(TestClusterRoutingProperties.fault_free_runs())
+        config = replace(
+            config,
+            fault_profile=draw(st.sampled_from(("crash", "accel-loss", "straggler"))),
+            fault_seed=draw(st.integers(0, 7)),
+            timeout_s=draw(st.sampled_from((0.004, 0.02, 0.05))),
+            timeout_cap_s=draw(st.none() | st.sampled_from((0.004, 0.08, 0.32))),
+            max_retries=draw(st.integers(0, 3)),
+        )
+        return config, trace
+
     @given(fault_free_runs())
     @settings(max_examples=60, deadline=None)
     def test_columnar_rail_matches_oracle(self, run):
@@ -281,3 +306,33 @@ class TestClusterRoutingProperties:
         fast = router.run(trace)
         assert fast.backend_used == "columnar"
         assert fast == run_reference(router, trace)
+
+    @given(faulted_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_faulted_rail_matches_oracle(self, run):
+        config, trace = run
+        router = ClusterRouter(config)
+        fast = router.run(trace)
+        assert fast.backend_used == "columnar-faulted"
+        assert fast == run_reference(router, trace)
+        completed = (
+            len(fast.completed()) if fast.num_completed is None else fast.num_completed
+        )
+        assert completed + fast.num_shed + fast.num_failed == trace.num_requests
+
+
+class TestEngineKernelProperties:
+    @given(TestClusterRoutingProperties.fault_free_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_columnar_kernels_match_oracle(self, run):
+        """Every built-in scheduler's kernel against the reference loop, on
+        one replica's axes of the fault-free fleet fuzz.  The engine keeps
+        records in trace order (fleet replicas use ``(admitted, id)``
+        order), which the permuted ids tell apart."""
+        config, trace = run
+        engine = ServingEngine(
+            ServingConfig(**pick(ServingConfig, config, platform=config.platforms[0]))
+        )
+        fast = engine.run(trace)
+        assert fast.backend_used == "columnar"
+        assert fast == run_reference(engine, trace)
