@@ -1,6 +1,6 @@
 """Calibration harness: per-model shares vs the paper's anchors.
 
-Run:  python scripts/calibrate.py [--platform A|B] [--batch 1]
+Run:  python scripts/calibrate.py [--platform A|B] [--batch 1] [--models M ...]
 
 Prints, for every paper model: CPU-only and CPU+GPU non-GEMM shares, the
 dominant non-GEMM group with its share, and the paper's Table IV target for
@@ -11,31 +11,11 @@ from __future__ import annotations
 
 import argparse
 
+from repro.analysis.tables import PAPER_TABLE4
 from repro.flows import get_flow
 from repro.hardware import get_platform
 from repro.models import PAPER_MODELS, build_model
 from repro.profiler import profile_graph
-
-# Table IV anchors: model -> (group label, share of total latency)
-PAPER_TABLE4 = {
-    "vit-b": ("Normalization", 0.140),
-    "vit-l": ("Normalization", 0.133),
-    "vit-h": ("Normalization", 0.112),
-    "swin-t": ("Memory", 0.318),
-    "swin-s": ("Memory", 0.331),
-    "swin-b": ("Memory", 0.328),
-    "faster-rcnn": ("Element-wise Arithmetic", 0.344),
-    "mask-rcnn": ("Element-wise Arithmetic", 0.336),
-    "detr": ("Normalization", 0.348),
-    "maskformer": ("Memory", 0.408),
-    "segformer": ("Normalization", 0.174),
-    "gpt2": ("Activation", 0.302),
-    "gpt2-l": ("Activation", 0.299),
-    "gpt2-xl": ("Activation", 0.281),
-    "llama2-7b": ("Normalization", 0.149),
-    "bert": ("Normalization", 0.131),
-    "mixtral-8x7b": ("Memory", 0.431),
-}
 
 
 def main() -> None:

@@ -157,10 +157,10 @@ def run_ext5(
                 loads=tuple(demand / CEILING for demand in demands),
                 num_replicas=CEILING,
                 autoscalers=(controller,),
-                autoscale_min_replicas=FLOOR,
-                autoscale_interval_s=INTERVAL_S,
-                autoscale_cooldown_s=COOLDOWN_S,
-                autoscale_provision_s=PROVISION_S,
+                min_replicas=FLOOR,
+                interval_s=INTERVAL_S,
+                cooldown_s=COOLDOWN_S,
+                provision_delay_s=PROVISION_S,
                 **common,
             ),
             config=controller,

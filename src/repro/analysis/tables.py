@@ -20,6 +20,28 @@ from repro.sweep.cache import cached_build_model
 from repro.sweep.runner import SweepRunner
 from repro.sweep.spec import SweepSpec
 
+#: the paper's Table IV anchors (platform A, GPU, averaged over batch
+#: sizes): model -> (most time-consuming non-GEMM group, its latency share)
+PAPER_TABLE4 = {
+    "vit-b": ("Normalization", 0.140),
+    "vit-l": ("Normalization", 0.133),
+    "vit-h": ("Normalization", 0.112),
+    "swin-t": ("Memory", 0.318),
+    "swin-s": ("Memory", 0.331),
+    "swin-b": ("Memory", 0.328),
+    "faster-rcnn": ("Element-wise Arithmetic", 0.344),
+    "mask-rcnn": ("Element-wise Arithmetic", 0.336),
+    "detr": ("Normalization", 0.348),
+    "maskformer": ("Memory", 0.408),
+    "segformer": ("Normalization", 0.174),
+    "gpt2": ("Activation", 0.302),
+    "gpt2-l": ("Activation", 0.299),
+    "gpt2-xl": ("Activation", 0.281),
+    "llama2-7b": ("Normalization", 0.149),
+    "bert": ("Normalization", 0.131),
+    "mixtral-8x7b": ("Memory", 0.431),
+}
+
 #: the eight model variants Table I draws its examples from
 TABLE1_MODELS = ("detr", "vit-l", "gpt2-xl", "llama2-7b", "segformer", "mask-rcnn", "swin-b", "bert")
 

@@ -30,7 +30,7 @@ import sys
 from repro.analysis import EXPERIMENTS
 from repro.core import BenchConfig, NonGemmReport, PerformanceReport, run_bench
 from repro.errors import ReproError
-from repro.knobs import pick
+from repro.knobs import TraceKnobs, pick
 from repro.models import build_model, list_models
 from repro.serving import AutoscaleConfig, ClusterConfig, ServingConfig
 from repro.viz.ascii import render_stacked_bar, render_table
@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--batch", type=int, default=1)
     p_prof.add_argument("--cpu-only", action="store_true")
     p_prof.add_argument("--iterations", type=int, default=5)
-    p_prof.add_argument("--top", type=int, default=10, help="top-N slowest kernels to list")
+    p_prof.add_argument("--top", type=_count, default=10, help="top-N slowest kernels to list")
     p_prof.add_argument("--csv", metavar="DIR", default=None, help="also write CSV here")
     p_prof.set_defaults(handler=_cmd_profile)
 
@@ -83,16 +83,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--flows", default="pytorch", help="comma-separated flow names")
     p_sweep.add_argument("--platforms", default="A", help="comma-separated platform ids")
-    p_sweep.add_argument("--batches", default="1", help="comma-separated batch sizes")
+    p_sweep.add_argument("--batches", type=_ints, default="1", help="comma-separated batch sizes")
     p_sweep.add_argument(
         "--devices", default="gpu",
         help="comma-separated placement targets (cpu,gpu,npu)",
     )
     p_sweep.add_argument(
-        "--seq-lens", default="", help="comma-separated sequence lengths (optional)"
+        "--seq-lens", type=_ints, default="", help="comma-separated sequence lengths (optional)"
     )
     p_sweep.add_argument(
-        "--load", default="",
+        "--load", type=_floats, default="",
         help="comma-separated offered loads (fractions of single-stream"
         " capacity); each load point also runs the serving engine",
     )
@@ -190,7 +190,8 @@ def _serving_parser(
     sub, name: str, *, help: str, lists: str, load_type, load_help: str
 ) -> argparse.ArgumentParser:
     """A ``serve``/``cluster`` subparser holding the flags that are not config
-    fields: the model positional, the base platform and the request trace."""
+    fields: the model positional, the base platform, the offered load and
+    the request trace's knobs."""
     parser = sub.add_parser(name, help=help)
     parser.add_argument(
         "model", nargs="?", default=None, help=f"model to serve (omit with {lists})"
@@ -199,25 +200,12 @@ def _serving_parser(
         "--platform", default="A",
         help="platform id (cluster: of every replica, unless --platforms is given)",
     )
-    parser.add_argument(
-        "--trace", default="poisson",
-        help="arrival process (poisson, bursty, closed-loop)",
-    )
     parser.add_argument("--load", type=load_type, default="1.0", help=load_help)
     parser.add_argument(
         "--rate", type=float, default=None,
         help="explicit arrival rate in requests/s (overrides a single --load)",
     )
-    parser.add_argument(
-        "--num-requests", "--requests", dest="requests", type=int, default=32,
-        help="trace length in requests (--requests is an alias)",
-    )
-    parser.add_argument(
-        "--decode-steps", type=_decode_steps, default="1",
-        help="decode iterations per request: a count, or an inclusive"
-        " 'lo:hi' range drawn per request from the seeded generator",
-    )
-    parser.add_argument("--seed", type=int, default=0)
+    _add_flags(parser, TraceKnobs)
     return parser
 
 
@@ -230,18 +218,20 @@ def _add_flags(parser: argparse.ArgumentParser, cls, **cli_defaults) -> None:
     """One flag per ``knob(...)`` field of ``cls``, parsed into the field's
     name so :func:`~repro.knobs.pick` hands it on.  An unset flag keeps the
     field default (in seconds for ``ms`` knobs), or its ``cli_defaults``
-    entry where the CLI default differs from the library's."""
+    entry where the CLI default differs from the library's.  A knob's own
+    ``parse`` callable, if any, parses its value."""
     for f in dataclasses.fields(cls):
         flags = f.metadata.get("flags")
         if not flags:
             continue
         annotation = getattr(f.type, "__name__", str(f.type))
         default = None if f.default is dataclasses.MISSING else f.default
+        parse = f.metadata["parse"] or _FLAG_TYPES[annotation.split(" ")[0]]
         parser.add_argument(
             *flags,
             dest=f.name,
             metavar=flags[0].lstrip("-").replace("-", "_").upper(),
-            type=_ms if f.metadata["ms"] else _FLAG_TYPES[annotation.split(" ")[0]],
+            type=_ms if f.metadata["ms"] else parse,
             default=cli_defaults.get(f.name, default),
             help=f.metadata["help"] or None,
         )
@@ -275,18 +265,13 @@ def _names(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
-def _parse_decode_steps(raw: str) -> "int | tuple[int, int]":
-    if ":" in raw:
-        lo, hi = raw.split(":", 1)
-        return (int(lo), int(hi))
-    return int(raw)
-
-
 _ms = _flag_type(lambda raw: float(raw) * 1e-3, "a number of milliseconds")
 _floats = _flag_type(
     lambda raw: tuple(float(part) for part in _names(raw)), "comma-separated numbers"
 )
-_decode_steps = _flag_type(_parse_decode_steps, "a count or an inclusive lo:hi range")
+_ints = _flag_type(
+    lambda raw: tuple(int(part) for part in _names(raw)), "comma-separated integers"
+)
 
 
 def _parse_count(raw: str) -> int:
@@ -355,20 +340,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.sweep.spec import SweepSpec
 
     models = tuple(PAPER_MODELS) if args.models == "paper" else _names(args.models)
-    seq_lens: tuple[int | None, ...] = (None,)
-    if args.seq_lens:
-        seq_lens = tuple(int(s) for s in _names(args.seq_lens))
-    loads: tuple[float | None, ...] = (None,)
-    if args.load:
-        loads = tuple(float(v) for v in _names(args.load))
     spec = SweepSpec(
         models=models,
         platforms=_names(args.platforms),
         flows=_names(args.flows),
-        batch_sizes=tuple(int(b) for b in _names(args.batches)),
+        batch_sizes=args.batches,
         devices=_names(args.devices),
-        seq_lens=seq_lens,
-        loads=loads,
+        seq_lens=args.seq_lens or (None,),
+        loads=args.load or (None,),
         scheduler=args.scheduler,
         iterations=args.iterations,
         seed=args.seed,
@@ -497,9 +476,7 @@ def _discover(args: argparse.Namespace, **registries) -> "int | None":
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from repro.serving import ServingEngine, make_trace
+    from repro.serving import ServingEngine, seeded_trace
     from repro.serving.scheduler import SCHEDULER_REGISTRY
     from repro.serving.trace import TRACE_REGISTRY
 
@@ -512,14 +489,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     engine = ServingEngine(ServingConfig(**pick(ServingConfig, args)))
     base_s = engine.base_latency_s()
     rate = args.rate if args.rate is not None else args.load / base_s
-    trace = make_trace(
-        args.trace,
-        rate,
-        args.requests,
-        rng=np.random.default_rng(args.seed),
-        decode_steps=args.decode_steps,
-    )
-    result = engine.run(trace, offered_rate_rps=rate)
+    result = engine.run(seeded_trace(args, rate), offered_rate_rps=rate)
     utilization = result.utilization()
     print(result.describe())
     print()
@@ -570,9 +540,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from repro.serving import ClusterRouter, make_trace
+    from repro.serving import ClusterRouter, seeded_trace
     from repro.serving.autoscale import AUTOSCALER_REGISTRY
     from repro.serving.cluster import POLICY_REGISTRY
     from repro.serving.faults import FAULT_PROFILE_REGISTRY
@@ -604,14 +572,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     router = ClusterRouter(config)
     capacity = router.fleet_capacity_rps()
     rate = args.rate if args.rate is not None else load * capacity
-    trace = make_trace(
-        args.trace,
-        rate,
-        args.requests,
-        rng=np.random.default_rng(args.seed),
-        decode_steps=args.decode_steps,
-    )
-    result = router.run(trace, offered_rate_rps=rate)
+    result = router.run(seeded_trace(args, rate), offered_rate_rps=rate)
     print(result.describe())
     print()
     print(
@@ -687,9 +648,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 def _cluster_sweep(args: argparse.Namespace, config) -> int:
     """Serve the cluster ``config`` at every ``--load`` through the sweep
-    runner — optionally fanned out over a worker pool (``--workers``)."""
+    runner — optionally fanned out over a worker pool (``--workers``).  The
+    spec's knobs come from the parsed flags ``config`` was built from."""
     from repro.sweep.runner import SweepRunner
-    from repro.sweep.spec import AUTOSCALE_KNOBS, SweepSpec
+    from repro.sweep.spec import SweepSpec
 
     if args.rate is not None:
         print("error: --rate fixes one arrival rate; use a single --load with it")
@@ -700,21 +662,11 @@ def _cluster_sweep(args: argparse.Namespace, config) -> int:
             " --platforms mixes are single-load only"
         )
         return 2
-    if config.max_retries != 3:
-        print("error: multi-load sweeps use the default retry budget (3)")
-        return 2
 
-    steps = args.decode_steps
-    if isinstance(steps, int):
-        steps = (steps, steps)
-    autoscale = config.autoscale
-    autoscale_knobs = {} if autoscale is None else {
-        attr: getattr(autoscale, name) for name, attr in AUTOSCALE_KNOBS.items()
-    }
     spec = SweepSpec(
         **pick(
             SweepSpec,
-            config,
+            args,
             name="cli-cluster",
             models=(config.model,),
             platforms=(args.platform,),
@@ -726,11 +678,6 @@ def _cluster_sweep(args: argparse.Namespace, config) -> int:
             fault_profiles=(config.fault_profile,),
             autoscalers=(args.controller,),
             num_replicas=args.replicas,
-            trace=args.trace,
-            num_requests=args.requests,
-            decode_steps=steps,
-            seed=args.seed,
-            **autoscale_knobs,
         )
     )
     result = SweepRunner(workers=args.workers).run(spec)
@@ -748,7 +695,7 @@ def _cluster_sweep(args: argparse.Namespace, config) -> int:
             "failed": cluster.num_failed,
             "retries": cluster.num_retries,
         }
-        if autoscale is not None:
+        if config.autoscale is not None:
             row["mean_repl"] = round(cluster.mean_replicas, 2)
             row["repl_s"] = round(cluster.replica_seconds, 2)
             row["scale_ev"] = len(cluster.scale_events)

@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.flows.base import DeploymentFlow
 from repro.flows.plan import CATEGORIES, ExecutionPlan
 from repro.hardware.device import DeviceKind, as_device_kind
@@ -81,6 +82,8 @@ def profile_graph(
     whole profile is derivable from the cached/stored plan and memory
     profile, so when both tiers are warm the graph is never built.
     """
+    if iterations < 1:
+        raise ConfigError("iterations must be positive")
     target = as_device_kind(use_gpu)
     if target is not DeviceKind.CPU and not platform.has_device(target):
         target = DeviceKind.CPU
@@ -113,7 +116,7 @@ def profile_graph(
         batch_size=batch_size,
         iterations=iterations,
         total_latency_s=float(totals.mean()),
-        total_latency_std_s=float(totals.std()) / math.sqrt(max(iterations, 1)),
+        total_latency_std_s=float(totals.std()) / math.sqrt(iterations),
         energy_j={kind: joules * scale for kind, joules in baseline.energy_j.items()},
         peak_memory_bytes=memory.peak_total_bytes,
         # the kernels partition the graph's compute nodes exactly (enforced

@@ -99,6 +99,7 @@ from repro.serving.trace import (
     make_trace,
     poisson_trace,
     register_trace,
+    seeded_trace,
     trace_entries,
 )
 
@@ -164,6 +165,7 @@ __all__ = [
     "poisson_trace",
     "run_fast",
     "sample_record_indices",
+    "seeded_trace",
     "streaming_stats",
     "policy_entries",
     "register_autoscaler",

@@ -37,13 +37,13 @@ from dataclasses import MISSING, dataclass
 from typing import NamedTuple
 
 from repro.errors import ServingError
-from repro.knobs import knob
+from repro.knobs import FRACTION, AutoscaleKnobs, at_least, knob
 from repro.registry import Registry
 from repro.serving.metrics import nearest_rank
 
 
 @dataclass(frozen=True)
-class AutoscaleConfig:
+class AutoscaleConfig(AutoscaleKnobs):
     """One autoscaling scenario: controller, bounds, and timing knobs."""
 
     #: registered controller name (``list_autoscalers()``).
@@ -52,59 +52,24 @@ class AutoscaleConfig:
         help="elastic-fleet controller (see --list-autoscalers); the"
         " replica count becomes the provisioned ceiling",
     )
-    #: fleet-size bounds; ``max_replicas`` must equal the number of
-    #: provisioned platforms in the cluster config (the ceiling is the
-    #: hardware that exists, the floor is what always stays online).
-    min_replicas: int = knob(
-        1, "--min-replicas",
-        help="autoscale floor (replicas that always stay online)",
-    )
+    #: fleet-size ceiling; must equal the number of provisioned platforms
+    #: in the cluster config (the ceiling is the hardware that exists, the
+    #: ``min_replicas`` floor is what always stays online).
     max_replicas: int = 8
     #: replicas online at t=0; ``None`` starts at ``min_replicas``.
     initial_replicas: int | None = None
-    #: controller evaluation period (one observation window per interval).
-    interval_s: float = knob(
-        0.1, "--scale-interval-ms", ms=True,
-        help="autoscale controller evaluation period",
-    )
-    #: minimum time between scale *actions*; evaluations inside the
-    #: cooldown observe but do not act.  0 disables.
-    cooldown_s: float = knob(
-        0.0, "--scale-cooldown-ms", ms=True,
-        help="minimum time between autoscale actions",
-    )
-    #: cold-start delay between a scale-up decision and the replica
-    #: admitting work.  Replica-seconds cost accrues from the decision.
-    provision_delay_s: float = knob(
-        0.1, "--provision-ms", ms=True,
-        help="cold-start delay before a scaled-up replica admits work",
-    )
-    #: busy-fraction set-point for ``target-utilization``.
-    target_utilization: float = knob(
-        0.6, "--target-util",
-        help="busy-fraction set-point for the target-utilization controller",
-    )
     #: half-width of the no-action band around the set-point.
-    deadband: float = 0.1
+    deadband: float = knob(0.1, check=at_least(0))
     #: ``step`` controller thresholds (hysteresis gap between them).
-    up_threshold: float = 0.75
-    down_threshold: float = 0.25
-    #: latency SLO for ``goodput``; ``None`` falls back to the cluster's
-    #: ``deadline_s`` (the router resolves this before the run).
-    slo_s: float | None = knob(
-        None, "--slo-ms", ms=True,
-        help="latency SLO for the goodput controller (default: --deadline-ms)",
-    )
+    up_threshold: float = knob(0.75, check=FRACTION)
+    down_threshold: float = knob(0.25, check=FRACTION)
     #: ``goodput`` scales down only when the windowed p99 sits below
     #: ``slo_margin * slo_s`` — the gap is the hysteresis that keeps the
     #: controller from surrendering capacity it just acquired.
-    slo_margin: float = 0.5
+    slo_margin: float = knob(0.5, check=FRACTION)
 
     def __post_init__(self) -> None:
-        if self.min_replicas < 1:
-            raise ServingError(
-                f"min_replicas must be >= 1, got {self.min_replicas}"
-            )
+        super().__post_init__()
         if self.max_replicas < self.min_replicas:
             raise ServingError(
                 f"max_replicas ({self.max_replicas}) must be >="
@@ -117,37 +82,10 @@ class AutoscaleConfig:
                 f"initial_replicas ({self.initial_replicas}) must lie in"
                 f" [{self.min_replicas}, {self.max_replicas}]"
             )
-        for knob, value in (
-            ("interval_s", self.interval_s),
-            ("provision_delay_s", self.provision_delay_s),
-        ):
-            if value <= 0.0:
-                raise ServingError(f"{knob} must be positive, got {value}")
-        if self.cooldown_s < 0.0:
-            raise ServingError(
-                f"cooldown_s must be >= 0, got {self.cooldown_s}"
-            )
-        for knob, value in (
-            ("target_utilization", self.target_utilization),
-            ("up_threshold", self.up_threshold),
-            ("down_threshold", self.down_threshold),
-        ):
-            if not 0.0 < value <= 1.0:
-                raise ServingError(
-                    f"{knob} must be in (0, 1], got {value}"
-                )
-        if self.deadband < 0.0:
-            raise ServingError(f"deadband must be >= 0, got {self.deadband}")
         if self.down_threshold >= self.up_threshold:
             raise ServingError(
                 f"down_threshold ({self.down_threshold}) must be below"
                 f" up_threshold ({self.up_threshold})"
-            )
-        if self.slo_s is not None and self.slo_s <= 0.0:
-            raise ServingError(f"slo_s must be positive, got {self.slo_s}")
-        if not 0.0 < self.slo_margin <= 1.0:
-            raise ServingError(
-                f"slo_margin must be in (0, 1], got {self.slo_margin}"
             )
 
     @property

@@ -44,7 +44,7 @@ import numpy as np
 from repro.errors import ServingError
 from repro.hardware.device import DeviceKind
 from repro.hardware.platform import get_platform
-from repro.knobs import knob, pick
+from repro.knobs import FleetKnobs, knob, pick
 from repro.registry import Registry
 from repro.serving.autoscale import (
     AutoscaleConfig,
@@ -71,7 +71,7 @@ from repro.serving.scheduler import (
     Dispatch,
     get_scheduler,
 )
-from repro.serving.trace import Request, RequestTrace
+from repro.serving.trace import Request, RequestTrace, seeded_trace
 from repro.sweep.cache import PlanCache
 
 _PENDING = "pending"
@@ -217,7 +217,7 @@ policy_entries = POLICY_REGISTRY.entries
 
 
 @dataclass(frozen=True)
-class ClusterConfig(EngineKnobs):
+class ClusterConfig(EngineKnobs, FleetKnobs):
     """One cluster scenario: fleet shape, policy, faults, robustness knobs.
 
     ``record_requests`` caps cluster-level and per-replica records alike.
@@ -233,36 +233,8 @@ class ClusterConfig(EngineKnobs):
         "none", "--fault",
         help="fault profile injected into the fleet (see --list-faults)",
     )
-    fault_seed: int = knob(0, "--fault-seed")
     #: seeds the router generator randomized policies draw from.
     policy_seed: int = 0
-    #: per-request timeout before a queued/lost copy is re-routed; doubles
-    #: per retry up to ``timeout_cap_s``.  Required when the fault profile
-    #: produces crash windows (lost work is only ever detected by timeout).
-    timeout_s: float | None = knob(
-        None, "--timeout-ms", ms=True,
-        help="per-request timeout before a copy is re-routed (required for"
-        " crash profiles; doubles per retry up to --timeout-cap-ms)",
-    )
-    max_retries: int = knob(3, "--retries")
-    timeout_cap_s: float | None = knob(None, "--timeout-cap-ms", ms=True)
-    #: hedge delay: duplicate the request to a second replica once the
-    #: primary has been outstanding this long.  ``None`` disables hedging.
-    hedge_after_s: float | None = knob(
-        None, "--hedge-ms", ms=True,
-        help="hedge a request to a second replica after this delay",
-    )
-    #: admission-control threshold on estimated queue delay; ``None``
-    #: disables shedding.
-    shed_queue_s: float | None = knob(
-        None, "--shed-ms", ms=True,
-        help="shed arrivals whose estimated queue delay exceeds this",
-    )
-    #: goodput deadline recorded on the result (``None``: any completion).
-    deadline_s: float | None = knob(
-        None, "--deadline-ms", ms=True,
-        help="goodput deadline (completions slower than this are not good)",
-    )
     #: elastic fleet control (see :mod:`repro.serving.autoscale`); ``None``
     #: keeps every provisioned replica online for the whole run.  The
     #: controller's ``max_replicas`` must equal ``len(platforms)`` — the
@@ -280,18 +252,6 @@ class ClusterConfig(EngineKnobs):
                     f" ({len(self.platforms)} platforms)"
                 )
         super().__post_init__()
-        if self.max_retries < 0:
-            raise ServingError(f"max_retries must be >= 0, got {self.max_retries}")
-        for knob_name, value in (
-            ("timeout_s", self.timeout_s),
-            ("timeout_cap_s", self.timeout_cap_s),
-            ("hedge_after_s", self.hedge_after_s),
-            ("shed_queue_s", self.shed_queue_s),
-            ("deadline_s", self.deadline_s),
-        ):
-            # ``not >`` also rejects NaN, which every comparison lets through.
-            if value is not None and not value > 0.0:
-                raise ServingError(f"{knob_name} must be positive, got {value}")
 
 
 # -- internal state -----------------------------------------------------------
@@ -1319,19 +1279,19 @@ def serve_cluster_point(point) -> ClusterResult:
     ``load=1.0`` saturates the whole homogeneous fleet just like it
     saturates one serial engine in :func:`~repro.serving.engine.serve_point`.
     """
-    from repro.serving.trace import make_trace
-    from repro.sweep.spec import AUTOSCALE_KNOBS
-
     if point.load is None or point.load <= 0.0:
         raise ServingError(f"cluster sweep point has no positive load: {point.load!r}")
     if point.policy is None:
         raise ServingError("cluster sweep point has no admission policy")
     autoscale = None
-    if getattr(point, "autoscaler", None) is not None:
+    if point.autoscaler is not None:
         autoscale = AutoscaleConfig(
-            controller=point.autoscaler,
-            max_replicas=point.num_replicas,
-            **{name: getattr(point, attr) for name, attr in AUTOSCALE_KNOBS.items()},
+            **pick(
+                AutoscaleConfig,
+                point,
+                controller=point.autoscaler,
+                max_replicas=point.num_replicas,
+            )
         )
     config = ClusterConfig(
         **pick(
@@ -1344,11 +1304,4 @@ def serve_cluster_point(point) -> ClusterResult:
     )
     router = ClusterRouter(config)
     rate_rps = point.load * router.fleet_capacity_rps()
-    trace = make_trace(
-        point.trace,
-        rate_rps,
-        point.num_requests,
-        rng=np.random.default_rng(point.seed),
-        decode_steps=point.decode_steps,
-    )
-    return router.run(trace, offered_rate_rps=rate_rps)
+    return router.run(seeded_trace(point, rate_rps), offered_rate_rps=rate_rps)

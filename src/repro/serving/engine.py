@@ -40,50 +40,25 @@ from repro.errors import ServingError
 from repro.flows import get_flow
 from repro.hardware.device import DeviceKind, as_device_kind
 from repro.hardware.platform import Platform, get_platform
-from repro.knobs import knob, pick
+from repro.knobs import BatchingKnobs, knob, pick
 from repro.serving.cost import BatchCostModel
 from repro.serving.metrics import RequestRecord, ServingResult, cap_serving_result
-from repro.serving.scheduler import (
-    DEFAULT_MAX_BATCH,
-    DEFAULT_MAX_WAIT_S,
-    Dispatch,
-    get_scheduler,
-)
-from repro.serving.trace import RequestTrace
+from repro.serving.scheduler import Dispatch, get_scheduler
+from repro.serving.trace import RequestTrace, seeded_trace
 from repro.sweep.cache import PlanCache
 
 
 @dataclass(frozen=True)
-class EngineKnobs:
-    """The engine knobs a single engine and a cluster's replicas share."""
+class EngineKnobs(BatchingKnobs):
+    """The engine knobs a single engine and a cluster's replicas share: the
+    batching knob group plus the sweep-axis fields."""
 
     model: str
     flow: str = knob("pytorch", "--flow")
     #: placement target mode (``cpu``/``gpu``/``npu``); targets the platform
     #: lacks fall back to the host CPU, exactly like ``profile_graph``.
     device: str = knob("gpu", "--device", help="placement target (cpu/gpu/npu)")
-    scheduler: str = knob("dynamic", "--scheduler")
-    max_batch: int = knob(DEFAULT_MAX_BATCH, "--max-batch")
-    max_wait_s: float = knob(
-        DEFAULT_MAX_WAIT_S, "--max-wait-ms", ms=True,
-        help="dynamic batching max wait before a partial batch launches",
-    )
     seq_len: int | None = knob(None, "--seq-len")
-    #: cap on materialized :class:`RequestRecord` samples; ``None`` keeps the
-    #: full per-request record list and queue-depth timeline.  With a cap the
-    #: result carries streaming aggregates plus a seeded reservoir sample —
-    #: O(cap) memory regardless of trace length, on either path.
-    record_requests: int | None = knob(
-        None, "--record-requests",
-        help="cap materialized per-request records (streaming percentiles +"
-        " a seeded uniform sample); default keeps everything",
-    )
-
-    def __post_init__(self) -> None:
-        if self.record_requests is not None and self.record_requests < 1:
-            raise ServingError(
-                f"record_requests must be >= 1, got {self.record_requests}"
-            )
 
 
 @dataclass(frozen=True)
@@ -328,19 +303,8 @@ def serve_point(point) -> ServingResult:
     generator is consumed identically across loads, load sweeps share
     common random numbers.
     """
-    import numpy as np
-
-    from repro.serving.trace import make_trace
-
     if point.load is None or point.load <= 0.0:
         raise ServingError(f"sweep point has no positive load: {point.load!r}")
     engine = ServingEngine(ServingConfig(**pick(ServingConfig, point)))
     rate_rps = point.load / engine.base_latency_s()
-    trace = make_trace(
-        point.trace,
-        rate_rps,
-        point.num_requests,
-        rng=np.random.default_rng(point.seed),
-        decode_steps=point.decode_steps,
-    )
-    return engine.run(trace, offered_rate_rps=rate_rps)
+    return engine.run(seeded_trace(point, rate_rps), offered_rate_rps=rate_rps)

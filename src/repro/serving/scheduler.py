@@ -36,12 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ServingError
+from repro.knobs import DEFAULT_MAX_BATCH, DEFAULT_MAX_WAIT_S
 from repro.registry import Registry
 from repro.serving.trace import Request
-
-#: default scheduler knobs, shared by the CLI and the sweep spec.
-DEFAULT_MAX_BATCH = 8
-DEFAULT_MAX_WAIT_S = 2e-3
 
 
 @dataclass(frozen=True)

@@ -408,3 +408,17 @@ def make_trace(
     """Generate a trace by registered process name (``poisson``, ``bursty``,
     ``closed-loop``, or anything passed to :func:`register_trace`)."""
     return TRACE_REGISTRY.get(kind)(rate_rps, num_requests, rng, decode_steps)
+
+
+def seeded_trace(knobs, rate_rps: float) -> RequestTrace:
+    """The trace ``knobs`` describes at ``rate_rps``, drawn from a generator
+    seeded with ``knobs.seed``.  ``knobs`` is any holder of the
+    :class:`~repro.knobs.TraceKnobs` fields: a parsed command line or a
+    sweep point."""
+    return make_trace(
+        knobs.trace,
+        rate_rps,
+        knobs.num_requests,
+        rng=np.random.default_rng(knobs.seed),
+        decode_steps=knobs.decode_steps,
+    )

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from repro.errors import RegistryError
 from repro.hardware.device import DeviceKind, as_device_kind
+from repro.knobs import AutoscaleKnobs, BatchingKnobs, FleetKnobs, TraceKnobs
 
 #: canonical dimension nesting order; specs may reorder any prefix subset.
 #: ("load" was appended for the serving simulator, "policy"/"fault" for the
@@ -34,51 +35,16 @@ DEVICE_CPU = "cpu"
 DEVICE_MODES = tuple(kind.value for kind in DeviceKind)
 
 
-#: :class:`~repro.serving.autoscale.AutoscaleConfig` field -> the sweep
-#: knob that carries it.
-AUTOSCALE_KNOBS = {
-    "min_replicas": "autoscale_min_replicas",
-    "interval_s": "autoscale_interval_s",
-    "cooldown_s": "autoscale_cooldown_s",
-    "provision_delay_s": "autoscale_provision_s",
-    "target_utilization": "autoscale_target",
-    "slo_s": "autoscale_slo_s",
-}
-
-
 @dataclass(frozen=True, kw_only=True)
-class SweepKnobs:
+class SweepKnobs(BatchingKnobs, FleetKnobs, TraceKnobs, AutoscaleKnobs):
     """The scalar knobs a :class:`SweepSpec` shares with every point of its
-    grid; :meth:`SweepSpec.points` copies them field by field."""
+    grid; :meth:`SweepSpec.points` copies them field by field.  Load points
+    read the batching and trace knobs, policy points the fleet knobs too,
+    and autoscaler points scale between ``min_replicas`` and
+    ``num_replicas`` (the provisioned ceiling)."""
 
     iterations: int = 3
-    seed: int = 0
-    #: serving knobs (only read by load points).
-    scheduler: str = "dynamic"
-    trace: str = "poisson"
-    num_requests: int = 32
-    max_batch: int = 8
-    max_wait_s: float = 2e-3
-    decode_steps: tuple[int, int] = (1, 1)
-    #: cluster knobs (only read by policy points).
     num_replicas: int = 2
-    fault_seed: int = 0
-    timeout_s: float | None = None
-    timeout_cap_s: float | None = None
-    hedge_after_s: float | None = None
-    shed_queue_s: float | None = None
-    deadline_s: float | None = None
-    #: cap on materialized per-request records; None keeps everything.
-    record_requests: int | None = None
-    #: autoscale knobs (only read by autoscaler points): the controller
-    #: scales between ``autoscale_min_replicas`` and ``num_replicas`` (the
-    #: provisioned ceiling).
-    autoscale_min_replicas: int = 1
-    autoscale_interval_s: float = 0.1
-    autoscale_cooldown_s: float = 0.0
-    autoscale_provision_s: float = 0.1
-    autoscale_target: float = 0.6
-    autoscale_slo_s: float | None = None
 
 
 @dataclass(frozen=True)
@@ -132,7 +98,7 @@ class SweepPoint(SweepKnobs):
             if self.autoscaler:
                 parts.append(
                     f"autoscale={self.autoscaler}"
-                    f" [{self.autoscale_min_replicas},{self.num_replicas}]"
+                    f" [{self.min_replicas},{self.num_replicas}]"
                 )
         return " ".join(parts)
 

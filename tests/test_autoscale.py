@@ -445,8 +445,8 @@ class TestPoolDeterminism:
             decode_steps=(1, 4),
             num_replicas=4,
             deadline_s=0.1,
-            autoscale_interval_s=0.05,
-            autoscale_provision_s=0.05,
+            interval_s=0.05,
+            provision_delay_s=0.05,
             record_requests=256,
         )
         serial = SweepRunner(workers=0).run(spec)

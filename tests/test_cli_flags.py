@@ -9,9 +9,10 @@ assembled.  Runs stub the engine/router constructor, so nothing is served.
 from __future__ import annotations
 
 import argparse
+import inspect
 import re
 import shlex
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,9 @@ import pytest
 import repro.serving
 from repro.cli import _build_parser
 from repro.cli import main as cli_main
+from repro.knobs import pick
 from repro.serving import AutoscaleConfig, ClusterConfig, ServingConfig
+from repro.sweep.spec import SweepPoint, SweepSpec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -140,6 +143,30 @@ def test_ms_flags_scale_by_1e_minus_3(monkeypatch, command, flag, attribute, raw
     assert value == float(raw) * 1e-3
 
 
+@pytest.mark.parametrize(
+    "cls", [ServingConfig, ClusterConfig, AutoscaleConfig, SweepSpec, SweepPoint]
+)
+def test_every_field_is_annotated_in_one_class(cls):
+    owners: dict[str, list[str]] = {}
+    for klass in cls.__mro__:
+        for name in inspect.get_annotations(klass):
+            owners.setdefault(name, []).append(klass.__name__)
+    assert {name for name, where in owners.items() if len(where) > 1} == set()
+    assert {f.name for f in fields(cls)} <= set(owners)
+
+
+def test_sweep_knob_defaults_are_the_config_defaults():
+    spec = SweepSpec(models=("gpt2",))
+    cluster = ClusterConfig(
+        **pick(ClusterConfig, spec, model="gpt2", platforms=("A", "A"))
+    )
+    assert cluster == ClusterConfig(model="gpt2")
+    autoscale = AutoscaleConfig(
+        **pick(AutoscaleConfig, spec, controller="step", max_replicas=2)
+    )
+    assert autoscale == AutoscaleConfig(controller="step", max_replicas=2)
+
+
 def _table(text: str, column: str) -> list[dict[str, str]]:
     """The rows of the first rendered table whose header names ``column``."""
     lines = text.splitlines()
@@ -164,6 +191,16 @@ def test_single_and_multi_load_cluster_paths_agree(capsys):
         assert swept["0.50"][column] == single[column]
 
 
+def test_multi_load_cluster_sweep_carries_the_retry_budget(capsys):
+    flags = ["--retries", "1", "--fault", "crash", "--timeout-ms", "20", "--requests", "16"]
+    assert cli_main(["cluster", "gpt2", "--load", "0.5", *flags]) == 0
+    (single,) = _table(capsys.readouterr().out, "p50_ms")
+    assert cli_main(["cluster", "gpt2", "--load", "0.5,1.0", *flags]) == 0
+    swept = {row["load"]: row for row in _table(capsys.readouterr().out, "p50_ms")}
+    for column in ("p50_ms", "p99_ms", "goodput_pct", "retries"):
+        assert swept["0.50"][column] == single[column]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -175,6 +212,11 @@ def test_single_and_multi_load_cluster_paths_agree(capsys):
         ["inspect", "gpt2", "--batch", "0"],
         ["inspect", "gpt2", "--seq-len", "0"],
         ["inspect", "gpt2", "--kernels", "-325"],
+        ["sweep", "--models", "gpt2", "--batches", "x"],
+        ["sweep", "--models", "gpt2", "--seq-lens", "x"],
+        ["sweep", "--models", "gpt2", "--load", "x"],
+        ["profile", "gpt2", "--top", "-1"],
+        ["sweep", "--models", "gpt2", "--iterations", "0"],
     ],
 )
 def test_bad_input_is_a_usage_error_not_a_traceback(capsys, argv):
@@ -212,7 +254,7 @@ def test_readme_cli_commands_parse(command):
 
 def test_one_knob_field_becomes_a_flag_and_round_trips():
     from repro.cli import _add_flags
-    from repro.knobs import knob, pick
+    from repro.knobs import knob
 
     @dataclass(frozen=True)
     class Toy:

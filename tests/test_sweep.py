@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import ops
-from repro.errors import RegistryError
+from repro.errors import ConfigError, RegistryError
 from repro.flows import get_flow
 from repro.hardware import PLATFORM_A, PLATFORM_B, DeviceKind, list_platforms
 from repro.ir import Graph, TensorSpec
@@ -15,7 +15,7 @@ from repro.profiler import profile_graph
 from repro.runtime.memory import profile_memory
 from repro.runtime.simulator import simulate
 from repro.sweep.cache import PLAN_CACHE, PlanCache, get_transform, register_transform
-from repro.sweep.runner import SweepRunner, run_point
+from repro.sweep.runner import SweepRunner, run_point, run_sweep
 from repro.sweep.spec import SweepPoint, SweepSpec
 
 from oracles import simulate_reference
@@ -323,6 +323,10 @@ class TestSweepRunner:
         record = run_point(point)
         assert record.profile.gpu_energy_j == 0.0
         assert record.profile.platform.platform_id == "A-cpu"
+
+    def test_zero_iterations_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="iterations must be positive"):
+            run_sweep(SweepSpec(models=("gpt2",), iterations=0))
 
     def test_matches_direct_profiling(self):
         spec = SweepSpec(
