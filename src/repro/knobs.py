@@ -69,6 +69,10 @@ def at_least(bound: int):
 #: knob ``check``s, each a ``(what the value must be, predicate)`` pair.
 #: NaN fails every check: each is a comparison, and NaN compares false.
 POSITIVE = ("positive", lambda value: value > 0.0)
+#: for timers that must fire: an infinite timeout or hedge delay would arm
+#: an event at t=inf.  (Thresholds like ``shed_queue_s`` keep ``POSITIVE``:
+#: there ``inf`` just means "never".)
+POSITIVE_FINITE = ("positive and finite", lambda value: 0.0 < value < float("inf"))
 FRACTION = ("in (0, 1]", lambda value: 0.0 < value <= 1.0)
 
 
@@ -121,18 +125,18 @@ class FleetKnobs(_Checked):
     #: per retry up to ``timeout_cap_s``.  Required when the fault profile
     #: produces crash windows (lost work is only ever detected by timeout).
     timeout_s: float | None = knob(
-        None, "--timeout-ms", ms=True, check=POSITIVE,
+        None, "--timeout-ms", ms=True, check=POSITIVE_FINITE,
         help="per-request timeout before a copy is re-routed (required for"
         " crash profiles; doubles per retry up to --timeout-cap-ms)",
     )
     max_retries: int = knob(3, "--retries", check=at_least(0))
     timeout_cap_s: float | None = knob(
-        None, "--timeout-cap-ms", ms=True, check=POSITIVE
+        None, "--timeout-cap-ms", ms=True, check=POSITIVE_FINITE
     )
     #: hedge delay: duplicate the request to a second replica once the
     #: primary has been outstanding this long.  ``None`` disables hedging.
     hedge_after_s: float | None = knob(
-        None, "--hedge-ms", ms=True, check=POSITIVE,
+        None, "--hedge-ms", ms=True, check=POSITIVE_FINITE,
         help="hedge a request to a second replica after this delay",
     )
     #: admission-control threshold on estimated queue delay; ``None``

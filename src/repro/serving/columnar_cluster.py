@@ -34,17 +34,18 @@ no-hedge rail**:
    same float accumulations, same capped/streaming blocks.
 
 Two rails share the module.  The closed forms above serve the
-**no-fault / no-retry** case; fault schedules that actually perturb the run
-(crash / accel-loss / straggler windows) and timeout retries ride the
-**fault-capable replay** (:func:`run_fast_faulted`): a minimal event heap
-holding only fault transitions and retry timers, per-replica
+**no-fault / no-retry / no-hedge** case; fault schedules that actually
+perturb the run (crash / accel-loss / straggler windows), timeout retries
+and hedged dispatch ride the **fault-capable replay**
+(:func:`run_fast_faulted`): a minimal event heap holding only fault
+transitions, out-of-order timers and hedged completions, per-replica
 :class:`_SimReplica` machines that launch lazily, and lazily-resolved
 completions, with all accounting folded vectorized at assembly.
 :func:`fast_path_fallback_reason` names the only remaining fallback
-conditions — autoscaling, hedged dispatch, and custom registered
-policies/schedulers — and :meth:`~repro.serving.cluster.ClusterRouter.run`
-falls back to the reference event loop automatically (silently, with the
-reason recorded on the result).
+conditions — autoscaling and custom registered policies/schedulers — and
+:meth:`~repro.serving.cluster.ClusterRouter.run` falls back to the
+reference event loop automatically (silently, with the reason recorded on
+the result).
 
 Why launch times are a recurrence: the reference loop runs one decision
 pass per distinct event time, *after* draining that time's arrivals, and a
@@ -106,9 +107,9 @@ def fast_path_fallback_reason(config, policy, scheduler) -> "str | None":
 
     Everything here mirrors a documented fallback condition: the README's
     "rail conditions" list and the fallback test battery enumerate exactly
-    these knobs.  Fault windows, stragglers, and timeout retries are *not*
-    fallback conditions anymore — they ride the fault-capable replay
-    (:func:`run_fast_faulted`); only autoscaling, hedging, and custom
+    these knobs.  Fault windows, stragglers, timeout retries and hedging are
+    *not* fallback conditions — they ride the fault-capable replay
+    (:func:`run_fast_faulted`); only autoscaling (hedged or not) and custom
     registered policies/schedulers still route to the reference loop.  The
     returned string is surfaced as ``ClusterResult.fast_path_fallback_reason``
     so a silent fallback is diagnosable from the CLI.
@@ -121,8 +122,6 @@ def fast_path_fallback_reason(config, policy, scheduler) -> "str | None":
 
     if config.autoscale is not None:
         return "autoscale set (elastic lifecycle runs in the event loop)"
-    if config.hedge_after_s is not None:
-        return "hedge_after_s set (hedged dispatch is not replayed in columns)"
     if type(policy) not in (RoundRobinPolicy, LeastLoadedPolicy, PowerOfTwoPolicy):
         return f"custom policy {type(policy).__name__} ({policy.name!r})"
     if type(scheduler) not in _BUILTIN_SCHEDULERS:
@@ -138,7 +137,11 @@ def needs_faulted_path(config, injector) -> bool:
     re-route work; the check is semantic, so a fault profile that yields no
     windows and no stragglers still takes the cheaper no-fault rail.
     """
-    return config.timeout_s is not None or injector.schedule.perturbs
+    return (
+        config.timeout_s is not None
+        or config.hedge_after_s is not None
+        or injector.schedule.perturbs
+    )
 
 
 # -- routing pass -------------------------------------------------------------
@@ -652,20 +655,28 @@ def run_fast_cluster(
 
 # -- fault-capable replay (Route B) -------------------------------------------
 #
-# Crash / accelerator-loss / straggler windows and timeout retries re-route
-# work at event times the closed forms above cannot see, so this rail keeps a
-# tiny event heap — but only for the *rare* events (fault transitions, retry
-# timers, the arrival cursor).  Completions are resolved lazily (no heap
-# events), dispatches launch lazily inside the per-replica machines, and all
+# Crash / accelerator-loss / straggler windows, timeout retries and hedged
+# dispatch re-route or duplicate work at event times the closed forms above
+# cannot see, so this rail keeps a tiny event heap — but only for the *rare*
+# events (fault transitions, retry and hedge timers, the arrival cursor).
+# Completions are resolved lazily (heap events only while a hedge races),
+# dispatches launch lazily inside the per-replica machines, and all
 # accounting folds vectorized at assembly in the reference's completion-pop
 # order.  Every float is produced by the same IEEE operations in the same
 # order as the reference loop, so results stay bit-identical.
 
 #: event priorities, mirroring the reference heap's canonical order at equal
-#: times (completions, priority 1, are resolved lazily and never enqueued).
+#: times (completions, priority 1, are resolved lazily and enqueued only
+#: when they complete a hedged request).
 _PRIO_FAULT = 0
+_PRIO_COMPLETE = 1
 _PRIO_ARRIVE = 2
 _PRIO_RETRY = 3
+_PRIO_HEDGE = 4
+
+#: ``_SimReplica.copy_gen`` of a hedge copy (primaries hold their attempt
+#: number, which starts at 1).
+_HEDGE_COPY = 0
 
 #: a request's status before it resolves; resolved requests hold their
 #: metrics ``STATUS_*`` code.
@@ -674,12 +685,12 @@ _PENDING = -1
 
 class _SimReplica:
     """Virtual replica for the faulted rail: the launch recurrences of the
-    routing machines (:class:`_Machine`) extended with everything faults and
-    retries touch — straggler multipliers, the accel-loss cost-table swap,
-    crash resets, queued-copy cancellation, the post-drain flush rule, and
-    per-request bookkeeping (admit times, first starts, depth samples,
-    dispatch log).  Crash resets move ``host_free`` back to zero, so the
-    delay probe here walks the occupancy registers instead of keeping a
+    routing machines (:class:`_Machine`) extended with everything faults,
+    retries and hedging touch — straggler multipliers, the accel-loss
+    cost-table swap, crash resets, copy cancellation, the post-drain flush
+    rule, and per-request bookkeeping (admit times, first starts, depth
+    samples, dispatch log).  Crash resets move ``host_free`` back to zero, so
+    the delay probe here walks the occupancy registers instead of keeping a
     running ``horizon``.
 
     The dispatch log is columnar (parallel ``log_*`` lists, one entry per
@@ -689,13 +700,22 @@ class _SimReplica:
     reconstructed in columns at assembly, in completion order.
 
     ``started``, ``live_end``, ``status``, ``completion``, and ``winner``
-    are arrays shared with the router closures: one live copy exists per
-    request (no hedging on this rail), so a request's launch state and
-    completion live in per-request slots rather than per-copy objects.
-    Machines the schedule never crashes resolve their completions at
-    materialization time (a launched dispatch there is final); machines
-    with crash windows leave resolution to the router's lazy checks, since
-    a later crash can still cancel an apparently-complete dispatch.
+    are arrays shared with the router closures, describing each request's
+    *primary* copy.  Without hedging that is its only live copy, so launch
+    state and completion live in per-request slots rather than per-copy
+    objects.  Machines the schedule never crashes resolve their completions
+    at materialization time (a launched dispatch there is final); machines
+    with crash windows, and every machine of a hedged run (a hedge copy can
+    still win the race), leave resolution to the router.
+
+    A hedged run (``attempts`` given) also keeps ``copy_gen``, the copy of
+    each request this replica admitted last — the attempt number of a
+    primary, or :data:`_HEDGE_COPY` — which is what the reference's
+    ``assignment`` table tells it: whether a launch starts the current
+    primary, whether a completion is a hedge win, which copies a crash
+    loses.  ``hot`` holds the hedged, unresolved requests this replica may
+    hold a copy of; while it is non-empty the router advances the replica
+    launch by launch, in global time order (see :func:`run_fast_faulted`).
     """
 
     __slots__ = (
@@ -713,6 +733,7 @@ class _SimReplica:
         "down",
         "accel_down",
         "has_crash",
+        "resolve_at_launch",
         "host_free",
         "ready_s",
         "accel_free",
@@ -741,11 +762,16 @@ class _SimReplica:
         "status",
         "completion",
         "winner",
+        "attempts",
+        "live_key",
+        "copy_gen",
+        "hot",
     )
 
     def __init__(
         self, index, engine, kind, max_batch, max_wait_s, injector, cache,
         has_crash, started, live_end, status, completion, winner,
+        attempts=None, live_key=None,
     ):
         self.index = index
         self.kind = kind
@@ -763,6 +789,7 @@ class _SimReplica:
         #: does the schedule ever crash this replica?  Gates the open-record
         #: list so fault-free replicas pay nothing for crash bookkeeping.
         self.has_crash = has_crash
+        self.resolve_at_launch = not has_crash and attempts is None
         self.host_free = 0.0
         self.ready_s = 0.0
         self.accel_free: dict = {}
@@ -799,6 +826,13 @@ class _SimReplica:
         self.status = status
         self.completion = completion
         self.winner = winner
+        #: hedged runs only (``None`` otherwise): the shared attempt counts,
+        #: each primary's dispatch key ``(launch time, replica, log index)``,
+        #: and the copy bookkeeping described above.
+        self.attempts = attempts
+        self.live_key = live_key
+        self.copy_gen: "dict[int, int] | None" = None if attempts is None else {}
+        self.hot: set[int] = set()
 
     # -- probes (verbatim _Replica arithmetic) ----------------------------
 
@@ -832,14 +866,27 @@ class _SimReplica:
         self.depth_time.append(when)
         self.depth_value.append(len(self.q_admit) - self.head)
 
-    def cancel_queued(self, pos: int) -> None:
-        """Withdraw an un-started copy (the reference's scheduler.cancel,
-        which always succeeds for queued work)."""
-        i = self.q_pos.index(pos, self.head)
+    def cancel(self, pos: int) -> bool:
+        """The reference ``scheduler.cancel``: withdraw an in-flight
+        continuous member (it leaves at the next iteration boundary), else
+        the first queued copy of ``pos``.  False when there is neither — a
+        copy inside a running batch dispatch runs to completion."""
+        flight = self.flight_pos
+        if pos in flight:
+            k = flight.index(pos)
+            self.pending_steps -= self.flight_rem[k]
+            del flight[k]
+            del self.flight_rem[k]
+            return True
+        try:
+            i = self.q_pos.index(pos, self.head)
+        except ValueError:
+            return False
         self.pending_steps -= self.q_steps[i]
         del self.q_admit[i]
         del self.q_steps[i]
         del self.q_pos[i]
+        return True
 
     # -- fault transitions -------------------------------------------------
 
@@ -947,8 +994,7 @@ class _SimReplica:
                 take = free if free < qlen else qlen
                 if take:
                     stop = self.head + take
-                    self.flight_pos.extend(self.q_pos[self.head : stop])
-                    self.flight_rem.extend(self.q_steps[self.head : stop])
+                    self._join(self.head, stop)
                     self.head = stop
             members = self.flight_pos
             size = len(members)
@@ -995,22 +1041,30 @@ class _SimReplica:
         self.log_completes.append(completes)
         starts = self.starts
         started = self.started
-        for pos in members:
-            if pos not in starts:
-                starts[pos] = start
-            started[pos] = True
+        copy_gen = self.copy_gen
+        if copy_gen is None:
+            for pos in members:
+                if pos not in starts:
+                    starts[pos] = start
+                started[pos] = True
+        else:
+            # the reference marks the copy this replica admitted last, which
+            # is the primary's ``started`` only while that copy is current.
+            attempts = self.attempts
+            for pos in members:
+                if pos not in starts:
+                    starts[pos] = start
+                if copy_gen[pos] == attempts[pos]:
+                    started[pos] = True
         if self.has_crash:
             self.open.append(len(self.log_cancelled))
             self.log_cancelled.append(False)
-            live_end = self.live_end
-            for pos in completes:
-                live_end[pos] = end
-        else:
-            # this machine never crashes, so a materialized dispatch is
-            # final: resolve its completions now.  The outcome is the same
-            # one the lazy path (or the reference's completion pop) would
-            # produce; later retry timers for these requests exit at the
-            # status check.
+        if self.resolve_at_launch:
+            # this machine never crashes and no hedge copy can race it, so a
+            # materialized dispatch is final: resolve its completions now.
+            # The outcome is the same one the lazy path (or the reference's
+            # completion pop) would produce; later retry timers for these
+            # requests exit at the status check.
             status = self.status
             completion = self.completion
             winner = self.winner
@@ -1019,6 +1073,15 @@ class _SimReplica:
                 status[pos] = STATUS_OK
                 completion[pos] = end
                 winner[pos] = index
+        else:
+            live_end = self.live_end
+            for pos in completes:
+                live_end[pos] = end
+            if copy_gen is not None:
+                key = (t, self.index, len(self.log_end) - 1)
+                live_key = self.live_key
+                for pos in completes:
+                    live_key[pos] = key
         self.depth_time.append(start)
         self.depth_value.append(len(self.q_admit) - self.head)
         if self.head >= 8192:  # amortized queue compaction
@@ -1026,6 +1089,22 @@ class _SimReplica:
             del self.q_steps[: self.head]
             del self.q_pos[: self.head]
             self.head = 0
+
+    def _join(self, head: int, stop: int) -> None:
+        """Move queued copies into the continuous in-flight set the way the
+        reference's ``{request id: remaining steps}`` dict does: a request
+        already in flight (its other copy) keeps its slot and restarts its
+        step count, dropping the old remainder from the backlog."""
+        flight_pos = self.flight_pos
+        flight_rem = self.flight_rem
+        for pos, steps in zip(self.q_pos[head:stop], self.q_steps[head:stop]):
+            if pos in flight_pos:
+                k = flight_pos.index(pos)
+                self.pending_steps -= flight_rem[k]
+                flight_rem[k] = steps
+            else:
+                flight_pos.append(pos)
+                flight_rem.append(steps)
 
     def _iterate(self, cost, start: float, iterations: int, multiplier: float) -> float:
         """The reference ``launch()`` occupancy arithmetic, verbatim,
@@ -1062,17 +1141,28 @@ class _SimReplica:
 def run_fast_faulted(
     router, trace: RequestTrace, result: ClusterResult, policy, policy_rng, injector
 ) -> ClusterResult:
-    """Serve ``trace`` through the fleet with faults/retries on the columnar
-    rail.
+    """Serve ``trace`` through the fleet with faults, retries or hedging on
+    the columnar rail.
 
     ``result`` is the pre-populated shell from :meth:`ClusterRouter.run` and
     ``injector`` the run's already-built fault injector.  The event heap
-    holds only fault transitions and retry timers; arrivals stay a cursor
-    over the trace columns, launches replay inside :class:`_SimReplica`
-    machines, and completions are resolved lazily — a request's fate is
-    decided by its live dispatch record the first time an event (or the
-    final sweep) looks at it, exactly as the reference's completion events
-    would have decided it.  Bit-identical to the reference event loop.
+    holds only fault transitions, timers that fire out of order, and
+    hedged completions; arrivals stay a cursor over the trace columns,
+    monotone timers stay in deques, launches replay inside
+    :class:`_SimReplica` machines, and completions are resolved lazily — a
+    request's fate is decided by its live dispatch record the first time an
+    event (or the final sweep) looks at it, exactly as the reference's
+    completion events would have decided it.
+
+    Hedging couples replicas: the first copy of a request to complete
+    withdraws the other one at that instant, before any launch at that
+    time.  So while a request is hedged and unresolved, the replicas that
+    may hold its copies are *hot*: they launch one dispatch at a time in
+    global time order (after every event at the launch time, like the
+    reference's decide pass), and a dispatch completing a hedged request
+    becomes a heap event at the reference's completion priority.  Un-hedged
+    completions stay lazy, and a run without ``hedge_after_s`` does none of
+    this.  Bit-identical to the reference event loop.
     """
     config = router.config
     n = trace.num_requests
@@ -1089,24 +1179,39 @@ def run_fast_faulted(
     lost = [False] * n
     completion: list = [None] * n
     winner = [-1] * n
+    hedge_after_s = config.hedge_after_s
+    hedging = hedge_after_s is not None
+    if hedging:
+        hedged = [False] * n
+        hedge_won = [False] * n
+        hedge_replica = [-1] * n
+        hedge_lost = [False] * n
+        live_key: "list | None" = [None] * n
+    else:
+        live_key = None
     crash_replicas = injector.schedule.crash_replicas()
     machines = [
         _SimReplica(
             index, engine, kind, config.max_batch, config.max_wait_s,
             injector, router.cache, index in crash_replicas, started, live_end,
             status, completion, winner,
+            attempts if hedging else None, live_key,
         )
         for index, engine in enumerate(router.engines)
     ]
     retries = 0
+    hedges = 0
+    hedge_wins = 0
 
     heap: list = []
     #: retry timers whose fire times arrive in nondecreasing order (the
     #: common case: every first admission arms ``arrival + timeout_s``).
-    #: Kept out of the heap — the event loop merges deque, heap, and the
+    #: Kept out of the heap — the event loop merges deques, heap, and the
     #: arrival cursor by the same (time, prio, seq) tuples a single heap
     #: would order, so processing order is unchanged.
     timer_q: deque = deque()
+    #: hedge timers, likewise (``first admission + hedge_after_s``).
+    hedge_q: deque = deque()
     seq = itertools.count()
 
     def push(time_s: float, prio: int, pos: int) -> None:
@@ -1135,7 +1240,8 @@ def run_fast_faulted(
         the reference's completion event would have popped by ``when``.
         A cancelled dispatch always marked its live copy lost (it ended at
         or after the crash instant), so ``lost`` doubles as the
-        cancellation check."""
+        cancellation check.  Un-hedged requests only: a hedged request
+        resolves at its completion events."""
         end = live_end[pos]
         if end is not None and end <= when and not lost[pos]:
             status[pos] = STATUS_OK
@@ -1157,6 +1263,16 @@ def run_fast_faulted(
                 timer_q.append((t, _PRIO_RETRY, next(seq), pos))
             else:
                 push(t, _PRIO_RETRY, pos)
+        if hedging:
+            machine.copy_gen[pos] = attempts[pos]
+            if hedged[pos]:
+                machine.hot.add(pos)
+            elif attempts[pos] == 1:
+                t = when + hedge_after_s
+                if not hedge_q or t >= hedge_q[-1][0]:
+                    hedge_q.append((t, _PRIO_HEDGE, next(seq), pos))
+                else:
+                    push(t, _PRIO_HEDGE, pos)
 
     # advancing a machine is observable only through est_delay_s probes
     # (launch outcomes are pure functions of machine state), so policies
@@ -1170,6 +1286,9 @@ def run_fast_faulted(
         nonlocal retries
         if attempts[pos] >= 1 + config.max_retries:
             status[pos] = STATUS_FAILED
+            if hedging and hedged[pos]:
+                settle(pos)
+                withdraw(pos, hedge_replica[pos], hedge_lost[pos])
             return
         previous = live_replica[pos]
         candidates = [m for m in alive if m.index != previous] or alive
@@ -1217,13 +1336,12 @@ def run_fast_faulted(
             # launches decided strictly before the timer may have started or
             # completed this copy; materialize them before judging it.
             holder.advance(when)
-        if resolve(pos, when):
+        if not (hedging and hedged[pos]) and resolve(pos, when):
             return
         if holder is None or lost[pos] or holder.down:
             route_primary(pos, when)
             return
-        if not started[pos]:
-            holder.cancel_queued(pos)
+        if not started[pos] and holder.cancel(pos):
             route_primary(pos, when)
             return
         # in service on a live replica: let it finish, but keep watching so
@@ -1241,7 +1359,18 @@ def run_fast_faulted(
             if crashed and not machine.down:
                 machine.advance(when)
                 for pos in machine.crash(when):
-                    if live_replica[pos] != machine.index or status[pos] != _PENDING:
+                    if status[pos] != _PENDING:
+                        continue
+                    if hedging and hedged[pos]:
+                        # the reference loses the copy this replica admitted
+                        # last, when it is the primary or the hedge.
+                        gen = machine.copy_gen[pos]
+                        if gen == attempts[pos]:
+                            lost[pos] = True
+                        elif gen == _HEDGE_COPY:
+                            hedge_lost[pos] = True
+                        continue
+                    if live_replica[pos] != machine.index:
                         continue
                     end = live_end[pos]
                     if end is not None and end < when:
@@ -1258,50 +1387,162 @@ def run_fast_faulted(
                 machine.set_accel_down(accel)
         alive = [m for m in machines if not m.down]
 
+    # -- hedged dispatch (hedge_after_s set) -------------------------------
+
+    def settle(pos: int) -> None:
+        """A hedged request resolved: its copies no longer couple replicas."""
+        for machine in machines:
+            machine.hot.discard(pos)
+
+    def withdraw(pos: int, holder_index: int, copy_lost: bool) -> None:
+        """The reference ``cancel_copy``: a lost copy or one on a crashed
+        replica has nothing left to withdraw."""
+        if not copy_lost:
+            holder = machines[holder_index]
+            if not holder.down:
+                holder.cancel(pos)
+
+    def on_hedge(pos: int, when: float) -> None:
+        nonlocal hedges
+        if status[pos] != _PENDING:
+            return
+        primary = live_replica[pos]
+        holder = machines[primary]
+        if not holder.down:
+            holder.advance(when)
+        if resolve(pos, when):
+            return
+        candidates = [m for m in alive if m.index != primary]
+        if not candidates:
+            return
+        if probes_load:
+            for machine in candidates:
+                machine.advance(when)
+        chosen = policy.choose(when, candidates, policy_rng)
+        hedged[pos] = True
+        hedges += 1
+        hedge_replica[pos] = chosen.index
+        chosen.admit(when, decode_counts[pos], pos)
+        chosen.copy_gen[pos] = _HEDGE_COPY
+        # both holders are advanced to ``when``: from here on they launch
+        # in global time order until the race is decided.
+        holder.hot.add(pos)
+        chosen.hot.add(pos)
+        if live_end[pos] is not None and not lost[pos]:
+            # the primary's dispatch is already running: its completion
+            # can now cancel the hedge, so it becomes an event.
+            key = live_key[pos]
+            heapq.heappush(heap, (live_end[pos], _PRIO_COMPLETE, key, key[1]))
+
+    def on_complete(key: tuple, when: float) -> None:
+        nonlocal hedge_wins
+        _, index, i = key
+        machine = machines[index]
+        if machine.log_cancelled and machine.log_cancelled[i]:
+            return  # the replica crashed before the dispatch ended
+        for pos in machine.log_completes[i]:
+            if status[pos] != _PENDING:
+                continue  # a hedge loser or stale copy finishing
+            status[pos] = STATUS_OK
+            completion[pos] = when
+            winner[pos] = index
+            if hedged[pos]:
+                settle(pos)
+                if machine.copy_gen[pos] == _HEDGE_COPY:
+                    hedge_won[pos] = True
+                    hedge_wins += 1
+                    withdraw(pos, live_replica[pos], lost[pos])
+                else:
+                    withdraw(pos, hedge_replica[pos], hedge_lost[pos])
+
+    def launch_hot(until: float) -> bool:
+        """Execute the earliest launch strictly before ``until`` among hot
+        replicas (the lowest index on ties), pushing its completion event
+        when it completes a hedged, unresolved request.  False when no hot
+        replica has a launch due."""
+        first = None
+        first_t = until
+        for machine in machines:
+            if machine.hot:
+                t = machine._next_launch()
+                if t is not None and t < first_t:
+                    first = machine
+                    first_t = t
+        if first is None:
+            return False
+        first._launch(first_t)
+        i = len(first.log_end) - 1
+        for pos in first.log_completes[i]:
+            if hedged[pos] and status[pos] == _PENDING:
+                key = (first_t, first.index, i)
+                heapq.heappush(heap, (first.log_end[i], _PRIO_COMPLETE, key, first.index))
+                break
+        return True
+
     # -- the event loop ----------------------------------------------------
 
     arrive_index = 0
     while True:
         # the next non-arrival event: smallest (time, prio, seq) across the
-        # monotone timer deque and the heap.
+        # monotone timer deques and the heap.
         head = timer_q[0] if timer_q else None
-        from_heap = head is None or (heap and heap[0] < head)
-        if from_heap:
-            head = heap[0] if heap else None
-        if arrive_index < n:
-            arrival_s = arrival_times[arrive_index]
-            # merge the arrival cursor against the event head: comparing
-            # (time, prio) reproduces the reference heap's processing order.
-            if head is None or (arrival_s, _PRIO_ARRIVE) < (head[0], head[1]):
-                events += 1
-                if events > max_events:
-                    raise stall(arrival_s, f"no progress after {max_events} events")
-                pos = arrive_index
-                arrive_index += 1
-                on_arrival(pos, arrival_s)
-                if arrive_index == n:
-                    # arrivals drained: partial batches flush from now on.
-                    # Materialize every launch decided under the pre-drain
-                    # rules first — flush_at changes what _next_launch
-                    # returns, so advancing lazily across the transition
-                    # would re-decide those launches under the wrong rule.
-                    for machine in machines:
-                        machine.advance(arrival_s)
-                        machine.flush_at = arrival_s
+        source = timer_q
+        if hedge_q and (head is None or hedge_q[0] < head):
+            head = hedge_q[0]
+            source = hedge_q
+        if heap and (head is None or heap[0] < head):
+            head = heap[0]
+            source = heap
+        # merge the arrival cursor against the event head: comparing
+        # (time, prio) reproduces the reference heap's processing order.
+        arriving = arrive_index < n and (
+            head is None
+            or (arrival_times[arrive_index], _PRIO_ARRIVE) < (head[0], head[1])
+        )
+        if hedging:
+            # hot replicas launch before the next event when strictly
+            # earlier: the reference decides after every event at a time.
+            if arriving:
+                until = arrival_times[arrive_index]
+            else:
+                until = _INF if head is None else head[0]
+            if launch_hot(until):
                 continue
+        if arriving:
+            arrival_s = arrival_times[arrive_index]
+            events += 1
+            if events > max_events:
+                raise stall(arrival_s, f"no progress after {max_events} events")
+            pos = arrive_index
+            arrive_index += 1
+            on_arrival(pos, arrival_s)
+            if arrive_index == n:
+                # arrivals drained: partial batches flush from now on.
+                # Materialize every launch decided under the pre-drain
+                # rules first — flush_at changes what _next_launch
+                # returns, so advancing lazily across the transition
+                # would re-decide those launches under the wrong rule.
+                for machine in machines:
+                    machine.advance(arrival_s)
+                    machine.flush_at = arrival_s
+            continue
         if head is None:
             break
-        if from_heap:
-            when, prio, _, pos = heapq.heappop(heap)
+        if source is heap:
+            when, prio, key, pos = heapq.heappop(heap)
         else:
-            when, prio, _, pos = timer_q.popleft()
+            when, prio, key, pos = source.popleft()
         events += 1
         if events > max_events:
             raise stall(when, f"no progress after {max_events} events")
         if prio == _PRIO_FAULT:
             on_fault(when)
-        else:
+        elif prio == _PRIO_RETRY:
             on_retry(pos, when)
+        elif prio == _PRIO_HEDGE:
+            on_hedge(pos, when)
+        else:
+            on_complete(key, when)
 
     for machine in machines:
         machine.advance(float("inf"))
@@ -1309,7 +1550,7 @@ def run_fast_faulted(
         if status[pos] != _PENDING:
             continue
         end = live_end[pos]
-        if end is None or lost[pos]:
+        if end is None or lost[pos] or (hedging and hedged[pos]):
             raise stall(
                 float("inf"), f"request at trace position {pos} never completed"
             )
@@ -1385,8 +1626,12 @@ def run_fast_faulted(
         np.array(winner, dtype=np.int64),
         np.array(attempts, dtype=np.int64),
         cap,
+        hedged=np.array(hedged, dtype=bool) if hedging else None,
+        hedge_won=np.array(hedge_won, dtype=bool) if hedging else None,
     )
     result.num_retries = retries
+    result.num_hedges = hedges
+    result.num_hedge_wins = hedge_wins
     recovery = 0.0
     for window in injector.schedule.windows:
         victim = machines[window.replica]

@@ -820,6 +820,8 @@ def assemble_fleet_records(
     replica: np.ndarray,
     attempts: np.ndarray,
     cap: int | None,
+    hedged: np.ndarray | None = None,
+    hedge_won: np.ndarray | None = None,
 ) -> ClusterResult:
     """Fill a columnar fleet run's request-level fields from trace-order
     columns: ``records``, ``makespan_s``, ``num_shed``/``num_failed`` and,
@@ -829,8 +831,9 @@ def assemble_fleet_records(
 
     ``status`` holds codes into :data:`REQUEST_STATUSES`; ``completion`` is
     read only where the request completed, and ``replica`` is the winning
-    replica there and -1 elsewhere.  The columnar rails never hedge, so no
-    record is hedged.
+    replica there and -1 elsewhere.  ``hedged``/``hedge_won`` are boolean
+    columns of a hedged run; ``None`` (a run without hedging) marks no
+    record hedged.
     """
     total = int(status.size)
     ok = status == STATUS_OK
@@ -838,7 +841,9 @@ def assemble_fleet_records(
         result.makespan_s = float(completion[ok].max()) - float(arrival[0])
     result.num_shed = int((status == STATUS_SHED).sum())
     result.num_failed = int((status == STATUS_FAILED).sum())
-    columns = (ids, arrival, completion, status, replica, attempts)
+    if hedged is None:
+        hedged = hedge_won = np.zeros(total, dtype=bool)
+    columns = (ids, arrival, completion, status, replica, attempts, hedged, hedge_won)
     if cap is not None:
         latencies = completion[ok] - arrival[ok]
         result.stats = streaming_stats(latencies)
@@ -860,10 +865,10 @@ def assemble_fleet_records(
             REQUEST_STATUSES[code],
             winner,
             tries,
-            False,
-            False,
+            was_hedged,
+            won,
         )
-        for request_id, arrival_s, completion_s, code, winner, tries in zip(
+        for request_id, arrival_s, completion_s, code, winner, tries, was_hedged, won in zip(
             *(column.tolist() for column in columns)
         )
     ]

@@ -2,11 +2,26 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.ir import DType, Graph, TensorSpec
 from repro.ops.base import Operator
+
+try:
+    from hypothesis import settings
+except ImportError:  # only tests/test_properties.py needs it
+    settings = None
+
+if settings is not None:
+    # CI (GitHub sets ``CI``) draws examples deterministically and prints
+    # the reproduction blob of a failure, so a red fuzz run in CI replays
+    # locally with ``CI=1``.
+    settings.register_profile("ci", derandomize=True, print_blob=True)
+    if os.environ.get("CI"):
+        settings.load_profile("ci")
 
 
 @pytest.fixture

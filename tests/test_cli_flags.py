@@ -217,6 +217,9 @@ def test_multi_load_cluster_sweep_carries_the_retry_budget(capsys):
         ["sweep", "--models", "gpt2", "--load", "x"],
         ["profile", "gpt2", "--top", "-1"],
         ["sweep", "--models", "gpt2", "--iterations", "0"],
+        ["cluster", "gpt2", "--timeout-ms", "inf"],
+        ["cluster", "gpt2", "--timeout-cap-ms", "inf"],
+        ["cluster", "gpt2", "--hedge-ms", "inf"],
     ],
 )
 def test_bad_input_is_a_usage_error_not_a_traceback(capsys, argv):

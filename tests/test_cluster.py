@@ -227,6 +227,13 @@ class TestClusterConfig:
             for bad in (0.0, float("nan")):
                 with pytest.raises(ServingError, match=knob):
                     cluster_config(**{knob: bad})
+        # a timer must fire: an infinite timeout or hedge delay is refused
+        # (shedding and deadlines read inf as "never")
+        for knob in ("timeout_s", "timeout_cap_s", "hedge_after_s"):
+            with pytest.raises(ServingError, match=f"{knob} must be positive and finite"):
+                cluster_config(**{knob: float("inf")})
+        for knob in ("shed_queue_s", "deadline_s"):
+            cluster_config(**{knob: float("inf")})
 
     def test_unknown_policy_fails_fast(self):
         with pytest.raises(ServingError):

@@ -2,9 +2,10 @@
 
 ``serving/columnar_cluster.py`` replays the reference router's event loop in
 columns on two rails: ``run_fast_cluster`` (closed forms + per-scheduler
-columnar kernels, no faults/retries) and ``run_fast_faulted`` (minimal event
-heap over fault transitions and retry timers, lazy launches and lazily
-resolved completions).  These tests pin four contracts:
+columnar kernels, no faults/retries/hedging) and ``run_fast_faulted``
+(minimal event heap over fault transitions, retry and hedge timers and
+hedged completions, lazy launches and lazily resolved completions).  These
+tests pin five contracts:
 
 * **equivalence** — on the no-fault rail the fast path's ``ClusterResult``
   equals the reference router's, field for field, across schedulers,
@@ -18,9 +19,12 @@ resolved completions).  These tests pin four contracts:
   timeout retries ride ``run_fast_faulted`` (the no-fault kernels must not
   run) and stay bit-identical to the reference loop, including retry
   exhaustion, shed-under-fault, and capped streaming metrics;
-* **fallback** — hedging and custom policies/schedulers route to the
-  reference loop (neither fast entry point may run), with the reason
-  recorded on the result.
+* **hedged equivalence** — hedged dispatch rides ``run_fast_faulted`` for
+  every scheduler and policy, alone and with faults, retries, shedding and
+  capped metrics, bit-identically;
+* **fallback** — autoscaling (with or without hedging) and custom
+  policies/schedulers route to the reference loop (neither fast entry point
+  may run), with the reason recorded on the result.
 
 The reference side of every equivalence pair runs through
 :func:`oracles.run_reference`.
@@ -32,6 +36,7 @@ import numpy as np
 import pytest
 
 from repro.serving import (
+    AutoscaleConfig,
     ClusterConfig,
     ClusterRouter,
     RequestTrace,
@@ -70,6 +75,23 @@ FAULT_KNOBS = {
     "accel-loss": dict(fault_profile="accel-loss", timeout_s=0.02, timeout_cap_s=0.32),
     "straggler": dict(fault_profile="straggler"),
     "retries": dict(timeout_s=0.05, timeout_cap_s=0.4),
+}
+
+#: the default two-replica fleet with a slower hedge (the hedging cases that
+#: used to pin the reference loop).
+_TWO_REPLICA_HEDGE = dict(platforms=("A", "A"), hedge_after_s=0.01)
+
+#: knobs hedging must compose with on the fault-capable fast rail, on top of
+#: a three-replica fleet hedging after 5 ms.
+HEDGE_KNOBS = {
+    **FAULT_KNOBS,
+    "crash-exhaustion": dict(
+        fault_profile="crash", timeout_s=0.004, timeout_cap_s=0.004, max_retries=1
+    ),
+    "shed": dict(shed_queue_s=0.02),
+    "capped": dict(record_requests=16),
+    "two-replica": _TWO_REPLICA_HEDGE,
+    "two-replica-crash": {**_TWO_REPLICA_HEDGE, **FAULT_KNOBS["crash"]},
 }
 
 
@@ -353,25 +375,78 @@ class TestFaultedFastPath:
         assert result.backend_used == "columnar-faulted"
 
 
+class TestHedgedFastPath:
+    """Hedged dispatch rides the fault-capable replay — alone and with
+    faults, retries, shedding and capped metrics — bit-identically."""
+
+    @pytest.mark.parametrize("trace_kind", ("poisson", "tied"))
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_matches_reference(self, scheduler, policy, trace_kind, monkeypatch):
+        monkeypatch.setattr(columnar_cluster, "run_fast_cluster", _refuse_fast_path)
+        router = ClusterRouter(
+            ClusterConfig(
+                model="gpt2",
+                platforms=("A", "A", "A"),
+                scheduler=scheduler,
+                policy=policy,
+                hedge_after_s=0.005,
+            )
+        )
+        rate = 1.5 * router.fleet_capacity_rps()
+        if trace_kind == "tied":
+            trace = _tied_trace(rate)
+        else:
+            trace = make_trace(
+                "poisson", rate, 300, rng=np.random.default_rng(0), decode_steps=(1, 4)
+            )
+        fast = router.run(trace, offered_rate_rps=rate)
+        assert fast.backend_used == "columnar-faulted"
+        assert fast.num_hedges > 0
+        assert fast == run_reference(router, trace, rate)
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    @pytest.mark.parametrize("knob", sorted(HEDGE_KNOBS))
+    def test_hedging_with_knobs_matches_reference(self, knob, scheduler):
+        knobs = dict(platforms=("A", "A", "A"), hedge_after_s=0.005)
+        knobs.update(HEDGE_KNOBS[knob])
+        result = assert_backends_identical(
+            expect_backend="columnar-faulted",
+            scheduler=scheduler,
+            policy="least-loaded",
+            **knobs,
+        )
+        assert result.num_hedges > 0
+
+    def test_single_replica_never_hedges(self):
+        result = assert_backends_identical(
+            expect_backend="columnar-faulted",
+            scheduler="dynamic",
+            policy="round-robin",
+            platforms=("A",),
+            hedge_after_s=0.005,
+        )
+        assert result.num_hedges == 0
+        assert not any(record.hedged for record in result.records)
+
+
 def _refuse_fast_path(*args, **kwargs):
     raise AssertionError("the fast path must not run for unsupported knobs")
 
 
 def _refuse_both_fast_paths(monkeypatch):
-    """Hedged / custom runs must enter neither fast entry point."""
+    """Autoscaled / custom runs must enter neither fast entry point."""
     monkeypatch.setattr(columnar_cluster, "run_fast_cluster", _refuse_fast_path)
     monkeypatch.setattr(columnar_cluster, "run_fast_faulted", _refuse_fast_path)
 
 
+#: a whole-fleet autoscaler on the default two-replica fleet.
+_AUTOSCALE = AutoscaleConfig(controller="step", min_replicas=2, max_replicas=2)
+
 #: every unsupported-knob combination that must take the reference rail.
 FALLBACK_KNOBS = {
-    "hedging": dict(hedge_after_s=0.01),
-    "hedging-with-faults": dict(
-        hedge_after_s=0.01,
-        fault_profile="crash",
-        timeout_s=0.02,
-        timeout_cap_s=0.32,
-    ),
+    "autoscale": dict(autoscale=_AUTOSCALE),
+    "autoscale-with-hedging": dict(autoscale=_AUTOSCALE, hedge_after_s=0.01),
 }
 
 
@@ -379,12 +454,11 @@ class TestFallback:
     @pytest.mark.parametrize("knob", sorted(FALLBACK_KNOBS))
     def test_unsupported_knob_runs_reference_loop(self, knob, monkeypatch):
         _refuse_both_fast_paths(monkeypatch)
-        result = run_cluster(
-            scheduler="continuous", policy="least-loaded", **FALLBACK_KNOBS[knob]
-        )
+        knobs = FALLBACK_KNOBS[knob]
+        result = run_cluster(scheduler="continuous", policy="least-loaded", **knobs)
         assert result.backend_used == "reference"
-        assert "hedge_after_s" in result.fast_path_fallback_reason
-        assert result.num_hedges > 0
+        assert "autoscale" in result.fast_path_fallback_reason
+        assert (result.num_hedges > 0) == ("hedge_after_s" in knobs)
 
     def test_custom_policy_falls_back(self, monkeypatch):
         class HighestIndexPolicy(AdmissionPolicy):
@@ -460,9 +534,14 @@ class TestSupportsFastPath:
         assert self._reason(profile="accel-loss", timeout_s=0.02) is None
         assert self._reason(profile="straggler") is None
         assert self._reason(timeout_s=0.02) is None
+        # hedging rides it too, with or without faults
+        assert self._reason(hedge_after_s=0.01) is None
+        assert self._reason(hedge_after_s=0.01, profile="crash", timeout_s=0.02) is None
 
     def test_unsupported_knobs_fall_off(self):
-        assert "hedge_after_s" in self._reason(hedge_after_s=0.01)
+        autoscale = AutoscaleConfig(controller="step", max_replicas=2)
+        assert "autoscale" in self._reason(autoscale=autoscale)
+        assert "autoscale" in self._reason(autoscale=autoscale, hedge_after_s=0.01)
 
     def test_faulted_rail_selection(self):
         def needs(**kwargs):
@@ -476,3 +555,4 @@ class TestSupportsFastPath:
         assert needs(profile="accel-loss")
         assert needs(profile="straggler")
         assert needs(timeout_s=0.02)
+        assert needs(hedge_after_s=0.01)

@@ -26,6 +26,9 @@ from tests.conftest import run_op
 
 from oracles import run_reference
 
+#: hedge delays the fleet fuzz draws: below, near and above a batch-1 latency.
+HEDGE_AFTER_S = (0.001, 0.005, 0.02)
+
 dims = st.integers(min_value=1, max_value=8)
 shapes = st.lists(dims, min_size=1, max_size=4).map(tuple)
 
@@ -285,8 +288,8 @@ class TestClusterRoutingProperties:
     @st.composite
     def faulted_runs(draw):
         """A fault-free run's axes plus a fault schedule and timeout retries
-        (``timeout_s`` always set), which put the run on the fault-capable
-        columnar replay."""
+        (``timeout_s`` always set) and maybe hedging, which put the run on
+        the fault-capable columnar replay."""
         config, trace = draw(TestClusterRoutingProperties.fault_free_runs())
         config = replace(
             config,
@@ -295,8 +298,16 @@ class TestClusterRoutingProperties:
             timeout_s=draw(st.sampled_from((0.004, 0.02, 0.05))),
             timeout_cap_s=draw(st.none() | st.sampled_from((0.004, 0.08, 0.32))),
             max_retries=draw(st.integers(0, 3)),
+            hedge_after_s=draw(st.none() | st.sampled_from(HEDGE_AFTER_S)),
         )
         return config, trace
+
+    @st.composite
+    def hedged_runs(draw):
+        """A fault-free run's axes plus hedging and no timeout: the
+        fault-capable replay with hedge timers as its only events."""
+        config, trace = draw(TestClusterRoutingProperties.fault_free_runs())
+        return replace(config, hedge_after_s=draw(st.sampled_from(HEDGE_AFTER_S))), trace
 
     @given(fault_free_runs())
     @settings(max_examples=60, deadline=None)
@@ -310,7 +321,15 @@ class TestClusterRoutingProperties:
     @given(faulted_runs())
     @settings(max_examples=60, deadline=None)
     def test_faulted_rail_matches_oracle(self, run):
-        config, trace = run
+        self._check_faulted_rail(*run)
+
+    @given(hedged_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_hedged_rail_matches_oracle(self, run):
+        self._check_faulted_rail(*run)
+
+    @staticmethod
+    def _check_faulted_rail(config, trace):
         router = ClusterRouter(config)
         fast = router.run(trace)
         assert fast.backend_used == "columnar-faulted"
@@ -319,6 +338,10 @@ class TestClusterRoutingProperties:
             len(fast.completed()) if fast.num_completed is None else fast.num_completed
         )
         assert completed + fast.num_shed + fast.num_failed == trace.num_requests
+        assert fast.num_hedge_wins <= fast.num_hedges
+        if fast.record_cap is None:
+            assert sum(r.hedged for r in fast.records) == fast.num_hedges
+            assert sum(r.hedge_won for r in fast.records) == fast.num_hedge_wins
 
 
 class TestEngineKernelProperties:
