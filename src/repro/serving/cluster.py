@@ -567,15 +567,14 @@ class ClusterRouter:
             run_fast_faulted,
         )
 
-        fallback_reason = fast_path_fallback_reason(
-            config, policy, replicas[0].scheduler
-        )
+        scheduler = replicas[0].scheduler
+        fallback_reason = fast_path_fallback_reason(config, policy, scheduler)
         if fallback_reason is None:
             if needs_faulted_path(config, injector):
                 return run_fast_faulted(
-                    self, trace, result, policy, policy_rng, injector
+                    self, trace, result, scheduler, policy, policy_rng, injector
                 )
-            return run_fast_cluster(self, trace, result, policy, policy_rng)
+            return run_fast_cluster(self, trace, result, scheduler, policy, policy_rng)
 
         total = trace.num_requests
         tracked: dict[int, _Tracked] = {}

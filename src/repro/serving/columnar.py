@@ -1,405 +1,608 @@
-"""Columnar fast path for the discrete-event serving engine.
+"""Columnar fast path: one launch machine per scheduler kind.
 
-:meth:`repro.serving.engine.ServingEngine.run` replaces the reference loop
-with *columnar kernels* whenever the scheduler declares one:
-specialized replays of each built-in scheduler's decision sequence that
+Each built-in scheduler's launch rules are replayed once, by a *launch
+machine* (:class:`_FifoMachine`, :class:`_BatchMachine`,
+:class:`_ContinuousMachine`): a tiny recurrence over occupancy registers
+(``host_free``, one ``accel_free`` float) and an admitted queue of (admit
+time, decode steps), with no scheduler objects, ``Request`` objects or heap
+events.  The same machines serve :meth:`ServingEngine.run
+<repro.serving.engine.ServingEngine.run>` (one machine, no probes) and the
+fault-free fleet (:func:`~repro.serving.columnar_cluster.run_fast_cluster`:
+one machine per replica, probed by the admission policy).
 
-* advance arrivals in chunks over the trace's arrival **column** instead of
-  one admission per decision turn (and never materialize ``Request``
-  objects at all),
-* keep per-device occupancy in scalar registers and write per-request
-  starts/completions/batch sizes into preallocated numpy arrays,
-* emit one row per dispatch (size, iterations) and the queue-depth samples
-  as columns, which :func:`~repro.serving.metrics.assemble_replica` folds
-  and assembles into the :class:`ServingResult` (the accounting as a
-  ``np.cumsum`` — a sequential running fold, so bit-identical to the
-  reference loop's repeated ``+=``).
+**Serving pass.**  :func:`replay` admits the trace's arrivals one by one in
+arrival order, each after its machine has executed every launch decided
+strictly before it — the reference loop drains a time's arrivals before it
+decides at that time, and the launch rules assume the queue holds only
+arrivals before the decision.  After the last arrival every machine drains:
+static and dynamic batching flush partial batches from the trace's last
+arrival on (the reference's ``arrivals_pending`` turning false).  Every
+launch appends one row to the machine's column buffers — start, end, and
+per kind its size, iterations or queue head, counted by global admission
+index because the queue compacts itself.
+
+**Assembly.**  :meth:`_Machine.result` rebuilds the per-request columns from
+the launch columns — ``np.repeat`` over batch sizes for the batch kinds, a
+``searchsorted`` over the queue-head column for continuous batching — and
+the queue-depth samples by ``searchsorted`` of arrivals against launch
+starts (every admission precedes the first launch starting at or after it),
+then hands everything to :func:`~repro.serving.metrics.assemble_replica`,
+which folds the accounting as a sequential ``np.cumsum`` (bit-identical to
+the reference loop's repeated ``+=``; pairwise ``np.sum`` would not be).
 
 Bit-identity is the contract, not an aspiration: every float in a fast
 result — starts, completions, busy/energy accumulators, the queue-depth
 timeline — is produced by the same IEEE operations in the same order as the
-reference loop, and the fast-vs-reference battery asserts full dataclass
-equality over every scheduler × platform × load.  Two facts carry most of
-the weight:
+reference loop, and the fast-vs-reference batteries assert full dataclass
+equality over every scheduler × platform × load.
 
-* for **barrier** schedulers (fifo, continuous) the accelerator never waits:
-  the clock advances to each dispatch's end, so ``accel_free <= start`` and
-  every iteration completes at ``cursor + total_s`` exactly;
-* ``np.cumsum``/batched elementwise products reproduce sequential scalar
-  accumulation, while pairwise ``np.sum`` would not.
-
-A scheduler opts into a kernel by *declaring*
+A scheduler opts into a machine by *declaring*
 :attr:`~repro.serving.scheduler.BatchScheduler.columnar_kernel` in its own
-class body.  Custom schedulers (and subclasses that don't redeclare it) fall
-back to the reference loop — still correct, just not columnar — and the
-``record_requests`` capping applies either way, so streaming results look
-the same regardless of which path served them.
-
-With a ``record_requests`` cap the assembler skips the per-event timeline
-and the full record list entirely: queue-depth samples fold into
-count/sum/max accumulators, latencies into the fixed-grid streaming quantile
-estimator, and only the seeded reservoir sample of records is materialized
-— a million-request trace costs its per-request and per-dispatch columns
-and nothing else.
+class body; :func:`kernel_for` returns that kind's replay.  Custom
+schedulers (and subclasses that don't redeclare it) fall back to the
+reference loop — still correct, just not columnar — and the
+``record_requests`` capping applies either way.  With a cap the assembler
+skips the timeline and the full record list: queue-depth samples fold into
+count/sum/max accumulators, latencies into the streaming quantile
+estimator, and only the seeded reservoir sample of records is materialized.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import functools
+from array import array
 
 import numpy as np
 
-from repro.errors import ServingError
 from repro.serving.metrics import ServingResult, assemble_replica
+from repro.serving.scheduler import get_scheduler
 from repro.serving.trace import RequestTrace
 
-
-class _Run:
-    """One kernel invocation: the trace's input columns, and the output
-    columns every kernel assigns — per-request ``start``/``completion``/
-    ``batch`` in trace order, per-dispatch ``sizes``/``iters`` in dispatch
-    order, and the queue-depth samples ``depth`` (see :func:`_depth`)."""
-
-    def __init__(self, trace: RequestTrace, table, scheduler, capped: bool):
-        self.scheduler = scheduler
-        #: a capped result keeps only the depth samples' count/sum/max.
-        self.capped = capped
-        self.n = trace.num_requests
-        self.arrival = trace.arrival_column()
-        self.steps = trace.decode_column()
-        self.max_steps = int(self.steps.max()) if self.n else 0
-        #: the dense (plan, platform) cost columns shared with the reference
-        #: loop and the result assembler.
-        self.table = table
-        # an empty trace runs no kernel: no requests, dispatches or samples.
-        self.start = self.completion = np.zeros(0)
-        self.batch = self.sizes = self.iters = np.zeros(0, dtype=np.int64)
-        self.depth = (np.zeros(0), self.batch, None)
-
-    def cost(self, size: int):
-        return self.table.row(size)
+#: a machine's ``next_t`` when nothing can launch.
+_INF = float("inf")
 
 
-def _depth(run: _Run, admit_key, admit_depth, sample_time, sample_depth) -> tuple:
-    """Queue-depth samples from per-admission and per-dispatch columns.
+class _Machine:
+    """Virtual clock of one engine: replays its launches and queue-delay
+    estimates without a scheduler object or heap events.
 
-    ``admit_key`` is the index of the dispatch each admission precedes; the
-    returned interleave key (``2*admit_key`` vs ``2*d + 1``) sorts the
-    admissions for a dispatch before its sample, and a stable sort keeps
-    equal-key admissions in arrival order — the reference's exact append
-    order.  Capped runs skip the times and the key: the kernel's row lists
-    are still alive here, so this is the run's memory high-water mark."""
-    depths = np.concatenate([admit_depth, sample_depth])
-    if run.capped:
-        return None, depths, None
-    return (
-        np.concatenate([run.arrival, sample_time]),
-        depths,
-        np.concatenate(
-            [2 * admit_key, 2 * np.arange(sample_time.size, dtype=np.int64) + 1]
-        ),
+    State is what :meth:`_Replica.est_delay_s
+    <repro.serving.cluster._Replica.est_delay_s>` reads — the busy
+    ``horizon`` and the scheduler's pending decode steps — plus the
+    occupancy registers the reference ``launch()`` arithmetic moves
+    (``host_free`` and one ``accel_free`` float: an engine serves one target,
+    so its accelerator work always queues on that target) and the admitted
+    queue (admit time, steps).  ``next_t`` holds the next launch time
+    (``inf`` when nothing can launch), recomputed only on :meth:`admit` and
+    after a launch, so ``advance(T)`` is a no-op unless a launch is due
+    strictly before ``T`` and callers skip idle machines with ``if m.next_t
+    < T``.  A delay probe at an arrival time then sees the same registers
+    as the scalar router's policy does.
+
+    One subclass per scheduler kind supplies :meth:`admit` (re-arming
+    ``next_t``), :meth:`advance` (the launch loop over locals, appending
+    every launch to the column buffers) and the per-request reconstruction
+    :meth:`result` needs.  The launch loops inline the reference
+    ``launch()`` occupancy arithmetic; its straggler multiplier is exactly
+    1.0 on this rail, so they omit it.
+    """
+
+    __slots__ = (
+        "index",
+        "max_batch",
+        "target",
+        "_table",
+        "_rows",
+        "unit_total_s",
+        "next_t",
+        "host_free",
+        "accel_free",
+        "horizon",
+        "ready_s",
+        "pending_steps",
+        "q_admit",
+        "q_steps",
+        "head",
+        "base",
+        "log_start",
+        "log_end",
     )
 
+    def __init__(self, index: int, engine, scheduler):
+        self.index = index
+        self.max_batch = scheduler.max_batch
+        self.target = engine.costs.target
+        self._table = engine.costs.cost_table(self.max_batch)
+        self._rows: list = [None] * (self.max_batch + 1)
+        self.unit_total_s = self._row(1)[2]
+        self.next_t = _INF
+        self.host_free = 0.0
+        self.accel_free = 0.0
+        #: ``max(host_free, accel_free)``, refreshed after every launch loop.
+        #: Both registers only grow on this rail (no crash resets them), so
+        #: this is also the running max of every write — the reference's
+        #: ``accel_free`` dict walk, without the walk.
+        self.horizon = 0.0
+        #: end of the last barrier launch (fifo and continuous batching).
+        self.ready_s = 0.0
+        self.pending_steps = 0
+        self.q_admit: list[float] = []
+        self.q_steps: list[int] = []
+        self.head = 0
+        #: admissions compacted out of the queue: ``base + head`` is the
+        #: queue head's global admission index.
+        self.base = 0
+        #: one entry per launch, in launch order; typed arrays hold a
+        #: million-launch log in 8 bytes per entry.
+        self.log_start = array("d")
+        self.log_end = array("d")
 
-# -- kernels ------------------------------------------------------------------
+    def _row(self, size: int) -> tuple:
+        """``(host_s, accel_s, total_s, has_accel)`` of a ``size`` batch,
+        read from the shared cost table once and cached per machine."""
+        row = self._rows[size]
+        if row is None:
+            cost = self._table.row(size)
+            # the single accel_free float stands for the reference's dict,
+            # which holds one key only while every row queues on one target.
+            assert cost.target == self.target, (cost.target, self.target)
+            row = self._rows[size] = (cost.host_s, cost.accel_s, cost.total_s, cost.has_accel)
+        return row
 
+    def est_delay_s(self, now: float) -> float:
+        """Verbatim :meth:`_Replica.est_delay_s` over the machine registers."""
+        delay = self.horizon - now
+        if delay < 0.0:
+            delay = 0.0
+        return delay + self.pending_steps * self.unit_total_s
 
-def _run_fifo(run: _Run, more_until: float = float("-inf")) -> None:
-    """FIFO: one barrier dispatch per request, in arrival order.
+    def _settle(self, host_free: float, accel_free: float, head: int) -> None:
+        """Store a launch loop's occupancy and queue registers."""
+        self.host_free = host_free
+        self.accel_free = accel_free
+        self.horizon = accel_free if accel_free > host_free else host_free
+        if head >= 8192:  # amortized queue compaction
+            del self.q_admit[:head]
+            del self.q_steps[:head]
+            self.base += head
+            head = 0
+        self.head = head
 
-    Closed form (proven against the reference loop): ``start_i =
-    max(completion_{i-1}, arrival_i)`` and the completion is ``decode_steps``
-    sequential ``+= total_s`` adds — a barrier dispatch's accelerator phase
-    never waits, so every iteration takes the uncontended ``total_s`` path.
-    The decision-time bookkeeping (admission/dispatch queue depths) is
-    reconstructed vectorially from the start column afterwards.
-    """
-    cost = run.cost(1)
-    total_s = cost.total_s
-    arrivals = run.arrival.tolist()
-    step_counts = run.steps.tolist()
-    starts: list[float] = []
-    completions: list[float] = []
-    push_start = starts.append
-    push_end = completions.append
-    end = 0.0
-    for arrival, iterations in zip(arrivals, step_counts):
-        begin = end if end > arrival else arrival
-        cursor = begin
-        for _ in range(iterations):
-            cursor += total_s
-        push_start(begin)
-        push_end(cursor)
-        end = cursor
-    run.start = np.array(starts, dtype=np.float64)
-    run.completion = np.array(completions, dtype=np.float64)
-    run.batch = np.ones(run.n, dtype=np.int64)
-    # one dispatch per request with k_i iterations.
-    run.sizes = run.batch
-    run.iters = run.steps
+    def drain(self, last_arrival: float) -> None:
+        """Execute every remaining launch once the trace's last arrival
+        (at ``last_arrival``) has been admitted."""
+        self.advance(_INF)
 
-    # queue-depth samples: request j is admitted right before dispatch
-    # d(j) = first i with start_i >= arrival_j (starts strictly increase, so
-    # searchsorted is exact); at that point d(j) requests have been taken.
-    order_index = np.arange(run.n, dtype=np.int64)
-    admit_before = np.searchsorted(run.start, run.arrival, side="left")
-    admit_depth = order_index + 1 - admit_before
-    admitted_at = np.searchsorted(admit_before, order_index, side="right")
-    dispatch_depth = admitted_at - order_index - 1
-    run.depth = _depth(run, admit_before, admit_depth, run.start, dispatch_depth)
+    # -- assembly ----------------------------------------------------------
 
+    def result(
+        self,
+        header: dict,
+        ids: np.ndarray,
+        arrival: np.ndarray,
+        steps: np.ndarray,
+        cap: "int | None",
+        order: "np.ndarray | None" = None,
+    ) -> "tuple[ServingResult, np.ndarray]":
+        """This machine's :class:`ServingResult` from its launch columns.
 
-def _run_batched(
-    run: _Run, dynamic: bool, more_until: float = float("-inf")
-) -> None:
-    """Static/dynamic batching: chunked admissions, scalar occupancy.
-
-    One loop turn per *dispatch* (plus deadline waits for dynamic), with the
-    reference's exact iteration arithmetic — including the contended
-    accelerator branch these non-barrier schedulers can hit.  The loop only
-    records one row per dispatch (decision clock, start, end, size,
-    iterations); per-request columns, accounting folds, and the queue-depth
-    timeline are all reconstructed vectorially afterwards:
-
-    * admissions advance in chunks via ``bisect_right`` over the arrival
-      column — the reference admits every due arrival at the top of each
-      turn, so only the *count* matters during the loop;
-    * request ``j`` is admitted before dispatch ``d(j)``, the first dispatch
-      turn whose decision clock is ``>= arrival_j`` (turn clocks are
-      monotone, so one ``searchsorted`` recovers every admission's position
-      and therefore its noted queue depth);
-    * the post-dispatch depth sample is ``(# arrivals <= clock) - taken``,
-      another ``searchsorted``.
-
-    ``more_until`` models the cluster's *global* ``arrivals_pending`` flag:
-    a replica's sub-trace may exhaust while other replicas still have
-    arrivals due, and the reference scheduler keeps holding a partial batch
-    until the whole trace's last arrival (exclusive) has been drained.  The
-    solo engine passes the default ``-inf`` (no outside arrivals), which
-    reduces to the original ``admitted < n`` predicate.
-    """
-    scheduler = run.scheduler
-    batch_cap = scheduler.max_batch
-    max_wait_s = scheduler.max_wait_s
-    n = run.n
-    arrivals = run.arrival.tolist()
-    steps = run.steps.tolist()
-    # one row per dispatch, converted to columns once at the end.
-    now_l: list[float] = []
-    start_l: list[float] = []
-    end_l: list[float] = []
-    size_l: list[int] = []
-    iter_l: list[int] = []
-
-    now = 0.0
-    host_free = 0.0
-    accel_free = 0.0
-    admitted = 0  # arrivals admitted so far (queue tail)
-    taken = 0  # requests dispatched so far (queue head)
-    while taken < n:
-        if admitted < n and arrivals[admitted] <= now:
-            admitted = bisect_right(arrivals, now, admitted + 1)
-        queued = admitted - taken
-        if queued == 0:
-            now = arrivals[admitted]
-            continue
-        if queued < batch_cap and (admitted < n or now < more_until):
-            if not dynamic:
-                # static: keep accumulating until the batch fills (or, in a
-                # cluster, until the global arrival stream dries up).
-                now = arrivals[admitted] if admitted < n else more_until
-                continue
-            deadline = arrivals[taken] + max_wait_s
-            if now < deadline:
-                next_arrival = arrivals[admitted] if admitted < n else more_until
-                now = deadline if deadline < next_arrival else next_arrival
-                continue
-        size = batch_cap if queued > batch_cap else queued
-        iterations = max(steps[taken : taken + size])
-        cost = run.cost(size)
-        host_s = cost.host_s
-        accel_s = cost.accel_s
-        total_s = cost.total_s
-        has_accel = cost.has_accel
-        start = now if now > host_free else host_free
-        cursor = start
-        for _ in range(iterations):
-            host_end = cursor + host_s
-            if has_accel:
-                if accel_free > host_end:
-                    end = accel_free + accel_s
-                else:
-                    end = cursor + total_s
-                accel_free = end
-            else:
-                end = cursor + total_s
-                host_end = end
-            host_free = host_end
-            cursor = end
-        now_l.append(now)
-        start_l.append(start)
-        end_l.append(cursor)
-        size_l.append(size)
-        iter_l.append(iterations)
-        taken += size
-        now = now if now > host_free else host_free
-
-    sizes = np.array(size_l, dtype=np.int64)
-    iters = np.array(iter_l, dtype=np.int64)
-    start_arr = np.array(start_l, dtype=np.float64)
-    end_arr = np.array(end_l, dtype=np.float64)
-    now_arr = np.array(now_l, dtype=np.float64)
-    run.start = np.repeat(start_arr, sizes)
-    run.completion = np.repeat(end_arr, sizes)
-    run.batch = np.repeat(sizes, sizes)
-    run.sizes = sizes
-    run.iters = iters
-
-    # queue-depth reconstruction (see docstring): taken_before[d] is the
-    # queue head when dispatch d's turn starts — also the head at every wait
-    # turn since the previous dispatch, so it prices each admission exactly.
-    taken_before = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    admit_dispatch = np.searchsorted(now_arr, run.arrival, side="left")
-    admit_depth = (
-        np.arange(1, n + 1, dtype=np.int64) - taken_before[admit_dispatch]
-    )
-    admitted_at = np.searchsorted(run.arrival, now_arr, side="right")
-    sample_depth = admitted_at - (taken_before + sizes)
-    run.depth = _depth(run, admit_dispatch, admit_depth, start_arr, sample_depth)
-
-
-def _run_static(run: _Run, more_until: float = float("-inf")) -> None:
-    _run_batched(run, dynamic=False, more_until=more_until)
-
-
-def _run_dynamic(run: _Run, more_until: float = float("-inf")) -> None:
-    _run_batched(run, dynamic=True, more_until=more_until)
-
-
-def _run_continuous(run: _Run, more_until: float = float("-inf")) -> None:
-    """Continuous (iteration-level) batching: one turn per model iteration.
-
-    Requests join in arrival order and each runs for exactly ``steps[j]``
-    consecutive turns, so the in-flight set never needs to be materialized:
-    a *leave calendar* (``leaves[t]`` = members whose last iteration is turn
-    ``t - 1``, stamped once at join) drives the size recurrence, and the
-    loop records one row per turn (decision clock, start, end, size, joined
-    head before/after).  Per-request columns fall out afterwards:
-
-    * ``j`` joins at the first turn with ``joined_post > j`` (one
-      ``searchsorted`` over the monotone joined-head column) — its start is
-      that turn's start;
-    * it completes at turn ``join + steps_j - 1`` — its completion/batch
-      are that turn's end/size;
-    * queue depths replay exactly as in :func:`_run_batched` (turn clocks
-      are strictly increasing: every dispatch is a barrier).
-
-    Every dispatch is a barrier, so the accelerator is always uncontended
-    and each iteration ends at ``start + total_s`` exactly.
-    """
-    scheduler = run.scheduler
-    batch_cap = scheduler.max_batch
-    n = run.n
-    arrivals = run.arrival.tolist()
-    step_counts = run.steps.tolist()
-    # one row per turn, converted to columns once at the end.
-    now_l: list[float] = []
-    start_l: list[float] = []
-    end_l: list[float] = []
-    size_l: list[int] = []
-    joined_pre_l: list[int] = []
-    joined_post_l: list[int] = []
-    # every turn retires at least one member step, so the turn count is
-    # bounded by the total step count; +2 pads the final lookahead.
-    leaves = [0] * (int(run.steps.sum()) + run.max_steps + 2)
-
-    now = 0.0
-    host_free = 0.0
-    admitted = 0
-    joined = 0  # queue head: requests moved into the in-flight set
-    size = 0  # in-flight set cardinality
-    completed = 0
-    turn = 0
-    while completed < n:
-        if admitted < n and arrivals[admitted] <= now:
-            admitted = bisect_right(arrivals, now, admitted + 1)
-        free = batch_cap - size
-        take = 0
-        if free > 0 and admitted > joined:
-            backlog = admitted - joined
-            take = free if free < backlog else backlog
-        if size == 0 and take == 0:
-            if admitted < n:
-                now = arrivals[admitted]
-                continue
-            raise ServingError(
-                f"continuous kernel stalled with {n - completed} requests"
-                f" outstanding at t={now:.6f}s"
+        ``ids``, ``arrival`` and ``steps`` are the columns of the requests
+        it admitted, in admission order; records follow ``order`` (a
+        permutation of admission positions; ``None`` keeps admission order).
+        Also returns the completion column in admission order.  A machine
+        that admitted nothing yields an idle engine's result.
+        """
+        starts = np.array(self.log_start, dtype=np.float64)
+        ends = np.array(self.log_end, dtype=np.float64)
+        start, completion, batch, sizes, iterations, taken_after = self._columns(
+            starts, ends, steps
+        )
+        taken_before = np.concatenate(([0], taken_after[:-1]))
+        # queue-depth samples: request j is admitted right before launch
+        # d(j), the first one starting at or after its arrival (launch starts
+        # are decision times and never decrease, and admissions at time T
+        # precede launches at T); the sample after launch d counts the
+        # arrivals admitted by its start minus the requests taken so far.
+        admit_key = np.searchsorted(starts, arrival, side="left")
+        admit_depth = (
+            np.arange(1, arrival.size + 1, dtype=np.int64) - taken_before[admit_key]
+        )
+        sample_depth = np.searchsorted(arrival, starts, side="right") - taken_after
+        depths = np.concatenate([admit_depth, sample_depth])
+        if cap is None:
+            # the interleave key (2*d(j) vs 2*d + 1) sorts the admissions
+            # before a launch ahead of its sample; a stable sort keeps equal
+            # keys in arrival order — the reference's exact append order.
+            depth = (
+                np.concatenate([arrival, starts]),
+                depths,
+                np.concatenate(
+                    [2 * admit_key, 2 * np.arange(starts.size, dtype=np.int64) + 1]
+                ),
             )
-        joined_pre_l.append(joined)
-        if take:
-            for position in range(joined, joined + take):
-                leaves[turn + step_counts[position]] += 1
-            joined += take
-            size += take
-        joined_post_l.append(joined)
-        cost = run.cost(size)
-        start = now if now > host_free else host_free
-        end = start + cost.total_s
-        host_free = start + cost.host_s if cost.has_accel else end
-        now_l.append(now)
-        start_l.append(start)
-        end_l.append(end)
-        size_l.append(size)
-        turn += 1
-        leavers = leaves[turn]
-        completed += leavers
-        size -= leavers
-        now = end  # barrier
+        else:
+            depth = (None, depths, None)
+        requests = (ids, arrival, start, completion, steps, batch)
+        if order is not None:
+            requests = tuple(column[order] for column in requests)
+        result = assemble_replica(
+            header, requests, sizes, iterations, self._table, depth, cap
+        )
+        return result, completion
 
-    turns = len(size_l)
-    sizes = np.array(size_l, dtype=np.int64)
-    start_arr = np.array(start_l, dtype=np.float64)
-    end_arr = np.array(end_l, dtype=np.float64)
-    now_arr = np.array(now_l, dtype=np.float64)
-    joined_pre = np.array(joined_pre_l, dtype=np.int64)
-    joined_post = np.array(joined_post_l, dtype=np.int64)
-
-    positions = np.arange(n, dtype=np.int64)
-    join_turn = np.searchsorted(joined_post, positions, side="right")
-    final_turn = join_turn + run.steps - 1
-    run.start = start_arr[join_turn]
-    run.completion = end_arr[final_turn]
-    run.batch = sizes[final_turn]
-    run.sizes = sizes
-    run.iters = np.ones(turns, dtype=np.int64)
-
-    admit_turn = np.searchsorted(now_arr, run.arrival, side="left")
-    admit_depth = positions + 1 - joined_pre[admit_turn]
-    admitted_at = np.searchsorted(run.arrival, now_arr, side="right")
-    sample_depth = admitted_at - joined_post
-    run.depth = _depth(run, admit_turn, admit_depth, start_arr, sample_depth)
+    def _columns(self, starts: np.ndarray, ends: np.ndarray, steps: np.ndarray) -> tuple:
+        """Per-request ``(start, completion, batch)`` in admission order,
+        per-launch ``(sizes, iterations)``, and the queue head after each
+        launch.  This default serves the kinds whose launch takes a run of
+        the queue and completes all of it."""
+        sizes, iterations = self._dispatches(steps)
+        return (
+            np.repeat(starts, sizes),
+            np.repeat(ends, sizes),
+            np.repeat(sizes, sizes),
+            sizes,
+            iterations,
+            np.cumsum(sizes),
+        )
 
 
-_KERNELS = {
-    "fifo": _run_fifo,
-    "static": _run_static,
-    "dynamic": _run_dynamic,
-    "continuous": _run_continuous,
+class _FifoMachine(_Machine):
+    """One request per dispatch, all its decode steps; barrier launches."""
+
+    __slots__ = ()
+
+    def admit(self, when: float, steps: int) -> None:
+        """Queue an arrival (the caller has advanced the machine to ``when``)."""
+        if self.head == len(self.q_admit):
+            ready = self.ready_s
+            self.next_t = when if when > ready else ready
+        self.q_admit.append(when)
+        self.q_steps.append(steps)
+        self.pending_steps += steps
+
+    def advance(self, until: float) -> None:
+        """Execute every launch decided strictly before ``until``."""
+        t = self.next_t
+        if not t < until:
+            return
+        q_admit = self.q_admit
+        q_steps = self.q_steps
+        head = self.head
+        tail = len(q_admit)
+        host_s, accel_s, total_s, has_accel = self._rows[1]  # priced in __init__
+        host_free = self.host_free
+        accel_free = self.accel_free
+        pending = self.pending_steps
+        log_start = self.log_start
+        log_end = self.log_end
+        while t < until:
+            steps = q_steps[head]
+            head += 1
+            pending -= steps
+            # the reference launch() occupancy arithmetic, inlined
+            cursor = t if t > host_free else host_free
+            log_start.append(cursor)
+            if has_accel:
+                for _ in range(steps):
+                    host_free = cursor + host_s
+                    if accel_free <= host_free:
+                        cursor = cursor + total_s
+                    else:
+                        cursor = accel_free + accel_s
+                    accel_free = cursor
+            else:
+                for _ in range(steps):
+                    cursor = cursor + total_s
+                host_free = cursor
+            log_end.append(cursor)
+            # barrier: the next request launches once this one has ended.
+            if head < tail:
+                t = q_admit[head]
+                if cursor > t:
+                    t = cursor
+            else:
+                t = _INF
+        self.ready_s = cursor
+        self.next_t = t
+        self.pending_steps = pending
+        self._settle(host_free, accel_free, head)
+
+    def _dispatches(self, steps: np.ndarray) -> tuple:
+        """Launch ``d`` serves admission ``d`` for all its decode steps."""
+        return np.ones(steps.size, dtype=np.int64), steps
+
+
+class _ContinuousMachine(_Machine):
+    """Iteration-level batching: every launch is one decode iteration over
+    the in-flight set, topped up from the queue; barrier launches.
+
+    In-flight requests are counts keyed by the iteration they finish on, so
+    a launch touches only the requests joining or leaving the batch.  Each
+    launch logs its batch size and the queue head after its joins.
+    """
+
+    __slots__ = ("in_flight", "iteration", "done_at", "log_size", "log_head")
+
+    def __init__(self, index: int, engine, scheduler):
+        super().__init__(index, engine, scheduler)
+        self.in_flight = 0
+        self.iteration = 0
+        self.done_at: dict[int, int] = {}
+        self.log_size = array("q")
+        self.log_head = array("q")
+
+    def admit(self, when: float, steps: int) -> None:
+        """Queue an arrival (the caller has advanced the machine to ``when``)."""
+        if not self.in_flight and self.head == len(self.q_admit):
+            ready = self.ready_s
+            self.next_t = when if when > ready else ready
+        self.q_admit.append(when)
+        self.q_steps.append(steps)
+        self.pending_steps += steps
+
+    def advance(self, until: float) -> None:
+        """Execute every launch decided strictly before ``until``."""
+        t = self.next_t
+        if not t < until:
+            return
+        q_admit = self.q_admit
+        q_steps = self.q_steps
+        head = self.head
+        tail = len(q_admit)
+        base = self.base
+        max_batch = self.max_batch
+        rows = self._rows
+        done_at = self.done_at
+        in_flight = self.in_flight
+        iteration = self.iteration
+        host_free = self.host_free
+        accel_free = self.accel_free
+        pending = self.pending_steps
+        log_start = self.log_start
+        log_end = self.log_end
+        log_size = self.log_size
+        log_head = self.log_head
+        while t < until:
+            take = max_batch - in_flight
+            if take > tail - head:
+                take = tail - head
+            if take > 0:
+                # a request joining at this iteration runs its last step
+                # ``steps - 1`` iterations later.
+                last = iteration - 1
+                for steps in q_steps[head : head + take]:
+                    finish = last + steps
+                    done_at[finish] = done_at.get(finish, 0) + 1
+                head += take
+                in_flight += take
+            row = rows[in_flight] or self._row(in_flight)
+            pending -= in_flight
+            # the reference launch() occupancy arithmetic for one
+            # iteration, inlined
+            cursor = t if t > host_free else host_free
+            log_start.append(cursor)
+            log_size.append(in_flight)
+            log_head.append(base + head)
+            host_s, accel_s, total_s, has_accel = row
+            if has_accel:
+                host_free = cursor + host_s
+                if accel_free <= host_free:
+                    cursor = cursor + total_s
+                else:
+                    cursor = accel_free + accel_s
+                accel_free = cursor
+            else:
+                cursor = cursor + total_s
+                host_free = cursor
+            log_end.append(cursor)
+            in_flight -= done_at.pop(iteration, 0)
+            iteration += 1
+            # barrier: the next iteration starts once this one has ended.
+            if in_flight:
+                t = cursor
+            elif head < tail:
+                t = q_admit[head]
+                if cursor > t:
+                    t = cursor
+            else:
+                t = _INF
+        self.ready_s = cursor
+        self.next_t = t
+        self.in_flight = in_flight
+        self.iteration = iteration
+        self.pending_steps = pending
+        self._settle(host_free, accel_free, head)
+
+    def _columns(self, starts: np.ndarray, ends: np.ndarray, steps: np.ndarray) -> tuple:
+        """Request ``j`` joins at the first iteration whose queue head has
+        passed it and runs ``steps[j]`` consecutive iterations: it starts
+        with the first and takes the last one's end and batch size."""
+        sizes = np.array(self.log_size, dtype=np.int64)
+        taken_after = np.array(self.log_head, dtype=np.int64)
+        join = np.searchsorted(
+            taken_after, np.arange(steps.size, dtype=np.int64), side="right"
+        )
+        final = join + steps - 1
+        return (
+            starts[join],
+            ends[final],
+            sizes[final],
+            sizes,
+            np.ones(sizes.size, dtype=np.int64),
+            taken_after,
+        )
+
+
+class _BatchMachine(_Machine):
+    """Static and dynamic batching: a full batch launches once its last
+    member is admitted and the host is free; dynamic batching also launches
+    a partial batch ``max_wait_s`` after its head arrived (static: never).
+    Once the trace's last arrival is admitted (``flush_at``), a partial
+    batch launches from then on.  Each launch logs its batch size and
+    iteration count."""
+
+    __slots__ = ("wait_s", "flush_at", "log_size", "log_iter")
+
+    def __init__(self, index: int, engine, scheduler):
+        super().__init__(index, engine, scheduler)
+        self.wait_s = scheduler.max_wait_s if declared_kind(scheduler) == "dynamic" else _INF
+        self.flush_at = _INF
+        self.log_size = array("q")
+        self.log_iter = array("q")
+
+    def admit(self, when: float, steps: int) -> None:
+        """Queue an arrival (the caller has advanced the machine to ``when``)."""
+        self.q_admit.append(when)
+        self.q_steps.append(steps)
+        self.pending_steps += steps
+        queued = len(self.q_admit) - self.head
+        if queued == self.max_batch:
+            t = when  # the batch just filled
+        elif queued == 1:
+            t = when + self.wait_s
+        else:
+            return  # the head, and so the next launch, is unchanged
+        host_free = self.host_free
+        self.next_t = t if t > host_free else host_free
+
+    def advance(self, until: float) -> None:
+        """Execute every launch decided strictly before ``until``."""
+        t = self.next_t
+        if not t < until:
+            return
+        q_admit = self.q_admit
+        q_steps = self.q_steps
+        head = self.head
+        tail = len(q_admit)
+        max_batch = self.max_batch
+        rows = self._rows
+        wait_s = self.wait_s
+        flush_at = self.flush_at
+        host_free = self.host_free
+        accel_free = self.accel_free
+        pending = self.pending_steps
+        log_start = self.log_start
+        log_end = self.log_end
+        log_size = self.log_size
+        log_iter = self.log_iter
+        while t < until:
+            size = tail - head
+            if size > max_batch:
+                size = max_batch
+            members = q_steps[head : head + size]
+            head += size
+            pending -= sum(members)
+            iterations = max(members)
+            cursor = t if t > host_free else host_free
+            log_start.append(cursor)
+            log_size.append(size)
+            log_iter.append(iterations)
+            # the reference launch() occupancy arithmetic, inlined
+            host_s, accel_s, total_s, has_accel = rows[size] or self._row(size)
+            if has_accel:
+                for _ in range(iterations):
+                    host_free = cursor + host_s
+                    # max(host_end, accel_free) == host_end: the accelerator
+                    # is idle by the time the host part ends.
+                    if accel_free <= host_free:
+                        cursor = cursor + total_s
+                    else:
+                        cursor = accel_free + accel_s
+                    accel_free = cursor
+            else:
+                for _ in range(iterations):
+                    cursor = cursor + total_s
+                host_free = cursor
+            log_end.append(cursor)
+            # non-barrier: the next batch may launch as soon as the host is
+            # free, while this one still runs on the accelerator.
+            queued = tail - head
+            if queued >= max_batch:
+                t = q_admit[head + max_batch - 1]
+            elif queued:
+                t = q_admit[head] + wait_s
+                if t > flush_at:
+                    t = flush_at
+            else:
+                t = _INF
+            if host_free > t:
+                t = host_free
+        self.next_t = t
+        self.pending_steps = pending
+        self._settle(host_free, accel_free, head)
+
+    def drain(self, last_arrival: float) -> None:
+        """Execute the launches decided before the last arrival under the
+        pre-drain rules, then flush: a queued batch, full or partial,
+        launches once the host is free."""
+        self.advance(last_arrival)
+        self.flush_at = last_arrival
+        if self.head < len(self.q_admit):
+            host_free = self.host_free
+            self.next_t = last_arrival if last_arrival > host_free else host_free
+        self.advance(_INF)
+
+    def _dispatches(self, steps: np.ndarray) -> tuple:
+        return (
+            np.array(self.log_size, dtype=np.int64),
+            np.array(self.log_iter, dtype=np.int64),
+        )
+
+
+def replay(machine_cls, engines, scheduler, trace: RequestTrace, route=None) -> tuple:
+    """Replay every launch of ``trace`` served by one ``machine_cls`` per
+    engine; returns ``(machines, assignment)``.
+
+    Arrivals are admitted one at a time in trace order, each after its
+    machine has executed every launch decided strictly before it.
+    ``route(machines, arrivals, steps)`` admits them and returns the
+    assignment column (the machine index of every arrival, ``-1``: shed).
+    Without one, arrival ``i`` goes to machine ``i mod R`` — one engine, or
+    round-robin without shedding — and no probe reads a machine.  Once the
+    last arrival is admitted, every machine drains.
+    """
+    machines = [machine_cls(index, engine, scheduler) for index, engine in enumerate(engines)]
+    arrivals = trace.arrival_column().tolist()
+    steps = trace.decode_column().tolist()
+    if route is None:
+        count = len(machines)
+        for i, when in enumerate(arrivals):
+            machine = machines[i % count]
+            if machine.next_t < when:
+                machine.advance(when)
+            machine.admit(when, steps[i])
+        assigned = np.arange(len(arrivals), dtype=np.int64) % count
+    else:
+        assigned = route(machines, arrivals, steps)
+    if arrivals:
+        for machine in machines:
+            machine.drain(arrivals[-1])
+    return machines, assigned
+
+
+#: the replay of each declarable kind, bound once: callers reach it through
+#: :func:`kernel_for`.
+_REPLAYS = {
+    "fifo": functools.partial(replay, _FifoMachine),
+    "static": functools.partial(replay, _BatchMachine),
+    "dynamic": functools.partial(replay, _BatchMachine),
+    "continuous": functools.partial(replay, _ContinuousMachine),
 }
 
 
-def kernel_for(scheduler) -> "object | None":
-    """The columnar kernel a scheduler instance *declared*, or ``None``.
+def declared_kind(scheduler) -> "str | None":
+    """The ``columnar_kernel`` a scheduler instance's own class declares.
 
-    Only a ``columnar_kernel`` set in the instance's own class body counts
-    (inherited declarations are ignored — see the scheduler docstring), and
-    the name must resolve to a registered kernel.
+    Inherited declarations are ignored (see the scheduler docstring): a
+    subclass may change the decision sequence the machines hard-code.
     """
-    name = type(scheduler).__dict__.get("columnar_kernel")
-    if name is None:
-        return None
-    return _KERNELS.get(name)
+    return type(scheduler).__dict__.get("columnar_kernel")
+
+
+def kernel_for(scheduler) -> "object | None":
+    """The launch replay of the kind a scheduler instance *declared*, or
+    ``None`` when it declares none."""
+    return _REPLAYS.get(declared_kind(scheduler))
 
 
 def result_header(engine, scheduler_name: str, trace_name: str, rate: float) -> dict:
@@ -415,73 +618,36 @@ def result_header(engine, scheduler_name: str, trace_name: str, rate: float) -> 
     }
 
 
-def serve(
-    engine,
-    trace: RequestTrace,
-    scheduler,
-    kernel,
-    rate: float,
-    more_until: float = float("-inf"),
-    order: "np.ndarray | None" = None,
-) -> "tuple[ServingResult, np.ndarray]":
-    """Serve ``trace`` on ``kernel`` and assemble the result.
-
-    Records follow ``order`` (a permutation of trace positions; ``None``
-    keeps trace order).  Also returns the completion column in trace order,
-    for the fleet's cluster-level scatter.  An empty trace runs no kernel and
-    yields an idle replica's result.
-    """
-    cap = engine.config.record_requests
-    run = _Run(
-        trace, engine.costs.cost_table(scheduler.max_batch), scheduler, cap is not None
-    )
-    if run.n:
-        kernel(run, more_until=more_until)
-    requests = (
-        trace.id_column(), run.arrival, run.start, run.completion, run.steps, run.batch
-    )
-    if order is not None:
-        requests = tuple(column[order] for column in requests)
-    result = assemble_replica(
-        result_header(engine, scheduler.name, trace.name, rate),
-        requests,
-        run.sizes,
-        run.iters,
-        run.table,
-        run.depth,
-        cap,
-    )
-    return result, run.completion
-
-
 def run_fast(
     engine, trace: RequestTrace, offered_rate_rps: "float | None" = None
 ) -> ServingResult:
-    """Serve ``trace`` on the columnar path.
+    """Serve ``trace`` on the columnar path: one machine, no probes.
 
-    Dispatches to the scheduler's declared kernel; schedulers without one,
-    and empty traces, fall back to the engine's reference loop
-    (``record_requests`` capping still applies, in
+    Schedulers that declare no kind fall back to the engine's reference
+    loop (``record_requests`` capping still applies, in
     :meth:`ServingEngine.run`).  Either way the result is bit-identical to
     :meth:`ServingEngine._run_reference`.
     """
-    from repro.serving.scheduler import get_scheduler
-
     config = engine.config
     scheduler = get_scheduler(
         config.scheduler, max_batch=config.max_batch, max_wait_s=config.max_wait_s
     )
     kernel = kernel_for(scheduler)
-    if kernel is None or trace.num_requests == 0:
+    if kernel is None:
         result = engine._run_reference(trace, offered_rate_rps)
         result.backend_used = "reference"
         result.fast_path_fallback_reason = (
             f"scheduler {scheduler.name!r} declares no columnar kernel"
-            if kernel is None
-            else "empty trace"
         )
         return result
     rate = trace.offered_rate_rps if offered_rate_rps is None else offered_rate_rps
-    result, _ = serve(engine, trace, scheduler, kernel, rate)
+    (machine,), _ = kernel([engine], scheduler, trace)
+    result, _ = machine.result(
+        result_header(engine, scheduler.name, trace.name, rate),
+        trace.id_column(),
+        trace.arrival_column(),
+        trace.decode_column(),
+        config.record_requests,
+    )
     result.backend_used = "columnar"
     return result

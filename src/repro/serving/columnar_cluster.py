@@ -5,35 +5,32 @@ already advances arrivals with a cursor over the trace columns; this module
 removes the per-event Python heap entirely on the **no-fault / no-retry /
 no-hedge rail**:
 
-1. **Routing pass** — admission decisions are computed in columns.
-   Round-robin without shedding is closed form (``i mod R``: the cursor
-   advances once per arrival, shed or not).  Least-loaded, power-of-two, and
+1. **Serving pass** — one launch replay, shared with the single engine:
+   each replica is a launch machine of :mod:`repro.serving.columnar` (the
+   module that owns every built-in scheduler's launch rules), obtained
+   through :func:`~repro.serving.columnar.kernel_for`.  The admission
+   policy routes each arrival in trace order.  Round-robin without shedding
+   is closed form (``i mod R``: the cursor advances once per arrival, shed
+   or not), so no probe reads a machine.  Least-loaded, power-of-two, and
    any shedding configuration replay the scalar router's
-   :meth:`~repro.serving.cluster._Replica.est_delay_s` against per-replica
-   *virtual clock machines*: tiny recurrences over (host_free, accel_free,
-   pending decode steps) that replay each scheduler's launch times without
-   scheduler objects, ``Request`` objects, or heap events.  Two registers
-   keep the per-arrival probes cheap: ``next_t``, the machine's next launch
-   time (``inf`` when idle), lets a probe skip a machine with no launch
-   due; ``horizon``, the busy horizon ``max(host_free, accel_free)``,
-   replaces the reference's walk over a per-device dict.  One launch loop
-   per scheduler kind (fifo, continuous, static/dynamic) keeps the
-   registers in locals while it runs.
-2. **Serving pass** — each replica's admitted sub-stream is a column slice
-   of the trace, fed through the existing per-scheduler columnar kernels of
-   :mod:`repro.serving.columnar`.  The only cluster-specific wrinkle is the
-   *global* ``arrivals_pending`` flag: static/dynamic batching hold a
-   partial final batch until the whole trace's last arrival has been
-   drained, which the kernels model with their ``more_until`` horizon.
-3. **Assembly** — each replica's columns, permuted into the reference
-   router's record order (``(admitted_s, id)``) with dispatches in its fold
-   order, go through :func:`~repro.serving.metrics.assemble_replica`, and
-   the trace-order request columns through
-   :func:`~repro.serving.metrics.assemble_fleet_records`.  The result is
-   **bit-identical** to the reference event loop: same ``ClusterResult``,
-   same float accumulations, same capped/streaming blocks.
+   :meth:`~repro.serving.cluster._Replica.est_delay_s` against the machines'
+   registers: ``next_t``, the machine's next launch time (``inf`` when
+   idle), lets a probe skip a machine with no launch due; ``horizon``, the
+   busy horizon ``max(host_free, accel_free)``, replaces the reference's
+   walk over a per-device dict.  Every launch a machine executes, while
+   routing or in the final drain, lands in its column buffers; static and
+   dynamic batching flush partial batches from the trace's last arrival on
+   (the reference's *global* ``arrivals_pending`` flag turning false).
+2. **Assembly** — each replica's launch columns become its per-request
+   columns, permuted into the reference router's record order
+   (``(admitted_s, id)``) with dispatches in launch order, and go through
+   :func:`~repro.serving.metrics.assemble_replica`; the trace-order request
+   columns go through :func:`~repro.serving.metrics.assemble_fleet_records`.
+   The result is **bit-identical** to the reference event loop: same
+   ``ClusterResult``, same float accumulations, same capped/streaming
+   blocks.
 
-Two rails share the module.  The closed forms above serve the
+Two rails share the module.  The replay above serves the
 **no-fault / no-retry / no-hedge** case; fault schedules that actually
 perturb the run (crash / accel-loss / straggler windows), timeout retries
 and hedged dispatch ride the **fault-capable replay**
@@ -57,12 +54,11 @@ batch, ``max(host_free, head admit + max_wait)`` for a dynamic flush — and
 admissions at time T strictly precede launches at T (the machines advance
 with a strict ``< T`` bound before every delay probe, and every admission
 follows a probe at its arrival time).
-During routing the global arrival stream is never exhausted, so static
-batching never flushes a partial batch inside the machines.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from collections import deque
@@ -72,7 +68,8 @@ import numpy as np
 from repro.errors import ServingError
 from repro.hardware.device import DeviceKind
 from repro.hardware.platform import get_platform
-from repro.serving.columnar import kernel_for, result_header, serve
+from repro.serving.cluster import LeastLoadedPolicy, PowerOfTwoPolicy, RoundRobinPolicy
+from repro.serving.columnar import _INF, declared_kind, kernel_for, result_header
 from repro.serving.cost import BatchCostModel
 from repro.serving.engine import resolve_serving_target
 from repro.serving.metrics import (
@@ -80,7 +77,6 @@ from repro.serving.metrics import (
     STATUS_OK,
     STATUS_SHED,
     ClusterResult,
-    ServingResult,
     apply_static_lifecycle,
     assemble_fleet_records,
     assemble_replica,
@@ -90,7 +86,6 @@ from repro.serving.scheduler import (
     DynamicBatchScheduler,
     FIFOScheduler,
     StaticBatchScheduler,
-    get_scheduler,
 )
 from repro.serving.trace import RequestTrace
 
@@ -114,20 +109,12 @@ def fast_path_fallback_reason(config, policy, scheduler) -> "str | None":
     returned string is surfaced as ``ClusterResult.fast_path_fallback_reason``
     so a silent fallback is diagnosable from the CLI.
     """
-    from repro.serving.cluster import (
-        LeastLoadedPolicy,
-        PowerOfTwoPolicy,
-        RoundRobinPolicy,
-    )
-
     if config.autoscale is not None:
         return "autoscale set (elastic lifecycle runs in the event loop)"
     if type(policy) not in (RoundRobinPolicy, LeastLoadedPolicy, PowerOfTwoPolicy):
         return f"custom policy {type(policy).__name__} ({policy.name!r})"
     if type(scheduler) not in _BUILTIN_SCHEDULERS:
         return f"custom scheduler {type(scheduler).__name__} ({scheduler.name!r})"
-    if kernel_for(scheduler) is None:
-        return f"scheduler {scheduler.name!r} declares no columnar kernel"
     return None
 
 
@@ -146,354 +133,10 @@ def needs_faulted_path(config, injector) -> bool:
 
 # -- routing pass -------------------------------------------------------------
 
-#: a machine's ``next_t`` when nothing can launch.
-_INF = float("inf")
 
-
-class _Machine:
-    """Virtual clock of one replica: replays launch times and queue-delay
-    estimates without a scheduler object or heap events.
-
-    State is what :meth:`_Replica.est_delay_s` reads — the busy ``horizon``
-    and the scheduler's pending decode steps — plus the occupancy registers
-    the reference ``launch()`` arithmetic moves (``host_free`` and one
-    ``accel_free`` float: a replica serves one engine, so its accelerator
-    work always queues on that engine's target) and the admitted queue
-    (admit time, steps).  ``next_t`` holds the next launch time (``inf`` when
-    nothing can launch), recomputed only on :meth:`admit` and after a
-    launch, so ``advance(T)`` is a no-op unless a launch is due strictly
-    before ``T`` and callers skip idle probes with ``if m.next_t < T``.  A
-    delay probe at an arrival time then sees the same registers as the
-    scalar router's policy does.
-
-    One subclass per scheduler kind supplies :meth:`admit` (re-arming
-    ``next_t``) and :meth:`advance` (the launch loop over locals).
-    """
-
-    __slots__ = (
-        "index",
-        "max_batch",
-        "target",
-        "_table",
-        "_rows",
-        "unit_total_s",
-        "next_t",
-        "host_free",
-        "accel_free",
-        "horizon",
-        "ready_s",
-        "pending_steps",
-        "q_admit",
-        "q_steps",
-        "head",
-    )
-
-    def __init__(self, index: int, engine, max_batch: int):
-        self.index = index
-        self.max_batch = max_batch
-        self.target = engine.costs.target
-        self._table = engine.costs.cost_table(max_batch)
-        self._rows: list = [None] * (max_batch + 1)
-        self.unit_total_s = self._row(1)[2]
-        self.next_t = _INF
-        self.host_free = 0.0
-        self.accel_free = 0.0
-        #: ``max(host_free, accel_free)``, refreshed after every launch loop.
-        #: Both registers only grow on this rail (no crash resets them), so
-        #: this is also the running max of every write — the reference's
-        #: ``accel_free`` dict walk, without the walk.
-        self.horizon = 0.0
-        #: end of the last barrier launch (fifo and continuous batching).
-        self.ready_s = 0.0
-        self.pending_steps = 0
-        self.q_admit: list[float] = []
-        self.q_steps: list[int] = []
-        self.head = 0
-
-    def _row(self, size: int) -> tuple:
-        """``(host_s, accel_s, total_s, has_accel)`` of a ``size`` batch,
-        read from the shared cost table once and cached per machine."""
-        row = self._rows[size]
-        if row is None:
-            cost = self._table.row(size)
-            # the single accel_free float stands for the reference's dict,
-            # which holds one key only while every row queues on one target.
-            assert cost.target == self.target, (cost.target, self.target)
-            row = self._rows[size] = (cost.host_s, cost.accel_s, cost.total_s, cost.has_accel)
-        return row
-
-    def est_delay_s(self, now: float) -> float:
-        """Verbatim :meth:`_Replica.est_delay_s` over the machine registers."""
-        delay = self.horizon - now
-        if delay < 0.0:
-            delay = 0.0
-        return delay + self.pending_steps * self.unit_total_s
-
-    def _settle(self, host_free: float, accel_free: float, head: int) -> None:
-        """Store a launch loop's occupancy and queue registers."""
-        self.host_free = host_free
-        self.accel_free = accel_free
-        self.horizon = accel_free if accel_free > host_free else host_free
-        if head >= 8192:  # amortized queue compaction
-            del self.q_admit[:head]
-            del self.q_steps[:head]
-            head = 0
-        self.head = head
-
-
-def _occupy(row: tuple, cursor: float, iterations: int, host_free: float, accel_free: float):
-    """The reference ``launch()`` occupancy arithmetic, verbatim (straggler
-    multiplier omitted: it is exactly 1.0 on this rail).  Returns the
-    dispatch end and the new ``(host_free, accel_free)``."""
-    host_s, accel_s, total_s, has_accel = row
-    if has_accel:
-        for _ in range(iterations):
-            host_free = cursor + host_s
-            # max(host_end, accel_free) == host_end: the accelerator is
-            # idle by the time the host part ends.
-            if accel_free <= host_free:
-                cursor = cursor + total_s
-            else:
-                cursor = accel_free + accel_s
-            accel_free = cursor
-        return cursor, host_free, accel_free
-    for _ in range(iterations):
-        cursor = cursor + total_s
-    return cursor, cursor, accel_free
-
-
-class _FifoMachine(_Machine):
-    """One request per dispatch, all its decode steps; barrier launches."""
-
-    __slots__ = ()
-
-    def admit(self, when: float, steps: int) -> None:
-        """Queue an arrival (the caller has advanced the machine to ``when``)."""
-        if self.head == len(self.q_admit):
-            ready = self.ready_s
-            self.next_t = when if when > ready else ready
-        self.q_admit.append(when)
-        self.q_steps.append(steps)
-        self.pending_steps += steps
-
-    def advance(self, until: float) -> None:
-        """Execute every launch decided strictly before ``until``."""
-        t = self.next_t
-        if not t < until:
-            return
-        q_admit = self.q_admit
-        q_steps = self.q_steps
-        head = self.head
-        tail = len(q_admit)
-        host_s, accel_s, total_s, has_accel = self._rows[1]  # priced in __init__
-        host_free = self.host_free
-        accel_free = self.accel_free
-        pending = self.pending_steps
-        while t < until:
-            steps = q_steps[head]
-            head += 1
-            pending -= steps
-            # _occupy, inlined
-            cursor = t if t > host_free else host_free
-            if has_accel:
-                for _ in range(steps):
-                    host_free = cursor + host_s
-                    if accel_free <= host_free:
-                        cursor = cursor + total_s
-                    else:
-                        cursor = accel_free + accel_s
-                    accel_free = cursor
-            else:
-                for _ in range(steps):
-                    cursor = cursor + total_s
-                host_free = cursor
-            # barrier: the next request launches once this one has ended.
-            if head < tail:
-                t = q_admit[head]
-                if cursor > t:
-                    t = cursor
-            else:
-                t = _INF
-        self.ready_s = cursor
-        self.next_t = t
-        self.pending_steps = pending
-        self._settle(host_free, accel_free, head)
-
-
-class _ContinuousMachine(_Machine):
-    """Iteration-level batching: every launch is one decode iteration over
-    the in-flight set, topped up from the queue; barrier launches.
-
-    In-flight requests are counts keyed by the iteration they finish on, so
-    a launch touches only the requests joining or leaving the batch.
-    """
-
-    __slots__ = ("in_flight", "iteration", "done_at")
-
-    def __init__(self, index: int, engine, max_batch: int):
-        super().__init__(index, engine, max_batch)
-        self.in_flight = 0
-        self.iteration = 0
-        self.done_at: dict[int, int] = {}
-
-    def admit(self, when: float, steps: int) -> None:
-        """Queue an arrival (the caller has advanced the machine to ``when``)."""
-        if not self.in_flight and self.head == len(self.q_admit):
-            ready = self.ready_s
-            self.next_t = when if when > ready else ready
-        self.q_admit.append(when)
-        self.q_steps.append(steps)
-        self.pending_steps += steps
-
-    def advance(self, until: float) -> None:
-        """Execute every launch decided strictly before ``until``."""
-        t = self.next_t
-        if not t < until:
-            return
-        q_admit = self.q_admit
-        q_steps = self.q_steps
-        head = self.head
-        tail = len(q_admit)
-        max_batch = self.max_batch
-        rows = self._rows
-        done_at = self.done_at
-        in_flight = self.in_flight
-        iteration = self.iteration
-        host_free = self.host_free
-        accel_free = self.accel_free
-        pending = self.pending_steps
-        while t < until:
-            take = max_batch - in_flight
-            if take > tail - head:
-                take = tail - head
-            if take > 0:
-                # a request joining at this iteration runs its last step
-                # ``steps - 1`` iterations later.
-                last = iteration - 1
-                for steps in q_steps[head : head + take]:
-                    finish = last + steps
-                    done_at[finish] = done_at.get(finish, 0) + 1
-                head += take
-                in_flight += take
-            row = rows[in_flight] or self._row(in_flight)
-            pending -= in_flight
-            # _occupy for one iteration, inlined
-            cursor = t if t > host_free else host_free
-            host_s, accel_s, total_s, has_accel = row
-            if has_accel:
-                host_free = cursor + host_s
-                if accel_free <= host_free:
-                    cursor = cursor + total_s
-                else:
-                    cursor = accel_free + accel_s
-                accel_free = cursor
-            else:
-                cursor = cursor + total_s
-                host_free = cursor
-            in_flight -= done_at.pop(iteration, 0)
-            iteration += 1
-            # barrier: the next iteration starts once this one has ended.
-            if in_flight:
-                t = cursor
-            elif head < tail:
-                t = q_admit[head]
-                if cursor > t:
-                    t = cursor
-            else:
-                t = _INF
-        self.ready_s = cursor
-        self.next_t = t
-        self.in_flight = in_flight
-        self.iteration = iteration
-        self.pending_steps = pending
-        self._settle(host_free, accel_free, head)
-
-
-class _BatchMachine(_Machine):
-    """Static and dynamic batching: a full batch launches once its last
-    member is admitted and the host is free; dynamic batching also flushes
-    a partial batch ``max_wait_s`` after its head arrived.  Static batching
-    (``max_wait_s`` is ``None``) flushes a partial batch only once the whole
-    trace has arrived, which never happens during routing."""
-
-    __slots__ = ("max_wait_s",)
-
-    def __init__(self, index: int, engine, max_batch: int, max_wait_s: "float | None"):
-        super().__init__(index, engine, max_batch)
-        self.max_wait_s = max_wait_s
-
-    def admit(self, when: float, steps: int) -> None:
-        """Queue an arrival (the caller has advanced the machine to ``when``)."""
-        self.q_admit.append(when)
-        self.q_steps.append(steps)
-        self.pending_steps += steps
-        queued = len(self.q_admit) - self.head
-        if queued == self.max_batch:
-            t = when  # the batch just filled
-        elif queued == 1 and self.max_wait_s is not None:
-            t = when + self.max_wait_s
-        else:
-            return  # the head, and so the next launch, is unchanged
-        host_free = self.host_free
-        self.next_t = t if t > host_free else host_free
-
-    def advance(self, until: float) -> None:
-        """Execute every launch decided strictly before ``until``."""
-        t = self.next_t
-        if not t < until:
-            return
-        q_admit = self.q_admit
-        q_steps = self.q_steps
-        head = self.head
-        tail = len(q_admit)
-        max_batch = self.max_batch
-        max_wait_s = self.max_wait_s
-        host_free = self.host_free
-        accel_free = self.accel_free
-        pending = self.pending_steps
-        while t < until:
-            size = tail - head
-            if size > max_batch:
-                size = max_batch
-            members = q_steps[head : head + size]
-            head += size
-            pending -= sum(members)
-            cursor = t if t > host_free else host_free
-            _, host_free, accel_free = _occupy(
-                self._row(size), cursor, max(members), host_free, accel_free
-            )
-            # non-barrier: the next batch may launch as soon as the host is
-            # free, while this one still runs on the accelerator.
-            queued = tail - head
-            if queued >= max_batch:
-                t = q_admit[head + max_batch - 1]
-            elif queued and max_wait_s is not None:
-                t = q_admit[head] + max_wait_s
-            else:
-                t = _INF
-            if host_free > t:
-                t = host_free
-        self.next_t = t
-        self.pending_steps = pending
-        self._settle(host_free, accel_free, head)
-
-
-def _machines(config, engines) -> list:
-    """One routing machine per replica, of the scheduler's kind."""
-    kind = type(get_scheduler(config.scheduler)).__dict__["columnar_kernel"]
-    max_batch = config.max_batch
-    if kind in ("static", "dynamic"):
-        max_wait_s = config.max_wait_s if kind == "dynamic" else None
-        return [
-            _BatchMachine(index, engine, max_batch, max_wait_s)
-            for index, engine in enumerate(engines)
-        ]
-    machine = _FifoMachine if kind == "fifo" else _ContinuousMachine
-    return [machine(index, engine, max_batch) for index, engine in enumerate(engines)]
-
-
-def _route(config, engines, trace: RequestTrace, policy, rng) -> np.ndarray:
-    """Assign every arrival to a replica index (``-1``: shed).
+def _route(config, policy, rng, machines: list, arrivals: list, steps: list) -> np.ndarray:
+    """Admit every arrival to the replica machine the policy picks; returns
+    the replica index of every arrival (``-1``: shed).
 
     Sequential in trace order — exactly the drain order of the reference
     loop — with the policy's own state transitions: the round-robin cursor
@@ -503,20 +146,11 @@ def _route(config, engines, trace: RequestTrace, policy, rng) -> np.ndarray:
     time T strictly precede launches at T), skipping machines with no
     launch due.
     """
-    from repro.serving.cluster import LeastLoadedPolicy, RoundRobinPolicy
-
-    n = trace.num_requests
-    num_replicas = len(engines)
+    n = len(arrivals)
+    num_replicas = len(machines)
     shed_s = config.shed_queue_s
-    round_robin = type(policy) is RoundRobinPolicy
-    if round_robin and shed_s is None:
-        return np.arange(n, dtype=np.int64) % num_replicas
-
-    machines = _machines(config, engines)
-    arrivals = trace.arrival_column().tolist()
-    steps = trace.decode_column().tolist()
     assigned = [-1] * n
-    if round_robin:
+    if type(policy) is RoundRobinPolicy:
         for i in range(n):
             when = arrivals[i]
             chosen = machines[i % num_replicas]
@@ -576,61 +210,51 @@ def _route(config, engines, trace: RequestTrace, policy, rng) -> np.ndarray:
     return np.array(assigned, dtype=np.int64)
 
 
-# -- serving pass -------------------------------------------------------------
-
-
-def _serve_replica(
-    engine, config, trace: RequestTrace, indices: np.ndarray, more_until: float, rate: float
-) -> "tuple[ServingResult, np.ndarray]":
-    """Run one replica's admitted sub-stream through its columnar kernel.
-
-    Returns the per-replica :class:`ServingResult` (in the reference
-    router's record order and capping shape) and the completion column in
-    sub-stream (trace) order for cluster-level scatter.
-    """
-    sub = RequestTrace(
-        trace.name,
-        arrival_s=trace.arrival_column()[indices],
-        decode_steps=trace.decode_column()[indices],
-        request_ids=trace.id_column()[indices],
-    )
-    scheduler = get_scheduler(
-        config.scheduler, max_batch=config.max_batch, max_wait_s=config.max_wait_s
-    )
-    # the reference router lists a replica's records by (admitted_s, id) —
-    # identical to sub-stream order except when equal-time arrivals carry
-    # out-of-order ids.
-    order = np.lexsort((sub.id_column(), sub.arrival_column()))
-    return serve(
-        engine, sub, scheduler, kernel_for(scheduler), rate, more_until, order
-    )
-
-
 # -- entry point --------------------------------------------------------------
 
 
 def run_fast_cluster(
-    router, trace: RequestTrace, result: ClusterResult, policy, policy_rng
+    router, trace: RequestTrace, result: ClusterResult, scheduler, policy, policy_rng
 ) -> ClusterResult:
     """Serve ``trace`` through the fleet on the columnar rail.
 
     ``result`` is the pre-populated :class:`ClusterResult` shell from
-    :meth:`ClusterRouter.run`; the caller has already verified that
+    :meth:`ClusterRouter.run`, and ``scheduler`` one of its replicas'
+    schedulers; the caller has already verified that
     :func:`fast_path_fallback_reason` is ``None``.  Bit-identical to the
     reference event loop.
     """
     config = router.config
     n = trace.num_requests
+    ids = trace.id_column()
     arrivals = trace.arrival_column()
+    steps = trace.decode_column()
     result.backend_used = "columnar"
 
-    assigned = _route(config, router.engines, trace, policy, policy_rng)
-    more_until = float(arrivals[-1])
+    route = None  # round-robin without shedding: the closed form i mod R
+    if type(policy) is not RoundRobinPolicy or config.shed_queue_s is not None:
+        route = functools.partial(_route, config, policy, policy_rng)
+    machines, assigned = kernel_for(scheduler)(router.engines, scheduler, trace, route)
     completion = np.full(n, np.nan)
-    for index, engine in enumerate(router.engines):
-        indices = np.nonzero(assigned == index)[0]
-        replica_result, completions = _serve_replica(
-            engine, config, trace, indices, more_until, result.offered_rate_rps
+    for machine in machines:
+        indices = np.flatnonzero(assigned == machine.index)
+        replica_ids = ids[indices]
+        replica_arrivals = arrivals[indices]
+        replica_result, completions = machine.result(
+            result_header(
+                router.engines[machine.index],
+                scheduler.name,
+                trace.name,
+                result.offered_rate_rps,
+            ),
+            replica_ids,
+            replica_arrivals,
+            steps[indices],
+            config.record_requests,
+            # the reference router lists a replica's records by
+            # (admitted_s, id) — admission order except when equal-time
+            # arrivals carry out-of-order ids.
+            order=np.lexsort((replica_ids, replica_arrivals)),
         )
         result.replicas.append(replica_result)
         completion[indices] = completions
@@ -640,7 +264,7 @@ def run_fast_cluster(
     # is the fault-free run's memory high-water mark.
     assemble_fleet_records(
         result,
-        trace.id_column(),
+        ids,
         arrivals,
         completion,
         np.where(ok, np.int8(STATUS_OK), np.int8(STATUS_SHED)),
@@ -656,7 +280,7 @@ def run_fast_cluster(
 # -- fault-capable replay (Route B) -------------------------------------------
 #
 # Crash / accelerator-loss / straggler windows, timeout retries and hedged
-# dispatch re-route or duplicate work at event times the closed forms above
+# dispatch re-route or duplicate work at event times the replay above
 # cannot see, so this rail keeps a tiny event heap — but only for the *rare*
 # events (fault transitions, retry and hedge timers, the arrival cursor).
 # Completions are resolved lazily (heap events only while a hedge races),
@@ -685,11 +309,11 @@ _PENDING = -1
 
 class _SimReplica:
     """Virtual replica for the faulted rail: the launch recurrences of the
-    routing machines (:class:`_Machine`) extended with everything faults,
-    retries and hedging touch — straggler multipliers, the accel-loss
-    cost-table swap, crash resets, copy cancellation, the post-drain flush
-    rule, and per-request bookkeeping (admit times, first starts, depth
-    samples, dispatch log).  Crash resets move ``host_free`` back to zero, so
+    launch machines (:class:`repro.serving.columnar._Machine`) extended
+    with everything faults, retries and hedging touch — straggler
+    multipliers, the accel-loss cost-table swap, crash resets, copy
+    cancellation, and per-request bookkeeping (admit times, first starts,
+    depth samples, dispatch log).  Crash resets move ``host_free`` back to zero, so
     the delay probe here walks the occupancy registers instead of keeping a
     running ``horizon``.
 
@@ -1139,15 +763,16 @@ class _SimReplica:
 
 
 def run_fast_faulted(
-    router, trace: RequestTrace, result: ClusterResult, policy, policy_rng, injector
+    router, trace: RequestTrace, result: ClusterResult, scheduler, policy, policy_rng,
+    injector,
 ) -> ClusterResult:
     """Serve ``trace`` through the fleet with faults, retries or hedging on
     the columnar rail.
 
-    ``result`` is the pre-populated shell from :meth:`ClusterRouter.run` and
-    ``injector`` the run's already-built fault injector.  The event heap
-    holds only fault transitions, timers that fire out of order, and
-    hedged completions; arrivals stay a cursor over the trace columns,
+    ``result`` is the pre-populated shell from :meth:`ClusterRouter.run`,
+    ``scheduler`` one of its replicas' schedulers and ``injector`` the run's
+    already-built fault injector.  The event heap holds only fault
+    transitions, timers that fire out of order, and hedged completions; arrivals stay a cursor over the trace columns,
     monotone timers stay in deques, launches replay inside
     :class:`_SimReplica` machines, and completions are resolved lazily — a
     request's fate is decided by its live dispatch record the first time an
@@ -1168,7 +793,7 @@ def run_fast_faulted(
     n = trace.num_requests
     arrival_times = trace.arrival_column().tolist()
     decode_counts = trace.decode_column().tolist()
-    kind = type(get_scheduler(config.scheduler)).__dict__["columnar_kernel"]
+    kind = declared_kind(scheduler)
 
     started = [False] * n
     live_end: list = [None] * n
@@ -1563,7 +1188,6 @@ def run_fast_faulted(
     ids = trace.id_column()
     ids_list = ids.tolist()
     decode_column = trace.decode_column()
-    scheduler_name = get_scheduler(config.scheduler).name
     cap = config.record_requests
     for machine in machines:
         ends = np.asarray(machine.log_end, dtype=np.float64)
@@ -1604,7 +1228,7 @@ def run_fast_faulted(
         result.replicas.append(
             assemble_replica(
                 result_header(
-                    machine.engine, scheduler_name, trace.name, result.offered_rate_rps
+                    machine.engine, scheduler.name, trace.name, result.offered_rate_rps
                 ),
                 requests,
                 sizes[fold_order],

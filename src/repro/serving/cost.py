@@ -175,7 +175,7 @@ class BatchCostModel:
     stored costs across runs, schedulers, and processes.  Hot loops resolve
     through :meth:`cost_table` instead — a dense, shared
     :class:`BatchCostTable` whose ``row()`` avoids dict hashing entirely and
-    whose columns feed the columnar kernels' vectorized accounting.
+    whose columns feed the columnar path's vectorized accounting.
     """
 
     def __init__(
@@ -198,7 +198,7 @@ class BatchCostModel:
 
     def cost_table(self, max_batch: int) -> BatchCostTable:
         """The memoized dense table for ``max_batch``.  Shared by the
-        reference loops and every columnar kernel of this model."""
+        reference loops and every columnar machine of this model."""
         table = self._tables.get(max_batch)
         if table is None:
             table = self._tables[max_batch] = BatchCostTable(self, max_batch)

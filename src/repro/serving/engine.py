@@ -115,10 +115,10 @@ class ServingEngine:
     ) -> ServingResult:
         """Serve ``trace`` to completion and aggregate the metrics.
 
-        Runs the scheduler's columnar kernel, or the scalar reference loop
-        when it declares none (results are bit-identical; ``backend_used``
-        says which ran), then applies the ``record_requests`` streaming cap
-        if one is configured.
+        Replays the scheduler's launches on its columnar launch machine, or
+        runs the scalar reference loop when it declares none (results are
+        bit-identical; ``backend_used`` says which ran), then applies the
+        ``record_requests`` streaming cap if one is configured.
         """
         from repro.serving.columnar import run_fast
 
@@ -140,9 +140,11 @@ class ServingEngine:
             config.scheduler, max_batch=config.max_batch, max_wait_s=config.max_wait_s
         )
         requests = trace.requests
-        # dense cost rows (shared with the columnar kernels): list index +
+        # dense cost rows (shared with the columnar path): list index +
         # None check instead of a dict hash per dispatch.
         cost_table = self.costs.cost_table(scheduler.max_batch)
+        busy: dict[DeviceKind, float] = {spec.kind: 0.0 for spec in self.platform.devices}
+        energy: dict[DeviceKind, float] = {spec.kind: 0.0 for spec in self.platform.devices}
         result = ServingResult(
             model=config.model,
             flow=self.flow.name,
@@ -153,6 +155,9 @@ class ServingEngine:
             offered_rate_rps=(
                 trace.offered_rate_rps if offered_rate_rps is None else offered_rate_rps
             ),
+            # filled in place below; an empty trace reports idle devices.
+            busy_s=busy,
+            energy_j=energy,
         )
         if not requests:
             return result
@@ -164,8 +169,6 @@ class ServingEngine:
         accel_free: dict[DeviceKind, float] = {}
         starts: dict[int, float] = {}
         completions: dict[int, tuple[float, int]] = {}
-        busy: dict[DeviceKind, float] = {spec.kind: 0.0 for spec in self.platform.devices}
-        energy: dict[DeviceKind, float] = {spec.kind: 0.0 for spec in self.platform.devices}
         gemm_busy = 0.0
         non_gemm_busy = 0.0
         depth_samples: list[tuple[float, int]] = []
@@ -274,8 +277,6 @@ class ServingEngine:
         result.mean_batch_size = (
             weighted_size / iterations_run if iterations_run else 0.0
         )
-        result.busy_s = busy
-        result.energy_j = energy
         result.gemm_busy_s = gemm_busy
         result.non_gemm_busy_s = non_gemm_busy
         result.queue_depth_timeline = tuple(depth_samples)

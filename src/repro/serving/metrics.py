@@ -620,7 +620,7 @@ class ClusterResult:
     #: exactly when records are capped.
     stats: StreamingStats | None = None
     #: which path actually served the run ("columnar" for the no-fault
-    #: closed forms, "columnar-faulted" for the fault-capable replay,
+    #: launch machines, "columnar-faulted" for the fault-capable replay,
     #: "reference" for the event loop); diagnostic only, excluded from
     #: equality so fast-vs-reference crosschecks compare physical fields.
     backend_used: str | None = field(default=None, compare=False)

@@ -72,17 +72,18 @@ class BatchScheduler:
     #: registry name; subclasses must override.
     name = ""
     description = ""
-    #: name of the columnar fast-path kernel in :mod:`repro.serving.columnar`
-    #: that replays this scheduler's decision sequence without driving the
+    #: the kind of launch machine in :mod:`repro.serving.columnar` that
+    #: replays this scheduler's decision sequence without driving the
     #: scheduler object itself.  A scheduler opts in by **declaring** this in
-    #: its own class body; subclasses that inherit a kernel name but do not
+    #: its own class body; subclasses that inherit a kind but do not
     #: redeclare it run on the reference loop (their overrides could change
-    #: the decision sequence the kernel hard-codes).  Deliberately a plain
+    #: the decision sequence the machine hard-codes).  Deliberately a plain
     #: class attribute, not a dataclass field — it describes the class's
     #: decision algorithm, not per-instance state.
     #:
-    #: Declaring a kernel is a **behavioral contract**: the columnar rails
-    #: (:mod:`repro.serving.columnar` single-engine closed forms and the
+    #: Declaring a kind is a **behavioral contract**: the columnar rails
+    #: (the :mod:`repro.serving.columnar` launch machines, which serve the
+    #: single engine and the fault-free fleet, and the
     #: :mod:`repro.serving.columnar_cluster` faulted replay machines)
     #: hard-code this class's launch rules — in particular the post-drain
     #: flush (once the trace is exhausted, partial batches launch at

@@ -18,12 +18,17 @@ equivalence batteries reach them by swapping in selectors that refuse every
 fast path:
 
 * ``repro.serving.columnar.kernel_for`` returns ``None``, so
-  :meth:`ServingEngine.run` serves on ``ServingEngine._run_reference``;
+  :meth:`ServingEngine.run` serves on ``ServingEngine._run_reference``
+  instead of its scheduler's launch machine;
 * ``repro.serving.columnar_cluster.fast_path_fallback_reason`` returns a
-  reason, so :meth:`ClusterRouter.run` serves on its event loop.
+  reason, so :meth:`ClusterRouter.run` serves on its event loop instead of
+  the launch machines (fault-free) or the faulted replay.
 
-The two sides assemble their results independently: the fast paths hand
-columns to :func:`~repro.serving.metrics.assemble_replica` and
+The fast side replays each scheduler's launch rules once, in one family of
+launch machines shared by the engine and the fault-free fleet, so the
+engine batteries and the fleet batteries check the same machines from two
+entry points.  The two sides assemble their results independently: the fast
+paths hand columns to :func:`~repro.serving.metrics.assemble_replica` and
 :func:`~repro.serving.metrics.assemble_fleet_records`, while the reference
 side builds full results in its own loops and caps them with
 :func:`~repro.serving.metrics.cap_serving_result` /

@@ -2,7 +2,7 @@
 
 The load-bearing suite is the fast-vs-reference bit-identity battery: for
 every registered scheduler on every registered platform, the columnar
-kernels must reproduce the scalar reference event loop's result **exactly**
+launch machines must reproduce the scalar reference event loop's result **exactly**
 — full dataclass equality, covering every float accumulation, queue-depth
 sample, and record — both for the single engine and for the cluster router
 (including faults, retries, and hedging).  The reference side of every pair
@@ -83,7 +83,21 @@ class TestEngineBitIdentity:
         )
         assert engine.run(single) == run_reference(engine, single)
         empty = RequestTrace("empty", ())
-        assert engine.run(empty) == run_reference(engine, empty)
+        served = engine.run(empty)
+        assert served.backend_used == "columnar"
+        assert served == run_reference(engine, empty)
+        # an empty trace reports idle devices, like an idle fleet replica.
+        router = ClusterRouter(
+            ClusterConfig(
+                model=MODEL, platforms=(engine.config.platform,) * 2, scheduler="fifo"
+            ),
+            cache=PLAN_CACHE,
+        )
+        idle = router.run(single).replicas[1]
+        assert idle.num_dispatches == 0
+        assert served.busy_s == idle.busy_s
+        assert served.energy_j == idle.energy_j
+        assert served.utilization() == idle.utilization() != {}
 
     def test_capped_results_identical(self):
         engine = make_engine(scheduler="dynamic", record_requests=16)

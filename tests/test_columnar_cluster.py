@@ -1,22 +1,24 @@
 """The columnar cluster fast paths: bit-identity, rails, and fallback.
 
 ``serving/columnar_cluster.py`` replays the reference router's event loop in
-columns on two rails: ``run_fast_cluster`` (closed forms + per-scheduler
-columnar kernels, no faults/retries/hedging) and ``run_fast_faulted``
-(minimal event heap over fault transitions, retry and hedge timers and
-hedged completions, lazy launches and lazily resolved completions).  These
-tests pin five contracts:
+columns on two rails: ``run_fast_cluster`` (the launch machines of
+``serving/columnar.py``, one per replica and shared with the single engine,
+routed by the policy in one pass; no faults/retries/hedging) and
+``run_fast_faulted`` (minimal event heap over fault transitions, retry and
+hedge timers and hedged completions, lazy launches and lazily resolved
+completions).  These tests pin five contracts:
 
 * **equivalence** — on the no-fault rail the fast path's ``ClusterResult``
   equals the reference router's, field for field, across schedulers,
   policies, shedding, capped streaming metrics, heterogeneous fleets, and
   trace shapes, plus an edge grid over fleet shape, device, batch cap and
-  shed threshold with Poisson and tied-arrival traces;
+  shed threshold with Poisson and tied-arrival traces, and a run long
+  enough to cross the machines' queue compaction;
 * **the single-replica rail** — a 1-replica no-fault fast cluster stays
   bit-identical to plain ``ServingEngine.run`` for every registered
   scheduler;
 * **faulted equivalence** — crash / accel-loss / straggler windows and
-  timeout retries ride ``run_fast_faulted`` (the no-fault kernels must not
+  timeout retries ride ``run_fast_faulted`` (the no-fault replay must not
   run) and stay bit-identical to the reference loop, including retry
   exhaustion, shed-under-fault, and capped streaming metrics;
 * **hedged equivalence** — hedged dispatch rides ``run_fast_faulted`` for
@@ -269,6 +271,29 @@ class TestSingleReplicaRail:
             ServingConfig(model="gpt2", scheduler=scheduler)
         ).run(trace, offered_rate_rps=rate)
         assert cluster.replicas[0] == solo
+
+
+class TestCompactionBoundary:
+    """9,000 requests on one replica: more admissions than a launch
+    machine's queue holds before it compacts (8,192), so the continuous
+    machine's queue-head column must count admissions globally.  Each
+    scheduler's engine run and least-loaded fleet run against the oracle."""
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_matches_reference(self, scheduler):
+        knobs = dict(model="gpt2", scheduler=scheduler, max_batch=8, record_requests=64)
+        engine = ServingEngine(ServingConfig(**knobs))
+        router = ClusterRouter(
+            ClusterConfig(platforms=("A",), policy="least-loaded", **knobs)
+        )
+        rate = 0.9 * router.fleet_capacity_rps()
+        trace = make_trace(
+            "poisson", rate, 9_000, rng=np.random.default_rng(0), decode_steps=(1, 4)
+        )
+        for runner in (engine, router):
+            fast = runner.run(trace, offered_rate_rps=rate)
+            assert fast.backend_used == "columnar"
+            assert fast == run_reference(runner, trace, rate)
 
 
 class TestFaultedFastPath:

@@ -254,6 +254,18 @@ class TestGraphProperties:
                 assert value.node_id < node.node_id
 
 
+def _check_replica_invariants(result) -> None:
+    """Oracle-free checks of one engine's result: every record starts at or
+    after its arrival and completes after it starts; an uncapped queue-depth
+    timeline never goes negative and ends empty."""
+    for record in result.records:
+        assert record.arrival_s <= record.start_s < record.completion_s
+    if result.record_cap is None and result.queue_depth_timeline:
+        depths = [depth for _, depth in result.queue_depth_timeline]
+        assert min(depths) >= 0
+        assert depths[-1] == 0
+
+
 class TestClusterRoutingProperties:
     @st.composite
     def fault_free_runs(draw):
@@ -317,6 +329,12 @@ class TestClusterRoutingProperties:
         fast = router.run(trace)
         assert fast.backend_used == "columnar"
         assert fast == run_reference(router, trace)
+        completed = (
+            len(fast.completed()) if fast.num_completed is None else fast.num_completed
+        )
+        assert completed + fast.num_shed == trace.num_requests
+        for replica in fast.replicas:
+            _check_replica_invariants(replica)
 
     @given(faulted_runs())
     @settings(max_examples=60, deadline=None)
@@ -359,3 +377,6 @@ class TestEngineKernelProperties:
         fast = engine.run(trace)
         assert fast.backend_used == "columnar"
         assert fast == run_reference(engine, trace)
+        assert fast.num_requests_served == trace.num_requests
+        _check_replica_invariants(fast)
+
