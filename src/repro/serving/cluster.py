@@ -29,7 +29,14 @@ fault profile and no timeout/hedge/shed knobs reproduces the plain
 :class:`~repro.serving.engine.ServingEngine` **bit-identically** (same
 records, same float accumulations) for every registered scheduler — the
 event loop mirrors the engine's launch arithmetic operation for operation,
-and per-dispatch accounting folds at completion in launch order.
+and per-dispatch accounting folds at completion in launch order.  That is
+why the engine needs no loop of its own: a scheduler with no launch
+machine serves an engine run here, as a one-replica fleet.
+
+:meth:`ClusterRouter.run` serves built-in schedulers on the columnar rails
+of :mod:`repro.serving.columnar_cluster`; its own event loop, which asks a
+scheduler object at every decision time, serves custom schedulers and
+autoscaled fleets.
 """
 
 from __future__ import annotations
@@ -43,7 +50,6 @@ import numpy as np
 
 from repro.errors import ServingError
 from repro.hardware.device import DeviceKind
-from repro.hardware.platform import get_platform
 from repro.knobs import FleetKnobs, knob, pick
 from repro.registry import Registry
 from repro.serving.autoscale import (
@@ -51,8 +57,7 @@ from repro.serving.autoscale import (
     AutoscaleObservation,
     get_autoscaler,
 )
-from repro.serving.cost import BatchCostModel
-from repro.serving.engine import EngineKnobs, ServingConfig, ServingEngine, resolve_serving_target
+from repro.serving.engine import EngineKnobs, ServingConfig, ServingEngine
 from repro.serving.faults import CRASH, FaultInjector
 from repro.serving.metrics import (
     REQUEST_FAILED,
@@ -96,9 +101,17 @@ class AdmissionPolicy:
 
     ``choose`` receives the alive candidates in replica-index order and the
     router's seeded generator (used only by randomized policies, so
-    deterministic policies never perturb the stream).  Policies are stateful
-    (round-robin holds a cursor), so — like schedulers — :func:`get_policy`
-    returns a fresh instance per call.
+    deterministic policies never perturb the stream), and returns one of
+    the candidates.  Policies are stateful (round-robin holds a cursor), so
+    — like schedulers — :func:`get_policy` returns a fresh instance per
+    call.
+
+    The candidate contract: a candidate is any object with ``index`` (its
+    replica index) and ``est_delay_s(now)`` (the estimated queueing delay of
+    a request admitted at ``now``).  Nothing else may be read: the event
+    loop passes its replicas, the faulted core (which serves every
+    registered policy outside the three built-ins) passes its replay
+    machines, and the two agree on exactly these two members.
     """
 
     #: registry name; subclasses must override.
@@ -106,10 +119,12 @@ class AdmissionPolicy:
     description = ""
 
     #: does ``choose`` read ``est_delay_s`` from its candidates?  The
-    #: columnar faulted rail advances candidate machines before probing
-    #: policies so load estimates reflect every launch decided so far;
-    #: policies that pick by index or coin flip declare False and skip
-    #: that work.  Conservative default: True.
+    #: faulted core advances every candidate machine to ``now`` before a
+    #: probing policy chooses, so load estimates reflect every launch
+    #: decided so far.  ``False`` promises that ``choose`` picks by
+    #: ``index``, its own state or the generator alone and never calls
+    #: ``est_delay_s``; the core then skips that work (the chosen machine
+    #: still advances when it admits).  Conservative default: True.
     probes_load = True
 
     def reset(self, num_replicas: int) -> None:
@@ -363,17 +378,13 @@ class _Replica:
         "weighted_size",
         "inflight",
         "completion_ends",
-        "_fallback_costs",
-        "_cache",
     )
 
-    def __init__(self, index: int, engine: ServingEngine, scheduler: BatchScheduler, cache: PlanCache | None):
+    def __init__(self, index: int, engine: ServingEngine, scheduler: BatchScheduler):
         self.index = index
         self.engine = engine
         self.scheduler = scheduler
         self.costs = engine.costs
-        self._fallback_costs: BatchCostModel | None = None
-        self._cache = cache
         self.down = False
         self.accel_down = False
         #: elastic lifecycle (autoscaled runs flip these; fixed fleets
@@ -391,7 +402,8 @@ class _Replica:
         self.wake_s: float | None = None
         self.starts: dict[int, float] = {}
         self.completions: dict[int, tuple[float, int]] = {}
-        #: request id -> (arrival of the copy this replica last admitted, steps).
+        #: request id -> (arrival of the first copy this replica admitted,
+        #: steps): a record's arrival, like its start, is its first copy's.
         self.admitted: dict[int, tuple[float, int]] = {}
         self.busy = {spec.kind: 0.0 for spec in engine.platform.devices}
         self.energy = {spec.kind: 0.0 for spec in engine.platform.devices}
@@ -404,25 +416,6 @@ class _Replica:
         self.inflight: list[_InFlight] = []
         #: dispatch end times in fold order — the recovery metric's clock.
         self.completion_ends: list[float] = []
-
-    def fallback_costs(self) -> BatchCostModel:
-        """Host-CPU cost model for accelerator-loss windows (built lazily,
-        through the same shared cache)."""
-        if self.engine.target is DeviceKind.CPU:
-            return self.engine.costs
-        if self._fallback_costs is None:
-            platform, target = resolve_serving_target(
-                get_platform(self.engine.config.platform), DeviceKind.CPU
-            )
-            self._fallback_costs = BatchCostModel(
-                model=self.engine.config.model,
-                flow=self.engine.flow,
-                platform=platform,
-                target=target,
-                seq_len=self.engine.config.seq_len,
-                cache=self._cache,
-            )
-        return self._fallback_costs
 
     def unit_latency_s(self) -> float:
         """Batch-1 latency under the replica's *current* cost model."""
@@ -505,13 +498,6 @@ class ClusterRouter:
             ),
             deadline_s=config.deadline_s,
         )
-        if trace.num_requests == 0:
-            result.backend_used = "reference"
-            result.fast_path_fallback_reason = "empty trace"
-            apply_static_lifecycle(result)
-            if config.record_requests is not None:
-                cap_cluster_result(result, config.record_requests)
-            return result
         arrival_times = trace.arrival_column().tolist()
         request_ids = trace.id_column().tolist()
         decode_counts = trace.decode_column().tolist()
@@ -525,11 +511,13 @@ class ClusterRouter:
                     max_batch=config.max_batch,
                     max_wait_s=config.max_wait_s,
                 ),
-                self.cache,
             )
             for index, engine in enumerate(self.engines)
         ]
-        horizon_s = arrival_times[-1] + 4.0 * self.engines[0].base_latency_s()
+        # an empty trace serves on every path: its run starts and ends at 0.
+        first_arrival_s = arrival_times[0] if arrival_times else 0.0
+        last_arrival_s = arrival_times[-1] if arrival_times else 0.0
+        horizon_s = last_arrival_s + 4.0 * self.engines[0].base_latency_s()
         injector = FaultInjector(
             config.fault_profile,
             len(replicas),
@@ -570,7 +558,7 @@ class ClusterRouter:
         scheduler = replicas[0].scheduler
         fallback_reason = fast_path_fallback_reason(config, policy, scheduler)
         if fallback_reason is None:
-            if needs_faulted_path(config, injector):
+            if needs_faulted_path(config, injector, policy):
                 return run_fast_faulted(
                     self, trace, result, scheduler, policy, policy_rng, injector
                 )
@@ -594,7 +582,7 @@ class ClusterRouter:
         # -- autoscale run state (inert when no controller is configured) -----
 
         #: one observation window of telemetry, reset at each evaluation.
-        window_start_s = arrival_times[0]
+        window_start_s = first_arrival_s
         window_arrivals = 0
         window_steps = 0
         window_busy = 0.0
@@ -604,7 +592,7 @@ class ClusterRouter:
         timeline: list[tuple[float, int]] = []
         if autoscaler is not None:
             timeline.append((0.0, auto.start_replicas))
-            push(arrival_times[0] + auto.interval_s, _PRIO_SCALE, "scale-eval", None)
+            push(first_arrival_s + auto.interval_s, _PRIO_SCALE, "scale-eval", None)
 
         arrivals_left = total
         counters = {
@@ -627,7 +615,7 @@ class ClusterRouter:
                 f"cluster made no progress at t={now:.6f}s ({detail}):"
                 f" scheduler {config.scheduler!r}, policy {config.policy!r},"
                 f" queue depths {depths},"
-                f" {total - counters['terminal']}/{total} requests unresolved"
+                f" {total - counters['terminal']}/{total} requests outstanding"
             )
 
         def finish(entry_tracked: _Tracked, status: str) -> None:
@@ -663,7 +651,9 @@ class ClusterRouter:
                     decode_steps=request.decode_steps,
                 )
             )
-            replica.admitted[request.request_id] = (when, request.decode_steps)
+            replica.admitted.setdefault(
+                request.request_id, (when, request.decode_steps)
+            )
             replica.depth_samples.append((when, replica.scheduler.queue_depth))
             assignment[(replica.index, request.request_id)] = copy
             if is_hedge:
@@ -857,7 +847,7 @@ class ClusterRouter:
                 if lost != replica.accel_down:
                     replica.accel_down = lost
                     replica.costs = (
-                        replica.fallback_costs() if lost else replica.engine.costs
+                        replica.engine.fallback_costs() if lost else replica.engine.costs
                     )
 
         # -- elastic lifecycle (autoscaled runs only) -------------------------
@@ -1237,7 +1227,7 @@ class ClusterRouter:
             # controller that held a *partial* fleet still accounts below.
             apply_static_lifecycle(result)
         else:
-            run_start = arrival_times[0]
+            run_start = first_arrival_s
             run_end = run_start + result.makespan_s
             for replica in replicas:
                 for spans in (replica.cost_spans, replica.active_spans):

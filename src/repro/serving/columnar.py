@@ -39,9 +39,10 @@ equality over every scheduler × platform × load.
 A scheduler opts into a machine by *declaring*
 :attr:`~repro.serving.scheduler.BatchScheduler.columnar_kernel` in its own
 class body; :func:`kernel_for` returns that kind's replay.  Custom
-schedulers (and subclasses that don't redeclare it) fall back to the
-reference loop — still correct, just not columnar — and the
-``record_requests`` capping applies either way.  With a cap the assembler
+schedulers (and subclasses that don't redeclare it) are served by
+:class:`~repro.serving.cluster.ClusterRouter`'s event loop as a one-replica
+fleet (:func:`_run_one_replica`) — still correct, just not columnar — and
+the ``record_requests`` capping applies either way.  With a cap the assembler
 skips the timeline and the full record list: queue-depth samples fold into
 count/sum/max accumulators, latencies into the streaming quantile
 estimator, and only the seeded reservoir sample of records is materialized.
@@ -54,6 +55,7 @@ from array import array
 
 import numpy as np
 
+from repro.knobs import pick
 from repro.serving.metrics import ServingResult, assemble_replica
 from repro.serving.scheduler import get_scheduler
 from repro.serving.trace import RequestTrace
@@ -623,10 +625,10 @@ def run_fast(
 ) -> ServingResult:
     """Serve ``trace`` on the columnar path: one machine, no probes.
 
-    Schedulers that declare no kind fall back to the engine's reference
-    loop (``record_requests`` capping still applies, in
-    :meth:`ServingEngine.run`).  Either way the result is bit-identical to
-    :meth:`ServingEngine._run_reference`.
+    A scheduler that declares no kind is served by :func:`_run_one_replica`
+    instead.  Either way the result is uncapped unless the machine applied
+    the engine's ``record_requests`` cap; :meth:`ServingEngine.run` caps the
+    rest.
     """
     config = engine.config
     scheduler = get_scheduler(
@@ -634,7 +636,7 @@ def run_fast(
     )
     kernel = kernel_for(scheduler)
     if kernel is None:
-        result = engine._run_reference(trace, offered_rate_rps)
+        result = _run_one_replica(engine, trace, offered_rate_rps)
         result.backend_used = "reference"
         result.fast_path_fallback_reason = (
             f"scheduler {scheduler.name!r} declares no columnar kernel"
@@ -650,4 +652,32 @@ def run_fast(
         config.record_requests,
     )
     result.backend_used = "columnar"
+    return result
+
+
+def _run_one_replica(
+    engine, trace: RequestTrace, offered_rate_rps: "float | None"
+) -> ServingResult:
+    """Serve ``trace`` through :class:`~repro.serving.cluster.ClusterRouter`'s
+    event loop as a one-replica, fault-free, uncapped fleet of ``engine``'s
+    configuration: the loop that asks a scheduler object at every decision
+    time.  Records come back in trace order."""
+    from repro.serving.cluster import ClusterConfig, ClusterRouter
+
+    config = engine.config
+    router = ClusterRouter(
+        ClusterConfig(
+            **pick(
+                ClusterConfig,
+                config,
+                platforms=(config.platform,),
+                record_requests=None,
+            )
+        ),
+        cache=engine.costs.cache,
+    )
+    (result,) = router.run(trace, offered_rate_rps).replicas
+    # the fleet lists a replica's records by (admitted_s, id).
+    by_id = {record.request_id: record for record in result.records}
+    result.records = [by_id[request_id] for request_id in trace.id_column().tolist()]
     return result

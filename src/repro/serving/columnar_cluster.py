@@ -31,18 +31,23 @@ no-hedge rail**:
    blocks.
 
 Two rails share the module.  The replay above serves the
-**no-fault / no-retry / no-hedge** case; fault schedules that actually
-perturb the run (crash / accel-loss / straggler windows), timeout retries
-and hedged dispatch ride the **fault-capable replay**
-(:func:`run_fast_faulted`): a minimal event heap holding only fault
-transitions, out-of-order timers and hedged completions, per-replica
-:class:`_SimReplica` machines that launch lazily, and lazily-resolved
-completions, with all accounting folded vectorized at assembly.
+**no-fault / no-retry / no-hedge** case under the three built-in policies;
+fault schedules that actually perturb the run (crash / accel-loss /
+straggler windows), timeout retries, hedged dispatch and custom registered
+policies ride the **fault-capable replay** (:func:`run_fast_faulted`): a
+minimal event heap holding only fault transitions, out-of-order timers and
+hedged completions, per-replica :class:`_SimReplica` machines that launch
+lazily, and lazily-resolved completions, with all accounting folded
+vectorized at assembly.  It asks any policy through ``policy.choose`` with
+the machines as candidates (see
+:class:`~repro.serving.cluster.AdmissionPolicy`).
 :func:`fast_path_fallback_reason` names the only remaining fallback
-conditions — autoscaling and custom registered policies/schedulers — and
-:meth:`~repro.serving.cluster.ClusterRouter.run` falls back to the
-reference event loop automatically (silently, with the reason recorded on
-the result).
+conditions — autoscaling and custom registered schedulers — and
+:meth:`~repro.serving.cluster.ClusterRouter.run` falls back to its event
+loop automatically (silently, with the reason recorded on the result).  A
+custom scheduler keeps that loop in ``src/``: its object must be asked at
+every decision time, and the loop also serves a custom-scheduler
+:class:`~repro.serving.engine.ServingEngine` as a one-replica fleet.
 
 Why launch times are a recurrence: the reference loop runs one decision
 pass per distinct event time, *after* draining that time's arrivals, and a
@@ -66,12 +71,17 @@ from collections import deque
 import numpy as np
 
 from repro.errors import ServingError
-from repro.hardware.device import DeviceKind
-from repro.hardware.platform import get_platform
-from repro.serving.cluster import LeastLoadedPolicy, PowerOfTwoPolicy, RoundRobinPolicy
+from repro.serving.cluster import (
+    _PRIO_ARRIVE,
+    _PRIO_COMPLETE,
+    _PRIO_FAULT,
+    _PRIO_HEDGE,
+    _PRIO_RETRY,
+    LeastLoadedPolicy,
+    PowerOfTwoPolicy,
+    RoundRobinPolicy,
+)
 from repro.serving.columnar import _INF, declared_kind, kernel_for, result_header
-from repro.serving.cost import BatchCostModel
-from repro.serving.engine import resolve_serving_target
 from repro.serving.metrics import (
     STATUS_FAILED,
     STATUS_OK,
@@ -96,38 +106,44 @@ _BUILTIN_SCHEDULERS = (
     ContinuousBatchScheduler,
 )
 
+#: the policies :func:`_route` replays inline on the no-fault rail.
+_ROUTED_POLICIES = (RoundRobinPolicy, LeastLoadedPolicy, PowerOfTwoPolicy)
+
 
 def fast_path_fallback_reason(config, policy, scheduler) -> "str | None":
     """Why this cluster run must take the reference event loop, or ``None``.
 
     Everything here mirrors a documented fallback condition: the README's
     "rail conditions" list and the fallback test battery enumerate exactly
-    these knobs.  Fault windows, stragglers, timeout retries and hedging are
-    *not* fallback conditions — they ride the fault-capable replay
-    (:func:`run_fast_faulted`); only autoscaling (hedged or not) and custom
-    registered policies/schedulers still route to the reference loop.  The
+    these knobs.  Fault windows, stragglers, timeout retries, hedging and
+    custom registered policies are *not* fallback conditions — they ride the
+    fault-capable replay (:func:`run_fast_faulted`); only autoscaling (hedged
+    or not) and custom registered schedulers still route to the event loop.
+    A custom scheduler pins it: its object must be asked at every decision
+    time the loop visits, which no launch machine replays.  The
     returned string is surfaced as ``ClusterResult.fast_path_fallback_reason``
     so a silent fallback is diagnosable from the CLI.
     """
     if config.autoscale is not None:
         return "autoscale set (elastic lifecycle runs in the event loop)"
-    if type(policy) not in (RoundRobinPolicy, LeastLoadedPolicy, PowerOfTwoPolicy):
-        return f"custom policy {type(policy).__name__} ({policy.name!r})"
     if type(scheduler) not in _BUILTIN_SCHEDULERS:
         return f"custom scheduler {type(scheduler).__name__} ({scheduler.name!r})"
     return None
 
 
-def needs_faulted_path(config, injector) -> bool:
+def needs_faulted_path(config, injector, policy) -> bool:
     """Does this run need the event-replaying faulted rail (vs the closed
-    forms)?  True when the drawn schedule perturbs anything or timeouts can
-    re-route work; the check is semantic, so a fault profile that yields no
-    windows and no stragglers still takes the cheaper no-fault rail.
+    forms)?  True when the drawn schedule perturbs anything, timeouts can
+    re-route work, hedging is on, or the policy is not one of the three
+    :func:`_route` inlines (the faulted core asks ``policy.choose``).  The
+    fault check is semantic, so a fault profile that yields no windows and
+    no stragglers still takes the cheaper no-fault rail.
     """
     return (
         config.timeout_s is not None
         or config.hedge_after_s is not None
         or injector.schedule.perturbs
+        or type(policy) not in _ROUTED_POLICIES
     )
 
 
@@ -138,8 +154,10 @@ def _route(config, policy, rng, machines: list, arrivals: list, steps: list) -> 
     """Admit every arrival to the replica machine the policy picks; returns
     the replica index of every arrival (``-1``: shed).
 
-    Sequential in trace order — exactly the drain order of the reference
-    loop — with the policy's own state transitions: the round-robin cursor
+    Inlines the three built-in policies only; any other policy takes the
+    faulted core (:func:`needs_faulted_path`).  Sequential in trace order —
+    exactly the drain order of the reference loop — with the policy's own
+    state transitions: the round-robin cursor
     advances even on shed arrivals (``choose`` runs before the shed check),
     and power-of-two draws from the seeded generator once per arrival.
     Every probe first advances its machine to the arrival (admissions at
@@ -287,16 +305,8 @@ def run_fast_cluster(
 # dispatches launch lazily inside the per-replica machines, and all
 # accounting folds vectorized at assembly in the reference's completion-pop
 # order.  Every float is produced by the same IEEE operations in the same
-# order as the reference loop, so results stay bit-identical.
-
-#: event priorities, mirroring the reference heap's canonical order at equal
-#: times (completions, priority 1, are resolved lazily and enqueued only
-#: when they complete a hedged request).
-_PRIO_FAULT = 0
-_PRIO_COMPLETE = 1
-_PRIO_ARRIVE = 2
-_PRIO_RETRY = 3
-_PRIO_HEDGE = 4
+# order as the reference loop, so results stay bit-identical.  Events
+# carry the reference heap's priorities (``cluster._PRIO_*``).
 
 #: ``_SimReplica.copy_gen`` of a hedge copy (primaries hold their attempt
 #: number, which starts at 1).
@@ -348,7 +358,6 @@ class _SimReplica:
         "max_batch",
         "max_wait_s",
         "engine",
-        "cache",
         "injector",
         "table",
         "fallback_table",
@@ -393,7 +402,7 @@ class _SimReplica:
     )
 
     def __init__(
-        self, index, engine, kind, max_batch, max_wait_s, injector, cache,
+        self, index, engine, kind, max_batch, max_wait_s, injector,
         has_crash, started, live_end, status, completion, winner,
         attempts=None, live_key=None,
     ):
@@ -402,7 +411,6 @@ class _SimReplica:
         self.max_batch = max_batch
         self.max_wait_s = max_wait_s
         self.engine = engine
-        self.cache = cache
         self.injector = injector
         self.table = engine.costs.cost_table(max_batch)
         self.fallback_table = None
@@ -486,7 +494,8 @@ class _SimReplica:
         self.q_steps.append(steps)
         self.q_pos.append(pos)
         self.pending_steps += steps
-        self.admitted[pos] = when
+        # the record's arrival is its first copy's, like its start.
+        self.admitted.setdefault(pos, when)
         self.depth_time.append(when)
         self.depth_value.append(len(self.q_admit) - self.head)
 
@@ -521,21 +530,7 @@ class _SimReplica:
             self.active = self.table
             return
         if self.fallback_table is None:
-            engine = self.engine
-            if engine.target is DeviceKind.CPU:
-                self.fallback_table = self.table
-            else:
-                platform, target = resolve_serving_target(
-                    get_platform(engine.config.platform), DeviceKind.CPU
-                )
-                self.fallback_table = BatchCostModel(
-                    model=engine.config.model,
-                    flow=engine.flow,
-                    platform=platform,
-                    target=target,
-                    seq_len=engine.config.seq_len,
-                    cache=self.cache,
-                ).cost_table(self.max_batch)
+            self.fallback_table = self.engine.fallback_costs().cost_table(self.max_batch)
         self.active = self.fallback_table
 
     def crash(self, when: float) -> list[int]:
@@ -818,7 +813,7 @@ def run_fast_faulted(
     machines = [
         _SimReplica(
             index, engine, kind, config.max_batch, config.max_wait_s,
-            injector, router.cache, index in crash_replicas, started, live_end,
+            injector, index in crash_replicas, started, live_end,
             status, completion, winner,
             attempts if hedging else None, live_key,
         )

@@ -36,6 +36,7 @@ from repro.flows.plan import DEVICE_CODE
 from repro.hardware.device import DeviceKind
 from repro.hardware.platform import Platform
 from repro.runtime.simulator import SimulationResult, plan_arrays, simulate
+from repro.serving.metrics import _ordered_sum
 from repro.sweep.cache import PLAN_CACHE, PlanCache
 
 
@@ -62,11 +63,6 @@ class BatchCost:
     gemm_s: float
     non_gemm_s: float
     num_kernels: int
-
-
-def _ordered_sum(values: np.ndarray) -> float:
-    """Left-to-right accumulation, matching the simulator's cumsum idiom."""
-    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
 def batch_cost_from_simulation(sim: SimulationResult, batch_size: int) -> BatchCost:

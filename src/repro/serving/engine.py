@@ -1,11 +1,17 @@
-"""The deterministic discrete-event serving loop.
+"""One model replica serving a request trace.
 
 One :class:`ServingEngine` models one model replica serving a request trace
 on one platform: a batching scheduler (see :mod:`repro.serving.scheduler`)
 decides what to launch, a :class:`~repro.serving.cost.BatchCostModel` prices
 each dispatch with the vectorized simulator (plans lowered once per batch
-size via the PlanCache/ArtifactStore), and the event loop tracks per-device
-occupancy on the N-device :class:`~repro.hardware.platform.Platform`.
+size via the PlanCache/ArtifactStore), and per-device occupancy is tracked
+on the N-device :class:`~repro.hardware.platform.Platform`.
+
+The engine keeps no event loop of its own.  :meth:`ServingEngine.run`
+replays a built-in scheduler's launches on its launch machine
+(:mod:`repro.serving.columnar`); a scheduler that declares no machine is
+asked at every decision time by :class:`~repro.serving.cluster.ClusterRouter`'s
+event loop, serving the trace as a one-replica, fault-free fleet.
 
 Timing semantics (documented here because the equivalence battery pins them):
 
@@ -28,7 +34,7 @@ Timing semantics (documented here because the equivalence battery pins them):
   happen exactly at iteration boundaries.
 
 Everything is deterministic: arrivals come from a seeded trace, the
-scheduler and the event loop use no randomness, and all float accumulation
+schedulers and the replays use no randomness, and all float accumulation
 is fixed-order.
 """
 
@@ -42,8 +48,7 @@ from repro.hardware.device import DeviceKind, as_device_kind
 from repro.hardware.platform import Platform, get_platform
 from repro.knobs import BatchingKnobs, knob, pick
 from repro.serving.cost import BatchCostModel
-from repro.serving.metrics import RequestRecord, ServingResult, cap_serving_result
-from repro.serving.scheduler import Dispatch, get_scheduler
+from repro.serving.metrics import ServingResult, cap_serving_result
 from repro.serving.trace import RequestTrace, seeded_trace
 from repro.sweep.cache import PlanCache
 
@@ -105,19 +110,40 @@ class ServingEngine:
             seq_len=config.seq_len,
             cache=cache,
         )
+        self._fallback_costs: BatchCostModel | None = None
 
     def base_latency_s(self) -> float:
         """Single-stream (batch-1) latency — the load axis' capacity unit."""
         return self.costs.cost(1).total_s
+
+    def fallback_costs(self) -> BatchCostModel:
+        """Host-CPU cost model for accelerator-loss windows: the engine's own
+        model when it already targets the CPU, else built on first use
+        through the same plan cache and kept."""
+        if self.target is DeviceKind.CPU:
+            return self.costs
+        if self._fallback_costs is None:
+            platform, target = resolve_serving_target(
+                get_platform(self.config.platform), DeviceKind.CPU
+            )
+            self._fallback_costs = BatchCostModel(
+                model=self.config.model,
+                flow=self.flow,
+                platform=platform,
+                target=target,
+                seq_len=self.config.seq_len,
+                cache=self.costs.cache,
+            )
+        return self._fallback_costs
 
     def run(
         self, trace: RequestTrace, offered_rate_rps: float | None = None
     ) -> ServingResult:
         """Serve ``trace`` to completion and aggregate the metrics.
 
-        Replays the scheduler's launches on its columnar launch machine, or
-        runs the scalar reference loop when it declares none (results are
-        bit-identical; ``backend_used`` says which ran), then applies the
+        Replays the scheduler's launches on its columnar launch machine, or,
+        when it declares none, serves the trace through the fleet event loop
+        as one replica (``backend_used`` says which ran), then applies the
         ``record_requests`` streaming cap if one is configured.
         """
         from repro.serving.columnar import run_fast
@@ -125,161 +151,8 @@ class ServingEngine:
         result = run_fast(self, trace, offered_rate_rps)
         cap = self.config.record_requests
         if cap is not None and result.record_cap is None:
-            capped = cap_serving_result(result, cap)
-            capped.backend_used = result.backend_used
-            capped.fast_path_fallback_reason = result.fast_path_fallback_reason
-            result = capped
-        return result
-
-    def _run_reference(
-        self, trace: RequestTrace, offered_rate_rps: float | None = None
-    ) -> ServingResult:
-        """The scalar reference event loop (drives the scheduler object)."""
-        config = self.config
-        scheduler = get_scheduler(
-            config.scheduler, max_batch=config.max_batch, max_wait_s=config.max_wait_s
-        )
-        requests = trace.requests
-        # dense cost rows (shared with the columnar path): list index +
-        # None check instead of a dict hash per dispatch.
-        cost_table = self.costs.cost_table(scheduler.max_batch)
-        busy: dict[DeviceKind, float] = {spec.kind: 0.0 for spec in self.platform.devices}
-        energy: dict[DeviceKind, float] = {spec.kind: 0.0 for spec in self.platform.devices}
-        result = ServingResult(
-            model=config.model,
-            flow=self.flow.name,
-            platform_id=config.platform,
-            device=self.target.value,
-            scheduler=scheduler.name,
-            trace=trace.name,
-            offered_rate_rps=(
-                trace.offered_rate_rps if offered_rate_rps is None else offered_rate_rps
-            ),
-            # filled in place below; an empty trace reports idle devices.
-            busy_s=busy,
-            energy_j=energy,
-        )
-        if not requests:
-            return result
-
-        total = len(requests)
-        next_index = 0
-        now = 0.0
-        host_free = 0.0
-        accel_free: dict[DeviceKind, float] = {}
-        starts: dict[int, float] = {}
-        completions: dict[int, tuple[float, int]] = {}
-        gemm_busy = 0.0
-        non_gemm_busy = 0.0
-        depth_samples: list[tuple[float, int]] = []
-        dispatches = 0
-        iterations_run = 0
-        weighted_size = 0
-
-        # every loop turn either launches work or strictly advances the
-        # clock, so this bound is generous; hitting it means a (custom)
-        # scheduler is stalling or spinning.
-        max_turns = 8 * (total + trace.total_decode_steps()) + 64
-        turns = 0
-        while len(completions) < total:
-            turns += 1
-            if turns > max_turns:
-                raise ServingError(
-                    f"scheduler {scheduler.name!r} made no progress after"
-                    f" {max_turns} decision turns ({len(completions)}/{total} done,"
-                    f" queue depth {scheduler.queue_depth}, clock t={now:.6f}s)"
-                )
-            while next_index < total and requests[next_index].arrival_s <= now:
-                scheduler.admit(requests[next_index])
-                depth_samples.append(
-                    (requests[next_index].arrival_s, scheduler.queue_depth)
-                )
-                next_index += 1
-            arrivals_pending = next_index < total
-
-            verdict = scheduler.next_dispatch(now, arrivals_pending)
-            if isinstance(verdict, Dispatch):
-                cost = cost_table.row(verdict.size)
-                start = max(now, host_free)
-                cursor = start
-                for _ in range(verdict.iterations):
-                    host_end = cursor + cost.host_s
-                    if cost.has_accel:
-                        accel_start = max(host_end, accel_free.get(cost.target, 0.0))
-                        if accel_start == host_end:
-                            # uncontended: serial semantics, bit-identical to
-                            # the per-inference simulator's total.
-                            end = cursor + cost.total_s
-                        else:
-                            end = accel_start + cost.accel_s
-                        accel_free[cost.target] = end
-                    else:
-                        end = cursor + cost.total_s
-                        host_end = end
-                    host_free = host_end
-                    cursor = end
-                for kind, seconds in cost.busy_s.items():
-                    busy[kind] += seconds * verdict.iterations
-                for kind, joules in cost.energy_j.items():
-                    energy[kind] += joules * verdict.iterations
-                gemm_busy += cost.gemm_s * verdict.iterations
-                non_gemm_busy += cost.non_gemm_s * verdict.iterations
-                dispatches += 1
-                iterations_run += verdict.iterations
-                weighted_size += verdict.size * verdict.iterations
-                for request_id in verdict.members:
-                    starts.setdefault(request_id, start)
-                for request_id in verdict.completes:
-                    completions[request_id] = (cursor, verdict.size)
-                depth_samples.append((start, scheduler.queue_depth))
-                now = cursor if verdict.barrier else max(now, host_free)
-                continue
-
-            if verdict is None:
-                if arrivals_pending:
-                    now = requests[next_index].arrival_s
-                    continue
-                raise ServingError(
-                    f"scheduler {scheduler.name!r} returned no work with"
-                    f" {total - len(completions)} requests outstanding, the"
-                    f" trace exhausted, queue depth {scheduler.queue_depth},"
-                    f" and clock t={now:.6f}s"
-                )
-
-            # float deadline: advance to it (or to an earlier arrival).
-            wake = float(verdict)
-            if arrivals_pending:
-                wake = min(wake, requests[next_index].arrival_s)
-            if wake <= now:
-                raise ServingError(
-                    f"scheduler {scheduler.name!r} requested a wake-up at"
-                    f" {wake} that does not advance the clock (t={now:.6f}s,"
-                    f" queue depth {scheduler.queue_depth})"
-                )
-            now = wake
-
-        first_arrival = requests[0].arrival_s
-        last_completion = max(end for end, _ in completions.values())
-        result.records = [
-            RequestRecord(
-                request_id=request.request_id,
-                arrival_s=request.arrival_s,
-                start_s=starts[request.request_id],
-                completion_s=completions[request.request_id][0],
-                decode_steps=request.decode_steps,
-                batch_size=completions[request.request_id][1],
-            )
-            for request in requests
-        ]
-        result.makespan_s = last_completion - first_arrival
-        result.num_dispatches = dispatches
-        result.num_iterations = iterations_run
-        result.mean_batch_size = (
-            weighted_size / iterations_run if iterations_run else 0.0
-        )
-        result.gemm_busy_s = gemm_busy
-        result.non_gemm_busy_s = non_gemm_busy
-        result.queue_depth_timeline = tuple(depth_samples)
+            # capped in place: the backend fields stay on the result.
+            result = cap_serving_result(result, cap)
         return result
 
 

@@ -76,8 +76,9 @@ class BatchScheduler:
     #: replays this scheduler's decision sequence without driving the
     #: scheduler object itself.  A scheduler opts in by **declaring** this in
     #: its own class body; subclasses that inherit a kind but do not
-    #: redeclare it run on the reference loop (their overrides could change
-    #: the decision sequence the machine hard-codes).  Deliberately a plain
+    #: redeclare it run on the fleet event loop, which asks the scheduler
+    #: object (their overrides could change the decision sequence the
+    #: machine hard-codes).  Deliberately a plain
     #: class attribute, not a dataclass field — it describes the class's
     #: decision algorithm, not per-instance state.
     #:
@@ -124,6 +125,14 @@ class BatchScheduler:
         return sum(request.decode_steps for request in self._queue)
 
     def next_dispatch(self, now: float, arrivals_pending: bool) -> "Dispatch | float | None":
+        """The verdict at decision time ``now`` (see the module docstring);
+        ``arrivals_pending`` is False once the trace has no arrivals left.
+
+        The event loop may ask at every decision time it visits —
+        arrivals, wake-ups, fault transitions and dispatch completions
+        included, possibly several times at one instant — so the verdict
+        must depend only on the queue, ``now`` and ``arrivals_pending``,
+        never on how often it has been asked."""
         raise NotImplementedError
 
     def cancel(self, request_id: int) -> bool:

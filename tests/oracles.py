@@ -8,27 +8,33 @@
   algorithm as it existed before lowering was decomposed into
   :mod:`repro.flows.passes`; every registered flow must produce its plans
   kernel for kernel (``tests/test_passes.py``).
-* :func:`reference_paths` / :func:`run_reference` — the serving reference
-  loops, which stay in ``src/`` as fallbacks.
+* :func:`run_engine_reference` — the single engine's scalar event loop.  It
+  lives only here: production serves every engine on a launch machine, or,
+  for a scheduler that declares none, on :class:`ClusterRouter`'s event loop
+  as a one-replica fleet.
+* :func:`reference_paths` / :func:`run_reference` — route engine and
+  cluster runs onto the reference loops.
 
 Production code picks its path from facts in the config — the scheduler
 and policy classes, hedge/autoscale/timeout settings and the fault
 schedule — so nothing in ``src/`` lets a caller force the slow loops.  The
-equivalence batteries reach them by swapping in selectors that refuse every
-fast path:
+equivalence batteries reach them by swapping two functions:
 
-* ``repro.serving.columnar.kernel_for`` returns ``None``, so
-  :meth:`ServingEngine.run` serves on ``ServingEngine._run_reference``
-  instead of its scheduler's launch machine;
+* ``repro.serving.columnar.run_fast`` becomes :func:`run_engine_reference`,
+  so :meth:`ServingEngine.run` serves on the engine loop above (and still
+  applies its ``record_requests`` cap);
 * ``repro.serving.columnar_cluster.fast_path_fallback_reason`` returns a
   reason, so :meth:`ClusterRouter.run` serves on its event loop instead of
-  the launch machines (fault-free) or the faulted replay.
+  the launch machines (fault-free) or the faulted core.
 
-The fast side replays each scheduler's launch rules once, in one family of
-launch machines shared by the engine and the fault-free fleet, so the
-engine batteries and the fleet batteries check the same machines from two
-entry points.  The two sides assemble their results independently: the fast
-paths hand columns to :func:`~repro.serving.metrics.assemble_replica` and
+The engine oracle is independent of the fleet event loop, which now serves
+custom schedulers in production: a custom-scheduler engine run is checked
+against a loop it does not run on.  The fast side replays each scheduler's
+launch rules once, in one family of launch machines shared by the engine
+and the fault-free fleet, so the engine batteries and the fleet batteries
+check the same machines from two entry points.  The two sides assemble
+their results independently: the fast paths hand columns to
+:func:`~repro.serving.metrics.assemble_replica` and
 :func:`~repro.serving.metrics.assemble_fleet_records`, while the reference
 side builds full results in its own loops and caps them with
 :func:`~repro.serving.metrics.cap_serving_result` /
@@ -43,7 +49,7 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator
 from unittest import mock
 
-from repro.errors import PlanError
+from repro.errors import PlanError, ServingError
 from repro.flows.fusion import fuse_graph, group_category
 from repro.flows.passes.construct import node_dtype
 from repro.flows.plan import ExecutionPlan, PlannedKernel, group_cost
@@ -56,6 +62,8 @@ from repro.ir.graph import Graph
 from repro.ir.node import Node
 from repro.ops.base import OpCost
 from repro.runtime.simulator import KernelRecord, SimulationResult, _transfer_peer
+from repro.serving.metrics import RequestRecord, ServingResult
+from repro.serving.scheduler import Dispatch, get_scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.flows.base import DeploymentFlow
@@ -68,14 +76,10 @@ FORCED_REASON = "reference path forced by tests/oracles.py"
 @contextmanager
 def reference_paths() -> Iterator[None]:
     """Serve every engine and cluster run in the block on the reference loops."""
-    # columnar_cluster first: patching it imports it, and an import under the
-    # kernel_for patch would bind the refusing stub into its globals for good.
     with mock.patch(
         "repro.serving.columnar_cluster.fast_path_fallback_reason",
         lambda config, policy, scheduler: FORCED_REASON,
-    ), mock.patch(
-        "repro.serving.columnar.kernel_for", lambda scheduler: None
-    ):
+    ), mock.patch("repro.serving.columnar.run_fast", _forced_engine_run):
         yield
 
 
@@ -84,6 +88,165 @@ def run_reference(runner, trace, offered_rate_rps=None):
     :class:`ServingEngine` or a :class:`ClusterRouter`."""
     with reference_paths():
         return runner.run(trace, offered_rate_rps)
+
+
+def _forced_engine_run(engine, trace, offered_rate_rps=None) -> ServingResult:
+    """The ``run_fast`` stand-in :func:`reference_paths` installs."""
+    result = run_engine_reference(engine, trace, offered_rate_rps)
+    result.backend_used = "reference"
+    result.fast_path_fallback_reason = FORCED_REASON
+    return result
+
+
+def run_engine_reference(engine, trace, offered_rate_rps=None) -> ServingResult:
+    """The engine's scalar reference event loop: asks the scheduler object
+    at every decision time and folds accounting at launch.  Uncapped."""
+    config = engine.config
+    scheduler = get_scheduler(
+        config.scheduler, max_batch=config.max_batch, max_wait_s=config.max_wait_s
+    )
+    requests = trace.requests
+    # dense cost rows (shared with the columnar path): list index +
+    # None check instead of a dict hash per dispatch.
+    cost_table = engine.costs.cost_table(scheduler.max_batch)
+    busy: dict[DeviceKind, float] = {spec.kind: 0.0 for spec in engine.platform.devices}
+    energy: dict[DeviceKind, float] = {spec.kind: 0.0 for spec in engine.platform.devices}
+    result = ServingResult(
+        model=config.model,
+        flow=engine.flow.name,
+        platform_id=config.platform,
+        device=engine.target.value,
+        scheduler=scheduler.name,
+        trace=trace.name,
+        offered_rate_rps=(
+            trace.offered_rate_rps if offered_rate_rps is None else offered_rate_rps
+        ),
+        # filled in place below; an empty trace reports idle devices.
+        busy_s=busy,
+        energy_j=energy,
+    )
+    if not requests:
+        return result
+
+    total = len(requests)
+    next_index = 0
+    now = 0.0
+    host_free = 0.0
+    accel_free: dict[DeviceKind, float] = {}
+    starts: dict[int, float] = {}
+    completions: dict[int, tuple[float, int]] = {}
+    gemm_busy = 0.0
+    non_gemm_busy = 0.0
+    depth_samples: list[tuple[float, int]] = []
+    dispatches = 0
+    iterations_run = 0
+    weighted_size = 0
+
+    # every loop turn either launches work or strictly advances the
+    # clock, so this bound is generous; hitting it means a (custom)
+    # scheduler is stalling or spinning.
+    max_turns = 8 * (total + trace.total_decode_steps()) + 64
+    turns = 0
+    while len(completions) < total:
+        turns += 1
+        if turns > max_turns:
+            raise ServingError(
+                f"scheduler {scheduler.name!r} made no progress after"
+                f" {max_turns} decision turns ({len(completions)}/{total} done,"
+                f" queue depth {scheduler.queue_depth}, clock t={now:.6f}s)"
+            )
+        while next_index < total and requests[next_index].arrival_s <= now:
+            scheduler.admit(requests[next_index])
+            depth_samples.append(
+                (requests[next_index].arrival_s, scheduler.queue_depth)
+            )
+            next_index += 1
+        arrivals_pending = next_index < total
+
+        verdict = scheduler.next_dispatch(now, arrivals_pending)
+        if isinstance(verdict, Dispatch):
+            cost = cost_table.row(verdict.size)
+            start = max(now, host_free)
+            cursor = start
+            for _ in range(verdict.iterations):
+                host_end = cursor + cost.host_s
+                if cost.has_accel:
+                    accel_start = max(host_end, accel_free.get(cost.target, 0.0))
+                    if accel_start == host_end:
+                        # uncontended: serial semantics, bit-identical to
+                        # the per-inference simulator's total.
+                        end = cursor + cost.total_s
+                    else:
+                        end = accel_start + cost.accel_s
+                    accel_free[cost.target] = end
+                else:
+                    end = cursor + cost.total_s
+                    host_end = end
+                host_free = host_end
+                cursor = end
+            for kind, seconds in cost.busy_s.items():
+                busy[kind] += seconds * verdict.iterations
+            for kind, joules in cost.energy_j.items():
+                energy[kind] += joules * verdict.iterations
+            gemm_busy += cost.gemm_s * verdict.iterations
+            non_gemm_busy += cost.non_gemm_s * verdict.iterations
+            dispatches += 1
+            iterations_run += verdict.iterations
+            weighted_size += verdict.size * verdict.iterations
+            for request_id in verdict.members:
+                starts.setdefault(request_id, start)
+            for request_id in verdict.completes:
+                completions[request_id] = (cursor, verdict.size)
+            depth_samples.append((start, scheduler.queue_depth))
+            now = cursor if verdict.barrier else max(now, host_free)
+            continue
+
+        if verdict is None:
+            if arrivals_pending:
+                now = requests[next_index].arrival_s
+                continue
+            raise ServingError(
+                f"scheduler {scheduler.name!r} returned no work with"
+                f" {total - len(completions)} requests outstanding, the"
+                f" trace exhausted, queue depth {scheduler.queue_depth},"
+                f" and clock t={now:.6f}s"
+            )
+
+        # float deadline: advance to it (or to an earlier arrival).
+        wake = float(verdict)
+        if arrivals_pending:
+            wake = min(wake, requests[next_index].arrival_s)
+        if wake <= now:
+            raise ServingError(
+                f"scheduler {scheduler.name!r} requested a wake-up at"
+                f" {wake} that does not advance the clock (t={now:.6f}s,"
+                f" queue depth {scheduler.queue_depth})"
+            )
+        now = wake
+
+    first_arrival = requests[0].arrival_s
+    last_completion = max(end for end, _ in completions.values())
+    result.records = [
+        RequestRecord(
+            request_id=request.request_id,
+            arrival_s=request.arrival_s,
+            start_s=starts[request.request_id],
+            completion_s=completions[request.request_id][0],
+            decode_steps=request.decode_steps,
+            batch_size=completions[request.request_id][1],
+        )
+        for request in requests
+    ]
+    result.makespan_s = last_completion - first_arrival
+    result.num_dispatches = dispatches
+    result.num_iterations = iterations_run
+    result.mean_batch_size = (
+        weighted_size / iterations_run if iterations_run else 0.0
+    )
+    result.gemm_busy_s = gemm_busy
+    result.non_gemm_busy_s = non_gemm_busy
+    result.queue_depth_timeline = tuple(depth_samples)
+    return result
 
 
 def simulate_reference(plan: ExecutionPlan, platform: Platform) -> SimulationResult:

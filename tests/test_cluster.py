@@ -21,6 +21,7 @@ from repro.serving import (
     REQUEST_OK,
     REQUEST_SHED,
     AdmissionPolicy,
+    AutoscaleConfig,
     ClusterConfig,
     ClusterRouter,
     FaultInjector,
@@ -43,8 +44,10 @@ from repro.serving import (
 )
 from repro.serving.cluster import POLICY_REGISTRY
 from repro.serving.faults import FAULT_PROFILE_REGISTRY
+from repro.serving.scheduler import SCHEDULER_REGISTRY, FIFOScheduler, register_scheduler
 from repro.sweep.cache import PLAN_CACHE
 
+from oracles import run_reference
 from registrations import restored
 
 MODEL = "gpt2"
@@ -52,6 +55,22 @@ MODEL = "gpt2"
 
 def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+class _FirstCandidatePolicy(AdmissionPolicy):
+    name = "test-first-candidate"
+    description = "always the lowest alive index (test-only)"
+    probes_load = False
+
+    def choose(self, now, candidates, rng):
+        return candidates[0]
+
+
+class _FIFOSubclass(FIFOScheduler):
+    """Inherits fifo's declaration, which does not count: no launch machine."""
+
+    name = "test-fifo-subclass"
+    description = "fifo subclass (test-only)"
 
 
 def cluster_config(**kwargs) -> ClusterConfig:
@@ -433,7 +452,8 @@ class TestClusterRouter:
         result = simulate_cluster(
             cluster_config(), RequestTrace("empty", ())
         )
-        assert result.records == [] and result.replicas == []
+        assert result.records == []
+        assert [r.num_dispatches for r in result.replicas] == [0, 0]
         assert result.throughput_rps == 0.0 and result.goodput == 0.0
         # a capped fleet reports the capped form even with nothing to serve,
         # like the single engine does.
@@ -441,12 +461,42 @@ class TestClusterRouter:
             cluster_config(platforms=("A", "A"), record_requests=16),
             RequestTrace("empty", ()),
         )
-        assert capped.records == [] and capped.replicas == []
+        assert capped.records == []
+        assert [r.record_cap for r in capped.replicas] == [16, 16]
         assert capped.record_cap == 16
         assert capped.stats is not None and capped.stats.num_requests == 0
         assert capped.num_requests_total == 0
         assert capped.num_completed == 0 and capped.num_good == 0
         assert capped.throughput_rps == 0.0 and capped.goodput == 0.0
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            dict(policy="least-loaded"),
+            dict(policy="test-first-candidate"),
+            dict(scheduler="test-fifo-subclass"),
+            dict(autoscale=AutoscaleConfig(controller="step", max_replicas=2)),
+        ],
+        ids=["built-in", "custom-policy", "custom-scheduler", "autoscale"],
+    )
+    def test_empty_trace_reports_idle_replicas_on_every_path(self, knobs):
+        """Every path reports one idle replica per replica for an empty
+        trace, with per-device zeros like an idle engine, and agrees with
+        the reference loop."""
+        empty = RequestTrace("empty", ())
+        with restored(POLICY_REGISTRY), restored(SCHEDULER_REGISTRY):
+            register_policy(_FirstCandidatePolicy)
+            register_scheduler(_FIFOSubclass)
+            router = ClusterRouter(cluster_config(platforms=("A", "B"), **knobs))
+            result = router.run(empty)
+            assert result == run_reference(router, empty)
+        idle = ServingEngine(ServingConfig(model=MODEL, platform="B")).run(empty)
+        assert len(result.replicas) == 2
+        assert result.replicas[1].busy_s == idle.busy_s != {}
+        assert result.replicas[1].energy_j == idle.energy_j
+        for replica in result.replicas:
+            assert replica.records == [] and replica.num_dispatches == 0
+            assert set(replica.busy_s.values()) == {0.0}
 
     def test_heterogeneous_fleet_and_describe(self):
         config = cluster_config(platforms=("A", "B"), policy="least-loaded")

@@ -221,7 +221,7 @@ class TestClusterBitIdentity:
         assert all(r.record_cap == 12 for r in capped.replicas)
 
 
-# -- custom schedulers fall back to the reference loop ------------------------
+# -- custom schedulers run on the fleet event loop as one replica -------------
 
 
 class _LIFOScheduler(BatchScheduler):
@@ -263,6 +263,32 @@ class _InheritingFIFO(FIFOScheduler):
         )
 
 
+class _PairingScheduler(BatchScheduler):
+    """Launches pairs; a lone request waits for a partner until 1 ms after
+    its arrival (a float deadline), then launches alone.  Non-barrier."""
+
+    name = "pairing-columnar-test"
+    description = "pairs, or a lone request after 1 ms (test-only)"
+
+    def next_dispatch(self, now, arrivals_pending):
+        if not self._queue:
+            return None
+        deadline = self._queue[0].arrival_s + 0.001
+        if len(self._queue) < 2 and arrivals_pending and now < deadline:
+            return deadline
+        members = self._take(min(2, len(self._queue)))
+        ids = tuple(r.request_id for r in members)
+        return Dispatch(
+            members=ids,
+            size=len(ids),
+            iterations=max(r.decode_steps for r in members),
+            completes=ids,
+        )
+
+
+CUSTOM_SCHEDULERS = (_LIFOScheduler, _PairingScheduler, _InheritingFIFO)
+
+
 class TestCustomSchedulerFallback:
     def test_kernel_opt_in_is_declare_it_yourself(self):
         assert kernel_for(FIFOScheduler()) is not None
@@ -271,22 +297,69 @@ class TestCustomSchedulerFallback:
         # decision sequence the fifo kernel hard-codes.
         assert kernel_for(_InheritingFIFO()) is None
 
-    @pytest.mark.parametrize(
-        "scheduler_cls", [_LIFOScheduler, _InheritingFIFO]
-    )
-    def test_fast_backend_still_correct_via_fallback(self, scheduler_cls):
+    @pytest.mark.parametrize("scheduler_cls", CUSTOM_SCHEDULERS)
+    def test_tied_arrivals_keep_trace_order(self, scheduler_cls):
+        """The fleet lists records by (admitted, id); the engine hands them
+        back in trace order, which permuted ids on tied arrivals tell apart.
+        Capped and empty runs match the oracle too."""
+        trace = RequestTrace(
+            "tied",
+            arrival_s=np.repeat(np.arange(6) * 0.004, 4),
+            decode_steps=rng(2).integers(1, 4, size=24),
+            request_ids=rng(3).permutation(24),
+        )
         with restored(SCHEDULER_REGISTRY):
             register_scheduler(scheduler_cls, replace=True)
-            engine = make_engine(scheduler=scheduler_cls.name)
-            rate = 0.8 / engine.base_latency_s()
-            trace = make_trace("poisson", rate, 30, rng(6), decode_steps=(1, 3))
-            fast_result = engine.run(trace, offered_rate_rps=rate)
-            assert fast_result == run_reference(engine, trace, rate)
-            assert fast_result.backend_used == "reference"
-            assert "no columnar kernel" in fast_result.fast_path_fallback_reason
-            # LIFO under load genuinely reorders service, so the fallback ran
-            # the real scheduler, not the fifo kernel.
-            assert fast_result.num_dispatches == 30
+            for cap in (None, 5):
+                engine = make_engine(scheduler=scheduler_cls.name, record_requests=cap)
+                served = engine.run(trace)
+                assert served == run_reference(engine, trace)
+                if cap is None:
+                    assert [r.request_id for r in served.records] == trace.id_column().tolist()
+                else:
+                    assert served.record_cap == cap
+            empty = RequestTrace("empty", ())
+            assert engine.run(empty) == run_reference(engine, empty)
+
+    def test_served_by_one_replica_fleet(self, monkeypatch):
+        """No engine event loop remains: the fleet loop serves the run."""
+        routers = []
+        original = ClusterRouter.run
+
+        def spy(router, *args, **kwargs):
+            routers.append(router)
+            return original(router, *args, **kwargs)
+
+        monkeypatch.setattr(ClusterRouter, "run", spy)
+        with restored(SCHEDULER_REGISTRY):
+            register_scheduler(_LIFOScheduler, replace=True)
+            engine = make_engine(scheduler=_LIFOScheduler.name, record_requests=4)
+            trace = make_trace("poisson", 100.0, 12, rng(1), decode_steps=(1, 3))
+            engine.run(trace)
+        (router,) = routers
+        assert router.config.platforms == (engine.config.platform,)
+        assert router.config.record_requests is None  # the engine caps
+        assert router.config.fault_profile == "none"
+
+    @pytest.mark.parametrize(
+        "platform", [p.platform_id for p in list_platforms()]
+    )
+    @pytest.mark.parametrize("scheduler_cls", CUSTOM_SCHEDULERS)
+    def test_fast_backend_still_correct_via_fallback(self, scheduler_cls, platform):
+        """The fleet event loop serves the engine run and equals the
+        engine oracle, which drives the same scheduler object."""
+        with restored(SCHEDULER_REGISTRY):
+            register_scheduler(scheduler_cls, replace=True)
+            engine = make_engine(platform=platform, scheduler=scheduler_cls.name)
+            for seed, (load, kind) in enumerate(
+                [(0.4, "poisson"), (1.5, "bursty"), (0.8, "closed-loop")]
+            ):
+                rate = load / engine.base_latency_s()
+                trace = make_trace(kind, rate, 48, rng(seed), decode_steps=(1, 4))
+                fast_result = engine.run(trace, offered_rate_rps=rate)
+                assert fast_result == run_reference(engine, trace, rate)
+                assert fast_result.backend_used == "reference"
+                assert "no columnar kernel" in fast_result.fast_path_fallback_reason
 
 
 # -- trace vectorization: bit-identical to the historical scalar loops --------

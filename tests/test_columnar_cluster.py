@@ -6,7 +6,7 @@ columns on two rails: ``run_fast_cluster`` (the launch machines of
 routed by the policy in one pass; no faults/retries/hedging) and
 ``run_fast_faulted`` (minimal event heap over fault transitions, retry and
 hedge timers and hedged completions, lazy launches and lazily resolved
-completions).  These tests pin five contracts:
+completions).  These tests pin six contracts:
 
 * **equivalence** — on the no-fault rail the fast path's ``ClusterResult``
   equals the reference router's, field for field, across schedulers,
@@ -23,10 +23,14 @@ completions).  These tests pin five contracts:
   exhaustion, shed-under-fault, and capped streaming metrics;
 * **hedged equivalence** — hedged dispatch rides ``run_fast_faulted`` for
   every scheduler and policy, alone and with faults, retries, shedding and
-  capped metrics, bit-identically;
+  capped metrics, bit-identically, and no per-replica record starts before
+  the copy it records arrived;
+* **custom policies** — a registered policy rides ``run_fast_faulted``
+  even without faults, retries or hedging (the faulted core asks
+  ``policy.choose`` with its machines as candidates), bit-identically;
 * **fallback** — autoscaling (with or without hedging) and custom
-  policies/schedulers route to the reference loop (neither fast entry point
-  may run), with the reason recorded on the result.
+  schedulers route to the reference loop (neither fast entry point may
+  run), with the reason recorded on the result.
 
 The reference side of every equivalence pair runs through
 :func:`oracles.run_reference`.
@@ -443,6 +447,29 @@ class TestHedgedFastPath:
         )
         assert result.num_hedges > 0
 
+    def test_record_arrival_is_the_first_copy(self):
+        """A replica that admits a request twice (a timed-out primary, then
+        its hedge) records the first copy's arrival, like its start: the
+        second admission (35.01 ms) came after the first start (31.73 ms)."""
+        result = assert_backends_identical(
+            expect_backend="columnar-faulted",
+            num_requests=20,
+            load=1.2,
+            scheduler="fifo",
+            policy="round-robin",
+            platforms=("A", "A"),
+            fault_profile="straggler",
+            timeout_s=0.004,
+            max_retries=3,
+            hedge_after_s=0.003,
+            max_batch=4,
+        )
+        (record,) = [r for r in result.replicas[0].records if r.request_id == 4]
+        assert record.start_s == pytest.approx(0.0317255, abs=1e-7)
+        for replica in result.replicas:
+            for record in replica.records:
+                assert record.arrival_s <= record.start_s < record.completion_s
+
     def test_single_replica_never_hedges(self):
         result = assert_backends_identical(
             expect_backend="columnar-faulted",
@@ -485,21 +512,6 @@ class TestFallback:
         assert "autoscale" in result.fast_path_fallback_reason
         assert (result.num_hedges > 0) == ("hedge_after_s" in knobs)
 
-    def test_custom_policy_falls_back(self, monkeypatch):
-        class HighestIndexPolicy(AdmissionPolicy):
-            name = "test-highest-index"
-            description = "always the highest alive index (test-only)"
-
-            def choose(self, now, candidates, rng):
-                return candidates[-1]
-
-        _refuse_both_fast_paths(monkeypatch)
-        with restored(POLICY_REGISTRY):
-            register_policy(HighestIndexPolicy, replace=True)
-            result = run_cluster(scheduler="fifo", policy="test-highest-index")
-        assert result.backend_used == "reference"
-        assert "custom policy" in result.fast_path_fallback_reason
-
     def test_subclassed_scheduler_falls_back(self, monkeypatch):
         class SubclassedFIFOScheduler(FIFOScheduler):
             name = "test-fifo-subclass"
@@ -522,6 +534,71 @@ class TestFallback:
             scheduler=name,
             replicas=[replace(r, scheduler=name) for r in columnar.replicas],
         )
+
+
+class _SlowestFirstPolicy(AdmissionPolicy):
+    """Probes load: the largest estimated delay, ties to the highest index."""
+
+    name = "test-slowest-first"
+    description = "largest estimated queue delay (test-only)"
+
+    def choose(self, now, candidates, rng):
+        return max(candidates, key=lambda r: (r.est_delay_s(now), r.index))
+
+
+class _HighestIndexPolicy(AdmissionPolicy):
+    """Picks by index alone."""
+
+    name = "test-highest-index"
+    description = "always the highest alive index (test-only)"
+    probes_load = False
+
+    def choose(self, now, candidates, rng):
+        return candidates[-1]
+
+
+class _CoinFlipPolicy(AdmissionPolicy):
+    """Draws from the router's seeded generator."""
+
+    name = "test-coin-flip"
+    description = "a uniform draw over the candidates (test-only)"
+    probes_load = False
+
+    def choose(self, now, candidates, rng):
+        return candidates[int(rng.integers(len(candidates)))]
+
+
+#: fault, shed, hedge and cap knobs a custom policy meets on the faulted core.
+CUSTOM_POLICY_KNOBS = {
+    "plain": {},
+    "shed": dict(shed_queue_s=0.02),
+    "crash": FAULT_KNOBS["crash"],
+    "straggler-hedge": dict(fault_profile="straggler", hedge_after_s=0.005),
+    "accel-loss-capped": {**FAULT_KNOBS["accel-loss"], "record_requests": 16},
+}
+
+
+class TestCustomPolicies:
+    """A registered policy rides the faulted core even without faults,
+    retries or hedging, and equals the reference loop."""
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    @pytest.mark.parametrize(
+        "policy_cls", (_SlowestFirstPolicy, _HighestIndexPolicy, _CoinFlipPolicy)
+    )
+    def test_matches_reference(self, policy_cls, scheduler, monkeypatch):
+        monkeypatch.setattr(columnar_cluster, "run_fast_cluster", _refuse_fast_path)
+        with restored(POLICY_REGISTRY):
+            register_policy(policy_cls, replace=True)
+            for knobs in CUSTOM_POLICY_KNOBS.values():
+                assert_backends_identical(
+                    expect_backend="columnar-faulted",
+                    num_requests=120,
+                    scheduler=scheduler,
+                    policy=policy_cls.name,
+                    platforms=("A", "A", "A"),
+                    **knobs,
+                )
 
 
 class TestSupportsFastPath:
@@ -572,7 +649,7 @@ class TestSupportsFastPath:
         def needs(**kwargs):
             config = self._config(**kwargs)
             injector = FaultInjector(config.fault_profile, 2, 100.0, seed=0)
-            return needs_faulted_path(config, injector)
+            return needs_faulted_path(config, injector, get_policy(config.policy))
 
         # the drawn schedule (not the profile name) decides the rail
         assert not needs()
@@ -581,3 +658,8 @@ class TestSupportsFastPath:
         assert needs(profile="straggler")
         assert needs(timeout_s=0.02)
         assert needs(hedge_after_s=0.01)
+        # a custom policy is asked through policy.choose on the faulted core
+        with restored(POLICY_REGISTRY):
+            register_policy(_HighestIndexPolicy, replace=True)
+            assert needs(policy=_HighestIndexPolicy.name)
+            assert self._reason(policy=_HighestIndexPolicy.name) is None

@@ -357,6 +357,10 @@ class TestClusterRoutingProperties:
         )
         assert completed + fast.num_shed + fast.num_failed == trace.num_requests
         assert fast.num_hedge_wins <= fast.num_hedges
+        # a replica's record holds its first copy's arrival and start.
+        for replica in fast.replicas:
+            for record in replica.records:
+                assert record.arrival_s <= record.start_s < record.completion_s
         if fast.record_cap is None:
             assert sum(r.hedged for r in fast.records) == fast.num_hedges
             assert sum(r.hedge_won for r in fast.records) == fast.num_hedge_wins

@@ -19,6 +19,8 @@ from repro.hardware.device import DeviceKind
 from repro.hardware.platform import get_platform
 from repro.runtime.simulator import simulate
 from repro.serving import (
+    ClusterConfig,
+    ClusterRouter,
     ContinuousBatchScheduler,
     Request,
     RequestTrace,
@@ -320,6 +322,72 @@ class TestEngine:
         engine = ServingEngine(self.config(device="npu"))  # A has no NPU
         assert engine.target is DeviceKind.CPU
         assert engine.platform.platform_id == "A-cpu"
+
+
+# -- closed-form queueing anchors ---------------------------------------------
+
+
+#: (platform, device) pairs the anchors run on: an accelerator target, a
+#: CPU-only target and a second accelerator platform.
+ANCHOR_TARGETS = (("A", "gpu"), ("A", "cpu"), ("B", "gpu"))
+
+
+def _anchor_runners(platform: str, device: str):
+    """fifo with one decode step per request is a deterministic-service
+    single server: the engine, and a one-replica round-robin fleet."""
+    knobs = dict(model="gpt2", device=device, scheduler="fifo")
+    engine = ServingEngine(ServingConfig(platform=platform, **knobs))
+    router = ClusterRouter(
+        ClusterConfig(platforms=(platform,), policy="round-robin", **knobs)
+    )
+    return engine, router
+
+
+def _anchor_results(engine, router, trace: RequestTrace):
+    return engine.run(trace), router.run(trace).replicas[0]
+
+
+def _waits(result) -> np.ndarray:
+    return np.array([r.start_s - r.arrival_s for r in result.records])
+
+
+class TestQueueingAnchors:
+    """Oracle-free checks against queueing theory: every service time is
+    the batch-1 latency S, M/D/1 mean waits match Pollaczek-Khinchine and
+    D/D/1 waits are exact."""
+
+    @pytest.mark.parametrize("platform,device", ANCHOR_TARGETS)
+    @pytest.mark.parametrize("rho", (0.3, 0.5, 0.8))
+    def test_md1_mean_wait_matches_pollaczek_khinchine(self, platform, device, rho):
+        engine, router = _anchor_runners(platform, device)
+        service = engine.base_latency_s()
+        trace = make_trace("poisson", rho / service, 20_000, rng(0), decode_steps=1)
+        expected = rho * service / (2.0 * (1.0 - rho))
+        for result in _anchor_results(engine, router, trace):
+            served = np.array([r.completion_s - r.start_s for r in result.records])
+            assert np.abs(served - service).max() < 1e-13
+            # batch means: 20 consecutive blocks of 1,000 waits, whose means
+            # are close to independent at these loads.
+            means = _waits(result).reshape(20, -1).mean(axis=1)
+            stderr = means.std(ddof=1) / np.sqrt(means.size)
+            assert abs(means.mean() - expected) < 3.0 * stderr
+
+    @pytest.mark.parametrize("platform,device", ANCHOR_TARGETS)
+    @pytest.mark.parametrize("ratio", (1.5, 0.5))
+    def test_dd1_waits_are_exact(self, platform, device, ratio):
+        """Arrivals every T = ratio * S: no wait when T > S, else request
+        i waits i * (S - T)."""
+        engine, router = _anchor_runners(platform, device)
+        service = engine.base_latency_s()
+        period = ratio * service
+        trace = RequestTrace(
+            "periodic",
+            arrival_s=np.arange(100) * period,
+            decode_steps=np.ones(100, dtype=np.int64),
+        )
+        expected = np.arange(100) * max(service - period, 0.0)
+        for result in _anchor_results(engine, router, trace):
+            assert np.abs(_waits(result) - expected).max() < 1e-13
 
 
 # -- metrics ----------------------------------------------------------------
