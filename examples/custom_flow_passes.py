@@ -11,6 +11,7 @@ Run with ``PYTHONPATH=src python examples/custom_flow_passes.py``.
 """
 
 from repro.flows import DeploymentFlow, TorchInductorFlow, get_flow, register_flow
+from repro.flows.plan import DEVICE_CODE
 from repro.flows.passes import (
     FusionPass,
     KernelConstructionPass,
@@ -31,9 +32,10 @@ class SmallKernelOffloadPass(LoweringPass):
     """Re-place sub-threshold standalone kernels onto the host.
 
     A refinement pass: it runs after kernel construction and flips small
-    non-fused, non-metadata kernels to CPU-fallback.  The stock
-    TransferInsertionPass downstream then charges the PCIe round trips, so
-    the custom pass itself stays ~10 lines of policy.
+    non-fused, non-metadata kernels to CPU-fallback.  Passes rewrite the
+    plan's kernels as columns (``state.kernels``), so the policy is one mask;
+    the stock TransferInsertionPass downstream then charges the PCIe round
+    trips.
     """
 
     name = "small-kernel-offload"
@@ -47,20 +49,20 @@ class SmallKernelOffloadPass(LoweringPass):
     def run(self, state) -> None:
         if not state.use_gpu:
             return  # nothing to offload on a CPU-only run
-        offloaded = 0
-        for draft in state.drafts:
-            if draft.fused or draft.fallback:
-                continue
-            node = state.graph.nodes[draft.node_ids[0]]
-            if node.op.is_metadata_only or node.op.forces_sync:
-                continue
-            if draft.cost.total_bytes <= self.max_bytes:
-                draft.device = DeviceKind.CPU
-                draft.fallback = True
-                offloaded += 1
-                if state.record_provenance:
-                    draft.tag(f"offloaded[<= {self.max_bytes}B]")
-        state.note(self.name, offloaded=offloaded)
+        kernels = state.kernels
+        nodes = state.graph.freeze()  # the graph's node table
+        first = kernels.first_nodes()
+        small = (
+            kernels.single()
+            & ~kernels.fallback
+            & ~nodes.metadata_only[first]
+            & ~nodes.forces_sync[first]
+            & (kernels.bytes_read + kernels.bytes_written <= self.max_bytes)
+        )
+        kernels.device[small] = DEVICE_CODE[DeviceKind.CPU]
+        kernels.fallback[small] = True
+        kernels.tag(small, f"offloaded[<= {self.max_bytes}B]")
+        state.note(self.name, offloaded=int(small.sum()))
 
 
 class EdgeOffloadFlow(DeploymentFlow):

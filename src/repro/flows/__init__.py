@@ -8,7 +8,6 @@ from repro.flows.fusion import (
     FusionConfig,
     FusionResult,
     fuse_graph,
-    group_category,
 )
 from repro.flows.npu_offload import NPUOffloadFlow
 from repro.flows.onnxruntime import ONNXRuntimeFlow
@@ -33,7 +32,6 @@ from repro.flows.plan import (
     ExecutionPlan,
     KernelTable,
     PlannedKernel,
-    group_cost,
     node_base_cost,
 )
 from repro.flows.pytorch_eager import PyTorchEagerFlow
@@ -136,8 +134,6 @@ __all__ = [
     "UniformPlacement",
     "fuse_graph",
     "get_flow",
-    "group_category",
-    "group_cost",
     "list_flows",
     "node_base_cost",
     "register_flow",

@@ -8,7 +8,7 @@ per-kernel host dispatch overhead profile.
 Lowering is a *pass pipeline* (:mod:`repro.flows.passes`): each concrete flow
 is a declarative list of named passes plus tuning knobs, and
 :meth:`DeploymentFlow.lower` just runs its :class:`~repro.flows.passes.PassManager`
-and freezes the resulting kernel drafts.  The pipeline's content hash
+and freezes the resulting kernel columns.  The pipeline's content hash
 (:meth:`DeploymentFlow.pipeline_signature`) is what the sweep
 :class:`~repro.sweep.cache.PlanCache` keys plans on.
 """
@@ -36,7 +36,7 @@ from repro.flows.passes import (
     UniformPlacement,
 )
 from repro.flows.passes.state import LoweringState
-from repro.flows.plan import ExecutionPlan, KernelTable
+from repro.flows.plan import ExecutionPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.device import DeviceKind
@@ -158,7 +158,7 @@ class DeploymentFlow(abc.ABC):
             PlacementPass,
             KernelConstructionPass,
             # device-independent (composite scaling is baked into the source
-            # kernels) or a no-op for uniform flows (no fallback drafts):
+            # kernels) or a no-op for uniform flows (no fallback kernels):
             CompositeExpansionPass,
             TransferInsertionPass,
             # re-run by derive_plan:
@@ -186,8 +186,8 @@ class DeploymentFlow(abc.ABC):
         partition, fused costs, dtypes, and launch counts are all
         device-independent, so the opposite-device plan differs only in
         placement and the device-sensitive refinements (syncs, metadata
-        elision), which re-run here as a short pipeline over re-targeted
-        drafts.  Produces exactly what ``lower(graph, use_gpu=...)`` would,
+        elision), which re-run here as a short pipeline over the re-targeted
+        kernel columns.  Produces exactly what ``lower(graph, use_gpu=...)`` would,
         for a fraction of the cost — the sweep cache uses this when it
         already holds the sibling plan.
         """
@@ -207,13 +207,13 @@ class DeploymentFlow(abc.ABC):
         return self._finalize(state)
 
     def _finalize(self, state: LoweringState) -> ExecutionPlan:
-        """Freeze kernel drafts into an immutable :class:`ExecutionPlan`."""
-        assert state.drafts is not None, "pipeline produced no kernel drafts"
+        """Freeze the kernel columns into an immutable :class:`ExecutionPlan`."""
+        assert state.kernels is not None, "pipeline produced no kernels"
         plan = ExecutionPlan(
             graph=state.graph,
             flow=self.name,
             dispatch_profile=self.dispatch_profile,
-            kernels=KernelTable.from_rows(state.drafts),
+            kernels=state.kernels.freeze(),
             target=state.target,
             gemm_peak_scale_f32=self.gemm_peak_scale_f32,
             gemm_saturation_scale=self.gemm_saturation_scale,
@@ -223,8 +223,5 @@ class DeploymentFlow(abc.ABC):
             plan.notes["passes"] = [
                 {"pass": trace.pass_name, **trace.summary} for trace in state.trace
             ]
-            plan.notes["kernel_provenance"] = tuple(
-                tuple(draft.provenance) if draft.provenance else ()
-                for draft in state.drafts
-            )
+            plan.notes["kernel_provenance"] = tuple(map(tuple, state.kernels.provenance))
         return plan

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.ir.graph import Graph
-from repro.ir.node import Node
+from repro.ir.table import CATEGORIES, GEMM_CODE, NodeTable, segment_sum
 from repro.ops.base import OpCategory
 
 #: categories that behave pointwise enough to fuse into chains / epilogues.
@@ -82,76 +84,93 @@ class FusionResult:
 
 
 def fuse_graph(graph: Graph, config: FusionConfig) -> FusionResult:
-    """Partition the compute nodes of ``graph`` into fusion groups."""
-    consumers = graph.consumers()
-    assigned: set[int] = set()
+    """Partition the compute nodes of ``graph`` into fusion groups.
+
+    The greedy walk is sequential, but everything it asks about a node —
+    its sole consumer, whether it is a GEMM, whether it may join a chain or
+    an epilogue — is read from lists precomputed on the node table.
+    """
+    table = graph.freeze()
+    compute_ids = np.flatnonzero(~table.placeholder).tolist()
+    if not (config.gemm_epilogue or config.pointwise_chains):
+        return FusionResult(groups=list(zip(compute_ids)))  # all singletons
+    sole = table.sole_consumers().tolist()
+    chain_ok, epilogue_ok = (mask.tolist() for mask in _fusible_masks(table, config))
+    is_gemm = (table.category == GEMM_CODE).tolist()
+    assigned = [False] * table.num_nodes
     groups: list[tuple[int, ...]] = []
 
-    def sole_consumer(node: Node) -> Node | None:
-        """The unique consumer of a single-output node, else None."""
-        if len(node.outputs) != 1:
-            return None
-        users = consumers.get((node.node_id, 0), [])
-        if len(users) != 1:
-            return None
-        if any(v.node_id == node.node_id for v in graph.outputs):
-            return None
-        return graph.nodes[users[0]]
-
-    def chain_from(start: Node, budget: int, in_epilogue: bool) -> list[int]:
+    def chain_from(start: int, budget: int, fusible: list[bool]) -> list[int]:
         """Greedy single-consumer chain of fusible ops starting at ``start``."""
         chain: list[int] = []
-        current: Node | None = start
-        while (
-            current is not None
-            and len(chain) < budget
-            and current.node_id not in assigned
-            and not current.op.is_metadata_only
-            and config.fusible(current.op.category, in_epilogue, current.op.kind)
-        ):
-            chain.append(current.node_id)
-            assigned.add(current.node_id)
-            current = sole_consumer(current)
+        current = start
+        while current >= 0 and len(chain) < budget and not assigned[current] and fusible[current]:
+            chain.append(current)
+            assigned[current] = True
+            current = sole[current]
         return chain
 
-    for node in graph.compute_nodes():
-        if node.node_id in assigned:
+    for node_id in compute_ids:
+        if assigned[node_id]:
             continue
-        if config.gemm_epilogue and node.op.category is OpCategory.GEMM:
-            assigned.add(node.node_id)
-            group = [node.node_id]
-            nxt = sole_consumer(node)
-            if nxt is not None:
-                group.extend(chain_from(nxt, config.max_epilogue, in_epilogue=True))
+        if config.gemm_epilogue and is_gemm[node_id]:
+            assigned[node_id] = True
+            group = [node_id]
+            nxt = sole[node_id]
+            if nxt >= 0:
+                group.extend(chain_from(nxt, config.max_epilogue, epilogue_ok))
             groups.append(tuple(group))
             continue
-        if config.pointwise_chains and config.fusible(node.op.category) and not node.op.is_metadata_only:
-            group = chain_from(node, config.max_chain, in_epilogue=False)
+        if config.pointwise_chains and chain_ok[node_id]:
+            group = chain_from(node_id, config.max_chain, chain_ok)
             if group:
                 groups.append(tuple(group))
                 continue
-        assigned.add(node.node_id)
-        groups.append((node.node_id,))
+        assigned[node_id] = True
+        groups.append((node_id,))
 
     return FusionResult(groups=groups)
 
 
-def group_category(graph: Graph, node_ids: tuple[int, ...]) -> OpCategory:
-    """Reporting category of a fused kernel.
+def _fusible_masks(table: NodeTable, config: FusionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per node: may it join a pointwise chain, and a GEMM epilogue?
+
+    :meth:`FusionConfig.fusible` is asked once per distinct (category, kind)
+    pair; metadata-only nodes never fuse.
+    """
+    kinds = len(table.kind_vocab)
+    pairs, inverse = np.unique(
+        table.category.astype(np.int64) * kinds + table.kind, return_inverse=True
+    )
+    lookup = np.array(
+        [
+            (
+                config.fusible(CATEGORIES[pair // kinds], False, table.kind_vocab[pair % kinds]),
+                config.fusible(CATEGORIES[pair // kinds], True, table.kind_vocab[pair % kinds]),
+            )
+            for pair in pairs.tolist()
+        ],
+        dtype=bool,
+    ).reshape(len(pairs), 2)
+    fusible = lookup[inverse.reshape(-1)] & ~table.metadata_only[:, None]
+    return fusible[:, 0], fusible[:, 1]
+
+
+def group_categories(table: NodeTable, node_ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Reporting category codes of fused kernels, as CSR groups (group ``i``
+    is ``node_ids[offsets[i]:offsets[i + 1]]``; none empty).
 
     Any GEMM member makes the whole kernel GEMM (fused epilogues disappear
     into the GEMM's latency, as the paper observes for CONV+BN+ReLU).
-    Otherwise the member with the largest unfused traffic wins.
+    Otherwise the member with the largest unfused traffic wins (the first
+    on ties).
     """
-    best: tuple[int, OpCategory] | None = None
-    node_costs = graph.node_costs()
-    for node_id in node_ids:
-        node = graph.nodes[node_id]
-        if node.op.category is OpCategory.GEMM:
-            return OpCategory.GEMM
-        cost = node_costs[node_id]
-        key = cost.total_bytes
-        if best is None or key > best[0]:
-            best = (key, node.op.category)
-    assert best is not None
-    return best[1]
+    sizes = np.diff(offsets)
+    group_of = np.repeat(np.arange(len(sizes)), sizes)
+    traffic = table.bytes_read[node_ids] + table.bytes_written[node_ids]
+    top = np.maximum.reduceat(traffic, offsets[:-1]) if len(sizes) else traffic
+    ties = np.flatnonzero(traffic == top[group_of])
+    _, first = np.unique(group_of[ties], return_index=True)
+    categories = table.category[node_ids]
+    any_gemm = segment_sum(categories == GEMM_CODE, offsets) > 0
+    return np.where(any_gemm, GEMM_CODE, categories[ties[first]]).astype(np.int8)

@@ -3,7 +3,7 @@
 Deployment flows are assembled from the passes in this package instead of a
 monolithic planner: a :class:`PassManager` runs an ordered list of named
 passes over one :class:`LoweringState`, and the flow freezes the resulting
-kernel drafts into an :class:`~repro.flows.plan.ExecutionPlan`.
+kernel columns into an :class:`~repro.flows.plan.ExecutionPlan`.
 
 Ordering contract — grouping, then placement, then construction, then any
 number of refinements (see :mod:`repro.flows.passes.manager` and the README
@@ -14,7 +14,7 @@ folds them into the content hash that
 caching.
 """
 
-from repro.flows.passes.construct import KernelConstructionPass, node_dtype
+from repro.flows.passes.construct import KernelConstructionPass
 from repro.flows.passes.fusion_pass import FusionPass
 from repro.flows.passes.manager import LoweringPass, PassManager
 from repro.flows.passes.placement import (
@@ -31,14 +31,14 @@ from repro.flows.passes.refine import (
     TransferInsertionPass,
 )
 from repro.flows.passes.retarget import RetargetPass
-from repro.flows.passes.state import KernelDraft, LoweringState, PassTrace
+from repro.flows.passes.state import KernelColumns, LoweringState, PassTrace
 
 __all__ = [
     "CategoryRoutePlacement",
     "CompositeExpansionPass",
     "FusionPass",
+    "KernelColumns",
     "KernelConstructionPass",
-    "KernelDraft",
     "LoweringPass",
     "LoweringState",
     "MetadataElisionPass",
@@ -51,5 +51,4 @@ __all__ = [
     "SyncInsertionPass",
     "TransferInsertionPass",
     "UniformPlacement",
-    "node_dtype",
 ]

@@ -14,8 +14,9 @@ Ordering contract (see README "The pass pipeline"):
 1. exactly one grouping pass (FusionPass) runs first and sets ``groups``;
 2. exactly one placement pass follows and sets ``devices`` (it may also
    rewrite ``groups``, e.g. splitting device-spanning fusion groups);
-3. exactly one construction pass turns groups+devices into ``drafts``;
-4. any number of refinement passes then mutate drafts in place
+3. exactly one construction pass turns groups+devices into ``kernels``
+   (:class:`~repro.flows.passes.state.KernelColumns`);
+4. any number of refinement passes then rewrite those columns in place
    (composite expansion, transfers, syncs, metadata elision, custom passes).
 """
 

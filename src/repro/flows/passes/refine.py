@@ -1,4 +1,4 @@
-"""Refinement passes: in-place draft rewrites after kernel construction.
+"""Refinement passes: masked kernel-column rewrites after construction.
 
 Each pass owns one deployment-flow behavior that the pre-pass planner had
 inlined into ``_plan_single``:
@@ -12,16 +12,20 @@ inlined into ``_plan_single``:
 * :class:`MetadataElisionPass` — shape-only ops cost nothing at runtime
   unless something (a sync, a fallback) forces their data to materialize.
 
-All four skip fused drafts and fallback drafts where the pre-pass planner's
-early returns did, so pipelines composed of any subset stay kernel-for-kernel
-identical to it.
+All four skip fused kernels and fallback kernels where the pre-pass
+planner's early returns did, so pipelines composed of any subset stay
+kernel-for-kernel identical to it.  Each is one masked update of
+:class:`~repro.flows.passes.state.KernelColumns` against the graph's node
+table.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.hardware.device import DeviceKind
-from repro.ops.base import OpCost
 from repro.flows.passes.manager import LoweringPass
+from repro.flows.plan import DEVICE_CODE
 from repro.flows.passes.state import LoweringState
 
 
@@ -37,28 +41,18 @@ class CompositeExpansionPass(LoweringPass):
     name = "composite-expansion"
 
     def run(self, state: LoweringState) -> None:
-        assert state.drafts is not None, "composite expansion requires drafts"
-        nodes = state.graph.nodes
-        record = state.record_provenance
-        expanded = 0
-        for draft in state.drafts:
-            if draft.fallback or len(draft.node_ids) != 1:
-                continue
-            op = nodes[draft.node_ids[0]].op
-            if op.eager_kernels <= 1:
-                continue
-            draft.launch_count = op.eager_kernels
-            passes = op.traffic_passes
-            cost = draft.cost
-            draft.cost = OpCost(
-                flops=cost.flops,
-                bytes_read=cost.bytes_read * passes,
-                bytes_written=cost.bytes_written * passes,
-            )
-            expanded += 1
-            if record:
-                draft.tag(f"composite[{op.eager_kernels} launches]")
-        state.note(self.name, expanded=expanded)
+        assert state.kernels is not None, "composite expansion requires kernels"
+        kernels = state.kernels
+        table = state.graph.freeze()
+        first = kernels.first_nodes()
+        launches = table.eager_kernels[first]
+        mask = kernels.single() & ~kernels.fallback & (launches > 1)
+        passes = table.traffic_passes[first][mask]
+        kernels.launch_count[mask] = launches[mask]
+        kernels.bytes_read[mask] *= passes
+        kernels.bytes_written[mask] *= passes
+        kernels.tag(mask, map("composite[{} launches]".format, launches[mask].tolist()))
+        state.note(self.name, expanded=int(np.count_nonzero(mask)))
 
 
 class TransferInsertionPass(LoweringPass):
@@ -75,23 +69,18 @@ class TransferInsertionPass(LoweringPass):
     name = "transfer-insertion"
 
     def run(self, state: LoweringState) -> None:
-        assert state.drafts is not None, "transfer insertion requires drafts"
-        nodes = state.graph.nodes
-        record = state.record_provenance
-        inserted = 0
-        for draft in state.drafts:
-            if not draft.fallback:
-                continue
-            node = nodes[draft.node_ids[0]]
-            in_bytes = sum(v.spec.nbytes for v in node.inputs)
-            out_bytes = sum(s.nbytes for s in node.outputs)
-            draft.cost = OpCost(flops=0, bytes_read=in_bytes, bytes_written=out_bytes)
-            draft.transfer_bytes_in = in_bytes
-            draft.transfer_bytes_out = out_bytes
-            inserted += 1
-            if record:
-                draft.tag(f"cpu-fallback[{in_bytes + out_bytes}B transfer]")
-        state.note(self.name, fallback_kernels=inserted)
+        assert state.kernels is not None, "transfer insertion requires kernels"
+        kernels = state.kernels
+        table = state.graph.freeze()
+        mask = kernels.fallback
+        first = kernels.first_nodes()[mask]
+        in_bytes = table.in_bytes[first]
+        out_bytes = table.out_bytes[first]
+        kernels.flops[mask] = 0
+        kernels.bytes_read[mask] = kernels.transfer_bytes_in[mask] = in_bytes
+        kernels.bytes_written[mask] = kernels.transfer_bytes_out[mask] = out_bytes
+        kernels.tag(mask, map("cpu-fallback[{}B transfer]".format, (in_bytes + out_bytes).tolist()))
+        state.note(self.name, fallback_kernels=int(np.count_nonzero(mask)))
 
 
 class SyncInsertionPass(LoweringPass):
@@ -104,25 +93,19 @@ class SyncInsertionPass(LoweringPass):
     name = "sync-insertion"
 
     def run(self, state: LoweringState) -> None:
-        assert state.drafts is not None, "sync insertion requires drafts"
-        nodes = state.graph.nodes
-        record = state.record_provenance
-        inserted = 0
-        for draft in state.drafts:
-            if (
-                draft.fallback
-                or len(draft.node_ids) != 1
-                or draft.device is DeviceKind.CPU
-            ):
-                continue
-            node = nodes[draft.node_ids[0]]
-            if not node.op.forces_sync:
-                continue
-            draft.transfer_bytes_out = sum(s.nbytes for s in node.outputs)
-            inserted += 1
-            if record:
-                draft.tag("sync[device->host round trip]")
-        state.note(self.name, syncs=inserted)
+        assert state.kernels is not None, "sync insertion requires kernels"
+        kernels = state.kernels
+        table = state.graph.freeze()
+        first = kernels.first_nodes()
+        mask = (
+            kernels.single()
+            & ~kernels.fallback
+            & (kernels.device != DEVICE_CODE[DeviceKind.CPU])
+            & table.forces_sync[first]
+        )
+        kernels.transfer_bytes_out[mask] = table.out_bytes[first[mask]]
+        kernels.tag(mask, "sync[device->host round trip]")
+        state.note(self.name, syncs=int(np.count_nonzero(mask)))
 
 
 class MetadataElisionPass(LoweringPass):
@@ -136,17 +119,14 @@ class MetadataElisionPass(LoweringPass):
     name = "metadata-elision"
 
     def run(self, state: LoweringState) -> None:
-        assert state.drafts is not None, "metadata elision requires drafts"
-        nodes = state.graph.nodes
-        record = state.record_provenance
-        elided = 0
-        for draft in state.drafts:
-            if draft.fallback or len(draft.node_ids) != 1 or draft.transfer_bytes_out:
-                continue
-            if not nodes[draft.node_ids[0]].op.is_metadata_only:
-                continue
-            draft.metadata_only = True
-            elided += 1
-            if record:
-                draft.tag("metadata-elided")
-        state.note(self.name, elided=elided)
+        assert state.kernels is not None, "metadata elision requires kernels"
+        kernels = state.kernels
+        mask = (
+            kernels.single()
+            & ~kernels.fallback
+            & (kernels.transfer_bytes_out == 0)
+            & state.graph.freeze().metadata_only[kernels.first_nodes()]
+        )
+        kernels.metadata_only[mask] = True
+        kernels.tag(mask, "metadata-elided")
+        state.note(self.name, elided=int(np.count_nonzero(mask)))

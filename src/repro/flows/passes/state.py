@@ -2,99 +2,97 @@
 
 A :class:`LoweringState` is the only thing passes read and write: the source
 graph, the target device mode, and three progressively-refined artifacts —
-fusion ``groups``, per-group ``devices``, and mutable :class:`KernelDraft`
-records that the flow finally freezes into an immutable
-:class:`~repro.flows.plan.KernelTable`.
+fusion ``groups``, per-group ``devices``, and the plan's kernels as
+writable :class:`KernelColumns`, which the flow finally freezes into an
+immutable :class:`~repro.flows.plan.KernelTable`.
 
-Drafts are deliberately tiny mutable objects (``__slots__``, no dataclass
-machinery): tens of thousands are minted per sweep, so their construction
-cost sits on the engine's cold path next to the table build itself.
+Passes rewrite kernels as masked column updates, e.g. every single-node,
+non-fallback kernel on an accelerator::
+
+    kernels = state.kernels
+    mask = kernels.single() & ~kernels.fallback & (kernels.device != gpu)
+    kernels.launch_count[mask] += 1
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
+
+import numpy as np
+
+from repro.flows.plan import KERNEL_COLUMNS, KernelTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.device import DeviceKind
     from repro.ir.graph import Graph
-    from repro.ir.node import Node
-    from repro.ops.base import OpCategory, OpCost
-    from repro.ir.dtype import DType
 
 
-class KernelDraft:
-    """A mutable kernel under construction; frozen into a KernelTable row.
+class KernelColumns:
+    """A plan's kernels under construction, one row per kernel.
 
-    Carries the twelve :class:`~repro.flows.plan.PlannedKernel` field names,
-    which :meth:`~repro.flows.plan.KernelTable.from_rows` reads.
+    The :class:`~repro.flows.plan.KernelTable` columns, writable (``names``
+    is an object array of str), plus two that only lowering uses:
+
+    * ``fallback`` (bool): a per-op placement policy forced the kernel off
+      the accelerator, so refinement passes skip it and
+      :class:`~repro.flows.passes.refine.TransferInsertionPass` prices it;
+    * ``provenance``: per kernel, the list of tags passes recorded
+      (``None`` unless the lowering records provenance).
     """
 
-    __slots__ = (
-        "name",
-        "node_ids",
-        "op_kinds",
-        "category",
-        "device",
-        "cost",
-        "dtype",
-        "metadata_only",
-        "is_custom",
-        "launch_count",
-        "transfer_bytes_in",
-        "transfer_bytes_out",
-        "fallback",
-        "provenance",
-    )
+    __slots__ = (*KERNEL_COLUMNS, "fallback", "provenance")
 
-    def __init__(
-        self,
-        name: str,
-        node_ids: "tuple[int, ...]",
-        op_kinds: "tuple[str, ...]",
-        category: "OpCategory",
-        device: "DeviceKind",
-        cost: "OpCost",
-        dtype: "DType",
-        is_custom: bool = False,
-        fallback: bool = False,
-    ):
-        self.name = name
-        self.node_ids = node_ids
-        self.op_kinds = op_kinds
-        self.category = category
-        self.device = device
-        self.cost = cost
-        self.dtype = dtype
-        self.metadata_only = False
-        self.is_custom = is_custom
-        self.launch_count = 1
-        self.transfer_bytes_in = 0
-        self.transfer_bytes_out = 0
-        #: True when a per-op placement policy forced this kernel off the
-        #: accelerator: refinement passes skip fallback drafts the way the
-        #: pre-pass planner's early return did.
+    def __init__(self, fallback: np.ndarray, record_provenance: bool, **columns: object):
+        for name in KERNEL_COLUMNS:
+            setattr(self, name, columns[name])
         self.fallback = fallback
-        #: per-pass annotations, recorded only when provenance is requested.
-        self.provenance: list[str] | None = None
+        self.provenance: list[list[str]] | None = (
+            [[] for _ in self.names] if record_provenance else None
+        )
 
-    @property
-    def fused(self) -> bool:
-        return len(self.node_ids) > 1
+    @classmethod
+    def from_table(cls, table: KernelTable, record_provenance: bool = False) -> "KernelColumns":
+        """Writable copies of a frozen table's columns; no kernel is a fallback."""
+        columns = {name: getattr(table, name) for name in KERNEL_COLUMNS}
+        for name, value in columns.items():
+            if isinstance(value, np.ndarray):
+                columns[name] = value.copy()
+        columns["names"] = np.array(table.names, dtype=object)
+        return cls(np.zeros(len(table), dtype=bool), record_provenance, **columns)
 
-    def single_node(self, graph: "Graph") -> "Node | None":
-        """The draft's node when it wraps exactly one, else None."""
-        if len(self.node_ids) != 1:
-            return None
-        return graph.nodes[self.node_ids[0]]
+    def __len__(self) -> int:
+        return len(self.names)
 
-    def tag(self, label: str) -> None:
-        """Record a provenance annotation (inspect/debug paths only)."""
+    def sizes(self) -> np.ndarray:
+        """Nodes per kernel."""
+        return np.diff(self.offsets)
+
+    def single(self) -> np.ndarray:
+        """Mask of the kernels that wrap exactly one node."""
+        return self.sizes() == 1
+
+    def first_nodes(self) -> np.ndarray:
+        """Each kernel's first node id (its only one, for a single-node kernel)."""
+        return self.node_ids[self.offsets[:-1]]
+
+    def tag(self, mask: np.ndarray, labels: "str | Iterable[str]") -> None:
+        """Record a provenance tag on every masked kernel (no-op unless
+        provenance is recorded); ``labels`` is one label for all, or one per
+        masked kernel in kernel order."""
         if self.provenance is None:
-            self.provenance = [label]
-        else:
-            self.provenance.append(label)
+            return
+        indices = np.flatnonzero(mask).tolist()
+        if isinstance(labels, str):
+            labels = [labels] * len(indices)
+        for index, label in zip(indices, labels):
+            self.provenance[index].append(label)
+
+    def freeze(self) -> KernelTable:
+        """The columns as an immutable :class:`KernelTable` (no copy)."""
+        columns = {name: getattr(self, name) for name in KERNEL_COLUMNS}
+        columns["names"] = tuple(self.names.tolist())
+        return KernelTable.checked(**columns)
 
 
 @dataclass(frozen=True)
@@ -118,8 +116,8 @@ class LoweringState:
     #: device per group, aligned with ``groups`` (set by PlacementPass).
     devices: "list[DeviceKind] | None" = None
     #: kernels under construction (set by KernelConstructionPass).
-    drafts: list[KernelDraft] | None = None
-    #: when True, passes record PassTrace entries and draft provenance tags.
+    kernels: KernelColumns | None = None
+    #: when True, passes record PassTrace entries and kernel provenance tags.
     record_provenance: bool = False
     trace: list[PassTrace] = field(default_factory=list)
 

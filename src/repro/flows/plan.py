@@ -5,9 +5,9 @@ possibly-fused groups of graph nodes assigned to a device, with
 fusion-adjusted cost and optional PCIe transfers (for CPU-fallback kernels).
 
 A plan holds its kernels in one frozen form, a :class:`KernelTable`: numpy
-columns with small-int codes and vocabularies, built once when the flow
-freezes its drafts.  This module alone defines that column layout.  The
-simulator casts the columns into its per-kernel arrays, and the artifact
+columns with small-int codes and vocabularies, frozen once from the
+lowering's kernel columns.  This module alone defines that column layout.
+The simulator casts the columns into its per-kernel arrays, and the artifact
 store pickles the table as it is.  Indexing or iterating the table yields
 :class:`PlannedKernel` rows for code that reads kernels one at a time.
 """
@@ -18,7 +18,7 @@ import hashlib
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -27,6 +27,14 @@ from repro.hardware.device import DeviceKind
 from repro.ir.dtype import DType
 from repro.ir.graph import Graph
 from repro.ir.node import Node
+from repro.ir.table import (
+    CATEGORIES,
+    CATEGORY_CODE,
+    DTYPE_CODE,
+    DTYPES,
+    GEMM_CODE,
+    segment_sum,
+)
 from repro.ops.base import OpCategory, OpCost
 
 
@@ -62,19 +70,17 @@ class PlannedKernel(NamedTuple):
         return self.category is OpCategory.GEMM
 
 
-#: vocabularies of the table's code columns: a code is the member's position
-#: in its enum's declaration order.
-CATEGORIES: tuple[OpCategory, ...] = tuple(OpCategory)
+#: vocabulary of the table's device codes: a code is the member's position
+#: in declaration order, like the category and dtype codes it shares with
+#: the graph's node table (:data:`~repro.ir.table.CATEGORIES`,
+#: :data:`~repro.ir.table.DTYPES`).
 DEVICE_KINDS: tuple[DeviceKind, ...] = tuple(DeviceKind)
-DTYPES: tuple[DType, ...] = tuple(DType)
-CATEGORY_CODE = {category: code for code, category in enumerate(CATEGORIES)}
 DEVICE_CODE = {kind: code for code, kind in enumerate(DEVICE_KINDS)}
-DTYPE_CODE = {dtype: code for code, dtype in enumerate(DTYPES)}
 
 _INT64_MAX = np.iinfo(np.int64).max
 
 #: the table's columns, in pickle order.
-_COLUMNS = (
+KERNEL_COLUMNS = (
     "names",
     "node_ids",
     "offsets",
@@ -115,10 +121,10 @@ class KernelTable:
     left out when the table is pickled.
     """
 
-    __slots__ = (*_COLUMNS, "_rows")
+    __slots__ = (*KERNEL_COLUMNS, "_rows")
 
     def __init__(self, **columns: object):
-        for name in _COLUMNS:
+        for name in KERNEL_COLUMNS:
             value = columns[name]
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -127,12 +133,13 @@ class KernelTable:
 
     @classmethod
     def from_rows(cls, rows: Iterable) -> "KernelTable":
-        """Freeze ``rows`` into a table: the one loop that builds it.
+        """Freeze ``rows`` into a table.
 
         A row is anything carrying the twelve :class:`PlannedKernel` field
-        names as attributes: ``PlannedKernel`` tuples, or the lowering
-        pipeline's kernel drafts.  Raises :class:`PlanError` when a cost or
-        transfer does not fit int64.
+        names as attributes, e.g. ``PlannedKernel`` tuples; the lowering
+        pipeline builds its tables from columns instead
+        (:class:`~repro.flows.passes.state.KernelColumns`).  Raises
+        :class:`PlanError` when a cost or transfer does not fit int64.
         """
         rows = list(rows)
         (names, node_ids, op_kinds, categories, devices, costs, dtypes,
@@ -151,12 +158,9 @@ class KernelTable:
             )
         except OverflowError:
             raise PlanError("a kernel's cost or transfer bytes exceed int64") from None
-        # the simulator sums the two in int64, where an overflow would wrap.
-        if np.any(bytes_written > _INT64_MAX - bytes_read):
-            raise PlanError("a kernel's total traffic exceeds int64")
         vocab: dict[tuple[str, ...], int] = {}
         op_kind_idx = [vocab.setdefault(kinds, len(vocab)) for kinds in op_kinds]
-        return cls(
+        return cls.checked(
             names=tuple(names),
             node_ids=np.fromiter(chain.from_iterable(node_ids), np.int64, int(offsets[-1])),
             offsets=offsets,
@@ -174,6 +178,14 @@ class KernelTable:
             transfer_bytes_in=transfer_in,
             transfer_bytes_out=transfer_out,
         )
+
+    @classmethod
+    def checked(cls, **columns: object) -> "KernelTable":
+        """A table of ``columns``, refusing a kernel whose total traffic
+        wraps int64 (the simulator sums the two byte columns in int64)."""
+        if np.any(columns["bytes_written"] > _INT64_MAX - columns["bytes_read"]):
+            raise PlanError("a kernel's total traffic exceeds int64")
+        return cls(**columns)
 
     def _row_list(self) -> list[PlannedKernel]:
         rows = self._rows
@@ -224,10 +236,10 @@ class KernelTable:
     __hash__ = None  # type: ignore[assignment]
 
     def __getstate__(self) -> tuple:
-        return tuple(getattr(self, name) for name in _COLUMNS)
+        return tuple(getattr(self, name) for name in KERNEL_COLUMNS)
 
     def __setstate__(self, state: tuple) -> None:
-        self.__init__(**dict(zip(_COLUMNS, state)))
+        self.__init__(**dict(zip(KERNEL_COLUMNS, state)))
 
 
 @dataclass
@@ -303,18 +315,24 @@ class ExecutionPlan:
     def validate(self) -> None:
         """Every compute node appears in exactly one kernel; order respects deps."""
         graph = self.graph.materialize()
-        seen: set[int] = set()
-        for node_id in self.kernels.node_ids.tolist():
-            if node_id in seen:
-                raise PlanError(f"node {node_id} planned twice in {self.flow}")
-            seen.add(node_id)
-        expected = {n.node_id for n in graph.compute_nodes()}
-        missing = expected - seen
-        extra = seen - expected
-        if missing:
-            raise PlanError(f"plan for {graph.name} misses nodes {sorted(missing)[:8]}")
-        if extra:
-            raise PlanError(f"plan for {graph.name} has unknown nodes {sorted(extra)[:8]}")
+        table = graph.freeze()
+        ids = self.kernels.node_ids
+        _, first = np.unique(ids, return_index=True)
+        if len(first) < len(ids):
+            repeated = np.ones(len(ids), dtype=bool)
+            repeated[first] = False
+            node_id = int(ids[np.argmax(repeated)])
+            raise PlanError(f"node {node_id} planned twice in {self.flow}")
+        known = (ids >= 0) & (ids < table.num_nodes)
+        covered = np.zeros(table.num_nodes, dtype=bool)
+        covered[ids[known]] = True
+        missing = np.flatnonzero(~table.placeholder & ~covered)
+        placeholders = covered & table.placeholder
+        extra = np.union1d(ids[~known], np.flatnonzero(placeholders))
+        if len(missing):
+            raise PlanError(f"plan for {graph.name} misses nodes {missing[:8].tolist()}")
+        if len(extra):
+            raise PlanError(f"plan for {graph.name} has unknown nodes {extra[:8].tolist()}")
 
     def non_gemm_fusion_rate(self) -> float:
         """Fraction of non-GEMM graph ops that were fused away (paper Table V).
@@ -330,13 +348,8 @@ class ExecutionPlan:
         return rate
 
     def _compute_non_gemm_fusion_rate(self) -> float:
-        nodes = self.graph.materialize().nodes
-        gemm = OpCategory.GEMM
         table = self.kernels
-        node_ids = table.node_ids.tolist()
-        non_gemm = np.fromiter(
-            (nodes[i].op.category is not gemm for i in node_ids), bool, len(node_ids)
-        )
+        non_gemm = self.graph.materialize().freeze().category[table.node_ids] != GEMM_CODE
         sizes = np.diff(table.offsets)
         fused = np.repeat(sizes > 1, sizes)
         non_gemm_total = int(np.count_nonzero(non_gemm))
@@ -345,101 +358,42 @@ class ExecutionPlan:
         return int(np.count_nonzero(non_gemm & fused)) / non_gemm_total
 
 
-def group_cost(graph: Graph, node_ids: tuple[int, ...]) -> OpCost:
-    """Fusion-adjusted cost of a node group.
+def group_costs_batch(
+    graph: Graph, node_ids: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fusion-adjusted ``(flops, bytes_read, bytes_written)`` of node groups.
 
-    FLOPs add up; traffic counts only values crossing the group boundary
-    (external inputs once each, external outputs once each) plus weights —
-    the whole point of fusion is that intermediates stay in registers/SRAM.
+    The groups are CSR: group ``i`` is ``node_ids[offsets[i]:offsets[i + 1]]``.
+    FLOPs add up; traffic counts only values crossing a group's boundary
+    (each external input once per group, each escaping output once) plus
+    weights — the whole point of fusion is that intermediates stay in
+    registers/SRAM.  A value escapes when a node outside its producer's
+    group reads it, or when it is a graph output.  Every group is costed in
+    a few numpy passes over the node table's edges.
     """
-    members = set(node_ids)
-    flops = 0
-    weight_bytes = 0
-    read = 0
-    consumers = graph.consumers()
-    node_costs = graph.node_costs()
-    seen_inputs: set[tuple[int, int]] = set()
-    written = 0
-    for node_id in node_ids:
-        node = graph.nodes[node_id]
-        base = node_costs[node_id]
-        flops += base.flops
-        weight_bytes += node.op.weight_bytes()
-        for value in node.inputs:
-            key = (value.node_id, value.port)
-            if value.node_id not in members and key not in seen_inputs:
-                seen_inputs.add(key)
-                read += value.spec.nbytes
-        for port, spec in enumerate(node.outputs):
-            users = consumers.get((node_id, port), [])
-            escapes = any(u not in members for u in users) or _is_graph_output(
-                graph, node_id, port
-            )
-            if escapes:
-                written += spec.nbytes
-    return OpCost(flops=flops, bytes_read=read + weight_bytes, bytes_written=written)
-
-
-def group_costs_batch(graph: Graph, groups: Sequence[tuple[int, ...]]) -> list[OpCost]:
-    """Fusion-adjusted cost of every group in one walk of the graph.
-
-    Produces exactly :func:`group_cost` of each group (integer sums are
-    exact regardless of association order), but amortizes the boundary
-    analysis: instead of per-group member sets and consumer-map probes, one
-    pass over the graph's edges classifies every value as internal or
-    escaping.  Kernel construction calls this once per lowering, which is
-    where profiling shows the cold path's per-group set arithmetic.
-    """
-    owner: dict[int, int] = {}
-    for index, group in enumerate(groups):
-        for node_id in group:
-            owner[node_id] = index
-    node_costs = graph.node_costs()
-    nodes = graph.nodes
-    count = len(groups)
-    flops = [0] * count
-    read = [0] * count
-    weights = [0] * count
-    written = [0] * count
-    #: (group, producer, port) pairs already charged as reads — a group
-    #: streams each external value once however many members consume it.
-    seen_reads: set[tuple[int, int, int]] = set()
-    #: (producer, port) values consumed outside their producer's group.
-    escapes: set[tuple[int, int]] = set()
-    get_owner = owner.get
-    for node in nodes:
-        group_index = get_owner(node.node_id)
-        if group_index is None:
-            # not in any costed group: only relevant as an outside consumer.
-            for value in node.inputs:
-                if get_owner(value.node_id) is not None:
-                    escapes.add((value.node_id, value.port))
-            continue
-        base = node_costs[node.node_id]
-        flops[group_index] += base.flops
-        weights[group_index] += node.op.weight_bytes()
-        for value in node.inputs:
-            producer = value.node_id
-            if get_owner(producer) != group_index:
-                key = (group_index, producer, value.port)
-                if key not in seen_reads:
-                    seen_reads.add(key)
-                    read[group_index] += value.spec.nbytes
-                if producer in owner:
-                    escapes.add((producer, value.port))
-    for value in graph.outputs:
-        if get_owner(value.node_id) is not None:
-            escapes.add((value.node_id, value.port))
-    for producer, port in escapes:
-        written[owner[producer]] += nodes[producer].outputs[port].nbytes
-    return [
-        OpCost(flops=flops[i], bytes_read=read[i] + weights[i], bytes_written=written[i])
-        for i in range(count)
-    ]
-
-
-def _is_graph_output(graph: Graph, node_id: int, port: int) -> bool:
-    return any(v.node_id == node_id and v.port == port for v in graph.outputs)
+    table = graph.freeze()
+    count = len(offsets) - 1
+    owner = np.full(table.num_nodes, -1, dtype=np.int64)
+    owner[node_ids] = np.repeat(np.arange(count), np.diff(offsets))
+    flops = segment_sum(table.flops[node_ids], offsets)
+    weights = segment_sum(table.weight_bytes[node_ids], offsets)
+    value_owner = owner[table.value_node()]
+    reader = owner[table.edge_node()]
+    writer = value_owner[table.in_values]
+    crossing = reader != writer
+    # each (group, external value) pair is charged once
+    charged = np.unique(
+        reader[crossing & (reader >= 0)] * table.num_values
+        + table.in_values[crossing & (reader >= 0)]
+    )
+    read = np.zeros(count, dtype=np.int64)
+    np.add.at(read, charged // table.num_values, table.value_nbytes[charged % table.num_values])
+    escapes = table.is_output()
+    escapes[table.in_values[crossing]] = True
+    escaping = np.flatnonzero(escapes & (value_owner >= 0))
+    written = np.zeros(count, dtype=np.int64)
+    np.add.at(written, value_owner[escaping], table.value_nbytes[escaping])
+    return flops, read + weights, written
 
 
 def node_base_cost(node: Node) -> OpCost:

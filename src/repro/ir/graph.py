@@ -15,13 +15,13 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from repro.errors import GraphError
 from repro.ir.node import Node, Value
+from repro.ir.table import NodeTable, freeze_graph
 from repro.ir.tensor import TensorSpec
-from repro.ops.base import InputOp, OpCategory, OpCost, Operator
-
-#: shared zero cost for metadata-only nodes (OpCost is immutable).
-_ZERO_COST = OpCost()
+from repro.ops.base import InputOp, OpCategory, Operator
 
 
 def derived_hash(tag: str, parent_hash: str) -> str:
@@ -72,12 +72,11 @@ class Graph:
         #: memoized structural state; any mutation resets all (see _mutated).
         #: ``_has_memo`` tracks whether any of it is populated, so the
         #: per-append invalidation during bulk construction is one flag read
-        #: instead of five attribute writes.
+        #: instead of four attribute writes.
         self._has_memo = False
         self._validated = False
         self._content_hash: str | None = None
-        self._consumers: dict[tuple[int, int], list[int]] | None = None
-        self._node_costs: list | None = None
+        self._table: NodeTable | None = None
         self._compute_nodes: list[Node] | None = None
 
     # -- construction ------------------------------------------------------
@@ -147,8 +146,7 @@ class Graph:
         self._has_memo = False
         self._validated = False
         self._content_hash = None
-        self._consumers = None
-        self._node_costs = None
+        self._table = None
         self._compute_nodes = None
 
     def _unique_name(self, base: str) -> str:
@@ -192,57 +190,31 @@ class Graph:
             self._has_memo = True
         return self._compute_nodes
 
+    def freeze(self) -> NodeTable:
+        """The graph as a :class:`~repro.ir.table.NodeTable` of columns.
+
+        Built in one walk of the nodes and memoized until the next mutation,
+        like every structural memo here; fusion, kernel construction, plan
+        validation and memory profiling all read it.
+        """
+        if self._table is None:
+            self._table = freeze_graph(self)
+            self._has_memo = True
+        return self._table
+
     def consumers(self) -> dict[tuple[int, int], list[int]]:
         """Map (node_id, port) -> ids of nodes consuming that value.
 
-        Memoized until the next mutation; treat the result as read-only
-        (fusion and group-cost walk it once per lowered plan).
+        A view of the node table's consumer edges, built per call; the
+        lowering walks read the table itself.
         """
-        if self._consumers is None:
-            uses: dict[tuple[int, int], list[int]] = {}
-            for node in self.nodes:
-                for value in node.inputs:
-                    uses.setdefault((value.node_id, value.port), []).append(node.node_id)
-            self._consumers = uses
-            self._has_memo = True
-        return self._consumers
-
-    def node_costs(self) -> list:
-        """Per-node unfused :class:`~repro.ops.base.OpCost`, memoized.
-
-        Node costs are pure functions of graph structure but are consulted by
-        every flow lowering the graph (placement, fusion grouping, kernel
-        construction), so computing them once per structural version removes
-        the dominant repeated work of multi-flow/multi-device sweeps.
-
-        Most operators use the stock streaming cost model (inputs in, outputs
-        out, zero flops); those are evaluated inline against the memoized
-        per-spec byte counts, skipping the method dispatch and the temporary
-        spec lists that a generic ``op.cost(...)`` call pays for every node.
-        The values are identical to the generic path's — integer sums in a
-        different association order.
-        """
-        if self._node_costs is None:
-            default_cost = Operator.cost
-            costs: list = []
-            append = costs.append
-            for node in self.nodes:
-                op = node.op
-                if type(op).cost is not default_cost:
-                    append(op.cost([v.spec for v in node.inputs], list(node.outputs)))
-                elif op.is_metadata_only:
-                    append(_ZERO_COST)
-                else:
-                    read = op.weight_bytes()
-                    for value in node.inputs:
-                        read += value.spec.nbytes
-                    written = 0
-                    for spec in node.outputs:
-                        written += spec.nbytes
-                    append(OpCost(0, read, written))
-            self._node_costs = costs
-            self._has_memo = True
-        return self._node_costs
+        table = self.freeze()
+        used = np.flatnonzero(np.diff(table.use_offsets))
+        producers = table.value_node()[used]
+        ports = used - table.out_offsets[producers]
+        users = np.split(table.use_nodes, table.use_offsets[used[1:]])
+        keys = zip(producers.tolist(), ports.tolist())
+        return dict(zip(keys, map(np.ndarray.tolist, users)))
 
     def validate(self) -> None:
         """Check structural invariants; raises :class:`GraphError` on violation.

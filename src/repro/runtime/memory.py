@@ -1,16 +1,19 @@
 """Peak activation-memory estimation via liveness analysis.
 
-Part of the paper's performance report ("Peak Memory Usage").  Walks the
-graph in topological order keeping every value alive until its last
-consumer; peak memory is the high-water mark of live activations plus
-resident weights.
+Part of the paper's performance report ("Peak Memory Usage").  Every value
+stays alive from its producer to its last consumer, in topological order;
+peak memory is the high-water mark of live activations plus resident
+weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.ir.graph import Graph
+from repro.ir.table import segment_sum
 
 
 @dataclass(frozen=True)
@@ -26,34 +29,30 @@ class MemoryProfile:
 
 
 def profile_memory(graph: Graph) -> MemoryProfile:
-    """Compute resident-weight and peak-activation bytes for ``graph``."""
-    weight_bytes = sum(node.op.weight_bytes() for node in graph.nodes)
+    """Compute resident-weight and peak-activation bytes for ``graph``.
 
-    last_use: dict[tuple[int, int], int] = {}
-    for node in graph.nodes:
-        for value in node.inputs:
-            last_use[(value.node_id, value.port)] = node.node_id
-    for value in graph.outputs:
-        last_use[(value.node_id, value.port)] = len(graph.nodes)
-
-    # metadata-only ops alias their input storage: attribute zero new bytes.
-    live = 0
-    peak = 0
-    free_at: dict[int, int] = {}
-    for node in graph.nodes:
-        if not node.op.is_metadata_only or node.is_placeholder:
-            produced = sum(
-                spec.nbytes
-                for port, spec in enumerate(node.outputs)
-                if (node.node_id, port) in last_use
-            )
-            live += produced
-            peak = max(peak, live)
-            for port, spec in enumerate(node.outputs):
-                key = (node.node_id, port)
-                if key in last_use:
-                    release_point = last_use[key]
-                    free_at[release_point] = free_at.get(release_point, 0) + spec.nbytes
-        live -= free_at.pop(node.node_id, 0)
-
-    return MemoryProfile(weight_bytes=weight_bytes, peak_activation_bytes=peak)
+    A value is live from its producer until its last consumer (graph
+    outputs until the end); values nothing reads are never allocated, and
+    metadata-only ops alias their input storage, so they add no bytes.
+    Live bytes after node ``i`` produces are the bytes produced through
+    ``i`` minus those released through ``i - 1``: two prefix sums over the
+    node table.
+    """
+    table = graph.freeze()
+    n = table.num_nodes
+    uses = np.diff(table.use_offsets)
+    last_use = np.full(table.num_values, -1, dtype=np.int64)
+    read = uses > 0
+    last_use[read] = table.use_nodes[table.use_offsets[1:][read] - 1]
+    last_use[table.outputs] = n
+    producing = ~table.metadata_only | table.placeholder
+    live = (last_use >= 0) & np.repeat(producing, np.diff(table.out_offsets))
+    nbytes = np.where(live, table.value_nbytes, 0)
+    released = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(released, last_use[live], nbytes[live])
+    held = np.cumsum(segment_sum(nbytes, table.out_offsets))
+    held[1:] -= np.cumsum(released[: n - 1])
+    peak = max(int(held.max(initial=0)), 0)
+    return MemoryProfile(
+        weight_bytes=int(table.weight_bytes.sum()), peak_activation_bytes=peak
+    )

@@ -631,7 +631,8 @@ class ClusterRouter:
                 return
             holder = replicas[copy.replica]
             if not holder.down:
-                holder.scheduler.cancel(copy_request_ids[id(copy)])
+                if holder.scheduler.cancel(copy_request_ids[id(copy)]):
+                    holder.depth_samples.append((now, holder.scheduler.queue_depth))
                 maybe_finish_drain(holder, now)
 
         # cancel_copy needs the request id of a copy; keep a side table to
@@ -791,6 +792,7 @@ class ClusterRouter:
                 route_primary(entry_tracked, when)
                 return
             if not copy.started and holder.scheduler.cancel(request_id):
+                holder.depth_samples.append((when, holder.scheduler.queue_depth))
                 maybe_finish_drain(holder, when)
                 route_primary(entry_tracked, when)
                 return
@@ -828,6 +830,9 @@ class ClusterRouter:
                     copy is entry_tracked.primary or copy is entry_tracked.hedge
                 ):
                     copy.lost = True
+            if replica.scheduler.queue_depth:
+                # the dropped queue is a depth transition
+                replica.depth_samples.append((when, 0))
             replica.scheduler.reset()
             replica.host_free = 0.0
             replica.accel_free.clear()

@@ -438,7 +438,8 @@ class _SimReplica:
         self.flush_at: "float | None" = None
         self.starts: dict[int, float] = {}
         self.admitted: dict[int, float] = {}
-        #: queue-depth samples (time, depth), one per admission and launch.
+        #: queue-depth samples (time, depth), one per admission, launch and
+        #: withdrawal, and one when a crash drops a non-empty queue.
         self.depth_time: list[float] = []
         self.depth_value: list[int] = []
         #: columnar dispatch log, one entry per launch.
@@ -499,26 +500,29 @@ class _SimReplica:
         self.depth_time.append(when)
         self.depth_value.append(len(self.q_admit) - self.head)
 
-    def cancel(self, pos: int) -> bool:
+    def cancel(self, pos: int, when: float) -> bool:
         """The reference ``scheduler.cancel``: withdraw an in-flight
         continuous member (it leaves at the next iteration boundary), else
         the first queued copy of ``pos``.  False when there is neither — a
-        copy inside a running batch dispatch runs to completion."""
+        copy inside a running batch dispatch runs to completion.  A
+        withdrawal takes a queue-depth sample at ``when``."""
         flight = self.flight_pos
         if pos in flight:
             k = flight.index(pos)
             self.pending_steps -= self.flight_rem[k]
             del flight[k]
             del self.flight_rem[k]
-            return True
-        try:
-            i = self.q_pos.index(pos, self.head)
-        except ValueError:
-            return False
-        self.pending_steps -= self.q_steps[i]
-        del self.q_admit[i]
-        del self.q_steps[i]
-        del self.q_pos[i]
+        else:
+            try:
+                i = self.q_pos.index(pos, self.head)
+            except ValueError:
+                return False
+            self.pending_steps -= self.q_steps[i]
+            del self.q_admit[i]
+            del self.q_steps[i]
+            del self.q_pos[i]
+        self.depth_time.append(when)
+        self.depth_value.append(len(self.q_admit) - self.head)
         return True
 
     # -- fault transitions -------------------------------------------------
@@ -547,6 +551,10 @@ class _SimReplica:
                     cancelled_members.extend(self.log_completes[i])
             self.open.clear()
         lost_now = self.q_pos[self.head :] + self.flight_pos + cancelled_members
+        if self.head < len(self.q_admit):
+            # the dropped queue is a depth transition
+            self.depth_time.append(when)
+            self.depth_value.append(0)
         self.q_admit.clear()
         self.q_steps.clear()
         self.q_pos.clear()
@@ -908,7 +916,7 @@ def run_fast_faulted(
             status[pos] = STATUS_FAILED
             if hedging and hedged[pos]:
                 settle(pos)
-                withdraw(pos, hedge_replica[pos], hedge_lost[pos])
+                withdraw(pos, hedge_replica[pos], hedge_lost[pos], when)
             return
         previous = live_replica[pos]
         candidates = [m for m in alive if m.index != previous] or alive
@@ -961,7 +969,7 @@ def run_fast_faulted(
         if holder is None or lost[pos] or holder.down:
             route_primary(pos, when)
             return
-        if not started[pos] and holder.cancel(pos):
+        if not started[pos] and holder.cancel(pos, when):
             route_primary(pos, when)
             return
         # in service on a live replica: let it finish, but keep watching so
@@ -1014,13 +1022,13 @@ def run_fast_faulted(
         for machine in machines:
             machine.hot.discard(pos)
 
-    def withdraw(pos: int, holder_index: int, copy_lost: bool) -> None:
+    def withdraw(pos: int, holder_index: int, copy_lost: bool, when: float) -> None:
         """The reference ``cancel_copy``: a lost copy or one on a crashed
         replica has nothing left to withdraw."""
         if not copy_lost:
             holder = machines[holder_index]
             if not holder.down:
-                holder.cancel(pos)
+                holder.cancel(pos, when)
 
     def on_hedge(pos: int, when: float) -> None:
         nonlocal hedges
@@ -1071,9 +1079,9 @@ def run_fast_faulted(
                 if machine.copy_gen[pos] == _HEDGE_COPY:
                     hedge_won[pos] = True
                     hedge_wins += 1
-                    withdraw(pos, live_replica[pos], lost[pos])
+                    withdraw(pos, live_replica[pos], lost[pos], when)
                 else:
-                    withdraw(pos, hedge_replica[pos], hedge_lost[pos])
+                    withdraw(pos, hedge_replica[pos], hedge_lost[pos], when)
 
     def launch_hot(until: float) -> bool:
         """Execute the earliest launch strictly before ``until`` among hot

@@ -8,6 +8,10 @@
   algorithm as it existed before lowering was decomposed into
   :mod:`repro.flows.passes`; every registered flow must produce its plans
   kernel for kernel (``tests/test_passes.py``).
+* :func:`group_cost` — one fused group's cost by per-node set arithmetic,
+  the oracle of the columnar :func:`~repro.flows.plan.group_costs_batch`.
+* :func:`profile_memory_reference` — the node-by-node liveness walk, the
+  oracle of the prefix-sum :func:`~repro.runtime.memory.profile_memory`.
 * :func:`run_engine_reference` — the single engine's scalar event loop.  It
   lives only here: production serves every engine on a launch machine, or,
   for a scheduler that declares none, on :class:`ClusterRouter`'s event loop
@@ -50,17 +54,17 @@ from typing import TYPE_CHECKING, Iterator
 from unittest import mock
 
 from repro.errors import PlanError, ServingError
-from repro.flows.fusion import fuse_graph, group_category
-from repro.flows.passes.construct import node_dtype
-from repro.flows.plan import ExecutionPlan, PlannedKernel, group_cost
+from repro.flows.fusion import fuse_graph
+from repro.flows.plan import ExecutionPlan, PlannedKernel, node_base_cost
 from repro.hardware.calibration import FALLBACK_SYNC_S, dispatch_profile
 from repro.hardware.cost_model import estimate_kernel
 from repro.hardware.device import DeviceKind
 from repro.hardware.energy import EnergyAccumulator
 from repro.hardware.platform import Platform
+from repro.ir.dtype import DType
 from repro.ir.graph import Graph
 from repro.ir.node import Node
-from repro.ops.base import OpCost
+from repro.ops.base import OpCategory, OpCost
 from repro.runtime.simulator import KernelRecord, SimulationResult, _transfer_peer
 from repro.serving.metrics import RequestRecord, ServingResult
 from repro.serving.scheduler import Dispatch, get_scheduler
@@ -313,12 +317,9 @@ def reference_lower(
         device = DeviceKind.GPU if use_gpu else DeviceKind.CPU
     kernels: list[PlannedKernel] = []
     nodes = graph.nodes
-    node_costs = graph.node_costs()
     for group in result.groups:
         if len(group) == 1:
-            kernels.append(
-                _plan_single(flow, policy, graph, nodes[group[0]], use_gpu, device, node_costs)
-            )
+            kernels.append(_plan_single(flow, policy, graph, nodes[group[0]], use_gpu, device))
         else:
             kernels.append(_plan_group(flow, policy, graph, group, use_gpu))
     plan = ExecutionPlan(
@@ -341,7 +342,6 @@ def _plan_single(
     node: Node,
     use_gpu: bool,
     device: DeviceKind | None = None,
-    node_costs: list | None = None,
 ) -> PlannedKernel:
     if device is None:
         device = policy.device_for(node, use_gpu)
@@ -360,16 +360,14 @@ def _plan_single(
             category=node.op.category,
             device=DeviceKind.CPU,
             cost=cost,
-            dtype=node_dtype(node),
+            dtype=_node_dtype(node),
             metadata_only=False,
             is_custom=node.op.is_custom_kernel,
             launch_count=1,
             transfer_bytes_in=in_bytes,
             transfer_bytes_out=out_bytes,
         )
-    if node_costs is None:
-        node_costs = graph.node_costs()
-    cost = node_costs[node.node_id]
+    cost = node_base_cost(node)
     # data-dependent ops (nonzero, dynamic shapes) stall the pipeline with
     # a device->host round trip to read their result size.
     sync_bytes = 0
@@ -392,7 +390,7 @@ def _plan_single(
         category=node.op.category,
         device=device,
         cost=cost,
-        dtype=node_dtype(node),
+        dtype=_node_dtype(node),
         metadata_only=metadata and not sync_bytes,
         is_custom=node.op.is_custom_kernel and not flow.collapses_composites,
         launch_count=launches,
@@ -411,7 +409,7 @@ def _plan_group(
     devices = {policy.device_for(n, use_gpu) for n in nodes}
     if len(devices) > 1:
         raise PlanError(f"fused group {group} spans devices {devices}")
-    category = group_category(graph, group)
+    category = _group_category(graph, group)
     first = nodes[0]
     return PlannedKernel(
         name=f"{first.qualified_name}+{len(group) - 1}",
@@ -420,8 +418,97 @@ def _plan_group(
         category=category,
         device=devices.pop(),
         cost=group_cost(graph, group),
-        dtype=node_dtype(first),
+        dtype=_node_dtype(first),
         metadata_only=False,
         is_custom=False,  # fused kernels are generated, not hand-written
         launch_count=1,
     )
+
+
+def group_cost(graph: Graph, node_ids: tuple[int, ...]) -> OpCost:
+    """Fusion-adjusted cost of a node group.
+
+    FLOPs add up; traffic counts only values crossing the group boundary
+    (external inputs once each, external outputs once each) plus weights —
+    the whole point of fusion is that intermediates stay in registers/SRAM.
+    """
+    members = set(node_ids)
+    flops = 0
+    weight_bytes = 0
+    read = 0
+    consumers: dict[tuple[int, int], list[int]] = {}
+    for node in graph.nodes:
+        for value in node.inputs:
+            consumers.setdefault((value.node_id, value.port), []).append(node.node_id)
+    seen_inputs: set[tuple[int, int]] = set()
+    written = 0
+    for node_id in node_ids:
+        node = graph.nodes[node_id]
+        base = node_base_cost(node)
+        flops += base.flops
+        weight_bytes += node.op.weight_bytes()
+        for value in node.inputs:
+            key = (value.node_id, value.port)
+            if value.node_id not in members and key not in seen_inputs:
+                seen_inputs.add(key)
+                read += value.spec.nbytes
+        for port, spec in enumerate(node.outputs):
+            users = consumers.get((node_id, port), [])
+            escapes = any(u not in members for u in users) or _is_graph_output(
+                graph, node_id, port
+            )
+            if escapes:
+                written += spec.nbytes
+    return OpCost(flops=flops, bytes_read=read + weight_bytes, bytes_written=written)
+
+
+def _is_graph_output(graph: Graph, node_id: int, port: int) -> bool:
+    return any(v.node_id == node_id and v.port == port for v in graph.outputs)
+
+
+def _group_category(graph: Graph, node_ids: tuple[int, ...]) -> OpCategory:
+    """Any GEMM member makes a fused kernel GEMM; otherwise the member with
+    the largest unfused traffic (the first on ties) names it."""
+    best: tuple[int, OpCategory] | None = None
+    for node_id in node_ids:
+        node = graph.nodes[node_id]
+        if node.op.category is OpCategory.GEMM:
+            return OpCategory.GEMM
+        key = node_base_cost(node).total_bytes
+        if best is None or key > best[0]:
+            best = (key, node.op.category)
+    assert best is not None
+    return best[1]
+
+
+def _node_dtype(node: Node) -> DType:
+    """Execution precision of a node: its first tensor input, else its output."""
+    if node.inputs:
+        return node.inputs[0].spec.dtype
+    return node.outputs[0].dtype
+
+
+def profile_memory_reference(graph: Graph) -> tuple[int, int]:
+    """``(weight_bytes, peak_activation_bytes)`` by walking the nodes in
+    order, keeping every value alive until its last consumer."""
+    weight_bytes = sum(node.op.weight_bytes() for node in graph.nodes)
+    last_use: dict[tuple[int, int], int] = {}
+    for node in graph.nodes:
+        for value in node.inputs:
+            last_use[(value.node_id, value.port)] = node.node_id
+    for value in graph.outputs:
+        last_use[(value.node_id, value.port)] = len(graph.nodes)
+    # metadata-only ops alias their input storage: attribute zero new bytes.
+    live = 0
+    peak = 0
+    free_at: dict[int, int] = {}
+    for node in graph.nodes:
+        if not node.op.is_metadata_only or node.is_placeholder:
+            for port, spec in enumerate(node.outputs):
+                release = last_use.get((node.node_id, port))
+                if release is not None:
+                    live += spec.nbytes
+                    free_at[release] = free_at.get(release, 0) + spec.nbytes
+            peak = max(peak, live)
+        live -= free_at.pop(node.node_id, 0)
+    return weight_bytes, peak

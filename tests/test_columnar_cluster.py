@@ -320,6 +320,21 @@ class TestFaultedFastPath:
         )
         assert result.num_failed + result.num_shed < len(result.records)
 
+    @pytest.mark.parametrize("scheduler", ("fifo", "dynamic", "continuous"))
+    def test_crashes_and_withdrawals_sample_queue_depth(self, scheduler):
+        # a crash empties a replica's queue and a timeout retry withdraws a
+        # queued copy: both take a depth sample, so every replica's timeline
+        # ends at zero on both rails (without them, 11 of these 54 replicas
+        # ended above zero, e.g. fifo seed 5 at [20, 15, 9, 8, 6]).
+        for seed in range(6):
+            knobs = dict(scheduler=scheduler, policy="round-robin", seed=seed)
+            fast = run_cluster(platforms=("A", "A", "A"), **knobs, **FAULT_KNOBS["crash"])
+            reference = run_cluster(
+                platforms=("A", "A", "A"), reference=True, **knobs, **FAULT_KNOBS["crash"]
+            )
+            assert fast == reference
+            assert [r.queue_depth_timeline[-1][1] for r in fast.replicas] == [0, 0, 0]
+
     def test_timeout_retries_match_reference(self, monkeypatch):
         monkeypatch.setattr(columnar_cluster, "run_fast_cluster", _refuse_fast_path)
         assert_backends_identical(

@@ -1,5 +1,6 @@
 """Unit tests for deployment flows, fusion, and execution plans."""
 
+import numpy as np
 import pytest
 
 from repro import ops
@@ -12,11 +13,21 @@ from repro.flows import (
     TorchInductorFlow,
     fuse_graph,
     get_flow,
-    group_cost,
 )
+from repro.flows.plan import group_costs_batch
 from repro.hardware import DeviceKind
 from repro.ir import DType, Graph, TensorSpec
-from repro.ops.base import OpCategory
+from repro.ops.base import OpCategory, OpCost
+
+from oracles import group_cost
+
+
+def batch_costs(graph: Graph, groups: list[tuple[int, ...]]) -> list[OpCost]:
+    """``group_costs_batch`` of ``groups``, one OpCost per group."""
+    node_ids = np.array([i for group in groups for i in group], dtype=np.int64)
+    offsets = np.cumsum([0] + [len(group) for group in groups])
+    columns = group_costs_batch(graph, node_ids, offsets)
+    return list(map(OpCost, *(column.tolist() for column in columns)))
 
 
 def conv_bn_relu_graph() -> Graph:
@@ -190,7 +201,8 @@ class TestGroupCost:
     def test_fusion_saves_intermediate_traffic(self):
         g = pointwise_chain_graph()
         node_ids = tuple(n.node_id for n in g.compute_nodes())
-        fused = group_cost(g, node_ids)
+        (fused,) = batch_costs(g, [node_ids])
+        assert fused == group_cost(g, node_ids)
         separate = [
             n.op.cost([v.spec for v in n.inputs], list(n.outputs)) for n in g.compute_nodes()
         ]
@@ -203,9 +215,22 @@ class TestGroupCost:
         a = g.call(ops.Add(), x, x)  # same external value twice
         b = g.call(ops.ReLU(), a)
         g.set_outputs(b)
-        cost = group_cost(g, (a.node_id, b.node_id))
+        (cost,) = batch_costs(g, [(a.node_id, b.node_id)])
+        assert cost == group_cost(g, (a.node_id, b.node_id))
         assert cost.bytes_read == x.spec.nbytes  # x read once
         assert cost.bytes_written == b.spec.nbytes
+
+    def test_batch_matches_scalar_oracle_on_fused_plans(self):
+        # every fused kernel of every fusing flow, on models with epilogues,
+        # pointwise chains and multi-consumer values
+        from repro.models import build_model
+
+        for model in ("swin-t", "detr", "gpt2"):
+            graph = build_model(model, batch_size=1)
+            for flow in ("torchinductor", "tensorrt"):
+                groups = fuse_graph(graph, get_flow(flow).fusion).fused_groups
+                assert groups
+                assert batch_costs(graph, groups) == [group_cost(graph, g) for g in groups]
 
 
 class TestPlans:

@@ -145,6 +145,49 @@ class TestGraph:
         assert uses[(x.node_id, 0)] == [a.node_id, b.node_id]
         assert uses[(a.node_id, 0)] == [b.node_id]
 
+    def test_freeze_is_memoized_until_mutation(self):
+        g = Graph("t")
+        x = g.input(TensorSpec((1, 4)), "x")
+        a = g.call(ops.ReLU(), x)
+        g.set_outputs(a)
+        table = g.freeze()
+        assert g.freeze() is table
+        b = g.call(ops.Sigmoid(), a)
+        assert g.freeze() is not table
+        assert g.freeze().num_nodes == 3
+        g.set_outputs(b)
+        assert g.freeze().outputs.tolist() == [b.node_id]
+
+    def test_node_table_edges(self):
+        g = Graph("t")
+        x = g.input(TensorSpec((2, 6)), "x")
+        a, b = g.call(ops.Split(2, dim=1), x)
+        c = g.call(ops.Add(), a, a)  # one value read twice
+        d = g.call(ops.ReLU(), b)
+        g.set_outputs(g.call(ops.Concat(1), c, d), d)
+        table = g.freeze()
+        assert table.out_offsets.tolist() == [0, 1, 3, 4, 5, 6]
+        assert table.in_values.tolist() == [0, 1, 1, 2, 3, 4]
+        # value 1 (split port 0) is read twice by node 2
+        assert table.use_nodes[table.use_offsets[1] : table.use_offsets[2]].tolist() == [2, 2]
+        # the split has two outputs; the relu's and the concat's are outputs
+        assert table.sole_consumers().tolist() == [1, -1, 4, -1, -1]
+        assert table.names[1] == "split" and table.kind_vocab[table.kind[2]] == "add"
+        assert g.consumers() == {(0, 0): [1], (1, 0): [2, 2], (1, 1): [3], (2, 0): [4], (3, 0): [4]}
+
+    def test_freeze_refuses_costs_beyond_int64(self):
+        from repro.errors import PlanError
+        from repro.ops.base import OpCost
+
+        class Huge(ops.ReLU):
+            def cost(self, inputs, outputs):
+                return OpCost(flops=2**63)
+
+        g = Graph("huge")
+        g.set_outputs(g.call(Huge(), g.input(TensorSpec((1, 4)), "x")))
+        with pytest.raises(PlanError, match="exceeds int64"):
+            g.freeze()
+
     def test_str_rendering(self):
         g = Graph("t")
         x = g.input(TensorSpec((1, 4)), "x")

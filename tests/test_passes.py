@@ -12,6 +12,7 @@ Covers three layers:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import ops
@@ -26,6 +27,7 @@ from repro.flows import (
     list_flows,
     register_flow,
 )
+from repro.flows.plan import DEVICE_CODE, DEVICE_KINDS
 from repro.flows.passes import (
     CompositeExpansionPass,
     FusionPass,
@@ -38,10 +40,12 @@ from repro.flows.passes import (
     TransferInsertionPass,
     UniformPlacement,
 )
-from repro.hardware import DeviceKind
+from repro.flows.plan import node_base_cost
+from repro.hardware import PLATFORM_A, DeviceKind
 from repro.ir import Graph, TensorSpec
 from repro.models import build_model, list_models
-from repro.sweep.cache import PlanCache
+from repro.profiler import profile_graph
+from repro.sweep.cache import PlanCache, cached_lower
 
 from oracles import reference_lower
 from registrations import restored
@@ -63,6 +67,10 @@ def chain_graph(*op_list, spec=(4, 16)):
         value = g.call(op, value)
     g.set_outputs(value)
     return g
+
+
+def devices_of(kernels) -> list[DeviceKind]:
+    return [DEVICE_KINDS[code] for code in kernels.device.tolist()]
 
 
 def _standard_pipeline(policy, fusion=None, **placement_kwargs):
@@ -158,9 +166,8 @@ class TestDerivePlanProperty:
             name = "device-tax"
 
             def run(self, state):
-                for draft in state.drafts:
-                    if draft.device is DeviceKind.GPU:
-                        draft.launch_count += 1
+                kernels = state.kernels
+                kernels.launch_count[kernels.device == DEVICE_CODE[DeviceKind.GPU]] += 1
 
         class TaxedFlow(TorchInductorFlow):
             def build_pipeline(self):
@@ -178,6 +185,61 @@ class TestDerivePlanProperty:
         cache.plan(flow, graph, use_gpu=True)
         derived = cache.plan(flow, graph, use_gpu=False)
         assert derived.kernels == flow.lower(graph, use_gpu=False).kernels
+
+
+class TestPaperPathInvariants:
+    """Oracle-free checks of every registered model at batch 1 under every
+    flow, on the path the paper's figures take (lowering, then profiling on
+    platform A)."""
+
+    @pytest.fixture(scope="class")
+    def profiles(self, model_graphs):
+        """(model, flow) -> (the GPU plan, its profile on platform A)."""
+        runs = {}
+        for model, graph in model_graphs.items():
+            for flow_name in ALL_FLOWS:
+                flow = get_flow(flow_name)
+                profile = profile_graph(graph, flow, PLATFORM_A, iterations=2)
+                runs[model, flow_name] = (cached_lower(flow, graph, DeviceKind.GPU), profile)
+        return runs
+
+    def test_kernel_flops_are_their_nodes_flops(self, model_graphs, profiles):
+        # except CPU-fallback kernels, whose cost is pure transfer traffic
+        node_flops = {
+            model: np.array([node_base_cost(node).flops for node in graph.nodes], dtype=np.int64)
+            for model, graph in model_graphs.items()
+        }
+        for (model, flow_name), (plan, _) in profiles.items():
+            kernels = plan.kernels
+            sizes = np.diff(kernels.offsets)
+            covered = np.add.reduceat(node_flops[model][kernels.node_ids], kernels.offsets[:-1])
+            fallback = (
+                (sizes == 1)
+                & (kernels.device == DEVICE_CODE[DeviceKind.CPU])
+                & (plan.target is not DeviceKind.CPU)
+            )
+            assert np.array_equal(kernels.flops[~fallback], covered[~fallback]), (model, flow_name)
+            assert not kernels.flops[fallback].any()
+            assert np.array_equal(kernels.bytes_read[fallback], kernels.transfer_bytes_in[fallback])
+            assert np.array_equal(
+                kernels.bytes_written[fallback], kernels.transfer_bytes_out[fallback]
+            )
+
+    def test_category_latencies_sum_to_the_total(self, profiles):
+        for key, (_, profile) in profiles.items():
+            by_group = profile.latency_by_group()
+            assert min(by_group.values()) >= 0.0, key
+            assert sum(by_group.values()) == pytest.approx(profile.total_latency_s, rel=1e-12), key
+
+    def test_derived_plans_cover_their_source_nodes(self, profiles):
+        for (model, flow_name), (plan, _) in profiles.items():
+            flow = get_flow(flow_name)
+            if not flow.supports_derivation():
+                continue
+            source = plan.kernels
+            derived = flow.derive_plan(plan, use_gpu=False).kernels
+            assert np.array_equal(derived.node_ids, source.node_ids), (model, flow_name)
+            assert np.array_equal(derived.offsets, source.offsets)
 
 
 class TestPlacementPass:
@@ -217,15 +279,14 @@ class TestPlacementPass:
             policy, FusionConfig(pointwise_chains=True), split_mixed_groups=True
         )
         state = pipeline.run(graph, use_gpu=True)
-        devices = [d.device for d in state.drafts]
-        assert devices == [DeviceKind.GPU, DeviceKind.CPU, DeviceKind.GPU]
+        kernels = state.kernels
+        assert devices_of(kernels) == [DeviceKind.GPU, DeviceKind.CPU, DeviceKind.GPU]
         # the split singleton is a real fallback kernel: PCIe both ways
-        fallback = state.drafts[1]
-        assert fallback.transfer_bytes_in > 0 and fallback.transfer_bytes_out > 0
+        assert kernels.transfer_bytes_in[1] > 0 and kernels.transfer_bytes_out[1] > 0
         # off GPU, everything lands on CPU and nothing transfers
-        cpu_state = pipeline.run(graph, use_gpu=False)
-        assert [d.device for d in cpu_state.drafts] == [DeviceKind.CPU]
-        assert cpu_state.drafts[0].transfer_bytes_in == 0
+        cpu_kernels = pipeline.run(graph, use_gpu=False).kernels
+        assert devices_of(cpu_kernels) == [DeviceKind.CPU]
+        assert cpu_kernels.transfer_bytes_in[0] == 0
 
     def test_split_cpu_runs_become_fallback_singletons(self):
         # two adjacent fallback-kind ops in a fused chain must not surface
@@ -236,19 +297,18 @@ class TestPlacementPass:
         pipeline = _standard_pipeline(
             policy, FusionConfig(pointwise_chains=True), split_mixed_groups=True
         )
-        state = pipeline.run(graph, use_gpu=True)
-        devices = [d.device for d in state.drafts]
-        assert devices == [
+        kernels = pipeline.run(graph, use_gpu=True).kernels
+        assert devices_of(kernels) == [
             DeviceKind.GPU,
             DeviceKind.CPU,
             DeviceKind.CPU,
             DeviceKind.GPU,
         ]
-        for draft in state.drafts:
-            if draft.device is DeviceKind.CPU:
-                assert draft.fallback and not draft.fused
-                assert draft.transfer_bytes_in > 0 and draft.transfer_bytes_out > 0
-                assert draft.cost.flops == 0
+        cpu = kernels.device == DEVICE_CODE[DeviceKind.CPU]
+        assert np.all(kernels.fallback[cpu] & kernels.single()[cpu])
+        assert np.all(kernels.transfer_bytes_in[cpu] > 0)
+        assert np.all(kernels.transfer_bytes_out[cpu] > 0)
+        assert np.all(kernels.flops[cpu] == 0)
 
     def test_policy_signatures_cover_config(self):
         a = PerOpFallbackPlacement(frozenset({"split", "where"}))
@@ -268,25 +328,25 @@ class TestRefinementPasses:
                 CompositeExpansionPass(),
             )
         )
-        state = manager.run(graph, use_gpu=True)
-        (draft,) = state.drafts
-        op = graph.nodes[draft.node_ids[0]].op
-        assert draft.launch_count == op.eager_kernels > 1
-        base = graph.node_costs()[draft.node_ids[0]]
-        assert draft.cost.bytes_read == base.bytes_read * op.traffic_passes
+        kernels = manager.run(graph, use_gpu=True).kernels
+        (node_id,) = kernels.node_ids.tolist()
+        op = graph.nodes[node_id].op
+        assert kernels.launch_count[0] == op.eager_kernels > 1
+        base = node_base_cost(graph.nodes[node_id])
+        assert kernels.bytes_read[0] == base.bytes_read * op.traffic_passes
 
     def test_transfer_insertion_zeroes_flops(self):
         g = Graph("split")
         x = g.input(TensorSpec((2, 12)), "x")
         a, b, c = g.call(ops.Split(3, dim=1), x)
         g.set_outputs(g.call(ops.Concat(1), a, b, c))
-        state = ONNXRuntimeFlow().pipeline.run(g, use_gpu=True)
-        split_draft = next(d for d in state.drafts if d.op_kinds == ("split",))
-        assert split_draft.fallback
-        assert split_draft.cost.flops == 0
-        assert split_draft.transfer_bytes_in == x.spec.nbytes
-        assert split_draft.transfer_bytes_out == sum(
-            s.nbytes for s in g.nodes[split_draft.node_ids[0]].outputs
+        kernels = ONNXRuntimeFlow().pipeline.run(g, use_gpu=True).kernels
+        split = kernels.op_kind_idx.tolist().index(kernels.op_kind_vocab.index(("split",)))
+        assert kernels.fallback[split]
+        assert kernels.flops[split] == 0
+        assert kernels.transfer_bytes_in[split] == x.spec.nbytes
+        assert kernels.transfer_bytes_out[split] == sum(
+            s.nbytes for s in g.nodes[int(kernels.node_ids[split])].outputs
         )
 
     def test_sync_insertion_gpu_only(self):
@@ -308,13 +368,13 @@ class TestRefinementPasses:
         )
         state = manager.run(graph, use_gpu=True)
         # a sync forced this shape-op's data to materialize: no elision
-        state.drafts[0].transfer_bytes_out = 64
+        state.kernels.transfer_bytes_out[0] = 64
         MetadataElisionPass().run(state)
-        assert not state.drafts[0].metadata_only
+        assert not state.kernels.metadata_only[0]
         # without the sync it is elided
         clean = manager.run(graph, use_gpu=True)
         MetadataElisionPass().run(clean)
-        assert clean.drafts[0].metadata_only
+        assert clean.kernels.metadata_only[0]
 
 
 class TestPipelineSignature:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from repro import ops
 from repro.errors import ShapeError
-from repro.flows import FusionConfig, PyTorchEagerFlow, TensorRTFlow, fuse_graph, group_cost
+from repro.flows import FusionConfig, PyTorchEagerFlow, TensorRTFlow, fuse_graph
+from repro.flows.plan import group_costs_batch
 from repro.hardware import A100, EPYC_7763, estimate_kernel
 from repro.ir import DType, Graph, TensorSpec, broadcast_shapes
 from repro.knobs import pick
@@ -24,7 +25,7 @@ from repro.serving import (
 )
 from tests.conftest import run_op
 
-from oracles import run_reference
+from oracles import group_cost, run_reference
 
 #: hedge delays the fleet fuzz draws: below, near and above a batch-1 latency.
 HEDGE_AFTER_S = (0.001, 0.005, 0.02)
@@ -181,13 +182,30 @@ class TestFusionProperties:
     @given(chain_graphs())
     @settings(max_examples=30, deadline=None)
     def test_group_cost_conserves_flops(self, graph):
-        node_ids = tuple(n.node_id for n in graph.compute_nodes())
-        fused = group_cost(graph, node_ids)
+        node_ids = np.array([n.node_id for n in graph.compute_nodes()], dtype=np.int64)
+        flops, _, _ = group_costs_batch(graph, node_ids, np.array([0, len(node_ids)]))
         total = sum(
             n.op.cost([v.spec for v in n.inputs], list(n.outputs)).flops
             for n in graph.compute_nodes()
         )
-        assert fused.flops == total
+        assert flops.tolist() == [total]
+
+    @given(chain_graphs(), st.lists(st.integers(1, 4), min_size=1, max_size=12))
+    @settings(max_examples=30, deadline=None)
+    def test_group_costs_batch_matches_oracle(self, graph, cuts):
+        # any partition of the compute nodes into runs: each run's batched
+        # cost equals the scalar oracle's
+        ids = [n.node_id for n in graph.compute_nodes()]
+        groups, start = [], 0
+        for size in cuts:
+            if start >= len(ids):
+                break
+            groups.append(tuple(ids[start : start + size]))
+            start += size
+        offsets = np.cumsum([0] + [len(g) for g in groups])
+        flat = np.array([i for g in groups for i in g], dtype=np.int64)
+        batched = zip(*(c.tolist() for c in group_costs_batch(graph, flat, offsets)))
+        assert [OpCost(*row) for row in batched] == [group_cost(graph, g) for g in groups]
 
     @given(chain_graphs(), st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -357,10 +375,11 @@ class TestClusterRoutingProperties:
         )
         assert completed + fast.num_shed + fast.num_failed == trace.num_requests
         assert fast.num_hedge_wins <= fast.num_hedges
-        # a replica's record holds its first copy's arrival and start.
+        # a replica's record holds its first copy's arrival and start; its
+        # uncapped queue-depth timeline ends empty (crashes and withdrawn
+        # copies take samples too).
         for replica in fast.replicas:
-            for record in replica.records:
-                assert record.arrival_s <= record.start_s < record.completion_s
+            _check_replica_invariants(replica)
         if fast.record_cap is None:
             assert sum(r.hedged for r in fast.records) == fast.num_hedges
             assert sum(r.hedge_won for r in fast.records) == fast.num_hedge_wins

@@ -10,6 +10,8 @@ from repro.hardware import PLATFORM_A, PLATFORM_B
 from repro.ir import DType, Graph, TensorSpec
 from repro.runtime import GraphExecutor, profile_memory, run_graph, simulate
 
+from oracles import profile_memory_reference
+
 
 class TestExecutor:
     def test_runs_tiny_graph(self, tiny_transformer_graph, rng):
@@ -121,6 +123,30 @@ class TestMemoryProfile:
         g.set_outputs(h)
         profile = profile_memory(g)
         assert profile.peak_activation_bytes == TensorSpec((4, 4)).nbytes
+
+    @pytest.mark.parametrize("batch_size", (1, 4))
+    def test_matches_the_liveness_walk_on_every_model(self, batch_size):
+        from repro.models import build_model, list_models
+
+        for entry in list_models():
+            graph = build_model(entry.name, batch_size=batch_size)
+            profile = profile_memory(graph)
+            expected = profile_memory_reference(graph)
+            assert (profile.weight_bytes, profile.peak_activation_bytes) == expected, entry.name
+
+    def test_unread_values_are_never_allocated(self):
+        g = Graph("unread")
+        x = g.input(TensorSpec((2, 12)), "x")
+        y = g.call(ops.ReLU(), x)
+        out = g.call(ops.Sigmoid(), y)
+        g.call(ops.Tanh(), x)  # nothing reads it and it is no output
+        g.set_outputs(out)
+        profile = profile_memory(g)
+        # x, y and the output are live together; the tanh value never is
+        assert profile.peak_activation_bytes == 3 * x.spec.nbytes
+        assert (profile.weight_bytes, profile.peak_activation_bytes) == (
+            profile_memory_reference(g)
+        )
 
     def test_peak_total_includes_weights(self, tiny_transformer_graph):
         profile = profile_memory(tiny_transformer_graph)
