@@ -11,12 +11,13 @@ Two fusion mechanisms, mirroring what real deployment flows do:
 
 A :class:`FusionConfig` says which mechanism a flow applies and to which
 operator categories; :func:`fuse_graph` returns disjoint node groups in
-topological order.
+topological order of their last node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -74,7 +75,7 @@ class FusionConfig:
 
 @dataclass
 class FusionResult:
-    """Disjoint groups of node ids, in topological order of their first node."""
+    """Disjoint groups of node ids, in topological order of their last node."""
 
     groups: list[tuple[int, ...]] = field(default_factory=list)
 
@@ -129,6 +130,10 @@ def fuse_graph(graph: Graph, config: FusionConfig) -> FusionResult:
         assigned[node_id] = True
         groups.append((node_id,))
 
+    # Only a group's last member can feed another group: every earlier
+    # member's one output is read once, by the next member.  Ordering by the
+    # last member therefore puts every producer group before its consumers.
+    groups.sort(key=itemgetter(-1))
     return FusionResult(groups=groups)
 
 

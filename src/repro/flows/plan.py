@@ -333,6 +333,19 @@ class ExecutionPlan:
             raise PlanError(f"plan for {graph.name} misses nodes {missing[:8].tolist()}")
         if len(extra):
             raise PlanError(f"plan for {graph.name} has unknown nodes {extra[:8].tolist()}")
+        # every input edge: the producer's kernel must not follow the
+        # consumer's (placeholder producers belong to no kernel).
+        kernel_of = np.full(table.num_nodes, -1, dtype=np.int64)
+        kernel_of[ids] = np.repeat(np.arange(len(self.kernels)), np.diff(self.kernels.offsets))
+        producer = kernel_of[table.value_node()[table.in_values]]
+        consumer = kernel_of[table.edge_node()]
+        late = np.flatnonzero(producer > consumer)
+        if len(late):
+            edge = int(late[0])
+            raise PlanError(
+                f"plan for {graph.name} reads a later kernel: kernel {int(consumer[edge])}"
+                f" consumes the output of kernel {int(producer[edge])}"
+            )
 
     def non_gemm_fusion_rate(self) -> float:
         """Fraction of non-GEMM graph ops that were fused away (paper Table V).

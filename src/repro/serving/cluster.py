@@ -110,8 +110,9 @@ class AdmissionPolicy:
     replica index) and ``est_delay_s(now)`` (the estimated queueing delay of
     a request admitted at ``now``).  Nothing else may be read: the event
     loop passes its replicas, the faulted core (which serves every
-    registered policy outside the three built-ins) passes its replay
-    machines, and the two agree on exactly these two members.
+    registered policy outside the three built-ins) passes the fault layers
+    around its launch machines, and the two agree on exactly these two
+    members.
     """
 
     #: registry name; subclasses must override.

@@ -1,34 +1,41 @@
 """Columnar fast path: one launch machine per scheduler kind.
 
-Each built-in scheduler's launch rules are replayed once, by a *launch
+Each built-in scheduler's launch rules are stated once, by a *launch
 machine* (:class:`_FifoMachine`, :class:`_BatchMachine`,
-:class:`_ContinuousMachine`): a tiny recurrence over occupancy registers
-(``host_free``, one ``accel_free`` float) and an admitted queue of (admit
-time, decode steps), with no scheduler objects, ``Request`` objects or heap
-events.  The same machines serve :meth:`ServingEngine.run
-<repro.serving.engine.ServingEngine.run>` (one machine, no probes) and the
+:class:`_ContinuousMachine`): a recurrence over occupancy registers
+(``host_free``, one ``accel_free`` float) and a queue of (admit time, decode
+steps, trace position), with no scheduler objects, ``Request`` objects or
+heap events.  The machines serve every rail: :meth:`ServingEngine.run
+<repro.serving.engine.ServingEngine.run>` (one machine, no probes), the
 fault-free fleet (:func:`~repro.serving.columnar_cluster.run_fast_cluster`:
-one machine per replica, probed by the admission policy).
+one machine per replica, probed by the admission policy) and the faulted
+fleet (:func:`~repro.serving.columnar_cluster.run_fast_faulted`: one machine
+per replica inside its fault layer).
+
+Why launch times are a recurrence: the reference loop runs one decision
+pass per distinct event time, after draining that time's arrivals, and a
+replica launches at most one dispatch per pass.  So a machine's next launch
+time is a pure function of its queue and registers — ``max(ready, head
+admit)`` for fifo/continuous, ``max(host_free, cap-th admit)`` for a full
+batch, ``max(host_free, head admit + max_wait)`` for a dynamic flush.
 
 **Serving pass.**  :func:`replay` admits the trace's arrivals one by one in
 arrival order, each after its machine has executed every launch decided
-strictly before it — the reference loop drains a time's arrivals before it
-decides at that time, and the launch rules assume the queue holds only
-arrivals before the decision.  After the last arrival every machine drains:
-static and dynamic batching flush partial batches from the trace's last
-arrival on (the reference's ``arrivals_pending`` turning false).  Every
-launch appends one row to the machine's column buffers — start, end, and
-per kind its size, iterations or queue head, counted by global admission
-index because the queue compacts itself.
+strictly before it (admissions at time T precede launches at T).  After the
+last arrival every machine flushes — static and dynamic batching launch
+partial batches from then on (the reference's ``arrivals_pending`` turning
+false) — and drains.  Every launch appends one row to the machine's column
+buffers.
 
 **Assembly.**  :meth:`_Machine.result` rebuilds the per-request columns from
-the launch columns — ``np.repeat`` over batch sizes for the batch kinds, a
-``searchsorted`` over the queue-head column for continuous batching — and
-the queue-depth samples by ``searchsorted`` of arrivals against launch
-starts (every admission precedes the first launch starting at or after it),
-then hands everything to :func:`~repro.serving.metrics.assemble_replica`,
-which folds the accounting as a sequential ``np.cumsum`` (bit-identical to
-the reference loop's repeated ``+=``; pairwise ``np.sum`` would not be).
+the launch columns — ``np.repeat`` over batch sizes for the batch kinds, each
+request's queue-head join and logged finishing iteration for continuous
+batching — and the queue-depth samples by ``searchsorted`` of arrivals
+against launch starts (every admission precedes the first launch starting at
+or after it), then hands everything to
+:func:`~repro.serving.metrics.assemble_replica`, which folds the accounting
+as a sequential ``np.cumsum`` (bit-identical to the reference loop's repeated
+``+=``; pairwise ``np.sum`` would not be).
 
 Bit-identity is the contract, not an aspiration: every float in a fast
 result — starts, completions, busy/energy accumulators, the queue-depth
@@ -51,7 +58,9 @@ estimator, and only the seeded reservoir sample of records is materialized.
 from __future__ import annotations
 
 import functools
+import math
 from array import array
+from collections import defaultdict
 
 import numpy as np
 
@@ -70,60 +79,45 @@ class _Machine:
 
     State is what :meth:`_Replica.est_delay_s
     <repro.serving.cluster._Replica.est_delay_s>` reads — the busy
-    ``horizon`` and the scheduler's pending decode steps — plus the
-    occupancy registers the reference ``launch()`` arithmetic moves
-    (``host_free`` and one ``accel_free`` float: an engine serves one target,
-    so its accelerator work always queues on that target) and the admitted
-    queue (admit time, steps).  ``next_t`` holds the next launch time
-    (``inf`` when nothing can launch), recomputed only on :meth:`admit` and
-    after a launch, so ``advance(T)`` is a no-op unless a launch is due
-    strictly before ``T`` and callers skip idle machines with ``if m.next_t
-    < T``.  A delay probe at an arrival time then sees the same registers
-    as the scalar router's policy does.
+    ``horizon`` and the pending decode steps — plus the occupancy registers
+    the reference ``launch()`` arithmetic moves and the queue.  One
+    ``accel_free`` float stands for the reference's per-device dict: an
+    engine's accelerator work queues on its one target, and an accel-loss
+    fallback table runs on the host alone.  ``next_t`` holds the next launch
+    time (``inf`` when nothing can launch), re-armed whenever the queue or
+    the registers change, so ``advance(T)`` is a no-op unless a launch is
+    due strictly before ``T`` and callers skip idle machines with ``if
+    m.next_t < T``.
 
-    One subclass per scheduler kind supplies :meth:`admit` (re-arming
-    ``next_t``), :meth:`advance` (the launch loop over locals, appending
-    every launch to the column buffers) and the per-request reconstruction
-    :meth:`result` needs.  The launch loops inline the reference
-    ``launch()`` occupancy arithmetic; its straggler multiplier is exactly
-    1.0 on this rail, so they omit it.
+    One subclass per scheduler kind supplies :meth:`admit`, :meth:`advance`
+    (the launch loop over locals, inlining the reference ``launch()``
+    occupancy arithmetic and appending every launch to the column buffers),
+    ``_arm``, and ``launched`` and ``_columns``, which read the log.
+    They branch only on what a run observes: a run with stragglers sets
+    ``straggle``, and every launch then scales its seconds by a drawn
+    multiplier.  The faulted rail's fault layer
+    (:class:`repro.serving.columnar_cluster._SimReplica`) reaches the rest:
+    :meth:`withdraw`, :meth:`reset` after a crash (so ``horizon`` is the
+    registers' current max, not a running one), :meth:`reprice` on an
+    accelerator loss and :meth:`step` for hot hedged replicas.
     """
 
     __slots__ = (
-        "index",
-        "max_batch",
-        "target",
-        "_table",
-        "_rows",
-        "unit_total_s",
-        "next_t",
-        "host_free",
-        "accel_free",
-        "horizon",
-        "ready_s",
-        "pending_steps",
-        "q_admit",
-        "q_steps",
-        "head",
-        "base",
-        "log_start",
-        "log_end",
+        "index", "max_batch", "target", "_table", "_rows", "unit_total_s", "next_t",
+        "host_free", "accel_free", "horizon", "ready_s", "pending_steps",
+        "q_admit", "q_steps", "q_pos", "head", "base", "straggle", "log_start", "log_end",
     )
 
     def __init__(self, index: int, engine, scheduler):
         self.index = index
         self.max_batch = scheduler.max_batch
         self.target = engine.costs.target
-        self._table = engine.costs.cost_table(self.max_batch)
-        self._rows: list = [None] * (self.max_batch + 1)
-        self.unit_total_s = self._row(1)[2]
+        self.reprice(engine.costs.cost_table(self.max_batch))
         self.next_t = _INF
         self.host_free = 0.0
         self.accel_free = 0.0
-        #: ``max(host_free, accel_free)``, refreshed after every launch loop.
-        #: Both registers only grow on this rail (no crash resets them), so
-        #: this is also the running max of every write — the reference's
-        #: ``accel_free`` dict walk, without the walk.
+        #: ``max(host_free, accel_free)``, refreshed after every launch loop
+        #: and reset.
         self.horizon = 0.0
         #: end of the last barrier launch (fifo and continuous batching).
         self.ready_s = 0.0
@@ -131,23 +125,35 @@ class _Machine:
         self.q_admit: list[float] = []
         self.q_steps: list[int] = []
         self.head = 0
-        #: admissions compacted out of the queue: ``base + head`` is the
-        #: queue head's global admission index.
+        #: queue entries compacted away: ``base + head`` counts the entries
+        #: launches have taken.
         self.base = 0
+        #: the trace position of every entry taken or queued, by ``base +``
+        #: queue index; never compacted, so entry ``j``'s is ``q_pos[j]``.
+        self.q_pos = array("q")
+        #: ``None``, or the seconds ``(host, accel, total)`` of a launch
+        #: priced at them, scaled by the launch's straggler multiplier.
+        self.straggle = None
         #: one entry per launch, in launch order; typed arrays hold a
         #: million-launch log in 8 bytes per entry.
         self.log_start = array("d")
         self.log_end = array("d")
 
+    def reprice(self, table) -> None:
+        """Price every later launch from ``table``."""
+        self._table = table
+        self._rows: list = [None] * (self.max_batch + 1)
+        self.unit_total_s = self._row(1)[2]
+
     def _row(self, size: int) -> tuple:
         """``(host_s, accel_s, total_s, has_accel)`` of a ``size`` batch,
-        read from the shared cost table once and cached per machine."""
+        read from the cost table once and cached per machine."""
         row = self._rows[size]
         if row is None:
             cost = self._table.row(size)
             # the single accel_free float stands for the reference's dict,
             # which holds one key only while every row queues on one target.
-            assert cost.target == self.target, (cost.target, self.target)
+            assert not cost.has_accel or cost.target == self.target, (cost.target, self.target)
             row = self._rows[size] = (cost.host_s, cost.accel_s, cost.total_s, cost.has_accel)
         return row
 
@@ -170,10 +176,56 @@ class _Machine:
             head = 0
         self.head = head
 
-    def drain(self, last_arrival: float) -> None:
-        """Execute every remaining launch once the trace's last arrival
-        (at ``last_arrival``) has been admitted."""
-        self.advance(_INF)
+    def step(self) -> None:
+        """Execute the launches decided at the next launch time."""
+        self.advance(math.nextafter(self.next_t, _INF))
+
+    def flush(self, last_arrival: float) -> None:
+        """Execute every launch decided before the trace's last arrival
+        (at ``last_arrival``); later launches follow the post-drain rules."""
+        self.advance(last_arrival)
+
+    def _arm(self) -> None:
+        """Re-arm ``next_t`` from the registers: here the barrier rule, the
+        queue head once the last launch has ended."""
+        if self.head < len(self.q_admit):
+            t = self.q_admit[self.head]
+            ready = self.ready_s
+            self.next_t = t if t > ready else ready
+        else:
+            self.next_t = _INF
+
+    def withdraw(self, pos: int) -> bool:
+        """Withdraw the first queued copy of trace position ``pos``; False
+        when none is queued."""
+        try:
+            i = self.q_pos.index(pos, self.base + self.head)
+        except ValueError:
+            return False
+        del self.q_pos[i]
+        i -= self.base
+        self.pending_steps -= self.q_steps[i]
+        del self.q_admit[i]
+        del self.q_steps[i]
+        self._arm()
+        return True
+
+    def holding(self) -> "list[int]":
+        """Trace positions in service across launches (none here)."""
+        return []
+
+    def reset(self, when: float) -> None:
+        """A crash: drop the queue, zero the occupancy registers, and let a
+        barrier launch start no earlier than ``when``."""
+        self.base += self.head
+        self.head = 0
+        del self.q_pos[self.base :]
+        self.q_admit.clear()
+        self.q_steps.clear()
+        self.pending_steps = 0
+        self.host_free = self.accel_free = self.horizon = 0.0
+        self.ready_s = when
+        self.next_t = _INF
 
     # -- assembly ----------------------------------------------------------
 
@@ -194,11 +246,10 @@ class _Machine:
         Also returns the completion column in admission order.  A machine
         that admitted nothing yields an idle engine's result.
         """
-        starts = np.array(self.log_start, dtype=np.float64)
-        ends = np.array(self.log_end, dtype=np.float64)
-        start, completion, batch, sizes, iterations, taken_after = self._columns(
-            starts, ends, steps
-        )
+        starts = np.frombuffer(self.log_start, dtype=np.float64)
+        ends = np.frombuffer(self.log_end, dtype=np.float64)
+        sizes, iterations = self._dispatches(steps)
+        start, completion, batch, taken_after = self._columns(starts, ends, sizes, steps)
         taken_before = np.concatenate(([0], taken_after[:-1]))
         # queue-depth samples: request j is admitted right before launch
         # d(j), the first one starting at or after its arrival (launch starts
@@ -232,18 +283,14 @@ class _Machine:
         )
         return result, completion
 
-    def _columns(self, starts: np.ndarray, ends: np.ndarray, steps: np.ndarray) -> tuple:
+    def _columns(self, starts, ends, sizes, steps) -> tuple:
         """Per-request ``(start, completion, batch)`` in admission order,
-        per-launch ``(sizes, iterations)``, and the queue head after each
-        launch.  This default serves the kinds whose launch takes a run of
-        the queue and completes all of it."""
-        sizes, iterations = self._dispatches(steps)
+        and the queue head after each launch.  This default serves the kinds
+        whose launch takes a run of the queue and completes all of it."""
         return (
             np.repeat(starts, sizes),
             np.repeat(ends, sizes),
             np.repeat(sizes, sizes),
-            sizes,
-            iterations,
             np.cumsum(sizes),
         )
 
@@ -253,13 +300,14 @@ class _FifoMachine(_Machine):
 
     __slots__ = ()
 
-    def admit(self, when: float, steps: int) -> None:
+    def admit(self, when: float, steps: int, pos: int) -> None:
         """Queue an arrival (the caller has advanced the machine to ``when``)."""
         if self.head == len(self.q_admit):
             ready = self.ready_s
             self.next_t = when if when > ready else ready
         self.q_admit.append(when)
         self.q_steps.append(steps)
+        self.q_pos.append(pos)
         self.pending_steps += steps
 
     def advance(self, until: float) -> None:
@@ -271,7 +319,9 @@ class _FifoMachine(_Machine):
         q_steps = self.q_steps
         head = self.head
         tail = len(q_admit)
-        host_s, accel_s, total_s, has_accel = self._rows[1]  # priced in __init__
+        row = self._rows[1]  # priced in reprice()
+        host_s, accel_s, total_s, has_accel = row
+        straggle = self.straggle
         host_free = self.host_free
         accel_free = self.accel_free
         pending = self.pending_steps
@@ -284,6 +334,8 @@ class _FifoMachine(_Machine):
             # the reference launch() occupancy arithmetic, inlined
             cursor = t if t > host_free else host_free
             log_start.append(cursor)
+            if straggle is not None:
+                host_s, accel_s, total_s = straggle(*row[:3])
             if has_accel:
                 for _ in range(steps):
                     host_free = cursor + host_s
@@ -309,8 +361,13 @@ class _FifoMachine(_Machine):
         self.pending_steps = pending
         self._settle(host_free, accel_free, head)
 
+    def launched(self, first: int, taken: int) -> list:
+        members = self.q_pos[taken : taken + len(self.log_end) - first].tolist()
+        return [((pos,), (pos,)) for pos in members]
+
     def _dispatches(self, steps: np.ndarray) -> tuple:
-        """Launch ``d`` serves admission ``d`` for all its decode steps."""
+        """Launch ``d`` serves the ``d``-th request taken for all its decode
+        steps (``steps`` in the order launches took them)."""
         return np.ones(steps.size, dtype=np.int64), steps
 
 
@@ -318,29 +375,110 @@ class _ContinuousMachine(_Machine):
     """Iteration-level batching: every launch is one decode iteration over
     the in-flight set, topped up from the queue; barrier launches.
 
-    In-flight requests are counts keyed by the iteration they finish on, so
-    a launch touches only the requests joining or leaving the batch.  Each
-    launch logs its batch size and the queue head after its joins.
+    In-flight requests are counts keyed by the iteration they finish on (a
+    launch's log index), so a launch touches only the requests joining or
+    leaving the batch.  Each launch logs its batch size, and each taken
+    entry its finishing iteration (``log_finish``).  A copy of a request
+    whose other copy is in flight keeps that slot and restarts its step
+    count, like the reference's ``{request id: remaining steps}`` dict; only
+    an admission at a position no higher than an earlier one can be such a
+    copy (a ``suspect``), and the copy it replaces is ``voided``.
     """
 
-    __slots__ = ("in_flight", "iteration", "done_at", "log_size", "log_head")
+    __slots__ = (
+        "in_flight", "iteration", "done_at", "top", "suspect", "voided", "_finishing",
+        "log_size", "log_head", "log_finish",
+    )
 
     def __init__(self, index: int, engine, scheduler):
         super().__init__(index, engine, scheduler)
         self.in_flight = 0
         self.iteration = 0
         self.done_at: dict[int, int] = {}
+        self.top = -1
+        self.suspect: set[int] = set()
+        self.voided: set[int] = set()
+        #: finishing iteration -> taken entries, as :meth:`launched` reads them.
+        self._finishing: defaultdict[int, list[int]] = defaultdict(list)
         self.log_size = array("q")
+        #: ``base + head`` after each launch.
         self.log_head = array("q")
+        self.log_finish = array("q")
 
-    def admit(self, when: float, steps: int) -> None:
+    def admit(self, when: float, steps: int, pos: int) -> None:
         """Queue an arrival (the caller has advanced the machine to ``when``)."""
         if not self.in_flight and self.head == len(self.q_admit):
             ready = self.ready_s
             self.next_t = when if when > ready else ready
+        if pos > self.top:
+            self.top = pos
+        else:
+            self.suspect.add(pos)
         self.q_admit.append(when)
         self.q_steps.append(steps)
+        self.q_pos.append(pos)
         self.pending_steps += steps
+
+    def _arm(self) -> None:
+        if self.in_flight:
+            self.next_t = self.ready_s
+        else:
+            super()._arm()
+
+    def _held(self, before: int, count: int, iteration: int):
+        """The ``count`` entries taken below ``before`` and still in flight
+        at ``iteration``, newest first."""
+        j = before
+        while count:
+            j -= 1
+            if self.log_finish[j] >= iteration and j not in self.voided:
+                count -= 1
+                yield j
+
+    def _void(self, pos: int, before: int, count: int, iteration: int) -> int:
+        """Void the copy of ``pos`` among the ``count`` entries held below
+        ``before`` at ``iteration``; returns its remaining steps (0: none)."""
+        for j in self._held(before, count, iteration):
+            if self.q_pos[j] == pos:
+                finish = self.log_finish[j]
+                self.done_at[finish] -= 1
+                self.voided.add(j)
+                return finish - iteration + 1
+        return 0
+
+    def withdraw(self, pos: int) -> bool:
+        """Withdraw ``pos`` from the in-flight set (it leaves at the next
+        iteration boundary), else its first queued copy."""
+        remaining = self._void(pos, self.base + self.head, self.in_flight, self.iteration)
+        if not remaining:
+            return super().withdraw(pos)
+        self.pending_steps -= remaining
+        self.in_flight -= 1
+        self._arm()
+        return True
+
+    def holding(self) -> "list[int]":
+        taken = self.base + self.head
+        return [self.q_pos[j] for j in self._held(taken, self.in_flight, self.iteration)]
+
+    def reset(self, when: float) -> None:
+        self.voided.update(self._held(self.base + self.head, self.in_flight, self.iteration))
+        super().reset(when)
+        self.in_flight = 0
+        self.done_at.clear()
+
+    def launched(self, first: int, taken: int) -> list:
+        q_pos = self.q_pos
+        log_finish = self.log_finish
+        finishing = self._finishing
+        launches = []
+        for k, head in enumerate(self.log_head[first:], first):
+            for j in range(taken, head):
+                finishing[log_finish[j]].append(j)
+            done = [q_pos[j] for j in finishing.pop(k, ()) if j not in self.voided]
+            launches.append((q_pos[taken:head].tolist(), done))
+            taken = head
+        return launches
 
     def advance(self, until: float) -> None:
         """Execute every launch decided strictly before ``until``."""
@@ -354,6 +492,8 @@ class _ContinuousMachine(_Machine):
         base = self.base
         max_batch = self.max_batch
         rows = self._rows
+        straggle = self.straggle
+        suspect = self.suspect
         done_at = self.done_at
         in_flight = self.in_flight
         iteration = self.iteration
@@ -362,8 +502,9 @@ class _ContinuousMachine(_Machine):
         pending = self.pending_steps
         log_start = self.log_start
         log_end = self.log_end
-        log_size = self.log_size
         log_head = self.log_head
+        log_size = self.log_size
+        log_finish = self.log_finish
         while t < until:
             take = max_batch - in_flight
             if take > tail - head:
@@ -372,12 +513,24 @@ class _ContinuousMachine(_Machine):
                 # a request joining at this iteration runs its last step
                 # ``steps - 1`` iterations later.
                 last = iteration - 1
-                for steps in q_steps[head : head + take]:
+                stop = head + take
+                for steps in q_steps[head:stop]:
                     finish = last + steps
+                    log_finish.append(finish)
                     done_at[finish] = done_at.get(finish, 0) + 1
-                head += take
+                if suspect:  # a copy joining while another is in flight
+                    q_pos = self.q_pos
+                    live = in_flight
+                    for j in range(base + head, base + stop):
+                        pos = q_pos[j]
+                        remaining = self._void(pos, j, live, iteration) if pos in suspect else 0
+                        if remaining:  # takes over the other copy's slot
+                            take -= 1
+                            pending -= remaining
+                        else:
+                            live += 1
+                head = stop
                 in_flight += take
-            row = rows[in_flight] or self._row(in_flight)
             pending -= in_flight
             # the reference launch() occupancy arithmetic for one
             # iteration, inlined
@@ -385,7 +538,9 @@ class _ContinuousMachine(_Machine):
             log_start.append(cursor)
             log_size.append(in_flight)
             log_head.append(base + head)
-            host_s, accel_s, total_s, has_accel = row
+            host_s, accel_s, total_s, has_accel = rows[in_flight] or self._row(in_flight)
+            if straggle is not None:
+                host_s, accel_s, total_s = straggle(host_s, accel_s, total_s)
             if has_accel:
                 host_free = cursor + host_s
                 if accel_free <= host_free:
@@ -415,57 +570,86 @@ class _ContinuousMachine(_Machine):
         self.pending_steps = pending
         self._settle(host_free, accel_free, head)
 
-    def _columns(self, starts: np.ndarray, ends: np.ndarray, steps: np.ndarray) -> tuple:
+    def _dispatches(self, steps: np.ndarray) -> tuple:
+        sizes = np.frombuffer(self.log_size, dtype=np.int64)
+        return sizes, np.ones(sizes.size, dtype=np.int64)
+
+    def _columns(self, starts, ends, sizes, steps) -> tuple:
         """Request ``j`` joins at the first iteration whose queue head has
-        passed it and runs ``steps[j]`` consecutive iterations: it starts
-        with the first and takes the last one's end and batch size."""
-        sizes = np.array(self.log_size, dtype=np.int64)
-        taken_after = np.array(self.log_head, dtype=np.int64)
-        join = np.searchsorted(
-            taken_after, np.arange(steps.size, dtype=np.int64), side="right"
-        )
-        final = join + steps - 1
-        return (
-            starts[join],
-            ends[final],
-            sizes[final],
-            sizes,
-            np.ones(sizes.size, dtype=np.int64),
-            taken_after,
-        )
+        passed it and runs to the iteration it logged as its finish: it
+        takes the first one's start and the last one's end and batch size."""
+        taken_after = np.frombuffer(self.log_head, dtype=np.int64)
+        join = np.searchsorted(taken_after, np.arange(steps.size, dtype=np.int64), side="right")
+        final = np.frombuffer(self.log_finish, dtype=np.int64)
+        return starts[join], ends[final], sizes[final], taken_after
 
 
 class _BatchMachine(_Machine):
     """Static and dynamic batching: a full batch launches once its last
     member is admitted and the host is free; dynamic batching also launches
     a partial batch ``max_wait_s`` after its head arrived (static: never).
-    Once the trace's last arrival is admitted (``flush_at``), a partial
-    batch launches from then on.  Each launch logs its batch size and
-    iteration count."""
+    Once the trace's last arrival is admitted (:meth:`flush`), a partial
+    batch launches from then on, once its head is admitted.  Each launch
+    logs its batch size and iteration count."""
 
     __slots__ = ("wait_s", "flush_at", "log_size", "log_iter")
 
     def __init__(self, index: int, engine, scheduler):
         super().__init__(index, engine, scheduler)
         self.wait_s = scheduler.max_wait_s if declared_kind(scheduler) == "dynamic" else _INF
-        self.flush_at = _INF
+        self.flush_at = -_INF
         self.log_size = array("q")
         self.log_iter = array("q")
 
-    def admit(self, when: float, steps: int) -> None:
+    def admit(self, when: float, steps: int, pos: int) -> None:
         """Queue an arrival (the caller has advanced the machine to ``when``)."""
         self.q_admit.append(when)
         self.q_steps.append(steps)
+        self.q_pos.append(pos)
         self.pending_steps += steps
         queued = len(self.q_admit) - self.head
         if queued == self.max_batch:
-            t = when  # the batch just filled
-        elif queued == 1:
+            self._arm()  # the batch just filled
+        elif queued == 1:  # a new head; otherwise the next launch stands
             t = when + self.wait_s
+            if t < self.flush_at:
+                t = self.flush_at
+            host_free = self.host_free
+            self.next_t = t if t > host_free else host_free
+
+    def _arm(self) -> None:
+        queued = len(self.q_admit) - self.head
+        if queued >= self.max_batch:
+            t = self.q_admit[self.head + self.max_batch - 1]
+        elif queued:
+            t = self.q_admit[self.head] + self.wait_s
+            if t < self.flush_at:
+                t = self.flush_at
         else:
-            return  # the head, and so the next launch, is unchanged
+            t = _INF
         host_free = self.host_free
         self.next_t = t if t > host_free else host_free
+
+    def launched(self, first: int, taken: int) -> list:
+        """The trace positions each launch from log index ``first`` on took
+        and completed, as ``(took, completed)`` pairs, given the ``taken``
+        queue entries before it; a batch completes what it takes."""
+        q_pos = self.q_pos
+        launches = []
+        for size in self.log_size[first:]:
+            members = q_pos[taken : taken + size].tolist()
+            launches.append((members, members))
+            taken += size
+        return launches
+
+    def flush(self, last_arrival: float) -> None:
+        """Execute the launches decided before the last arrival under the
+        pre-drain rules, then flush: a queued batch, full or partial,
+        launches once its head is admitted and the host is free."""
+        self.advance(last_arrival)
+        self.flush_at = last_arrival
+        self.wait_s = 0.0
+        self._arm()
 
     def advance(self, until: float) -> None:
         """Execute every launch decided strictly before ``until``."""
@@ -478,6 +662,7 @@ class _BatchMachine(_Machine):
         tail = len(q_admit)
         max_batch = self.max_batch
         rows = self._rows
+        straggle = self.straggle
         wait_s = self.wait_s
         flush_at = self.flush_at
         host_free = self.host_free
@@ -501,6 +686,8 @@ class _BatchMachine(_Machine):
             log_iter.append(iterations)
             # the reference launch() occupancy arithmetic, inlined
             host_s, accel_s, total_s, has_accel = rows[size] or self._row(size)
+            if straggle is not None:
+                host_s, accel_s, total_s = straggle(host_s, accel_s, total_s)
             if has_accel:
                 for _ in range(iterations):
                     host_free = cursor + host_s
@@ -523,7 +710,7 @@ class _BatchMachine(_Machine):
                 t = q_admit[head + max_batch - 1]
             elif queued:
                 t = q_admit[head] + wait_s
-                if t > flush_at:
+                if t < flush_at:
                     t = flush_at
             else:
                 t = _INF
@@ -533,21 +720,10 @@ class _BatchMachine(_Machine):
         self.pending_steps = pending
         self._settle(host_free, accel_free, head)
 
-    def drain(self, last_arrival: float) -> None:
-        """Execute the launches decided before the last arrival under the
-        pre-drain rules, then flush: a queued batch, full or partial,
-        launches once the host is free."""
-        self.advance(last_arrival)
-        self.flush_at = last_arrival
-        if self.head < len(self.q_admit):
-            host_free = self.host_free
-            self.next_t = last_arrival if last_arrival > host_free else host_free
-        self.advance(_INF)
-
     def _dispatches(self, steps: np.ndarray) -> tuple:
         return (
-            np.array(self.log_size, dtype=np.int64),
-            np.array(self.log_iter, dtype=np.int64),
+            np.frombuffer(self.log_size, dtype=np.int64),
+            np.frombuffer(self.log_iter, dtype=np.int64),
         )
 
 
@@ -561,7 +737,7 @@ def replay(machine_cls, engines, scheduler, trace: RequestTrace, route=None) -> 
     assignment column (the machine index of every arrival, ``-1``: shed).
     Without one, arrival ``i`` goes to machine ``i mod R`` — one engine, or
     round-robin without shedding — and no probe reads a machine.  Once the
-    last arrival is admitted, every machine drains.
+    last arrival is admitted, every machine flushes and drains.
     """
     machines = [machine_cls(index, engine, scheduler) for index, engine in enumerate(engines)]
     arrivals = trace.arrival_column().tolist()
@@ -572,24 +748,28 @@ def replay(machine_cls, engines, scheduler, trace: RequestTrace, route=None) -> 
             machine = machines[i % count]
             if machine.next_t < when:
                 machine.advance(when)
-            machine.admit(when, steps[i])
+            machine.admit(when, steps[i], i)
         assigned = np.arange(len(arrivals), dtype=np.int64) % count
     else:
         assigned = route(machines, arrivals, steps)
     if arrivals:
         for machine in machines:
-            machine.drain(arrivals[-1])
+            machine.flush(arrivals[-1])
+            machine.advance(_INF)
     return machines, assigned
 
 
+#: the launch machine of each declarable kind.
+MACHINES = {
+    "fifo": _FifoMachine,
+    "static": _BatchMachine,
+    "dynamic": _BatchMachine,
+    "continuous": _ContinuousMachine,
+}
+
 #: the replay of each declarable kind, bound once: callers reach it through
 #: :func:`kernel_for`.
-_REPLAYS = {
-    "fifo": functools.partial(replay, _FifoMachine),
-    "static": functools.partial(replay, _BatchMachine),
-    "dynamic": functools.partial(replay, _BatchMachine),
-    "continuous": functools.partial(replay, _ContinuousMachine),
-}
+_REPLAYS = {kind: functools.partial(replay, cls) for kind, cls in MACHINES.items()}
 
 
 def declared_kind(scheduler) -> "str | None":

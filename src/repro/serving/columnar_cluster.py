@@ -1,46 +1,34 @@
-"""Columnar fast path for the multi-replica cluster router.
+"""Columnar fleet rails: the multi-replica router without its event loop.
 
-The reference router (:meth:`~repro.serving.cluster.ClusterRouter.run`)
-already advances arrivals with a cursor over the trace columns; this module
-removes the per-event Python heap entirely on the **no-fault / no-retry /
-no-hedge rail**:
+Both rails drive the launch machines of :mod:`repro.serving.columnar` (the
+one statement of the built-in schedulers' launch rules), one per replica,
+and both are **bit-identical** to the reference event loop
+(:meth:`~repro.serving.cluster.ClusterRouter.run`): the same
+``ClusterResult``, float accumulations and capped/streaming blocks.
 
-1. **Serving pass** — one launch replay, shared with the single engine:
-   each replica is a launch machine of :mod:`repro.serving.columnar` (the
-   module that owns every built-in scheduler's launch rules), obtained
-   through :func:`~repro.serving.columnar.kernel_for`.  The admission
-   policy routes each arrival in trace order.  Round-robin without shedding
-   is closed form (``i mod R``: the cursor advances once per arrival, shed
-   or not), so no probe reads a machine.  Least-loaded, power-of-two, and
-   any shedding configuration replay the scalar router's
-   :meth:`~repro.serving.cluster._Replica.est_delay_s` against the machines'
-   registers: ``next_t``, the machine's next launch time (``inf`` when
-   idle), lets a probe skip a machine with no launch due; ``horizon``, the
-   busy horizon ``max(host_free, accel_free)``, replaces the reference's
-   walk over a per-device dict.  Every launch a machine executes, while
-   routing or in the final drain, lands in its column buffers; static and
-   dynamic batching flush partial batches from the trace's last arrival on
-   (the reference's *global* ``arrivals_pending`` flag turning false).
-2. **Assembly** — each replica's launch columns become its per-request
-   columns, permuted into the reference router's record order
-   (``(admitted_s, id)``) with dispatches in launch order, and go through
-   :func:`~repro.serving.metrics.assemble_replica`; the trace-order request
-   columns go through :func:`~repro.serving.metrics.assemble_fleet_records`.
-   The result is **bit-identical** to the reference event loop: same
-   ``ClusterResult``, same float accumulations, same capped/streaming
-   blocks.
+**The fault-free rail** (:func:`run_fast_cluster`: no perturbing fault, no
+timeout, no hedging, a built-in policy) routes each arrival in trace order.
+Round-robin without shedding is closed form (``i mod R``: the cursor
+advances once per arrival, shed or not), so no probe reads a machine.
+Least-loaded, power-of-two and any shedding configuration replay the scalar
+router's :meth:`~repro.serving.cluster._Replica.est_delay_s` against the
+machines' registers (:func:`_route`): ``next_t`` lets a probe skip a machine
+with no launch due, and ``horizon`` replaces the reference's walk over a
+per-device dict.  Each replica's launch columns then become its per-request
+columns, permuted into the reference router's record order (``(admitted_s,
+id)``), and go through :func:`~repro.serving.metrics.assemble_replica`; the
+trace-order request columns go through
+:func:`~repro.serving.metrics.assemble_fleet_records`.
 
-Two rails share the module.  The replay above serves the
-**no-fault / no-retry / no-hedge** case under the three built-in policies;
-fault schedules that actually perturb the run (crash / accel-loss /
-straggler windows), timeout retries, hedged dispatch and custom registered
-policies ride the **fault-capable replay** (:func:`run_fast_faulted`): a
-minimal event heap holding only fault transitions, out-of-order timers and
-hedged completions, per-replica :class:`_SimReplica` machines that launch
-lazily, and lazily-resolved completions, with all accounting folded
-vectorized at assembly.  It asks any policy through ``policy.choose`` with
-the machines as candidates (see
+**The faulted rail** (:func:`run_fast_faulted`) serves fault schedules that
+perturb the run (crash / accel-loss / straggler windows), timeout retries,
+hedged dispatch and custom registered policies.  A minimal event heap holds
+only fault transitions, out-of-order timers and hedged completions; each
+replica's machine sits in a fault layer (:class:`_SimReplica`), completions
+resolve lazily, and all accounting folds vectorized at assembly.  It asks
+any policy through ``policy.choose`` with the layers as candidates (see
 :class:`~repro.serving.cluster.AdmissionPolicy`).
+
 :func:`fast_path_fallback_reason` names the only remaining fallback
 conditions — autoscaling and custom registered schedulers — and
 :meth:`~repro.serving.cluster.ClusterRouter.run` falls back to its event
@@ -48,17 +36,6 @@ loop automatically (silently, with the reason recorded on the result).  A
 custom scheduler keeps that loop in ``src/``: its object must be asked at
 every decision time, and the loop also serves a custom-scheduler
 :class:`~repro.serving.engine.ServingEngine` as a one-replica fleet.
-
-Why launch times are a recurrence: the reference loop runs one decision
-pass per distinct event time, *after* draining that time's arrivals, and a
-replica launches at most one dispatch per pass (every dispatch pushes its
-``ready_s`` strictly past the clock).  So a replica's next launch time is a
-pure function of its queue and occupancy registers — ``max(ready, head
-admit)`` for fifo/continuous, ``max(host_free, cap-th admit)`` for a full
-batch, ``max(host_free, head admit + max_wait)`` for a dynamic flush — and
-admissions at time T strictly precede launches at T (the machines advance
-with a strict ``< T`` bound before every delay probe, and every admission
-follows a probe at its arrival time).
 """
 
 from __future__ import annotations
@@ -81,7 +58,13 @@ from repro.serving.cluster import (
     PowerOfTwoPolicy,
     RoundRobinPolicy,
 )
-from repro.serving.columnar import _INF, declared_kind, kernel_for, result_header
+from repro.serving.columnar import (
+    _INF,
+    MACHINES,
+    declared_kind,
+    kernel_for,
+    result_header,
+)
 from repro.serving.metrics import (
     STATUS_FAILED,
     STATUS_OK,
@@ -113,16 +96,13 @@ _ROUTED_POLICIES = (RoundRobinPolicy, LeastLoadedPolicy, PowerOfTwoPolicy)
 def fast_path_fallback_reason(config, policy, scheduler) -> "str | None":
     """Why this cluster run must take the reference event loop, or ``None``.
 
-    Everything here mirrors a documented fallback condition: the README's
-    "rail conditions" list and the fallback test battery enumerate exactly
-    these knobs.  Fault windows, stragglers, timeout retries, hedging and
-    custom registered policies are *not* fallback conditions — they ride the
-    fault-capable replay (:func:`run_fast_faulted`); only autoscaling (hedged
-    or not) and custom registered schedulers still route to the event loop.
-    A custom scheduler pins it: its object must be asked at every decision
-    time the loop visits, which no launch machine replays.  The
-    returned string is surfaced as ``ClusterResult.fast_path_fallback_reason``
-    so a silent fallback is diagnosable from the CLI.
+    The README's "rail conditions" list and the fallback test battery
+    enumerate exactly these knobs.  Faults, timeout retries, hedging and
+    custom registered policies ride :func:`run_fast_faulted`; only
+    autoscaling (hedged or not) and custom registered schedulers, whose
+    objects must be asked at every decision time, route to the event loop.
+    The string is surfaced as ``ClusterResult.fast_path_fallback_reason`` so
+    a silent fallback is diagnosable from the CLI.
     """
     if config.autoscale is not None:
         return "autoscale set (elastic lifecycle runs in the event loop)"
@@ -176,7 +156,7 @@ def _route(config, policy, rng, machines: list, arrivals: list, steps: list) -> 
                 chosen.advance(when)
             if chosen.est_delay_s(when) > shed_s:
                 continue
-            chosen.admit(when, steps[i])
+            chosen.admit(when, steps[i], i)
             assigned[i] = chosen.index
     elif type(policy) is LeastLoadedPolicy:
         for i in range(n):
@@ -198,7 +178,7 @@ def _route(config, policy, rng, machines: list, arrivals: list, steps: list) -> 
                     chosen_delay = delay
             if shed_s is not None and chosen_delay > shed_s:
                 continue
-            chosen.admit(when, steps[i])
+            chosen.admit(when, steps[i], i)
             assigned[i] = chosen.index
     else:  # power-of-two-choices
         for i in range(n):
@@ -223,7 +203,7 @@ def _route(config, policy, rng, machines: list, arrivals: list, steps: list) -> 
                     chosen = first
             if shed_s is not None and chosen.est_delay_s(when) > shed_s:
                 continue
-            chosen.admit(when, steps[i])
+            chosen.admit(when, steps[i], i)
             assigned[i] = chosen.index
     return np.array(assigned, dtype=np.int64)
 
@@ -295,18 +275,13 @@ def run_fast_cluster(
     return apply_static_lifecycle(result)
 
 
-# -- fault-capable replay (Route B) -------------------------------------------
+# -- fault-capable replay ----------------------------------------------------
 #
-# Crash / accelerator-loss / straggler windows, timeout retries and hedged
-# dispatch re-route or duplicate work at event times the replay above
-# cannot see, so this rail keeps a tiny event heap — but only for the *rare*
-# events (fault transitions, retry and hedge timers, the arrival cursor).
-# Completions are resolved lazily (heap events only while a hedge races),
-# dispatches launch lazily inside the per-replica machines, and all
-# accounting folds vectorized at assembly in the reference's completion-pop
-# order.  Every float is produced by the same IEEE operations in the same
-# order as the reference loop, so results stay bit-identical.  Events
-# carry the reference heap's priorities (``cluster._PRIO_*``).
+# Faults, timeout retries and hedged dispatch re-route or duplicate work at
+# event times the routing pass cannot see, so this rail keeps an event heap
+# for the rare events only.  Events carry the reference heap's priorities
+# (``cluster._PRIO_*``); every float comes from the same IEEE operations in
+# the same order as the reference loop.
 
 #: ``_SimReplica.copy_gen`` of a hedge copy (primaries hold their attempt
 #: number, which starts at 1).
@@ -318,29 +293,21 @@ _PENDING = -1
 
 
 class _SimReplica:
-    """Virtual replica for the faulted rail: the launch recurrences of the
-    launch machines (:class:`repro.serving.columnar._Machine`) extended
-    with everything faults, retries and hedging touch — straggler
-    multipliers, the accel-loss cost-table swap, crash resets, copy
-    cancellation, and per-request bookkeeping (admit times, first starts,
-    depth samples, dispatch log).  Crash resets move ``host_free`` back to zero, so
-    the delay probe here walks the occupancy registers instead of keeping a
-    running ``horizon``.
+    """One replica of the faulted rail: the fault layer around its launch
+    machine (``machine``), which owns the launch rules and the registers.
 
-    The dispatch log is columnar (parallel ``log_*`` lists, one entry per
-    launch) holding only the fold *inputs* — end time, size, iterations,
-    straggler multiplier, which cost table priced it, and which trace
-    positions complete; the per-device second/joule deltas are
-    reconstructed in columns at assembly, in completion order.
+    The layer holds what faults, retries and hedging add: the crash reset,
+    which also cancels the open dispatches ending at or after the crash;
+    copy withdrawal; the accel-loss cost-table swap; the per-launch
+    straggler draw; and the per-request bookkeeping — admit times, first
+    starts, depth samples and each launch's completed trace positions —
+    read off the machine's launch log after every advance (:meth:`_sync`).
+    As a policy candidate it offers ``index`` and the machine's
+    ``est_delay_s``.
 
-    ``started``, ``live_end``, ``status``, ``completion``, and ``winner``
-    are arrays shared with the router closures, describing each request's
-    *primary* copy.  Without hedging that is its only live copy, so launch
-    state and completion live in per-request slots rather than per-copy
-    objects.  Machines the schedule never crashes resolve their completions
-    at materialization time (a launched dispatch there is final); machines
-    with crash windows, and every machine of a hedged run (a hedge copy can
-    still win the race), leave resolution to the router.
+    ``started`` and ``live_end`` are arrays shared with the router
+    closures, describing each request's *primary* copy (without hedging its
+    only live copy); the router resolves completions from them lazily.
 
     A hedged run (``attempts`` given) also keeps ``copy_gen``, the copy of
     each request this replica admitted last — the attempt number of a
@@ -353,112 +320,50 @@ class _SimReplica:
     """
 
     __slots__ = (
-        "index",
-        "kind",
-        "max_batch",
-        "max_wait_s",
-        "engine",
-        "injector",
-        "table",
-        "fallback_table",
-        "active",
-        "_unit_s",
-        "down",
-        "accel_down",
-        "has_crash",
-        "resolve_at_launch",
-        "host_free",
-        "ready_s",
-        "accel_free",
-        "pending_steps",
-        "q_admit",
-        "q_steps",
-        "q_pos",
-        "head",
-        "flight_pos",
-        "flight_rem",
-        "flush_at",
-        "starts",
-        "admitted",
-        "depth_time",
-        "depth_value",
-        "log_end",
-        "log_size",
-        "log_iter",
-        "log_mult",
-        "log_fb",
-        "log_completes",
-        "log_cancelled",
-        "open",
-        "started",
-        "live_end",
-        "status",
-        "completion",
-        "winner",
-        "attempts",
-        "live_key",
-        "copy_gen",
-        "hot",
+        "index", "engine", "machine", "est_delay_s", "table", "fallback_table", "down",
+        "accel_down", "has_crash", "taken", "starts", "admitted", "depth_time",
+        "depth_value", "completes", "cancelled", "open_from", "fallback_marks", "draw",
+        "multipliers", "started", "live_end", "attempts", "live_key", "copy_gen", "hot",
     )
 
     def __init__(
-        self, index, engine, kind, max_batch, max_wait_s, injector,
-        has_crash, started, live_end, status, completion, winner,
+        self, machine, engine, injector, has_crash, started, live_end,
         attempts=None, live_key=None,
     ):
-        self.index = index
-        self.kind = kind
-        self.max_batch = max_batch
-        self.max_wait_s = max_wait_s
+        self.index = machine.index
         self.engine = engine
-        self.injector = injector
-        self.table = engine.costs.cost_table(max_batch)
+        self.machine = machine
+        self.est_delay_s = machine.est_delay_s
+        self.table = engine.costs.cost_table(machine.max_batch)
         self.fallback_table = None
-        self.active = self.table
-        self._unit_s: "float | None" = None
+        #: per launch, its straggler multiplier (runs with stragglers only).
+        self.multipliers: list[float] = []
+        if injector.has_stragglers:
+            self.draw = injector.dispatch_multiplier
+            machine.straggle = self._straggle
         self.down = False
         self.accel_down = False
-        #: does the schedule ever crash this replica?  Gates the open-record
-        #: list so fault-free replicas pay nothing for crash bookkeeping.
+        #: does the schedule ever crash this replica?
         self.has_crash = has_crash
-        self.resolve_at_launch = not has_crash and attempts is None
-        self.host_free = 0.0
-        self.ready_s = 0.0
-        self.accel_free: dict = {}
-        self.pending_steps = 0
-        self.q_admit: list[float] = []
-        self.q_steps: list[int] = []
-        self.q_pos: list[int] = []
-        self.head = 0
-        self.flight_pos: list[int] = []
-        self.flight_rem: list[int] = []
-        #: set to the last arrival time once the trace drains: static/dynamic
-        #: partial batches flush from then on (the reference's
-        #: ``arrivals_pending`` turning false).
-        self.flush_at: "float | None" = None
+        #: the queue entries the synced launches took.
+        self.taken = 0
         self.starts: dict[int, float] = {}
         self.admitted: dict[int, float] = {}
         #: queue-depth samples (time, depth), one per admission, launch and
         #: withdrawal, and one when a crash drops a non-empty queue.
         self.depth_time: list[float] = []
         self.depth_value: list[int] = []
-        #: columnar dispatch log, one entry per launch.
-        self.log_end: list[float] = []
-        self.log_size: list[int] = []
-        self.log_iter: list[int] = []
-        self.log_mult: list[float] = []
-        self.log_fb: list[bool] = []
-        self.log_completes: list = []
-        #: per-launch cancellation flags (crash machines only; empty means
-        #: every logged dispatch is live).
-        self.log_cancelled: list[bool] = []
-        #: log indices a future crash could still cancel.
-        self.open: list[int] = []
+        #: per launch, the trace positions it completes.
+        self.completes: list = []
+        #: launches a crash cancelled; launches from ``open_from`` on are
+        #: ones a future crash could still cancel.
+        self.cancelled: set[int] = set()
+        self.open_from = 0
+        #: launch indices where the accel-loss fallback table starts or
+        #: stops pricing.
+        self.fallback_marks: list[int] = []
         self.started = started
         self.live_end = live_end
-        self.status = status
-        self.completion = completion
-        self.winner = winner
         #: hedged runs only (``None`` otherwise): the shared attempt counts,
         #: each primary's dispatch key ``(launch time, replica, log index)``,
         #: and the copy bookkeeping described above.
@@ -467,302 +372,122 @@ class _SimReplica:
         self.copy_gen: "dict[int, int] | None" = None if attempts is None else {}
         self.hot: set[int] = set()
 
-    # -- probes (verbatim _Replica arithmetic) ----------------------------
+    # -- driving the machine -----------------------------------------------
 
-    def est_delay_s(self, now: float) -> float:
-        horizon = self.host_free
-        for t in self.accel_free.values():
-            if t > horizon:
-                horizon = t
-        # row(1) on the *active* table: lazily priced exactly when the
-        # reference's unit_latency_s() would first price it, then cached
-        # until the active table swaps (probing policies call this for
-        # every candidate on every arrival).
-        unit = self._unit_s
-        if unit is None:
-            unit = self._unit_s = self.active.row(1).total_s
-        backlog = self.pending_steps * unit
-        delay = horizon - now
-        if delay < 0.0:
-            delay = 0.0
-        return delay + backlog
+    def advance(self, until: float) -> None:
+        """Execute every launch decided strictly before ``until``."""
+        if self.machine.next_t < until:
+            self.machine.advance(until)
+            self._sync()
 
-    # -- admission / cancellation -----------------------------------------
+    def _sync(self) -> None:
+        """Book every launch the machine logged since the last sync."""
+        machine = self.machine
+        first = len(self.completes)
+        if first == len(machine.log_end):
+            return
+        log_start = machine.log_start
+        log_end = machine.log_end
+        # entries neither withdrawn nor dropped: the queue depth after a
+        # launch is this minus the entries taken by then.
+        entries = len(machine.q_pos)
+        taken = self.taken
+        starts = self.starts
+        started = self.started
+        live_end = self.live_end
+        live_key = self.live_key
+        copy_gen = self.copy_gen
+        attempts = self.attempts
+        for k, (joined, completes) in enumerate(machine.launched(first, taken), first):
+            start = log_start[k]
+            end = log_end[k]
+            taken += len(joined)
+            self.completes.append(completes)
+            for pos in joined:
+                starts.setdefault(pos, start)
+            for pos in completes:
+                live_end[pos] = end
+            if copy_gen is None:
+                for pos in joined:
+                    started[pos] = True
+            else:
+                # the reference marks the copy this replica admitted last,
+                # which is the primary's ``started`` only while that copy is
+                # current; a launch's members are its takers, its completers
+                # and (below) whatever stays in flight.
+                for pos in itertools.chain(joined, completes):
+                    if copy_gen[pos] == attempts[pos]:
+                        started[pos] = True
+                key = (start, self.index, k)
+                for pos in completes:
+                    live_key[pos] = key
+            self.depth_time.append(start)
+            self.depth_value.append(entries - taken)
+        self.taken = taken
+        if copy_gen is not None:
+            for pos in machine.holding():
+                if copy_gen[pos] == attempts[pos]:
+                    started[pos] = True
+
+    def _straggle(self, host_s: float, accel_s: float, total_s: float) -> tuple:
+        """A launch's seconds under its straggler multiplier, drawn once per
+        launch in launch order like the reference's (multiplying by 1.0 is
+        bit-exact)."""
+        multiplier = self.draw(self.index)
+        self.multipliers.append(multiplier)
+        return host_s * multiplier, accel_s * multiplier, total_s * multiplier
+
+    # -- admission / withdrawal ---------------------------------------------
 
     def admit(self, when: float, steps: int, pos: int) -> None:
         self.advance(when)
-        self.q_admit.append(when)
-        self.q_steps.append(steps)
-        self.q_pos.append(pos)
-        self.pending_steps += steps
+        self.machine.admit(when, steps, pos)
         # the record's arrival is its first copy's, like its start.
         self.admitted.setdefault(pos, when)
         self.depth_time.append(when)
-        self.depth_value.append(len(self.q_admit) - self.head)
+        self.depth_value.append(len(self.machine.q_pos) - self.taken)
 
     def cancel(self, pos: int, when: float) -> bool:
         """The reference ``scheduler.cancel``: withdraw an in-flight
-        continuous member (it leaves at the next iteration boundary), else
-        the first queued copy of ``pos``.  False when there is neither — a
-        copy inside a running batch dispatch runs to completion.  A
-        withdrawal takes a queue-depth sample at ``when``."""
-        flight = self.flight_pos
-        if pos in flight:
-            k = flight.index(pos)
-            self.pending_steps -= self.flight_rem[k]
-            del flight[k]
-            del self.flight_rem[k]
-        else:
-            try:
-                i = self.q_pos.index(pos, self.head)
-            except ValueError:
-                return False
-            self.pending_steps -= self.q_steps[i]
-            del self.q_admit[i]
-            del self.q_steps[i]
-            del self.q_pos[i]
+        continuous member, else the first queued copy of ``pos``.  False
+        when there is neither — a copy inside a running batch dispatch runs
+        to completion.  A withdrawal takes a queue-depth sample at ``when``."""
+        if not self.machine.withdraw(pos):
+            return False
         self.depth_time.append(when)
-        self.depth_value.append(len(self.q_admit) - self.head)
+        self.depth_value.append(len(self.machine.q_pos) - self.taken)
         return True
 
     # -- fault transitions -------------------------------------------------
 
-    def set_accel_down(self, flag: bool) -> None:
+    def set_accel_down(self, flag: bool, when: float) -> None:
+        """Swap cost tables at ``when``, after the launches decided before it."""
+        self.advance(when)
         self.accel_down = flag
-        self._unit_s = None
-        if not flag:
-            self.active = self.table
-            return
-        if self.fallback_table is None:
-            self.fallback_table = self.engine.fallback_costs().cost_table(self.max_batch)
-        self.active = self.fallback_table
+        self.fallback_marks.append(len(self.completes))
+        if flag and self.fallback_table is None:
+            self.fallback_table = self.engine.fallback_costs().cost_table(self.machine.max_batch)
+        self.machine.reprice(self.fallback_table if flag else self.table)
 
     def crash(self, when: float) -> list[int]:
         """Drop all queued and running work; returns the positions whose
         live copy may now be lost (the router applies the liveness check)."""
+        self.advance(when)
         self.down = True
-        cancelled_members: list[int] = []
-        if self.open:
-            log_end = self.log_end
-            log_cancelled = self.log_cancelled
-            for i in self.open:
-                if log_end[i] >= when:
-                    log_cancelled[i] = True
-                    cancelled_members.extend(self.log_completes[i])
-            self.open.clear()
-        lost_now = self.q_pos[self.head :] + self.flight_pos + cancelled_members
-        if self.head < len(self.q_admit):
-            # the dropped queue is a depth transition
+        queued = self.machine.q_pos[self.taken :].tolist()
+        lost_now = queued + self.machine.holding()
+        log_end = self.machine.log_end
+        for i in range(self.open_from, len(log_end)):
+            if log_end[i] >= when:
+                self.cancelled.add(i)
+                lost_now.extend(self.completes[i])
+        self.open_from = len(log_end)
+        self.machine.reset(when)
+        if queued:  # the dropped queue is a depth transition
             self.depth_time.append(when)
             self.depth_value.append(0)
-        self.q_admit.clear()
-        self.q_steps.clear()
-        self.q_pos.clear()
-        self.head = 0
-        self.flight_pos = []
-        self.flight_rem = []
-        self.pending_steps = 0
-        self.host_free = 0.0
-        self.accel_free.clear()
-        self.ready_s = when
         return lost_now
 
-    # -- the launch recurrence ---------------------------------------------
-
-    def advance(self, until: float) -> None:
-        """Execute every launch decided strictly before ``until``."""
-        if self.head == len(self.q_admit) and not self.flight_pos:
-            return  # nothing queued or in flight: no launch can be pending
-        while True:
-            t = self._next_launch()
-            if t is None or t >= until:
-                return
-            self._launch(t)
-
-    def _next_launch(self) -> "float | None":
-        kind = self.kind
-        if kind == "continuous":
-            if self.flight_pos:
-                return self.ready_s
-            if self.head < len(self.q_admit):
-                a = self.q_admit[self.head]
-                return a if a > self.ready_s else self.ready_s
-            return None
-        qlen = len(self.q_admit) - self.head
-        if qlen == 0:
-            return None
-        if kind == "fifo":
-            a = self.q_admit[self.head]
-            return a if a > self.ready_s else self.ready_s
-        if qlen >= self.max_batch:
-            a = self.q_admit[self.head + self.max_batch - 1]
-            return a if a > self.host_free else self.host_free
-        flush_at = self.flush_at
-        if flush_at is not None:
-            # arrivals drained: partial batches dispatch at the first decide
-            # pass, for static and dynamic alike (the deadline rule is gone).
-            t = self.q_admit[self.head]
-            if flush_at > t:
-                t = flush_at
-            return t if t > self.host_free else self.host_free
-        if kind == "dynamic":
-            d = self.q_admit[self.head] + self.max_wait_s
-            return d if d > self.host_free else self.host_free
-        return None
-
-    def _launch(self, t: float) -> None:
-        kind = self.kind
-        multiplier = self.injector.dispatch_multiplier(self.index)
-        start = t if t > self.host_free else self.host_free
-        if kind == "continuous":
-            free = self.max_batch - len(self.flight_pos)
-            if free > 0:
-                qlen = len(self.q_admit) - self.head
-                take = free if free < qlen else qlen
-                if take:
-                    stop = self.head + take
-                    self._join(self.head, stop)
-                    self.head = stop
-            members = self.flight_pos
-            size = len(members)
-            iterations = 1
-            end = self._iterate(self.active.row(size), start, 1, multiplier)
-            completes: list[int] = []
-            keep_pos: list[int] = []
-            keep_rem: list[int] = []
-            for pos, rem in zip(members, self.flight_rem):
-                if rem == 1:
-                    completes.append(pos)
-                else:
-                    keep_pos.append(pos)
-                    keep_rem.append(rem - 1)
-            self.flight_pos = keep_pos
-            self.flight_rem = keep_rem
-            self.pending_steps -= size
-            self.ready_s = end  # barrier
-        elif kind == "fifo":
-            pos = self.q_pos[self.head]
-            iterations = self.q_steps[self.head]
-            self.head += 1
-            size = 1
-            members = completes = (pos,)
-            end = self._iterate(self.active.row(1), start, iterations, multiplier)
-            self.pending_steps -= iterations
-            self.ready_s = end  # barrier
-        else:  # static / dynamic
-            qlen = len(self.q_admit) - self.head
-            size = qlen if qlen < self.max_batch else self.max_batch
-            stop = self.head + size
-            members = completes = self.q_pos[self.head : stop]
-            steps = self.q_steps[self.head : stop]
-            self.head = stop
-            iterations = max(steps)
-            end = self._iterate(self.active.row(size), start, iterations, multiplier)
-            self.pending_steps -= sum(steps)
-            self.ready_s = t if t > self.host_free else self.host_free
-        self.log_end.append(end)
-        self.log_size.append(size)
-        self.log_iter.append(iterations)
-        self.log_mult.append(multiplier)
-        self.log_fb.append(self.accel_down)
-        self.log_completes.append(completes)
-        starts = self.starts
-        started = self.started
-        copy_gen = self.copy_gen
-        if copy_gen is None:
-            for pos in members:
-                if pos not in starts:
-                    starts[pos] = start
-                started[pos] = True
-        else:
-            # the reference marks the copy this replica admitted last, which
-            # is the primary's ``started`` only while that copy is current.
-            attempts = self.attempts
-            for pos in members:
-                if pos not in starts:
-                    starts[pos] = start
-                if copy_gen[pos] == attempts[pos]:
-                    started[pos] = True
-        if self.has_crash:
-            self.open.append(len(self.log_cancelled))
-            self.log_cancelled.append(False)
-        if self.resolve_at_launch:
-            # this machine never crashes and no hedge copy can race it, so a
-            # materialized dispatch is final: resolve its completions now.
-            # The outcome is the same one the lazy path (or the reference's
-            # completion pop) would produce; later retry timers for these
-            # requests exit at the status check.
-            status = self.status
-            completion = self.completion
-            winner = self.winner
-            index = self.index
-            for pos in completes:
-                status[pos] = STATUS_OK
-                completion[pos] = end
-                winner[pos] = index
-        else:
-            live_end = self.live_end
-            for pos in completes:
-                live_end[pos] = end
-            if copy_gen is not None:
-                key = (t, self.index, len(self.log_end) - 1)
-                live_key = self.live_key
-                for pos in completes:
-                    live_key[pos] = key
-        self.depth_time.append(start)
-        self.depth_value.append(len(self.q_admit) - self.head)
-        if self.head >= 8192:  # amortized queue compaction
-            del self.q_admit[: self.head]
-            del self.q_steps[: self.head]
-            del self.q_pos[: self.head]
-            self.head = 0
-
-    def _join(self, head: int, stop: int) -> None:
-        """Move queued copies into the continuous in-flight set the way the
-        reference's ``{request id: remaining steps}`` dict does: a request
-        already in flight (its other copy) keeps its slot and restarts its
-        step count, dropping the old remainder from the backlog."""
-        flight_pos = self.flight_pos
-        flight_rem = self.flight_rem
-        for pos, steps in zip(self.q_pos[head:stop], self.q_steps[head:stop]):
-            if pos in flight_pos:
-                k = flight_pos.index(pos)
-                self.pending_steps -= flight_rem[k]
-                flight_rem[k] = steps
-            else:
-                flight_pos.append(pos)
-                flight_rem.append(steps)
-
-    def _iterate(self, cost, start: float, iterations: int, multiplier: float) -> float:
-        """The reference ``launch()`` occupancy arithmetic, verbatim,
-        straggler multiplier included (1.0 stays bit-exact)."""
-        host_s = cost.host_s * multiplier
-        accel_s = cost.accel_s * multiplier
-        total_s = cost.total_s * multiplier
-        cursor = start
-        if cost.has_accel:
-            target = cost.target
-            # one dict read/write per dispatch, not per iteration: only this
-            # target's free time and the host cursor evolve inside the loop.
-            accel_start = self.accel_free.get(target, 0.0)
-            host_end = cursor
-            for _ in range(iterations):
-                host_end = cursor + host_s
-                if accel_start < host_end:
-                    accel_start = host_end
-                if accel_start == host_end:
-                    end = cursor + total_s
-                else:
-                    end = accel_start + accel_s
-                accel_start = end
-                cursor = end
-            self.accel_free[target] = accel_start
-            self.host_free = host_end
-        else:
-            for _ in range(iterations):
-                cursor = cursor + total_s
-            self.host_free = cursor
-        return cursor
 
 
 def run_fast_faulted(
@@ -774,13 +499,11 @@ def run_fast_faulted(
 
     ``result`` is the pre-populated shell from :meth:`ClusterRouter.run`,
     ``scheduler`` one of its replicas' schedulers and ``injector`` the run's
-    already-built fault injector.  The event heap holds only fault
-    transitions, timers that fire out of order, and hedged completions; arrivals stay a cursor over the trace columns,
-    monotone timers stay in deques, launches replay inside
-    :class:`_SimReplica` machines, and completions are resolved lazily — a
-    request's fate is decided by its live dispatch record the first time an
-    event (or the final sweep) looks at it, exactly as the reference's
-    completion events would have decided it.
+    already-built fault injector.  Arrivals stay a cursor over the trace
+    columns and monotone timers stay in deques; launches replay inside each
+    replica's machine; completions resolve lazily — a request's fate is
+    decided by its live dispatch the first time an event (or the final
+    sweep) looks at it, as the reference's completion events would have.
 
     Hedging couples replicas: the first copy of a request to complete
     withdraws the other one at that instant, before any launch at that
@@ -788,15 +511,13 @@ def run_fast_faulted(
     may hold its copies are *hot*: they launch one dispatch at a time in
     global time order (after every event at the launch time, like the
     reference's decide pass), and a dispatch completing a hedged request
-    becomes a heap event at the reference's completion priority.  Un-hedged
-    completions stay lazy, and a run without ``hedge_after_s`` does none of
-    this.  Bit-identical to the reference event loop.
+    becomes a heap event at the reference's completion priority.
+    Bit-identical to the reference event loop.
     """
     config = router.config
     n = trace.num_requests
     arrival_times = trace.arrival_column().tolist()
     decode_counts = trace.decode_column().tolist()
-    kind = declared_kind(scheduler)
 
     started = [False] * n
     live_end: list = [None] * n
@@ -818,12 +539,11 @@ def run_fast_faulted(
     else:
         live_key = None
     crash_replicas = injector.schedule.crash_replicas()
+    machine_cls = MACHINES[declared_kind(scheduler)]
     machines = [
         _SimReplica(
-            index, engine, kind, config.max_batch, config.max_wait_s,
-            injector, index in crash_replicas, started, live_end,
-            status, completion, winner,
-            attempts if hedging else None, live_key,
+            machine_cls(index, engine, scheduler), engine, injector,
+            index in crash_replicas, started, live_end, attempts if hedging else None, live_key,
         )
         for index, engine in enumerate(router.engines)
     ]
@@ -985,7 +705,6 @@ def run_fast_faulted(
         for machine in machines:
             crashed = injector.is_crashed(machine.index, when)
             if crashed and not machine.down:
-                machine.advance(when)
                 for pos in machine.crash(when):
                     if status[pos] != _PENDING:
                         continue
@@ -1011,8 +730,7 @@ def run_fast_faulted(
                 machine.down = False
             accel = injector.accel_lost(machine.index, when)
             if accel != machine.accel_down:
-                machine.advance(when)
-                machine.set_accel_down(accel)
+                machine.set_accel_down(accel, when)
         alive = [m for m in machines if not m.down]
 
     # -- hedged dispatch (hedge_after_s set) -------------------------------
@@ -1066,9 +784,9 @@ def run_fast_faulted(
         nonlocal hedge_wins
         _, index, i = key
         machine = machines[index]
-        if machine.log_cancelled and machine.log_cancelled[i]:
+        if i in machine.cancelled:
             return  # the replica crashed before the dispatch ended
-        for pos in machine.log_completes[i]:
+        for pos in machine.completes[i]:
             if status[pos] != _PENDING:
                 continue  # a hedge loser or stale copy finishing
             status[pos] = STATUS_OK
@@ -1092,19 +810,22 @@ def run_fast_faulted(
         first_t = until
         for machine in machines:
             if machine.hot:
-                t = machine._next_launch()
-                if t is not None and t < first_t:
+                t = machine.machine.next_t
+                if t < first_t:
                     first = machine
                     first_t = t
         if first is None:
             return False
-        first._launch(first_t)
-        i = len(first.log_end) - 1
-        for pos in first.log_completes[i]:
-            if hedged[pos] and status[pos] == _PENDING:
-                key = (first_t, first.index, i)
-                heapq.heappush(heap, (first.log_end[i], _PRIO_COMPLETE, key, first.index))
-                break
+        launched = len(first.completes)
+        first.machine.step()
+        first._sync()
+        log_end = first.machine.log_end
+        for i in range(launched, len(log_end)):
+            for pos in first.completes[i]:
+                if hedged[pos] and status[pos] == _PENDING:
+                    key = (first_t, first.index, i)
+                    heapq.heappush(heap, (log_end[i], _PRIO_COMPLETE, key, first.index))
+                    break
         return True
 
     # -- the event loop ----------------------------------------------------
@@ -1145,14 +866,11 @@ def run_fast_faulted(
             arrive_index += 1
             on_arrival(pos, arrival_s)
             if arrive_index == n:
-                # arrivals drained: partial batches flush from now on.
-                # Materialize every launch decided under the pre-drain
-                # rules first — flush_at changes what _next_launch
-                # returns, so advancing lazily across the transition
-                # would re-decide those launches under the wrong rule.
+                # arrivals drained: partial batches flush from now on, after
+                # every launch decided under the pre-drain rules.
                 for machine in machines:
-                    machine.advance(arrival_s)
-                    machine.flush_at = arrival_s
+                    machine.machine.flush(arrival_s)
+                    machine._sync()
             continue
         if head is None:
             break
@@ -1192,30 +910,32 @@ def run_fast_faulted(
     ids_list = ids.tolist()
     decode_column = trace.decode_column()
     cap = config.record_requests
+    live_ends = []
     for machine in machines:
-        ends = np.asarray(machine.log_end, dtype=np.float64)
-        live = np.arange(ends.size)
-        if machine.log_cancelled:
-            # only crash-capable machines maintain the cancellation column;
-            # everywhere else the whole log is live.
-            live = np.flatnonzero(~np.asarray(machine.log_cancelled, dtype=bool))
+        log = machine.machine
+        ends = np.array(log.log_end, dtype=np.float64)
+        live = np.setdiff1d(np.arange(ends.size), list(machine.cancelled))
+        live_ends.append(ends[live])
         # accounting folds at the reference's completion-pop order: a stable
         # sort by end time over the launch-ordered live log.
         fold_order = live[np.argsort(ends[live], kind="stable")]
-        sizes = np.asarray(machine.log_size, dtype=np.int64)
+        sizes, iterations = log._dispatches(decode_column[np.asarray(log.q_pos)])
         fallback = None
         fallback_table = machine.fallback_table
         if fallback_table is not None and fallback_table is not machine.table:
-            mask = np.asarray(machine.log_fb, dtype=bool)[fold_order]
+            mask = np.searchsorted(machine.fallback_marks, fold_order, side="right") % 2 == 1
             if mask.any():
                 fallback = (fallback_table, mask)
+        multipliers = 1.0
+        if machine.multipliers:
+            multipliers = np.array(machine.multipliers, dtype=np.float64)[fold_order]
 
         completions: dict[int, tuple[float, int]] = {}
         ends_list = ends.tolist()
         sizes_list = sizes.tolist()
         for i in fold_order.tolist():
             entry = (ends_list[i], sizes_list[i])
-            for pos in machine.log_completes[i]:
+            for pos in machine.completes[i]:
                 completions[pos] = entry
         admitted = machine.admitted
         # the reference router lists a replica's records by (admitted, id).
@@ -1235,11 +955,11 @@ def run_fast_faulted(
                 ),
                 requests,
                 sizes[fold_order],
-                np.asarray(machine.log_iter, dtype=np.int64)[fold_order],
+                iterations[fold_order],
                 machine.table,
                 (machine.depth_time, machine.depth_value, None),
                 cap,
-                multipliers=np.asarray(machine.log_mult, dtype=np.float64)[fold_order],
+                multipliers=multipliers,
                 fallback=fallback,
             )
         )
@@ -1261,18 +981,10 @@ def run_fast_faulted(
     result.num_hedge_wins = hedge_wins
     recovery = 0.0
     for window in injector.schedule.windows:
-        victim = machines[window.replica]
-        if victim.log_cancelled:
-            ends = sorted(
-                e
-                for e, cancelled in zip(victim.log_end, victim.log_cancelled)
-                if not cancelled
-            )
-        else:
-            ends = sorted(victim.log_end)
-        after = next((e for e in ends if e >= window.end_s), None)
-        if after is not None:
-            recovery = max(recovery, after - window.end_s)
+        after = live_ends[window.replica]
+        after = after[after >= window.end_s]
+        if after.size:
+            recovery = max(recovery, float(after.min()) - window.end_s)
     result.time_to_recovery_s = recovery
     result.backend_used = "columnar-faulted"
     return apply_static_lifecycle(result)

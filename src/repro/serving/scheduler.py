@@ -82,18 +82,17 @@ class BatchScheduler:
     #: class attribute, not a dataclass field — it describes the class's
     #: decision algorithm, not per-instance state.
     #:
-    #: Declaring a kind is a **behavioral contract**: the columnar rails
-    #: (the :mod:`repro.serving.columnar` launch machines, which serve the
-    #: single engine and the fault-free fleet, and the
-    #: :mod:`repro.serving.columnar_cluster` faulted replay machines)
-    #: hard-code this class's launch rules — in particular the post-drain
-    #: flush (once the trace is exhausted, partial batches launch at
-    #: ``max(host_free, arrival, drain_time)`` with no ``max_wait_s``
-    #: deadline) and the pre-drain rules (full batches immediately; dynamic
-    #: partials at ``oldest arrival + max_wait_s``; static partials never).
-    #: Changing a launch rule here requires updating both rails, and the
-    #: bit-identity crosscheck batteries in ``tests/test_columnar*.py`` will
-    #: catch any divergence.
+    #: Declaring a kind is a **behavioral contract**: the
+    #: :mod:`repro.serving.columnar` launch machines, which serve the single
+    #: engine, the fault-free fleet and the faulted fleet, hard-code this
+    #: class's launch rules — in particular the post-drain flush (once the
+    #: trace is exhausted, partial batches launch at ``max(host_free,
+    #: arrival, drain_time)`` with no ``max_wait_s`` deadline) and the
+    #: pre-drain rules (full batches immediately; dynamic partials at
+    #: ``oldest arrival + max_wait_s``; static partials never).  Changing a
+    #: launch rule here requires updating the machines, and the bit-identity
+    #: crosscheck batteries in ``tests/test_columnar*.py`` will catch any
+    #: divergence.
     columnar_kernel = None
 
     def __post_init__(self) -> None:

@@ -20,7 +20,8 @@ completions).  These tests pin six contracts:
 * **faulted equivalence** — crash / accel-loss / straggler windows and
   timeout retries ride ``run_fast_faulted`` (the no-fault replay must not
   run) and stay bit-identical to the reference loop, including retry
-  exhaustion, shed-under-fault, and capped streaming metrics;
+  exhaustion, shed-under-fault, capped streaming metrics, and runs long
+  enough to cross the machines' queue compaction;
 * **hedged equivalence** — hedged dispatch rides ``run_fast_faulted`` for
   every scheduler and policy, alone and with faults, retries, shedding and
   capped metrics, bit-identically, and no per-replica record starts before
@@ -281,7 +282,10 @@ class TestCompactionBoundary:
     """9,000 requests on one replica: more admissions than a launch
     machine's queue holds before it compacts (8,192), so the continuous
     machine's queue-head column must count admissions globally.  Each
-    scheduler's engine run and least-loaded fleet run against the oracle."""
+    scheduler's engine run and least-loaded fleet run against the oracle,
+    and the faulted core, whose fault layer reads trace positions off the
+    machines by global queue index: stragglers on one replica cross the
+    compaction, and crashes on two move ``base`` through crash resets."""
 
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
     def test_matches_reference(self, scheduler):
@@ -298,6 +302,34 @@ class TestCompactionBoundary:
             fast = runner.run(trace, offered_rate_rps=rate)
             assert fast.backend_used == "columnar"
             assert fast == run_reference(runner, trace, rate)
+
+    @pytest.mark.parametrize(
+        "faults",
+        (
+            dict(platforms=("A",), fault_profile="straggler"),
+            dict(platforms=("A", "A"), **FAULT_KNOBS["crash"]),
+        ),
+        ids=("straggler", "crash"),
+    )
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_faulted_core_matches_reference(self, scheduler, faults):
+        router = ClusterRouter(
+            ClusterConfig(
+                model="gpt2",
+                scheduler=scheduler,
+                policy="least-loaded",
+                max_batch=8,
+                record_requests=64,
+                **faults,
+            )
+        )
+        rate = 0.9 * router.fleet_capacity_rps()
+        trace = make_trace(
+            "poisson", rate, 9_000, rng=np.random.default_rng(0), decode_steps=(1, 4)
+        )
+        fast = router.run(trace, offered_rate_rps=rate)
+        assert fast.backend_used == "columnar-faulted"
+        assert fast == run_reference(router, trace, rate)
 
 
 class TestFaultedFastPath:

@@ -12,6 +12,8 @@ Covers three layers:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,27 @@ class TestPaperPathInvariants:
             derived = flow.derive_plan(plan, use_gpu=False).kernels
             assert np.array_equal(derived.node_ids, source.node_ids), (model, flow_name)
             assert np.array_equal(derived.offsets, source.offsets)
+
+    def test_no_kernel_reads_a_later_kernel(self, profiles):
+        # every value's consumers, from the value-to-use CSR: a fused chain
+        # must not read a value that a later kernel produces.
+        for (model, flow_name), (plan, _) in profiles.items():
+            table = plan.graph.materialize().freeze()
+            kernels = plan.kernels
+            kernel_of = np.full(table.num_nodes, -1, dtype=np.int64)
+            kernel_of[kernels.node_ids] = np.repeat(
+                np.arange(len(kernels)), np.diff(kernels.offsets)
+            )
+            producer = np.repeat(kernel_of[table.value_node()], np.diff(table.use_offsets))
+            consumer = kernel_of[table.use_nodes]
+            assert not np.any(producer > consumer), (model, flow_name)
+
+    def test_validate_rejects_reversed_kernels(self, model_graphs):
+        plan = cached_lower(get_flow("pytorch"), model_graphs["gpt2"], DeviceKind.GPU)
+        plan.validate()
+        reversed_plan = replace(plan, kernels=list(plan.kernels)[::-1])
+        with pytest.raises(PlanError, match="reads a later kernel"):
+            reversed_plan.validate()
 
 
 class TestPlacementPass:

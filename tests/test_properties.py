@@ -1,10 +1,11 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import ops
@@ -284,6 +285,18 @@ def _check_replica_invariants(result) -> None:
         assert depths[-1] == 0
 
 
+def _check_littles_law(result) -> None:
+    """Little's law as an identity on one engine's uncapped result: the time
+    integral of its queue-depth timeline equals the summed queueing delays
+    (start - arrival) of its records.  Holds while every admitted copy is
+    served exactly once: no retry, hedge or crash."""
+    times = np.array([t for t, _ in result.queue_depth_timeline], dtype=np.float64)
+    depths = np.array([d for _, d in result.queue_depth_timeline], dtype=np.float64)
+    area = float(np.sum(depths[:-1] * np.diff(times)))
+    waits = math.fsum(record.start_s - record.arrival_s for record in result.records)
+    assert area == pytest.approx(waits, rel=1e-12, abs=1e-15)
+
+
 class TestClusterRoutingProperties:
     @st.composite
     def fault_free_runs(draw):
@@ -318,14 +331,17 @@ class TestClusterRoutingProperties:
     @st.composite
     def faulted_runs(draw):
         """A fault-free run's axes plus a fault schedule and timeout retries
-        (``timeout_s`` always set) and maybe hedging, which put the run on
-        the fault-capable columnar replay."""
+        (``timeout_s`` always set under crashes, whose lost copies only a
+        retry recovers) and maybe hedging, which put the run on the
+        fault-capable columnar replay."""
         config, trace = draw(TestClusterRoutingProperties.fault_free_runs())
+        profile = draw(st.sampled_from(("crash", "accel-loss", "straggler")))
+        timeouts = st.sampled_from((0.004, 0.02, 0.05))
         config = replace(
             config,
-            fault_profile=draw(st.sampled_from(("crash", "accel-loss", "straggler"))),
+            fault_profile=profile,
             fault_seed=draw(st.integers(0, 7)),
-            timeout_s=draw(st.sampled_from((0.004, 0.02, 0.05))),
+            timeout_s=draw(timeouts if profile == "crash" else st.none() | timeouts),
             timeout_cap_s=draw(st.none() | st.sampled_from((0.004, 0.08, 0.32))),
             max_retries=draw(st.integers(0, 3)),
             hedge_after_s=draw(st.none() | st.sampled_from(HEDGE_AFTER_S)),
@@ -353,8 +369,25 @@ class TestClusterRoutingProperties:
         assert completed + fast.num_shed == trace.num_requests
         for replica in fast.replicas:
             _check_replica_invariants(replica)
+            if config.record_requests is None:
+                _check_littles_law(replica)
 
     @given(faulted_runs())
+    @example(
+        (
+            ClusterConfig(
+                model="gpt2",
+                platforms=("A", "A"),
+                scheduler="continuous",
+                policy="least-loaded",
+                max_batch=2,
+                fault_profile="straggler",
+            ),
+            RequestTrace(
+                "burst", arrival_s=np.zeros(24), decode_steps=np.arange(24) % 4 + 1
+            ),
+        )
+    )
     @settings(max_examples=60, deadline=None)
     def test_faulted_rail_matches_oracle(self, run):
         self._check_faulted_rail(*run)
@@ -378,8 +411,16 @@ class TestClusterRoutingProperties:
         # a replica's record holds its first copy's arrival and start; its
         # uncapped queue-depth timeline ends empty (crashes and withdrawn
         # copies take samples too).
+        served_once = (
+            config.record_requests is None
+            and config.timeout_s is None
+            and config.hedge_after_s is None
+            and config.fault_profile != "crash"
+        )
         for replica in fast.replicas:
             _check_replica_invariants(replica)
+            if served_once:
+                _check_littles_law(replica)
         if fast.record_cap is None:
             assert sum(r.hedged for r in fast.records) == fast.num_hedges
             assert sum(r.hedge_won for r in fast.records) == fast.num_hedge_wins
@@ -402,4 +443,6 @@ class TestEngineKernelProperties:
         assert fast == run_reference(engine, trace)
         assert fast.num_requests_served == trace.num_requests
         _check_replica_invariants(fast)
+        if config.record_requests is None:
+            _check_littles_law(fast)
 
