@@ -30,11 +30,14 @@ any policy through ``policy.choose`` with the layers as candidates (see
 :class:`~repro.serving.cluster.AdmissionPolicy`).
 
 :func:`fast_path_fallback_reason` names the only remaining fallback
-conditions — autoscaling and custom registered schedulers — and
-:meth:`~repro.serving.cluster.ClusterRouter.run` falls back to its event
-loop automatically (silently, with the reason recorded on the result).  A
-custom scheduler keeps that loop in ``src/``: its object must be asked at
-every decision time, and the loop also serves a custom-scheduler
+conditions — autoscaling and schedulers whose class declares no
+``columnar_kernel`` — and :meth:`~repro.serving.cluster.ClusterRouter.run`
+falls back to its event loop automatically (silently, with the reason
+recorded on the result).  Both rails pick a replica's machine by the
+declared kind, as the engine does, so a registered subclass that declares
+one rides the machines everywhere.  A scheduler that declares none keeps
+the event loop in ``src/``: its object must be asked at every decision
+time, and the loop also serves such a
 :class:`~repro.serving.engine.ServingEngine` as a one-replica fleet.
 """
 
@@ -74,20 +77,7 @@ from repro.serving.metrics import (
     assemble_fleet_records,
     assemble_replica,
 )
-from repro.serving.scheduler import (
-    ContinuousBatchScheduler,
-    DynamicBatchScheduler,
-    FIFOScheduler,
-    StaticBatchScheduler,
-)
 from repro.serving.trace import RequestTrace
-
-_BUILTIN_SCHEDULERS = (
-    FIFOScheduler,
-    StaticBatchScheduler,
-    DynamicBatchScheduler,
-    ContinuousBatchScheduler,
-)
 
 #: the policies :func:`_route` replays inline on the no-fault rail.
 _ROUTED_POLICIES = (RoundRobinPolicy, LeastLoadedPolicy, PowerOfTwoPolicy)
@@ -99,15 +89,20 @@ def fast_path_fallback_reason(config, policy, scheduler) -> "str | None":
     The README's "rail conditions" list and the fallback test battery
     enumerate exactly these knobs.  Faults, timeout retries, hedging and
     custom registered policies ride :func:`run_fast_faulted`; only
-    autoscaling (hedged or not) and custom registered schedulers, whose
-    objects must be asked at every decision time, route to the event loop.
+    autoscaling (hedged or not) and schedulers whose class declares no
+    ``columnar_kernel`` (see :func:`~repro.serving.columnar.declared_kind`),
+    whose objects must be asked at every decision time, route to the event
+    loop.
     The string is surfaced as ``ClusterResult.fast_path_fallback_reason`` so
     a silent fallback is diagnosable from the CLI.
     """
     if config.autoscale is not None:
         return "autoscale set (elastic lifecycle runs in the event loop)"
-    if type(scheduler) not in _BUILTIN_SCHEDULERS:
-        return f"custom scheduler {type(scheduler).__name__} ({scheduler.name!r})"
+    if declared_kind(scheduler) is None:
+        return (
+            f"custom scheduler {type(scheduler).__name__} ({scheduler.name!r})"
+            " declares no columnar kernel"
+        )
     return None
 
 

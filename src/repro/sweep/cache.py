@@ -1,9 +1,10 @@
-"""Memoization layer for the sweep engine: graphs, plans, memory, transforms.
+"""Memoization layer for the sweep engine: graphs, plans, memory, transforms,
+serving costs.
 
 The figure/table harnesses sweep large cross-products in which most of the
 per-point work is identical: the same model graph is rebuilt for every
 platform, the same plan re-lowered for every device combination, and the same
-liveness walk repeated per profile.  :class:`PlanCache` memoizes the four
+liveness walk repeated per profile.  :class:`PlanCache` memoizes the five
 expensive, structurally-pure stages behind a **two-tier cache**:
 
 * an in-memory, size-bounded LRU (always on) over
@@ -17,8 +18,12 @@ expensive, structurally-pure stages behind a **two-tier cache**:
     content signature (see :meth:`PlanCache.serving_cost`)
 
 * an optional persistent :class:`~repro.sweep.store.ArtifactStore` consulted
-  on LRU misses for plans, memory profiles, and transform outputs, so fresh
-  processes (pytest runs, CLI calls, CI jobs) start warm instead of cold.
+  on LRU misses for plans, memory profiles, transform outputs and serving
+  costs (every stage but the graph build), so fresh processes (pytest runs,
+  CLI calls, CI jobs) start warm instead of cold.
+
+Those four persisted stages share one lookup, :meth:`PlanCache._memo`, and
+each builds its key in one place.
 
 Correctness rests on :meth:`repro.ir.graph.Graph.content_hash`: any mutation
 of a graph changes its hash, so stale plan/memory entries can never be
@@ -34,7 +39,9 @@ constructing a single node.
 
 A process-global :data:`PLAN_CACHE` serves the profiler and the sweep runner;
 worker processes of a parallel sweep each get their own in-memory instance
-but share the persistent store directory (writes are atomic).
+but share the persistent store directory (writes are atomic), which each
+reads through the same lookup the first time one of its points needs an
+entry.
 """
 
 from __future__ import annotations
@@ -170,8 +177,9 @@ class PlanCache:
 
     Tier 1 is a size-bounded in-memory LRU; tier 2 (``store``, optional) is
     a content-addressed on-disk :class:`~repro.sweep.store.ArtifactStore`
-    consulted on LRU misses for plans, memory profiles, and transform
-    outputs.  Every disk hit is promoted into the LRU.
+    consulted on LRU misses for plans, memory profiles, transform outputs
+    and serving costs, all through :meth:`_memo`.  Every disk hit is
+    promoted into the LRU.
     """
 
     def __init__(self, max_entries: int = 256, store: ArtifactStore | None = None):
@@ -185,8 +193,9 @@ class PlanCache:
     # -- generic LRU plumbing ----------------------------------------------
 
     def _get(self, key: tuple) -> object | None:
-        """LRU lookup; counts a hit when present (misses are counted by the
-        compute sites, so a disk hit is never recorded as a miss)."""
+        """LRU lookup; counts a hit when present (misses are counted by
+        :meth:`_memo` and :meth:`graph`, so a disk hit is never recorded as a
+        miss)."""
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
@@ -207,18 +216,35 @@ class PlanCache:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
 
-    def _store_get(self, key: tuple) -> object | None:
-        """Disk-tier lookup; counts and promotes on hit."""
-        if self.store is None:
-            return None
-        value = self.store.get(key)
-        if value is not None:
-            self.stats.disk_hit(key[0])
-        return value
+    def _memo(
+        self,
+        key: tuple,
+        compute: Callable[[], Any],
+        encode: Callable[[Any], Any] | None = None,
+        decode: Callable[[Any], Any] | None = None,
+    ) -> Any:
+        """The two-tier lookup every persisted stage shares.
 
-    def _store_put(self, key: tuple, value: object) -> None:
-        if self.store is not None:
-            self.store.put(key, value)
+        LRU hit, else a disk hit (``decode``-d from its payload), else
+        ``compute()`` — whose value is ``encode``-d into the store, when one
+        is attached — and either way promoted into the LRU.  ``key[0]``
+        names the stage for the hit/disk-hit/miss counters.
+        """
+        value = self._get(key)
+        if value is not None:
+            return value
+        store = self.store
+        payload = None if store is None else store.get(key)
+        if payload is not None:
+            self.stats.disk_hit(key[0])
+            value = payload if decode is None else decode(payload)
+        else:
+            self.stats.miss(key[0])
+            value = compute()
+            if store is not None:
+                store.put(key, value if encode is None else encode(value))
+        self._put(key, value)
+        return value
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -271,19 +297,28 @@ class PlanCache:
             flow.__dict__["_external_fingerprint"] = cached
         return cached
 
+    def _built(self, key: tuple) -> Graph | None:
+        """The LRU's graph for a build key, unless a caller mutated it.
+
+        Cached graphs are shared objects; a mutation clears the memoized
+        hash, which then no longer matches the build stamp — the caller
+        rebuilds fresh instead of handing out the modified structure.
+        """
+        entry = self._get(key)
+        if entry is not None:
+            cached, stamp = entry
+            if cached.content_hash() == stamp:
+                return cached
+        return None
+
     def graph(self, model: str, batch_size: int = 1, **overrides) -> Graph:
         """Memoized ``build_model``; overrides must be hashable (e.g. seq_len)."""
         if not self._enabled:
             return build_model(model, batch_size=batch_size, **overrides)
         key = self._build_key(model, batch_size, overrides)
-        entry = self._get(key)
-        if entry is not None:
-            cached, stamp = entry
-            # cached graphs are shared objects; if a caller mutated one, its
-            # memoized hash was cleared and no longer matches the stamp —
-            # rebuild fresh instead of handing out the modified structure.
-            if cached.content_hash() == stamp:
-                return cached
+        cached = self._built(key)
+        if cached is not None:
+            return cached
         self.stats.miss("graph")
         cached = build_model(model, batch_size=batch_size, **overrides)
         # registry builders are deterministic, so the build key identifies
@@ -305,16 +340,27 @@ class PlanCache:
         if not self._enabled:
             return build_model(model, batch_size=batch_size, **overrides)
         key = self._build_key(model, batch_size, overrides)
-        entry = self._get(key)
-        if entry is not None:
-            cached, stamp = entry
-            if cached.content_hash() == stamp:
-                return cached
+        cached = self._built(key)
+        if cached is not None:
+            return cached
         return GraphRef(
             model,
             derived_hash("build", self._build_identity(model, key)),
             lambda: self.graph(model, batch_size=batch_size, **overrides),
         )
+
+    def _plan_key(
+        self, flow: "DeploymentFlow", graph: Graph | GraphRef, target: DeviceKind
+    ) -> tuple:
+        """``("plan", pipeline signature, graph hash, device mode)``.
+
+        The pipeline signature covers declared knobs; the flow identity
+        folded into it additionally pins the *source* of any out-of-tree
+        flow or pass, so editing custom lowering code can never reuse a
+        stale store entry.
+        """
+        pipeline_sig = flow.pipeline_signature() + self._flow_identity(flow)
+        return ("plan", pipeline_sig, graph.content_hash(), target.value)
 
     def plan(
         self, flow: "DeploymentFlow", graph: Graph | GraphRef, use_gpu: "bool | str | DeviceKind"
@@ -337,38 +383,24 @@ class PlanCache:
         target = as_device_kind(use_gpu)
         if not self._enabled:
             return flow.lower(graph.materialize(), use_gpu=target)
-        graph_hash = graph.content_hash()
-        # the pipeline signature covers declared knobs; the flow identity
-        # additionally pins the *source* of any out-of-tree flow or pass, so
-        # editing custom lowering code can never reuse a stale store entry.
-        pipeline_sig = flow.pipeline_signature() + self._flow_identity(flow)
-        key = ("plan", pipeline_sig, graph_hash, target.value)
-        cached = self._get(key)
-        if cached is not None:
-            return cached  # type: ignore[return-value]
-        payload = self._store_get(key)
-        if payload is not None:
-            plan = plan_from_payload(payload, graph)
-            self._put(key, plan)
-            return plan
-        self.stats.miss("plan")
-        sibling = None
-        if flow.supports_derivation():
-            # any other target's plan derives this one for uniform flows
-            for other in DeviceKind:
-                if other is target:
-                    continue
-                sibling = self._peek(("plan", pipeline_sig, graph_hash, other.value))
-                if sibling is not None:
-                    break
-        if sibling is not None:
-            plan = flow.derive_plan(sibling, target)
-        else:
-            plan = flow.lower(graph.materialize(), use_gpu=target)
-        if self.store is not None:
-            self.store.put(key, plan_payload(plan))
-        self._put(key, plan)
-        return plan
+        key = self._plan_key(flow, graph, target)
+
+        def compute() -> "ExecutionPlan":
+            if flow.supports_derivation():
+                # any other target's plan derives this one for uniform flows
+                for other in DeviceKind:
+                    if other is not target:
+                        sibling = self._peek(key[:3] + (other.value,))
+                        if sibling is not None:
+                            return flow.derive_plan(sibling, target)
+            return flow.lower(graph.materialize(), use_gpu=target)
+
+        return self._memo(
+            key,
+            compute,
+            encode=plan_payload,
+            decode=lambda payload: plan_from_payload(payload, graph),
+        )
 
     def serving_cost(
         self,
@@ -391,25 +423,13 @@ class PlanCache:
         target = as_device_kind(use_gpu)
         if not self._enabled:
             return compute(self.plan(flow, graph, target))
-        pipeline_sig = flow.pipeline_signature() + self._flow_identity(flow)
         key = (
             "serving",
-            pipeline_sig,
-            graph.content_hash(),
-            target.value,
+            *self._plan_key(flow, graph, target)[1:],
             platform.platform_id,
             platform.content_signature(),
         )
-        cached = self._get(key)
-        if cached is not None:
-            return cached
-        cached = self._store_get(key)
-        if cached is None:
-            self.stats.miss("serving")
-            cached = compute(self.plan(flow, graph, target))
-            self._store_put(key, cached)
-        self._put(key, cached)
-        return cached
+        return self._memo(key, lambda: compute(self.plan(flow, graph, target)))
 
     def memory(self, graph: Graph | GraphRef) -> "MemoryProfile":
         """Memoized liveness analysis keyed by graph content hash."""
@@ -417,16 +437,9 @@ class PlanCache:
 
         if not self._enabled:
             return profile_memory(graph.materialize())
-        key = ("memory", graph.content_hash())
-        cached = self._get(key)
-        if cached is None:
-            cached = self._store_get(key)
-            if cached is None:
-                self.stats.miss("memory")
-                cached = profile_memory(graph.materialize())
-                self._store_put(key, cached)
-            self._put(key, cached)
-        return cached  # type: ignore[return-value]
+        return self._memo(
+            ("memory", graph.content_hash()), lambda: profile_memory(graph.materialize())
+        )
 
     def transform(self, name: str, graph: Graph | GraphRef) -> Any:
         """Memoized registered graph transform (returns the transform's result).
@@ -442,91 +455,31 @@ class PlanCache:
         if not self._enabled:
             return fn(graph.materialize())
         parent_hash = graph.content_hash()
-        key = ("transform", name, parent_hash, external_fingerprint(fn))
-        cached = self._get(key)
-        if cached is not None:
-            return cached
-        transformed_hash = derived_hash(name, parent_hash)
 
-        def rebuild() -> Graph:
+        def compute() -> Any:
             result = fn(graph.materialize())
-            rebuilt = result.graph
-            rebuilt.derive_content_hash(name, parent_hash)
-            return rebuilt
+            result_graph = getattr(result, "graph", None)
+            if result_graph is not None:
+                # registered transforms are deterministic, so the rewritten
+                # graph's identity derives from the parent's — skip
+                # re-hashing the (often much larger) transformed structure.
+                result_graph.derive_content_hash(name, parent_hash)
+            return result
 
-        payload = self._store_get(key)
-        if payload is not None:
+        def decode(payload: dict) -> Any:
             if payload["full"] is not None:
-                cached = payload["full"]
-            else:
-                cached = StoredTransformResult(
-                    graph=GraphRef(f"{name}", transformed_hash, rebuild),
-                    stats=payload["stats"],
-                )
-            self._put(key, cached)
-            return cached
-        self.stats.miss("transform")
-        cached = fn(graph.materialize())
-        result_graph = getattr(cached, "graph", None)
-        if result_graph is not None:
-            # registered transforms are deterministic, so the rewritten
-            # graph's identity derives from the parent's — skip re-hashing
-            # the (often much larger) transformed structure.
-            result_graph.derive_content_hash(name, parent_hash)
-        self._store_put(key, transform_payload(cached))
-        self._put(key, cached)
-        return cached
-
-    def warm_from_store(
-        self,
-        flow: "DeploymentFlow",
-        graph: "Graph | GraphRef",
-        use_gpu: "bool | str | DeviceKind",
-        platform=None,
-    ) -> int:
-        """Promote one point's plan/memory/serving entries from the disk tier.
-
-        Best-effort pre-warm for pool workers: looks up the keys the profile
-        (and, when ``platform`` is given, the serving-cost) passes will need
-        and promotes any store entry into the LRU.  Nothing is computed on a
-        miss, and no hit/miss/disk-hit counters move — the store is read
-        directly rather than through :meth:`_store_get` — so per-point cache
-        deltas measured afterwards attribute activity to points, not to the
-        warm-up.  Returns the number of entries promoted.
-        """
-        if not self._enabled or self.store is None:
-            return 0
-        target = as_device_kind(use_gpu)
-        graph_hash = graph.content_hash()
-        pipeline_sig = flow.pipeline_signature() + self._flow_identity(flow)
-        promoted = 0
-        plan_key = ("plan", pipeline_sig, graph_hash, target.value)
-        if self._peek(plan_key) is None:
-            payload = self.store.get(plan_key)
-            if payload is not None:
-                self._put(plan_key, plan_from_payload(payload, graph))
-                promoted += 1
-        memory_key = ("memory", graph_hash)
-        if self._peek(memory_key) is None:
-            cached = self.store.get(memory_key)
-            if cached is not None:
-                self._put(memory_key, cached)
-                promoted += 1
-        if platform is not None:
-            serving_key = (
-                "serving",
-                pipeline_sig,
-                graph_hash,
-                target.value,
-                platform.platform_id,
-                platform.content_signature(),
+                return payload["full"]
+            return StoredTransformResult(
+                graph=GraphRef(name, derived_hash(name, parent_hash), lambda: compute().graph),
+                stats=payload["stats"],
             )
-            if self._peek(serving_key) is None:
-                cached = self.store.get(serving_key)
-                if cached is not None:
-                    self._put(serving_key, cached)
-                    promoted += 1
-        return promoted
+
+        return self._memo(
+            ("transform", name, parent_hash, external_fingerprint(fn)),
+            compute,
+            encode=transform_payload,
+            decode=decode,
+        )
 
 
 #: the process-global cache used by the profiler and sweep runner; its disk

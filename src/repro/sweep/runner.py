@@ -55,9 +55,7 @@ class SweepResult:
     (persistent artifact store), and ``misses`` (computed from scratch).
     Serial runs measure the process-global cache directly; worker-pool runs
     (``workers > 1``) sum the per-point deltas each worker ships back with
-    its records, so the counters cover every worker's per-process cache
-    (initializer pre-warm promotions are excluded by design — they are
-    attributable to no point).
+    its records, so the counters cover every worker's per-process cache.
     """
 
     spec: SweepSpec
@@ -153,70 +151,17 @@ def _run_point_for_pool(point: SweepPoint) -> tuple[SweepRecord, dict[str, objec
     return record, PLAN_CACHE.stats.delta_since(before)
 
 
-def _warm_tasks(points: list[SweepPoint]) -> tuple[tuple, ...]:
-    """Unique pre-warm combinations for a grid, in first-seen order.
-
-    One entry per distinct profile combination; the trailing
-    ``serve_max_batch`` carries the largest serving batch cap over the
-    combo's load points (0 when the combo never serves) so workers can also
-    warm the per-batch-size serving-cost entries.  Transform points are
-    skipped: their plan/memory keys hang off the transformed graph's hash,
-    which only running the transform can produce.
-    """
-    tasks: dict[tuple, int] = {}
-    for point in points:
-        if point.transform:
-            continue
-        key = (
-            point.model,
-            point.batch_size,
-            point.seq_len,
-            point.flow,
-            point.target.value,
-            point.platform,
-        )
-        serve = point.max_batch if point.load is not None else 0
-        tasks[key] = max(tasks.get(key, 0), serve)
-    return tuple(key + (serve,) for key, serve in tasks.items())
-
-
-def _pool_init(store_directory: str | None, warm_tasks: tuple[tuple, ...]) -> None:
-    """Process-pool initializer: attach the parent's store and pre-warm.
+def _pool_init(store_directory: str | None) -> None:
+    """Process-pool initializer: attach the parent's store.
 
     Workers pick up an environment-configured store on import; when the
     parent was pointed at a store programmatically instead,
-    ``store_directory`` re-attaches the same directory here.  Pre-warm then
-    promotes each unique combination's plan / memory / serving entries from
-    the shared disk store into the worker's LRU *before* any point runs, so
-    per-point deltas start from a warm tier-1 exactly like a serial run
-    against a warm store.  Best-effort by construction: a combination that
-    cannot warm (model unknown in this process, store disabled, cold store)
-    is skipped and the points simply compute as before.
+    ``store_directory`` re-attaches the same directory here.  Each worker
+    then reads the shared store through the cache's one lookup the first
+    time one of its points needs an entry.
     """
     if store_directory is not None and PLAN_CACHE.store is None:
         PLAN_CACHE.store = ArtifactStore(store_directory)
-    if PLAN_CACHE.store is None:
-        return
-    for model, batch_size, seq_len, flow_name, device_value, platform_id, serve_cap in warm_tasks:
-        try:
-            flow = get_flow(flow_name)
-            target = DeviceKind(device_value)
-            overrides = {} if seq_len is None else {"seq_len": seq_len}
-            graph = PLAN_CACHE.graph_ref(model, batch_size, **overrides)
-            PLAN_CACHE.warm_from_store(flow, graph, target)
-            if serve_cap:
-                from repro.serving.engine import resolve_serving_target
-
-                platform, serve_target = resolve_serving_target(
-                    get_platform(platform_id), target
-                )
-                for size in range(1, serve_cap + 1):
-                    batch_graph = PLAN_CACHE.graph_ref(model, size, **overrides)
-                    PLAN_CACHE.warm_from_store(
-                        flow, batch_graph, serve_target, platform=platform
-                    )
-        except Exception:  # pragma: no cover - warm-up must never fail a run
-            continue
 
 
 def _merge_cache_deltas(deltas) -> dict[str, object]:
@@ -254,7 +199,7 @@ class SweepRunner:
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_pool_init,
-                initargs=(store_directory, _warm_tasks(points)),
+                initargs=(store_directory,),
             ) as pool:
                 outcomes = list(pool.map(_run_point_for_pool, points, chunksize=chunksize))
             records = [record for record, _ in outcomes]

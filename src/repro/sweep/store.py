@@ -3,9 +3,10 @@
 The in-memory :class:`~repro.sweep.cache.PlanCache` makes repeated work free
 *within* a process; this store makes it cheap *across* processes.  Every
 pytest invocation, ``nongemm-bench`` CLI call, and CI job re-derives the same
-lowered plans, memory profiles, and transform outputs from scratch — pure
-Python-object work that is bit-identical run to run.  The store persists
-those artifacts once and serves them to every later process.
+lowered plans, memory profiles, transform outputs and serving batch costs
+from scratch — pure Python-object work that is bit-identical run to run.
+The store persists those artifacts once and serves them to every later
+process.
 
 Design:
 

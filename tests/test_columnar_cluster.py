@@ -29,9 +29,11 @@ completions).  These tests pin six contracts:
 * **custom policies** — a registered policy rides ``run_fast_faulted``
   even without faults, retries or hedging (the faulted core asks
   ``policy.choose`` with its machines as candidates), bit-identically;
-* **fallback** — autoscaling (with or without hedging) and custom
-  schedulers route to the reference loop (neither fast entry point may
-  run), with the reason recorded on the result.
+* **fallback** — autoscaling (with or without hedging) and schedulers
+  whose class declares no ``columnar_kernel`` route to the reference loop
+  (neither fast entry point may run), with the reason recorded on the
+  result; a registered subclass that declares its own kind rides the
+  machines on both rails, as it does in the engine.
 
 The reference side of every equivalence pair runs through
 :func:`oracles.run_reference`.
@@ -65,6 +67,8 @@ from repro.serving.columnar_cluster import (
 from repro.serving.faults import FaultInjector
 from repro.serving.scheduler import (
     SCHEDULER_REGISTRY,
+    ContinuousBatchScheduler,
+    DynamicBatchScheduler,
     FIFOScheduler,
     get_scheduler,
     register_scheduler,
@@ -581,6 +585,67 @@ class TestFallback:
             scheduler=name,
             replicas=[replace(r, scheduler=name) for r in columnar.replicas],
         )
+
+
+class _MyFifo(FIFOScheduler):
+    name = "my-fifo"
+    description = "fifo subclass declaring its kind (test-only)"
+    columnar_kernel = "fifo"
+
+
+class _MyDyn(DynamicBatchScheduler):
+    name = "my-dyn"
+    description = "dynamic subclass declaring its kind (test-only)"
+    columnar_kernel = "dynamic"
+
+
+class _MyCont(ContinuousBatchScheduler):
+    name = "my-cont"
+    description = "continuous subclass declaring its kind (test-only)"
+    columnar_kernel = "continuous"
+
+
+#: (expected backend, knobs) of each config a declared subclass must ride.
+DECLARED_CONFIGS = {
+    "least-loaded": ("columnar", dict(policy="least-loaded")),
+    "p2c-crash": (
+        "columnar-faulted",
+        dict(policy="power-of-two-choices", **FAULT_KNOBS["crash"]),
+    ),
+    "round-robin-straggler": (
+        "columnar-faulted",
+        dict(policy="round-robin", fault_profile="straggler"),
+    ),
+    "hedged": ("columnar-faulted", dict(policy="least-loaded", hedge_after_s=0.005)),
+}
+
+
+class TestDeclaredSubclasses:
+    """A registered subclass that declares its own ``columnar_kernel`` opts
+    into the launch machines on every rail, as the scheduler contract says,
+    and equals the reference loop."""
+
+    @pytest.mark.parametrize("scheduler_cls", (_MyFifo, _MyDyn, _MyCont))
+    def test_rides_the_machines(self, scheduler_cls):
+        with restored(SCHEDULER_REGISTRY):
+            register_scheduler(scheduler_cls, replace=True)
+            for backend, knobs in DECLARED_CONFIGS.values():
+                assert_backends_identical(
+                    expect_backend=backend,
+                    num_requests=3_000,
+                    scheduler=scheduler_cls.name,
+                    platforms=("A", "A", "A"),
+                    **knobs,
+                )
+            # the engine and a one-replica fleet take the same machine
+            name = scheduler_cls.name
+            engine = ServingEngine(ServingConfig(model="gpt2", scheduler=name))
+            router = ClusterRouter(
+                ClusterConfig(model="gpt2", scheduler=name, platforms=("A",))
+            )
+            trace = make_trace("poisson", 100.0, 100, rng=np.random.default_rng(0))
+            assert engine.run(trace).backend_used == "columnar"
+            assert router.run(trace).backend_used == "columnar"
 
 
 class _SlowestFirstPolicy(AdmissionPolicy):

@@ -47,6 +47,7 @@ from repro.hardware import PLATFORM_A, DeviceKind
 from repro.ir import Graph, TensorSpec
 from repro.models import build_model, list_models
 from repro.profiler import profile_graph
+from repro.runtime.simulator import simulate
 from repro.sweep.cache import PlanCache, cached_lower
 
 from oracles import reference_lower
@@ -192,7 +193,7 @@ class TestDerivePlanProperty:
 class TestPaperPathInvariants:
     """Oracle-free checks of every registered model at batch 1 under every
     flow, on the path the paper's figures take (lowering, then profiling on
-    platform A)."""
+    platform A), plus batches 2 and 4 for the latency-versus-batch order."""
 
     @pytest.fixture(scope="class")
     def profiles(self, model_graphs):
@@ -256,6 +257,16 @@ class TestPaperPathInvariants:
             producer = np.repeat(kernel_of[table.value_node()], np.diff(table.use_offsets))
             consumer = kernel_of[table.use_nodes]
             assert not np.any(producer > consumer), (model, flow_name)
+
+    def test_latency_does_not_fall_as_batch_grows(self, model_graphs, profiles):
+        for model in model_graphs:
+            larger = [build_model(model, batch_size=batch) for batch in (2, 4)]
+            for flow_name in ALL_FLOWS:
+                flow = get_flow(flow_name)
+                plans = [profiles[model, flow_name][0]]
+                plans += [cached_lower(flow, graph, DeviceKind.GPU) for graph in larger]
+                latencies = [simulate(plan, PLATFORM_A).total_latency_ms for plan in plans]
+                assert latencies == sorted(latencies), (model, flow_name, latencies)
 
     def test_validate_rejects_reversed_kernels(self, model_graphs):
         plan = cached_lower(get_flow("pytorch"), model_graphs["gpt2"], DeviceKind.GPU)

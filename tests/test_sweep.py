@@ -17,6 +17,7 @@ from repro.runtime.simulator import simulate
 from repro.sweep.cache import PLAN_CACHE, PlanCache, get_transform, register_transform
 from repro.sweep.runner import SweepRunner, run_point, run_sweep
 from repro.sweep.spec import SweepPoint, SweepSpec
+from repro.sweep.store import ArtifactStore
 
 from oracles import simulate_reference
 
@@ -251,31 +252,40 @@ class TestPlanCache:
         assert fresh is not graph
         assert len(fresh.nodes) == clean_len
 
-    def test_warm_from_store_promotes_without_counting(self):
-        store = PLAN_CACHE.store
-        assert store is not None  # the test session pins a hermetic store
+    def test_disabled_never_reads_the_cache(self, monkeypatch):
+        cache = PlanCache()
         flow = get_flow("pytorch")
-        writer = PlanCache(store=store)
-        writer.plan(flow, writer.graph_ref("segformer", 3), use_gpu=True)
-        writer.memory(writer.graph_ref("segformer", 3))
+        graph = build_model("gpt2", batch_size=1)
 
-        reader = PlanCache(store=store)
-        before = reader.stats.snapshot()
-        promoted = reader.warm_from_store(
-            flow, reader.graph_ref("segformer", 3), use_gpu=True
+        def cost(plan):
+            return [plan.num_kernels]
+
+        sibling = cache.plan(flow, graph, use_gpu=True)
+        cached = (
+            cache.memory(graph),
+            cache.serving_cost(flow, graph, True, PLATFORM_A, cost),
+            cache.transform("llm-int8", graph),
         )
-        assert promoted == 2  # plan + memory (no platform, so no serving key)
-        # the warm-up itself never moves a counter...
-        assert reader.stats.snapshot() == before
-        # ...but the promoted entries serve in-memory hits afterwards
-        reader.plan(flow, reader.graph_ref("segformer", 3), use_gpu=True)
-        assert reader.stats.hits.get("plan") == 1
-        assert not reader.stats.misses
-        assert not reader.stats.disk_hits
-        # a second warm-up is a no-op: everything already sits in the LRU
-        assert (
-            reader.warm_from_store(flow, reader.graph_ref("segformer", 3), True) == 0
-        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a disabled cache must not derive from a cached sibling")
+
+        monkeypatch.setattr(flow, "derive_plan", refuse)
+        entries, before = len(cache), cache.stats.snapshot()
+        with cache.disabled():
+            assert cache.plan(flow, graph, use_gpu=False).target is DeviceKind.CPU
+            assert cache.plan(flow, graph, use_gpu=True) is not sibling
+            fresh = (
+                cache.memory(graph),
+                cache.serving_cost(flow, graph, False, PLATFORM_A, cost),
+                cache.transform("llm-int8", graph),
+            )
+        assert all(new is not old for new, old in zip(fresh, cached))
+        assert len(cache) == entries
+        assert cache.stats.snapshot() == before
+        # outside the block the CPU lookup would derive from the sibling
+        with pytest.raises(AssertionError, match="cached sibling"):
+            cache.plan(flow, graph, use_gpu=False)
 
     def test_transform_cached_and_hash_derived(self):
         cache = PlanCache()
@@ -398,13 +408,30 @@ class TestSweepRunner:
         result = SweepRunner(workers=2).run(spec)
         info = result.cache_info
         # each of the two points touches the plan stage exactly once in its
-        # worker — as an LRU hit when the initializer pre-warmed it from the
-        # store, as a miss/disk-hit otherwise — and the deltas ship back.
+        # worker — as an LRU hit, a disk hit or a miss — and the deltas ship
+        # back.
         plan_events = sum(
             info.get(kind, {}).get("plan", 0)
             for kind in ("hits", "misses", "disk_hits")
         )
         assert plan_events == 2
+
+
+    def test_pool_reads_a_warm_store(self, tmp_path, monkeypatch):
+        # a fresh store shared by every worker, whether forked or spawned
+        monkeypatch.setattr(PLAN_CACHE, "store", ArtifactStore(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        spec = SweepSpec(
+            models=("segformer",), batch_sizes=(5, 6), iterations=2,
+            order=("model", "batch_size"),
+        )
+        cold = SweepRunner(workers=2).run(spec)
+        warm = SweepRunner(workers=2).run(spec)
+        # the cold run's workers computed what the parent's LRU lacked, so
+        # the warm run's workers can only have read it from the store.
+        assert cold.cache_info["misses"]
+        assert warm.cache_info["misses"] == {}
+        assert warm.cache_info["disk_hits"]
 
 
 class TestSweepCLI:
