@@ -512,11 +512,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ]
         )
     )
-    if result.fast_path_fallback_reason is not None:
-        print(
-            "note: fast path fell back to the reference loop:"
-            f" {result.fast_path_fallback_reason}"
-        )
     print()
     print("device occupancy:")
     print(

@@ -7,10 +7,10 @@ model turn the same lowered plans into throughput, tail latency, and
 utilization numbers.  On top of the single engine, :mod:`repro.serving.cluster`
 replicates it into a fault-tolerant fleet (admission policies, fault
 injection, retries/hedging, admission control).  Both the engine and the
-router run the columnar fast paths (:mod:`repro.serving.columnar`) whenever
-the config allows — bit-identical to the scalar reference loops, with
-``backend_used`` and ``fast_path_fallback_reason`` on the result saying
-which ran — and both support O(1)-memory streaming metrics behind a
+router run the columnar fast paths (:mod:`repro.serving.columnar`) — the
+router for every fleet but an autoscaled one — bit-identical to the scalar
+reference loops, with ``backend_used`` on the result saying which ran, and
+both support O(1)-memory streaming metrics behind a
 ``record_requests`` cap.  See the README's "Serving model", "Cluster &
 fault model", and "Scaling the serving simulator" sections.
 """

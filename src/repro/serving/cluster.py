@@ -29,13 +29,11 @@ fault profile and no timeout/hedge/shed knobs reproduces the plain
 :class:`~repro.serving.engine.ServingEngine` **bit-identically** (same
 records, same float accumulations) for every registered scheduler — the
 event loop mirrors the engine's launch arithmetic operation for operation,
-and per-dispatch accounting folds at completion in launch order.  That is
-why the engine needs no loop of its own: a scheduler with no launch
-machine serves an engine run here, as a one-replica fleet.
+and per-dispatch accounting folds at completion in launch order.
 
-:meth:`ClusterRouter.run` serves built-in schedulers on the columnar rails
-of :mod:`repro.serving.columnar_cluster`; its own event loop, which asks a
-scheduler object at every decision time, serves custom schedulers and
+:meth:`ClusterRouter.run` serves every fixed fleet on the columnar rails of
+:mod:`repro.serving.columnar_cluster`, whatever its scheduler; its own event
+loop, which asks a scheduler object at every decision time, serves only
 autoscaled fleets.
 """
 
@@ -557,7 +555,7 @@ class ClusterRouter:
         )
 
         scheduler = replicas[0].scheduler
-        fallback_reason = fast_path_fallback_reason(config, policy, scheduler)
+        fallback_reason = fast_path_fallback_reason(config)
         if fallback_reason is None:
             if needs_faulted_path(config, injector, policy):
                 return run_fast_faulted(

@@ -45,14 +45,14 @@ equality over every scheduler × platform × load.
 
 A scheduler opts into a machine by *declaring*
 :attr:`~repro.serving.scheduler.BatchScheduler.columnar_kernel` in its own
-class body; :func:`kernel_for` returns that kind's replay.  Custom
-schedulers (and subclasses that don't redeclare it) are served by
-:class:`~repro.serving.cluster.ClusterRouter`'s event loop as a one-replica
-fleet (:func:`_run_one_replica`) — still correct, just not columnar — and
-the ``record_requests`` capping applies either way.  With a cap the assembler
-skips the timeline and the full record list: queue-depth samples fold into
-count/sum/max accumulators, latencies into the streaming quantile
-estimator, and only the seeded reservoir sample of records is materialized.
+class body; :func:`kernel_for` returns that kind's replay.  Any other
+scheduler (a subclass that doesn't redeclare it included) rides
+:class:`_CallbackMachine`, which drives the scheduler object itself at the
+replica's own decision times, on every rail the built-ins ride.  With a cap
+the assembler skips the timeline and the full record list: queue-depth
+samples fold into count/sum/max accumulators, latencies into the streaming
+quantile estimator, and only the seeded reservoir sample of records is
+materialized.
 """
 
 from __future__ import annotations
@@ -64,10 +64,10 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.knobs import pick
+from repro.errors import ServingError
 from repro.serving.metrics import ServingResult, assemble_replica
-from repro.serving.scheduler import get_scheduler
-from repro.serving.trace import RequestTrace
+from repro.serving.scheduler import Dispatch, get_scheduler
+from repro.serving.trace import Request, RequestTrace
 
 #: a machine's ``next_t`` when nothing can launch.
 _INF = float("inf")
@@ -108,7 +108,7 @@ class _Machine:
         "q_admit", "q_steps", "q_pos", "head", "base", "straggle", "log_start", "log_end",
     )
 
-    def __init__(self, index: int, engine, scheduler):
+    def __init__(self, index: int, engine, scheduler, trace: RequestTrace):
         self.index = index
         self.max_batch = scheduler.max_batch
         self.target = engine.costs.target
@@ -195,9 +195,9 @@ class _Machine:
         else:
             self.next_t = _INF
 
-    def withdraw(self, pos: int) -> bool:
-        """Withdraw the first queued copy of trace position ``pos``; False
-        when none is queued."""
+    def withdraw(self, pos: int, when: float) -> bool:
+        """Withdraw the first queued copy of trace position ``pos`` at
+        ``when``; False when none is queued."""
         try:
             i = self.q_pos.index(pos, self.base + self.head)
         except ValueError:
@@ -390,8 +390,8 @@ class _ContinuousMachine(_Machine):
         "log_size", "log_head", "log_finish",
     )
 
-    def __init__(self, index: int, engine, scheduler):
-        super().__init__(index, engine, scheduler)
+    def __init__(self, index: int, engine, scheduler, trace: RequestTrace):
+        super().__init__(index, engine, scheduler, trace)
         self.in_flight = 0
         self.iteration = 0
         self.done_at: dict[int, int] = {}
@@ -446,12 +446,12 @@ class _ContinuousMachine(_Machine):
                 return finish - iteration + 1
         return 0
 
-    def withdraw(self, pos: int) -> bool:
+    def withdraw(self, pos: int, when: float) -> bool:
         """Withdraw ``pos`` from the in-flight set (it leaves at the next
         iteration boundary), else its first queued copy."""
         remaining = self._void(pos, self.base + self.head, self.in_flight, self.iteration)
         if not remaining:
-            return super().withdraw(pos)
+            return super().withdraw(pos, when)
         self.pending_steps -= remaining
         self.in_flight -= 1
         self._arm()
@@ -594,8 +594,8 @@ class _BatchMachine(_Machine):
 
     __slots__ = ("wait_s", "flush_at", "log_size", "log_iter")
 
-    def __init__(self, index: int, engine, scheduler):
-        super().__init__(index, engine, scheduler)
+    def __init__(self, index: int, engine, scheduler, trace: RequestTrace):
+        super().__init__(index, engine, scheduler, trace)
         self.wait_s = scheduler.max_wait_s if declared_kind(scheduler) == "dynamic" else _INF
         self.flush_at = -_INF
         self.log_size = array("q")
@@ -727,6 +727,213 @@ class _BatchMachine(_Machine):
         )
 
 
+class _CallbackMachine(_Machine):
+    """The machine of a scheduler that declares no kind: it drives a fresh
+    scheduler object, admitting :class:`Request` objects with the trace's
+    ids, at the replica's own decision times only (see
+    :meth:`~repro.serving.scheduler.BatchScheduler.next_dispatch`), and
+    prices its dispatches with the reference ``launch()`` arithmetic.
+    ``q_pos`` stays in take order: a member's first launch swaps its entry
+    to the head of the queue region.  ``held`` counts each position's taken
+    copies that no launch has completed.
+    """
+
+    __slots__ = (
+        "scheduler", "ids", "pos_of", "held", "in_service", "arrivals_pending", "turns",
+        "log_size", "log_iter", "log_head", "log_done", "log_done_end",
+    )
+
+    def __init__(self, index: int, engine, scheduler, trace: RequestTrace):
+        super().__init__(index, engine, scheduler, trace)
+        self.scheduler = type(scheduler)(
+            max_batch=scheduler.max_batch, max_wait_s=scheduler.max_wait_s
+        )
+        self.scheduler.reset()
+        self.ids = trace.id_column().tolist()
+        self.pos_of: dict[int, int] = {}
+        self.held: dict[int, int] = {}
+        self.in_service = 0
+        self.arrivals_pending = True
+        #: ``next_dispatch`` calls left before a stall; admissions add more.
+        self.turns = 64
+        #: per launch: size, iterations, ``base + head`` after it, and where
+        #: its completed positions end in ``log_done``.
+        self.log_size, self.log_iter, self.log_head, self.log_done_end, self.log_done = (
+            array("q") for _ in range(5)
+        )
+
+    def _error(self, detail: str) -> ServingError:
+        return ServingError(
+            f"scheduler {self.scheduler.name!r} on replica {self.index} {detail}: queue"
+            f" depth {self.scheduler.queue_depth}, {self._outstanding()} requests outstanding"
+        )
+
+    @property
+    def pending_steps(self) -> int:
+        """Read from the scheduler when a probe asks, as the reference does."""
+        return self.scheduler.pending_work_steps
+
+    @pending_steps.setter
+    def pending_steps(self, steps: int) -> None:
+        """The scheduler keeps the count: the base class's zeroing is moot."""
+
+    def _outstanding(self) -> int:
+        return len(self.q_pos) - self.base - self.head + self.in_service
+
+    def _rearm(self, when: float) -> None:
+        """Ask at ``when`` (decided up to it) or at the end of the last launch."""
+        self.next_t = max(when, self.ready_s) if self._outstanding() else _INF
+
+    def admit(self, when: float, steps: int, pos: int) -> None:
+        request_id = self.ids[pos]
+        self.pos_of[request_id] = pos
+        self.scheduler.admit(Request(request_id=request_id, arrival_s=when, decode_steps=steps))
+        self.q_pos.append(pos)
+        self.turns += 32 * (1 + steps)
+        self._rearm(when)
+
+    def withdraw(self, pos: int, when: float) -> bool:
+        """The scheduler's ``cancel``, of a queued copy or one in service."""
+        queued = self.scheduler.queue_depth
+        if not self.scheduler.cancel(self.ids[pos]):
+            return False
+        if self.scheduler.queue_depth < queued:
+            del self.q_pos[self.q_pos.index(pos, self.base + self.head)]
+        else:
+            self._release(pos, self.ids[pos])
+        self._rearm(when)
+        return True
+
+    def _take(self, pos: "int | None") -> bool:
+        """Take the first queued copy of ``pos``; False when none is queued."""
+        taken = self.base + self.head
+        try:
+            i = self.q_pos.index(pos, taken)
+        except (TypeError, ValueError):
+            return False
+        self.q_pos[i] = self.q_pos[taken]
+        self.q_pos[taken] = pos
+        self.head += 1
+        return True
+
+    def _release(self, pos: "int | None", request_id: int) -> None:
+        if not self.held.get(pos):
+            raise self._error(f"released request {request_id}, which is not in service")
+        self.held[pos] -= 1
+        self.in_service -= 1
+
+    def holding(self) -> "list[int]":
+        return [pos for pos, count in self.held.items() for _ in range(count)]
+
+    def reset(self, when: float) -> None:
+        super().reset(when)
+        self.scheduler.reset()
+        self.held.clear()
+        self.in_service = 0
+
+    def flush(self, last_arrival: float) -> None:
+        self.advance(last_arrival)
+        self.arrivals_pending = False
+        self._rearm(last_arrival)
+
+    def advance(self, until: float) -> None:
+        """The reference ``decide`` at every decision due before ``until``."""
+        scheduler = self.scheduler
+        while self.next_t < until:
+            now = self.next_t
+            self.turns -= 1
+            if self.turns < 0:
+                raise self._error(f"made no progress in its decision turns at t={now:.6f}s")
+            verdict = scheduler.next_dispatch(now, self.arrivals_pending)
+            if isinstance(verdict, Dispatch):
+                self._launch(verdict, now)
+                ready = self.ready_s
+                self.next_t = now if ready <= now else ready if self._outstanding() else _INF
+            elif verdict is None:
+                if not self.arrivals_pending and self._outstanding():
+                    raise self._error(f"returned no work at t={now:.6f}s, the trace exhausted")
+                self.next_t = _INF
+            elif float(verdict) > now:
+                self.next_t = float(verdict)
+            else:
+                raise self._error(f"requested a wake-up at {verdict} that does not advance t={now}")
+
+    def _launch(self, verdict: Dispatch, now: float) -> None:
+        size = verdict.size
+        if not 1 <= size <= self.max_batch:
+            raise self._error(
+                f"dispatched a batch of {size}, outside 1..max_batch ({self.max_batch})"
+            )
+        #: position -> (copies in service before this launch, appearances)
+        seen: dict = {}
+        for request_id in verdict.members:
+            pos = self.pos_of.get(request_id)
+            before, appearances = seen.get(pos) or (self.held.get(pos, 0), 0)
+            seen[pos] = (before, appearances + 1)
+            if appearances >= before:  # not in service since an earlier launch
+                if not self._take(pos):
+                    raise self._error(f"dispatched request {request_id}, which is not queued")
+                self.held[pos] = self.held.get(pos, 0) + 1
+                self.in_service += 1
+        # a further queued copy of a member that left the scheduler's queue
+        # took over the member's slot (a restart, as in continuous batching).
+        surplus = len(self.q_pos) - self.base - self.head - self.scheduler.queue_depth
+        for pos in seen:
+            while surplus > 0 and self._take(pos):
+                surplus -= 1
+        for request_id in verdict.completes:
+            pos = self.pos_of.get(request_id)
+            self._release(pos, request_id)
+            self.log_done.append(pos)
+        # the reference launch() occupancy arithmetic
+        host_s, accel_s, total_s, has_accel = self._rows[size] or self._row(size)
+        if self.straggle is not None:
+            host_s, accel_s, total_s = self.straggle(host_s, accel_s, total_s)
+        host_free = self.host_free
+        accel_free = self.accel_free
+        cursor = max(now, host_free)
+        self.log_start.append(cursor)
+        for _ in range(verdict.iterations):
+            if has_accel:
+                host_free = cursor + host_s
+                cursor = cursor + total_s if accel_free <= host_free else accel_free + accel_s
+                accel_free = cursor
+            else:
+                cursor = host_free = cursor + total_s
+        self.log_end.append(cursor)
+        self.log_size.append(size)
+        self.log_iter.append(verdict.iterations)
+        self.log_head.append(self.base + self.head)
+        self.log_done_end.append(len(self.log_done))
+        self.ready_s = cursor if verdict.barrier else max(now, host_free)
+        self._settle(host_free, accel_free, self.head)
+
+    def launched(self, first: int, taken: int) -> list:
+        ends = self.log_done_end
+        launches = []
+        for k in range(first, len(self.log_head)):
+            completed = self.log_done[ends[k - 1] if k else 0 : ends[k]].tolist()
+            launches.append((self.q_pos[taken : self.log_head[k]].tolist(), completed))
+            taken = self.log_head[k]
+        return launches
+
+    _dispatches = _BatchMachine._dispatches
+
+    def _columns(self, starts, ends, sizes, steps) -> tuple:
+        """A request starts at the launch that took it and ends at the one
+        that completed it; :func:`replay` admits positions in order."""
+        taken_after = np.frombuffer(self.log_head, dtype=np.int64)
+        take = np.frombuffer(self.q_pos, dtype=np.int64)
+        order = np.argsort(take, kind="stable")
+        join = np.searchsorted(taken_after, np.arange(take.size), side="right")
+        done_end = np.frombuffer(self.log_done_end, dtype=np.int64)
+        finish = np.empty(take.size, dtype=np.int64)
+        finish[np.searchsorted(take[order], np.frombuffer(self.log_done, dtype=np.int64))] = (
+            np.repeat(np.arange(done_end.size), np.diff(done_end, prepend=0))
+        )
+        return starts[join[order]], ends[finish], sizes[finish], taken_after
+
+
 def replay(machine_cls, engines, scheduler, trace: RequestTrace, route=None) -> tuple:
     """Replay every launch of ``trace`` served by one ``machine_cls`` per
     engine; returns ``(machines, assignment)``.
@@ -739,7 +946,9 @@ def replay(machine_cls, engines, scheduler, trace: RequestTrace, route=None) -> 
     round-robin without shedding — and no probe reads a machine.  Once the
     last arrival is admitted, every machine flushes and drains.
     """
-    machines = [machine_cls(index, engine, scheduler) for index, engine in enumerate(engines)]
+    machines = [
+        machine_cls(index, engine, scheduler, trace) for index, engine in enumerate(engines)
+    ]
     arrivals = trace.arrival_column().tolist()
     steps = trace.decode_column().tolist()
     if route is None:
@@ -759,15 +968,17 @@ def replay(machine_cls, engines, scheduler, trace: RequestTrace, route=None) -> 
     return machines, assigned
 
 
-#: the launch machine of each declarable kind.
+#: the launch machine of each declarable kind; ``None``, a scheduler that
+#: declares none, gets the callback machine.
 MACHINES = {
     "fifo": _FifoMachine,
     "static": _BatchMachine,
     "dynamic": _BatchMachine,
     "continuous": _ContinuousMachine,
+    None: _CallbackMachine,
 }
 
-#: the replay of each declarable kind, bound once: callers reach it through
+#: the replay of each machine, bound once: callers reach it through
 #: :func:`kernel_for`.
 _REPLAYS = {kind: functools.partial(replay, cls) for kind, cls in MACHINES.items()}
 
@@ -781,10 +992,10 @@ def declared_kind(scheduler) -> "str | None":
     return type(scheduler).__dict__.get("columnar_kernel")
 
 
-def kernel_for(scheduler) -> "object | None":
-    """The launch replay of the kind a scheduler instance *declared*, or
-    ``None`` when it declares none."""
-    return _REPLAYS.get(declared_kind(scheduler))
+def kernel_for(scheduler):
+    """The launch replay of the kind a scheduler instance *declared*; the
+    callback machine's when it declares none."""
+    return _REPLAYS[declared_kind(scheduler)]
 
 
 def result_header(engine, scheduler_name: str, trace_name: str, rate: float) -> dict:
@@ -803,27 +1014,14 @@ def result_header(engine, scheduler_name: str, trace_name: str, rate: float) -> 
 def run_fast(
     engine, trace: RequestTrace, offered_rate_rps: "float | None" = None
 ) -> ServingResult:
-    """Serve ``trace`` on the columnar path: one machine, no probes.
-
-    A scheduler that declares no kind is served by :func:`_run_one_replica`
-    instead.  Either way the result is uncapped unless the machine applied
-    the engine's ``record_requests`` cap; :meth:`ServingEngine.run` caps the
-    rest.
-    """
+    """Serve ``trace`` on one launch machine, no probes, applying the
+    engine's ``record_requests`` cap."""
     config = engine.config
     scheduler = get_scheduler(
         config.scheduler, max_batch=config.max_batch, max_wait_s=config.max_wait_s
     )
-    kernel = kernel_for(scheduler)
-    if kernel is None:
-        result = _run_one_replica(engine, trace, offered_rate_rps)
-        result.backend_used = "reference"
-        result.fast_path_fallback_reason = (
-            f"scheduler {scheduler.name!r} declares no columnar kernel"
-        )
-        return result
     rate = trace.offered_rate_rps if offered_rate_rps is None else offered_rate_rps
-    (machine,), _ = kernel([engine], scheduler, trace)
+    (machine,), _ = kernel_for(scheduler)([engine], scheduler, trace)
     result, _ = machine.result(
         result_header(engine, scheduler.name, trace.name, rate),
         trace.id_column(),
@@ -832,32 +1030,4 @@ def run_fast(
         config.record_requests,
     )
     result.backend_used = "columnar"
-    return result
-
-
-def _run_one_replica(
-    engine, trace: RequestTrace, offered_rate_rps: "float | None"
-) -> ServingResult:
-    """Serve ``trace`` through :class:`~repro.serving.cluster.ClusterRouter`'s
-    event loop as a one-replica, fault-free, uncapped fleet of ``engine``'s
-    configuration: the loop that asks a scheduler object at every decision
-    time.  Records come back in trace order."""
-    from repro.serving.cluster import ClusterConfig, ClusterRouter
-
-    config = engine.config
-    router = ClusterRouter(
-        ClusterConfig(
-            **pick(
-                ClusterConfig,
-                config,
-                platforms=(config.platform,),
-                record_requests=None,
-            )
-        ),
-        cache=engine.costs.cache,
-    )
-    (result,) = router.run(trace, offered_rate_rps).replicas
-    # the fleet lists a replica's records by (admitted_s, id).
-    by_id = {record.request_id: record for record in result.records}
-    result.records = [by_id[request_id] for request_id in trace.id_column().tolist()]
     return result

@@ -30,15 +30,12 @@ any policy through ``policy.choose`` with the layers as candidates (see
 :class:`~repro.serving.cluster.AdmissionPolicy`).
 
 :func:`fast_path_fallback_reason` names the only remaining fallback
-conditions — autoscaling and schedulers whose class declares no
-``columnar_kernel`` — and :meth:`~repro.serving.cluster.ClusterRouter.run`
+condition — autoscaling — and :meth:`~repro.serving.cluster.ClusterRouter.run`
 falls back to its event loop automatically (silently, with the reason
 recorded on the result).  Both rails pick a replica's machine by the
-declared kind, as the engine does, so a registered subclass that declares
-one rides the machines everywhere.  A scheduler that declares none keeps
-the event loop in ``src/``: its object must be asked at every decision
-time, and the loop also serves such a
-:class:`~repro.serving.engine.ServingEngine` as a one-replica fleet.
+declared kind, as the engine does: a scheduler that declares none rides the
+callback machine, which asks the scheduler object itself, so no rail is
+chosen by scheduler class.
 """
 
 from __future__ import annotations
@@ -83,26 +80,18 @@ from repro.serving.trace import RequestTrace
 _ROUTED_POLICIES = (RoundRobinPolicy, LeastLoadedPolicy, PowerOfTwoPolicy)
 
 
-def fast_path_fallback_reason(config, policy, scheduler) -> "str | None":
+def fast_path_fallback_reason(config) -> "str | None":
     """Why this cluster run must take the reference event loop, or ``None``.
 
     The README's "rail conditions" list and the fallback test battery
-    enumerate exactly these knobs.  Faults, timeout retries, hedging and
-    custom registered policies ride :func:`run_fast_faulted`; only
-    autoscaling (hedged or not) and schedulers whose class declares no
-    ``columnar_kernel`` (see :func:`~repro.serving.columnar.declared_kind`),
-    whose objects must be asked at every decision time, route to the event
-    loop.
-    The string is surfaced as ``ClusterResult.fast_path_fallback_reason`` so
-    a silent fallback is diagnosable from the CLI.
+    enumerate exactly this knob: faults, timeout retries, hedging, custom
+    registered policies and custom schedulers ride the columnar rails, and
+    only autoscaling (hedged or not) routes to the event loop.  The string
+    is surfaced as ``ClusterResult.fast_path_fallback_reason`` so a silent
+    fallback is diagnosable from the CLI.
     """
     if config.autoscale is not None:
         return "autoscale set (elastic lifecycle runs in the event loop)"
-    if declared_kind(scheduler) is None:
-        return (
-            f"custom scheduler {type(scheduler).__name__} ({scheduler.name!r})"
-            " declares no columnar kernel"
-        )
     return None
 
 
@@ -447,7 +436,7 @@ class _SimReplica:
         continuous member, else the first queued copy of ``pos``.  False
         when there is neither — a copy inside a running batch dispatch runs
         to completion.  A withdrawal takes a queue-depth sample at ``when``."""
-        if not self.machine.withdraw(pos):
+        if not self.machine.withdraw(pos, when):
             return False
         self.depth_time.append(when)
         self.depth_value.append(len(self.machine.q_pos) - self.taken)
@@ -537,7 +526,7 @@ def run_fast_faulted(
     machine_cls = MACHINES[declared_kind(scheduler)]
     machines = [
         _SimReplica(
-            machine_cls(index, engine, scheduler), engine, injector,
+            machine_cls(index, engine, scheduler, trace), engine, injector,
             index in crash_replicas, started, live_end, attempts if hedging else None, live_key,
         )
         for index, engine in enumerate(router.engines)

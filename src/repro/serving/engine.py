@@ -8,10 +8,10 @@ size via the PlanCache/ArtifactStore), and per-device occupancy is tracked
 on the N-device :class:`~repro.hardware.platform.Platform`.
 
 The engine keeps no event loop of its own.  :meth:`ServingEngine.run`
-replays a built-in scheduler's launches on its launch machine
-(:mod:`repro.serving.columnar`); a scheduler that declares no machine is
-asked at every decision time by :class:`~repro.serving.cluster.ClusterRouter`'s
-event loop, serving the trace as a one-replica, fault-free fleet.
+replays the scheduler's launches on its launch machine
+(:mod:`repro.serving.columnar`): a built-in kind's recurrence, or, for a
+scheduler that declares no kind, the callback machine that asks the
+scheduler object itself.
 
 Timing semantics (documented here because the equivalence battery pins them):
 
@@ -48,7 +48,7 @@ from repro.hardware.device import DeviceKind, as_device_kind
 from repro.hardware.platform import Platform, get_platform
 from repro.knobs import BatchingKnobs, knob, pick
 from repro.serving.cost import BatchCostModel
-from repro.serving.metrics import ServingResult, cap_serving_result
+from repro.serving.metrics import ServingResult
 from repro.serving.trace import RequestTrace, seeded_trace
 from repro.sweep.cache import PlanCache
 
@@ -139,21 +139,11 @@ class ServingEngine:
     def run(
         self, trace: RequestTrace, offered_rate_rps: float | None = None
     ) -> ServingResult:
-        """Serve ``trace`` to completion and aggregate the metrics.
-
-        Replays the scheduler's launches on its columnar launch machine, or,
-        when it declares none, serves the trace through the fleet event loop
-        as one replica (``backend_used`` says which ran), then applies the
-        ``record_requests`` streaming cap if one is configured.
-        """
+        """Serve ``trace`` to completion on the scheduler's launch machine
+        and aggregate the metrics under the ``record_requests`` cap."""
         from repro.serving.columnar import run_fast
 
-        result = run_fast(self, trace, offered_rate_rps)
-        cap = self.config.record_requests
-        if cap is not None and result.record_cap is None:
-            # capped in place: the backend fields stay on the result.
-            result = cap_serving_result(result, cap)
-        return result
+        return run_fast(self, trace, offered_rate_rps)
 
 
 def simulate_serving(

@@ -255,9 +255,6 @@ class ServingResult:
     #: diagnostic only, excluded from equality so fast-vs-reference
     #: crosschecks still compare every physical field.
     backend_used: str | None = field(default=None, compare=False)
-    #: why the run fell back to the reference loop (``None`` when the
-    #: columnar path ran).
-    fast_path_fallback_reason: str | None = field(default=None, compare=False)
 
     # -- latency -----------------------------------------------------------
 

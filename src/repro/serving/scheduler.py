@@ -76,7 +76,7 @@ class BatchScheduler:
     #: replays this scheduler's decision sequence without driving the
     #: scheduler object itself.  A scheduler opts in by **declaring** this in
     #: its own class body; subclasses that inherit a kind but do not
-    #: redeclare it run on the fleet event loop, which asks the scheduler
+    #: redeclare it ride the callback machine, which asks the scheduler
     #: object (their overrides could change the decision sequence the
     #: machine hard-codes).  Deliberately a plain
     #: class attribute, not a dataclass field — it describes the class's
@@ -127,11 +127,14 @@ class BatchScheduler:
         """The verdict at decision time ``now`` (see the module docstring);
         ``arrivals_pending`` is False once the trace has no arrivals left.
 
-        The event loop may ask at every decision time it visits —
-        arrivals, wake-ups, fault transitions and dispatch completions
-        included, possibly several times at one instant — so the verdict
-        must depend only on the queue, ``now`` and ``arrivals_pending``,
-        never on how often it has been asked."""
+        A verdict stands until the queue or ``arrivals_pending`` changes:
+        ``None`` until the replica's next admission, a float until that
+        time.  So the launch machines ask only at the replica's own decision
+        times (admissions, withdrawals, wake times, the end of the last
+        launch while work is outstanding, and the drain at the last arrival),
+        while the event loop may ask at every event it visits, several times
+        at one instant; both give the same launches.  A launch's members
+        leave the queue the first time they launch."""
         raise NotImplementedError
 
     def cancel(self, request_id: int) -> bool:

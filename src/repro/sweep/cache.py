@@ -302,13 +302,14 @@ class PlanCache:
 
         Cached graphs are shared objects; a mutation clears the memoized
         hash, which then no longer matches the build stamp — the caller
-        rebuilds fresh instead of handing out the modified structure.
+        rebuilds fresh instead of handing out the modified structure.  Only
+        a clean entry counts as a hit and moves up the LRU.
         """
-        entry = self._get(key)
-        if entry is not None:
-            cached, stamp = entry
-            if cached.content_hash() == stamp:
-                return cached
+        entry = self._peek(key)
+        if entry is not None and entry[0].content_hash() == entry[1]:
+            entry = self._get(key)  # None only if evicted meanwhile
+            if entry is not None:
+                return entry[0]
         return None
 
     def graph(self, model: str, batch_size: int = 1, **overrides) -> Graph:

@@ -13,9 +13,8 @@
 * :func:`profile_memory_reference` — the node-by-node liveness walk, the
   oracle of the prefix-sum :func:`~repro.runtime.memory.profile_memory`.
 * :func:`run_engine_reference` — the single engine's scalar event loop.  It
-  lives only here: production serves every engine on a launch machine, or,
-  for a scheduler that declares none, on :class:`ClusterRouter`'s event loop
-  as a one-replica fleet.
+  lives only here: production serves every engine on a launch machine (the
+  callback machine for a scheduler that declares no kind).
 * :func:`reference_paths` / :func:`run_reference` — route engine and
   cluster runs onto the reference loops.
 
@@ -24,20 +23,19 @@ and policy classes, hedge/autoscale/timeout settings and the fault
 schedule — so nothing in ``src/`` lets a caller force the slow loops.  The
 equivalence batteries reach them by swapping two functions:
 
-* ``repro.serving.columnar.run_fast`` becomes :func:`run_engine_reference`,
-  so :meth:`ServingEngine.run` serves on the engine loop above (and still
-  applies its ``record_requests`` cap);
+* ``repro.serving.columnar.run_fast`` becomes :func:`run_engine_reference`
+  capped by ``record_requests``, so :meth:`ServingEngine.run` serves on the
+  engine loop above;
 * ``repro.serving.columnar_cluster.fast_path_fallback_reason`` returns a
   reason, so :meth:`ClusterRouter.run` serves on its event loop instead of
   the launch machines (fault-free) or the faulted core.
 
-The engine oracle is independent of the fleet event loop, which now serves
-custom schedulers in production: a custom-scheduler engine run is checked
-against a loop it does not run on.  The fast side replays each scheduler's
-launch rules once, in one family of launch machines shared by the engine
-and the fault-free fleet, so the engine batteries and the fleet batteries
-check the same machines from two entry points.  The two sides assemble
-their results independently: the fast paths hand columns to
+The engine oracle is independent of the fleet event loop, so an engine run
+and a fleet run are checked against two loops.  The fast side replays each
+scheduler's launch rules once, in one family of launch machines shared by
+the engine and both fleet rails, so the engine batteries and the fleet
+batteries check the same machines from several entry points.  The two sides
+assemble their results independently: the fast paths hand columns to
 :func:`~repro.serving.metrics.assemble_replica` and
 :func:`~repro.serving.metrics.assemble_fleet_records`, while the reference
 side builds full results in its own loops and caps them with
@@ -66,7 +64,7 @@ from repro.ir.graph import Graph
 from repro.ir.node import Node
 from repro.ops.base import OpCategory, OpCost
 from repro.runtime.simulator import KernelRecord, SimulationResult, _transfer_peer
-from repro.serving.metrics import RequestRecord, ServingResult
+from repro.serving.metrics import RequestRecord, ServingResult, cap_serving_result
 from repro.serving.scheduler import Dispatch, get_scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -82,7 +80,7 @@ def reference_paths() -> Iterator[None]:
     """Serve every engine and cluster run in the block on the reference loops."""
     with mock.patch(
         "repro.serving.columnar_cluster.fast_path_fallback_reason",
-        lambda config, policy, scheduler: FORCED_REASON,
+        lambda config: FORCED_REASON,
     ), mock.patch("repro.serving.columnar.run_fast", _forced_engine_run):
         yield
 
@@ -97,8 +95,10 @@ def run_reference(runner, trace, offered_rate_rps=None):
 def _forced_engine_run(engine, trace, offered_rate_rps=None) -> ServingResult:
     """The ``run_fast`` stand-in :func:`reference_paths` installs."""
     result = run_engine_reference(engine, trace, offered_rate_rps)
+    cap = engine.config.record_requests
+    if cap is not None:
+        result = cap_serving_result(result, cap)
     result.backend_used = "reference"
-    result.fast_path_fallback_reason = FORCED_REASON
     return result
 
 
@@ -317,11 +317,12 @@ def reference_lower(
         device = DeviceKind.GPU if use_gpu else DeviceKind.CPU
     kernels: list[PlannedKernel] = []
     nodes = graph.nodes
+    consumers = consumer_map(graph)
     for group in result.groups:
         if len(group) == 1:
             kernels.append(_plan_single(flow, policy, graph, nodes[group[0]], use_gpu, device))
         else:
-            kernels.append(_plan_group(flow, policy, graph, group, use_gpu))
+            kernels.append(_plan_group(flow, policy, graph, group, use_gpu, consumers))
     plan = ExecutionPlan(
         graph=graph,
         flow=flow.name,
@@ -404,6 +405,7 @@ def _plan_group(
     graph: Graph,
     group: tuple[int, ...],
     use_gpu: bool,
+    consumers: "dict[tuple[int, int], list[int]]",
 ) -> PlannedKernel:
     nodes = [graph.nodes[i] for i in group]
     devices = {policy.device_for(n, use_gpu) for n in nodes}
@@ -417,7 +419,7 @@ def _plan_group(
         op_kinds=tuple(n.op.kind for n in nodes),
         category=category,
         device=devices.pop(),
-        cost=group_cost(graph, group),
+        cost=group_cost(graph, group, consumers),
         dtype=_node_dtype(first),
         metadata_only=False,
         is_custom=False,  # fused kernels are generated, not hand-written
@@ -425,21 +427,34 @@ def _plan_group(
     )
 
 
-def group_cost(graph: Graph, node_ids: tuple[int, ...]) -> OpCost:
+def consumer_map(graph: Graph) -> "dict[tuple[int, int], list[int]]":
+    """``(producer node, port) -> consumer node ids``, read off ``graph.nodes``."""
+    consumers: dict[tuple[int, int], list[int]] = {}
+    for node in graph.nodes:
+        for value in node.inputs:
+            consumers.setdefault((value.node_id, value.port), []).append(node.node_id)
+    return consumers
+
+
+def group_cost(
+    graph: Graph,
+    node_ids: tuple[int, ...],
+    consumers: "dict[tuple[int, int], list[int]] | None" = None,
+) -> OpCost:
     """Fusion-adjusted cost of a node group.
 
     FLOPs add up; traffic counts only values crossing the group boundary
     (external inputs once each, external outputs once each) plus weights —
     the whole point of fusion is that intermediates stay in registers/SRAM.
+    ``consumers`` is the graph's :func:`consumer_map`, built here when not
+    given; callers costing many groups of one graph build it once.
     """
     members = set(node_ids)
     flops = 0
     weight_bytes = 0
     read = 0
-    consumers: dict[tuple[int, int], list[int]] = {}
-    for node in graph.nodes:
-        for value in node.inputs:
-            consumers.setdefault((value.node_id, value.port), []).append(node.node_id)
+    if consumers is None:
+        consumers = consumer_map(graph)
     seen_inputs: set[tuple[int, int]] = set()
     written = 0
     for node_id in node_ids:

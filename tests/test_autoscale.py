@@ -289,12 +289,7 @@ class TestColumnarFallback:
             policy="round-robin",
             autoscale=AutoscaleConfig(controller="step", max_replicas=2),
         )
-        from repro.serving.cluster import get_policy
-        from repro.serving.scheduler import get_scheduler
-
-        reason = fast_path_fallback_reason(
-            config, get_policy("round-robin"), get_scheduler("fifo")
-        )
+        reason = fast_path_fallback_reason(config)
         assert "autoscale" in reason
 
     def test_columnar_kernels_never_run(self, monkeypatch):

@@ -36,10 +36,11 @@ from repro.serving import (
     nearest_rank,
     register_scheduler,
 )
-from repro.serving.scheduler import SCHEDULER_REGISTRY, BatchScheduler, Dispatch
+from repro.serving.scheduler import SCHEDULER_REGISTRY
 from repro.sweep.cache import PLAN_CACHE
 from repro.sweep.spec import SweepSpec
 
+from custom_schedulers import CUSTOM_SCHEDULERS, InheritingFIFO, LIFOScheduler
 from oracles import run_reference
 from registrations import restored
 
@@ -221,81 +222,16 @@ class TestClusterBitIdentity:
         assert all(r.record_cap == 12 for r in capped.replicas)
 
 
-# -- custom schedulers run on the fleet event loop as one replica -------------
-
-
-class _LIFOScheduler(BatchScheduler):
-    """Last-in-first-out: a custom scheduler with no columnar kernel."""
-
-    name = "lifo-columnar-test"
-    description = "serve the newest queued request first (test-only)"
-
-    def next_dispatch(self, now, arrivals_pending):
-        if not self._queue:
-            return None
-        request = self._queue.pop()
-        return Dispatch(
-            members=(request.request_id,),
-            size=1,
-            iterations=request.decode_steps,
-            completes=(request.request_id,),
-            barrier=True,
-        )
-
-
-class _InheritingFIFO(FIFOScheduler):
-    """Subclasses FIFO but changes the decision sequence: the inherited
-    ``columnar_kernel = "fifo"`` declaration must NOT be honored."""
-
-    name = "fifo-reversed-columnar-test"
-    description = "fifo subclass that serves the newest request (test-only)"
-
-    def next_dispatch(self, now, arrivals_pending):
-        if not self._queue:
-            return None
-        request = self._queue.pop()
-        return Dispatch(
-            members=(request.request_id,),
-            size=1,
-            iterations=request.decode_steps,
-            completes=(request.request_id,),
-            barrier=True,
-        )
-
-
-class _PairingScheduler(BatchScheduler):
-    """Launches pairs; a lone request waits for a partner until 1 ms after
-    its arrival (a float deadline), then launches alone.  Non-barrier."""
-
-    name = "pairing-columnar-test"
-    description = "pairs, or a lone request after 1 ms (test-only)"
-
-    def next_dispatch(self, now, arrivals_pending):
-        if not self._queue:
-            return None
-        deadline = self._queue[0].arrival_s + 0.001
-        if len(self._queue) < 2 and arrivals_pending and now < deadline:
-            return deadline
-        members = self._take(min(2, len(self._queue)))
-        ids = tuple(r.request_id for r in members)
-        return Dispatch(
-            members=ids,
-            size=len(ids),
-            iterations=max(r.decode_steps for r in members),
-            completes=ids,
-        )
-
-
-CUSTOM_SCHEDULERS = (_LIFOScheduler, _PairingScheduler, _InheritingFIFO)
+# -- custom schedulers ride the callback machine ------------------------------
 
 
 class TestCustomSchedulerFallback:
     def test_kernel_opt_in_is_declare_it_yourself(self):
-        assert kernel_for(FIFOScheduler()) is not None
-        assert kernel_for(_LIFOScheduler()) is None
+        callback = kernel_for(LIFOScheduler())
+        assert kernel_for(FIFOScheduler()) is not callback
         # inherited declarations are ignored: the subclass changed the
         # decision sequence the fifo kernel hard-codes.
-        assert kernel_for(_InheritingFIFO()) is None
+        assert kernel_for(InheritingFIFO()) is callback
 
     @pytest.mark.parametrize("scheduler_cls", CUSTOM_SCHEDULERS)
     def test_tied_arrivals_keep_trace_order(self, scheduler_cls):
@@ -321,33 +257,28 @@ class TestCustomSchedulerFallback:
             empty = RequestTrace("empty", ())
             assert engine.run(empty) == run_reference(engine, empty)
 
-    def test_served_by_one_replica_fleet(self, monkeypatch):
-        """No engine event loop remains: the fleet loop serves the run."""
-        routers = []
-        original = ClusterRouter.run
+    def test_engine_never_enters_the_fleet_loop(self, monkeypatch):
+        """No engine run builds a fleet: the callback machine serves it."""
 
-        def spy(router, *args, **kwargs):
-            routers.append(router)
-            return original(router, *args, **kwargs)
+        def refuse(*args, **kwargs):
+            raise AssertionError("the engine entered ClusterRouter.run")
 
-        monkeypatch.setattr(ClusterRouter, "run", spy)
+        monkeypatch.setattr(ClusterRouter, "run", refuse)
         with restored(SCHEDULER_REGISTRY):
-            register_scheduler(_LIFOScheduler, replace=True)
-            engine = make_engine(scheduler=_LIFOScheduler.name, record_requests=4)
+            register_scheduler(LIFOScheduler, replace=True)
+            engine = make_engine(scheduler=LIFOScheduler.name, record_requests=4)
             trace = make_trace("poisson", 100.0, 12, rng(1), decode_steps=(1, 3))
-            engine.run(trace)
-        (router,) = routers
-        assert router.config.platforms == (engine.config.platform,)
-        assert router.config.record_requests is None  # the engine caps
-        assert router.config.fault_profile == "none"
+            served = engine.run(trace)
+        assert served.backend_used == "columnar"
+        assert served.record_cap == 4
 
     @pytest.mark.parametrize(
         "platform", [p.platform_id for p in list_platforms()]
     )
     @pytest.mark.parametrize("scheduler_cls", CUSTOM_SCHEDULERS)
     def test_fast_backend_still_correct_via_fallback(self, scheduler_cls, platform):
-        """The fleet event loop serves the engine run and equals the
-        engine oracle, which drives the same scheduler object."""
+        """The callback machine serves the engine run and equals the
+        engine oracle, which drives the same scheduler class."""
         with restored(SCHEDULER_REGISTRY):
             register_scheduler(scheduler_cls, replace=True)
             engine = make_engine(platform=platform, scheduler=scheduler_cls.name)
@@ -358,8 +289,8 @@ class TestCustomSchedulerFallback:
                 trace = make_trace(kind, rate, 48, rng(seed), decode_steps=(1, 4))
                 fast_result = engine.run(trace, offered_rate_rps=rate)
                 assert fast_result == run_reference(engine, trace, rate)
-                assert fast_result.backend_used == "reference"
-                assert "no columnar kernel" in fast_result.fast_path_fallback_reason
+                assert fast_result.backend_used == "columnar"
+                assert not hasattr(fast_result, "fast_path_fallback_reason")
 
 
 # -- trace vectorization: bit-identical to the historical scalar loops --------

@@ -29,11 +29,11 @@ completions).  These tests pin six contracts:
 * **custom policies** — a registered policy rides ``run_fast_faulted``
   even without faults, retries or hedging (the faulted core asks
   ``policy.choose`` with its machines as candidates), bit-identically;
-* **fallback** — autoscaling (with or without hedging) and schedulers
-  whose class declares no ``columnar_kernel`` route to the reference loop
-  (neither fast entry point may run), with the reason recorded on the
-  result; a registered subclass that declares its own kind rides the
-  machines on both rails, as it does in the engine.
+* **fallback** — autoscaling (with or without hedging) routes to the
+  reference loop (neither fast entry point may run), with the reason
+  recorded on the result; a registered subclass that declares its own kind
+  rides the machines on both rails, as it does in the engine, and one that
+  declares none rides the callback machine.
 
 The reference side of every equivalence pair runs through
 :func:`oracles.run_reference`.
@@ -44,6 +44,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.errors import ServingError
 from repro.serving import (
     AutoscaleConfig,
     ClusterConfig,
@@ -70,10 +71,15 @@ from repro.serving.scheduler import (
     ContinuousBatchScheduler,
     DynamicBatchScheduler,
     FIFOScheduler,
-    get_scheduler,
     register_scheduler,
 )
 
+from custom_schedulers import (
+    CUSTOM_SCHEDULERS,
+    OversizedScheduler,
+    StallingScheduler,
+    recording,
+)
 from oracles import run_reference
 from registrations import restored
 
@@ -563,22 +569,21 @@ class TestFallback:
         assert "autoscale" in result.fast_path_fallback_reason
         assert (result.num_hedges > 0) == ("hedge_after_s" in knobs)
 
-    def test_subclassed_scheduler_falls_back(self, monkeypatch):
+    def test_subclassed_scheduler_falls_back(self):
         class SubclassedFIFOScheduler(FIFOScheduler):
             name = "test-fifo-subclass"
             description = "fifo subclass without its own columnar kernel"
 
-        # the subclass decides exactly like fifo, so the event loop it falls
-        # back to must reproduce the columnar fifo rail, names aside.
+        # the subclass decides exactly like fifo, so the callback machine it
+        # rides must reproduce the columnar fifo rail, names aside.
         columnar = run_cluster(scheduler="fifo", policy="round-robin")
-        _refuse_both_fast_paths(monkeypatch)
         with restored(SCHEDULER_REGISTRY):
             register_scheduler(SubclassedFIFOScheduler, replace=True)
             fallback = run_cluster(
                 scheduler="test-fifo-subclass", policy="round-robin"
             )
-        assert fallback.backend_used == "reference"
-        assert "custom scheduler" in fallback.fast_path_fallback_reason
+        assert fallback.backend_used == "columnar"
+        assert fallback.fast_path_fallback_reason is None
         name = SubclassedFIFOScheduler.name
         assert fallback == replace(
             columnar,
@@ -646,6 +651,81 @@ class TestDeclaredSubclasses:
             trace = make_trace("poisson", 100.0, 100, rng=np.random.default_rng(0))
             assert engine.run(trace).backend_used == "columnar"
             assert router.run(trace).backend_used == "columnar"
+
+
+#: (expected backend, knobs) of each fleet rail a custom scheduler rides.
+CALLBACK_RAILS = {
+    "fault-free": ("columnar", dict(policy="least-loaded")),
+    "crash": (
+        "columnar-faulted",
+        dict(policy="power-of-two-choices", **FAULT_KNOBS["crash"]),
+    ),
+    "straggler": ("columnar-faulted", dict(policy="round-robin", fault_profile="straggler")),
+    "hedged": ("columnar-faulted", dict(policy="least-loaded", hedge_after_s=0.005)),
+}
+
+
+def _serve_custom(scheduler_cls, rail, reference=False, num_requests=200, **knobs):
+    """Serve a registered custom scheduler on the engine (``rail`` is
+    ``"engine"``) or on one of :data:`CALLBACK_RAILS`."""
+    knobs["scheduler"] = scheduler_cls.name
+    if rail != "engine":
+        return run_cluster(
+            num_requests=num_requests,
+            reference=reference,
+            platforms=("A", "A", "A"),
+            **CALLBACK_RAILS[rail][1],
+            **knobs,
+        )
+    engine = ServingEngine(ServingConfig(model="gpt2", **knobs))
+    rate = 1.5 / engine.base_latency_s()
+    trace = make_trace(
+        "poisson", rate, num_requests, rng=np.random.default_rng(0), decode_steps=(1, 4)
+    )
+    if reference:
+        return run_reference(engine, trace, rate)
+    return engine.run(trace, offered_rate_rps=rate)
+
+
+class TestCallbackMachine:
+    """A scheduler that declares no kind rides the callback machine on the
+    engine and on both fleet rails, faults and hedging included."""
+
+    @pytest.mark.parametrize("rail", ["engine", *sorted(CALLBACK_RAILS)])
+    @pytest.mark.parametrize("scheduler_cls", CUSTOM_SCHEDULERS)
+    def test_dispatch_calls_match_the_loop(self, scheduler_cls, rail):
+        """Asking only at a replica's own decision times launches what the
+        loop's asking at every event launches: the calls that return a
+        dispatch, ``(now, arrivals_pending, members)``, match per replica."""
+        recorder = recording(scheduler_cls)
+        with restored(SCHEDULER_REGISTRY):
+            register_scheduler(recorder, replace=True)
+            fast = _serve_custom(recorder, rail)
+            fast_logs = [log for log in recorder.logs if log]
+            recorder.logs.clear()
+            reference = _serve_custom(recorder, rail, reference=True)
+            reference_logs = [log for log in recorder.logs if log]
+        assert fast == reference
+        expected = "columnar" if rail == "engine" else CALLBACK_RAILS[rail][0]
+        assert fast.backend_used == expected
+        assert fast_logs == reference_logs
+        assert sum(map(len, fast_logs)) >= 40  # not vacuous
+
+    @pytest.mark.parametrize("rail", ["engine", *sorted(CALLBACK_RAILS)])
+    def test_stalling_scheduler_raises(self, rail):
+        with restored(SCHEDULER_REGISTRY):
+            register_scheduler(StallingScheduler, replace=True)
+            with pytest.raises(ServingError, match="outstanding"):
+                _serve_custom(StallingScheduler, rail, num_requests=20)
+
+    @pytest.mark.parametrize("rail", ["engine", *sorted(CALLBACK_RAILS)])
+    def test_oversized_dispatch_raises(self, rail):
+        """A dispatch above ``max_batch`` ends in a typed error (the
+        reference loops would price it at any size)."""
+        with restored(SCHEDULER_REGISTRY):
+            register_scheduler(OversizedScheduler, replace=True)
+            with pytest.raises(ServingError, match="max_batch"):
+                _serve_custom(OversizedScheduler, rail, num_requests=40, max_batch=2)
 
 
 class _SlowestFirstPolicy(AdmissionPolicy):
@@ -733,9 +813,7 @@ class TestSupportsFastPath:
 
     def _reason(self, **kwargs):
         config = self._config(**kwargs)
-        return fast_path_fallback_reason(
-            config, get_policy(config.policy), get_scheduler(config.scheduler)
-        )
+        return fast_path_fallback_reason(config)
 
     def test_rail_conditions_hold(self):
         for scheduler in SCHEDULERS:

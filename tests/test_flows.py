@@ -19,7 +19,7 @@ from repro.hardware import DeviceKind
 from repro.ir import DType, Graph, TensorSpec
 from repro.ops.base import OpCategory, OpCost
 
-from oracles import group_cost
+from oracles import consumer_map, group_cost
 
 
 def batch_costs(graph: Graph, groups: list[tuple[int, ...]]) -> list[OpCost]:
@@ -230,7 +230,10 @@ class TestGroupCost:
             for flow in ("torchinductor", "tensorrt"):
                 groups = fuse_graph(graph, get_flow(flow).fusion).fused_groups
                 assert groups
-                assert batch_costs(graph, groups) == [group_cost(graph, g) for g in groups]
+                consumers = consumer_map(graph)
+                assert batch_costs(graph, groups) == [
+                    group_cost(graph, g, consumers) for g in groups
+                ]
 
 
 class TestPlans:

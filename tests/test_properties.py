@@ -24,9 +24,12 @@ from repro.serving import (
     ServingConfig,
     ServingEngine,
 )
+from repro.serving.scheduler import SCHEDULER_REGISTRY, register_scheduler
 from tests.conftest import run_op
 
+from custom_schedulers import CUSTOM_SCHEDULERS, LIFOScheduler, PairingScheduler
 from oracles import group_cost, run_reference
+from registrations import restored
 
 #: hedge delays the fleet fuzz draws: below, near and above a batch-1 latency.
 HEDGE_AFTER_S = (0.001, 0.005, 0.02)
@@ -354,6 +357,88 @@ class TestClusterRoutingProperties:
         fault-capable replay with hedge timers as its only events."""
         config, trace = draw(TestClusterRoutingProperties.fault_free_runs())
         return replace(config, hedge_after_s=draw(st.sampled_from(HEDGE_AFTER_S))), trace
+
+    @st.composite
+    def custom_scheduler_runs(draw):
+        """A custom scheduler (declaring no kind) on a fault-free run's axes
+        with 0 requests or more, fault-free, under crashes with timeout
+        retries, under stragglers, or hedged."""
+        scheduler_cls = draw(st.sampled_from(CUSTOM_SCHEDULERS))
+        config, trace = draw(TestClusterRoutingProperties.fault_free_runs())
+        keep = draw(st.integers(0, trace.num_requests))
+        trace = RequestTrace(
+            "fuzz",
+            arrival_s=trace.arrival_column()[:keep],
+            decode_steps=trace.decode_column()[:keep],
+            request_ids=trace.id_column()[:keep],
+        )
+        config = replace(config, scheduler=scheduler_cls.name, fault_seed=draw(st.integers(0, 7)))
+        profile = draw(st.sampled_from(("none", "crash", "straggler", "hedged")))
+        if profile == "crash":
+            config = replace(
+                config,
+                fault_profile="crash",
+                timeout_s=draw(st.sampled_from((0.004, 0.02, 0.05))),
+                max_retries=draw(st.integers(0, 3)),
+            )
+        elif profile == "straggler":
+            config = replace(config, fault_profile="straggler")
+        elif profile == "hedged":
+            config = replace(config, hedge_after_s=draw(st.sampled_from(HEDGE_AFTER_S)))
+        return scheduler_cls, config, trace
+
+    @given(custom_scheduler_runs())
+    @example(
+        (
+            LIFOScheduler,
+            ClusterConfig(model="gpt2", platforms=("A", "A"), scheduler=LIFOScheduler.name),
+            RequestTrace("empty", ()),
+        )
+    )
+    @example(
+        (
+            PairingScheduler,
+            ClusterConfig(
+                model="gpt2",
+                platforms=("A", "B"),
+                scheduler=PairingScheduler.name,
+                fault_profile="crash",
+                timeout_s=0.004,
+            ),
+            RequestTrace("single", arrival_s=np.array([0.0]), decode_steps=np.array([2])),
+        )
+    )
+    @example(
+        (
+            PairingScheduler,
+            ClusterConfig(
+                model="gpt2",
+                platforms=("A", "A", "A"),
+                scheduler=PairingScheduler.name,
+                policy="least-loaded",
+                max_batch=1,
+                hedge_after_s=0.001,
+            ),
+            RequestTrace("burst", arrival_s=np.zeros(12), decode_steps=np.arange(12) % 3 + 1),
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_custom_scheduler_rails_match_oracle(self, run):
+        """Custom schedulers ride the callback machine on the engine and on
+        both fleet rails, never the event loop, and equal the oracles."""
+        scheduler_cls, config, trace = run
+        with restored(SCHEDULER_REGISTRY):
+            register_scheduler(scheduler_cls, replace=True)
+            engine = ServingEngine(
+                ServingConfig(**pick(ServingConfig, config, platform=config.platforms[0]))
+            )
+            served = engine.run(trace)
+            assert served.backend_used == "columnar"
+            assert served == run_reference(engine, trace)
+            router = ClusterRouter(config)
+            fast = router.run(trace)
+            assert fast.backend_used in ("columnar", "columnar-faulted")
+            assert fast == run_reference(router, trace)
 
     @given(fault_free_runs())
     @settings(max_examples=60, deadline=None)

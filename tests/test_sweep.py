@@ -252,6 +252,15 @@ class TestPlanCache:
         assert fresh is not graph
         assert len(fresh.nodes) == clean_len
 
+    def test_mutated_cached_graph_counts_one_miss(self):
+        """A lookup that finds a mutated entry is a miss, not a hit too."""
+        cache = PlanCache()
+        graph = cache.graph("segformer", batch_size=1)
+        graph.set_outputs(graph.call(ops.GELU(), graph.outputs[0]))
+        cache.graph("segformer", batch_size=1)
+        assert cache.stats.hits.get("graph", 0) == 0
+        assert cache.stats.misses["graph"] == 2
+
     def test_disabled_never_reads_the_cache(self, monkeypatch):
         cache = PlanCache()
         flow = get_flow("pytorch")
