@@ -3,17 +3,19 @@ characterization of modern ML inference.
 
 Public API quick reference::
 
-    from repro import BenchConfig, run_bench, build_model, profile_graph
+    from repro import build_model, profile_graph
     from repro.flows import get_flow
-    from repro.hardware import PLATFORM_A, get_platform
+    from repro.hardware import PLATFORM_A
 
     profile = profile_graph(build_model("gpt2"), get_flow("pytorch"), PLATFORM_A)
     print(profile.describe())
 
-See DESIGN.md for the system inventory and the per-experiment index.
+Grids of such profiles run through :mod:`repro.sweep` (``SweepSpec`` and
+``SweepRunner``), and the paper's figures and tables through
+:mod:`repro.analysis`.  README.md describes the architecture layer by
+layer.
 """
 
-from repro.core import BenchConfig, BenchResults, NonGEMMBench, run_bench
 from repro.errors import (
     ConfigError,
     ExecutionError,
@@ -31,14 +33,11 @@ from repro.quant import quantize_llm_int8
 __version__ = "1.0.0"
 
 __all__ = [
-    "BenchConfig",
-    "BenchResults",
     "ConfigError",
     "DType",
     "ExecutionError",
     "Graph",
     "GraphError",
-    "NonGEMMBench",
     "PAPER_MODELS",
     "PlanError",
     "ProfileResult",
@@ -53,5 +52,4 @@ __all__ = [
     "profile_graph",
     "quantize_llm_int8",
     "register_model",
-    "run_bench",
 ]

@@ -94,7 +94,7 @@ def run_ext3(
             deadline_s=DEADLINE_S,
             iterations=iterations,
             seed=seed,
-            order=("platform", "model", "policy", "fault"),
+            order=("platform", "model", "policy", "fault_profile"),
         )
         defaults.update(overrides)
         return SweepSpec(name=f"ext3-{scheduler}", **defaults)

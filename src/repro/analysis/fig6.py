@@ -53,7 +53,7 @@ def run_fig6(
             "domain": domains[point.model],
             "model": point.model,
             "batch": point.batch_size,
-            "device": "cpu+gpu" if point.use_gpu else "cpu",
+            "device": "cpu" if point.device == "cpu" else "cpu+gpu",
             "latency_ms": round(profile.total_latency_ms, 3),
             "non_gemm_pct": round(100 * profile.non_gemm_share, 2),
         }

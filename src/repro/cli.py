@@ -28,11 +28,12 @@ import dataclasses
 import sys
 
 from repro.analysis import EXPERIMENTS
-from repro.core import BenchConfig, NonGemmReport, PerformanceReport, run_bench
+from repro.core import NonGemmReport, PerformanceReport
 from repro.errors import ReproError
-from repro.knobs import TraceKnobs, pick
+from repro.knobs import TraceKnobs, listing, pick
 from repro.models import build_model, list_models
 from repro.serving import AutoscaleConfig, ClusterConfig, ServingConfig
+from repro.sweep.spec import AXES, SweepPoint, SweepSpec
 from repro.viz.ascii import render_stacked_bar, render_table
 from repro.viz.csvout import write_csv
 
@@ -77,25 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(handler=_cmd_experiment)
 
     p_sweep = sub.add_parser("sweep", help="run a cross-product sweep via the sweep engine")
-    p_sweep.add_argument(
-        "--models", default="paper",
-        help="comma-separated model names, or 'paper' for the paper's model set",
-    )
-    p_sweep.add_argument("--flows", default="pytorch", help="comma-separated flow names")
-    p_sweep.add_argument("--platforms", default="A", help="comma-separated platform ids")
-    p_sweep.add_argument("--batches", type=_ints, default="1", help="comma-separated batch sizes")
-    p_sweep.add_argument(
-        "--devices", default="gpu",
-        help="comma-separated placement targets (cpu,gpu,npu)",
-    )
-    p_sweep.add_argument(
-        "--seq-lens", type=_ints, default="", help="comma-separated sequence lengths (optional)"
-    )
-    p_sweep.add_argument(
-        "--load", type=_floats, default="",
-        help="comma-separated offered loads (fractions of single-stream"
-        " capacity); each load point also runs the serving engine",
-    )
+    _add_flags(p_sweep, AXES, models="paper")
     p_sweep.add_argument(
         "--scheduler", default="dynamic",
         help="batching scheduler for --load points",
@@ -143,12 +126,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sub, "cluster",
         help="simulate a fault-tolerant multi-replica serving cluster",
         lists="--list-policies/--list-faults",
-        load_type=_floats,
+        load_type=listing(float),
         load_help="offered load as a fraction of fleet capacity; a comma-separated"
         " list sweeps every load through the sweep runner (see --workers)",
     )
     p_cluster.add_argument(
-        "--platforms", type=_names, default=None,
+        "--platforms", type=listing(), default=None,
         help="comma-separated per-replica platform ids (overrides"
         " --platform/--replicas; one replica per entry)",
     )
@@ -214,13 +197,14 @@ def _serving_parser(
 _FLAG_TYPES = {"int": int, "float": float, "str": str}
 
 
-def _add_flags(parser: argparse.ArgumentParser, cls, **cli_defaults) -> None:
-    """One flag per ``knob(...)`` field of ``cls``, parsed into the field's
-    name so :func:`~repro.knobs.pick` hands it on.  An unset flag keeps the
-    field default (in seconds for ``ms`` knobs), or its ``cli_defaults``
-    entry where the CLI default differs from the library's.  A knob's own
+def _add_flags(parser: argparse.ArgumentParser, knobs, **cli_defaults) -> None:
+    """One flag per ``knob(...)`` field of ``knobs`` (a dataclass, or some
+    of its fields), parsed into the field's name so
+    :func:`~repro.knobs.pick` hands it on.  An unset flag keeps the field
+    default (in seconds for ``ms`` knobs), or its ``cli_defaults`` entry
+    where the CLI default differs from the library's.  A knob's own
     ``parse`` callable, if any, parses its value."""
-    for f in dataclasses.fields(cls):
+    for f in dataclasses.fields(knobs) if isinstance(knobs, type) else knobs:
         flags = f.metadata.get("flags")
         if not flags:
             continue
@@ -260,18 +244,7 @@ def _flag_type(parse, expected: str):
     return convert
 
 
-def _names(raw: str) -> tuple[str, ...]:
-    """A comma-separated list of names."""
-    return tuple(part.strip() for part in raw.split(",") if part.strip())
-
-
 _ms = _flag_type(lambda raw: float(raw) * 1e-3, "a number of milliseconds")
-_floats = _flag_type(
-    lambda raw: tuple(float(part) for part in _names(raw)), "comma-separated numbers"
-)
-_ints = _flag_type(
-    lambda raw: tuple(int(part) for part in _names(raw)), "comma-separated integers"
-)
 
 
 def _parse_count(raw: str) -> int:
@@ -299,16 +272,14 @@ def _cmd_list_models(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    config = BenchConfig(
-        models=(args.model,),
-        batch_sizes=(args.batch,),
-        flow=args.flow,
-        platform=args.platform,
-        use_gpu=not args.cpu_only,
-        iterations=args.iterations,
+    from repro.sweep.runner import run_point
+
+    point = SweepPoint(
+        **pick(
+            SweepPoint, args, batch_size=args.batch, device="cpu" if args.cpu_only else "gpu"
+        )
     )
-    results = run_bench(config)
-    profile = results.profiles[0]
+    profile = run_point(point).profile
     report = PerformanceReport(profile)
     print(render_table([report.summary_row()]))
     print()
@@ -335,24 +306,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.models import PAPER_MODELS
     from repro.sweep.runner import SweepRunner
-    from repro.sweep.spec import SweepSpec
 
-    models = tuple(PAPER_MODELS) if args.models == "paper" else _names(args.models)
-    spec = SweepSpec(
-        models=models,
-        platforms=_names(args.platforms),
-        flows=_names(args.flows),
-        batch_sizes=args.batches,
-        devices=_names(args.devices),
-        seq_lens=args.seq_lens or (None,),
-        loads=args.load or (None,),
-        scheduler=args.scheduler,
-        iterations=args.iterations,
-        seed=args.seed,
-        name="cli-sweep",
-    )
+    spec = SweepSpec(**pick(SweepSpec, args, name="cli-sweep"))
     result = SweepRunner(workers=args.workers).run(spec)
     rows = []
     for record in result.records:
@@ -561,7 +517,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         **pick(ClusterConfig, args, platforms=platforms, autoscale=autoscale)
     )
     if len(args.load) > 1:
-        return _cluster_sweep(args, config)
+        return _cluster_sweep(args)
     load = args.load[0] if args.load else 1.0
 
     router = ClusterRouter(config)
@@ -641,12 +597,12 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cluster_sweep(args: argparse.Namespace, config) -> int:
-    """Serve the cluster ``config`` at every ``--load`` through the sweep
+def _cluster_sweep(args: argparse.Namespace) -> int:
+    """Serve the parsed cluster at every ``--load`` through the sweep
     runner — optionally fanned out over a worker pool (``--workers``).  The
-    spec's knobs come from the parsed flags ``config`` was built from."""
+    spec's knobs and single-valued axes are the parsed flags of the same
+    names."""
     from repro.sweep.runner import SweepRunner
-    from repro.sweep.spec import SweepSpec
 
     if args.rate is not None:
         print("error: --rate fixes one arrival rate; use a single --load with it")
@@ -658,22 +614,8 @@ def _cluster_sweep(args: argparse.Namespace, config) -> int:
         )
         return 2
 
-    spec = SweepSpec(
-        **pick(
-            SweepSpec,
-            args,
-            name="cli-cluster",
-            models=(config.model,),
-            platforms=(args.platform,),
-            flows=(config.flow,),
-            devices=(config.device,),
-            seq_lens=(config.seq_len,),
-            loads=args.load,
-            policies=(config.policy,),
-            fault_profiles=(config.fault_profile,),
-            autoscalers=(args.controller,),
-            num_replicas=args.replicas,
-        )
+    spec = SweepSpec.around(
+        args, loads=args.load, num_replicas=args.replicas, name="cli-cluster"
     )
     result = SweepRunner(workers=args.workers).run(spec)
     rows = []
@@ -690,7 +632,7 @@ def _cluster_sweep(args: argparse.Namespace, config) -> int:
             "failed": cluster.num_failed,
             "retries": cluster.num_retries,
         }
-        if config.autoscale is not None:
+        if args.controller is not None:
             row["mean_repl"] = round(cluster.mean_replicas, 2)
             row["repl_s"] = round(cluster.replica_seconds, 2)
             row["scale_ev"] = len(cluster.scale_events)

@@ -1,26 +1,14 @@
-"""NonGEMM Bench core: configuration, orchestration, and reports."""
+"""NonGEMM Bench core: the output reports and the operator taxonomy."""
 
-from repro.core.bench import BenchResults, NonGEMMBench, run_bench
 from repro.core.classify import OpTraits, describe_node, is_non_gemm, traits_for
-from repro.core.config import BenchConfig
-from repro.core.reports import (
-    BenchReports,
-    NonGemmReport,
-    PerformanceReport,
-    WorkloadReport,
-)
+from repro.core.reports import NonGemmReport, PerformanceReport, WorkloadReport
 
 __all__ = [
-    "BenchConfig",
-    "BenchReports",
-    "BenchResults",
-    "NonGEMMBench",
     "NonGemmReport",
     "OpTraits",
     "PerformanceReport",
     "WorkloadReport",
     "describe_node",
     "is_non_gemm",
-    "run_bench",
     "traits_for",
 ]

@@ -11,7 +11,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.classify import describe_node
 from repro.ir.graph import Graph
@@ -165,13 +165,3 @@ class NonGemmReport:
             "dominant_group": group.value,
             "share_pct": round(100 * share, 2),
         }
-
-
-@dataclass
-class BenchReports:
-    """Everything one bench run produces for one (model, batch) point."""
-
-    performance: PerformanceReport
-    workload: WorkloadReport
-    non_gemm: NonGemmReport
-    extras: dict[str, object] = field(default_factory=dict)

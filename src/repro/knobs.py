@@ -29,16 +29,28 @@ DEFAULT_MAX_WAIT_S = 2e-3
 
 
 def knob(
-    default, *flags: str, ms: bool = False, parse=None, check=None, help: str = ""
+    default,
+    *flags: str,
+    ms: bool = False,
+    parse=None,
+    check=None,
+    axis: str | None = None,
+    help: str = "",
 ):
     """A dataclass field with CLI metadata: its option strings, whether the
     (seconds-valued) field is given in milliseconds, the callable that
     parses a flag value when the annotation's type does not (a
     ``ValueError`` marks a bad value), the ``check`` its value must pass
-    and its help text.  A knob without flags has no CLI flag."""
+    and its help text.  A knob without flags has no CLI flag.
+
+    A sweep axis (a tuple of values) names the point field each of its
+    values fills in ``axis``; its ``check`` applies to each value."""
     return field(
         default=default,
-        metadata={"flags": flags, "ms": ms, "parse": parse, "check": check, "help": help},
+        metadata={
+            "flags": flags, "ms": ms, "parse": parse, "check": check, "axis": axis,
+            "help": help,
+        },
     )
 
 
@@ -61,6 +73,18 @@ def count_or_range(raw: str) -> "int | tuple[int, int]":
     return int(raw)
 
 
+def listing(convert=str, *, empty: tuple = ()):
+    """A ``parse`` callable for a comma-separated list: a tuple of
+    ``convert``ed items, or ``empty`` when the list has none."""
+
+    def parse(raw: str) -> tuple:
+        items = (part.strip() for part in raw.split(","))
+        return tuple(convert(item) for item in items if item) or empty
+
+    parse.__name__ = f"comma-separated {convert.__name__}"
+    return parse
+
+
 def at_least(bound: int):
     """A knob ``check``: the value is ``>= bound``."""
     return (f">= {bound}", lambda value: value >= bound)
@@ -78,8 +102,13 @@ FRACTION = ("in (0, 1]", lambda value: 0.0 < value <= 1.0)
 
 @cache
 def _checks(cls) -> tuple:
-    """``(field name, check)`` for every field of ``cls`` declaring one."""
-    return tuple((f.name, f.metadata["check"]) for f in fields(cls) if f.metadata.get("check"))
+    """``(field name, check)`` for every scalar field of ``cls`` declaring
+    one (a sweep axis checks its values when it is expanded)."""
+    return tuple(
+        (f.name, f.metadata["check"])
+        for f in fields(cls)
+        if f.metadata.get("check") and not f.metadata.get("axis")
+    )
 
 
 class _Checked:

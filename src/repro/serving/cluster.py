@@ -501,25 +501,21 @@ class ClusterRouter:
         request_ids = trace.id_column().tolist()
         decode_counts = trace.decode_column().tolist()
 
-        replicas = [
-            _Replica(
-                index,
-                engine,
-                get_scheduler(
-                    config.scheduler,
-                    max_batch=config.max_batch,
-                    max_wait_s=config.max_wait_s,
-                ),
+        def new_scheduler() -> BatchScheduler:
+            return get_scheduler(
+                config.scheduler, max_batch=config.max_batch, max_wait_s=config.max_wait_s
             )
-            for index, engine in enumerate(self.engines)
-        ]
+
+        # replica 0's scheduler: the rails' launch machines drive it, and
+        # build a fresh one of its class for every other replica.
+        scheduler = new_scheduler()
         # an empty trace serves on every path: its run starts and ends at 0.
         first_arrival_s = arrival_times[0] if arrival_times else 0.0
         last_arrival_s = arrival_times[-1] if arrival_times else 0.0
         horizon_s = last_arrival_s + 4.0 * self.engines[0].base_latency_s()
         injector = FaultInjector(
             config.fault_profile,
-            len(replicas),
+            len(self.engines),
             horizon_s,
             seed=config.fault_seed,
         )
@@ -531,9 +527,28 @@ class ClusterRouter:
                 " set timeout_s so lost requests can be re-routed"
             )
         policy = get_policy(config.policy)
-        policy.reset(len(replicas))
+        policy.reset(len(self.engines))
         policy_rng = np.random.default_rng(config.policy_seed)
 
+        from repro.serving.columnar_cluster import (
+            fast_path_fallback_reason,
+            needs_faulted_path,
+            run_fast_cluster,
+            run_fast_faulted,
+        )
+
+        fallback_reason = fast_path_fallback_reason(config)
+        if fallback_reason is None:
+            if needs_faulted_path(config, injector, policy):
+                return run_fast_faulted(
+                    self, trace, result, scheduler, policy, policy_rng, injector
+                )
+            return run_fast_cluster(self, trace, result, scheduler, policy, policy_rng)
+
+        replicas = [
+            _Replica(index, engine, new_scheduler() if index else scheduler)
+            for index, engine in enumerate(self.engines)
+        ]
         auto = config.autoscale
         autoscaler = None
         if auto is not None:
@@ -546,22 +561,6 @@ class ClusterRouter:
             for replica in replicas[: auto.start_replicas]:
                 replica.cost_spans.append([0.0, math.inf])
                 replica.active_spans.append([0.0, math.inf])
-
-        from repro.serving.columnar_cluster import (
-            fast_path_fallback_reason,
-            needs_faulted_path,
-            run_fast_cluster,
-            run_fast_faulted,
-        )
-
-        scheduler = replicas[0].scheduler
-        fallback_reason = fast_path_fallback_reason(config)
-        if fallback_reason is None:
-            if needs_faulted_path(config, injector, policy):
-                return run_fast_faulted(
-                    self, trace, result, scheduler, policy, policy_rng, injector
-                )
-            return run_fast_cluster(self, trace, result, scheduler, policy, policy_rng)
 
         total = trace.num_requests
         tracked: dict[int, _Tracked] = {}
@@ -971,6 +970,12 @@ class ClusterRouter:
                 last_action_s = when
 
         def launch(replica: _Replica, verdict: Dispatch, when: float) -> None:
+            if not 1 <= verdict.size <= config.max_batch:
+                raise ServingError(
+                    f"scheduler {config.scheduler!r} on replica {replica.index}"
+                    f" dispatched a batch of {verdict.size}, outside"
+                    f" 1..max_batch ({config.max_batch})"
+                )
             cost = replica.costs.cost(verdict.size)
             multiplier = injector.dispatch_multiplier(replica.index)
             # multiplying by 1.0 is bit-exact, so the no-straggler path stays
@@ -1265,7 +1270,7 @@ def simulate_cluster(
 
 
 def serve_cluster_point(point) -> ClusterResult:
-    """Serve one cluster sweep point (``load`` × ``policy`` × ``fault``).
+    """Serve one cluster sweep point (``load`` × ``policy`` × ``fault_profile``).
 
     The ``load`` axis generalizes from the single engine: it is a fraction
     of *fleet* capacity (the sum of every replica's single-stream rate), so
@@ -1277,14 +1282,9 @@ def serve_cluster_point(point) -> ClusterResult:
     if point.policy is None:
         raise ServingError("cluster sweep point has no admission policy")
     autoscale = None
-    if point.autoscaler is not None:
+    if point.controller is not None:
         autoscale = AutoscaleConfig(
-            **pick(
-                AutoscaleConfig,
-                point,
-                controller=point.autoscaler,
-                max_replicas=point.num_replicas,
-            )
+            **pick(AutoscaleConfig, point, max_replicas=point.num_replicas)
         )
     config = ClusterConfig(
         **pick(

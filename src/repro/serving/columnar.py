@@ -728,9 +728,10 @@ class _BatchMachine(_Machine):
 
 
 class _CallbackMachine(_Machine):
-    """The machine of a scheduler that declares no kind: it drives a fresh
-    scheduler object, admitting :class:`Request` objects with the trace's
-    ids, at the replica's own decision times only (see
+    """The machine of a scheduler that declares no kind: it drives a
+    scheduler object (replica 0 the one it is handed, every other replica a
+    fresh one of its class), admitting :class:`Request` objects with the
+    trace's ids, at the replica's own decision times only (see
     :meth:`~repro.serving.scheduler.BatchScheduler.next_dispatch`), and
     prices its dispatches with the reference ``launch()`` arithmetic.
     ``q_pos`` stays in take order: a member's first launch swaps its entry
@@ -745,9 +746,11 @@ class _CallbackMachine(_Machine):
 
     def __init__(self, index: int, engine, scheduler, trace: RequestTrace):
         super().__init__(index, engine, scheduler, trace)
-        self.scheduler = type(scheduler)(
-            max_batch=scheduler.max_batch, max_wait_s=scheduler.max_wait_s
-        )
+        if index:
+            scheduler = type(scheduler)(
+                max_batch=scheduler.max_batch, max_wait_s=scheduler.max_wait_s
+            )
+        self.scheduler = scheduler
         self.scheduler.reset()
         self.ids = trace.id_column().tolist()
         self.pos_of: dict[int, int] = {}

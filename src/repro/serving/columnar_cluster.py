@@ -201,8 +201,8 @@ def run_fast_cluster(
     """Serve ``trace`` through the fleet on the columnar rail.
 
     ``result`` is the pre-populated :class:`ClusterResult` shell from
-    :meth:`ClusterRouter.run`, and ``scheduler`` one of its replicas'
-    schedulers; the caller has already verified that
+    :meth:`ClusterRouter.run`, and ``scheduler`` replica 0's scheduler;
+    the caller has already verified that
     :func:`fast_path_fallback_reason` is ``None``.  Bit-identical to the
     reference event loop.
     """
@@ -482,7 +482,7 @@ def run_fast_faulted(
     the columnar rail.
 
     ``result`` is the pre-populated shell from :meth:`ClusterRouter.run`,
-    ``scheduler`` one of its replicas' schedulers and ``injector`` the run's
+    ``scheduler`` replica 0's scheduler and ``injector`` the run's
     already-built fault injector.  Arrivals stay a cursor over the trace
     columns and monotone timers stay in deques; launches replay inside each
     replica's machine; completions resolve lazily — a request's fate is

@@ -40,8 +40,6 @@ _LAZY = {
     "SweepPoint": "repro.sweep.spec",
     "SweepSpec": "repro.sweep.spec",
     "DIMENSIONS": "repro.sweep.spec",
-    "DEVICE_GPU": "repro.sweep.spec",
-    "DEVICE_CPU": "repro.sweep.spec",
     "DEVICE_MODES": "repro.sweep.spec",
     "SweepRecord": "repro.sweep.runner",
     "SweepResult": "repro.sweep.runner",

@@ -2,34 +2,33 @@
 
 A :class:`SweepSpec` names the value sets of each sweep dimension and the
 nesting order in which the cross-product should be walked; :meth:`points`
-expands it into concrete :class:`SweepPoint` records.  Keeping the grid
-declarative lets every figure/table harness share one runner (caching,
-vectorized simulation, optional process parallelism) while still controlling
-its exact row order — the CSV artifacts are byte-stable across engines.
+expands it into concrete :class:`SweepPoint` records.  Each axis is one
+``knob(..., axis=...)`` field of the spec, naming the point field it fills;
+that name is the dimension's name, and the canonical nesting order, the
+expansion and the ``sweep`` subcommand's flags all derive from the fields.
+Keeping the grid declarative lets every figure/table harness share one
+runner (caching, vectorized simulation, optional process parallelism) while
+still controlling its exact row order — the CSV artifacts are byte-stable
+across engines.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 from repro.errors import RegistryError
 from repro.hardware.device import DeviceKind, as_device_kind
-from repro.knobs import AutoscaleKnobs, BatchingKnobs, FleetKnobs, TraceKnobs
-
-#: canonical dimension nesting order; specs may reorder any prefix subset.
-#: ("load" was appended for the serving simulator, "policy"/"fault" for the
-#: cluster layer, and "autoscaler" for elastic fleets; their default
-#: singleton values keep every pre-existing spec's point grid unchanged.)
-DIMENSIONS = (
-    "platform", "model", "seq_len", "batch_size", "flow", "device", "transform",
-    "load", "policy", "fault", "autoscaler",
+from repro.knobs import (
+    POSITIVE,
+    AutoscaleKnobs,
+    BatchingKnobs,
+    FleetKnobs,
+    TraceKnobs,
+    knob,
+    listing,
+    pick,
 )
-
-#: legacy device axis values (the axis now accepts any registered
-#: :class:`~repro.hardware.device.DeviceKind` value, e.g. ``"npu"``).
-DEVICE_GPU = "gpu"
-DEVICE_CPU = "cpu"
 
 #: every named placement target the ``device`` axis accepts.
 DEVICE_MODES = tuple(kind.value for kind in DeviceKind)
@@ -55,12 +54,10 @@ class SweepPoint(SweepKnobs):
     model: str
     flow: str
     batch_size: int
-    use_gpu: bool
+    #: named placement target (``cpu``/``gpu``/``npu``).
+    device: str
     seq_len: int | None = None
     transform: str | None = None
-    #: named placement target from the sweep's ``device`` axis; None means
-    #: the legacy ``use_gpu`` boolean decides (gpu/cpu).
-    device_mode: str | None = None
     #: offered load as a fraction of single-stream (batch-1) capacity; None
     #: means a plain per-inference profile point (no serving simulation).
     load: float | None = None
@@ -70,13 +67,26 @@ class SweepPoint(SweepKnobs):
     fault_profile: str | None = None
     #: elastic-fleet axis: a non-None controller name autoscales the
     #: cluster; None keeps the whole fleet online.
-    autoscaler: str | None = None
+    controller: str | None = None
 
-    @property
-    def device(self) -> str:
-        if self.device_mode is not None:
-            return self.device_mode
-        return DEVICE_GPU if self.use_gpu else DEVICE_CPU
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.load is not None and self.transform:
+            raise RegistryError(
+                "serving load points do not support graph transforms yet;"
+                " drop the transform axis or the load axis"
+            )
+        if self.policy is not None and self.load is None:
+            raise RegistryError(
+                "cluster policy points require a load value; set the"
+                " spec's loads axis"
+            )
+        for name, value in (("fault profile", self.fault_profile), ("autoscaler", self.controller)):
+            if value is not None and self.policy is None:
+                raise RegistryError(
+                    f"{name} points require an admission policy; set"
+                    " the spec's policies axis"
+                )
 
     @property
     def target(self) -> DeviceKind:
@@ -95,61 +105,96 @@ class SweepPoint(SweepKnobs):
             parts.append(f"{self.num_replicas}x {self.policy}")
             if self.fault_profile:
                 parts.append(f"faults={self.fault_profile}")
-            if self.autoscaler:
+            if self.controller:
                 parts.append(
-                    f"autoscale={self.autoscaler}"
+                    f"autoscale={self.controller}"
                     f" [{self.min_replicas},{self.num_replicas}]"
                 )
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class SweepSpec(SweepKnobs):
-    """A cross-product sweep grid plus the nesting order of its dimensions."""
+def _model_names(raw: str) -> tuple[str, ...]:
+    """``--models``: comma-separated names, or ``paper`` for the paper's set."""
+    if raw == "paper":
+        from repro.models import PAPER_MODELS
 
-    models: tuple[str, ...]
-    platforms: tuple[str, ...] = ("A",)
-    flows: tuple[str, ...] = ("pytorch",)
-    batch_sizes: tuple[int, ...] = (1,)
-    devices: tuple[str, ...] = (DEVICE_GPU,)
-    seq_lens: tuple[int | None, ...] = (None,)
-    transforms: tuple[str | None, ...] = (None,)
-    #: serving ``load`` axis: offered load as a fraction of single-stream
-    #: capacity.  The default singleton None keeps the grid per-inference
-    #: only; any non-None value makes the runner serve that point through
-    #: the discrete-event engine (see ``repro.serving``).
-    loads: tuple[float | None, ...] = (None,)
-    #: cluster ``policy`` axis: admission policies for a multi-replica fleet.
-    #: The default singleton None keeps load points on the single engine; a
-    #: non-None policy requires a non-None load (the cluster always serves).
-    policies: tuple[str | None, ...] = (None,)
-    #: cluster ``fault`` axis: fault profile names (see
-    #: ``repro.serving.faults``).  Only meaningful alongside a policy.
-    fault_profiles: tuple[str | None, ...] = (None,)
-    #: elastic-fleet ``autoscaler`` axis: controller names (see
-    #: ``repro.serving.autoscale``).  Only meaningful alongside a policy;
-    #: ``num_replicas`` is the provisioned ceiling the controller scales
-    #: within.
-    autoscalers: tuple[str | None, ...] = (None,)
+        return tuple(PAPER_MODELS)
+    return listing()(raw)
+
+
+@dataclass(frozen=True, kw_only=True)
+class SweepSpec(SweepKnobs):
+    """A cross-product sweep grid plus the nesting order of its dimensions.
+
+    The axis fields are declared in canonical nesting order (new axes are
+    appended, so every existing spec's point grid is unchanged); each
+    default is a singleton, so an unset axis adds no points.
+    """
+
+    platforms: tuple[str, ...] = knob(
+        ("A",), "--platforms", axis="platform", parse=listing(),
+        help="comma-separated platform ids",
+    )
+    models: tuple[str, ...] = knob(
+        MISSING, "--models", axis="model", parse=_model_names,
+        help="comma-separated model names, or 'paper' for the paper's model set",
+    )
+    seq_lens: tuple[int | None, ...] = knob(
+        (None,), "--seq-lens", axis="seq_len", parse=listing(int, empty=(None,)),
+        help="comma-separated sequence lengths (optional)",
+    )
+    batch_sizes: tuple[int, ...] = knob(
+        (1,), "--batches", axis="batch_size", parse=listing(int),
+        help="comma-separated batch sizes",
+    )
+    flows: tuple[str, ...] = knob(
+        ("pytorch",), "--flows", axis="flow", parse=listing(),
+        help="comma-separated flow names",
+    )
+    devices: tuple[str, ...] = knob(
+        ("gpu",), "--devices", axis="device", parse=listing(),
+        check=(f"one of {', '.join(DEVICE_MODES)}", DEVICE_MODES.__contains__),
+        help="comma-separated placement targets (cpu,gpu,npu)",
+    )
+    transforms: tuple[str | None, ...] = knob((None,), axis="transform")
+    #: offered load as a fraction of single-stream capacity.  Any non-None
+    #: value makes the runner serve that point through the discrete-event
+    #: engine (see ``repro.serving``).
+    loads: tuple[float | None, ...] = knob(
+        (None,), "--load", axis="load", parse=listing(float, empty=(None,)),
+        check=POSITIVE,
+        help="comma-separated offered loads (fractions of single-stream"
+        " capacity); each load point also runs the serving engine",
+    )
+    #: admission policies for a multi-replica fleet; a non-None policy
+    #: requires a non-None load (the cluster always serves).
+    policies: tuple[str | None, ...] = knob((None,), axis="policy")
+    #: fault profile names (see ``repro.serving.faults``); only meaningful
+    #: alongside a policy.
+    fault_profiles: tuple[str | None, ...] = knob((None,), axis="fault_profile")
+    #: autoscale controller names (see ``repro.serving.autoscale``); only
+    #: meaningful alongside a policy, and ``num_replicas`` is the
+    #: provisioned ceiling the controller scales within.
+    autoscalers: tuple[str | None, ...] = knob((None,), axis="controller")
     #: outermost-to-innermost loop order; unlisted dimensions follow in
     #: canonical order after the listed ones.
-    order: tuple[str, ...] = field(default=DIMENSIONS)
+    order: tuple[str, ...] = ()
     name: str = "sweep"
 
+    @classmethod
+    def around(cls, source, **explicit) -> "SweepSpec":
+        """A spec whose knobs, and whose axes as singletons, are ``source``'s
+        attributes named like the spec's fields and the point's fields (a
+        parsed command line or a config); ``explicit`` goes on top."""
+        axes = {
+            f.name: (getattr(source, f.metadata["axis"]),)
+            for f in AXES
+            if hasattr(source, f.metadata["axis"])
+        }
+        return cls(**{**pick(cls, source), **axes, **explicit})
+
     def _values(self, dimension: str) -> tuple:
-        return {
-            "platform": self.platforms,
-            "model": self.models,
-            "flow": self.flows,
-            "batch_size": self.batch_sizes,
-            "device": self.devices,
-            "seq_len": self.seq_lens,
-            "transform": self.transforms,
-            "load": self.loads,
-            "policy": self.policies,
-            "fault": self.fault_profiles,
-            "autoscaler": self.autoscalers,
-        }[dimension]
+        return getattr(self, _AXIS_FIELD[dimension])
 
     def resolved_order(self) -> tuple[str, ...]:
         """The full loop order: explicit dimensions then canonical remainder."""
@@ -172,66 +217,36 @@ class SweepSpec(SweepKnobs):
     def points(self) -> list[SweepPoint]:
         """Expand the grid into concrete points, walked in nesting order."""
         order = self.resolved_order()
-        for dimension in order:
-            if not self._values(dimension):
-                return []
-        for device in self.devices:
-            if device not in DEVICE_MODES:
-                raise RegistryError(
-                    f"unknown device {device!r}; known modes: {DEVICE_MODES}"
-                )
-        for load in self.loads:
-            if load is not None and load <= 0.0:
-                raise RegistryError(
-                    f"sweep load values must be positive (or None), got {load!r}"
-                )
+        axes = [self._values(dimension) for dimension in order]
+        if not all(axes):
+            return []
+        for f in AXES:
+            if f.metadata["check"] is None:
+                continue
+            what, passes = f.metadata["check"]
+            for value in getattr(self, f.name):
+                if value is not None and not passes(value):
+                    raise RegistryError(
+                        f"sweep {f.metadata['axis']} values must be {what}, got {value!r}"
+                    )
         if self.num_replicas < 1:
             raise RegistryError(
                 f"num_replicas must be >= 1, got {self.num_replicas}"
             )
         knobs = {f.name: getattr(self, f.name) for f in fields(SweepKnobs)}
-        points = []
-        for combo in itertools.product(*(self._values(d) for d in order)):
-            values = dict(zip(order, combo))
-            if values["load"] is not None and values["transform"]:
-                raise RegistryError(
-                    "serving load points do not support graph transforms yet;"
-                    " drop the transform axis or the load axis"
-                )
-            if values["policy"] is not None and values["load"] is None:
-                raise RegistryError(
-                    "cluster policy points require a load value; set the"
-                    " spec's loads axis"
-                )
-            if values["fault"] is not None and values["policy"] is None:
-                raise RegistryError(
-                    "fault profile points require an admission policy; set"
-                    " the spec's policies axis"
-                )
-            if values["autoscaler"] is not None and values["policy"] is None:
-                raise RegistryError(
-                    "autoscaler points require an admission policy; set"
-                    " the spec's policies axis"
-                )
-            points.append(
-                SweepPoint(
-                    platform=values["platform"],
-                    model=values["model"],
-                    flow=values["flow"],
-                    batch_size=values["batch_size"],
-                    use_gpu=values["device"] != DEVICE_CPU,
-                    seq_len=values["seq_len"],
-                    transform=values["transform"],
-                    device_mode=values["device"],
-                    load=values["load"],
-                    policy=values["policy"],
-                    fault_profile=values["fault"],
-                    autoscaler=values["autoscaler"],
-                    **knobs,
-                )
-            )
-        return points
+        return [
+            SweepPoint(**knobs, **dict(zip(order, combo)))
+            for combo in itertools.product(*axes)
+        ]
 
     def subset(self, **overrides) -> "SweepSpec":
         """A copy of this spec with some dimensions replaced."""
         return replace(self, **overrides)
+
+
+#: the spec's axis fields, in canonical nesting order.
+AXES = tuple(f for f in fields(SweepSpec) if f.metadata.get("axis"))
+#: the dimension (point field) each axis fills -> the spec field holding it.
+_AXIS_FIELD = {f.metadata["axis"]: f.name for f in AXES}
+#: canonical dimension nesting order; specs may reorder any prefix subset.
+DIMENSIONS = tuple(_AXIS_FIELD)

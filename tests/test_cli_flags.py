@@ -1,9 +1,10 @@
-"""The ``serve``/``cluster`` flag surface: spellings, defaults and hand-offs.
+"""The CLI flag surface: spellings, defaults and hand-offs.
 
-These pin what a command line parses into — the option strings of both
-subcommands, the configs a bare invocation builds, and the millisecond
-conversion of every ``*-ms`` flag — independently of how the parser is
-assembled.  Runs stub the engine/router constructor, so nothing is served.
+These pin what a command line parses into — the option strings of the
+``serve``, ``cluster``, ``profile``, ``inspect`` and ``sweep`` subcommands,
+the configs a bare invocation builds, and the millisecond conversion of
+every ``*-ms`` flag — independently of how the parser is assembled.  Serving
+runs stub the engine/router constructor, so nothing is served.
 """
 
 from __future__ import annotations
@@ -46,6 +47,22 @@ CLUSTER_FLAGS = {
 }
 
 
+PROFILE_FLAGS = {
+    "-h", "--help", "--flow", "--platform", "--batch", "--cpu-only",
+    "--iterations", "--top", "--csv",
+}
+
+INSPECT_FLAGS = {
+    "-h", "--help", "--flow", "--batch", "--cpu-only", "--seq-len", "--kernels",
+}
+
+SWEEP_FLAGS = {
+    "-h", "--help", "--models", "--flows", "--platforms", "--batches",
+    "--devices", "--seq-lens", "--load", "--scheduler", "--iterations",
+    "--seed", "--workers", "--csv",
+}
+
+
 class _Captured(Exception):
     """Raised by the stub constructor once it has seen the config."""
 
@@ -73,7 +90,14 @@ def _subparser(name: str):
 
 
 @pytest.mark.parametrize(
-    "name, flags", [("serve", SERVE_FLAGS), ("cluster", CLUSTER_FLAGS)]
+    "name, flags",
+    [
+        ("serve", SERVE_FLAGS),
+        ("cluster", CLUSTER_FLAGS),
+        ("profile", PROFILE_FLAGS),
+        ("inspect", INSPECT_FLAGS),
+        ("sweep", SWEEP_FLAGS),
+    ],
 )
 def test_option_strings_are_pinned(name, flags):
     parser = _subparser(name)
@@ -165,6 +189,36 @@ def test_sweep_knob_defaults_are_the_config_defaults():
         **pick(AutoscaleConfig, spec, controller="step", max_replicas=2)
     )
     assert autoscale == AutoscaleConfig(controller="step", max_replicas=2)
+
+
+@pytest.mark.parametrize("cpu_only", [False, True], ids=["gpu", "cpu-only"])
+def test_profile_prints_the_direct_profile(capsys, cpu_only):
+    """``profile`` prints the tables of a direct ``profile_graph`` call on
+    the same model, flow, platform, device and iteration count."""
+    from repro.core import PerformanceReport
+    from repro.flows import get_flow
+    from repro.hardware import get_platform
+    from repro.models import build_model
+    from repro.profiler import profile_graph
+    from repro.viz.ascii import render_table
+
+    argv = ["profile", "gpt2", "--iterations", "2", "--top", "4"]
+    assert cli_main(argv + ["--cpu-only"] * cpu_only) == 0
+    out = capsys.readouterr().out
+    platform = get_platform("A")
+    profile = profile_graph(
+        build_model("gpt2", batch_size=1),
+        get_flow("pytorch"),
+        platform.cpu_only() if cpu_only else platform,
+        use_gpu=not cpu_only,
+        iterations=2,
+    )
+    report = PerformanceReport(profile)
+    assert report.summary_row()["device"] == ("cpu" if cpu_only else "cpu+gpu")
+    for rows in (
+        [report.summary_row()], report.breakdown_rows(), report.top_operator_rows(4)
+    ):
+        assert render_table(rows) in out
 
 
 def _table(text: str, column: str) -> list[dict[str, str]]:

@@ -49,6 +49,7 @@ from repro.serving import (
     AutoscaleConfig,
     ClusterConfig,
     ClusterRouter,
+    Request,
     RequestTrace,
     ServingConfig,
     ServingEngine,
@@ -701,6 +702,8 @@ class TestCallbackMachine:
         with restored(SCHEDULER_REGISTRY):
             register_scheduler(recorder, replace=True)
             fast = _serve_custom(recorder, rail)
+            # one scheduler object per replica, each of them asked
+            assert len(recorder.logs) == (1 if rail == "engine" else 3)
             fast_logs = [log for log in recorder.logs if log]
             recorder.logs.clear()
             reference = _serve_custom(recorder, rail, reference=True)
@@ -718,14 +721,23 @@ class TestCallbackMachine:
             with pytest.raises(ServingError, match="outstanding"):
                 _serve_custom(StallingScheduler, rail, num_requests=20)
 
-    @pytest.mark.parametrize("rail", ["engine", *sorted(CALLBACK_RAILS)])
+    @pytest.mark.parametrize("rail", ["engine", *sorted(CALLBACK_RAILS), "autoscaled"])
     def test_oversized_dispatch_raises(self, rail):
-        """A dispatch above ``max_batch`` ends in a typed error (the
-        reference loops would price it at any size)."""
+        """A dispatch above ``max_batch`` ends in a typed error on every
+        path, the autoscaled fleet's event loop included."""
         with restored(SCHEDULER_REGISTRY):
             register_scheduler(OversizedScheduler, replace=True)
             with pytest.raises(ServingError, match="max_batch"):
-                _serve_custom(OversizedScheduler, rail, num_requests=40, max_batch=2)
+                if rail != "autoscaled":
+                    _serve_custom(OversizedScheduler, rail, num_requests=40, max_batch=2)
+                else:
+                    config = ClusterConfig(
+                        model="gpt2", scheduler=OversizedScheduler.name, max_batch=2,
+                        platforms=("A", "A"),
+                        autoscale=AutoscaleConfig(controller="step", max_replicas=2),
+                    )
+                    burst = RequestTrace("burst", tuple(Request(i, 0.0) for i in range(12)))
+                    ClusterRouter(config).run(burst)
 
 
 class _SlowestFirstPolicy(AdmissionPolicy):

@@ -1,93 +1,34 @@
-"""Tests for the core bench API: config, orchestration, reports, taxonomy."""
+"""Tests for the core reports and the operator taxonomy."""
+
+from types import SimpleNamespace
 
 import pytest
 
-from repro.core import (
-    BenchConfig,
-    NonGemmReport,
-    PerformanceReport,
-    WorkloadReport,
-    run_bench,
-    traits_for,
-)
-from repro.errors import ConfigError
+from repro.core import NonGemmReport, PerformanceReport, WorkloadReport, traits_for
 from repro.models import build_model
-
-
-class TestBenchConfig:
-    def test_defaults_valid(self):
-        config = BenchConfig()
-        assert config.platform == "A"
-
-    def test_rejects_empty_models(self):
-        with pytest.raises(ConfigError):
-            BenchConfig(models=())
-
-    def test_rejects_bad_batch(self):
-        with pytest.raises(ConfigError):
-            BenchConfig(batch_sizes=(0,))
-
-    def test_overrides(self):
-        config = BenchConfig(overrides={"gpt2": {"seq_len": 4}})
-        assert config.override_for("gpt2") == {"seq_len": 4}
-        assert config.override_for("bert") == {}
-
-
-class TestRunBench:
-    @pytest.fixture(scope="class")
-    def results(self):
-        config = BenchConfig(
-            models=("gpt2", "vit-b"),
-            batch_sizes=(1,),
-            flow="pytorch",
-            platform="A",
-            iterations=2,
-        )
-        return run_bench(config)
-
-    def test_one_profile_per_point(self, results):
-        assert len(results.profiles) == 2
-        assert results.profile_for("gpt2", 1).model == "gpt2"
-        with pytest.raises(KeyError):
-            results.profile_for("gpt2", 99)
-
-    def test_summary_rows_complete(self, results):
-        rows = results.summary_rows()
-        assert {r["model"] for r in rows} == {"gpt2", "vit-b"}
-        for row in rows:
-            assert row["gemm_pct"] + row["non_gemm_pct"] == pytest.approx(100, abs=0.1)
-            assert row["latency_ms"] > 0
-
-    def test_reports_attached(self, results):
-        reports = results.reports[("gpt2", 1)]
-        assert isinstance(reports.performance, PerformanceReport)
-        assert isinstance(reports.workload, WorkloadReport)
-        assert isinstance(reports.non_gemm, NonGemmReport)
-
-    def test_cpu_only_config(self):
-        config = BenchConfig(models=("gpt2",), batch_sizes=(1,), use_gpu=False, iterations=1)
-        results = run_bench(config)
-        assert not results.profiles[0].use_gpu
-
-    def test_seq_override_changes_graph(self):
-        config = BenchConfig(
-            models=("gpt2",), batch_sizes=(1,), iterations=1,
-            overrides={"gpt2": {"seq_len": 4}},
-        )
-        results = run_bench(config)
-        small = results.profiles[0].total_latency_s
-        base = run_bench(
-            BenchConfig(models=("gpt2",), batch_sizes=(1,), iterations=1)
-        ).profiles[0].total_latency_s
-        assert small < base
+from repro.sweep.runner import run_point
+from repro.sweep.spec import SweepPoint
 
 
 class TestReports:
     @pytest.fixture(scope="class")
     def point(self):
-        config = BenchConfig(models=("gpt2",), batch_sizes=(1,), iterations=2)
-        results = run_bench(config)
-        return results.reports[("gpt2", 1)]
+        graph = build_model("gpt2", batch_size=1)
+        point = SweepPoint(
+            platform="A", model="gpt2", flow="pytorch", batch_size=1, device="gpu",
+            iterations=2,
+        )
+        profile = run_point(point).profile
+        return SimpleNamespace(
+            performance=PerformanceReport(profile),
+            workload=WorkloadReport(graph),
+            non_gemm=NonGemmReport(graph, profile),
+        )
+
+    def test_summary_row_complete(self, point):
+        row = point.performance.summary_row()
+        assert row["gemm_pct"] + row["non_gemm_pct"] == pytest.approx(100, abs=0.1)
+        assert row["latency_ms"] > 0 and row["device"] == "cpu+gpu"
 
     def test_breakdown_shares_sum(self, point):
         rows = point.performance.breakdown_rows()

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,7 +20,7 @@ from repro.runtime.memory import profile_memory
 from repro.runtime.simulator import simulate
 from repro.sweep.cache import PLAN_CACHE, PlanCache, get_transform, register_transform
 from repro.sweep.runner import SweepRunner, run_point, run_sweep
-from repro.sweep.spec import SweepPoint, SweepSpec
+from repro.sweep.spec import DIMENSIONS, SweepPoint, SweepSpec
 from repro.sweep.store import ArtifactStore
 
 from oracles import simulate_reference
@@ -95,7 +99,7 @@ class TestPlatformBitIdentity:
     def test_npu_sweep_point_profiles_on_platform_c(self):
         point = SweepPoint(
             platform="C", model="segformer", flow="npu-offload",
-            batch_size=1, use_gpu=True, device_mode="npu", iterations=2,
+            batch_size=1, device="npu", iterations=2,
         )
         record = run_point(point)
         profile = record.profile
@@ -114,7 +118,7 @@ class TestPlatformBitIdentity:
         points = spec.points()
         assert [p.device for p in points] == ["cpu", "npu"]
         assert points[1].target is DeviceKind.NPU
-        assert not points[0].use_gpu and points[1].use_gpu
+        assert points[0].target is DeviceKind.CPU
 
 
 class TestDerivedPlans:
@@ -304,7 +308,33 @@ class TestPlanCache:
         assert first.graph.content_hash() != graph.content_hash()
 
 
+ANALYSIS = Path(__file__).resolve().parents[1] / "src" / "repro" / "analysis"
+
+
 class TestSweepSpec:
+    def test_every_axis_names_a_point_field(self):
+        """Each dimension is the name of the point field its axis fills."""
+        assert set(DIMENSIONS) <= {f.name for f in fields(SweepPoint)}
+        spec = SweepSpec(
+            models=("gpt2",), platforms=("B",), flows=("tensorrt",),
+            batch_sizes=(2,), devices=("cpu",), seq_lens=(16,),
+            loads=(0.5,), policies=("round-robin",), fault_profiles=("crash",),
+            autoscalers=("step",),
+        )
+        (point,) = spec.points()
+        for dimension in DIMENSIONS:
+            assert (getattr(point, dimension),) == spec._values(dimension), dimension
+
+    def test_analysis_orders_name_known_dimensions(self):
+        orders = []
+        for path in sorted(ANALYSIS.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.keyword) and node.arg == "order":
+                    orders.append((path.name, ast.literal_eval(node.value)))
+        assert len(orders) >= 10
+        for name, order in orders:
+            assert set(order) <= set(DIMENSIONS), (name, order)
+
     def test_points_follow_order(self):
         spec = SweepSpec(
             models=("a", "b"),
@@ -337,7 +367,7 @@ class TestSweepRunner:
     def test_cpu_point_uses_cpu_only_platform(self):
         point = SweepPoint(
             platform="A", model="segformer", flow="pytorch",
-            batch_size=1, use_gpu=False, iterations=2,
+            batch_size=1, device="cpu", iterations=2,
         )
         record = run_point(point)
         assert record.profile.gpu_energy_j == 0.0
@@ -365,7 +395,7 @@ class TestSweepRunner:
     def test_transform_point_carries_stats(self):
         point = SweepPoint(
             platform="A", model="gpt2-l", flow="pytorch", batch_size=1,
-            use_gpu=True, transform="llm-int8", iterations=2,
+            device="gpu", transform="llm-int8", iterations=2,
         )
         record = run_point(point)
         assert record.transform_stats is not None
@@ -383,7 +413,7 @@ class TestSweepRunner:
     def test_seq_len_override_on_vision_model_names_the_problem(self):
         point = SweepPoint(
             platform="A", model="swin-t", flow="pytorch", batch_size=1,
-            use_gpu=True, seq_len=128, iterations=2,
+            device="gpu", seq_len=128, iterations=2,
         )
         with pytest.raises(RegistryError, match="swin-t.*seq_len"):
             run_point(point)
