@@ -1,6 +1,6 @@
 """NonGEMM Bench core: the output reports and the operator taxonomy."""
 
-from repro.core.classify import OpTraits, describe_node, is_non_gemm, traits_for
+from repro.core.classify import OpTraits, describe_node, traits_for
 from repro.core.reports import NonGemmReport, PerformanceReport, WorkloadReport
 
 __all__ = [
@@ -9,6 +9,5 @@ __all__ = [
     "PerformanceReport",
     "WorkloadReport",
     "describe_node",
-    "is_non_gemm",
     "traits_for",
 ]

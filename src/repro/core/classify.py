@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.ir.node import Node
-from repro.ops.base import OpCategory, Operator
 
 
 @dataclass(frozen=True)
@@ -102,10 +101,6 @@ _TRAITS: dict[str, OpTraits] = {
 def traits_for(kind: str) -> OpTraits:
     """Structural traits of an op kind; conservative default when unlisted."""
     return _TRAITS.get(kind, OpTraits(False, False, False, False, False))
-
-
-def is_non_gemm(op: Operator) -> bool:
-    return op.category is not OpCategory.GEMM
 
 
 def describe_node(node: Node) -> dict[str, object]:

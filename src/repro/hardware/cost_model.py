@@ -1,4 +1,4 @@
-"""Roofline latency estimation for one kernel on one device.
+"""Roofline latency estimation for every kernel of a plan, in one numpy pass.
 
 Latency of a kernel is modelled as::
 
@@ -20,14 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hardware.calibration import (
-    CUSTOM_KERNEL_PENALTY,
-    efficiency_for_kind,
-    gemm_saturation,
-)
-from repro.hardware.device import DeviceSpec
-from repro.ir.dtype import DType
-from repro.ops.base import OpCategory, OpCost
+from repro.hardware.calibration import CUSTOM_KERNEL_PENALTY
 
 #: bound labels in the order of the integer codes in :class:`BatchEstimates`.
 BOUND_LABELS = ("dispatch", "launch", "compute", "memory")
@@ -53,100 +46,15 @@ class LatencyEstimate:
         return min(1.0, max(self.compute_s, self.memory_s) / self.device_s)
 
 
-def estimate_kernel(
-    device: DeviceSpec,
-    category: OpCategory,
-    cost: OpCost,
-    dtype: DType,
-    dispatch_s: float,
-    is_custom: bool = False,
-    metadata_only: bool = False,
-    launch_count: int = 1,
-    gemm_peak_scale_f32: float = 1.0,
-    gemm_saturation_scale: float = 1.0,
-) -> LatencyEstimate:
-    """Estimate wall-clock latency of one kernel.
-
-    ``dispatch_s`` is the deployment flow's host-side per-kernel overhead;
-    ``is_custom`` applies the custom-kernel efficiency penalty (non vendor-
-    library implementations, e.g. DETR's FrozenBatchNorm2d).
-    ``launch_count > 1`` models composite Python ops that issue several
-    device kernels per call (the cost's traffic must already include the
-    repeated tensor passes — flows do this when lowering).
-    """
-    host_s = dispatch_s * launch_count
-    if metadata_only:
-        return LatencyEstimate(
-            total_s=host_s,
-            host_s=host_s,
-            device_s=0.0,
-            compute_s=0.0,
-            memory_s=0.0,
-            launch_s=0.0,
-            bound="dispatch",
-        )
-
-    eff = efficiency_for_kind(category, device.kind)
-    scale = CUSTOM_KERNEL_PENALTY if is_custom else 1.0
-    if category is OpCategory.GEMM:
-        saturation = gemm_saturation(
-            cost.flops, device.gemm_saturation_flops * gemm_saturation_scale
-        )
-        peak = device.gemm_peak(dtype)
-        # the f32 scale models TF32 tensor cores — GPU-only hardware
-        if dtype == DType.F32 and device.is_gpu:
-            peak *= gemm_peak_scale_f32
-        peak_flops = peak * saturation
-    else:
-        peak_flops = device.vector_flops
-    compute_s = cost.flops / (peak_flops * eff.compute * scale) if cost.flops else 0.0
-    memory_s = (
-        cost.total_bytes / (device.mem_bandwidth * eff.memory * scale)
-        if cost.total_bytes
-        else 0.0
-    )
-    work_s = max(compute_s, memory_s)
-    launch_s = device.kernel_launch_s * launch_count
-    device_s = launch_s + work_s
-
-    # async accelerators (GPU/NPU command queues) overlap host dispatch with
-    # device work; CPUs run the kernel inline on the dispatching thread.
-    is_async = device.async_dispatch
-    if is_async:
-        total_s = max(host_s, device_s)
-    else:
-        total_s = host_s + work_s
-
-    if work_s <= 0.0:
-        bound = "launch" if is_async and launch_s >= host_s else "dispatch"
-    elif is_async and host_s >= device_s:
-        bound = "dispatch"
-    elif is_async and launch_s >= work_s:
-        bound = "launch"
-    elif compute_s >= memory_s:
-        bound = "compute"
-    else:
-        bound = "memory"
-
-    return LatencyEstimate(
-        total_s=total_s,
-        host_s=host_s,
-        device_s=device_s,
-        compute_s=compute_s,
-        memory_s=memory_s,
-        launch_s=launch_s,
-        bound=bound,
-    )
-
-
 @dataclass
 class BatchEstimates:
     """Vectorized :class:`LatencyEstimate` for every kernel of a plan.
 
     Produced by :func:`estimate_kernels_batch`; each field is a float64 array
     with one entry per kernel, and every value is bit-identical to what the
-    scalar :func:`estimate_kernel` reference computes for that kernel (the
-    vectorized expressions preserve operation order and association).
+    scalar ``estimate_kernel`` oracle in ``tests/oracles.py`` computes for
+    that kernel (the vectorized expressions preserve operation order and
+    association).
     """
 
     total_s: np.ndarray
@@ -206,9 +114,9 @@ def estimate_kernels_batch(
     ``gemm_saturation_flops`` the flow's saturation scale; ``is_async`` is
     the per-kernel async-dispatch flag of the kernel's device — True for
     GPU/NPU command queues, False for inline CPU execution).  The arithmetic
-    mirrors :func:`estimate_kernel` expression-for-expression so results are
-    bit-identical; the scalar function remains the reference implementation
-    that the equivalence tests check against.
+    mirrors the scalar ``estimate_kernel`` oracle in ``tests/oracles.py``
+    expression-for-expression, so the equivalence tests can demand
+    bit-identical results.
     """
     host_s = dispatch_s * launch_count
     scale = np.where(is_custom, CUSTOM_KERNEL_PENALTY, 1.0)

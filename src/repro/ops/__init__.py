@@ -31,7 +31,7 @@ from repro.ops.elementwise import (
     Sub,
 )
 from repro.ops.embedding import Embedding
-from repro.ops.gemm import BMM, Conv1DGPT, Conv2d, Linear, MatMul, is_gemm_kind
+from repro.ops.gemm import BMM, Conv1DGPT, Conv2d, Linear, MatMul
 from repro.ops.interpolation import Interpolate
 from repro.ops.logits import LogSoftmax, Softmax
 from repro.ops.memory import (
@@ -85,7 +85,6 @@ __all__ = [
     "Conv2d",
     "Linear",
     "MatMul",
-    "is_gemm_kind",
     # activation
     "GELU",
     "HardSwish",

@@ -262,24 +262,3 @@ def _im2col(
         for j in range(kw):
             cols[:, :, i, j] = x[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw]
     return cols.reshape(n, c * kh * kw, ho * wo)
-
-
-def conv_gemm_dims(op: Conv2d, out_spec: TensorSpec) -> tuple[int, int, int]:
-    """The (M, N, K) of the implicit GEMM a conv lowers to (im2col view)."""
-    n, c_out, ho, wo = out_spec.shape
-    kh, kw = op.kernel_size
-    m = n * ho * wo
-    k = (op.in_channels // op.groups) * kh * kw
-    return m, c_out, k
-
-
-def gemm_flops(cost: OpCost) -> int:
-    """Convenience accessor kept for symmetry with non-GEMM helpers."""
-    return cost.flops
-
-
-GEMM_KINDS = frozenset({Linear.kind, Conv1DGPT.kind, Conv2d.kind, BMM.kind, MatMul.kind})
-
-
-def is_gemm_kind(kind: str) -> bool:
-    return kind in GEMM_KINDS or kind.startswith("int8_")

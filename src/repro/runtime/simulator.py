@@ -271,28 +271,27 @@ class SimulationResult:
     platform's device kinds to joules; the historical ``gpu_energy_j`` /
     ``cpu_energy_j`` fields remain as read-only views into it.
 
-    The vectorized simulator stores per-kernel latencies and bound labels as
-    arrays; the :attr:`records` list of :class:`KernelRecord` objects is
-    materialized lazily for callers that want the object view.
+    Per-kernel latencies and bound labels are arrays (``estimates`` and
+    ``transfer_s``); the :attr:`records` list of :class:`KernelRecord`
+    objects is materialized lazily for callers that want the object view.
     """
 
     def __init__(
         self,
         plan: ExecutionPlan,
         platform: Platform,
-        records: list[KernelRecord] | None = None,
-        total_latency_s: float = 0.0,
-        energy_j: dict[DeviceKind, float] | None = None,
-        estimates: BatchEstimates | None = None,
-        transfer_s: np.ndarray | None = None,
+        total_latency_s: float,
+        energy_j: dict[DeviceKind, float],
+        estimates: BatchEstimates,
+        transfer_s: np.ndarray,
     ):
         self.plan = plan
         self.platform = platform
         self.total_latency_s = total_latency_s
-        self.energy_j: dict[DeviceKind, float] = dict(energy_j or {})
-        self._records = records
-        self._estimates = estimates
+        self.energy_j: dict[DeviceKind, float] = dict(energy_j)
+        self.estimates = estimates
         self._transfer_s = transfer_s
+        self._records: list[KernelRecord] | None = None
         self._latencies: np.ndarray | None = None
 
     @property
@@ -308,38 +307,24 @@ class SimulationResult:
         return self.total_latency_s * 1e3
 
     @property
-    def estimates(self) -> BatchEstimates | None:
-        """The vectorized per-kernel estimates (None for reference runs)."""
-        return self._estimates
-
-    @property
     def latencies(self) -> np.ndarray:
         """Per-kernel wall-clock latency (estimate + transfers), float64."""
         if self._latencies is None:
-            if self._estimates is not None and self._transfer_s is not None:
-                self._latencies = self._estimates.total_s + self._transfer_s
-            else:
-                self._latencies = np.array(
-                    [r.latency_s for r in self.records], dtype=np.float64
-                )
+            self._latencies = self.estimates.total_s + self._transfer_s
         return self._latencies
 
     def bound_labels(self) -> list[str]:
         """Per-kernel roofline bound ("dispatch"/"launch"/"compute"/"memory")."""
-        if self._estimates is not None:
-            return self._estimates.bound_labels()
-        return [r.estimate.bound for r in self.records]
+        return self.estimates.bound_labels()
 
     @property
     def records(self) -> list[KernelRecord]:
         if self._records is None:
-            estimates, transfers = self._estimates, self._transfer_s
-            assert estimates is not None and transfers is not None
             self._records = [
                 KernelRecord(
                     kernel=kernel,
-                    estimate=estimates.estimate(i),
-                    transfer_s=float(transfers[i]),
+                    estimate=self.estimates.estimate(i),
+                    transfer_s=float(self._transfer_s[i]),
                 )
                 for i, kernel in enumerate(self.plan.kernels)
             ]
@@ -369,9 +354,9 @@ def _raise_missing_devices(
 def simulate(plan: ExecutionPlan, platform: Platform) -> SimulationResult:
     """Estimate the wall-clock timeline of ``plan`` on ``platform``.
 
-    Vectorized over all kernels; bit-identical to the scalar loop over
-    :func:`~repro.hardware.cost_model.estimate_kernel` that the tests keep
-    as its oracle.
+    Vectorized over all kernels; bit-identical to the scalar
+    kernel-by-kernel loop that the tests keep as its oracle
+    (``simulate_reference`` in ``tests/oracles.py``).
     """
     arrays = plan_arrays(plan)
     tables = _device_tables(platform)
@@ -454,7 +439,10 @@ def _device_energy(
     device_s: np.ndarray,
     wall_s: float,
 ) -> float:
-    """Two-term power model over one device's kernels (see hardware.energy)."""
+    """One device's energy over a run of ``wall_s`` seconds, the two-term
+    power model ``P_idle * wall + sum_k (P_peak - P_idle) * util_k * t_k``
+    over the kernels under ``mask``: a launch-bound kernel draws little
+    dynamic power, a saturated GEMM close to peak."""
     dynamic_power = device.peak_power_w - device.idle_power_w
     contributions = np.where(mask, dynamic_power * utilization * device_s, 0.0)
     dynamic_j = float(np.cumsum(contributions)[-1]) if len(contributions) else 0.0

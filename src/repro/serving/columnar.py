@@ -27,12 +27,20 @@ partial batches from then on (the reference's ``arrivals_pending`` turning
 false) — and drains.  Every launch appends one row to the machine's column
 buffers.
 
+**The log reader.**  Every machine maps each queue entry a launch took (by
+``base +`` queue index, in take order) to two launches: the one that took it
+and the one that completed it (none while it is in flight, or once it is
+voided).  :meth:`_Machine.entries` reads every entry at once, ``finish`` one
+entry, ``completed`` one launch and ``heads`` the entries taken by the end of
+each launch, all from the logs the machines keep anyway: the batch sizes, or
+the queue head after each launch and each entry's finishing launch.  Every
+rail reads its launches there.
+
 **Assembly.**  :meth:`_Machine.result` rebuilds the per-request columns from
-the launch columns — ``np.repeat`` over batch sizes for the batch kinds, each
-request's queue-head join and logged finishing iteration for continuous
-batching — and the queue-depth samples by ``searchsorted`` of arrivals
-against launch starts (every admission precedes the first launch starting at
-or after it), then hands everything to
+the reader — each request starts at the launch that took it and completes
+at the one that completed it — and the queue-depth samples by
+``searchsorted`` of arrivals against launch starts (every admission precedes
+the first launch starting at or after it), then hands everything to
 :func:`~repro.serving.metrics.assemble_replica`, which folds the accounting
 as a sequential ``np.cumsum`` (bit-identical to the reference loop's repeated
 ``+=``; pairwise ``np.sum`` would not be).
@@ -57,10 +65,11 @@ materialized.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from array import array
-from collections import defaultdict
 
 import numpy as np
 
@@ -71,6 +80,9 @@ from repro.serving.trace import Request, RequestTrace
 
 #: a machine's ``next_t`` when nothing can launch.
 _INF = float("inf")
+
+#: :meth:`_Machine.finish` of a queue entry no launch has taken.
+UNTAKEN = -2
 
 
 class _Machine:
@@ -91,16 +103,20 @@ class _Machine:
 
     One subclass per scheduler kind supplies :meth:`admit`, :meth:`advance`
     (the launch loop over locals, inlining the reference ``launch()``
-    occupancy arithmetic and appending every launch to the column buffers),
-    ``_arm``, and ``launched`` and ``_columns``, which read the log.
-    They branch only on what a run observes: a run with stragglers sets
-    ``straggle``, and every launch then scales its seconds by a drawn
+    occupancy arithmetic and appending every launch to the column buffers)
+    and ``_arm``; the log reader (:meth:`heads`, :meth:`entries`,
+    :meth:`finish`, :meth:`completed`) is shared by the kinds that log
+    alike.  They branch only on what a run observes: a run with stragglers
+    sets ``straggle``, and every launch then scales its seconds by a drawn
     multiplier.  The faulted rail's fault layer
     (:class:`repro.serving.columnar_cluster._SimReplica`) reaches the rest:
     :meth:`withdraw`, :meth:`reset` after a crash (so ``horizon`` is the
     registers' current max, not a running one), :meth:`reprice` on an
     accelerator loss and :meth:`step` for hot hedged replicas.
     """
+
+    #: False for the callback machine, whose ``q_pos`` is in take order.
+    takes_in_order = True
 
     __slots__ = (
         "index", "max_batch", "target", "_table", "_rows", "unit_total_s", "next_t",
@@ -249,8 +265,14 @@ class _Machine:
         starts = np.frombuffer(self.log_start, dtype=np.float64)
         ends = np.frombuffer(self.log_end, dtype=np.float64)
         sizes, iterations = self._dispatches(steps)
-        start, completion, batch, taken_after = self._columns(starts, ends, sizes, steps)
-        taken_before = np.concatenate(([0], taken_after[:-1]))
+        taken_after = self.heads()
+        taken_before = np.concatenate(([0], taken_after))
+        join, finish = self.entries()
+        if not self.takes_in_order:  # back to admission order
+            by_admission = np.argsort(np.frombuffer(self.q_pos, dtype=np.int64), kind="stable")
+            join, finish = join[by_admission], finish[by_admission]
+        start, completion, batch = starts[join], ends[finish], sizes[finish]
+        del join, finish  # freed before the fold, where a fleet run peaks in memory
         # queue-depth samples: request j is admitted right before launch
         # d(j), the first one starting at or after its arrival (launch starts
         # are decision times and never decrease, and admissions at time T
@@ -283,16 +305,31 @@ class _Machine:
         )
         return result, completion
 
-    def _columns(self, starts, ends, sizes, steps) -> tuple:
-        """Per-request ``(start, completion, batch)`` in admission order,
-        and the queue head after each launch.  This default serves the kinds
-        whose launch takes a run of the queue and completes all of it."""
-        return (
-            np.repeat(starts, sizes),
-            np.repeat(ends, sizes),
-            np.repeat(sizes, sizes),
-            np.cumsum(sizes),
-        )
+    # -- the log reader, for the kinds whose launch completes the run of the
+    # queue it takes: ``_bounds()`` counts the entries taken before each
+    # launch, then in all.
+
+    def heads(self) -> np.ndarray:
+        """The entries taken by the end of each launch."""
+        return np.asarray(self._bounds(), dtype=np.int64)[1:]
+
+    def entries(self) -> "tuple[np.ndarray, np.ndarray]":
+        """For every taken entry, the launch that took it and the launch
+        that completed it (-1: in flight or voided)."""
+        heads = self.heads()
+        join = np.repeat(np.arange(heads.size), np.diff(heads, prepend=0))
+        return join, join
+
+    def finish(self, j: int) -> int:
+        """The launch that completed entry ``j``: -1 while it is in flight
+        or once voided, :data:`UNTAKEN` while it is queued."""
+        bounds = self._bounds()
+        return bisect.bisect_right(bounds, j) - 1 if j < bounds[-1] else UNTAKEN
+
+    def completed(self, k: int) -> "list[int]":
+        """The trace positions launch ``k`` completed."""
+        bounds = self._bounds()
+        return self.q_pos[bounds[k] : bounds[k + 1]].tolist()
 
 
 class _FifoMachine(_Machine):
@@ -361,9 +398,12 @@ class _FifoMachine(_Machine):
         self.pending_steps = pending
         self._settle(host_free, accel_free, head)
 
-    def launched(self, first: int, taken: int) -> list:
-        members = self.q_pos[taken : taken + len(self.log_end) - first].tolist()
-        return [((pos,), (pos,)) for pos in members]
+    def _bounds(self) -> range:
+        """Launch ``d`` takes entry ``d``."""
+        return range(len(self.log_end) + 1)
+
+    def heads(self) -> np.ndarray:
+        return np.arange(1, len(self.log_end) + 1)
 
     def _dispatches(self, steps: np.ndarray) -> tuple:
         """Launch ``d`` serves the ``d``-th request taken for all its decode
@@ -371,24 +411,57 @@ class _FifoMachine(_Machine):
         return np.ones(steps.size, dtype=np.int64), steps
 
 
-class _ContinuousMachine(_Machine):
+class _InFlightMachine(_Machine):
+    """The log reader of the kinds whose taken entries stay in service
+    across launches: each launch logs ``base + head`` after it
+    (``log_head``) and each taken entry the launch it completes on
+    (``log_finish``: -1 once voided or while unknown, a later launch while
+    in flight)."""
+
+    __slots__ = ("log_head", "log_finish")
+
+    def __init__(self, index: int, engine, scheduler, trace: RequestTrace):
+        super().__init__(index, engine, scheduler, trace)
+        self.log_head = array("q")
+        self.log_finish = array("q")
+
+    def heads(self) -> np.ndarray:
+        return np.frombuffer(self.log_head, dtype=np.int64)
+
+    def entries(self) -> "tuple[np.ndarray, np.ndarray]":
+        heads = self.heads()
+        join = np.searchsorted(heads, np.arange(len(self.log_finish)), side="right")
+        finish = np.frombuffer(self.log_finish, dtype=np.int64)
+        if finish.size and finish.max() >= heads.size:  # entries still in flight
+            finish = np.where(finish < heads.size, finish, -1)
+        return join, finish
+
+    def finish(self, j: int) -> int:
+        if j >= len(self.log_finish):
+            return UNTAKEN
+        k = self.log_finish[j]
+        return k if k < len(self.log_end) else -1
+
+    def completed(self, k: int) -> "list[int]":
+        finish = np.frombuffer(self.log_finish, dtype=np.int64)[: self.log_head[k]]
+        return [self.q_pos[j] for j in np.flatnonzero(finish == k).tolist()]
+
+
+class _ContinuousMachine(_InFlightMachine):
     """Iteration-level batching: every launch is one decode iteration over
     the in-flight set, topped up from the queue; barrier launches.
 
     In-flight requests are counts keyed by the iteration they finish on (a
     launch's log index), so a launch touches only the requests joining or
     leaving the batch.  Each launch logs its batch size, and each taken
-    entry its finishing iteration (``log_finish``).  A copy of a request
-    whose other copy is in flight keeps that slot and restarts its step
-    count, like the reference's ``{request id: remaining steps}`` dict; only
-    an admission at a position no higher than an earlier one can be such a
-    copy (a ``suspect``), and the copy it replaces is ``voided``.
+    entry its finishing iteration.  A copy of a request whose other copy is
+    in flight keeps that slot and restarts its step count, like the
+    reference's ``{request id: remaining steps}`` dict; only an admission at
+    a position no higher than an earlier one can be such a copy (a
+    ``suspect``), and the copy it replaces is voided.
     """
 
-    __slots__ = (
-        "in_flight", "iteration", "done_at", "top", "suspect", "voided", "_finishing",
-        "log_size", "log_head", "log_finish",
-    )
+    __slots__ = ("in_flight", "iteration", "done_at", "top", "suspect", "log_size")
 
     def __init__(self, index: int, engine, scheduler, trace: RequestTrace):
         super().__init__(index, engine, scheduler, trace)
@@ -397,13 +470,7 @@ class _ContinuousMachine(_Machine):
         self.done_at: dict[int, int] = {}
         self.top = -1
         self.suspect: set[int] = set()
-        self.voided: set[int] = set()
-        #: finishing iteration -> taken entries, as :meth:`launched` reads them.
-        self._finishing: defaultdict[int, list[int]] = defaultdict(list)
         self.log_size = array("q")
-        #: ``base + head`` after each launch.
-        self.log_head = array("q")
-        self.log_finish = array("q")
 
     def admit(self, when: float, steps: int, pos: int) -> None:
         """Queue an arrival (the caller has advanced the machine to ``when``)."""
@@ -431,7 +498,7 @@ class _ContinuousMachine(_Machine):
         j = before
         while count:
             j -= 1
-            if self.log_finish[j] >= iteration and j not in self.voided:
+            if self.log_finish[j] >= iteration:
                 count -= 1
                 yield j
 
@@ -442,7 +509,7 @@ class _ContinuousMachine(_Machine):
             if self.q_pos[j] == pos:
                 finish = self.log_finish[j]
                 self.done_at[finish] -= 1
-                self.voided.add(j)
+                self.log_finish[j] = -1
                 return finish - iteration + 1
         return 0
 
@@ -462,23 +529,11 @@ class _ContinuousMachine(_Machine):
         return [self.q_pos[j] for j in self._held(taken, self.in_flight, self.iteration)]
 
     def reset(self, when: float) -> None:
-        self.voided.update(self._held(self.base + self.head, self.in_flight, self.iteration))
+        for j in list(self._held(self.base + self.head, self.in_flight, self.iteration)):
+            self.log_finish[j] = -1
         super().reset(when)
         self.in_flight = 0
         self.done_at.clear()
-
-    def launched(self, first: int, taken: int) -> list:
-        q_pos = self.q_pos
-        log_finish = self.log_finish
-        finishing = self._finishing
-        launches = []
-        for k, head in enumerate(self.log_head[first:], first):
-            for j in range(taken, head):
-                finishing[log_finish[j]].append(j)
-            done = [q_pos[j] for j in finishing.pop(k, ()) if j not in self.voided]
-            launches.append((q_pos[taken:head].tolist(), done))
-            taken = head
-        return launches
 
     def advance(self, until: float) -> None:
         """Execute every launch decided strictly before ``until``."""
@@ -574,15 +629,6 @@ class _ContinuousMachine(_Machine):
         sizes = np.frombuffer(self.log_size, dtype=np.int64)
         return sizes, np.ones(sizes.size, dtype=np.int64)
 
-    def _columns(self, starts, ends, sizes, steps) -> tuple:
-        """Request ``j`` joins at the first iteration whose queue head has
-        passed it and runs to the iteration it logged as its finish: it
-        takes the first one's start and the last one's end and batch size."""
-        taken_after = np.frombuffer(self.log_head, dtype=np.int64)
-        join = np.searchsorted(taken_after, np.arange(steps.size, dtype=np.int64), side="right")
-        final = np.frombuffer(self.log_finish, dtype=np.int64)
-        return starts[join], ends[final], sizes[final], taken_after
-
 
 class _BatchMachine(_Machine):
     """Static and dynamic batching: a full batch launches once its last
@@ -592,7 +638,7 @@ class _BatchMachine(_Machine):
     batch launches from then on, once its head is admitted.  Each launch
     logs its batch size and iteration count."""
 
-    __slots__ = ("wait_s", "flush_at", "log_size", "log_iter")
+    __slots__ = ("wait_s", "flush_at", "log_size", "log_iter", "bounds")
 
     def __init__(self, index: int, engine, scheduler, trace: RequestTrace):
         super().__init__(index, engine, scheduler, trace)
@@ -600,6 +646,7 @@ class _BatchMachine(_Machine):
         self.flush_at = -_INF
         self.log_size = array("q")
         self.log_iter = array("q")
+        self.bounds = array("q", [0])
 
     def admit(self, when: float, steps: int, pos: int) -> None:
         """Queue an arrival (the caller has advanced the machine to ``when``)."""
@@ -630,17 +677,12 @@ class _BatchMachine(_Machine):
         host_free = self.host_free
         self.next_t = t if t > host_free else host_free
 
-    def launched(self, first: int, taken: int) -> list:
-        """The trace positions each launch from log index ``first`` on took
-        and completed, as ``(took, completed)`` pairs, given the ``taken``
-        queue entries before it; a batch completes what it takes."""
-        q_pos = self.q_pos
-        launches = []
-        for size in self.log_size[first:]:
-            members = q_pos[taken : taken + size].tolist()
-            launches.append((members, members))
-            taken += size
-        return launches
+    def _bounds(self) -> array:
+        """The running sum of ``log_size``, extended when read."""
+        bounds = self.bounds
+        if len(bounds) <= len(self.log_size):
+            bounds.extend(itertools.accumulate(self.log_size[len(bounds) - 1 :], initial=bounds.pop()))
+        return bounds
 
     def flush(self, last_arrival: float) -> None:
         """Execute the launches decided before the last arrival under the
@@ -727,7 +769,7 @@ class _BatchMachine(_Machine):
         )
 
 
-class _CallbackMachine(_Machine):
+class _CallbackMachine(_InFlightMachine):
     """The machine of a scheduler that declares no kind: it drives a
     scheduler object (replica 0 the one it is handed, every other replica a
     fresh one of its class), admitting :class:`Request` objects with the
@@ -735,14 +777,16 @@ class _CallbackMachine(_Machine):
     :meth:`~repro.serving.scheduler.BatchScheduler.next_dispatch`), and
     prices its dispatches with the reference ``launch()`` arithmetic.
     ``q_pos`` stays in take order: a member's first launch swaps its entry
-    to the head of the queue region.  ``held`` counts each position's taken
-    copies that no launch has completed.
+    to the head of the queue region.  ``held`` lists each position's taken
+    entries that no launch has completed, oldest first.
     """
 
     __slots__ = (
         "scheduler", "ids", "pos_of", "held", "in_service", "arrivals_pending", "turns",
-        "log_size", "log_iter", "log_head", "log_done", "log_done_end",
+        "log_size", "log_iter",
     )
+
+    takes_in_order = False
 
     def __init__(self, index: int, engine, scheduler, trace: RequestTrace):
         super().__init__(index, engine, scheduler, trace)
@@ -754,16 +798,13 @@ class _CallbackMachine(_Machine):
         self.scheduler.reset()
         self.ids = trace.id_column().tolist()
         self.pos_of: dict[int, int] = {}
-        self.held: dict[int, int] = {}
+        self.held: dict[int, list[int]] = {}
         self.in_service = 0
         self.arrivals_pending = True
         #: ``next_dispatch`` calls left before a stall; admissions add more.
         self.turns = 64
-        #: per launch: size, iterations, ``base + head`` after it, and where
-        #: its completed positions end in ``log_done``.
-        self.log_size, self.log_iter, self.log_head, self.log_done_end, self.log_done = (
-            array("q") for _ in range(5)
-        )
+        self.log_size = array("q")
+        self.log_iter = array("q")
 
     def _error(self, detail: str) -> ServingError:
         return ServingError(
@@ -807,26 +848,29 @@ class _CallbackMachine(_Machine):
         self._rearm(when)
         return True
 
-    def _take(self, pos: "int | None") -> bool:
-        """Take the first queued copy of ``pos``; False when none is queued."""
+    def _take(self, pos: "int | None") -> int:
+        """Take the first queued copy of ``pos``; returns its entry (-1:
+        none is queued)."""
         taken = self.base + self.head
         try:
             i = self.q_pos.index(pos, taken)
         except (TypeError, ValueError):
-            return False
+            return -1
         self.q_pos[i] = self.q_pos[taken]
         self.q_pos[taken] = pos
         self.head += 1
-        return True
+        self.log_finish.append(-1)
+        return taken
 
-    def _release(self, pos: "int | None", request_id: int) -> None:
+    def _release(self, pos: "int | None", request_id: int) -> int:
+        """Take ``pos``'s oldest entry out of service; returns it."""
         if not self.held.get(pos):
             raise self._error(f"released request {request_id}, which is not in service")
-        self.held[pos] -= 1
         self.in_service -= 1
+        return self.held[pos].pop(0)
 
     def holding(self) -> "list[int]":
-        return [pos for pos, count in self.held.items() for _ in range(count)]
+        return [pos for pos, entries in self.held.items() for _ in entries]
 
     def reset(self, when: float) -> None:
         super().reset(when)
@@ -871,23 +915,23 @@ class _CallbackMachine(_Machine):
         seen: dict = {}
         for request_id in verdict.members:
             pos = self.pos_of.get(request_id)
-            before, appearances = seen.get(pos) or (self.held.get(pos, 0), 0)
+            before, appearances = seen.get(pos) or (len(self.held.get(pos, ())), 0)
             seen[pos] = (before, appearances + 1)
             if appearances >= before:  # not in service since an earlier launch
-                if not self._take(pos):
+                entry = self._take(pos)
+                if entry < 0:
                     raise self._error(f"dispatched request {request_id}, which is not queued")
-                self.held[pos] = self.held.get(pos, 0) + 1
+                self.held.setdefault(pos, []).append(entry)
                 self.in_service += 1
         # a further queued copy of a member that left the scheduler's queue
         # took over the member's slot (a restart, as in continuous batching).
         surplus = len(self.q_pos) - self.base - self.head - self.scheduler.queue_depth
         for pos in seen:
-            while surplus > 0 and self._take(pos):
+            while surplus > 0 and self._take(pos) >= 0:
                 surplus -= 1
         for request_id in verdict.completes:
-            pos = self.pos_of.get(request_id)
-            self._release(pos, request_id)
-            self.log_done.append(pos)
+            entry = self._release(self.pos_of.get(request_id), request_id)
+            self.log_finish[entry] = len(self.log_end)
         # the reference launch() occupancy arithmetic
         host_s, accel_s, total_s, has_accel = self._rows[size] or self._row(size)
         if self.straggle is not None:
@@ -907,34 +951,10 @@ class _CallbackMachine(_Machine):
         self.log_size.append(size)
         self.log_iter.append(verdict.iterations)
         self.log_head.append(self.base + self.head)
-        self.log_done_end.append(len(self.log_done))
         self.ready_s = cursor if verdict.barrier else max(now, host_free)
         self._settle(host_free, accel_free, self.head)
 
-    def launched(self, first: int, taken: int) -> list:
-        ends = self.log_done_end
-        launches = []
-        for k in range(first, len(self.log_head)):
-            completed = self.log_done[ends[k - 1] if k else 0 : ends[k]].tolist()
-            launches.append((self.q_pos[taken : self.log_head[k]].tolist(), completed))
-            taken = self.log_head[k]
-        return launches
-
     _dispatches = _BatchMachine._dispatches
-
-    def _columns(self, starts, ends, sizes, steps) -> tuple:
-        """A request starts at the launch that took it and ends at the one
-        that completed it; :func:`replay` admits positions in order."""
-        taken_after = np.frombuffer(self.log_head, dtype=np.int64)
-        take = np.frombuffer(self.q_pos, dtype=np.int64)
-        order = np.argsort(take, kind="stable")
-        join = np.searchsorted(taken_after, np.arange(take.size), side="right")
-        done_end = np.frombuffer(self.log_done_end, dtype=np.int64)
-        finish = np.empty(take.size, dtype=np.int64)
-        finish[np.searchsorted(take[order], np.frombuffer(self.log_done, dtype=np.int64))] = (
-            np.repeat(np.arange(done_end.size), np.diff(done_end, prepend=0))
-        )
-        return starts[join[order]], ends[finish], sizes[finish], taken_after
 
 
 def replay(machine_cls, engines, scheduler, trace: RequestTrace, route=None) -> tuple:

@@ -25,9 +25,9 @@ perturb the run (crash / accel-loss / straggler windows), timeout retries,
 hedged dispatch and custom registered policies.  A minimal event heap holds
 only fault transitions, out-of-order timers and hedged completions; each
 replica's machine sits in a fault layer (:class:`_SimReplica`), completions
-resolve lazily, and all accounting folds vectorized at assembly.  It asks
-any policy through ``policy.choose`` with the layers as candidates (see
-:class:`~repro.serving.cluster.AdmissionPolicy`).
+resolve lazily off the machines' log readers, and all accounting folds
+vectorized at assembly.  It asks any policy through ``policy.choose`` with
+the layers as candidates (see :class:`~repro.serving.cluster.AdmissionPolicy`).
 
 :func:`fast_path_fallback_reason` names the only remaining fallback
 condition — autoscaling — and :meth:`~repro.serving.cluster.ClusterRouter.run`
@@ -61,6 +61,7 @@ from repro.serving.cluster import (
 from repro.serving.columnar import (
     _INF,
     MACHINES,
+    UNTAKEN,
     declared_kind,
     kernel_for,
     result_header,
@@ -70,6 +71,7 @@ from repro.serving.metrics import (
     STATUS_OK,
     STATUS_SHED,
     ClusterResult,
+    ServingResult,
     apply_static_lifecycle,
     assemble_fleet_records,
     assemble_replica,
@@ -278,45 +280,40 @@ _PENDING = -1
 
 class _SimReplica:
     """One replica of the faulted rail: the fault layer around its launch
-    machine (``machine``), which owns the launch rules and the registers.
+    machine (``machine``), which owns the launch rules, the registers and
+    the launch log.
 
     The layer holds what faults, retries and hedging add: the crash reset,
     which also cancels the open dispatches ending at or after the crash;
     copy withdrawal; the accel-loss cost-table swap; the per-launch
-    straggler draw; and the per-request bookkeeping — admit times, first
-    starts, depth samples and each launch's completed trace positions —
-    read off the machine's launch log after every advance (:meth:`_sync`).
-    As a policy candidate it offers ``index`` and the machine's
-    ``est_delay_s``.
+    straggler draw; and ``events``, one row per admission, withdrawal and
+    dropped queue, from which assembly interleaves the queue-depth samples
+    with the launches'.  It books nothing per launch: the core asks the
+    machine's log reader only where it needs an answer — a timer about the
+    one copy it touches, a crash about the launches it cancels, a hot hedged
+    step about its one launch, and assembly about every launch once.  As a
+    policy candidate it offers ``index`` and the machine's ``est_delay_s``.
 
-    ``started`` and ``live_end`` are arrays shared with the router
-    closures, describing each request's *primary* copy (without hedging its
-    only live copy); the router resolves completions from them lazily.
-
-    A hedged run (``attempts`` given) also keeps ``copy_gen``, the copy of
-    each request this replica admitted last — the attempt number of a
-    primary, or :data:`_HEDGE_COPY` — which is what the reference's
-    ``assignment`` table tells it: whether a launch starts the current
-    primary, whether a completion is a hedge win, which copies a crash
+    A hedged run also keeps ``copy_gen``, the copy of each request this
+    replica admitted last — the attempt number of a primary, or
+    :data:`_HEDGE_COPY` — which is what the reference's ``assignment`` table
+    tells it: whether a completion is a hedge win, which copies a crash
     loses.  ``hot`` holds the hedged, unresolved requests this replica may
     hold a copy of; while it is non-empty the router advances the replica
     launch by launch, in global time order (see :func:`run_fast_faulted`).
     """
 
     __slots__ = (
-        "index", "engine", "machine", "est_delay_s", "table", "fallback_table", "down",
-        "accel_down", "has_crash", "taken", "starts", "admitted", "depth_time",
-        "depth_value", "completes", "cancelled", "open_from", "fallback_marks", "draw",
-        "multipliers", "started", "live_end", "attempts", "live_key", "copy_gen", "hot",
+        "index", "engine", "machine", "advance", "est_delay_s", "table", "fallback_table",
+        "down", "accel_down", "has_crash", "events", "cancelled", "open_from",
+        "fallback_marks", "draw", "multipliers", "copy_gen", "hot",
     )
 
-    def __init__(
-        self, machine, engine, injector, has_crash, started, live_end,
-        attempts=None, live_key=None,
-    ):
+    def __init__(self, machine, engine, injector, has_crash, hedging):
         self.index = machine.index
         self.engine = engine
         self.machine = machine
+        self.advance = machine.advance
         self.est_delay_s = machine.est_delay_s
         self.table = engine.costs.cost_table(machine.max_batch)
         self.fallback_table = None
@@ -329,16 +326,9 @@ class _SimReplica:
         self.accel_down = False
         #: does the schedule ever crash this replica?
         self.has_crash = has_crash
-        #: the queue entries the synced launches took.
-        self.taken = 0
-        self.starts: dict[int, float] = {}
-        self.admitted: dict[int, float] = {}
-        #: queue-depth samples (time, depth), one per admission, launch and
-        #: withdrawal, and one when a crash drops a non-empty queue.
-        self.depth_time: list[float] = []
-        self.depth_value: list[int] = []
-        #: per launch, the trace positions it completes.
-        self.completes: list = []
+        #: ``(time, trace position or -1, queue entries, launches)`` after
+        #: each admission (the position), withdrawal and dropped queue.
+        self.events: list[tuple] = []
         #: launches a crash cancelled; launches from ``open_from`` on are
         #: ones a future crash could still cancel.
         self.cancelled: set[int] = set()
@@ -346,72 +336,8 @@ class _SimReplica:
         #: launch indices where the accel-loss fallback table starts or
         #: stops pricing.
         self.fallback_marks: list[int] = []
-        self.started = started
-        self.live_end = live_end
-        #: hedged runs only (``None`` otherwise): the shared attempt counts,
-        #: each primary's dispatch key ``(launch time, replica, log index)``,
-        #: and the copy bookkeeping described above.
-        self.attempts = attempts
-        self.live_key = live_key
-        self.copy_gen: "dict[int, int] | None" = None if attempts is None else {}
+        self.copy_gen: "dict[int, int] | None" = {} if hedging else None
         self.hot: set[int] = set()
-
-    # -- driving the machine -----------------------------------------------
-
-    def advance(self, until: float) -> None:
-        """Execute every launch decided strictly before ``until``."""
-        if self.machine.next_t < until:
-            self.machine.advance(until)
-            self._sync()
-
-    def _sync(self) -> None:
-        """Book every launch the machine logged since the last sync."""
-        machine = self.machine
-        first = len(self.completes)
-        if first == len(machine.log_end):
-            return
-        log_start = machine.log_start
-        log_end = machine.log_end
-        # entries neither withdrawn nor dropped: the queue depth after a
-        # launch is this minus the entries taken by then.
-        entries = len(machine.q_pos)
-        taken = self.taken
-        starts = self.starts
-        started = self.started
-        live_end = self.live_end
-        live_key = self.live_key
-        copy_gen = self.copy_gen
-        attempts = self.attempts
-        for k, (joined, completes) in enumerate(machine.launched(first, taken), first):
-            start = log_start[k]
-            end = log_end[k]
-            taken += len(joined)
-            self.completes.append(completes)
-            for pos in joined:
-                starts.setdefault(pos, start)
-            for pos in completes:
-                live_end[pos] = end
-            if copy_gen is None:
-                for pos in joined:
-                    started[pos] = True
-            else:
-                # the reference marks the copy this replica admitted last,
-                # which is the primary's ``started`` only while that copy is
-                # current; a launch's members are its takers, its completers
-                # and (below) whatever stays in flight.
-                for pos in itertools.chain(joined, completes):
-                    if copy_gen[pos] == attempts[pos]:
-                        started[pos] = True
-                key = (start, self.index, k)
-                for pos in completes:
-                    live_key[pos] = key
-            self.depth_time.append(start)
-            self.depth_value.append(entries - taken)
-        self.taken = taken
-        if copy_gen is not None:
-            for pos in machine.holding():
-                if copy_gen[pos] == attempts[pos]:
-                    started[pos] = True
 
     def _straggle(self, host_s: float, accel_s: float, total_s: float) -> tuple:
         """A launch's seconds under its straggler multiplier, drawn once per
@@ -421,15 +347,16 @@ class _SimReplica:
         self.multipliers.append(multiplier)
         return host_s * multiplier, accel_s * multiplier, total_s * multiplier
 
+    def _event(self, when: float, pos: int = -1) -> None:
+        machine = self.machine
+        self.events.append((when, pos, len(machine.q_pos), len(machine.log_end)))
+
     # -- admission / withdrawal ---------------------------------------------
 
     def admit(self, when: float, steps: int, pos: int) -> None:
         self.advance(when)
         self.machine.admit(when, steps, pos)
-        # the record's arrival is its first copy's, like its start.
-        self.admitted.setdefault(pos, when)
-        self.depth_time.append(when)
-        self.depth_value.append(len(self.machine.q_pos) - self.taken)
+        self._event(when, pos)
 
     def cancel(self, pos: int, when: float) -> bool:
         """The reference ``scheduler.cancel``: withdraw an in-flight
@@ -438,17 +365,16 @@ class _SimReplica:
         to completion.  A withdrawal takes a queue-depth sample at ``when``."""
         if not self.machine.withdraw(pos, when):
             return False
-        self.depth_time.append(when)
-        self.depth_value.append(len(self.machine.q_pos) - self.taken)
+        self._event(when)
         return True
 
     # -- fault transitions -------------------------------------------------
 
     def set_accel_down(self, flag: bool, when: float) -> None:
         """Swap cost tables at ``when``, after the launches decided before it."""
-        self.advance(when)
+        self.machine.advance(when)
         self.accel_down = flag
-        self.fallback_marks.append(len(self.completes))
+        self.fallback_marks.append(len(self.machine.log_end))
         if flag and self.fallback_table is None:
             self.fallback_table = self.engine.fallback_costs().cost_table(self.machine.max_batch)
         self.machine.reprice(self.fallback_table if flag else self.table)
@@ -456,22 +382,102 @@ class _SimReplica:
     def crash(self, when: float) -> list[int]:
         """Drop all queued and running work; returns the positions whose
         live copy may now be lost (the router applies the liveness check)."""
-        self.advance(when)
+        machine = self.machine
+        machine.advance(when)
         self.down = True
-        queued = self.machine.q_pos[self.taken :].tolist()
-        lost_now = queued + self.machine.holding()
-        log_end = self.machine.log_end
-        for i in range(self.open_from, len(log_end)):
-            if log_end[i] >= when:
-                self.cancelled.add(i)
-                lost_now.extend(self.completes[i])
-        self.open_from = len(log_end)
-        self.machine.reset(when)
+        queued = machine.q_pos[machine.base + machine.head :].tolist()
+        lost_now = queued + machine.holding()
+        ends = np.frombuffer(machine.log_end, dtype=np.float64)[self.open_from :]
+        cancelled = (self.open_from + np.flatnonzero(ends >= when)).tolist()
+        del ends  # releases the log's buffer before it grows again
+        for k in cancelled:
+            lost_now.extend(machine.completed(k))
+        self.cancelled.update(cancelled)
+        self.open_from = len(machine.log_end)
+        machine.reset(when)
         if queued:  # the dropped queue is a depth transition
-            self.depth_time.append(when)
-            self.depth_value.append(0)
+            self._event(when)
         return lost_now
 
+    # -- assembly ----------------------------------------------------------
+
+    def result(self, header: dict, ids, decode_column, cap) -> "tuple[ServingResult, np.ndarray]":
+        """This replica's :class:`ServingResult`, read off the machine's log
+        in the reference aggregate's orders; also returns the end times of
+        the launches no crash cancelled."""
+        machine = self.machine
+        starts = np.array(machine.log_start, dtype=np.float64)
+        ends = np.array(machine.log_end, dtype=np.float64)
+        launches = ends.size
+        live = np.ones(launches, dtype=bool)
+        live[list(self.cancelled)] = False
+        # accounting folds at the reference's completion-pop order: a stable
+        # sort by end time over the launch-ordered live log.
+        fold_order = np.flatnonzero(live)[np.argsort(ends[live], kind="stable")]
+        join, finish = machine.entries()
+        taken = np.array(machine.q_pos[: join.size], dtype=np.int64)
+        sizes, iterations = machine._dispatches(decode_column[taken])
+        fallback = None
+        if self.fallback_table is not None and self.fallback_table is not self.table:
+            mask = np.searchsorted(self.fallback_marks, fold_order, side="right") % 2 == 1
+            if mask.any():
+                fallback = (self.fallback_table, mask)
+        multipliers = 1.0
+        if self.multipliers:
+            multipliers = np.array(self.multipliers, dtype=np.float64)[fold_order]
+
+        # a request's record: its first admission and first take here, and
+        # the completing launch that folds last (rank -1: cancelled, or no
+        # launch completed the entry).
+        rank = np.full(launches + 1, -1)
+        rank[fold_order] = np.arange(fold_order.size)
+        completed = np.flatnonzero(rank[finish] >= 0)
+        completed = completed[np.argsort(rank[finish[completed]], kind="stable")][::-1]
+        positions, last = np.unique(taken[completed], return_index=True)
+        took, first_take = np.unique(taken, return_index=True)
+        events = np.array(self.events, dtype=np.float64).reshape(-1, 4)
+        event_time = events[:, 0]
+        event_pos, entries, event_launches = events[:, 1:].T.astype(np.int64)
+        admitted, first_admission = np.unique(event_pos[event_pos >= 0], return_index=True)
+        arrival = event_time[event_pos >= 0][first_admission[np.searchsorted(admitted, positions)]]
+        # the reference router lists a replica's records by (admitted, id).
+        order = np.lexsort((ids[positions], arrival))
+        positions = positions[order]
+        final = finish[completed[last[order]]]
+        requests = (
+            ids[positions],
+            arrival[order],
+            starts[join[first_take[np.searchsorted(took, positions)]]],
+            ends[final],
+            decode_column[positions],
+            sizes[final],
+        )
+
+        # queue-depth samples: each event's, and each launch's after it —
+        # the queue entries as of the last event before the launch, minus
+        # those taken by then; an event with ``L`` launches before it sorts
+        # between launch ``L - 1``'s sample and launch ``L``'s.
+        taken_before = np.concatenate(([0], machine.heads()))
+        last_event = np.searchsorted(event_launches, np.arange(launches), side="right") - 1
+        depth = (
+            np.concatenate([event_time, starts]),
+            np.concatenate(
+                [entries - taken_before[event_launches], entries[last_event] - taken_before[1:]]
+            ),
+            np.concatenate([2 * event_launches, 2 * np.arange(launches) + 1]),
+        )
+        result = assemble_replica(
+            header,
+            requests,
+            sizes[fold_order],
+            iterations[fold_order],
+            self.table,
+            depth,
+            cap,
+            multipliers=multipliers,
+            fallback=fallback,
+        )
+        return result, ends[live]
 
 
 def run_fast_faulted(
@@ -503,12 +509,13 @@ def run_fast_faulted(
     arrival_times = trace.arrival_column().tolist()
     decode_counts = trace.decode_column().tolist()
 
-    started = [False] * n
-    live_end: list = [None] * n
     status = [_PENDING] * n
     attempts = [0] * n
     timeouts: list = [config.timeout_s] * n
     live_replica: list = [None] * n
+    #: the live replica's taken entries when the primary copy was admitted:
+    #: its queue entry is the first of its position from there on.
+    copy_lo = [0] * n
     lost = [False] * n
     completion: list = [None] * n
     winner = [-1] * n
@@ -519,15 +526,15 @@ def run_fast_faulted(
         hedge_won = [False] * n
         hedge_replica = [-1] * n
         hedge_lost = [False] * n
-        live_key: "list | None" = [None] * n
-    else:
-        live_key = None
+        #: primaries admitted to a replica that held another copy in service:
+        #: position -> the replica's launch count then.
+        held_since: dict[int, int] = {}
     crash_replicas = injector.schedule.crash_replicas()
     machine_cls = MACHINES[declared_kind(scheduler)]
     machines = [
         _SimReplica(
             machine_cls(index, engine, scheduler, trace), engine, injector,
-            index in crash_replicas, started, live_end, attempts if hedging else None, live_key,
+            index in crash_replicas, hedging,
         )
         for index, engine in enumerate(router.engines)
     ]
@@ -567,15 +574,31 @@ def run_fast_faulted(
             f" {unresolved}/{n} requests unresolved"
         )
 
-    def resolve(pos: int, when: float) -> bool:
-        """Materialize completion if the live copy's dispatch has ended —
-        the reference's completion event would have popped by ``when``.
-        A cancelled dispatch always marked its live copy lost (it ended at
-        or after the crash instant), so ``lost`` doubles as the
-        cancellation check.  Un-hedged requests only: a hedged request
-        resolves at its completion events."""
-        end = live_end[pos]
-        if end is not None and end <= when and not lost[pos]:
+    def primary_launch(pos: int) -> int:
+        """The launch that completed ``pos``'s primary copy, read off its
+        live replica's log (the copy's first queue entry from ``copy_lo``
+        on): -1 while it is in service, ``UNTAKEN`` while it is queued, or
+        once it is lost or a crash dropped it."""
+        holder = live_replica[pos]
+        if lost[pos] or holder is None:
+            return UNTAKEN
+        machine = machines[holder].machine
+        try:
+            return machine.finish(machine.q_pos.index(pos, copy_lo[pos]))
+        except ValueError:
+            return UNTAKEN
+
+    def resolve(pos: int, launch: int, when: float) -> bool:
+        """Materialize completion if the primary copy's dispatch (``launch``,
+        from :func:`primary_launch`) has ended — the reference's completion
+        event would have popped by ``when``.  A cancelled dispatch always
+        marked its live copy lost (it ended at or after the crash instant),
+        so ``lost`` doubles as the cancellation check.  Un-hedged requests
+        only: a hedged request resolves at its completion events."""
+        if launch < 0:
+            return False
+        end = machines[live_replica[pos]].machine.log_end[launch]
+        if end <= when:
             status[pos] = STATUS_OK
             completion[pos] = end
             winner[pos] = live_replica[pos]
@@ -584,10 +607,9 @@ def run_fast_faulted(
 
     def admit_copy(pos: int, machine: _SimReplica, when: float) -> None:
         live_replica[pos] = machine.index
-        started[pos] = False
         lost[pos] = False
-        live_end[pos] = None
         machine.admit(when, decode_counts[pos], pos)
+        copy_lo[pos] = machine.machine.base + machine.machine.head
         attempts[pos] += 1
         if timeouts[pos] is not None:
             t = when + timeouts[pos]
@@ -597,8 +619,11 @@ def run_fast_faulted(
                 push(t, _PRIO_RETRY, pos)
         if hedging:
             machine.copy_gen[pos] = attempts[pos]
+            held_since.pop(pos, None)
             if hedged[pos]:
                 machine.hot.add(pos)
+                if pos in machine.machine.holding():
+                    held_since[pos] = len(machine.machine.log_end)
             elif attempts[pos] == 1:
                 t = when + hedge_after_s
                 if not hedge_q or t >= hedge_q[-1][0]:
@@ -668,12 +693,18 @@ def run_fast_faulted(
             # launches decided strictly before the timer may have started or
             # completed this copy; materialize them before judging it.
             holder.advance(when)
-        if not (hedging and hedged[pos]) and resolve(pos, when):
+        launch = primary_launch(pos)
+        if not (hedging and hedged[pos]) and resolve(pos, launch, when):
             return
         if holder is None or lost[pos] or holder.down:
             route_primary(pos, when)
             return
-        if not started[pos] and holder.cancel(pos, when):
+        # no launch on the holder has served the copy since its admission:
+        # none took it, nor ran while a copy it already held was in service.
+        unserved = launch == UNTAKEN and not (
+            hedging and held_since.get(pos, _INF) < len(holder.machine.log_end)
+        )
+        if unserved and holder.cancel(pos, when):
             route_primary(pos, when)
             return
         # in service on a live replica: let it finish, but keep watching so
@@ -703,10 +734,10 @@ def run_fast_faulted(
                         continue
                     if live_replica[pos] != machine.index:
                         continue
-                    end = live_end[pos]
-                    if end is not None and end < when:
-                        # resolved before the crash, just lazily.  end == when
-                        # means the dispatch was cancelled by this crash
+                    k = primary_launch(pos)
+                    if k >= 0 and machine.machine.log_end[k] < when:
+                        # resolved before the crash, just lazily.  An end at
+                        # ``when`` means this crash cancelled the dispatch
                         # (crash() cancels end_s >= when), so it is lost.
                         continue
                     lost[pos] = True
@@ -740,7 +771,8 @@ def run_fast_faulted(
         holder = machines[primary]
         if not holder.down:
             holder.advance(when)
-        if resolve(pos, when):
+        launch = primary_launch(pos)
+        if resolve(pos, launch, when):
             return
         candidates = [m for m in alive if m.index != primary]
         if not candidates:
@@ -758,11 +790,11 @@ def run_fast_faulted(
         # in global time order until the race is decided.
         holder.hot.add(pos)
         chosen.hot.add(pos)
-        if live_end[pos] is not None and not lost[pos]:
+        if launch >= 0:
             # the primary's dispatch is already running: its completion
             # can now cancel the hedge, so it becomes an event.
-            key = live_key[pos]
-            heapq.heappush(heap, (live_end[pos], _PRIO_COMPLETE, key, key[1]))
+            key = (holder.machine.log_start[launch], primary, launch)
+            heapq.heappush(heap, (holder.machine.log_end[launch], _PRIO_COMPLETE, key, primary))
 
     def on_complete(key: tuple, when: float) -> None:
         nonlocal hedge_wins
@@ -770,7 +802,7 @@ def run_fast_faulted(
         machine = machines[index]
         if i in machine.cancelled:
             return  # the replica crashed before the dispatch ended
-        for pos in machine.completes[i]:
+        for pos in machine.machine.completed(i):
             if status[pos] != _PENDING:
                 continue  # a hedge loser or stale copy finishing
             status[pos] = STATUS_OK
@@ -800,12 +832,11 @@ def run_fast_faulted(
                     first_t = t
         if first is None:
             return False
-        launched = len(first.completes)
-        first.machine.step()
-        first._sync()
         log_end = first.machine.log_end
+        launched = len(log_end)
+        first.machine.step()
         for i in range(launched, len(log_end)):
-            for pos in first.completes[i]:
+            for pos in first.machine.completed(i):
                 if hedged[pos] and status[pos] == _PENDING:
                     key = (first_t, first.index, i)
                     heapq.heappush(heap, (log_end[i], _PRIO_COMPLETE, key, first.index))
@@ -854,7 +885,6 @@ def run_fast_faulted(
                 # every launch decided under the pre-drain rules.
                 for machine in machines:
                     machine.machine.flush(arrival_s)
-                    machine._sync()
             continue
         if head is None:
             break
@@ -875,78 +905,26 @@ def run_fast_faulted(
             on_complete(key, when)
 
     for machine in machines:
-        machine.advance(float("inf"))
+        machine.advance(_INF)
     for pos in range(n):
         if status[pos] != _PENDING:
             continue
-        end = live_end[pos]
-        if end is None or lost[pos] or (hedging and hedged[pos]):
-            raise stall(
-                float("inf"), f"request at trace position {pos} never completed"
-            )
+        k = primary_launch(pos)
+        if k < 0 or (hedging and hedged[pos]):
+            raise stall(_INF, f"request at trace position {pos} never completed")
         status[pos] = STATUS_OK
-        completion[pos] = end
+        completion[pos] = machines[live_replica[pos]].machine.log_end[k]
         winner[pos] = live_replica[pos]
 
-    # -- assembly (the reference aggregate's orders) ----------------------
-
     ids = trace.id_column()
-    ids_list = ids.tolist()
     decode_column = trace.decode_column()
     cap = config.record_requests
     live_ends = []
     for machine in machines:
-        log = machine.machine
-        ends = np.array(log.log_end, dtype=np.float64)
-        live = np.setdiff1d(np.arange(ends.size), list(machine.cancelled))
-        live_ends.append(ends[live])
-        # accounting folds at the reference's completion-pop order: a stable
-        # sort by end time over the launch-ordered live log.
-        fold_order = live[np.argsort(ends[live], kind="stable")]
-        sizes, iterations = log._dispatches(decode_column[np.asarray(log.q_pos)])
-        fallback = None
-        fallback_table = machine.fallback_table
-        if fallback_table is not None and fallback_table is not machine.table:
-            mask = np.searchsorted(machine.fallback_marks, fold_order, side="right") % 2 == 1
-            if mask.any():
-                fallback = (fallback_table, mask)
-        multipliers = 1.0
-        if machine.multipliers:
-            multipliers = np.array(machine.multipliers, dtype=np.float64)[fold_order]
-
-        completions: dict[int, tuple[float, int]] = {}
-        ends_list = ends.tolist()
-        sizes_list = sizes.tolist()
-        for i in fold_order.tolist():
-            entry = (ends_list[i], sizes_list[i])
-            for pos in machine.completes[i]:
-                completions[pos] = entry
-        admitted = machine.admitted
-        # the reference router lists a replica's records by (admitted, id).
-        positions = sorted(completions, key=lambda p: (admitted[p], ids_list[p]))
-        requests = (
-            ids[positions],
-            np.array([admitted[p] for p in positions], dtype=np.float64),
-            np.array([machine.starts[p] for p in positions], dtype=np.float64),
-            np.array([completions[p][0] for p in positions], dtype=np.float64),
-            decode_column[positions],
-            np.array([completions[p][1] for p in positions], dtype=np.int64),
-        )
-        result.replicas.append(
-            assemble_replica(
-                result_header(
-                    machine.engine, scheduler.name, trace.name, result.offered_rate_rps
-                ),
-                requests,
-                sizes[fold_order],
-                iterations[fold_order],
-                machine.table,
-                (machine.depth_time, machine.depth_value, None),
-                cap,
-                multipliers=multipliers,
-                fallback=fallback,
-            )
-        )
+        header = result_header(machine.engine, scheduler.name, trace.name, result.offered_rate_rps)
+        replica_result, ends = machine.result(header, ids, decode_column, cap)
+        result.replicas.append(replica_result)
+        live_ends.append(ends)
 
     assemble_fleet_records(
         result,

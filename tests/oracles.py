@@ -1,7 +1,7 @@
 """The scalar reference implementations (the bit-identity oracles).
 
 * :func:`simulate_reference` — the kernel-by-kernel simulation loop over the
-  scalar :func:`~repro.hardware.cost_model.estimate_kernel`; the vectorized
+  scalar :func:`estimate_kernel` and :class:`EnergyAccumulator`; the vectorized
   :func:`~repro.runtime.simulator.simulate` must match it exactly on every
   registered platform (``tests/test_sweep.py``, ``tests/test_store.py``).
 * :func:`reference_lower` — the monolithic ``DeploymentFlow.lower``
@@ -48,22 +48,30 @@ assembly included.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 from unittest import mock
+
+import numpy as np
 
 from repro.errors import PlanError, ServingError
 from repro.flows.fusion import fuse_graph
 from repro.flows.plan import ExecutionPlan, PlannedKernel, node_base_cost
-from repro.hardware.calibration import FALLBACK_SYNC_S, dispatch_profile
-from repro.hardware.cost_model import estimate_kernel
-from repro.hardware.device import DeviceKind
-from repro.hardware.energy import EnergyAccumulator
+from repro.hardware.calibration import (
+    CUSTOM_KERNEL_PENALTY,
+    FALLBACK_SYNC_S,
+    dispatch_profile,
+    efficiency_for_kind,
+    gemm_saturation,
+)
+from repro.hardware.cost_model import BOUND_LABELS, BatchEstimates, LatencyEstimate
+from repro.hardware.device import DeviceKind, DeviceSpec
 from repro.hardware.platform import Platform
 from repro.ir.dtype import DType
 from repro.ir.graph import Graph
 from repro.ir.node import Node
 from repro.ops.base import OpCategory, OpCost
-from repro.runtime.simulator import KernelRecord, SimulationResult, _transfer_peer
+from repro.runtime.simulator import SimulationResult, _transfer_peer
 from repro.serving.metrics import RequestRecord, ServingResult, cap_serving_result
 from repro.serving.scheduler import Dispatch, get_scheduler
 
@@ -253,16 +261,125 @@ def run_engine_reference(engine, trace, offered_rate_rps=None) -> ServingResult:
     return result
 
 
+@dataclass
+class EnergyAccumulator:
+    """Accumulates one device's energy over a simulated run: the two-term
+    power model ``P_idle * T_wall + sum_k (P_peak - P_idle) * util_k * t_k``
+    over the kernels executed on that device."""
+
+    device: DeviceSpec
+    dynamic_j: float = 0.0
+    busy_s: float = 0.0
+
+    def add_kernel(self, estimate: LatencyEstimate) -> None:
+        dynamic_power = (self.device.peak_power_w - self.device.idle_power_w)
+        self.dynamic_j += dynamic_power * estimate.utilization * estimate.device_s
+        self.busy_s += estimate.device_s
+
+    def total_j(self, wall_s: float) -> float:
+        """Total energy given the end-to-end wall time of the run."""
+        return self.device.idle_power_w * wall_s + self.dynamic_j
+
+
+def estimate_kernel(
+    device: DeviceSpec,
+    category: OpCategory,
+    cost: OpCost,
+    dtype: DType,
+    dispatch_s: float,
+    is_custom: bool = False,
+    metadata_only: bool = False,
+    launch_count: int = 1,
+    gemm_peak_scale_f32: float = 1.0,
+    gemm_saturation_scale: float = 1.0,
+) -> LatencyEstimate:
+    """Estimate wall-clock latency of one kernel.
+
+    ``dispatch_s`` is the deployment flow's host-side per-kernel overhead;
+    ``is_custom`` applies the custom-kernel efficiency penalty (non vendor-
+    library implementations, e.g. DETR's FrozenBatchNorm2d).
+    ``launch_count > 1`` models composite Python ops that issue several
+    device kernels per call (the cost's traffic must already include the
+    repeated tensor passes — flows do this when lowering).
+    """
+    host_s = dispatch_s * launch_count
+    if metadata_only:
+        return LatencyEstimate(
+            total_s=host_s,
+            host_s=host_s,
+            device_s=0.0,
+            compute_s=0.0,
+            memory_s=0.0,
+            launch_s=0.0,
+            bound="dispatch",
+        )
+
+    eff = efficiency_for_kind(category, device.kind)
+    scale = CUSTOM_KERNEL_PENALTY if is_custom else 1.0
+    if category is OpCategory.GEMM:
+        saturation = gemm_saturation(
+            cost.flops, device.gemm_saturation_flops * gemm_saturation_scale
+        )
+        peak = device.gemm_peak(dtype)
+        # the f32 scale models TF32 tensor cores — GPU-only hardware
+        if dtype == DType.F32 and device.is_gpu:
+            peak *= gemm_peak_scale_f32
+        peak_flops = peak * saturation
+    else:
+        peak_flops = device.vector_flops
+    compute_s = cost.flops / (peak_flops * eff.compute * scale) if cost.flops else 0.0
+    memory_s = (
+        cost.total_bytes / (device.mem_bandwidth * eff.memory * scale)
+        if cost.total_bytes
+        else 0.0
+    )
+    work_s = max(compute_s, memory_s)
+    launch_s = device.kernel_launch_s * launch_count
+    device_s = launch_s + work_s
+
+    # async accelerators (GPU/NPU command queues) overlap host dispatch with
+    # device work; CPUs run the kernel inline on the dispatching thread.
+    is_async = device.async_dispatch
+    if is_async:
+        total_s = max(host_s, device_s)
+    else:
+        total_s = host_s + work_s
+
+    if work_s <= 0.0:
+        bound = "launch" if is_async and launch_s >= host_s else "dispatch"
+    elif is_async and host_s >= device_s:
+        bound = "dispatch"
+    elif is_async and launch_s >= work_s:
+        bound = "launch"
+    elif compute_s >= memory_s:
+        bound = "compute"
+    else:
+        bound = "memory"
+
+    return LatencyEstimate(
+        total_s=total_s,
+        host_s=host_s,
+        device_s=device_s,
+        compute_s=compute_s,
+        memory_s=memory_s,
+        launch_s=launch_s,
+        bound=bound,
+    )
+
+
 def simulate_reference(plan: ExecutionPlan, platform: Platform) -> SimulationResult:
     """Kernel-by-kernel scalar simulation — the reference implementation.
 
     The vectorized :func:`~repro.runtime.simulator.simulate` must match this
-    exactly.
+    exactly.  The scalar estimates are stacked into the result's
+    :class:`~repro.hardware.cost_model.BatchEstimates` columns.
     """
     profile = dispatch_profile(plan.dispatch_profile)
-    result = SimulationResult(plan=plan, platform=platform, records=[])
     accumulators = {spec.kind: EnergyAccumulator(spec) for spec in platform.devices}
     target = plan.target
+    estimates: list[LatencyEstimate] = []
+    transfers: list[float] = []
+    wall = 0.0
 
     for kernel in plan.kernels:
         device = platform.device(kernel.device)
@@ -290,18 +407,30 @@ def simulate_reference(plan: ExecutionPlan, platform: Platform) -> SimulationRes
                 platform.transfer_time(kernel.device, peer, kernel.transfer_bytes_out)
                 + FALLBACK_SYNC_S
             )
-        record = KernelRecord(kernel=kernel, estimate=estimate, transfer_s=transfer_s)
-        result.records.append(record)
-        result.total_latency_s += record.latency_s
+        estimates.append(estimate)
+        transfers.append(transfer_s)
+        wall += estimate.total_s + transfer_s
         accumulator = accumulators.get(kernel.device)
         if accumulator is not None:
             accumulator.add_kernel(estimate)
 
-    wall = result.total_latency_s
-    result.energy_j = {
-        kind: accumulator.total_j(wall) for kind, accumulator in accumulators.items()
-    }
-    return result
+    def column(field: str) -> np.ndarray:
+        return np.array([getattr(e, field) for e in estimates], dtype=np.float64)
+
+    stacked = BatchEstimates(
+        **{field: column(field) for field in (
+            "total_s", "host_s", "device_s", "compute_s", "memory_s", "launch_s"
+        )},
+        bound_code=np.array([BOUND_LABELS.index(e.bound) for e in estimates], dtype=np.int8),
+    )
+    return SimulationResult(
+        plan=plan,
+        platform=platform,
+        total_latency_s=wall,
+        energy_j={kind: acc.total_j(wall) for kind, acc in accumulators.items()},
+        estimates=stacked,
+        transfer_s=np.array(transfers, dtype=np.float64),
+    )
 
 
 def reference_lower(

@@ -66,7 +66,14 @@ from repro.serving.columnar_cluster import (
     fast_path_fallback_reason,
     needs_faulted_path,
 )
-from repro.serving.faults import FaultInjector
+from repro.serving.faults import (
+    CRASH,
+    FAULT_PROFILE_REGISTRY,
+    FaultInjector,
+    FaultSchedule,
+    FaultWindow,
+    register_fault_profile,
+)
 from repro.serving.scheduler import (
     SCHEDULER_REGISTRY,
     ContinuousBatchScheduler,
@@ -442,6 +449,37 @@ class TestFaultedFastPath:
             timeout_cap_s=0.32,
         )
 
+    @pytest.mark.parametrize("scheduler", ("fifo", "dynamic"))
+    def test_crash_at_a_launch_end_cancels_it(self, scheduler):
+        """A crash at the exact end time of a running launch cancels it (the
+        reference pops the fault before the completion at the same time),
+        so the requests it served are retried elsewhere."""
+        config = dict(
+            platforms=("A", "A"), scheduler=scheduler, policy="round-robin", timeout_s=0.05
+        )
+        with restored(FAULT_PROFILE_REGISTRY):
+            # a crash past the horizon perturbs nothing: the launch log
+            # before any later crash time is this run's.
+            register_fault_profile("test-crash-late", _crash_window(10.0, 11.0))
+            calm = run_cluster(num_requests=200, load=0.8, fault_profile="test-crash-late", **config)
+            ends = sorted({record.completion_s for record in calm.replicas[0].records})
+            end = ends[len(ends) // 2]
+            served = [r for r in calm.replicas[0].records if r.completion_s == end]
+
+            def at_end(num_replicas, horizon_s, rng):
+                return FaultSchedule(windows=(FaultWindow(0, CRASH, end, end + 0.05),))
+
+            register_fault_profile("test-crash-at-end", at_end)
+            fast = assert_backends_identical(
+                expect_backend="columnar-faulted",
+                num_requests=200,
+                load=0.8,
+                fault_profile="test-crash-at-end",
+                **config,
+            )
+        assert served
+        assert not any(record.completion_s == end for record in fast.replicas[0].records)
+
     def test_faulted_rail_actually_taken(self, monkeypatch):
         calls = []
         original = columnar_cluster.run_fast_faulted
@@ -528,6 +566,31 @@ class TestHedgedFastPath:
             for record in replica.records:
                 assert record.arrival_s <= record.start_s < record.completion_s
 
+    def test_retry_onto_a_replica_serving_the_hedge(self):
+        """A primary that times out is retried onto the replica whose hedge
+        copy is in service with a full continuous batch, so the queued
+        primary cannot join.  The next launch there serves the request: its
+        next timer must find the copy started, not withdraw it."""
+        router = ClusterRouter(
+            ClusterConfig(
+                model="gpt2",
+                platforms=("A", "A"),
+                scheduler="continuous",
+                policy="round-robin",
+                max_batch=2,
+                timeout_s=0.001,
+                max_retries=4,
+                hedge_after_s=0.001,
+            )
+        )
+        burst = RequestTrace(
+            "burst", arrival_s=np.zeros(9), decode_steps=np.array([1, 1, 1, 1, 1, 1, 2, 1, 1])
+        )
+        fast = router.run(burst)
+        assert fast.backend_used == "columnar-faulted"
+        assert fast.num_hedges > 0 and fast.num_retries > 0
+        assert fast == run_reference(router, burst)
+
     def test_single_replica_never_hedges(self):
         result = assert_backends_identical(
             expect_backend="columnar-faulted",
@@ -538,6 +601,18 @@ class TestHedgedFastPath:
         )
         assert result.num_hedges == 0
         assert not any(record.hedged for record in result.records)
+
+
+def _crash_window(start, end):
+    """A fault profile that crashes replica 0 from ``start`` to ``end``, as
+    fractions of the run's fault horizon."""
+
+    def profile(num_replicas, horizon_s, rng):
+        return FaultSchedule(
+            windows=(FaultWindow(0, CRASH, start * horizon_s, end * horizon_s),)
+        )
+
+    return profile
 
 
 def _refuse_fast_path(*args, **kwargs):

@@ -13,14 +13,12 @@ from repro.hardware import (
     RYZEN_7940HS,
     XDNA_NPU,
     DeviceKind,
-    EnergyAccumulator,
     Link,
     Platform,
     as_device_kind,
     dispatch_profile,
     efficiency_for,
     efficiency_for_kind,
-    estimate_kernel,
     gemm_saturation,
     get_device,
     get_platform,
@@ -30,6 +28,8 @@ from repro.hardware import (
 )
 from repro.ir.dtype import DType
 from repro.ops.base import OpCategory, OpCost
+
+from oracles import EnergyAccumulator, estimate_kernel
 
 
 class TestDevices:

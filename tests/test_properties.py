@@ -12,7 +12,7 @@ from repro import ops
 from repro.errors import ShapeError
 from repro.flows import FusionConfig, PyTorchEagerFlow, TensorRTFlow, fuse_graph
 from repro.flows.plan import group_costs_batch
-from repro.hardware import A100, EPYC_7763, estimate_kernel
+from repro.hardware import A100, EPYC_7763
 from repro.ir import DType, Graph, TensorSpec, broadcast_shapes
 from repro.knobs import pick
 from repro.ops.base import OpCategory, OpCost
@@ -28,7 +28,7 @@ from repro.serving.scheduler import SCHEDULER_REGISTRY, register_scheduler
 from tests.conftest import run_op
 
 from custom_schedulers import CUSTOM_SCHEDULERS, LIFOScheduler, PairingScheduler
-from oracles import group_cost, run_reference
+from oracles import estimate_kernel, group_cost, run_reference
 from registrations import restored
 
 #: hedge delays the fleet fuzz draws: below, near and above a batch-1 latency.
@@ -336,17 +336,35 @@ class TestClusterRoutingProperties:
         """A fault-free run's axes plus a fault schedule and timeout retries
         (``timeout_s`` always set under crashes, whose lost copies only a
         retry recovers) and maybe hedging, which put the run on the
-        fault-capable columnar replay."""
+        fault-capable columnar replay.
+
+        Some crash runs are two-replica fleets under a dense trace with a
+        1-2 ms timeout, which the crash window outlasts: a copy that dies in
+        the crash goes to the other replica, times out in its queue and may
+        come back to complete on the replica it died on, whose record keeps
+        the dead copy's admission and take."""
         config, trace = draw(TestClusterRoutingProperties.fault_free_runs())
         profile = draw(st.sampled_from(("crash", "accel-loss", "straggler")))
         timeouts = st.sampled_from((0.004, 0.02, 0.05))
+        retries = st.integers(0, 3)
+        if profile == "crash" and draw(st.booleans()):
+            n = draw(st.integers(12, 24))
+            gaps = st.lists(st.sampled_from((0.0, 0.0005)), min_size=n, max_size=n)
+            trace = RequestTrace(
+                "fuzz-dense",
+                arrival_s=np.cumsum(draw(gaps)),
+                decode_steps=draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)),
+            )
+            config = replace(config, platforms=config.platforms[:1] * 2)
+            timeouts = st.sampled_from((0.001, 0.002))
+            retries = st.integers(2, 3)
         config = replace(
             config,
             fault_profile=profile,
             fault_seed=draw(st.integers(0, 7)),
             timeout_s=draw(timeouts if profile == "crash" else st.none() | timeouts),
             timeout_cap_s=draw(st.none() | st.sampled_from((0.004, 0.08, 0.32))),
-            max_retries=draw(st.integers(0, 3)),
+            max_retries=draw(retries),
             hedge_after_s=draw(st.none() | st.sampled_from(HEDGE_AFTER_S)),
         )
         return config, trace
