@@ -81,9 +81,6 @@ from repro.serving.trace import Request, RequestTrace
 #: a machine's ``next_t`` when nothing can launch.
 _INF = float("inf")
 
-#: :meth:`_Machine.finish` of a queue entry no launch has taken.
-UNTAKEN = -2
-
 
 class _Machine:
     """Virtual clock of one engine: replays its launches and queue-delay
@@ -114,9 +111,6 @@ class _Machine:
     registers' current max, not a running one), :meth:`reprice` on an
     accelerator loss and :meth:`step` for hot hedged replicas.
     """
-
-    #: False for the callback machine, whose ``q_pos`` is in take order.
-    takes_in_order = True
 
     __slots__ = (
         "index", "max_batch", "target", "_table", "_rows", "unit_total_s", "next_t",
@@ -268,9 +262,9 @@ class _Machine:
         taken_after = self.heads()
         taken_before = np.concatenate(([0], taken_after))
         join, finish = self.entries()
-        if not self.takes_in_order:  # back to admission order
-            by_admission = np.argsort(np.frombuffer(self.q_pos, dtype=np.int64), kind="stable")
-            join, finish = join[by_admission], finish[by_admission]
+        # back to admission order: only the callback machine takes out of it
+        by_admission = np.argsort(np.frombuffer(self.q_pos, dtype=np.int64), kind="stable")
+        join, finish = join[by_admission], finish[by_admission]
         start, completion, batch = starts[join], ends[finish], sizes[finish]
         del join, finish  # freed before the fold, where a fleet run peaks in memory
         # queue-depth samples: request j is admitted right before launch
@@ -321,10 +315,9 @@ class _Machine:
         return join, join
 
     def finish(self, j: int) -> int:
-        """The launch that completed entry ``j``: -1 while it is in flight
-        or once voided, :data:`UNTAKEN` while it is queued."""
-        bounds = self._bounds()
-        return bisect.bisect_right(bounds, j) - 1 if j < bounds[-1] else UNTAKEN
+        """The launch that completed taken entry ``j`` (-1: in flight or
+        voided)."""
+        return bisect.bisect_right(self._bounds(), j) - 1
 
     def completed(self, k: int) -> "list[int]":
         """The trace positions launch ``k`` completed."""
@@ -415,15 +408,20 @@ class _InFlightMachine(_Machine):
     """The log reader of the kinds whose taken entries stay in service
     across launches: each launch logs ``base + head`` after it
     (``log_head``) and each taken entry the launch it completes on
-    (``log_finish``: -1 once voided or while unknown, a later launch while
-    in flight)."""
+    (``log_finish``: -1 once voided, a later launch while in flight).
+    :meth:`completed` files the entries as reads reach them: ``filed`` maps
+    each launch below ``filed_to`` to the positions it completed, and
+    ``unfiled`` lists the entries below ``scanned`` still in flight then."""
 
-    __slots__ = ("log_head", "log_finish")
+    __slots__ = ("log_head", "log_finish", "filed", "filed_to", "scanned", "unfiled")
 
     def __init__(self, index: int, engine, scheduler, trace: RequestTrace):
         super().__init__(index, engine, scheduler, trace)
         self.log_head = array("q")
         self.log_finish = array("q")
+        self.filed: dict[int, list[int]] = {}
+        self.filed_to = self.scanned = 0
+        self.unfiled: list[int] = []
 
     def heads(self) -> np.ndarray:
         return np.frombuffer(self.log_head, dtype=np.int64)
@@ -437,14 +435,22 @@ class _InFlightMachine(_Machine):
         return join, finish
 
     def finish(self, j: int) -> int:
-        if j >= len(self.log_finish):
-            return UNTAKEN
         k = self.log_finish[j]
         return k if k < len(self.log_end) else -1
 
     def completed(self, k: int) -> "list[int]":
-        finish = np.frombuffer(self.log_finish, dtype=np.int64)[: self.log_head[k]]
-        return [self.q_pos[j] for j in np.flatnonzero(finish == k).tolist()]
+        launches = len(self.log_end)
+        if k >= self.filed_to:  # file the entries finished since the last read
+            log_finish = self.log_finish
+            unfiled = []
+            for j in itertools.chain(self.unfiled, range(self.scanned, len(log_finish))):
+                finish = log_finish[j]
+                if finish >= launches:
+                    unfiled.append(j)
+                elif finish >= 0:
+                    self.filed.setdefault(finish, []).append(self.q_pos[j])
+            self.unfiled, self.scanned, self.filed_to = unfiled, len(log_finish), launches
+        return self.filed.get(k, [])
 
 
 class _ContinuousMachine(_InFlightMachine):
@@ -786,8 +792,6 @@ class _CallbackMachine(_InFlightMachine):
         "log_size", "log_iter",
     )
 
-    takes_in_order = False
-
     def __init__(self, index: int, engine, scheduler, trace: RequestTrace):
         super().__init__(index, engine, scheduler, trace)
         if index:
@@ -844,7 +848,7 @@ class _CallbackMachine(_InFlightMachine):
         if self.scheduler.queue_depth < queued:
             del self.q_pos[self.q_pos.index(pos, self.base + self.head)]
         else:
-            self._release(pos, self.ids[pos])
+            self._release(pos, self.ids[pos], -1)
         self._rearm(when)
         return True
 
@@ -859,20 +863,23 @@ class _CallbackMachine(_InFlightMachine):
         self.q_pos[i] = self.q_pos[taken]
         self.q_pos[taken] = pos
         self.head += 1
-        self.log_finish.append(-1)
+        self.log_finish.append(1 << 62)  # in service: a launch not yet logged
         return taken
 
-    def _release(self, pos: "int | None", request_id: int) -> int:
-        """Take ``pos``'s oldest entry out of service; returns it."""
+    def _release(self, pos: "int | None", request_id: int, finish: int) -> None:
+        """Take ``pos``'s oldest entry out of service, finishing it at
+        launch ``finish`` (-1: voided)."""
         if not self.held.get(pos):
             raise self._error(f"released request {request_id}, which is not in service")
         self.in_service -= 1
-        return self.held[pos].pop(0)
+        self.log_finish[self.held[pos].pop(0)] = finish
 
     def holding(self) -> "list[int]":
         return [pos for pos, entries in self.held.items() for _ in entries]
 
     def reset(self, when: float) -> None:
+        for entry in itertools.chain.from_iterable(self.held.values()):
+            self.log_finish[entry] = -1
         super().reset(when)
         self.scheduler.reset()
         self.held.clear()
@@ -930,8 +937,7 @@ class _CallbackMachine(_InFlightMachine):
             while surplus > 0 and self._take(pos) >= 0:
                 surplus -= 1
         for request_id in verdict.completes:
-            entry = self._release(self.pos_of.get(request_id), request_id)
-            self.log_finish[entry] = len(self.log_end)
+            self._release(self.pos_of.get(request_id), request_id, len(self.log_end))
         # the reference launch() occupancy arithmetic
         host_s, accel_s, total_s, has_accel = self._rows[size] or self._row(size)
         if self.straggle is not None:

@@ -61,7 +61,6 @@ from repro.serving.cluster import (
 from repro.serving.columnar import (
     _INF,
     MACHINES,
-    UNTAKEN,
     declared_kind,
     kernel_for,
     result_header,
@@ -277,6 +276,9 @@ _HEDGE_COPY = 0
 #: metrics ``STATUS_*`` code.
 _PENDING = -1
 
+#: the primary copy's launch while no launch has taken it.
+_UNTAKEN = -2
+
 
 class _SimReplica:
     """One replica of the faulted rail: the fault layer around its launch
@@ -293,6 +295,8 @@ class _SimReplica:
     one copy it touches, a crash about the launches it cancels, a hot hedged
     step about its one launch, and assembly about every launch once.  As a
     policy candidate it offers ``index`` and the machine's ``est_delay_s``.
+    ``taken`` holds, per trace position, the last queue entry a launch
+    took here, filed as reads reach it (:meth:`last_taken`).
 
     A hedged run also keeps ``copy_gen``, the copy of each request this
     replica admitted last — the attempt number of a primary, or
@@ -304,16 +308,15 @@ class _SimReplica:
     """
 
     __slots__ = (
-        "index", "engine", "machine", "advance", "est_delay_s", "table", "fallback_table",
+        "index", "engine", "machine", "est_delay_s", "table", "fallback_table",
         "down", "accel_down", "has_crash", "events", "cancelled", "open_from",
-        "fallback_marks", "draw", "multipliers", "copy_gen", "hot",
+        "fallback_marks", "draw", "multipliers", "copy_gen", "hot", "taken", "filed",
     )
 
-    def __init__(self, machine, engine, injector, has_crash, hedging):
+    def __init__(self, machine, engine, injector, has_crash, hedging, num_requests):
         self.index = machine.index
         self.engine = engine
         self.machine = machine
-        self.advance = machine.advance
         self.est_delay_s = machine.est_delay_s
         self.table = engine.costs.cost_table(machine.max_batch)
         self.fallback_table = None
@@ -338,6 +341,8 @@ class _SimReplica:
         self.fallback_marks: list[int] = []
         self.copy_gen: "dict[int, int] | None" = {} if hedging else None
         self.hot: set[int] = set()
+        self.taken = [-1] * num_requests
+        self.filed = 0
 
     def _straggle(self, host_s: float, accel_s: float, total_s: float) -> tuple:
         """A launch's seconds under its straggler multiplier, drawn once per
@@ -354,9 +359,18 @@ class _SimReplica:
     # -- admission / withdrawal ---------------------------------------------
 
     def admit(self, when: float, steps: int, pos: int) -> None:
-        self.advance(when)
+        self.machine.advance(when)
         self.machine.admit(when, steps, pos)
         self._event(when, pos)
+
+    def last_taken(self, pos: int) -> int:
+        """The last queue entry of ``pos`` a launch took here (-1: none)."""
+        machine, last = self.machine, self.taken
+        taken = machine.base + machine.head
+        for j in range(self.filed, taken):
+            last[machine.q_pos[j]] = j
+        self.filed = taken
+        return last[pos]
 
     def cancel(self, pos: int, when: float) -> bool:
         """The reference ``scheduler.cancel``: withdraw an in-flight
@@ -513,14 +527,12 @@ def run_fast_faulted(
     attempts = [0] * n
     timeouts: list = [config.timeout_s] * n
     live_replica: list = [None] * n
-    #: the live replica's taken entries when the primary copy was admitted:
-    #: its queue entry is the first of its position from there on.
+    #: the live replica's taken entries when the primary copy was admitted.
     copy_lo = [0] * n
     lost = [False] * n
     completion: list = [None] * n
     winner = [-1] * n
-    hedge_after_s = config.hedge_after_s
-    hedging = hedge_after_s is not None
+    hedging = config.hedge_after_s is not None
     if hedging:
         hedged = [False] * n
         hedge_won = [False] * n
@@ -534,7 +546,7 @@ def run_fast_faulted(
     machines = [
         _SimReplica(
             machine_cls(index, engine, scheduler, trace), engine, injector,
-            index in crash_replicas, hedging,
+            index in crash_replicas, hedging, n,
         )
         for index, engine in enumerate(router.engines)
     ]
@@ -553,8 +565,12 @@ def run_fast_faulted(
     hedge_q: deque = deque()
     seq = itertools.count()
 
-    def push(time_s: float, prio: int, pos: int) -> None:
-        heapq.heappush(heap, (time_s, prio, next(seq), pos))
+    def push(time_s: float, prio: int, pos: int, queue: "deque | None" = None) -> None:
+        """Push an event, onto ``queue`` when it keeps that deque in order."""
+        if queue is not None and (not queue or time_s >= queue[-1][0]):
+            queue.append((time_s, prio, next(seq), pos))
+        else:
+            heapq.heappush(heap, (time_s, prio, next(seq), pos))
 
     for t in injector.transitions():
         push(t, _PRIO_FAULT, -1)
@@ -576,17 +592,15 @@ def run_fast_faulted(
 
     def primary_launch(pos: int) -> int:
         """The launch that completed ``pos``'s primary copy, read off its
-        live replica's log (the copy's first queue entry from ``copy_lo``
-        on): -1 while it is in service, ``UNTAKEN`` while it is queued, or
-        once it is lost or a crash dropped it."""
+        live replica's log: -1 while it is in service, :data:`_UNTAKEN`
+        while it is queued, or once it is lost or a crash dropped it.  Only
+        a hedged request can have two copies taken there since the
+        admission, and for it only whether one was taken matters."""
         holder = live_replica[pos]
-        if lost[pos] or holder is None:
-            return UNTAKEN
-        machine = machines[holder].machine
-        try:
-            return machine.finish(machine.q_pos.index(pos, copy_lo[pos]))
-        except ValueError:
-            return UNTAKEN
+        entry = -1 if lost[pos] or holder is None else machines[holder].last_taken(pos)
+        if entry < copy_lo[pos]:  # no launch took a copy since the admission
+            return _UNTAKEN
+        return machines[holder].machine.finish(entry)
 
     def resolve(pos: int, launch: int, when: float) -> bool:
         """Materialize completion if the primary copy's dispatch (``launch``,
@@ -612,11 +626,7 @@ def run_fast_faulted(
         copy_lo[pos] = machine.machine.base + machine.machine.head
         attempts[pos] += 1
         if timeouts[pos] is not None:
-            t = when + timeouts[pos]
-            if not timer_q or t >= timer_q[-1][0]:
-                timer_q.append((t, _PRIO_RETRY, next(seq), pos))
-            else:
-                push(t, _PRIO_RETRY, pos)
+            push(when + timeouts[pos], _PRIO_RETRY, pos, timer_q)
         if hedging:
             machine.copy_gen[pos] = attempts[pos]
             held_since.pop(pos, None)
@@ -625,11 +635,7 @@ def run_fast_faulted(
                 if pos in machine.machine.holding():
                     held_since[pos] = len(machine.machine.log_end)
             elif attempts[pos] == 1:
-                t = when + hedge_after_s
-                if not hedge_q or t >= hedge_q[-1][0]:
-                    hedge_q.append((t, _PRIO_HEDGE, next(seq), pos))
-                else:
-                    push(t, _PRIO_HEDGE, pos)
+                push(when + config.hedge_after_s, _PRIO_HEDGE, pos, hedge_q)
 
     # advancing a machine is observable only through est_delay_s probes
     # (launch outcomes are pure functions of machine state), so policies
@@ -662,7 +668,7 @@ def run_fast_faulted(
             timeouts[pos] = backoff
         if probes_load:
             for machine in candidates:
-                machine.advance(when)
+                machine.machine.advance(when)
         chosen = policy.choose(when, candidates, policy_rng)
         admit_copy(pos, chosen, when)
 
@@ -675,10 +681,10 @@ def run_fast_faulted(
             return
         if probes_load:
             for machine in alive:
-                machine.advance(when)
+                machine.machine.advance(when)
         chosen = policy.choose(when, alive, policy_rng)
         if config.shed_queue_s is not None:
-            chosen.advance(when)  # the shed check probes est_delay_s
+            chosen.machine.advance(when)  # the shed check probes est_delay_s
             if chosen.est_delay_s(when) > config.shed_queue_s:
                 status[pos] = STATUS_SHED
                 return
@@ -692,7 +698,7 @@ def run_fast_faulted(
         if holder is not None and not holder.down:
             # launches decided strictly before the timer may have started or
             # completed this copy; materialize them before judging it.
-            holder.advance(when)
+            holder.machine.advance(when)
         launch = primary_launch(pos)
         if not (hedging and hedged[pos]) and resolve(pos, launch, when):
             return
@@ -701,7 +707,7 @@ def run_fast_faulted(
             return
         # no launch on the holder has served the copy since its admission:
         # none took it, nor ran while a copy it already held was in service.
-        unserved = launch == UNTAKEN and not (
+        unserved = launch == _UNTAKEN and not (
             hedging and held_since.get(pos, _INF) < len(holder.machine.log_end)
         )
         if unserved and holder.cancel(pos, when):
@@ -711,9 +717,12 @@ def run_fast_faulted(
         # a later crash of that replica is still detected.  A replica the
         # schedule never crashes cannot lose started work, so the watch
         # chain (pure re-arms in the reference, never a re-route) is
-        # dropped and the copy resolves lazily.
-        if timeouts[pos] is not None and holder.has_crash:
+        # dropped, and a copy no hedge can race resolves now if its
+        # completing launch is logged (its end may still lie ahead).
+        if holder.has_crash:
             push(when + timeouts[pos], _PRIO_RETRY, pos)
+        elif not hedging:
+            resolve(pos, launch, _INF)
 
     def on_fault(when: float) -> None:
         nonlocal alive
@@ -758,10 +767,8 @@ def run_fast_faulted(
     def withdraw(pos: int, holder_index: int, copy_lost: bool, when: float) -> None:
         """The reference ``cancel_copy``: a lost copy or one on a crashed
         replica has nothing left to withdraw."""
-        if not copy_lost:
-            holder = machines[holder_index]
-            if not holder.down:
-                holder.cancel(pos, when)
+        if not (copy_lost or machines[holder_index].down):
+            machines[holder_index].cancel(pos, when)
 
     def on_hedge(pos: int, when: float) -> None:
         nonlocal hedges
@@ -770,7 +777,7 @@ def run_fast_faulted(
         primary = live_replica[pos]
         holder = machines[primary]
         if not holder.down:
-            holder.advance(when)
+            holder.machine.advance(when)
         launch = primary_launch(pos)
         if resolve(pos, launch, when):
             return
@@ -779,7 +786,7 @@ def run_fast_faulted(
             return
         if probes_load:
             for machine in candidates:
-                machine.advance(when)
+                machine.machine.advance(when)
         chosen = policy.choose(when, candidates, policy_rng)
         hedged[pos] = True
         hedges += 1
@@ -863,38 +870,30 @@ def run_fast_faulted(
             head is None
             or (arrival_times[arrive_index], _PRIO_ARRIVE) < (head[0], head[1])
         )
-        if hedging:
-            # hot replicas launch before the next event when strictly
-            # earlier: the reference decides after every event at a time.
-            if arriving:
-                until = arrival_times[arrive_index]
-            else:
-                until = _INF if head is None else head[0]
-            if launch_hot(until):
-                continue
+        now = arrival_times[arrive_index] if arriving else _INF if head is None else head[0]
+        # hot replicas launch before the next event when strictly earlier:
+        # the reference decides after every event at a time.
+        if hedging and launch_hot(now):
+            continue
+        if not arriving and head is None:
+            break
+        events += 1
+        if events > max_events:
+            raise stall(now, f"no progress after {max_events} events")
         if arriving:
-            arrival_s = arrival_times[arrive_index]
-            events += 1
-            if events > max_events:
-                raise stall(arrival_s, f"no progress after {max_events} events")
             pos = arrive_index
             arrive_index += 1
-            on_arrival(pos, arrival_s)
+            on_arrival(pos, now)
             if arrive_index == n:
                 # arrivals drained: partial batches flush from now on, after
                 # every launch decided under the pre-drain rules.
                 for machine in machines:
-                    machine.machine.flush(arrival_s)
+                    machine.machine.flush(now)
             continue
-        if head is None:
-            break
         if source is heap:
             when, prio, key, pos = heapq.heappop(heap)
         else:
             when, prio, key, pos = source.popleft()
-        events += 1
-        if events > max_events:
-            raise stall(when, f"no progress after {max_events} events")
         if prio == _PRIO_FAULT:
             on_fault(when)
         elif prio == _PRIO_RETRY:
@@ -905,16 +904,12 @@ def run_fast_faulted(
             on_complete(key, when)
 
     for machine in machines:
-        machine.advance(_INF)
+        machine.machine.advance(_INF)
     for pos in range(n):
-        if status[pos] != _PENDING:
-            continue
-        k = primary_launch(pos)
-        if k < 0 or (hedging and hedged[pos]):
+        if status[pos] == _PENDING and (
+            (hedging and hedged[pos]) or not resolve(pos, primary_launch(pos), _INF)
+        ):
             raise stall(_INF, f"request at trace position {pos} never completed")
-        status[pos] = STATUS_OK
-        completion[pos] = machines[live_replica[pos]].machine.log_end[k]
-        winner[pos] = live_replica[pos]
 
     ids = trace.id_column()
     decode_column = trace.decode_column()
