@@ -6,17 +6,17 @@
 * Table V  — TensorRT fusion rate and non-GEMM latency before/after fusion.
 
 Tables IV and V declare their grids as sweep specs; Table I is static (no
-profiling) but pulls its graphs from the sweep engine's build cache so
-taxonomy extraction shares work with any profiling sweep of the same models.
+profiling) and takes each model's taxonomy rows from the sweep engine's
+cache, keyed by the graph's content hash, so a warm store serves the table
+without building a graph.
 """
 
 from __future__ import annotations
 
 from repro.analysis.common import ExperimentResult
-from repro.core.reports import NonGemmReport
 from repro.models import PAPER_MODELS
 from repro.profiler import ProfileResult, dominant_group_table
-from repro.sweep.cache import cached_build_model
+from repro.sweep.cache import PLAN_CACHE
 from repro.sweep.runner import SweepRunner
 from repro.sweep.spec import SweepSpec
 
@@ -52,9 +52,7 @@ def run_table1(models: tuple[str, ...] = TABLE1_MODELS) -> ExperimentResult:
         title="Non-GEMM operator taxonomy with example input shapes (Table I)",
     )
     for model in models:
-        graph = cached_build_model(model, batch_size=1)
-        report = NonGemmReport(graph)
-        result.rows.extend(report.taxonomy_rows(unique=True))
+        result.rows.extend(PLAN_CACHE.taxonomy_rows(PLAN_CACHE.graph_ref(model, batch_size=1)))
     return result
 
 

@@ -6,9 +6,10 @@ operator groups.  Run-to-run jitter is modelled with a deterministic seeded
 multiplicative noise so that repeated profiles have realistic variance
 without being flaky.
 
-Hot-path plumbing: lowering and memory profiling go through the sweep
-engine's :class:`~repro.sweep.cache.PlanCache` (so repeated profiles of the
-same graph/flow reuse the plan and liveness walk), and the simulator's
+Hot-path plumbing: lowering, memory profiling and the measurement itself
+go through the sweep engine's :class:`~repro.sweep.cache.PlanCache` (so
+repeated profiles of the same graph/flow reuse the plan and liveness walk,
+and a repeated point reuses its whole measurement), and the simulator's
 vectorized array view feeds the per-kernel statistics directly — no
 per-kernel estimate objects are materialized while profiling.
 """
@@ -16,6 +17,7 @@ per-kernel estimate objects are materialized while profiling.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from repro.ir.graph import Graph
 from repro.ops.base import OpCategory
 from repro.profiler.records import ProfileResult, report_group
 from repro.runtime.simulator import plan_arrays, simulate
-from repro.sweep.cache import cached_lower, cached_profile_memory
+from repro.sweep.cache import cached_lower, cached_profile, cached_profile_memory
 
 #: relative run-to-run jitter of kernel latencies (std of multiplicative noise)
 JITTER_STD = 0.03
@@ -38,6 +40,51 @@ JITTER_STD = 0.03
 _GROUP_OF_CATEGORY = np.array(
     [CATEGORIES.index(report_group(category)) for category in CATEGORIES]
 )
+
+
+class Measurement(NamedTuple):
+    """What profiling one point measures beyond its plan: the simulated
+    run's scalars and per-kernel arrays.
+
+    A pure function of the plan, platform, iterations and seed (and of the
+    graph's memory profile), so the plan cache keeps one per distinct point
+    and the store persists a sweep's measurements together.
+    """
+
+    total_latency_s: float
+    total_latency_std_s: float
+    energy_j: dict[DeviceKind, float]
+    peak_memory_bytes: int
+    kernel_latency_s: np.ndarray
+    kernel_latency_std_s: np.ndarray
+    bound_code: np.ndarray
+
+
+def _measure(
+    plan: ExecutionPlan, graph: Graph, platform: Platform, iterations: int, seed: int
+) -> Measurement:
+    """Simulate ``plan`` and draw ``iterations`` jittered runs of it."""
+    baseline = simulate(plan, platform)
+    rng = np.random.default_rng(seed)
+
+    # per-kernel noisy samples across iterations
+    base_latencies = baseline.latencies
+    n_kernels = len(base_latencies)
+    noise = 1.0 + JITTER_STD * rng.standard_normal((iterations, n_kernels))
+    noise = np.clip(noise, 0.7, 1.3)
+    samples = noise * base_latencies[None, :]
+    totals = samples.sum(axis=1)
+
+    scale = float(totals.mean()) / baseline.total_latency_s if baseline.total_latency_s else 1.0
+    return Measurement(
+        total_latency_s=float(totals.mean()),
+        total_latency_std_s=float(totals.std()) / math.sqrt(iterations),
+        energy_j={kind: joules * scale for kind, joules in baseline.energy_j.items()},
+        peak_memory_bytes=cached_profile_memory(graph).peak_total_bytes,
+        kernel_latency_s=samples.mean(axis=0),
+        kernel_latency_std_s=samples.std(axis=0),
+        bound_code=baseline.estimates.bound_code,
+    )
 
 
 def _plan_group_index(plan: ExecutionPlan) -> tuple[list[OpCategory], np.ndarray]:
@@ -80,45 +127,35 @@ def profile_graph(
 
     ``graph`` may also be a lazy :class:`~repro.sweep.cache.GraphRef`: the
     whole profile is derivable from the cached/stored plan and memory
-    profile, so when both tiers are warm the graph is never built.
+    profile, so when both tiers are warm the graph is never built.  Inside
+    a sweep run the measurement is memoized too (see
+    :meth:`~repro.sweep.cache.PlanCache.profile`), so a warm sweep does not
+    simulate either.
     """
     if iterations < 1:
         raise ConfigError("iterations must be positive")
     target = as_device_kind(use_gpu)
     if target is not DeviceKind.CPU and not platform.has_device(target):
         target = DeviceKind.CPU
-    use_gpu = target is not DeviceKind.CPU
     plan = cached_lower(flow, graph, target)
-    baseline = simulate(plan, platform)
-    rng = np.random.default_rng(seed)
-
-    # per-kernel noisy samples across iterations
-    base_latencies = baseline.latencies
-    n_kernels = len(base_latencies)
-    noise = 1.0 + JITTER_STD * rng.standard_normal((iterations, n_kernels))
-    noise = np.clip(noise, 0.7, 1.3)
-    samples = noise * base_latencies[None, :]
-
-    mean_lat = samples.mean(axis=0)
-    std_lat = samples.std(axis=0)
-    totals = samples.sum(axis=1)
-
+    model = model_name or graph.name
+    measured = cached_profile(
+        flow, graph, target, platform, batch_size, iterations, seed, model,
+        lambda: _measure(plan, graph, platform, iterations, seed),
+    )
     groups, group_pos = _plan_group_index(plan)
-
-    memory = cached_profile_memory(graph)
-    scale = float(totals.mean()) / baseline.total_latency_s if baseline.total_latency_s else 1.0
     return ProfileResult(
-        model=model_name or graph.name,
+        model=model,
         flow=flow.name,
         platform=platform,
-        use_gpu=use_gpu,
+        use_gpu=target is not DeviceKind.CPU,
         target=target,
         batch_size=batch_size,
         iterations=iterations,
-        total_latency_s=float(totals.mean()),
-        total_latency_std_s=float(totals.std()) / math.sqrt(iterations),
-        energy_j={kind: joules * scale for kind, joules in baseline.energy_j.items()},
-        peak_memory_bytes=memory.peak_total_bytes,
+        total_latency_s=measured.total_latency_s,
+        total_latency_std_s=measured.total_latency_std_s,
+        energy_j=measured.energy_j,
+        peak_memory_bytes=measured.peak_memory_bytes,
         # the kernels partition the graph's compute nodes exactly (enforced
         # by ExecutionPlan.validate at lowering time), so this equals
         # len(graph.compute_nodes()) without touching graph structure.
@@ -126,9 +163,9 @@ def profile_graph(
         num_kernels=plan.num_kernels,
         non_gemm_fusion_rate=plan.non_gemm_fusion_rate(),
         plan=plan,
-        kernel_latency_s=mean_lat,
-        kernel_latency_std_s=std_lat,
-        bound_code=baseline.estimates.bound_code,
+        kernel_latency_s=measured.kernel_latency_s,
+        kernel_latency_std_s=measured.kernel_latency_std_s,
+        bound_code=measured.bound_code,
         gemm_mask=plan_arrays(plan).is_gemm,
         group_categories=groups,
         group_pos=group_pos,

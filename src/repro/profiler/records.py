@@ -81,15 +81,12 @@ class ProfileResult:
         flow: str,
         platform: Platform,
         use_gpu: bool,
+        target: DeviceKind,
         batch_size: int,
         iterations: int,
-        records: list[OpRecord] | None = None,
         total_latency_s: float = 0.0,
         total_latency_std_s: float = 0.0,
-        gpu_energy_j: float = 0.0,
-        cpu_energy_j: float = 0.0,
         energy_j: dict[DeviceKind, float] | None = None,
-        target: DeviceKind | None = None,
         peak_memory_bytes: int = 0,
         num_graph_ops: int = 0,
         num_kernels: int = 0,
@@ -106,29 +103,19 @@ class ProfileResult:
         self.flow = flow
         self.platform = platform
         self.use_gpu = use_gpu
-        #: the placement target this profile ran against (None when the
-        #: caller used the legacy boolean API and didn't name a device).
-        self.target = target if target is not None else (
-            DeviceKind.GPU if use_gpu else DeviceKind.CPU
-        )
+        #: the placement target this profile ran against.
+        self.target = target
         self.batch_size = batch_size
         self.iterations = iterations
         self.total_latency_s = total_latency_s
         self.total_latency_std_s = total_latency_std_s
-        if energy_j is None:
-            # legacy two-field construction: fold into the per-device dict
-            energy_j = {}
-            if gpu_energy_j:
-                energy_j[DeviceKind.GPU] = gpu_energy_j
-            if cpu_energy_j:
-                energy_j[DeviceKind.CPU] = cpu_energy_j
         #: joules per device kind over the simulated run (idle + dynamic).
-        self.energy_j: dict[DeviceKind, float] = dict(energy_j)
+        self.energy_j: dict[DeviceKind, float] = dict(energy_j or {})
         self.peak_memory_bytes = peak_memory_bytes
         self.num_graph_ops = num_graph_ops
         self.num_kernels = num_kernels
         self.non_gemm_fusion_rate = non_gemm_fusion_rate
-        self._records = records
+        self._records: list[OpRecord] | None = None
         self._plan = plan
         self._kernel_latency_s = kernel_latency_s
         self._kernel_latency_std_s = kernel_latency_std_s

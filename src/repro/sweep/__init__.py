@@ -3,7 +3,8 @@
 Layers (see the README architecture section):
 
 * :mod:`repro.sweep.cache`  — :class:`PlanCache`, the LRU memoization of
-  model builds, plan lowerings, graph transforms, and memory profiles.
+  model builds, plan lowerings, graph transforms, memory profiles, serving
+  costs and Table I rows, plus the sweep runs' profile measurements.
 * :mod:`repro.sweep.store`  — :class:`ArtifactStore`, the persistent
   content-addressed disk tier behind the PlanCache (``REPRO_CACHE_DIR``).
 * :mod:`repro.sweep.spec`   — :class:`SweepSpec`/:class:`SweepPoint`,
@@ -21,7 +22,6 @@ from repro.sweep.cache import (
     CacheStats,
     GraphRef,
     PlanCache,
-    cached_build_model,
     cached_lower,
     cached_profile_memory,
     cached_transform,
@@ -66,7 +66,6 @@ __all__ = [
     "GraphRef",
     "PlanCache",
     "StoreInfo",
-    "cached_build_model",
     "cached_lower",
     "cached_profile_memory",
     "cached_transform",

@@ -1,10 +1,10 @@
 """Memoization layer for the sweep engine: graphs, plans, memory, transforms,
-serving costs.
+serving costs, profiles and Table I's taxonomy rows.
 
 The figure/table harnesses sweep large cross-products in which most of the
 per-point work is identical: the same model graph is rebuilt for every
 platform, the same plan re-lowered for every device combination, and the same
-liveness walk repeated per profile.  :class:`PlanCache` memoizes the five
+liveness walk repeated per profile.  :class:`PlanCache` memoizes the
 expensive, structurally-pure stages behind a **two-tier cache**:
 
 * an in-memory, size-bounded LRU (always on) over
@@ -16,14 +16,20 @@ expensive, structurally-pure stages behind a **two-tier cache**:
   - graph transforms (e.g. LLM.int8()) keyed by ``(name, graph.content_hash())``
   - serving batch costs  keyed by the plan key plus the platform's id and
     content signature (see :meth:`PlanCache.serving_cost`)
+  - Table I taxonomy rows keyed by ``graph.content_hash()``
 
 * an optional persistent :class:`~repro.sweep.store.ArtifactStore` consulted
-  on LRU misses for plans, memory profiles, transform outputs and serving
-  costs (every stage but the graph build), so fresh processes (pytest runs,
-  CLI calls, CI jobs) start warm instead of cold.
+  on LRU misses for plans, memory profiles, transform outputs, serving costs
+  and taxonomy rows (every stage but the graph build), so fresh processes
+  (pytest runs, CLI calls, CI jobs) start warm instead of cold.
 
-Those four persisted stages share one lookup, :meth:`PlanCache._memo`, and
+Those five persisted stages share one lookup, :meth:`PlanCache._memo`, and
 each builds its key in one place.
+
+Profiles (see :meth:`PlanCache.profile`) are kept apart from the LRU, one per
+distinct point, and persist one store entry per sweep run rather than one per
+point (see :meth:`PlanCache.sweep_entry`): a paper pass profiles a few hundred
+points, and a file per point would cost a file creation each.
 
 Correctness rests on :meth:`repro.ir.graph.Graph.content_hash`: any mutation
 of a graph changes its hash, so stale plan/memory entries can never be
@@ -46,6 +52,7 @@ entry.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -172,14 +179,29 @@ class CacheStats:
         }
 
 
+#: profile measurements one process keeps (a paper pass has a few hundred
+#: distinct points); the oldest go first beyond it.
+MAX_PROFILES = 1024
+
+
+@dataclass
+class SweepEntry:
+    """The profiles of one open :meth:`PlanCache.sweep_entry`: those its
+    store entry held on opening, and those the sweep has touched since."""
+
+    stored: dict[tuple, Any]
+    kept: dict[tuple, Any] = field(default_factory=dict)
+
+
 class PlanCache:
     """Two-tier cache over the build -> lower -> profile pipeline.
 
     Tier 1 is a size-bounded in-memory LRU; tier 2 (``store``, optional) is
     a content-addressed on-disk :class:`~repro.sweep.store.ArtifactStore`
-    consulted on LRU misses for plans, memory profiles, transform outputs
-    and serving costs, all through :meth:`_memo`.  Every disk hit is
-    promoted into the LRU.
+    consulted on LRU misses for plans, memory profiles, transform outputs,
+    serving costs and taxonomy rows, all through :meth:`_memo`.  Every disk
+    hit is promoted into the LRU.  Sweep profiles are the exception: see
+    :meth:`profile` and :meth:`sweep_entry`.
     """
 
     def __init__(self, max_entries: int = 256, store: ArtifactStore | None = None):
@@ -187,6 +209,11 @@ class PlanCache:
         self.stats = CacheStats()
         self.store = store
         self._entries: OrderedDict[tuple, object] = OrderedDict()
+        #: profile measurements by point key, kept apart from the LRU so a
+        #: paper pass's few hundred points never evict its plans.
+        self._profiles: OrderedDict[tuple, Any] = OrderedDict()
+        #: the open :meth:`sweep_entry`, if any.
+        self._sweep: SweepEntry | None = None
         self._lock = threading.Lock()
         self._enabled = True
 
@@ -254,6 +281,7 @@ class PlanCache:
         use ``self.store.clear()`` for that)."""
         with self._lock:
             self._entries.clear()
+            self._profiles.clear()
             self.stats = CacheStats()
 
     @contextmanager
@@ -432,6 +460,112 @@ class PlanCache:
         )
         return self._memo(key, lambda: compute(self.plan(flow, graph, target)))
 
+    def profile(
+        self,
+        flow: "DeploymentFlow",
+        graph: "Graph | GraphRef",
+        target: DeviceKind,
+        platform,
+        batch_size: int,
+        iterations: int,
+        seed: int,
+        model: str,
+        compute: Callable[[], Any],
+    ) -> Any:
+        """Profile measurement of one point (see
+        :func:`~repro.profiler.profiler.profile_graph`), memoized while a
+        :meth:`sweep_entry` is open; a direct profile outside a sweep
+        computes, so it always sees the current calibration tables.
+
+        Keys extend the plan key like :meth:`serving_cost` does, with the
+        platform's id and content signature, the batch size, iteration
+        count, seed and model name, so a re-registered platform, an edited
+        out-of-tree flow or builder, or another seed misses.  A point served
+        in this process or from the open sweep's stored entry counts under
+        ``hits`` (reading the entry counted one ``disk_hits``).  Every
+        measurement the open sweep touches is kept for its entry.
+        """
+        sweep = self._sweep
+        if not self._enabled or sweep is None:
+            return compute()
+        key = (
+            "profile",
+            *self._plan_key(flow, graph, target)[1:],
+            platform.platform_id,
+            platform.content_signature(),
+            batch_size,
+            iterations,
+            seed,
+            model,
+        )
+        measured = self._profiles.get(key)
+        if measured is None:
+            measured = sweep.stored.get(key)
+        if measured is not None:
+            self.stats.hit("profile")
+        else:
+            self.stats.miss("profile")
+            measured = compute()
+        self.keep_profiles({key: measured})
+        return measured
+
+    def keep_profiles(self, measured: dict[tuple, Any]) -> None:
+        """Remember profile measurements, in this process and for the open
+        sweep's entry (a pooled sweep's parent keeps its workers' this way)."""
+        profiles = self._profiles
+        with self._lock:
+            for key, value in measured.items():
+                profiles[key] = value
+                profiles.move_to_end(key)
+            while len(profiles) > MAX_PROFILES:
+                profiles.popitem(last=False)
+        if self._sweep is not None:
+            self._sweep.kept.update(measured)
+
+    @contextmanager
+    def sweep_entry(self, points: tuple | None) -> Iterator["SweepEntry"]:
+        """One store entry for the profiles of one sweep run.
+
+        On entry, reads the measurements stored for ``points`` (the run's
+        whole grid); :meth:`profile` serves the block's points from them.
+        On a clean exit, writes every measurement the block kept, when that
+        differs from what was stored.  ``points=None`` reads and writes
+        nothing and only collects (a pool worker ships its point's
+        measurement back to the parent this way).
+        """
+        store = self.store if self._enabled and points is not None else None
+        stored = key = None
+        if store is not None:
+            # keyed by the grid's digest, so the entry need not carry the grid
+            digest = hashlib.blake2b(repr(points).encode(), digest_size=16)
+            key = ("profiles", digest.hexdigest())
+            stored = store.get(key)
+            if stored is not None:
+                # one store read, like every other stage's disk hit
+                self.stats.disk_hit("profile")
+        entry = SweepEntry(stored=stored or {})
+        outer, self._sweep = self._sweep, entry
+        try:
+            yield entry
+        finally:
+            self._sweep = outer
+        if store is not None and entry.kept.keys() != entry.stored.keys():
+            store.put(key, entry.kept)
+
+    def taxonomy_rows(self, graph: Graph | GraphRef) -> list[dict]:
+        """Memoized Table I rows of a graph (``NonGemmReport.taxonomy_rows``)
+        keyed by its content hash, so a warm store serves them unbuilt."""
+        from repro.core.reports import NonGemmReport
+
+        def compute() -> list[dict]:
+            return NonGemmReport(graph.materialize()).taxonomy_rows(unique=True)
+
+        rows = compute() if not self._enabled else self._memo(
+            ("taxonomy", graph.content_hash()), compute
+        )
+        # rows are mutable dicts: callers get copies, never the cached ones
+        return [dict(row) for row in rows]
+
     def memory(self, graph: Graph | GraphRef) -> "MemoryProfile":
         """Memoized liveness analysis keyed by graph content hash."""
         from repro.runtime.memory import profile_memory
@@ -488,10 +622,6 @@ class PlanCache:
 PLAN_CACHE = PlanCache(store=ArtifactStore.from_env())
 
 
-def cached_build_model(model: str, batch_size: int = 1, **overrides) -> Graph:
-    return PLAN_CACHE.graph(model, batch_size=batch_size, **overrides)
-
-
 def cached_lower(
     flow: "DeploymentFlow", graph: Graph | GraphRef, use_gpu: "bool | str | DeviceKind"
 ) -> "ExecutionPlan":
@@ -504,6 +634,10 @@ def cached_profile_memory(graph: Graph | GraphRef) -> "MemoryProfile":
 
 def cached_transform(name: str, graph: Graph | GraphRef) -> Any:
     return PLAN_CACHE.transform(name, graph)
+
+
+def cached_profile(*args, **kwargs) -> Any:
+    return PLAN_CACHE.profile(*args, **kwargs)
 
 
 _register_builtin_transforms()

@@ -2,9 +2,12 @@
 
 One code path serves every figure/table harness and the CLI ``sweep``
 subcommand.  Each point flows through the memoizing :mod:`~repro.sweep.cache`
-(graph build, plan lowering, transforms, memory profiling are all shared
-across points) and the vectorized simulator, so large cross-products cost a
-small multiple of their unique work rather than of their point count.
+(graph build, plan lowering, transforms, memory profiling and whole profile
+measurements are all shared across points) and the vectorized simulator, so
+large cross-products cost a small multiple of their unique work rather than
+of their point count.  A plain profile sweep (no ``load`` axis) stores its
+measurements as one store entry, so a warm store serves the whole run
+without simulating a point.
 
 For grids whose unique work dominates (many distinct models or sequence
 lengths), ``SweepRunner(workers=N)`` fans points out over a process pool;
@@ -151,6 +154,14 @@ def _run_point_for_pool(point: SweepPoint) -> tuple[SweepRecord, dict[str, objec
     return record, PLAN_CACHE.stats.delta_since(before)
 
 
+def _pool_task(point: SweepPoint) -> tuple[SweepRecord, dict[str, object], dict]:
+    """:func:`_run_point_for_pool` plus the point's profile measurement, which
+    the parent keeps for the sweep's store entry."""
+    with PLAN_CACHE.sweep_entry(None) as entry:
+        record, delta = _run_point_for_pool(point)
+    return record, delta, entry.kept
+
+
 def _pool_init(store_directory: str | None) -> None:
     """Process-pool initializer: attach the parent's store.
 
@@ -191,25 +202,32 @@ class SweepRunner:
         points = spec.points()
         started = time.perf_counter()
         stats_before = PLAN_CACHE.stats.snapshot()
-        if self.workers and self.workers > 1 and len(points) > 1:
-            workers = min(self.workers, len(points), os.cpu_count() or 1)
-            chunksize = max(1, len(points) // (workers * 4))
-            store = PLAN_CACHE.store
-            store_directory = None if store is None else os.fspath(store.directory)
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_pool_init,
-                initargs=(store_directory,),
-            ) as pool:
-                outcomes = list(pool.map(_run_point_for_pool, points, chunksize=chunksize))
-            records = [record for record, _ in outcomes]
-            # workers run against per-process caches; each point's delta
-            # comes back with its record and sums into one pool-wide view.
-            cache_info = _merge_cache_deltas(delta for _, delta in outcomes)
-        else:
-            records = [run_point(point) for point in points]
-            # cache activity attributable to this run on the in-process cache.
-            cache_info = PLAN_CACHE.stats.delta_since(stats_before)
+        # a plain profile sweep keeps its points' measurements in one store
+        # entry; serving sweeps (a load axis) store only what they lower.
+        plain = all(point.load is None for point in points)
+        with PLAN_CACHE.sweep_entry(tuple(points) if plain else None) as entry:
+            # a stored entry leaves nothing to compute, so no pool is started
+            if self.workers and self.workers > 1 and len(points) > 1 and not entry.stored:
+                workers = min(self.workers, len(points), os.cpu_count() or 1)
+                chunksize = max(1, len(points) // (workers * 4))
+                store = PLAN_CACHE.store
+                store_directory = None if store is None else os.fspath(store.directory)
+                with ProcessPoolExecutor(
+                    max_workers=workers,
+                    initializer=_pool_init,
+                    initargs=(store_directory,),
+                ) as pool:
+                    outcomes = list(pool.map(_pool_task, points, chunksize=chunksize))
+                records = [record for record, _, _ in outcomes]
+                for _, _, measured in outcomes:
+                    PLAN_CACHE.keep_profiles(measured)
+                # workers run against per-process caches; each point's delta
+                # comes back with its record and sums into one pool-wide view.
+                cache_info = _merge_cache_deltas(delta for _, delta, _ in outcomes)
+            else:
+                records = [run_point(point) for point in points]
+                # cache activity attributable to this run on the in-process cache.
+                cache_info = PLAN_CACHE.stats.delta_since(stats_before)
         return SweepResult(
             spec=spec,
             records=records,

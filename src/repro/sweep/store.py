@@ -3,8 +3,9 @@
 The in-memory :class:`~repro.sweep.cache.PlanCache` makes repeated work free
 *within* a process; this store makes it cheap *across* processes.  Every
 pytest invocation, ``nongemm-bench`` CLI call, and CI job re-derives the same
-lowered plans, memory profiles, transform outputs and serving batch costs
-from scratch — pure Python-object work that is bit-identical run to run.
+lowered plans, memory profiles, transform outputs, serving batch costs,
+sweep profiles and Table I rows from scratch — pure Python-object work that
+is bit-identical run to run.
 The store persists those artifacts once and serves them to every later
 process.
 

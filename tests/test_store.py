@@ -394,6 +394,243 @@ class TestServingCosts:
         assert restored.busy_s == result.busy_s
 
 
+@pytest.fixture
+def install(monkeypatch):
+    """Route the sweep runner, the profiler and Table I through ``cache``."""
+    from repro.sweep import cache as cache_module
+
+    def install(cache: PlanCache) -> PlanCache:
+        monkeypatch.setattr(cache_module, "PLAN_CACHE", cache)
+        monkeypatch.setattr("repro.sweep.runner.PLAN_CACHE", cache)
+        monkeypatch.setattr("repro.analysis.tables.PLAN_CACHE", cache)
+        return cache
+
+    return install
+
+
+def forbid_model_work(monkeypatch) -> None:
+    """Make building a graph, simulating a plan or profiling memory raise."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("model work despite a warm store")
+
+    from repro.models import registry
+
+    monkeypatch.setattr(registry, "build_model", forbidden)
+    monkeypatch.setattr("repro.sweep.cache.build_model", forbidden)
+    monkeypatch.setattr("repro.profiler.profiler.simulate", forbidden)
+    monkeypatch.setattr("repro.runtime.memory.profile_memory", forbidden)
+
+
+#: a grid with CPU and GPU points, two flows and a transform-free batch axis
+SPEC = SweepSpec(
+    models=(MODEL, "gpt2"), batch_sizes=(1, 2), flows=("pytorch", "tensorrt"),
+    devices=("gpu", "cpu"), iterations=2, seed=3,
+)
+
+
+def run_spec(spec: SweepSpec = SPEC):
+    from repro.sweep.runner import SweepRunner
+
+    return SweepRunner().run(spec)
+
+
+class TestStoredProfiles:
+    """The ``"profile"`` stage: one measurement per distinct point in process,
+    one ``"profiles"`` store entry per sweep run."""
+
+    AGGREGATES = (
+        "model", "flow", "use_gpu", "target", "batch_size", "iterations",
+        "total_latency_s", "total_latency_std_s", "energy_j", "gpu_energy_j",
+        "cpu_energy_j", "total_latency_ms", "peak_memory_bytes", "num_graph_ops",
+        "num_kernels", "non_gemm_fusion_rate", "gemm_latency_s",
+        "non_gemm_latency_s", "gemm_share", "non_gemm_share",
+    )
+
+    def assert_same_profile(self, served, computed):
+        for name in self.AGGREGATES:
+            assert getattr(served, name) == getattr(computed, name), name
+        assert served.platform.platform_id == computed.platform.platform_id
+        assert served.latency_by_group() == computed.latency_by_group()
+        assert served.share_by_group() == computed.share_by_group()
+        assert served.dominant_non_gemm_group() == computed.dominant_non_gemm_group()
+        assert served.describe() == computed.describe()
+        assert served.records == computed.records
+        assert served.top_operators(5) == computed.top_operators(5)
+        assert served.top_operators(5, non_gemm_only=True) == computed.top_operators(
+            5, non_gemm_only=True
+        )
+
+    def test_served_sweep_equals_computed(self, tmp_path, install, monkeypatch):
+        install(PlanCache(store=make_store(tmp_path)))
+        computed = run_spec()
+        assert computed.cache_info["misses"]["profile"] == len(computed)
+        reader = install(PlanCache(store=make_store(tmp_path)))
+        forbid_model_work(monkeypatch)
+        served = run_spec()
+        assert served.cache_info["misses"] == {}
+        # one store read serves every point of the run
+        assert served.cache_info["disk_hits"]["profile"] == 1
+        assert served.cache_info["hits"]["profile"] == len(served)
+        # plans still come from the plan layer (decoded from the store)
+        assert served.cache_info["disk_hits"]["plan"] == reader.stats.disk_hits["plan"] > 0
+        for a, b in zip(served.records, computed.records):
+            assert a.point == b.point
+            self.assert_same_profile(a.profile, b.profile)
+            a.profile.detach()
+            b.profile.detach()
+            self.assert_same_profile(a.profile, b.profile)
+
+    def test_warm_paper_tables_do_no_model_work(self, tmp_path, install, monkeypatch):
+        from repro.analysis import run_fig7, run_table1
+
+        install(PlanCache(store=make_store(tmp_path)))
+        cold = (run_table1(), run_fig7(iterations=2))
+        install(PlanCache(store=make_store(tmp_path)))
+        forbid_model_work(monkeypatch)
+        warm = (run_table1(), run_fig7(iterations=2))
+        for a, b in zip(warm, cold):
+            assert a.rows == b.rows
+            assert a.render() == b.render()
+
+    def test_reregistered_platform_misses(self, tmp_path, install):
+        from dataclasses import replace
+
+        from repro.hardware.platform import PLATFORM_REGISTRY, Platform, register_platform
+
+        spec = SweepSpec(models=(MODEL,), platforms=("store-twin",), iterations=2)
+        try:
+            register_platform(
+                Platform("store-twin", "twin", cpu=PLATFORM_A.cpu, gpu=PLATFORM_A.gpu)
+            )
+            install(PlanCache(store=make_store(tmp_path)))
+            first = run_spec(spec)
+            slower = replace(PLATFORM_A.gpu, mem_bandwidth=PLATFORM_A.gpu.mem_bandwidth / 2)
+            register_platform(
+                Platform("store-twin", "twin", cpu=PLATFORM_A.cpu, gpu=slower), replace=True
+            )
+            install(PlanCache(store=make_store(tmp_path)))
+            second = run_spec(spec)
+        finally:
+            PLATFORM_REGISTRY.unregister("store-twin")
+        assert second.cache_info["misses"]["profile"] == 1
+        assert second.records[0].profile.total_latency_s > first.records[0].profile.total_latency_s
+
+    def test_edited_external_flow_misses(self, tmp_path, install, monkeypatch):
+        import importlib
+
+        from repro.flows import FLOW_REGISTRY, register_flow
+
+        module_dir = tmp_path / "ext"
+        module_dir.mkdir()
+        module_file = module_dir / "ext_store_flow.py"
+        source = TestExternalCode.FLOW_SOURCE.replace("ext-flow", "ext-store-flow").replace(
+            "pytorch-eager", "eager"
+        )
+        module_file.write_text(source)
+        monkeypatch.syspath_prepend(str(module_dir))
+        import ext_store_flow
+
+        spec = SweepSpec(models=(MODEL,), flows=("ext-store-flow",), iterations=2)
+        try:
+            register_flow(ext_store_flow.ExtFlow)
+            install(PlanCache(store=make_store(tmp_path)))
+            assert run_spec(spec).cache_info["misses"]["profile"] == 1
+            install(PlanCache(store=make_store(tmp_path)))
+            assert run_spec(spec).cache_info["hits"]["profile"] == 1
+
+            module_file.write_text(source + "# behavior edited\n")
+            os.utime(module_file, (os.path.getmtime(module_file) + 2,) * 2)
+            importlib.reload(ext_store_flow)
+            register_flow(ext_store_flow.ExtFlow, replace=True)
+            install(PlanCache(store=make_store(tmp_path)))
+            edited = run_spec(spec)
+        finally:
+            FLOW_REGISTRY.unregister("ext-store-flow")
+        # the grid's entry is read, but the edited flow's point misses in it
+        assert edited.cache_info["disk_hits"]["profile"] == 1
+        assert edited.cache_info["misses"]["profile"] == 1
+        assert "profile" not in edited.cache_info["hits"]
+
+    @pytest.mark.parametrize("change", [{"iterations": 3}, {"seed": 4}])
+    def test_other_iterations_or_seed_misses(self, tmp_path, install, change):
+        from dataclasses import replace
+
+        spec = SweepSpec(models=(MODEL,), iterations=2, seed=3)
+        cache = install(PlanCache(store=make_store(tmp_path)))
+        first = run_spec(spec)
+        second = run_spec(replace(spec, **change))
+        assert cache.stats.misses["profile"] == 2
+        assert second.cache_info["misses"]["profile"] == 1
+        assert second.records[0].profile.total_latency_s != first.records[0].profile.total_latency_s
+
+    def test_shared_points_profile_once(self, install, monkeypatch):
+        import repro.profiler.profiler as profiler_module
+
+        calls: list = []
+        original = profiler_module.simulate
+
+        def counting(plan, platform):
+            calls.append(plan)
+            return original(plan, platform)
+
+        monkeypatch.setattr(profiler_module, "simulate", counting)
+        install(PlanCache())
+        first = run_spec(SweepSpec(models=(MODEL,), batch_sizes=(1, 2), iterations=2))
+        second = run_spec(SweepSpec(models=(MODEL,), batch_sizes=(2, 4), iterations=2))
+        assert len(calls) == 3
+        assert second.cache_info["hits"]["profile"] == 1
+        assert second.cache_info["misses"]["profile"] == 1
+        shared, twin = first.records[1].profile, second.records[0].profile
+        assert shared is not twin
+        reference = (twin.records, twin.latency_by_group(), twin.non_gemm_latency_s)
+        shared.detach()
+        assert twin._kernel_latency_s is not None and twin._plan is not None
+        assert (twin.records, twin.latency_by_group(), twin.non_gemm_latency_s) == reference
+        assert twin.top_operators(5) == shared.top_operators(5)
+
+    def test_pooled_and_serial_runs_share_one_entry(self, tmp_path, install, monkeypatch):
+        import concurrent.futures
+
+        from repro.sweep.runner import SweepRunner
+
+        spec = SweepSpec(models=(MODEL,), batch_sizes=(3, 5), iterations=2, seed=7)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+        install(PlanCache(store=make_store(tmp_path)))
+        pooled = SweepRunner(workers=2).run(spec)
+        assert pooled.cache_info["misses"]["profile"] == 2
+        assert make_store(tmp_path).info().entries_by_kind["profiles"] == 1
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for a stored sweep")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("repro.sweep.runner.ProcessPoolExecutor", no_pool)
+        for workers in (0, 2):
+            install(PlanCache(store=make_store(tmp_path)))
+            served = SweepRunner(workers=workers).run(spec)
+            assert served.cache_info["misses"] == {}
+            assert served.cache_info["disk_hits"]["profile"] == 1
+            assert served.cache_info["hits"]["profile"] == 2
+            for a, b in zip(served.records, pooled.records):
+                assert a.profile.records == b.profile.records
+                assert a.profile.total_latency_s == b.profile.total_latency_s
+
+    def test_cold_paper_pass_evicts_nothing(self, tmp_path, install):
+        from repro import analysis
+
+        cache = install(PlanCache(store=make_store(tmp_path)))
+        harnesses = {
+            "fig1": 3, "fig5": 2, "fig6": 2, "fig7": 3, "fig8": 2, "fig9": 2,
+            "table1": None, "table4": 2, "table5": 2, "ext1": 2,
+        }
+        for harness, iterations in harnesses.items():
+            kwargs = {} if iterations is None else {"iterations": iterations}
+            getattr(analysis, f"run_{harness}")(**kwargs)
+        assert cache.stats.evictions == 0
+        assert len(cache) <= cache.max_entries
+
+
 class TestPayloads:
     def test_plan_payload_round_trips_exactly(self):
         graph = build_model("swin-t", batch_size=1)
