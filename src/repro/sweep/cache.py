@@ -59,6 +59,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
+from repro.hardware.calibration import dispatch_profile
 from repro.hardware.device import DeviceKind, as_device_kind
 from repro.ir.graph import Graph, derived_hash
 from repro.models import build_model
@@ -391,6 +392,31 @@ class PlanCache:
         pipeline_sig = flow.pipeline_signature() + self._flow_identity(flow)
         return ("plan", pipeline_sig, graph.content_hash(), target.value)
 
+    def _simulated_key(
+        self,
+        stage: str,
+        flow: "DeploymentFlow",
+        graph: Graph | GraphRef,
+        target: DeviceKind,
+        platform,
+    ) -> tuple:
+        """The plan key extended for a value the simulator produced.
+
+        Adds the platform's id *and* content signature, so a platform
+        re-registered with different numbers misses, and the flow's current
+        :data:`~repro.hardware.calibration.DISPATCH_PROFILES` entry: the
+        one calibration table the simulator reads on every call (its
+        efficiency tables are fixed per process), so an edit of it made at
+        runtime misses too.
+        """
+        return (
+            stage,
+            *self._plan_key(flow, graph, target)[1:],
+            platform.platform_id,
+            platform.content_signature(),
+            dispatch_profile(flow.dispatch_profile),
+        )
+
     def plan(
         self, flow: "DeploymentFlow", graph: Graph | GraphRef, use_gpu: "bool | str | DeviceKind"
     ) -> "ExecutionPlan":
@@ -442,22 +468,15 @@ class PlanCache:
         """Memoized per-batch serving cost (see :mod:`repro.serving.cost`).
 
         ``compute`` maps the lowered plan to a plain, picklable cost object
-        (a :class:`~repro.serving.cost.BatchCost`).  Keys extend the plan
-        key with the platform's id *and* content signature — the cost folds
-        simulated latencies, so a platform re-registered with different
-        numbers must miss.  A warm persistent store therefore serves whole
-        serving sweeps without building a graph, lowering a plan, or running
-        the simulator.
+        (a :class:`~repro.serving.cost.BatchCost`).  The cost folds
+        simulated latencies, so it is keyed by :meth:`_simulated_key`.  A
+        warm persistent store therefore serves whole serving sweeps without
+        building a graph, lowering a plan, or running the simulator.
         """
         target = as_device_kind(use_gpu)
         if not self._enabled:
             return compute(self.plan(flow, graph, target))
-        key = (
-            "serving",
-            *self._plan_key(flow, graph, target)[1:],
-            platform.platform_id,
-            platform.content_signature(),
-        )
+        key = self._simulated_key("serving", flow, graph, target, platform)
         return self._memo(key, lambda: compute(self.plan(flow, graph, target)))
 
     def profile(
@@ -473,26 +492,23 @@ class PlanCache:
         compute: Callable[[], Any],
     ) -> Any:
         """Profile measurement of one point (see
-        :func:`~repro.profiler.profiler.profile_graph`), memoized while a
-        :meth:`sweep_entry` is open; a direct profile outside a sweep
-        computes, so it always sees the current calibration tables.
+        :func:`~repro.profiler.profiler.profile_graph`).
 
-        Keys extend the plan key like :meth:`serving_cost` does, with the
-        platform's id and content signature, the batch size, iteration
-        count, seed and model name, so a re-registered platform, an edited
-        out-of-tree flow or builder, or another seed misses.  A point served
-        in this process or from the open sweep's stored entry counts under
-        ``hits`` (reading the entry counted one ``disk_hits``).  Every
-        measurement the open sweep touches is kept for its entry.
+        Memoized only while a :meth:`sweep_entry` is open, because only a
+        sweep repeats points; a direct profile (the CLI ``profile``, a
+        benchmark timing ``profile_graph``) always simulates.  Keys are
+        :meth:`_simulated_key` plus the batch size, iteration count, seed
+        and model name, so a re-registered platform, an edited out-of-tree
+        flow or builder, a runtime edit of the flow's dispatch profile, or
+        another seed misses.  A point served in this process or from the
+        open sweep's stored entry counts under ``hits`` (reading the entry
+        counted one ``disk_hits``).  Every measurement the open sweep
+        touches is kept for its entry.
         """
         sweep = self._sweep
         if not self._enabled or sweep is None:
             return compute()
-        key = (
-            "profile",
-            *self._plan_key(flow, graph, target)[1:],
-            platform.platform_id,
-            platform.content_signature(),
+        key = self._simulated_key("profile", flow, graph, target, platform) + (
             batch_size,
             iterations,
             seed,

@@ -206,7 +206,11 @@ class SweepRunner:
         # entry; serving sweeps (a load axis) store only what they lower.
         plain = all(point.load is None for point in points)
         with PLAN_CACHE.sweep_entry(tuple(points) if plain else None) as entry:
-            # a stored entry leaves nothing to compute, so no pool is started
+            # a stored entry means this grid ran before, so no pool is
+            # started.  Points whose keys went stale since (a re-registered
+            # platform, an edited out-of-tree flow) then recompute serially;
+            # any in-tree source edit already changes the store fingerprint,
+            # so the entry is not found at all and a full pool runs.
             if self.workers and self.workers > 1 and len(points) > 1 and not entry.stored:
                 workers = min(self.workers, len(points), os.cpu_count() or 1)
                 chunksize = max(1, len(points) // (workers * 4))

@@ -376,6 +376,24 @@ class TestServingCosts:
         result = fresh.serving_cost(flow, graph, "gpu", twin, lambda plan: sentinel)
         assert result is sentinel  # recomputed, not served from the store
 
+    def test_dispatch_profile_edit_invalidates(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        from repro.hardware.calibration import DISPATCH_PROFILES
+
+        calls: list = []
+        cache = PlanCache(store=make_store(tmp_path))
+        before = self._compute(cache, calls)
+        # the simulator reads the dispatch profile on every call, so a
+        # runtime edit of it must miss in the LRU and in the store alike
+        eager = DISPATCH_PROFILES["eager"]
+        monkeypatch.setitem(
+            DISPATCH_PROFILES, "eager", replace(eager, gpu_kernel=eager.gpu_kernel / 10)
+        )
+        after = self._compute(cache, calls)
+        assert calls == [1, 1]
+        assert after.total_s < before.total_s
+
     def test_serving_result_pickles_lean(self):
         import numpy as np
 
@@ -563,6 +581,27 @@ class TestStoredProfiles:
         assert cache.stats.misses["profile"] == 2
         assert second.cache_info["misses"]["profile"] == 1
         assert second.records[0].profile.total_latency_s != first.records[0].profile.total_latency_s
+
+    def test_dispatch_profile_edit_misses(self, tmp_path, install, monkeypatch):
+        from dataclasses import replace
+
+        from repro.hardware.calibration import DISPATCH_PROFILES
+
+        spec = SweepSpec(models=(MODEL,), iterations=2)
+        cache = install(PlanCache(store=make_store(tmp_path)))
+        first = run_spec(spec)
+        eager = DISPATCH_PROFILES["eager"]
+        monkeypatch.setitem(
+            DISPATCH_PROFILES, "eager", replace(eager, gpu_kernel=eager.gpu_kernel / 10)
+        )
+        edited = run_spec(spec)
+        monkeypatch.setitem(DISPATCH_PROFILES, "eager", eager)
+        restored = run_spec(spec)
+        assert cache.stats.misses["profile"] == 2
+        assert edited.cache_info["misses"]["profile"] == 1
+        assert edited.records[0].profile.total_latency_s < first.records[0].profile.total_latency_s
+        assert restored.cache_info["hits"]["profile"] == 1
+        assert restored.records[0].profile.total_latency_s == first.records[0].profile.total_latency_s
 
     def test_shared_points_profile_once(self, install, monkeypatch):
         import repro.profiler.profiler as profiler_module

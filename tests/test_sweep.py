@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +363,43 @@ class TestSweepSpec:
         assert len(spec.points()) == 12
 
 
+@pytest.fixture
+def fresh_cache(monkeypatch, tmp_path):
+    """Point the runner and profiler at an empty cache over an empty store.
+
+    ``fresh_cache(name)`` installs one per call, each over its own store
+    directory, which pool workers share whether forked or spawned.  No
+    earlier run in this process, and no store kept across sessions, can
+    then serve a point, so a pooled run really starts its pool.
+    """
+    from repro.sweep import cache as cache_module
+
+    def install(name: str = "store") -> PlanCache:
+        cache = PlanCache(store=ArtifactStore(tmp_path / name))
+        monkeypatch.setattr(cache_module, "PLAN_CACHE", cache)
+        monkeypatch.setattr("repro.sweep.runner.PLAN_CACHE", cache)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / name))
+        return cache
+
+    return install
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """The process pools the sweep runner starts, one entry each."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    started: list[int] = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr("repro.sweep.runner.ProcessPoolExecutor", RecordingPool)
+    return started
+
+
 class TestSweepRunner:
     def test_cpu_point_uses_cpu_only_platform(self):
         point = SweepPoint(
@@ -427,24 +464,32 @@ class TestSweepRunner:
         with pytest.raises(RegistryError, match="nope"):
             run_point(point)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, fresh_cache, pool_starts):
         spec = SweepSpec(
             models=("segformer",), batch_sizes=(1, 2), iterations=2,
             order=("model", "batch_size"),
         )
+        fresh_cache("serial")
         serial = SweepRunner(workers=0).run(spec)
+        # a cache that knows nothing of the serial run: the pool's workers
+        # measure every point themselves
+        fresh_cache("pooled")
         parallel = SweepRunner(workers=2).run(spec)
+        assert len(pool_starts) == 1
+        assert parallel.cache_info["misses"]["profile"] == 2
         for a, b in zip(serial.records, parallel.records):
             assert a.point == b.point
             assert a.profile.total_latency_s == b.profile.total_latency_s
             assert a.profile.latency_by_group() == b.profile.latency_by_group()
 
-    def test_pool_run_aggregates_worker_cache_deltas(self):
+    def test_pool_run_aggregates_worker_cache_deltas(self, fresh_cache, pool_starts):
         spec = SweepSpec(
             models=("segformer",), batch_sizes=(1, 2), iterations=2,
             order=("model", "batch_size"),
         )
+        fresh_cache()
         result = SweepRunner(workers=2).run(spec)
+        assert len(pool_starts) == 1
         info = result.cache_info
         # each of the two points touches the plan stage exactly once in its
         # worker — as an LRU hit, a disk hit or a miss — and the deltas ship
@@ -466,11 +511,29 @@ class TestSweepRunner:
         )
         cold = SweepRunner(workers=2).run(spec)
         warm = SweepRunner(workers=2).run(spec)
-        # the cold run's workers computed what the parent's LRU lacked, so
-        # the warm run's workers can only have read it from the store.
+        # the warm run finds the cold run's profiles entry, so it computes
+        # nothing (test_pool_workers_read_a_warm_store covers a warm run
+        # whose workers do the reading).
         assert cold.cache_info["misses"]
         assert warm.cache_info["misses"] == {}
         assert warm.cache_info["disk_hits"]
+
+    def test_pool_workers_read_a_warm_store(self, fresh_cache, pool_starts):
+        spec = SweepSpec(
+            models=("segformer",), batch_sizes=(5, 6), iterations=2,
+            order=("model", "batch_size"),
+        )
+        fresh_cache()
+        SweepRunner(workers=2).run(spec)
+        # another seed shares every plan and memory profile but has no
+        # profiles entry, so a pool starts.  The cold run's workers computed
+        # what the parent's LRU lacks, so the warm run's workers can only
+        # have read it from the store: just the profiles miss.
+        warm = SweepRunner(workers=2).run(replace(spec, seed=1))
+        assert len(pool_starts) == 2
+        assert warm.cache_info["misses"] == {"profile": 2}
+        assert warm.cache_info["disk_hits"]["plan"] == 2
+        assert warm.cache_info["disk_hits"]["memory"] == 2
 
 
 class TestSweepCLI:
