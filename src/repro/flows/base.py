@@ -20,7 +20,7 @@ import hashlib
 from typing import TYPE_CHECKING, ClassVar
 
 from repro.errors import PlanError
-from repro.ir.graph import Graph
+from repro.ir.graph import Graph, collector_paused
 from repro.flows.fusion import FusionConfig
 from repro.flows.passes import (
     CompositeExpansionPass,
@@ -122,6 +122,7 @@ class DeploymentFlow(abc.ABC):
 
     # -- lowering --------------------------------------------------------------
 
+    @collector_paused()
     def lower(
         self,
         graph: Graph,

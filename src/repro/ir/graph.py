@@ -10,6 +10,7 @@ list is always a valid topological order.
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
@@ -32,6 +33,27 @@ def derived_hash(tag: str, parent_hash: str) -> str:
     registry build's hash *without* building the graph.
     """
     return hashlib.blake2b(f"{tag}:{parent_hash}".encode(), digest_size=16).hexdigest()
+
+
+@contextlib.contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause CPython's cyclic garbage collector for the block (or, as
+    ``@collector_paused()``, for each call of the decorated function).
+
+    Building, lowering and rewriting a graph allocate objects in bursts that
+    trigger full collections, each walking every cached graph and plan, yet
+    these layers create no reference cycles, so those collections free
+    nothing.  A no-op when the collector is already off, by the caller's
+    choice or an enclosing pause: only the outermost pause re-enables it.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,12 @@ study.  Users extend the benchmark by registering their own
 from __future__ import annotations
 
 import enum
+import inspect
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.errors import ConfigError
-from repro.ir.graph import Graph
+from repro.errors import ConfigError, RegistryError
+from repro.ir.graph import Graph, collector_paused
 from repro.models import configs
 from repro.models.bert import build_bert
 from repro.models.detr import build_detr
@@ -48,14 +49,26 @@ class ModelEntry:
     dataset: str
     paper_params: str  # Table II's reported size, for the workload report
 
+    @collector_paused()
     def build(self, batch_size: int = 1, **overrides) -> Graph:
-        """The model's graph; raises :class:`ConfigError` on a batch size or
-        ``seq_len`` override below 1."""
-        if batch_size < 1:
-            raise ConfigError(f"{self.name}: batch size must be >= 1, got {batch_size}")
-        seq_len = overrides.get("seq_len")
-        if seq_len is not None and seq_len < 1:
-            raise ConfigError(f"{self.name}: seq_len must be >= 1, got {seq_len}")
+        """The model's graph.
+
+        Raises :class:`ConfigError` on a batch size or ``seq_len`` override
+        that is not an int >= 1 (a bool included), and
+        :class:`RegistryError` on an override the builder does not take.
+        """
+        sizes = [("batch size", batch_size)]
+        if overrides.get("seq_len") is not None:
+            sizes.append(("seq_len", overrides["seq_len"]))
+        for what, value in sizes:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigError(f"{self.name}: {what} must be an int >= 1, got {value!r}")
+        try:
+            inspect.signature(self.builder).bind(self.config, batch_size=batch_size, **overrides)
+        except TypeError as exc:
+            raise RegistryError(
+                f"model {self.name!r} does not accept overrides {overrides}: {exc}"
+            ) from None
         return self.builder(self.config, batch_size=batch_size, **overrides)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from repro import ops
 from repro.ir.dtype import DType
-from repro.ir.graph import Graph
+from repro.ir.graph import Graph, collector_paused
 from repro.ir.node import Node, Value
 from repro.ops.gemm import Linear
 
@@ -49,6 +49,7 @@ class QuantizedModel:
     stats: QuantizationStats = field(default_factory=QuantizationStats)
 
 
+@collector_paused()
 def quantize_llm_int8(
     graph: Graph,
     min_features: int = 1024,

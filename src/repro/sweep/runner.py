@@ -22,7 +22,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.errors import RegistryError
 from repro.flows import get_flow
 from repro.hardware import DeviceKind, get_platform
 from repro.profiler.profiler import profile_graph
@@ -83,39 +82,26 @@ def run_point(point: SweepPoint) -> SweepRecord:
     overrides = {} if point.seq_len is None else {"seq_len": point.seq_len}
     transform_stats = None
     model_name = point.model
-    try:
-        # a lazy handle: the build key alone names the graph's content hash,
-        # so when the plan and memory caches (either tier) are warm the model
-        # is never actually constructed.  Builders reject unknown overrides
-        # with a TypeError, which surfaces at materialization — immediately
-        # with the cache disabled, or anywhere inside the transform or
-        # profile otherwise — hence the wide try.
-        graph = PLAN_CACHE.graph_ref(point.model, point.batch_size, **overrides)
-        if point.transform:
-            transformed = cached_transform(point.transform, graph)
-            graph = transformed.graph
-            transform_stats = getattr(transformed, "stats", None)
-            model_name = f"{point.model}-{point.transform}"
-        profile = profile_graph(
-            graph,
-            get_flow(point.flow),
-            platform,
-            use_gpu=target,
-            batch_size=point.batch_size,
-            iterations=point.iterations,
-            seed=point.seed,
-            model_name=model_name,
-        )
-    except TypeError as exc:
-        # only translate the builder's rejection of a sweep override (the
-        # build is lazy, so it surfaces mid-profile); an unrelated TypeError
-        # from a transform or the simulator keeps its own traceback.
-        if not overrides or not any(key in str(exc) for key in overrides):
-            raise
-        raise RegistryError(
-            f"model {point.model!r} does not accept sweep overrides {overrides}"
-            f" ({exc}); drop the seq_len axis or restrict it to sequence models"
-        ) from None
+    # a lazy handle: the build key alone names the graph's content hash, so
+    # when the plan and memory caches (either tier) are warm the model is
+    # never actually constructed.  A bad override surfaces as a typed
+    # RegistryError wherever the build happens.
+    graph = PLAN_CACHE.graph_ref(point.model, point.batch_size, **overrides)
+    if point.transform:
+        transformed = cached_transform(point.transform, graph)
+        graph = transformed.graph
+        transform_stats = getattr(transformed, "stats", None)
+        model_name = f"{point.model}-{point.transform}"
+    profile = profile_graph(
+        graph,
+        get_flow(point.flow),
+        platform,
+        use_gpu=target,
+        batch_size=point.batch_size,
+        iterations=point.iterations,
+        seed=point.seed,
+        model_name=model_name,
+    )
     serving = None
     if point.load is not None and point.policy is not None:
         # cluster points serve the load through a multi-replica router

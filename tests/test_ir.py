@@ -1,10 +1,18 @@
 """Unit tests for the IR: dtypes, tensor specs, graph construction."""
 
+import gc
+import inspect
+import sys
+
 import pytest
 
 from repro import ops
-from repro.errors import GraphError, ShapeError
+from repro.errors import ConfigError, GraphError, ShapeError
+from repro.flows import DeploymentFlow, get_flow
 from repro.ir import DType, Graph, TensorSpec, broadcast_shapes, normalize_axis
+from repro.ir.graph import collector_paused
+from repro.models import ModelEntry, build_model, get_model
+from repro.quant.llm_int8 import quantize_llm_int8
 
 
 class TestDType:
@@ -194,3 +202,89 @@ class TestGraph:
         g.set_outputs(g.call(ops.ReLU(), x))
         text = str(g)
         assert "graph t" in text and "relu" in text
+
+
+@pytest.fixture
+def collector_on():
+    """Start with the collector enabled and leave it as the test found it."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if not was_enabled:
+        gc.disable()
+
+
+@pytest.mark.usefixtures("collector_on")
+class TestCollectorPaused:
+    def test_reenabled_after_a_pause(self):
+        with collector_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_caller_disabled_collector_stays_disabled(self):
+        gc.disable()
+        with collector_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+
+    def test_nested_pauses_restore_only_at_the_outermost_exit(self):
+        with collector_paused():
+            with collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_reenabled_when_a_paused_build_raises(self):
+        with pytest.raises(ConfigError):
+            get_model("gpt2").build(batch_size=0)
+        assert gc.isenabled()
+
+
+@pytest.mark.usefixtures("collector_on")
+class TestPausedLayersCreateNoCycles:
+    """Build, lowering and the int8 rewrite run with the collector paused;
+    that only never delays freeing memory because they create no cycles."""
+
+    FLOWS = ("pytorch", "torchinductor", "onnxruntime", "tensorrt", "ort-cpu-ep")
+
+    def test_paused_layers_start_no_collection(self):
+        # a collection may run as a pause ends, in the decorator's exit; count
+        # only those started while a layer's own body is on the stack
+        bodies = {
+            inspect.unwrap(layer).__code__
+            for layer in (ModelEntry.build, DeploymentFlow.lower, quantize_llm_int8)
+        }
+        starts = []
+
+        def hook(phase, info):
+            frame = sys._getframe(1)
+            while phase == "start" and frame is not None:
+                if frame.f_code in bodies:
+                    starts.append((frame.f_code.co_name, info["generation"]))
+                    return
+                frame = frame.f_back
+
+        gc.callbacks.append(hook)
+        try:
+            graph = build_model("llama2-7b")
+            get_flow("pytorch").lower(graph)
+            quantize_llm_int8(graph)
+        finally:
+            gc.callbacks.remove(hook)
+        assert starts == []
+
+    def _build_lower_rewrite(self):
+        for name in ("gpt2", "swin-t", "llama2-7b"):
+            graph = build_model(name)
+            for flow in self.FLOWS:
+                for use_gpu in (True, False):
+                    get_flow(flow).lower(graph, use_gpu=use_gpu)
+            quantize_llm_int8(graph)
+
+    def test_a_second_pass_leaves_no_garbage(self):
+        # the first pass may leave first-use garbage (functions, cells, types)
+        self._build_lower_rewrite()
+        gc.collect()
+        gc.disable()
+        self._build_lower_rewrite()
+        assert gc.collect() == 0

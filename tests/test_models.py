@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import ops
-from repro.errors import RegistryError
+from repro.errors import ConfigError, RegistryError
 from repro.models import (
     PAPER_MODELS,
     ModelEntry,
@@ -84,6 +84,19 @@ class TestRegistry:
         )
         graph = build_model("unit-model", batch_size=3)
         assert graph.outputs[0].spec.shape == (3, 2)
+
+    @pytest.mark.parametrize(
+        "kwargs,what",
+        [({"batch_size": True}, "batch size"), ({"batch_size": "2"}, "batch size"),
+         ({"seq_len": True}, "seq_len")],
+    )
+    def test_non_int_size_is_a_config_error(self, kwargs, what):
+        with pytest.raises(ConfigError, match=f"gpt2: {what} must be an int"):
+            build_model("gpt2", **kwargs)
+
+    def test_unknown_override_is_a_registry_error(self):
+        with pytest.raises(RegistryError, match="'gpt2'.*foo"):
+            build_model("gpt2", foo=1)
 
 
 @pytest.mark.parametrize("name,target", sorted(PARAM_TARGETS.items()))
