@@ -4,6 +4,8 @@ These measure the *framework's* throughput (not the simulated hardware), so
 regressions in the IR or flows show up here.
 """
 
+import itertools
+
 import pytest
 
 from repro.flows import PyTorchEagerFlow, TensorRTFlow
@@ -52,9 +54,13 @@ def test_simulate_plan(benchmark, gpt2_graph):
 
 
 def test_full_profile_pipeline(benchmark, gpt2_graph):
+    # profiles are memoized, so each round takes its own seed: round 1 lowers
+    # and simulates, later rounds hit the plan and simulate
+    seeds = itertools.count()
     result = benchmark.pedantic(
         lambda: profile_graph(
-            gpt2_graph, PyTorchEagerFlow(), PLATFORM_A, use_gpu=True, iterations=5
+            gpt2_graph, PyTorchEagerFlow(), PLATFORM_A, use_gpu=True, iterations=5,
+            seed=next(seeds),
         ),
         rounds=3,
         iterations=1,

@@ -31,10 +31,9 @@ def run_ext1(
     models: tuple[str, ...] | None = None,
     iterations: int = 3,
     seed: int = 0,
-    workers: int = 0,
 ) -> ExperimentResult:
     models = models or tuple(PAPER_MODELS)
-    runner = SweepRunner(workers=workers)
+    runner = SweepRunner()
     baseline = runner.run(
         SweepSpec(
             name="ext1-baseline",

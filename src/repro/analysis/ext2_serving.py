@@ -47,9 +47,8 @@ def run_ext2(
     max_batch: int = 4,
     iterations: int = 3,
     seed: int = 0,
-    workers: int = 0,
 ) -> ExperimentResult:
-    runner = SweepRunner(workers=workers)
+    runner = SweepRunner()
     result = ExperimentResult(
         name="ext2_serving_horizon",
         title="Serving horizon: tail latency and non-GEMM share vs offered load"

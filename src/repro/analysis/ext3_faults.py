@@ -64,9 +64,8 @@ def run_ext3(
     max_batch: int = 4,
     iterations: int = 3,
     seed: int = 0,
-    workers: int = 0,
 ) -> ExperimentResult:
-    runner = SweepRunner(workers=workers)
+    runner = SweepRunner()
     result = ExperimentResult(
         name="ext3_fault_horizon",
         title="Fault horizon: goodput and tail latency of 3-replica fleets"

@@ -55,9 +55,8 @@ def run_ext4(
     max_batch: int = 8,
     iterations: int = 3,
     seed: int = 0,
-    workers: int = 0,
 ) -> ExperimentResult:
-    runner = SweepRunner(workers=workers)
+    runner = SweepRunner()
     result = ExperimentResult(
         name="ext4_fleet_knee",
         title="Fleet knee: p99 vs fleet size at fixed absolute demand"

@@ -76,9 +76,8 @@ def run_ext5(
     max_batch: int = 8,
     iterations: int = 3,
     seed: int = 0,
-    workers: int = 0,
 ) -> ExperimentResult:
-    runner = SweepRunner(workers=workers)
+    runner = SweepRunner()
     result = ExperimentResult(
         name="ext5_autoscale",
         title="Autoscaling: p99 vs replica-seconds on a bursty trace"

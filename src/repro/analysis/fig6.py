@@ -25,7 +25,6 @@ def run_fig6(
     batch_sizes: tuple[int, ...] = (1, 8),
     iterations: int = 3,
     seed: int = 0,
-    workers: int = 0,
 ) -> ExperimentResult:
     spec = SweepSpec(
         name="fig6",
@@ -42,7 +41,7 @@ def run_fig6(
         name="fig6_breakdown",
         title="Operator-group latency breakdown (PyTorch, CPU vs CPU+GPU, platforms A/B)",
     )
-    sweep = SweepRunner(workers=workers).run(spec)
+    sweep = SweepRunner().run(spec)
     profiles: list[ProfileResult] = []
     domains = {model: get_model(model).domain.value for model in spec.models}
     for record in sweep.records:

@@ -9,6 +9,7 @@ study.  Users extend the benchmark by registering their own
 from __future__ import annotations
 
 import enum
+import functools
 import inspect
 from dataclasses import dataclass
 from typing import Callable
@@ -51,7 +52,12 @@ class ModelEntry:
 
     @collector_paused()
     def build(self, batch_size: int = 1, **overrides) -> Graph:
-        """The model's graph.
+        """The model's graph, after :meth:`check` accepts the arguments."""
+        self.check(batch_size, **overrides)
+        return self.builder(self.config, batch_size=batch_size, **overrides)
+
+    def check(self, batch_size: int = 1, **overrides) -> None:
+        """Reject build arguments before anything is built or keyed.
 
         Raises :class:`ConfigError` on a batch size or ``seq_len`` override
         that is not an int >= 1 (a bool included), and
@@ -63,13 +69,22 @@ class ModelEntry:
         for what, value in sizes:
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ConfigError(f"{self.name}: {what} must be an int >= 1, got {value!r}")
+        names = frozenset(overrides)
+        if names in self._accepted:
+            return
         try:
             inspect.signature(self.builder).bind(self.config, batch_size=batch_size, **overrides)
         except TypeError as exc:
             raise RegistryError(
                 f"model {self.name!r} does not accept overrides {overrides}: {exc}"
             ) from None
-        return self.builder(self.config, batch_size=batch_size, **overrides)
+        self._accepted.add(names)
+
+    @functools.cached_property
+    def _accepted(self) -> set[frozenset[str]]:
+        """Override names the builder takes: binding reads names, not values,
+        so a warm sweep binds each name set once rather than once a point."""
+        return set()
 
 
 MODEL_REGISTRY: Registry[ModelEntry] = Registry("model")

@@ -127,10 +127,10 @@ def profile_graph(
 
     ``graph`` may also be a lazy :class:`~repro.sweep.cache.GraphRef`: the
     whole profile is derivable from the cached/stored plan and memory
-    profile, so when both tiers are warm the graph is never built.  Inside
-    a sweep run the measurement is memoized too (see
-    :meth:`~repro.sweep.cache.PlanCache.profile`), so a warm sweep does not
-    simulate either.
+    profile, so when both tiers are warm the graph is never built.  The
+    measurement is memoized too (see
+    :meth:`~repro.sweep.cache.PlanCache.profile`), so a repeated point, or
+    a plain sweep served from a warm store, does not simulate either.
     """
     if iterations < 1:
         raise ConfigError("iterations must be positive")

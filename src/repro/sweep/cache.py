@@ -27,9 +27,10 @@ Those five persisted stages share one lookup, :meth:`PlanCache._memo`, and
 each builds its key in one place.
 
 Profiles (see :meth:`PlanCache.profile`) are kept apart from the LRU, one per
-distinct point, and persist one store entry per sweep run rather than one per
-point (see :meth:`PlanCache.sweep_entry`): a paper pass profiles a few hundred
-points, and a file per point would cost a file creation each.
+distinct point, memoized on every call, and persist one store entry per plain
+sweep run rather than one per point (see :meth:`PlanCache.sweep_entry`): a
+paper pass profiles a few hundred points, and a file per point would cost a
+file creation each.
 
 Correctness rests on :meth:`repro.ir.graph.Graph.content_hash`: any mutation
 of a graph changes its hash, so stale plan/memory entries can never be
@@ -62,7 +63,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 from repro.hardware.calibration import dispatch_profile
 from repro.hardware.device import DeviceKind, as_device_kind
 from repro.ir.graph import Graph, derived_hash
-from repro.models import build_model
+from repro.models import build_model, get_model
 from repro.registry import Registry
 from repro.sweep.store import (
     ArtifactStore,
@@ -105,8 +106,8 @@ class GraphRef:
     :meth:`PlanCache.graph` stamps on built graphs, computable without
     constructing a single node.  Consumers that only need the hash (plan and
     memory lookups against a warm store) never trigger the build;
-    :meth:`materialize` builds — and memoizes via the cache — on first
-    structural access.  :class:`~repro.ir.graph.Graph` exposes the same
+    :meth:`materialize` builds — through the cache's one build path — on
+    first structural access.  :class:`~repro.ir.graph.Graph` exposes the same
     ``content_hash``/``materialize``/``name`` surface, so cache consumers
     handle both uniformly.
     """
@@ -201,8 +202,9 @@ class PlanCache:
     a content-addressed on-disk :class:`~repro.sweep.store.ArtifactStore`
     consulted on LRU misses for plans, memory profiles, transform outputs,
     serving costs and taxonomy rows, all through :meth:`_memo`.  Every disk
-    hit is promoted into the LRU.  Sweep profiles are the exception: see
-    :meth:`profile` and :meth:`sweep_entry`.
+    hit is promoted into the LRU.  Profiles are the exception: memoized on
+    every call apart from the LRU, and persisted once per plain sweep (see
+    :meth:`profile` and :meth:`sweep_entry`).
     """
 
     def __init__(self, max_entries: int = 256, store: ArtifactStore | None = None):
@@ -222,8 +224,8 @@ class PlanCache:
 
     def _get(self, key: tuple) -> object | None:
         """LRU lookup; counts a hit when present (misses are counted by
-        :meth:`_memo` and :meth:`graph`, so a disk hit is never recorded as a
-        miss)."""
+        :meth:`_memo` and the graph build, so a disk hit is never recorded as
+        a miss)."""
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
@@ -232,7 +234,10 @@ class PlanCache:
             return None
 
     def _peek(self, key: tuple) -> object | None:
-        """Lookup without touching LRU order or hit/miss counters."""
+        """Lookup without touching LRU order or hit/miss counters; nothing
+        while the cache is disabled."""
+        if not self._enabled:
+            return None
         with self._lock:
             return self._entries.get(key)
 
@@ -256,8 +261,11 @@ class PlanCache:
         LRU hit, else a disk hit (``decode``-d from its payload), else
         ``compute()`` — whose value is ``encode``-d into the store, when one
         is attached — and either way promoted into the LRU.  ``key[0]``
-        names the stage for the hit/disk-hit/miss counters.
+        names the stage for the hit/disk-hit/miss counters.  A disabled
+        cache returns ``compute()`` and keeps nothing.
         """
+        if not self._enabled:
+            return compute()
         value = self._get(key)
         if value is not None:
             return value
@@ -287,7 +295,8 @@ class PlanCache:
 
     @contextmanager
     def disabled(self) -> Iterator[None]:
-        """Temporarily bypass both tiers (benchmarks measure cold paths this way)."""
+        """Temporarily bypass both tiers and every counter: each stage
+        computes fresh (tests use this as a cache-independent reference)."""
         previous = self._enabled
         self._enabled = False
         try:
@@ -311,8 +320,6 @@ class PlanCache:
         even though the build key is unchanged.  In-tree builders contribute
         nothing — the store's source-tree fingerprint already covers them.
         """
-        from repro.models import get_model
-
         external = external_fingerprint(get_model(model).builder)
         return f"{key}|{external}" if external else f"{key}"
 
@@ -343,20 +350,7 @@ class PlanCache:
 
     def graph(self, model: str, batch_size: int = 1, **overrides) -> Graph:
         """Memoized ``build_model``; overrides must be hashable (e.g. seq_len)."""
-        if not self._enabled:
-            return build_model(model, batch_size=batch_size, **overrides)
-        key = self._build_key(model, batch_size, overrides)
-        cached = self._built(key)
-        if cached is not None:
-            return cached
-        self.stats.miss("graph")
-        cached = build_model(model, batch_size=batch_size, **overrides)
-        # registry builders are deterministic, so the build key identifies
-        # the structure exactly; stamping it as the content hash spares a
-        # full structural walk per graph (any later mutation clears it).
-        stamp = cached.derive_content_hash("build", self._build_identity(model, key))
-        self._put(key, (cached, stamp))
-        return cached
+        return self.graph_ref(model, batch_size, **overrides).materialize()
 
     def graph_ref(self, model: str, batch_size: int = 1, **overrides) -> Graph | GraphRef:
         """A graph handle that defers building until structure is touched.
@@ -365,19 +359,30 @@ class PlanCache:
         otherwise a :class:`GraphRef` carrying the build key's derived
         content hash.  Sweep points resolve graphs through this, so a warm
         persistent store can serve their plans and memory profiles while the
-        graph itself is never constructed.
+        graph itself is never constructed.  Arguments ``build_model`` rejects
+        raise before keying: ``True`` and ``1.0`` would find the batch-1 key.
         """
+        get_model(model).check(batch_size, **overrides)
         if not self._enabled:
             return build_model(model, batch_size=batch_size, **overrides)
         key = self._build_key(model, batch_size, overrides)
         cached = self._built(key)
         if cached is not None:
             return cached
-        return GraphRef(
-            model,
-            derived_hash("build", self._build_identity(model, key)),
-            lambda: self.graph(model, batch_size=batch_size, **overrides),
-        )
+        identity = self._build_identity(model, key)
+
+        def build() -> Graph:
+            graph = self._built(key)  # another handle may have built it
+            if graph is None:
+                self.stats.miss("graph")
+                graph = build_model(model, batch_size=batch_size, **overrides)
+                # registry builders are deterministic: stamping the build key
+                # as the content hash spares a structural walk per graph (any
+                # later mutation clears it).
+                self._put(key, (graph, graph.derive_content_hash("build", identity)))
+            return graph
+
+        return GraphRef(model, derived_hash("build", identity), build)
 
     def _plan_key(
         self, flow: "DeploymentFlow", graph: Graph | GraphRef, target: DeviceKind
@@ -420,24 +425,15 @@ class PlanCache:
     def plan(
         self, flow: "DeploymentFlow", graph: Graph | GraphRef, use_gpu: "bool | str | DeviceKind"
     ) -> "ExecutionPlan":
-        """Memoized ``flow.lower(graph, use_gpu)``.
+        """Memoized ``flow.lower(graph, use_gpu)``, keyed by :meth:`_plan_key`.
 
-        Keyed by the flow's :meth:`~repro.flows.base.DeploymentFlow.pipeline_signature`,
-        the graph's content hash, and the lowering target's device-mode
-        encoding (``use_gpu`` accepts the historical booleans, device-mode
-        strings, and :class:`~repro.hardware.device.DeviceKind` values): the
-        signature is a stable content hash over the flow's pass pipeline and
-        tuning knobs, so cache entries survive pass-internal refactors but
-        can never be served to a flow variant whose knobs differ (e.g. a
-        subclass that keeps the name).  Misses fall through to the persistent
-        store (the plan is rebuilt around the caller's graph handle without
-        lowering); a full miss is served by re-targeting a sibling target's
-        plan when the flow places uniformly, else by a fresh lowering — and
-        the result is persisted for future processes.
+        ``use_gpu`` accepts the historical booleans, device-mode strings and
+        :class:`~repro.hardware.device.DeviceKind` values.  A store hit
+        rebuilds the plan around the caller's graph handle without lowering;
+        a full miss re-targets a sibling target's plan when the flow places
+        uniformly, else lowers afresh.
         """
         target = as_device_kind(use_gpu)
-        if not self._enabled:
-            return flow.lower(graph.materialize(), use_gpu=target)
         key = self._plan_key(flow, graph, target)
 
         def compute() -> "ExecutionPlan":
@@ -474,8 +470,6 @@ class PlanCache:
         building a graph, lowering a plan, or running the simulator.
         """
         target = as_device_kind(use_gpu)
-        if not self._enabled:
-            return compute(self.plan(flow, graph, target))
         key = self._simulated_key("serving", flow, graph, target, platform)
         return self._memo(key, lambda: compute(self.plan(flow, graph, target)))
 
@@ -494,29 +488,22 @@ class PlanCache:
         """Profile measurement of one point (see
         :func:`~repro.profiler.profiler.profile_graph`).
 
-        Memoized only while a :meth:`sweep_entry` is open, because only a
-        sweep repeats points; a direct profile (the CLI ``profile``, a
-        benchmark timing ``profile_graph``) always simulates.  Keys are
-        :meth:`_simulated_key` plus the batch size, iteration count, seed
-        and model name, so a re-registered platform, an edited out-of-tree
-        flow or builder, a runtime edit of the flow's dispatch profile, or
-        another seed misses.  A point served in this process or from the
-        open sweep's stored entry counts under ``hits`` (reading the entry
-        counted one ``disk_hits``).  Every measurement the open sweep
-        touches is kept for its entry.
+        Memoized on every call.  Keys are :meth:`_simulated_key` plus the
+        batch size, iteration count, seed and model name, so a re-registered
+        platform, an edited out-of-tree flow or builder, a runtime edit of
+        the flow's dispatch profile, or another seed misses.  An open
+        :meth:`sweep_entry` adds its stored entry as a second source and
+        collects every measurement the sweep touches.  A point served in
+        this process or from that entry counts under ``hits`` (reading the
+        entry counted one ``disk_hits``).
         """
-        sweep = self._sweep
-        if not self._enabled or sweep is None:
+        if not self._enabled:
             return compute()
-        key = self._simulated_key("profile", flow, graph, target, platform) + (
-            batch_size,
-            iterations,
-            seed,
-            model,
-        )
+        key = self._simulated_key("profile", flow, graph, target, platform)
+        key += (batch_size, iterations, seed, model)
         measured = self._profiles.get(key)
-        if measured is None:
-            measured = sweep.stored.get(key)
+        if measured is None and self._sweep is not None:
+            measured = self._sweep.stored.get(key)
         if measured is not None:
             self.stats.hit("profile")
         else:
@@ -546,8 +533,8 @@ class PlanCache:
         whole grid); :meth:`profile` serves the block's points from them.
         On a clean exit, writes every measurement the block kept, when that
         differs from what was stored.  ``points=None`` reads and writes
-        nothing and only collects (a pool worker ships its point's
-        measurement back to the parent this way).
+        nothing and only collects (serving sweeps use it, and a pool worker
+        ships its point's measurement back to the parent this way).
         """
         store = self.store if self._enabled and points is not None else None
         stored = key = None
@@ -576,9 +563,7 @@ class PlanCache:
         def compute() -> list[dict]:
             return NonGemmReport(graph.materialize()).taxonomy_rows(unique=True)
 
-        rows = compute() if not self._enabled else self._memo(
-            ("taxonomy", graph.content_hash()), compute
-        )
+        rows = self._memo(("taxonomy", graph.content_hash()), compute)
         # rows are mutable dicts: callers get copies, never the cached ones
         return [dict(row) for row in rows]
 
@@ -586,8 +571,6 @@ class PlanCache:
         """Memoized liveness analysis keyed by graph content hash."""
         from repro.runtime.memory import profile_memory
 
-        if not self._enabled:
-            return profile_memory(graph.materialize())
         return self._memo(
             ("memory", graph.content_hash()), lambda: profile_memory(graph.materialize())
         )
@@ -603,8 +586,6 @@ class PlanCache:
         something actually walks the rewritten structure.
         """
         fn = get_transform(name)
-        if not self._enabled:
-            return fn(graph.materialize())
         parent_hash = graph.content_hash()
 
         def compute() -> Any:

@@ -84,8 +84,8 @@ def run_point(point: SweepPoint) -> SweepRecord:
     model_name = point.model
     # a lazy handle: the build key alone names the graph's content hash, so
     # when the plan and memory caches (either tier) are warm the model is
-    # never actually constructed.  A bad override surfaces as a typed
-    # RegistryError wherever the build happens.
+    # never actually constructed.  A bad override raises a typed
+    # RegistryError here, before anything is keyed.
     graph = PLAN_CACHE.graph_ref(point.model, point.batch_size, **overrides)
     if point.transform:
         transformed = cached_transform(point.transform, graph)
@@ -121,31 +121,25 @@ def run_point(point: SweepPoint) -> SweepRecord:
     )
 
 
-def _run_point_for_pool(point: SweepPoint) -> tuple[SweepRecord, dict[str, object]]:
-    """Worker-side wrapper: shed the heavy per-record state before pickling.
+def _pool_task(point: SweepPoint) -> tuple[SweepRecord, dict[str, object], dict]:
+    """The pool's worker entry point: one point's record, the delta of the
+    worker's :data:`PLAN_CACHE` counters, and the point's profile
+    measurements.
 
     A ProfileResult lazily references its ExecutionPlan (and through it the
     whole Graph); shipping one independent copy per record back over IPC
     would grow linearly with the grid.  ``detach`` materializes the
     per-kernel records (still needed by reports) and drops every lazy
-    backref — including any added after this wrapper was written.
-
-    Alongside the record, the worker ships the per-point delta of its own
-    process-local :data:`PLAN_CACHE` counters, so the parent can aggregate
-    pool-wide cache activity that would otherwise be invisible to it.
+    backref — including any added after this function was written.  The
+    counter delta lets the parent aggregate pool-wide cache activity that
+    would otherwise be invisible to it; the parent keeps the measurements
+    for the sweep's store entry.
     """
     before = PLAN_CACHE.stats.snapshot()
-    record = run_point(point)
-    record.profile.detach()
-    return record, PLAN_CACHE.stats.delta_since(before)
-
-
-def _pool_task(point: SweepPoint) -> tuple[SweepRecord, dict[str, object], dict]:
-    """:func:`_run_point_for_pool` plus the point's profile measurement, which
-    the parent keeps for the sweep's store entry."""
     with PLAN_CACHE.sweep_entry(None) as entry:
-        record, delta = _run_point_for_pool(point)
-    return record, delta, entry.kept
+        record = run_point(point)
+    record.profile.detach()
+    return record, PLAN_CACHE.stats.delta_since(before), entry.kept
 
 
 def _pool_init(store_directory: str | None) -> None:

@@ -465,13 +465,13 @@ class TestSweepServing:
     def test_serving_points_survive_process_pool(self):
         import pickle
 
-        from repro.sweep.runner import _run_point_for_pool
+        from repro.sweep.runner import _pool_task
         from repro.sweep.spec import SweepSpec
 
         spec = SweepSpec(
             models=(MODEL,), loads=(0.5,), num_requests=4, iterations=2,
         )
-        record, cache_delta = _run_point_for_pool(spec.points()[0])
+        record, cache_delta, _ = _pool_task(spec.points()[0])
         restored = pickle.loads(pickle.dumps(record))
         assert restored.serving.records == record.serving.records
         assert isinstance(cache_delta, dict)

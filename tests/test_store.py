@@ -223,8 +223,12 @@ class TestLazyGraphs:
     def test_graph_ref_hash_matches_built_graph(self):
         cache = PlanCache()
         ref = cache.graph_ref(MODEL, batch_size=1)
+        twin = cache.graph_ref(MODEL, batch_size=1)
         assert isinstance(ref, GraphRef)
         lazy_hash = ref.content_hash()
+        # two handles of one build key share one build
+        assert twin.materialize() is ref.materialize()
+        assert cache.stats.misses == {"graph": 1}
         built = cache.graph(MODEL, batch_size=1)
         assert built.content_hash() == lazy_hash
         assert ref.materialize() is built

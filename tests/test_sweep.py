@@ -273,11 +273,18 @@ class TestPlanCache:
         def cost(plan):
             return [plan.num_kernels]
 
+        def measure():
+            return object()
+
+        profile_args = (flow, graph, DeviceKind.GPU, PLATFORM_A, 1, 2, 0, "gpt2")
         sibling = cache.plan(flow, graph, use_gpu=True)
         cached = (
             cache.memory(graph),
             cache.serving_cost(flow, graph, True, PLATFORM_A, cost),
             cache.transform("llm-int8", graph),
+            cache.profile(*profile_args, measure),
+            cache.taxonomy_rows(graph),
+            cache.graph("gpt2", batch_size=1),
         )
 
         def refuse(*args, **kwargs):
@@ -292,6 +299,9 @@ class TestPlanCache:
                 cache.memory(graph),
                 cache.serving_cost(flow, graph, False, PLATFORM_A, cost),
                 cache.transform("llm-int8", graph),
+                cache.profile(*profile_args, measure),
+                cache.taxonomy_rows(graph),
+                cache.graph_ref("gpt2", batch_size=1),
             )
         assert all(new is not old for new, old in zip(fresh, cached))
         assert len(cache) == entries
@@ -299,6 +309,42 @@ class TestPlanCache:
         # outside the block the CPU lookup would derive from the sibling
         with pytest.raises(AssertionError, match="cached sibling"):
             cache.plan(flow, graph, use_gpu=False)
+
+    def test_direct_profiles_are_memoized(self, monkeypatch):
+        import repro.profiler.profiler as profiler_module
+        from repro.sweep import cache as cache_module
+
+        calls: list = []
+        original = profiler_module.simulate
+
+        def counting(plan, platform):
+            calls.append(plan)
+            return original(plan, platform)
+
+        monkeypatch.setattr(profiler_module, "simulate", counting)
+        cache = PlanCache()
+        monkeypatch.setattr(cache_module, "PLAN_CACHE", cache)
+        graph = build_model("segformer", batch_size=1)
+        flow = get_flow("pytorch")
+        first = profile_graph(graph, flow, PLATFORM_A, iterations=2, seed=3)
+        second = profile_graph(graph, flow, PLATFORM_A, iterations=2, seed=3)
+        assert len(calls) == 1
+        assert cache.stats.hits["profile"] == 1
+        assert second.total_latency_s == first.total_latency_s
+        profile_graph(graph, flow, PLATFORM_A, iterations=2, seed=4)
+        assert len(calls) == 2
+        assert cache.stats.misses["profile"] == 2
+
+    @pytest.mark.parametrize("kwargs", [
+        {"batch_size": True}, {"batch_size": 1.0}, {"seq_len": True}, {"seq_len": 1.0},
+    ])
+    @pytest.mark.parametrize("lookup", ["graph", "graph_ref"])
+    def test_non_int_sizes_do_not_find_a_cached_build(self, kwargs, lookup):
+        cache = PlanCache()
+        cache.graph("gpt2", batch_size=1, seq_len=1)
+        call = {"batch_size": 1, "seq_len": 1, **kwargs}
+        with pytest.raises(ConfigError, match="must be an int"):
+            getattr(cache, lookup)("gpt2", **call)
 
     def test_transform_cached_and_hash_derived(self):
         cache = PlanCache()
