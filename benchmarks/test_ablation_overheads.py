@@ -54,9 +54,9 @@ class _ORTNoFallback(ONNXRuntimeFlow):
 def test_ablation_composite_kernels(benchmark):
     """Collapsing HF's composite GELU removes most of GPT-2's activation cost."""
     graph = build_model("gpt2-xl", batch_size=1)
-    base = profile_graph(graph, PyTorchEagerFlow(), PLATFORM_A, use_gpu=True)
+    base = profile_graph(graph, PyTorchEagerFlow(), PLATFORM_A)
     ablated = benchmark.pedantic(
-        lambda: profile_graph(graph, _EagerCollapsedComposites(), PLATFORM_A, use_gpu=True),
+        lambda: profile_graph(graph, _EagerCollapsedComposites(), PLATFORM_A),
         rounds=1,
         iterations=1,
     )
@@ -69,7 +69,7 @@ def test_ablation_composite_kernels(benchmark):
 def test_ablation_dispatch_overhead(benchmark):
     """With near-zero dispatch overhead, ViT's non-GEMM share collapses."""
     graph = build_model("vit-b", batch_size=1)
-    base = profile_graph(graph, PyTorchEagerFlow(), PLATFORM_A, use_gpu=True)
+    base = profile_graph(graph, PyTorchEagerFlow(), PLATFORM_A)
 
     original = DISPATCH_PROFILES["eager"]
     DISPATCH_PROFILES["eager"] = dataclasses.replace(
@@ -77,7 +77,7 @@ def test_ablation_dispatch_overhead(benchmark):
     )
     try:
         ablated = benchmark.pedantic(
-            lambda: profile_graph(graph, PyTorchEagerFlow(), PLATFORM_A, use_gpu=True),
+            lambda: profile_graph(graph, PyTorchEagerFlow(), PLATFORM_A),
             rounds=1,
             iterations=1,
         )
@@ -91,9 +91,9 @@ def test_ablation_dispatch_overhead(benchmark):
 def test_ablation_gemm_epilogue_fusion(benchmark):
     """DETR's fusion win requires folding norms INTO GEMMs, not just chaining."""
     graph = build_model("detr", batch_size=1)
-    full = profile_graph(graph, TensorRTFlow(), PLATFORM_A, use_gpu=True)
+    full = profile_graph(graph, TensorRTFlow(), PLATFORM_A)
     no_epilogue = benchmark.pedantic(
-        lambda: profile_graph(graph, _TensorRTNoEpilogue(), PLATFORM_A, use_gpu=True),
+        lambda: profile_graph(graph, _TensorRTNoEpilogue(), PLATFORM_A),
         rounds=1,
         iterations=1,
     )
@@ -103,9 +103,9 @@ def test_ablation_gemm_epilogue_fusion(benchmark):
 def test_ablation_ort_fallback(benchmark):
     """Without CPU fallback, GPT2-XL's ORT memory blowup disappears."""
     graph = build_model("gpt2-xl", batch_size=1)
-    with_fallback = profile_graph(graph, ONNXRuntimeFlow(), PLATFORM_A, use_gpu=True)
+    with_fallback = profile_graph(graph, ONNXRuntimeFlow(), PLATFORM_A)
     without = benchmark.pedantic(
-        lambda: profile_graph(graph, _ORTNoFallback(), PLATFORM_A, use_gpu=True),
+        lambda: profile_graph(graph, _ORTNoFallback(), PLATFORM_A),
         rounds=1,
         iterations=1,
     )

@@ -37,18 +37,18 @@ def test_build_mask_rcnn_graph(benchmark):
 
 def test_lower_eager(benchmark, gpt2_graph):
     flow = PyTorchEagerFlow()
-    plan = benchmark(lambda: flow.lower(gpt2_graph, use_gpu=True))
+    plan = benchmark(lambda: flow.lower(gpt2_graph))
     assert plan.num_kernels == len(gpt2_graph.compute_nodes())
 
 
 def test_lower_tensorrt_with_fusion(benchmark, swin_graph):
     flow = TensorRTFlow()
-    plan = benchmark(lambda: flow.lower(swin_graph, use_gpu=True))
+    plan = benchmark(lambda: flow.lower(swin_graph))
     assert plan.num_fused_kernels > 0
 
 
 def test_simulate_plan(benchmark, gpt2_graph):
-    plan = PyTorchEagerFlow().lower(gpt2_graph, use_gpu=True)
+    plan = PyTorchEagerFlow().lower(gpt2_graph)
     result = benchmark(lambda: simulate(plan, PLATFORM_A))
     assert result.total_latency_s > 0
 
@@ -59,7 +59,7 @@ def test_full_profile_pipeline(benchmark, gpt2_graph):
     seeds = itertools.count()
     result = benchmark.pedantic(
         lambda: profile_graph(
-            gpt2_graph, PyTorchEagerFlow(), PLATFORM_A, use_gpu=True, iterations=5,
+            gpt2_graph, PyTorchEagerFlow(), PLATFORM_A, iterations=5,
             seed=next(seeds),
         ),
         rounds=3,

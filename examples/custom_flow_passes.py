@@ -47,7 +47,7 @@ class SmallKernelOffloadPass(LoweringPass):
         return f"max_bytes={self.max_bytes}"
 
     def run(self, state) -> None:
-        if not state.use_gpu:
+        if state.target is DeviceKind.CPU:
             return  # nothing to offload on a CPU-only run
         kernels = state.kernels
         nodes = state.graph.freeze()  # the graph's node table
@@ -96,15 +96,15 @@ def main() -> None:
     graph = build_model("swin-t", batch_size=1)
 
     custom = get_flow("edge-offload")  # registered like any built-in flow
-    plan = custom.lower(graph, use_gpu=True, record_provenance=True)
+    plan = custom.lower(graph, record_provenance=True)
     trace = {entry["pass"]: entry for entry in plan.notes["passes"]}
     offloaded = trace["small-kernel-offload"]["offloaded"]
     print(f"custom pass pipeline: {' -> '.join(custom.pipeline.pass_names())}")
     print(f"pipeline signature:   {custom.pipeline_signature()}")
     print(f"offloaded kernels:    {offloaded} of {plan.num_kernels}")
 
-    baseline = profile_graph(graph, TorchInductorFlow(), PLATFORM_A, use_gpu=True)
-    offload = profile_graph(graph, custom, PLATFORM_A, use_gpu=True)
+    baseline = profile_graph(graph, TorchInductorFlow(), PLATFORM_A)
+    offload = profile_graph(graph, custom, PLATFORM_A)
     print(
         f"swin-t on A:          torchinductor {baseline.total_latency_ms:.2f} ms"
         f" -> edge-offload {offload.total_latency_ms:.2f} ms"

@@ -61,7 +61,7 @@ def main() -> None:
     rows = []
     for flow_name in ("pytorch", "tensorrt"):
         profile = profile_graph(
-            graph, get_flow(flow_name), PLATFORM_B, use_gpu=True, model_name="tiny-lm"
+            graph, get_flow(flow_name), PLATFORM_B, model_name="tiny-lm"
         )
         rows.append(
             {

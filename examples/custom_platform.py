@@ -100,9 +100,9 @@ def main() -> None:
     )
 
     graph = build_model("vit-b", batch_size=1)
-    cpu = profile_graph(graph, get_flow("pytorch"), platform.cpu_only(), use_gpu=False)
-    gpu = profile_graph(graph, get_flow("pytorch"), platform, use_gpu=DeviceKind.GPU)
-    npu = profile_graph(graph, get_flow("npu-offload"), platform, use_gpu=DeviceKind.NPU)
+    cpu = profile_graph(graph, get_flow("pytorch"), platform, target=DeviceKind.CPU)
+    gpu = profile_graph(graph, get_flow("pytorch"), platform, target=DeviceKind.GPU)
+    npu = profile_graph(graph, get_flow("npu-offload"), platform, target=DeviceKind.NPU)
     print("\nvit-b non-GEMM share on the hypothetical SoC:")
     for label, profile in (("cpu only", cpu), ("igpu", gpu), ("npu offload", npu)):
         print(

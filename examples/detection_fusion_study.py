@@ -23,7 +23,7 @@ def main() -> None:
         eager_ng_ms = None
         for flow_name in ("pytorch", "torchinductor", "tensorrt"):
             profile = profile_graph(
-                graph, get_flow(flow_name), PLATFORM_A, use_gpu=True, model_name=model
+                graph, get_flow(flow_name), PLATFORM_A, model_name=model
             )
             ng_ms = profile.non_gemm_latency_s * 1e3
             if flow_name == "pytorch":

@@ -24,7 +24,7 @@ def main() -> None:
         graph = build_model(model, batch_size=1)
         for flow_name in FLOWS:
             profile = profile_graph(
-                graph, get_flow(flow_name), PLATFORM_A, use_gpu=True, model_name=model
+                graph, get_flow(flow_name), PLATFORM_A, model_name=model
             )
             shares = profile.share_by_group()
             group, share = profile.dominant_non_gemm_group()

@@ -22,7 +22,7 @@ def main() -> None:
         graph = build_model("llama3-8b", batch_size=1, seq_len=seq)
         quantized = quantize_llm_int8(graph)
         for precision, g in (("fp16", graph), ("int8", quantized.graph)):
-            profile = profile_graph(g, flow, PLATFORM_A, use_gpu=True, model_name=f"llama3-{precision}")
+            profile = profile_graph(g, flow, PLATFORM_A, model_name=f"llama3-{precision}")
             shares = profile.share_by_group()
             rows.append(
                 {

@@ -9,7 +9,7 @@ then prints the operator-group breakdown and the slowest kernels.
 
 from repro import build_model, profile_graph
 from repro.flows import get_flow
-from repro.hardware import PLATFORM_A
+from repro.hardware import PLATFORM_A, DeviceKind
 from repro.viz.ascii import render_stacked_bar, render_table
 
 
@@ -20,10 +20,10 @@ def main() -> None:
     print(f"model: {graph.name}, {len(graph.compute_nodes())} operators,"
           f" {graph.param_count() / 1e6:.1f}M parameters\n")
 
-    for use_gpu in (False, True):
-        platform = PLATFORM_A if use_gpu else PLATFORM_A.cpu_only()
-        profile = profile_graph(graph, flow, platform, use_gpu=use_gpu, model_name="gpt2")
-        device = "CPU+GPU" if use_gpu else "CPU only"
+    for target in (DeviceKind.CPU, DeviceKind.GPU):
+        # a CPU target runs on the platform's CPU-only variant (no idle GPU)
+        profile = profile_graph(graph, flow, PLATFORM_A, target=target, model_name="gpt2")
+        device = profile.device.upper()
         shares = {g.value: s for g, s in profile.share_by_group().items()}
         print(render_stacked_bar(
             f"gpt2 [{device}]", shares, total_label=f"{profile.total_latency_ms:7.2f} ms"
@@ -31,7 +31,7 @@ def main() -> None:
     print()
 
     # detailed look at the accelerated profile
-    profile = profile_graph(graph, flow, PLATFORM_A, use_gpu=True, model_name="gpt2")
+    profile = profile_graph(graph, flow, PLATFORM_A, model_name="gpt2")
     print(f"non-GEMM share with GPU: {profile.non_gemm_share:.1%}")
     group, share = profile.dominant_non_gemm_group()
     print(f"dominant non-GEMM group: {group.value} ({share:.1%} of total)\n")

@@ -13,7 +13,7 @@ import argparse
 
 from repro.analysis.tables import PAPER_TABLE4
 from repro.flows import get_flow
-from repro.hardware import get_platform
+from repro.hardware import DeviceKind, get_platform
 from repro.models import PAPER_MODELS, build_model
 from repro.profiler import profile_graph
 
@@ -36,11 +36,9 @@ def main() -> None:
     for name in names:
         graph = build_model(name, batch_size=args.batch)
         cpu = profile_graph(
-            graph, flow, platform.cpu_only(), use_gpu=False, batch_size=args.batch, model_name=name
+            graph, flow, platform, target=DeviceKind.CPU, batch_size=args.batch, model_name=name
         )
-        gpu = profile_graph(
-            graph, flow, platform, use_gpu=True, batch_size=args.batch, model_name=name
-        )
+        gpu = profile_graph(graph, flow, platform, batch_size=args.batch, model_name=name)
         dom, share = gpu.dominant_non_gemm_group()
         target_group, target_share = PAPER_TABLE4.get(name, ("?", 0.0))
         match = "OK " if dom.value == target_group else "!! "

@@ -34,7 +34,7 @@ def run_fig1(platform_id: str = "A", iterations: int = 5, seed: int = 0) -> Expe
     bars = []
     for record in SweepRunner().run(spec).records:
         profile = record.profile
-        device = "CPU" if record.point.device == "cpu" else "CPU+GPU"
+        device = profile.device.upper()
         result.rows.append(
             {
                 "model": record.point.model,

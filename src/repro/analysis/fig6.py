@@ -12,6 +12,7 @@ platform) and simulates each point vectorized.
 from __future__ import annotations
 
 from repro.analysis.common import ExperimentResult, group_share_columns, ordered_shares
+from repro.hardware import DeviceKind
 from repro.models import PAPER_MODELS, get_model
 from repro.profiler import ProfileResult
 from repro.sweep.runner import SweepRunner
@@ -52,15 +53,15 @@ def run_fig6(
             "domain": domains[point.model],
             "model": point.model,
             "batch": point.batch_size,
-            "device": "cpu" if point.device == "cpu" else "cpu+gpu",
+            "device": profile.device,
             "latency_ms": round(profile.total_latency_ms, 3),
             "non_gemm_pct": round(100 * profile.non_gemm_share, 2),
         }
         row.update(group_share_columns(profile))
         result.rows.append(row)
 
-    gpu_profiles = [p for p in profiles if p.use_gpu]
-    cpu_profiles = [p for p in profiles if not p.use_gpu]
+    gpu_profiles = [p for p in profiles if p.target is not DeviceKind.CPU]
+    cpu_profiles = [p for p in profiles if p.target is DeviceKind.CPU]
     if cpu_profiles and gpu_profiles:
         cpu_avg = sum(p.non_gemm_share for p in cpu_profiles) / len(cpu_profiles)
         gpu_avg = sum(p.non_gemm_share for p in gpu_profiles) / len(gpu_profiles)

@@ -30,6 +30,7 @@ import sys
 from repro.analysis import EXPERIMENTS
 from repro.core import NonGemmReport, PerformanceReport
 from repro.errors import ReproError
+from repro.hardware import DeviceKind
 from repro.knobs import TraceKnobs, listing, pick
 from repro.models import build_model, list_models
 from repro.serving import AutoscaleConfig, ClusterConfig, ServingConfig
@@ -368,7 +369,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     flow = get_flow(args.flow)
     overrides = {} if args.seq_len is None else {"seq_len": args.seq_len}
     graph = build_model(args.model, batch_size=args.batch, **overrides)
-    plan = flow.lower(graph, use_gpu=not args.cpu_only, record_provenance=True)
+    target = DeviceKind.CPU if args.cpu_only else DeviceKind.GPU
+    plan = flow.lower(graph, target, record_provenance=True)
 
     print(f"plan: {args.model} via {flow.name} ({plan.num_kernels} kernels,")
     print(f"      {plan.num_fused_kernels} fused, dispatch={plan.dispatch_profile})")

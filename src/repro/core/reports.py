@@ -33,7 +33,7 @@ class PerformanceReport:
             "model": p.model,
             "flow": p.flow,
             "platform": p.platform.platform_id,
-            "device": "cpu+gpu" if p.use_gpu else "cpu",
+            "device": p.device,
             "batch": p.batch_size,
             "latency_ms": round(p.total_latency_ms, 4),
             "latency_std_ms": round(p.total_latency_std_s * 1e3, 4),

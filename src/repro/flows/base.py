@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import abc
 import hashlib
-from typing import TYPE_CHECKING, ClassVar
+from typing import ClassVar
 
 from repro.errors import PlanError
 from repro.ir.graph import Graph, collector_paused
@@ -37,9 +37,7 @@ from repro.flows.passes import (
 )
 from repro.flows.passes.state import LoweringState
 from repro.flows.plan import ExecutionPlan
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.hardware.device import DeviceKind
+from repro.hardware.device import DeviceKind
 
 
 class DeploymentFlow(abc.ABC):
@@ -58,7 +56,7 @@ class DeploymentFlow(abc.ABC):
     #: pick better tilings for small problems than stock cuBLAS heuristics.
     gemm_saturation_scale: ClassVar[float] = 1.0
     #: True when placement puts every node on the same device for a given
-    #: ``use_gpu`` (all flows except ORT's per-op fallback).  Enables
+    #: target (all flows except ORT's per-op fallback).  Enables
     #: :meth:`derive_plan` re-targeting instead of a full re-lowering.
     uniform_placement: ClassVar[bool] = True
 
@@ -126,19 +124,17 @@ class DeploymentFlow(abc.ABC):
     def lower(
         self,
         graph: Graph,
-        use_gpu: "bool | str | DeviceKind" = True,
+        target: DeviceKind = DeviceKind.GPU,
         record_provenance: bool = False,
     ) -> ExecutionPlan:
-        """Lower ``graph`` into an execution plan for simulation.
+        """Lower ``graph`` into an execution plan for the ``target`` device
+        class (e.g. ``DeviceKind.NPU`` for the edge flows).
 
-        ``use_gpu`` keeps its historical name and booleans but accepts any
-        :class:`~repro.hardware.device.DeviceKind` (or device-mode string)
-        as the lowering target — e.g. ``DeviceKind.NPU`` for the edge flows.
         With ``record_provenance``, the plan's ``notes`` carry a per-pass
         trace and per-kernel provenance tags (``nongemm-bench inspect``).
         """
         graph.validate()
-        state = self.pipeline.run(graph, use_gpu, record_provenance=record_provenance)
+        state = self.pipeline.run(graph, target, record_provenance=record_provenance)
         plan = self._finalize(state)
         plan.validate()
         return plan
@@ -178,9 +174,7 @@ class DeploymentFlow(abc.ABC):
                 return False
         return True
 
-    def derive_plan(
-        self, source: ExecutionPlan, use_gpu: "bool | str | DeviceKind"
-    ) -> ExecutionPlan:
+    def derive_plan(self, source: ExecutionPlan, target: DeviceKind) -> ExecutionPlan:
         """Re-target an already-lowered plan to another device class.
 
         Valid only when :meth:`supports_derivation` holds: the kernel
@@ -188,7 +182,7 @@ class DeploymentFlow(abc.ABC):
         device-independent, so the opposite-device plan differs only in
         placement and the device-sensitive refinements (syncs, metadata
         elision), which re-run here as a short pipeline over the re-targeted
-        kernel columns.  Produces exactly what ``lower(graph, use_gpu=...)`` would,
+        kernel columns.  Produces exactly what ``lower(graph, target)`` would,
         for a fraction of the cost — the sweep cache uses this when it
         already holds the sibling plan.
         """
@@ -204,7 +198,7 @@ class DeploymentFlow(abc.ABC):
         )
         # a plan served from the persistent store may hold a lazy GraphRef;
         # re-targeting walks graph structure, so resolve it here.
-        state = manager.run(source.graph.materialize(), use_gpu)
+        state = manager.run(source.graph.materialize(), target)
         return self._finalize(state)
 
     def _finalize(self, state: LoweringState) -> ExecutionPlan:

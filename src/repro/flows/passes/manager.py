@@ -66,21 +66,12 @@ class PassManager:
     def run(
         self,
         graph: "Graph",
-        use_gpu: "bool | str | DeviceKind",
+        target: "DeviceKind",
         record_provenance: bool = False,
     ) -> LoweringState:
-        """Run the pipeline for one lowering target.
-
-        ``use_gpu`` keeps its historical name and booleans (True -> GPU,
-        False -> CPU) but now accepts any :class:`DeviceKind` or device-mode
-        string, normalized via :func:`~repro.hardware.device.as_device_kind`.
-        """
-        from repro.hardware.device import as_device_kind
-
+        """Run the pipeline for one lowering target."""
         state = LoweringState(
-            graph=graph,
-            target=as_device_kind(use_gpu),
-            record_provenance=record_provenance,
+            graph=graph, target=target, record_provenance=record_provenance
         )
         for lowering_pass in self.passes:
             lowering_pass.run(state)

@@ -2,8 +2,7 @@
 
 Placement is a *policy* plugged into one pass; policies speak the N-device
 model: they map ``(node, target)`` to a :class:`DeviceKind`, where ``target``
-is the device class the lowering aims at (historical booleans still work —
-``True`` is GPU, ``False`` is CPU).
+is the device class the lowering aims at.
 
 * :class:`UniformPlacement` — all flows except the per-op ones: the whole
   plan lands on the target device, resolved once per lowering (never per
@@ -28,7 +27,7 @@ import abc
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import PlanError
-from repro.hardware.device import DeviceKind, as_device_kind
+from repro.hardware.device import DeviceKind
 from repro.flows.passes.manager import LoweringPass
 from repro.flows.passes.state import LoweringState
 
@@ -45,10 +44,10 @@ class PlacementPolicy(abc.ABC):
     is_uniform: bool = False
 
     @abc.abstractmethod
-    def device_for(self, node: "Node", target: "bool | DeviceKind") -> DeviceKind:
-        """Device for one node (``target`` accepts legacy ``use_gpu`` booleans)."""
+    def device_for(self, node: "Node", target: DeviceKind) -> DeviceKind:
+        """Device for one node."""
 
-    def resolve_uniform(self, target: "bool | DeviceKind") -> DeviceKind | None:
+    def resolve_uniform(self, target: DeviceKind) -> DeviceKind | None:
         """The single device every node maps to, or None for per-op policies."""
         return None
 
@@ -62,11 +61,11 @@ class UniformPlacement(PlacementPolicy):
 
     is_uniform = True
 
-    def device_for(self, node: "Node", target: "bool | DeviceKind") -> DeviceKind:
-        return as_device_kind(target)
+    def device_for(self, node: "Node", target: DeviceKind) -> DeviceKind:
+        return target
 
-    def resolve_uniform(self, target: "bool | DeviceKind") -> DeviceKind | None:
-        return as_device_kind(target)
+    def resolve_uniform(self, target: DeviceKind) -> DeviceKind | None:
+        return target
 
     def signature(self) -> str:
         return "uniform"
@@ -78,13 +77,10 @@ class PerOpFallbackPlacement(PlacementPolicy):
     def __init__(self, cpu_fallback_kinds: frozenset[str]):
         self.cpu_fallback_kinds = frozenset(cpu_fallback_kinds)
 
-    def device_for(self, node: "Node", target: "bool | DeviceKind") -> DeviceKind:
-        resolved = as_device_kind(target)
-        if resolved is DeviceKind.CPU:
-            return DeviceKind.CPU
+    def device_for(self, node: "Node", target: DeviceKind) -> DeviceKind:
         if node.op.kind in self.cpu_fallback_kinds:
             return DeviceKind.CPU
-        return resolved
+        return target
 
     def signature(self) -> str:
         return f"per-op-fallback({','.join(sorted(self.cpu_fallback_kinds))})"
@@ -102,12 +98,9 @@ class CategoryRoutePlacement(PlacementPolicy):
     def __init__(self, accelerated_categories: "Iterable[OpCategory]"):
         self.accelerated_categories = frozenset(accelerated_categories)
 
-    def device_for(self, node: "Node", target: "bool | DeviceKind") -> DeviceKind:
-        resolved = as_device_kind(target)
-        if resolved is DeviceKind.CPU:
-            return DeviceKind.CPU
+    def device_for(self, node: "Node", target: DeviceKind) -> DeviceKind:
         if node.op.category in self.accelerated_categories:
-            return resolved
+            return target
         return DeviceKind.CPU
 
     def signature(self) -> str:

@@ -108,8 +108,7 @@ class LoweringState:
     """Everything a lowering pipeline accumulates for one (graph, target) pair."""
 
     graph: "Graph"
-    #: the device class this lowering targets (CPU means host-only); replaces
-    #: the historical ``use_gpu`` boolean, which remains as a derived view.
+    #: the device class this lowering targets (CPU means host-only).
     target: "DeviceKind"
     #: disjoint node-id groups in topological order (set by FusionPass).
     groups: list[tuple[int, ...]] | None = None
@@ -120,13 +119,6 @@ class LoweringState:
     #: when True, passes record PassTrace entries and kernel provenance tags.
     record_provenance: bool = False
     trace: list[PassTrace] = field(default_factory=list)
-
-    @property
-    def use_gpu(self) -> bool:
-        """Legacy view of the target: True for any accelerator target."""
-        from repro.hardware.device import DeviceKind
-
-        return self.target is not DeviceKind.CPU
 
     def note(self, pass_name: str, **summary: object) -> None:
         """Append a trace entry (no-op unless provenance recording is on)."""

@@ -35,23 +35,26 @@ class DeviceKind(enum.Enum):
     NPU = "npu"
 
 
-def as_device_kind(value: "bool | str | DeviceKind") -> DeviceKind:
-    """Normalize a lowering/profiling target to a :class:`DeviceKind`.
+#: every named placement target, spelled exactly as the config edges accept
+#: it (lower case): the sweep's ``device`` axis, a point's ``device`` and the
+#: serving ``device`` knob.
+DEVICE_MODES = tuple(kind.value for kind in DeviceKind)
+#: the knob ``check`` (see :mod:`repro.knobs`) of a device-mode string.
+DEVICE_MODE = (f"one of {', '.join(DEVICE_MODES)}", DEVICE_MODES.__contains__)
 
-    Accepts the historical ``use_gpu`` booleans (``True`` -> GPU, ``False``
-    -> CPU), device-mode strings from the sweep axis (``"npu"``), and kinds
-    themselves, so every API that grew out of the binary CPU/GPU model keeps
-    its call sites working.
+
+def as_device_kind(mode: str) -> DeviceKind:
+    """Parse a device-mode string (one of :data:`DEVICE_MODES`).
+
+    Config edges call this once; every API below them takes a
+    :class:`DeviceKind`.
     """
-    if isinstance(value, DeviceKind):
-        return value
-    if isinstance(value, bool):
-        return DeviceKind.GPU if value else DeviceKind.CPU
     try:
-        return DeviceKind(str(value).lower())
+        return DeviceKind(mode)
     except ValueError:
-        known = ", ".join(kind.value for kind in DeviceKind)
-        raise RegistryError(f"unknown device kind {value!r}; known: {known}") from None
+        raise RegistryError(
+            f"unknown device mode {mode!r}; known: {', '.join(DEVICE_MODES)}"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -158,8 +158,11 @@ class Platform:
 
     def cpu_only(self) -> "Platform":
         """The same machine with every accelerator removed (the paper's
-        CPU-only bars).  The derived id carries the reserved ``-cpu`` suffix;
-        :func:`get_platform` resolves such ids back through the registry."""
+        CPU-only bars): the platform itself when it has none.  A derived id
+        carries the reserved ``-cpu`` suffix; :func:`get_platform` resolves
+        such ids back through the registry."""
+        if len(self.devices) == 1:
+            return self
         derived = self.__dict__.get("_cpu_only")
         if derived is None:
             derived = Platform(
@@ -331,6 +334,23 @@ def get_platform(platform_id: str) -> Platform:
         if base in PLATFORM_REGISTRY:
             return PLATFORM_REGISTRY.get(base).cpu_only()
     return PLATFORM_REGISTRY.get(platform_id)
+
+
+def resolve_target(platform: Platform, target: DeviceKind) -> tuple[Platform, DeviceKind]:
+    """The effective (platform, target) pair of a placement request.
+
+    The one place that decides it: a target the platform lacks falls back
+    to the host CPU, and a CPU target runs on the platform's
+    accelerator-free :meth:`Platform.cpu_only` derivation (the paper's
+    CPU-only bars), so idle accelerators are never charged.  Idempotent.
+    """
+    if not isinstance(target, DeviceKind):
+        raise RegistryError(f"placement target must be a DeviceKind, got {target!r}")
+    if not platform.has_device(target):
+        target = DeviceKind.CPU
+    if target is DeviceKind.CPU:
+        platform = platform.cpu_only()
+    return platform, target
 
 
 list_platforms = PLATFORM_REGISTRY.values

@@ -24,8 +24,8 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.flows.base import DeploymentFlow
 from repro.flows.plan import CATEGORIES, ExecutionPlan
-from repro.hardware.device import DeviceKind, as_device_kind
-from repro.hardware.platform import Platform
+from repro.hardware.device import DeviceKind
+from repro.hardware.platform import Platform, resolve_target
 from repro.ir.graph import Graph
 from repro.ops.base import OpCategory
 from repro.profiler.records import ProfileResult, report_group
@@ -112,7 +112,7 @@ def profile_graph(
     graph: Graph,
     flow: DeploymentFlow,
     platform: Platform,
-    use_gpu: "bool | str | DeviceKind" = True,
+    target: DeviceKind = DeviceKind.GPU,
     batch_size: int = 1,
     iterations: int = 5,
     seed: int = 0,
@@ -120,10 +120,11 @@ def profile_graph(
 ) -> ProfileResult:
     """Profile one model graph under one deployment flow on one platform.
 
-    ``use_gpu`` keeps its historical name and booleans but accepts any
-    :class:`~repro.hardware.device.DeviceKind` (or device-mode string) as
-    the placement target; targets the platform lacks fall back to the host
-    CPU, exactly as missing GPUs always have.
+    ``(platform, target)`` goes through
+    :func:`~repro.hardware.platform.resolve_target`: a target the platform
+    lacks falls back to the host CPU, and a CPU target runs on the
+    platform's CPU-only derivation, so the result's ``platform`` is the one
+    the profile ran on.
 
     ``graph`` may also be a lazy :class:`~repro.sweep.cache.GraphRef`: the
     whole profile is derivable from the cached/stored plan and memory
@@ -134,9 +135,7 @@ def profile_graph(
     """
     if iterations < 1:
         raise ConfigError("iterations must be positive")
-    target = as_device_kind(use_gpu)
-    if target is not DeviceKind.CPU and not platform.has_device(target):
-        target = DeviceKind.CPU
+    platform, target = resolve_target(platform, target)
     plan = cached_lower(flow, graph, target)
     model = model_name or graph.name
     measured = cached_profile(
@@ -148,7 +147,6 @@ def profile_graph(
         model=model,
         flow=flow.name,
         platform=platform,
-        use_gpu=target is not DeviceKind.CPU,
         target=target,
         batch_size=batch_size,
         iterations=iterations,

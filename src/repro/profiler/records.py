@@ -80,7 +80,6 @@ class ProfileResult:
         model: str,
         flow: str,
         platform: Platform,
-        use_gpu: bool,
         target: DeviceKind,
         batch_size: int,
         iterations: int,
@@ -102,7 +101,6 @@ class ProfileResult:
         self.model = model
         self.flow = flow
         self.platform = platform
-        self.use_gpu = use_gpu
         #: the placement target this profile ran against.
         self.target = target
         self.batch_size = batch_size
@@ -261,10 +259,16 @@ class ProfileResult:
         records = [r for r in self.records if not (non_gemm_only and r.is_gemm)]
         return sorted(records, key=lambda r: r.latency_s, reverse=True)[:n]
 
+    @property
+    def device(self) -> str:
+        """The devices the profile ran on: ``cpu``, or ``cpu+`` the target."""
+        if self.target is DeviceKind.CPU:
+            return "cpu"
+        return f"cpu+{self.target.value}"
+
     def describe(self) -> str:
-        device = f"CPU+{self.target.value.upper()}" if self.use_gpu else "CPU"
         return (
             f"{self.model} b{self.batch_size} [{self.flow}, platform {self.platform.platform_id},"
-            f" {device}]: {self.total_latency_ms:.2f} ms,"
+            f" {self.device.upper()}]: {self.total_latency_ms:.2f} ms,"
             f" non-GEMM {self.non_gemm_share:.1%}"
         )

@@ -46,7 +46,6 @@ from repro.serving.cost import BatchCost, BatchCostModel, batch_cost_from_simula
 from repro.serving.engine import (
     ServingConfig,
     ServingEngine,
-    resolve_serving_target,
     serve_point,
     simulate_serving,
 )
@@ -173,7 +172,6 @@ __all__ = [
     "register_policy",
     "register_scheduler",
     "register_trace",
-    "resolve_serving_target",
     "serve_cluster_point",
     "serve_point",
     "simulate_cluster",

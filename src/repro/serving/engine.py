@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 from repro.errors import ServingError
 from repro.flows import get_flow
-from repro.hardware.device import DeviceKind, as_device_kind
-from repro.hardware.platform import Platform, get_platform
+from repro.hardware.device import DEVICE_MODE, DeviceKind, as_device_kind
+from repro.hardware.platform import get_platform, resolve_target
 from repro.knobs import BatchingKnobs, knob, pick
 from repro.serving.cost import BatchCostModel
 from repro.serving.metrics import ServingResult
@@ -61,9 +61,16 @@ class EngineKnobs(BatchingKnobs):
     model: str
     flow: str = knob("pytorch", "--flow")
     #: placement target mode (``cpu``/``gpu``/``npu``); targets the platform
-    #: lacks fall back to the host CPU, exactly like ``profile_graph``.
-    device: str = knob("gpu", "--device", help="placement target (cpu/gpu/npu)")
+    #: lacks fall back to the host CPU (see ``resolve_target``).
+    device: str = knob(
+        "gpu", "--device", check=DEVICE_MODE, help="placement target (cpu/gpu/npu)"
+    )
     seq_len: int | None = knob(None, "--seq-len")
+
+    @property
+    def target(self) -> DeviceKind:
+        """The placement target as a :class:`DeviceKind`."""
+        return as_device_kind(self.device)
 
 
 @dataclass(frozen=True)
@@ -73,40 +80,20 @@ class ServingConfig(EngineKnobs):
     platform: str = "A"
 
 
-def resolve_serving_target(
-    platform: Platform, device: "bool | str | DeviceKind"
-) -> tuple[Platform, DeviceKind]:
-    """The effective (platform, target) pair for a serving scenario.
-
-    Mirrors :func:`~repro.profiler.profiler.profile_graph`: a target the
-    platform lacks falls back to the host CPU, and CPU targets run on the
-    platform's accelerator-free :meth:`~repro.hardware.platform.Platform.cpu_only`
-    derivation (the paper's CPU-only bars).
-    """
-    target = as_device_kind(device)
-    if target is not DeviceKind.CPU and not platform.has_device(target):
-        target = DeviceKind.CPU
-    if target is DeviceKind.CPU:
-        platform = platform.cpu_only()
-    return platform, target
-
-
 class ServingEngine:
     """Discrete-event serving simulation of one configuration."""
 
     def __init__(self, config: ServingConfig, cache: PlanCache | None = None):
         self.config = config
-        platform, target = resolve_serving_target(
-            get_platform(config.platform), config.device
+        self.platform, self.target = resolve_target(
+            get_platform(config.platform), config.target
         )
-        self.platform = platform
-        self.target = target
         self.flow = get_flow(config.flow)
         self.costs = BatchCostModel(
             model=config.model,
             flow=self.flow,
-            platform=platform,
-            target=target,
+            platform=self.platform,
+            target=self.target,
             seq_len=config.seq_len,
             cache=cache,
         )
@@ -123,9 +110,7 @@ class ServingEngine:
         if self.target is DeviceKind.CPU:
             return self.costs
         if self._fallback_costs is None:
-            platform, target = resolve_serving_target(
-                get_platform(self.config.platform), DeviceKind.CPU
-            )
+            platform, target = resolve_target(self.platform, DeviceKind.CPU)
             self._fallback_costs = BatchCostModel(
                 model=self.config.model,
                 flow=self.flow,

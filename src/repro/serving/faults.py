@@ -9,7 +9,7 @@ tail latency through a different mechanism:
 * **transient accelerator loss** — the replica stays up but its accelerator
   drops out (driver reset, thermal trip, preempted MIG slice): new
   dispatches fall back to the host CPU — the same missing-accelerator
-  fallback path :func:`~repro.serving.engine.resolve_serving_target` takes
+  fallback path :func:`~repro.hardware.platform.resolve_target` takes
   for platforms that never had the device;
 * **stragglers** — individual dispatches run a multiplier slower than the
   cost model predicts (contended SMs, page faults, clock throttling).

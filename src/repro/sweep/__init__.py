@@ -40,7 +40,7 @@ _LAZY = {
     "SweepPoint": "repro.sweep.spec",
     "SweepSpec": "repro.sweep.spec",
     "DIMENSIONS": "repro.sweep.spec",
-    "DEVICE_MODES": "repro.sweep.spec",
+    "DEVICE_MODES": "repro.hardware.device",
     "SweepRecord": "repro.sweep.runner",
     "SweepResult": "repro.sweep.runner",
     "SweepRunner": "repro.sweep.runner",

@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.hardware.calibration import dispatch_profile
-from repro.hardware.device import DeviceKind, as_device_kind
+from repro.hardware.device import DeviceKind
 from repro.ir.graph import Graph, derived_hash
 from repro.models import build_model, get_model
 from repro.registry import Registry
@@ -423,17 +423,14 @@ class PlanCache:
         )
 
     def plan(
-        self, flow: "DeploymentFlow", graph: Graph | GraphRef, use_gpu: "bool | str | DeviceKind"
+        self, flow: "DeploymentFlow", graph: Graph | GraphRef, target: DeviceKind
     ) -> "ExecutionPlan":
-        """Memoized ``flow.lower(graph, use_gpu)``, keyed by :meth:`_plan_key`.
+        """Memoized ``flow.lower(graph, target)``, keyed by :meth:`_plan_key`.
 
-        ``use_gpu`` accepts the historical booleans, device-mode strings and
-        :class:`~repro.hardware.device.DeviceKind` values.  A store hit
-        rebuilds the plan around the caller's graph handle without lowering;
-        a full miss re-targets a sibling target's plan when the flow places
-        uniformly, else lowers afresh.
+        A store hit rebuilds the plan around the caller's graph handle
+        without lowering; a full miss re-targets a sibling target's plan
+        when the flow places uniformly, else lowers afresh.
         """
-        target = as_device_kind(use_gpu)
         key = self._plan_key(flow, graph, target)
 
         def compute() -> "ExecutionPlan":
@@ -444,7 +441,7 @@ class PlanCache:
                         sibling = self._peek(key[:3] + (other.value,))
                         if sibling is not None:
                             return flow.derive_plan(sibling, target)
-            return flow.lower(graph.materialize(), use_gpu=target)
+            return flow.lower(graph.materialize(), target)
 
         return self._memo(
             key,
@@ -457,7 +454,7 @@ class PlanCache:
         self,
         flow: "DeploymentFlow",
         graph: "Graph | GraphRef",
-        use_gpu: "bool | str | DeviceKind",
+        target: DeviceKind,
         platform,
         compute: Callable,
     ) -> Any:
@@ -469,7 +466,6 @@ class PlanCache:
         warm persistent store therefore serves whole serving sweeps without
         building a graph, lowering a plan, or running the simulator.
         """
-        target = as_device_kind(use_gpu)
         key = self._simulated_key("serving", flow, graph, target, platform)
         return self._memo(key, lambda: compute(self.plan(flow, graph, target)))
 
@@ -620,9 +616,9 @@ PLAN_CACHE = PlanCache(store=ArtifactStore.from_env())
 
 
 def cached_lower(
-    flow: "DeploymentFlow", graph: Graph | GraphRef, use_gpu: "bool | str | DeviceKind"
+    flow: "DeploymentFlow", graph: Graph | GraphRef, target: DeviceKind
 ) -> "ExecutionPlan":
-    return PLAN_CACHE.plan(flow, graph, use_gpu)
+    return PLAN_CACHE.plan(flow, graph, target)
 
 
 def cached_profile_memory(graph: Graph | GraphRef) -> "MemoryProfile":

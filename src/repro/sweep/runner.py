@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.flows import get_flow
-from repro.hardware import DeviceKind, get_platform
+from repro.hardware import get_platform
 from repro.profiler.profiler import profile_graph
 from repro.profiler.records import ProfileResult
 from repro.sweep.cache import PLAN_CACHE, cached_transform
@@ -75,10 +75,6 @@ class SweepResult:
 
 def run_point(point: SweepPoint) -> SweepRecord:
     """Profile one sweep point through the memoizing pipeline."""
-    target = point.target
-    platform = get_platform(point.platform)
-    if target is DeviceKind.CPU:
-        platform = platform.cpu_only()
     overrides = {} if point.seq_len is None else {"seq_len": point.seq_len}
     transform_stats = None
     model_name = point.model
@@ -95,8 +91,8 @@ def run_point(point: SweepPoint) -> SweepRecord:
     profile = profile_graph(
         graph,
         get_flow(point.flow),
-        platform,
-        use_gpu=target,
+        get_platform(point.platform),
+        point.target,
         batch_size=point.batch_size,
         iterations=point.iterations,
         seed=point.seed,

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import MISSING, dataclass, fields, replace
 
 from repro.errors import RegistryError
-from repro.hardware.device import DeviceKind, as_device_kind
+from repro.hardware.device import DEVICE_MODE, DeviceKind, as_device_kind
 from repro.knobs import (
     POSITIVE,
     AutoscaleKnobs,
@@ -29,9 +29,6 @@ from repro.knobs import (
     listing,
     pick,
 )
-
-#: every named placement target the ``device`` axis accepts.
-DEVICE_MODES = tuple(kind.value for kind in DeviceKind)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -153,7 +150,7 @@ class SweepSpec(SweepKnobs):
     )
     devices: tuple[str, ...] = knob(
         ("gpu",), "--devices", axis="device", parse=listing(),
-        check=(f"one of {', '.join(DEVICE_MODES)}", DEVICE_MODES.__contains__),
+        check=DEVICE_MODE,
         help="comma-separated placement targets (cpu,gpu,npu)",
     )
     transforms: tuple[str | None, ...] = knob((None,), axis="transform")

@@ -54,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 #: by the source-tree fingerprint folded into every key.  When bumping, also
 #: update the hardcoded ``nongemm-artifact-store-v<N>-`` cache keys in
 #: ``.github/workflows/ci.yml`` so CI stops shipping the dead store around.
-#: v2: N-device refactor — plan keys encode a device mode (not a use_gpu
+#: v2: N-device refactor — plan keys encode a device mode (not a CPU/GPU
 #: boolean), plan payloads carry a ``target`` kind, and the pre-seeded
 #: ``PlanArrays`` gained a device-index column.
 #: v3: serving simulator — a new batch-indexed ``"serving"`` artifact kind

@@ -434,30 +434,29 @@ def simulate_reference(plan: ExecutionPlan, platform: Platform) -> SimulationRes
 
 
 def reference_lower(
-    flow: "DeploymentFlow", graph: Graph, use_gpu: bool = True
+    flow: "DeploymentFlow", graph: Graph, target: DeviceKind = DeviceKind.GPU
 ) -> ExecutionPlan:
-    """Lower ``graph`` with the pre-refactor monolithic planner."""
+    """Lower ``graph`` for a CPU or GPU ``target`` with the pre-refactor
+    monolithic planner."""
     graph.validate()
     result = fuse_graph(graph, flow.fusion)
     policy = flow.placement_policy()
     # uniform flows resolve the device once, not per node
-    device = None
-    if flow.uniform_placement:
-        device = DeviceKind.GPU if use_gpu else DeviceKind.CPU
+    device = target if flow.uniform_placement else None
     kernels: list[PlannedKernel] = []
     nodes = graph.nodes
     consumers = consumer_map(graph)
     for group in result.groups:
         if len(group) == 1:
-            kernels.append(_plan_single(flow, policy, graph, nodes[group[0]], use_gpu, device))
+            kernels.append(_plan_single(flow, policy, graph, nodes[group[0]], target, device))
         else:
-            kernels.append(_plan_group(flow, policy, graph, group, use_gpu, consumers))
+            kernels.append(_plan_group(flow, policy, graph, group, target, consumers))
     plan = ExecutionPlan(
         graph=graph,
         flow=flow.name,
         dispatch_profile=flow.dispatch_profile,
         kernels=kernels,
-        target=DeviceKind.GPU if use_gpu else DeviceKind.CPU,
+        target=target,
         gemm_peak_scale_f32=flow.gemm_peak_scale_f32,
         gemm_saturation_scale=flow.gemm_saturation_scale,
     )
@@ -470,12 +469,12 @@ def _plan_single(
     policy: "PlacementPolicy",
     graph: Graph,
     node: Node,
-    use_gpu: bool,
+    target: DeviceKind,
     device: DeviceKind | None = None,
 ) -> PlannedKernel:
     if device is None:
-        device = policy.device_for(node, use_gpu)
-    fallback = use_gpu and device is DeviceKind.CPU
+        device = policy.device_for(node, target)
+    fallback = target is not DeviceKind.CPU and device is DeviceKind.CPU
     metadata = node.op.is_metadata_only and not fallback
     if fallback:
         # an op forced off the accelerator materializes its data on the
@@ -533,11 +532,11 @@ def _plan_group(
     policy: "PlacementPolicy",
     graph: Graph,
     group: tuple[int, ...],
-    use_gpu: bool,
+    target: DeviceKind,
     consumers: "dict[tuple[int, int], list[int]]",
 ) -> PlannedKernel:
     nodes = [graph.nodes[i] for i in group]
-    devices = {policy.device_for(n, use_gpu) for n in nodes}
+    devices = {policy.device_for(n, target) for n in nodes}
     if len(devices) > 1:
         raise PlanError(f"fused group {group} spans devices {devices}")
     category = _group_category(graph, group)

@@ -77,6 +77,13 @@ class TestFig6:
     def test_average_note_present(self, result):
         assert any("average non-GEMM share" in n for n in result.notes)
 
+    def test_rows_label_the_device_the_point_ran_on(self):
+        # a platform without a GPU runs its gpu points on the CPU
+        result = run_fig6(
+            platform_ids=("A-cpu",), models=("gpt2",), batch_sizes=(1,), iterations=1
+        )
+        assert [row["device"] for row in result.rows] == ["cpu", "cpu"]
+
 
 class TestFig7:
     @pytest.fixture(scope="class")

@@ -197,7 +197,7 @@ def test_profile_prints_the_direct_profile(capsys, cpu_only):
     the same model, flow, platform, device and iteration count."""
     from repro.core import PerformanceReport
     from repro.flows import get_flow
-    from repro.hardware import get_platform
+    from repro.hardware import DeviceKind, get_platform
     from repro.models import build_model
     from repro.profiler import profile_graph
     from repro.viz.ascii import render_table
@@ -205,12 +205,11 @@ def test_profile_prints_the_direct_profile(capsys, cpu_only):
     argv = ["profile", "gpt2", "--iterations", "2", "--top", "4"]
     assert cli_main(argv + ["--cpu-only"] * cpu_only) == 0
     out = capsys.readouterr().out
-    platform = get_platform("A")
     profile = profile_graph(
         build_model("gpt2", batch_size=1),
         get_flow("pytorch"),
-        platform.cpu_only() if cpu_only else platform,
-        use_gpu=not cpu_only,
+        get_platform("A"),
+        target=DeviceKind.CPU if cpu_only else DeviceKind.GPU,
         iterations=2,
     )
     report = PerformanceReport(profile)
@@ -219,6 +218,18 @@ def test_profile_prints_the_direct_profile(capsys, cpu_only):
         [report.summary_row()], report.breakdown_rows(), report.top_operator_rows(4)
     ):
         assert render_table(rows) in out
+
+
+def test_cpu_only_profile_of_a_cpu_only_platform_keeps_its_id(capsys):
+    """``A-cpu`` has no accelerator, so its CPU-only variant is itself."""
+    from repro.serving import ServingConfig, ServingEngine
+
+    argv = ["profile", "gpt2", "--platform", "A-cpu", "--cpu-only", "--iterations", "1"]
+    assert cli_main(argv) == 0
+    out = capsys.readouterr().out
+    assert " A-cpu " in out and "A-cpu-cpu" not in out
+    engine = ServingEngine(ServingConfig(model="gpt2", platform="A-cpu", device="cpu"))
+    assert engine.platform.platform_id == "A-cpu"
 
 
 def _table(text: str, column: str) -> list[dict[str, str]]:

@@ -5,7 +5,10 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core import NonGemmReport, PerformanceReport, WorkloadReport, traits_for
+from repro.flows import get_flow
+from repro.hardware import PLATFORM_C, DeviceKind
 from repro.models import build_model
+from repro.profiler import profile_graph
 from repro.sweep.runner import run_point
 from repro.sweep.spec import SweepPoint
 
@@ -29,6 +32,15 @@ class TestReports:
         row = point.performance.summary_row()
         assert row["gemm_pct"] + row["non_gemm_pct"] == pytest.approx(100, abs=0.1)
         assert row["latency_ms"] > 0 and row["device"] == "cpu+gpu"
+
+    def test_summary_row_names_the_target_device(self):
+        profile = profile_graph(
+            build_model("gpt2", batch_size=1), get_flow("npu-offload"), PLATFORM_C,
+            target=DeviceKind.NPU, iterations=1,
+        )
+        row = PerformanceReport(profile).summary_row()
+        assert row["device"] == "cpu+npu" and row["platform"] == "C"
+        assert "CPU+NPU" in profile.describe()
 
     def test_breakdown_shares_sum(self, point):
         rows = point.performance.breakdown_rows()

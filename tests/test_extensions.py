@@ -35,7 +35,7 @@ class TestResNet50:
 
     def test_profile_is_gemm_dominated_on_gpu(self):
         graph = build_model("resnet50")
-        profile = profile_graph(graph, get_flow("pytorch"), PLATFORM_A, use_gpu=True)
+        profile = profile_graph(graph, get_flow("pytorch"), PLATFORM_A)
         group, _ = profile.dominant_non_gemm_group()
         # a classic CNN's non-GEMM profile is BN/ReLU dominated
         assert group in (OpCategory.NORMALIZATION, OpCategory.ACTIVATION)
@@ -75,7 +75,7 @@ class TestMobileNetV2:
 class TestChromeTrace:
     @pytest.fixture(scope="class")
     def profile(self):
-        return profile_graph(build_model("gpt2"), get_flow("pytorch"), PLATFORM_A, use_gpu=True)
+        return profile_graph(build_model("gpt2"), get_flow("pytorch"), PLATFORM_A)
 
     def test_events_cover_all_kernels(self, profile):
         events = trace_events(profile)

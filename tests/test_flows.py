@@ -238,12 +238,12 @@ class TestGroupCost:
 
 class TestPlans:
     def test_eager_plan_one_kernel_per_op(self, tiny_transformer_graph):
-        plan = PyTorchEagerFlow().lower(tiny_transformer_graph, use_gpu=True)
+        plan = PyTorchEagerFlow().lower(tiny_transformer_graph)
         assert plan.num_kernels == len(tiny_transformer_graph.compute_nodes())
         plan.validate()
 
     def test_plan_validate_catches_duplicates(self, tiny_transformer_graph):
-        plan = PyTorchEagerFlow().lower(tiny_transformer_graph, use_gpu=True)
+        plan = PyTorchEagerFlow().lower(tiny_transformer_graph)
         from repro.errors import PlanError
         from repro.flows import ExecutionPlan
 
@@ -261,19 +261,19 @@ class TestPlans:
         g = Graph("comp")
         x = g.input(TensorSpec((2, 8)), "x")
         g.set_outputs(g.call(ops.GELU(composite=True), x))
-        eager = PyTorchEagerFlow().lower(g, use_gpu=True)
+        eager = PyTorchEagerFlow().lower(g)
         assert eager.kernels[0].launch_count == 8
-        compiled = TorchInductorFlow().lower(g, use_gpu=True)
+        compiled = TorchInductorFlow().lower(g)
         assert compiled.kernels[0].launch_count == 1
 
     def test_fused_kernel_category_gemm_wins(self):
-        plan = TensorRTFlow().lower(conv_bn_relu_graph(), use_gpu=True)
+        plan = TensorRTFlow().lower(conv_bn_relu_graph())
         fused = [k for k in plan.kernels if k.fused]
         assert len(fused) == 1
         assert fused[0].category is OpCategory.GEMM
 
     def test_cpu_lowering_places_on_cpu(self, tiny_transformer_graph):
-        plan = PyTorchEagerFlow().lower(tiny_transformer_graph, use_gpu=False)
+        plan = PyTorchEagerFlow().lower(tiny_transformer_graph, target=DeviceKind.CPU)
         assert all(k.device is DeviceKind.CPU for k in plan.kernels)
 
     def test_ort_fallback_has_transfers(self):
@@ -281,7 +281,7 @@ class TestPlans:
         x = g.input(TensorSpec((2, 12)), "x")
         a, b, c = g.call(ops.Split(3, dim=1), x)
         g.set_outputs(g.call(ops.Concat(1), a, b, c))
-        plan = ONNXRuntimeFlow().lower(g, use_gpu=True)
+        plan = ONNXRuntimeFlow().lower(g)
         split_kernels = [k for k in plan.kernels if "split" in k.op_kinds]
         assert split_kernels[0].device is DeviceKind.CPU
         assert split_kernels[0].transfer_bytes_in > 0
@@ -292,16 +292,16 @@ class TestPlans:
         x = g.input(TensorSpec((2, 12)), "x")
         a, b, c = g.call(ops.Split(3, dim=1), x)
         g.set_outputs(g.call(ops.Concat(1), a, b, c))
-        plan = ONNXRuntimeFlow().lower(g, use_gpu=False)
+        plan = ONNXRuntimeFlow().lower(g, target=DeviceKind.CPU)
         assert all(k.transfer_bytes_in == 0 for k in plan.kernels)
 
     def test_fusion_rate_metric(self):
-        plan = TensorRTFlow().lower(conv_bn_relu_graph(), use_gpu=True)
+        plan = TensorRTFlow().lower(conv_bn_relu_graph())
         assert plan.non_gemm_fusion_rate() == 1.0  # bn+relu both fused
-        eager = PyTorchEagerFlow().lower(conv_bn_relu_graph(), use_gpu=True)
+        eager = PyTorchEagerFlow().lower(conv_bn_relu_graph())
         assert eager.non_gemm_fusion_rate() == 0.0
 
     def test_flow_gemm_knobs_propagate(self, tiny_transformer_graph):
-        plan = TensorRTFlow().lower(tiny_transformer_graph, use_gpu=True)
+        plan = TensorRTFlow().lower(tiny_transformer_graph)
         assert plan.gemm_peak_scale_f32 == 8.0
         assert plan.gemm_saturation_scale == 0.15

@@ -25,6 +25,7 @@ from repro.hardware import (
     list_platforms,
     register_device,
     register_platform,
+    resolve_target,
 )
 from repro.ir.dtype import DType
 from repro.ops.base import OpCategory, OpCost
@@ -68,17 +69,48 @@ class TestPlatforms:
         assert large > small > 0
 
 
-class TestDeviceKinds:
-    def test_as_device_kind_accepts_legacy_booleans(self):
-        assert as_device_kind(True) is DeviceKind.GPU
-        assert as_device_kind(False) is DeviceKind.CPU
+class TestResolveTarget:
+    """``resolve_target`` is the one place the effective (platform, target)
+    pair is decided."""
 
-    def test_as_device_kind_accepts_strings_and_kinds(self):
+    @pytest.mark.parametrize("platform", list_platforms(), ids=lambda p: p.platform_id)
+    @pytest.mark.parametrize("kind", list(DeviceKind), ids=lambda k: k.value)
+    def test_idempotent_and_ids_round_trip(self, platform, kind):
+        resolved, target = resolve_target(platform, kind)
+        assert resolve_target(resolved, target) == (resolved, target)
+        assert get_platform(resolved.platform_id) is resolved
+        assert resolved.has_device(target)
+        # a CPU run never carries an idle accelerator
+        if target is DeviceKind.CPU:
+            assert resolved.kinds == {DeviceKind.CPU}
+        else:
+            assert target is kind and resolved is platform
+
+    def test_cpu_only_of_an_accelerator_free_platform_is_itself(self):
+        derived = PLATFORM_A.cpu_only()
+        assert derived.cpu_only() is derived
+        assert derived.platform_id == "A-cpu"
+        solo = Platform("solo-cpu-test", "host only", cpu=EPYC_7763)
+        assert solo.cpu_only() is solo
+
+    @pytest.mark.parametrize("target", [True, False, "gpu"])
+    def test_rejects_anything_but_a_device_kind(self, target):
+        with pytest.raises(RegistryError, match="DeviceKind"):
+            resolve_target(PLATFORM_A, target)
+
+
+class TestDeviceKinds:
+    def test_as_device_kind_parses_device_modes(self):
         assert as_device_kind("npu") is DeviceKind.NPU
-        assert as_device_kind("GPU") is DeviceKind.GPU
-        assert as_device_kind(DeviceKind.CPU) is DeviceKind.CPU
+        assert as_device_kind("cpu") is DeviceKind.CPU
         with pytest.raises(RegistryError, match="tpu"):
             as_device_kind("tpu")
+
+    @pytest.mark.parametrize("value", [True, False, "GPU", "Cpu"])
+    def test_as_device_kind_rejects_booleans_and_other_cases(self, value):
+        # one case rule at every config edge: the lower-case device modes
+        with pytest.raises(RegistryError, match="unknown device mode"):
+            as_device_kind(value)
 
     def test_async_dispatch_per_kind(self):
         assert A100.async_dispatch and XDNA_NPU.async_dispatch
@@ -259,7 +291,7 @@ class TestMissingDeviceError:
         from repro.runtime.simulator import simulate
 
         plan = get_flow("npu-offload").lower(
-            build_model("swin-t", batch_size=1), use_gpu=DeviceKind.NPU
+            build_model("swin-t", batch_size=1), target=DeviceKind.NPU
         )
         with pytest.raises(RegistryError, match="has no NPU") as excinfo:
             simulate(plan, PLATFORM_A)

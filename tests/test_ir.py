@@ -9,6 +9,7 @@ import pytest
 from repro import ops
 from repro.errors import ConfigError, GraphError, ShapeError
 from repro.flows import DeploymentFlow, get_flow
+from repro.hardware import DeviceKind
 from repro.ir import DType, Graph, TensorSpec, broadcast_shapes, normalize_axis
 from repro.ir.graph import collector_paused
 from repro.models import ModelEntry, build_model, get_model
@@ -277,8 +278,8 @@ class TestPausedLayersCreateNoCycles:
         for name in ("gpt2", "swin-t", "llama2-7b"):
             graph = build_model(name)
             for flow in self.FLOWS:
-                for use_gpu in (True, False):
-                    get_flow(flow).lower(graph, use_gpu=use_gpu)
+                for target in (DeviceKind.GPU, DeviceKind.CPU):
+                    get_flow(flow).lower(graph, target=target)
             quantize_llm_int8(graph)
 
     def test_a_second_pass_leaves_no_garbage(self):

@@ -96,12 +96,12 @@ class TestEquivalenceWithReferencePlanner:
     def test_kernel_for_kernel_all_models_both_devices(self, flow_name, model_graphs):
         flow = get_flow(flow_name)
         for model, graph in model_graphs.items():
-            for use_gpu in (True, False):
-                actual = flow.lower(graph, use_gpu=use_gpu)
-                expected = reference_lower(flow, graph, use_gpu=use_gpu)
+            for target in (DeviceKind.GPU, DeviceKind.CPU):
+                actual = flow.lower(graph, target=target)
+                expected = reference_lower(flow, graph, target=target)
                 # PlannedKernel is a NamedTuple: == compares every field of
                 # every kernel, in order.
-                assert actual.kernels == expected.kernels, (model, use_gpu)
+                assert actual.kernels == expected.kernels, (model, target)
                 assert actual.flow == expected.flow
                 assert actual.dispatch_profile == expected.dispatch_profile
                 assert actual.gemm_peak_scale_f32 == expected.gemm_peak_scale_f32
@@ -118,11 +118,11 @@ class TestDerivePlanProperty:
         for flow_name in uniform:
             flow = get_flow(flow_name)
             for model, graph in model_graphs.items():
-                gpu = flow.lower(graph, use_gpu=True)
-                cpu = flow.lower(graph, use_gpu=False)
+                gpu = flow.lower(graph)
+                cpu = flow.lower(graph, target=DeviceKind.CPU)
                 for derived, direct in (
-                    (flow.derive_plan(gpu, use_gpu=False), cpu),
-                    (flow.derive_plan(cpu, use_gpu=True), gpu),
+                    (flow.derive_plan(gpu, target=DeviceKind.CPU), cpu),
+                    (flow.derive_plan(cpu, target=DeviceKind.GPU), gpu),
                 ):
                     assert derived.kernels == direct.kernels, (flow_name, model)
                     assert derived.flow == direct.flow
@@ -135,9 +135,9 @@ class TestDerivePlanProperty:
         for flow_name in ("onnxruntime", "ort-cpu-ep"):
             flow = get_flow(flow_name)
             assert not flow.supports_derivation()
-            plan = flow.lower(model_graphs["gpt2"], use_gpu=True)
+            plan = flow.lower(model_graphs["gpt2"])
             with pytest.raises(PlanError):
-                flow.derive_plan(plan, use_gpu=False)
+                flow.derive_plan(plan, target=DeviceKind.CPU)
 
     def test_knob_only_per_op_policy_opts_out_of_derivation(self):
         # a custom flow that overrides only placement_policy() but forgets to
@@ -154,9 +154,9 @@ class TestDerivePlanProperty:
         assert not flow.supports_derivation()
         cache = PlanCache()
         graph = build_model("gpt2", batch_size=1)
-        cache.plan(flow, graph, use_gpu=False)
-        derived = cache.plan(flow, graph, use_gpu=True)
-        assert derived.kernels == flow.lower(graph, use_gpu=True).kernels
+        cache.plan(flow, graph, target=DeviceKind.CPU)
+        derived = cache.plan(flow, graph, target=DeviceKind.GPU)
+        assert derived.kernels == flow.lower(graph).kernels
         assert any(k.transfer_bytes_in > 0 for k in derived.kernels)
 
     def test_custom_refinement_pass_opts_out_of_derivation(self):
@@ -180,14 +180,14 @@ class TestDerivePlanProperty:
         flow = TaxedFlow()
         assert flow.uniform_placement and not flow.supports_derivation()
         graph = build_model("segformer", batch_size=1)
-        source = flow.lower(graph, use_gpu=True)
+        source = flow.lower(graph)
         with pytest.raises(PlanError, match="custom refinement"):
-            flow.derive_plan(source, use_gpu=False)
+            flow.derive_plan(source, target=DeviceKind.CPU)
         # the cache must not take the sibling-derivation shortcut either
         cache = PlanCache()
-        cache.plan(flow, graph, use_gpu=True)
-        derived = cache.plan(flow, graph, use_gpu=False)
-        assert derived.kernels == flow.lower(graph, use_gpu=False).kernels
+        cache.plan(flow, graph, target=DeviceKind.GPU)
+        derived = cache.plan(flow, graph, target=DeviceKind.CPU)
+        assert derived.kernels == flow.lower(graph, target=DeviceKind.CPU).kernels
 
 
 class TestPaperPathInvariants:
@@ -240,7 +240,7 @@ class TestPaperPathInvariants:
             if not flow.supports_derivation():
                 continue
             source = plan.kernels
-            derived = flow.derive_plan(plan, use_gpu=False).kernels
+            derived = flow.derive_plan(plan, target=DeviceKind.CPU).kernels
             assert np.array_equal(derived.node_ids, source.node_ids), (model, flow_name)
             assert np.array_equal(derived.offsets, source.offsets)
 
@@ -282,16 +282,16 @@ class TestPlacementPass:
             def __init__(self):
                 self.calls = 0
 
-            def device_for(self, node, use_gpu):
+            def device_for(self, node, target):
                 self.calls += 1
-                return super().device_for(node, use_gpu)
+                return super().device_for(node, target)
 
         policy = CountingUniform()
         graph = chain_graph(ops.ReLU(), ops.Sigmoid(), ops.Tanh())
         manager = PassManager(
             (FusionPass(FusionConfig(pointwise_chains=True)), PlacementPass(policy))
         )
-        state = manager.run(graph, use_gpu=True)
+        state = manager.run(graph, target=DeviceKind.GPU)
         # the device is resolved once per lowering, not per node or group
         assert policy.calls == 0
         assert all(d is DeviceKind.GPU for d in state.devices)
@@ -304,7 +304,7 @@ class TestPlacementPass:
             (FusionPass(FusionConfig(pointwise_chains=True)), PlacementPass(policy))
         )
         with pytest.raises(PlanError, match="spans devices"):
-            manager.run(graph, use_gpu=True)
+            manager.run(graph, target=DeviceKind.GPU)
 
     def test_per_op_span_splits_into_runs(self):
         policy = PerOpFallbackPlacement(frozenset({"sigmoid"}))
@@ -312,13 +312,13 @@ class TestPlacementPass:
         pipeline = _standard_pipeline(
             policy, FusionConfig(pointwise_chains=True), split_mixed_groups=True
         )
-        state = pipeline.run(graph, use_gpu=True)
+        state = pipeline.run(graph, target=DeviceKind.GPU)
         kernels = state.kernels
         assert devices_of(kernels) == [DeviceKind.GPU, DeviceKind.CPU, DeviceKind.GPU]
         # the split singleton is a real fallback kernel: PCIe both ways
         assert kernels.transfer_bytes_in[1] > 0 and kernels.transfer_bytes_out[1] > 0
         # off GPU, everything lands on CPU and nothing transfers
-        cpu_kernels = pipeline.run(graph, use_gpu=False).kernels
+        cpu_kernels = pipeline.run(graph, target=DeviceKind.CPU).kernels
         assert devices_of(cpu_kernels) == [DeviceKind.CPU]
         assert cpu_kernels.transfer_bytes_in[0] == 0
 
@@ -331,7 +331,7 @@ class TestPlacementPass:
         pipeline = _standard_pipeline(
             policy, FusionConfig(pointwise_chains=True), split_mixed_groups=True
         )
-        kernels = pipeline.run(graph, use_gpu=True).kernels
+        kernels = pipeline.run(graph, target=DeviceKind.GPU).kernels
         assert devices_of(kernels) == [
             DeviceKind.GPU,
             DeviceKind.CPU,
@@ -362,7 +362,7 @@ class TestRefinementPasses:
                 CompositeExpansionPass(),
             )
         )
-        kernels = manager.run(graph, use_gpu=True).kernels
+        kernels = manager.run(graph, target=DeviceKind.GPU).kernels
         (node_id,) = kernels.node_ids.tolist()
         op = graph.nodes[node_id].op
         assert kernels.launch_count[0] == op.eager_kernels > 1
@@ -374,7 +374,7 @@ class TestRefinementPasses:
         x = g.input(TensorSpec((2, 12)), "x")
         a, b, c = g.call(ops.Split(3, dim=1), x)
         g.set_outputs(g.call(ops.Concat(1), a, b, c))
-        kernels = ONNXRuntimeFlow().pipeline.run(g, use_gpu=True).kernels
+        kernels = ONNXRuntimeFlow().pipeline.run(g, target=DeviceKind.GPU).kernels
         split = kernels.op_kind_idx.tolist().index(kernels.op_kind_vocab.index(("split",)))
         assert kernels.fallback[split]
         assert kernels.flops[split] == 0
@@ -386,8 +386,8 @@ class TestRefinementPasses:
     def test_sync_insertion_gpu_only(self):
         graph = chain_graph(ops.Nonzero(max_outputs=8), spec=(4, 4))
         flow = get_flow("pytorch")
-        gpu = flow.lower(graph, use_gpu=True)
-        cpu = flow.lower(graph, use_gpu=False)
+        gpu = flow.lower(graph)
+        cpu = flow.lower(graph, target=DeviceKind.CPU)
         assert gpu.kernels[0].transfer_bytes_out > 0  # device->host round trip
         assert cpu.kernels[0].transfer_bytes_out == 0
 
@@ -400,13 +400,13 @@ class TestRefinementPasses:
                 KernelConstructionPass(collapse=True),
             )
         )
-        state = manager.run(graph, use_gpu=True)
+        state = manager.run(graph, target=DeviceKind.GPU)
         # a sync forced this shape-op's data to materialize: no elision
         state.kernels.transfer_bytes_out[0] = 64
         MetadataElisionPass().run(state)
         assert not state.kernels.metadata_only[0]
         # without the sync it is elided
-        clean = manager.run(graph, use_gpu=True)
+        clean = manager.run(graph, target=DeviceKind.GPU)
         MetadataElisionPass().run(clean)
         assert clean.kernels.metadata_only[0]
 
@@ -454,22 +454,22 @@ class TestPipelineSignature:
 
         cache = PlanCache()
         graph = build_model("swin-t", batch_size=1)
-        base_plan = cache.plan(TensorRTFlow(), graph, use_gpu=True)
-        variant_plan = cache.plan(WiderTRT(), graph, use_gpu=True)
+        base_plan = cache.plan(TensorRTFlow(), graph, target=DeviceKind.GPU)
+        variant_plan = cache.plan(WiderTRT(), graph, target=DeviceKind.GPU)
         # same flow name, different knobs: the signature key keeps them apart
         assert variant_plan is not base_plan
         assert cache.stats.misses.get("plan") == 2
         # and the true hit still hits
-        assert cache.plan(TensorRTFlow(), graph, use_gpu=True) is base_plan
+        assert cache.plan(TensorRTFlow(), graph, target=DeviceKind.GPU) is base_plan
 
 
 class TestProvenance:
     def test_lower_records_pass_trace_on_request(self):
         flow = get_flow("tensorrt")
         graph = build_model("swin-t", batch_size=1)
-        plain = flow.lower(graph, use_gpu=True)
+        plain = flow.lower(graph)
         assert "passes" not in plain.notes  # hot path stays allocation-free
-        traced = flow.lower(graph, use_gpu=True, record_provenance=True)
+        traced = flow.lower(graph, record_provenance=True)
         assert traced.kernels == plain.kernels
         pass_names = [entry["pass"] for entry in traced.notes["passes"]]
         assert pass_names == list(flow.pipeline.pass_names())
@@ -516,8 +516,8 @@ class TestORTCpuEpFlow:
 
         assert ORTCpuEpFlow.fusion == TorchInductorFlow.fusion
         # gpt2's Split/Expand/Where attention exercises the CPU-EP fallback
-        plan = ORTCpuEpFlow().lower(model_graphs["gpt2"], use_gpu=True)
-        ort_plan = ONNXRuntimeFlow().lower(model_graphs["gpt2"], use_gpu=True)
+        plan = ORTCpuEpFlow().lower(model_graphs["gpt2"])
+        ort_plan = ONNXRuntimeFlow().lower(model_graphs["gpt2"])
         fallback = {k.node_ids for k in plan.kernels if k.transfer_bytes_in > 0}
         ort_fallback = {
             k.node_ids for k in ort_plan.kernels if k.transfer_bytes_in > 0
@@ -528,8 +528,8 @@ class TestORTCpuEpFlow:
         # the inductor-style fuser turns them into fewer kernels
         rcnn = model_graphs["faster-rcnn"]
         assert (
-            ORTCpuEpFlow().lower(rcnn, use_gpu=True).num_kernels
-            < ONNXRuntimeFlow().lower(rcnn, use_gpu=True).num_kernels
+            ORTCpuEpFlow().lower(rcnn).num_kernels
+            < ONNXRuntimeFlow().lower(rcnn).num_kernels
         )
 
     def test_available_from_sweep_cli(self, capsys):

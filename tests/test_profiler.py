@@ -3,7 +3,7 @@
 import pytest
 
 from repro.flows import get_flow
-from repro.hardware import PLATFORM_A
+from repro.hardware import PLATFORM_A, DeviceKind
 from repro.ops.base import OpCategory
 from repro.profiler import (
     average_share,
@@ -17,7 +17,7 @@ from repro.profiler import (
 @pytest.fixture
 def profile(tiny_transformer_graph):
     return profile_graph(
-        tiny_transformer_graph, get_flow("pytorch"), PLATFORM_A, use_gpu=True, iterations=7
+        tiny_transformer_graph, get_flow("pytorch"), PLATFORM_A, iterations=7
     )
 
 
@@ -58,9 +58,9 @@ class TestProfileResult:
             tiny_transformer_graph,
             get_flow("pytorch"),
             PLATFORM_A.cpu_only(),
-            use_gpu=True,  # requested but unavailable
+            target=DeviceKind.GPU,  # requested but unavailable
         )
-        assert not result.use_gpu
+        assert result.target is DeviceKind.CPU
 
     def test_describe_mentions_model_and_share(self, profile):
         text = profile.describe()

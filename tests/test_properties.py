@@ -179,8 +179,8 @@ class TestFusionProperties:
     @given(chain_graphs())
     @settings(max_examples=30, deadline=None)
     def test_fused_plan_never_more_kernels(self, graph):
-        eager = PyTorchEagerFlow().lower(graph, use_gpu=True)
-        fused = TensorRTFlow().lower(graph, use_gpu=True)
+        eager = PyTorchEagerFlow().lower(graph)
+        fused = TensorRTFlow().lower(graph)
         assert fused.num_kernels <= eager.num_kernels
 
     @given(chain_graphs())

@@ -6,7 +6,7 @@ import pytest
 from repro import ops
 from repro.errors import ExecutionError
 from repro.flows import PyTorchEagerFlow, TensorRTFlow, get_flow
-from repro.hardware import PLATFORM_A, PLATFORM_B
+from repro.hardware import PLATFORM_A, PLATFORM_B, DeviceKind
 from repro.ir import DType, Graph, TensorSpec
 from repro.runtime import GraphExecutor, profile_memory, run_graph, simulate
 
@@ -67,7 +67,7 @@ class TestExecutor:
 
 class TestSimulator:
     def test_latency_positive_and_summed(self, tiny_transformer_graph):
-        plan = PyTorchEagerFlow().lower(tiny_transformer_graph, use_gpu=True)
+        plan = PyTorchEagerFlow().lower(tiny_transformer_graph)
         result = simulate(plan, PLATFORM_A)
         assert result.total_latency_s > 0
         assert result.total_latency_s == pytest.approx(
@@ -75,18 +75,18 @@ class TestSimulator:
         )
 
     def test_gpu_energy_zero_without_gpu(self, tiny_transformer_graph):
-        plan = PyTorchEagerFlow().lower(tiny_transformer_graph, use_gpu=False)
+        plan = PyTorchEagerFlow().lower(tiny_transformer_graph, target=DeviceKind.CPU)
         result = simulate(plan, PLATFORM_A.cpu_only())
         assert result.gpu_energy_j == 0.0
         assert result.cpu_energy_j > 0.0
 
     def test_trt_faster_than_eager(self, tiny_transformer_graph):
-        eager = simulate(PyTorchEagerFlow().lower(tiny_transformer_graph, True), PLATFORM_A)
-        trt = simulate(TensorRTFlow().lower(tiny_transformer_graph, True), PLATFORM_A)
+        eager = simulate(PyTorchEagerFlow().lower(tiny_transformer_graph), PLATFORM_A)
+        trt = simulate(TensorRTFlow().lower(tiny_transformer_graph), PLATFORM_A)
         assert trt.total_latency_s < eager.total_latency_s
 
     def test_platform_b_differs(self, tiny_transformer_graph):
-        plan = PyTorchEagerFlow().lower(tiny_transformer_graph, use_gpu=True)
+        plan = PyTorchEagerFlow().lower(tiny_transformer_graph)
         a = simulate(plan, PLATFORM_A)
         b = simulate(plan, PLATFORM_B)
         assert a.total_latency_s != b.total_latency_s
@@ -96,7 +96,7 @@ class TestSimulator:
         x = g.input(TensorSpec((2, 12)), "x")
         a, b, c = g.call(ops.Split(3, dim=1), x)
         g.set_outputs(g.call(ops.Concat(1), a, b, c))
-        plan = get_flow("ort").lower(g, use_gpu=True)
+        plan = get_flow("ort").lower(g)
         result = simulate(plan, PLATFORM_A)
         fallback = [r for r in result.records if r.kernel.transfer_bytes_in > 0]
         assert fallback and all(r.transfer_s > 0 for r in fallback)

@@ -15,8 +15,8 @@ import pytest
 from repro.errors import ServingError
 from repro.flows import get_flow, list_flows
 from repro.hardware import list_platforms
-from repro.hardware.device import DeviceKind
-from repro.hardware.platform import get_platform
+from repro.hardware.device import DeviceKind, as_device_kind
+from repro.hardware.platform import get_platform, resolve_target
 from repro.runtime.simulator import simulate
 from repro.serving import (
     ClusterConfig,
@@ -32,7 +32,6 @@ from repro.serving import (
     make_trace,
     nearest_rank,
     register_scheduler,
-    resolve_serving_target,
     simulate_serving,
 )
 from repro.serving.scheduler import SCHEDULER_REGISTRY, BatchScheduler, Dispatch
@@ -219,7 +218,7 @@ def test_single_request_matches_simulation_exactly(platform_id, flow_name):
         )
     )
     result = engine.run(single_request_trace())
-    platform, target = resolve_serving_target(get_platform(platform_id), device)
+    platform, target = resolve_target(get_platform(platform_id), as_device_kind(device))
     plan = PLAN_CACHE.plan(get_flow(flow_name), PLAN_CACHE.graph_ref(MODEL, 1), target)
     expected = simulate(plan, platform)
     assert result.records[0].latency_s == expected.total_latency_s
@@ -232,7 +231,7 @@ def test_cpu_only_target_matches_simulation_exactly():
         ServingConfig(model=MODEL, platform="A", device="cpu", scheduler="fifo")
     )
     result = engine.run(single_request_trace())
-    platform, target = resolve_serving_target(get_platform("A"), "cpu")
+    platform, target = resolve_target(get_platform("A"), DeviceKind.CPU)
     assert platform.platform_id == "A-cpu" and target is DeviceKind.CPU
     plan = PLAN_CACHE.plan(get_flow("pytorch"), PLAN_CACHE.graph_ref(MODEL, 1), target)
     assert result.records[0].latency_s == simulate(plan, platform).total_latency_s

@@ -19,7 +19,7 @@ import pytest
 
 from repro.errors import PlanError
 from repro.flows import KernelTable, get_flow
-from repro.hardware import PLATFORM_A
+from repro.hardware import PLATFORM_A, DeviceKind
 from repro.models import build_model
 from repro.profiler import profile_graph
 from repro.profiler.profiler import profile_graph as profile_graph_direct
@@ -41,7 +41,7 @@ def make_store(tmp_path, **kwargs) -> ArtifactStore:
 def profile_with(cache: PlanCache, model: str = MODEL, seed: int = 3):
     graph = cache.graph_ref(model, batch_size=1)
     flow = get_flow("pytorch")
-    plan = cache.plan(flow, graph, use_gpu=True)
+    plan = cache.plan(flow, graph, target=DeviceKind.GPU)
     memory = cache.memory(graph)
     return plan, memory
 
@@ -72,11 +72,11 @@ class TestRoundTrip:
 
         flow = get_flow("pytorch")
         graph = build_model(MODEL, batch_size=1)
-        direct = simulate(flow.lower(graph, use_gpu=True), PLATFORM_A)
+        direct = simulate(flow.lower(graph), PLATFORM_A)
 
         profile_with(PlanCache(store=make_store(tmp_path)))
         reader = PlanCache(store=make_store(tmp_path))
-        loaded_plan = reader.plan(flow, reader.graph_ref(MODEL, batch_size=1), True)
+        loaded_plan = reader.plan(flow, reader.graph_ref(MODEL, batch_size=1), DeviceKind.GPU)
         loaded = simulate(loaded_plan, PLATFORM_A)
         assert loaded.total_latency_s == direct.total_latency_s
         assert loaded.gpu_energy_j == direct.gpu_energy_j
@@ -186,9 +186,10 @@ class TestSharedStore:
             "from repro.sweep.cache import PlanCache\n"
             "from repro.sweep.store import ArtifactStore\n"
             "from repro.flows import get_flow\n"
+            "from repro.hardware import DeviceKind\n"
             f"cache = PlanCache(store=ArtifactStore({str(store_dir)!r}))\n"
             f"ref = cache.graph_ref({MODEL!r}, batch_size=1)\n"
-            "cache.plan(get_flow('pytorch'), ref, use_gpu=True)\n"
+            "cache.plan(get_flow('pytorch'), ref, target=DeviceKind.GPU)\n"
             "cache.memory(ref)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
@@ -246,7 +247,7 @@ def profile_graph_with_cache(cache: PlanCache, graph, flow):
     profiler_module.cached_profile_memory = cache.memory
     try:
         return profile_graph_direct(
-            graph, flow, PLATFORM_A, use_gpu=True, iterations=2, seed=1,
+            graph, flow, PLATFORM_A, iterations=2, seed=1,
             model_name=MODEL,
         )
     finally:
@@ -297,10 +298,10 @@ class TestDetach:
     def test_detach_materializes_records_and_drops_backrefs(self):
         graph = build_model(MODEL, batch_size=1)
         profile = profile_graph(
-            graph, get_flow("pytorch"), PLATFORM_A, use_gpu=True, iterations=2, seed=4
+            graph, get_flow("pytorch"), PLATFORM_A, iterations=2, seed=4
         )
         reference = profile_graph(
-            graph, get_flow("pytorch"), PLATFORM_A, use_gpu=True, iterations=2, seed=4
+            graph, get_flow("pytorch"), PLATFORM_A, iterations=2, seed=4
         )
         detached = profile.detach()
         assert detached is profile
@@ -316,7 +317,7 @@ class TestDetach:
     def test_detached_profile_pickles_small(self):
         graph = build_model(MODEL, batch_size=1)
         profile = profile_graph(
-            graph, get_flow("pytorch"), PLATFORM_A, use_gpu=True, iterations=2, seed=4
+            graph, get_flow("pytorch"), PLATFORM_A, iterations=2, seed=4
         )
         attached = len(pickle.dumps(profile))
         detached = len(pickle.dumps(profile.detach()))
@@ -337,7 +338,7 @@ class TestServingCosts:
             counter.append(1)
             return batch_cost_from_simulation(simulate(plan, PLATFORM_A), 1)
 
-        return cache.serving_cost(flow, graph, "gpu", PLATFORM_A, compute)
+        return cache.serving_cost(flow, graph, DeviceKind.GPU, PLATFORM_A, compute)
 
     def test_round_trip_skips_compute_and_graph_build(self, tmp_path, monkeypatch):
         calls: list = []
@@ -377,7 +378,7 @@ class TestServingCosts:
         graph = cache.graph_ref(MODEL, batch_size=1)
         fresh = PlanCache(store=make_store(tmp_path))
         sentinel = object()
-        result = fresh.serving_cost(flow, graph, "gpu", twin, lambda plan: sentinel)
+        result = fresh.serving_cost(flow, graph, DeviceKind.GPU, twin, lambda plan: sentinel)
         assert result is sentinel  # recomputed, not served from the store
 
     def test_dispatch_profile_edit_invalidates(self, tmp_path, monkeypatch):
@@ -462,7 +463,7 @@ class TestStoredProfiles:
     one ``"profiles"`` store entry per sweep run."""
 
     AGGREGATES = (
-        "model", "flow", "use_gpu", "target", "batch_size", "iterations",
+        "model", "flow", "device", "target", "batch_size", "iterations",
         "total_latency_s", "total_latency_std_s", "energy_j", "gpu_energy_j",
         "cpu_energy_j", "total_latency_ms", "peak_memory_bytes", "num_graph_ops",
         "num_kernels", "non_gemm_fusion_rate", "gemm_latency_s",
@@ -678,7 +679,7 @@ class TestPayloads:
     def test_plan_payload_round_trips_exactly(self):
         graph = build_model("swin-t", batch_size=1)
         for flow_name in ("pytorch", "tensorrt", "onnxruntime"):
-            plan = get_flow(flow_name).lower(graph, use_gpu=True)
+            plan = get_flow(flow_name).lower(graph)
             restored = plan_from_payload(
                 pickle.loads(pickle.dumps(plan_payload(plan))), graph
             )

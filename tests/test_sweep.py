@@ -12,7 +12,7 @@ import pytest
 from repro import ops
 from repro.errors import ConfigError, RegistryError
 from repro.flows import get_flow
-from repro.hardware import PLATFORM_A, PLATFORM_B, DeviceKind, list_platforms
+from repro.hardware import PLATFORM_A, PLATFORM_B, DeviceKind, list_platforms, resolve_target
 from repro.ir import Graph, TensorSpec
 from repro.models import build_model
 from repro.profiler import profile_graph
@@ -35,9 +35,9 @@ class TestVectorizedEquivalence:
     def test_matches_scalar_reference_per_kernel(self, flow_name, platform):
         for model in SMALL_MODELS:
             graph = build_model(model, batch_size=1)
-            for use_gpu in (True, False):
-                plat = platform if use_gpu else platform.cpu_only()
-                plan = get_flow(flow_name).lower(graph, use_gpu=use_gpu)
+            for kind in (DeviceKind.GPU, DeviceKind.CPU):
+                plat, target = resolve_target(platform, kind)
+                plan = get_flow(flow_name).lower(graph, target=target)
                 fast = simulate(plan, plat)
                 slow = simulate_reference(plan, plat)
                 ref = np.array([r.latency_s for r in slow.records])
@@ -50,7 +50,7 @@ class TestVectorizedEquivalence:
                 assert fast.bound_labels() == [r.estimate.bound for r in slow.records]
 
     def test_estimate_breakdowns_match(self, tiny_transformer_graph):
-        plan = get_flow("pytorch").lower(tiny_transformer_graph, use_gpu=True)
+        plan = get_flow("pytorch").lower(tiny_transformer_graph)
         fast = simulate(plan, PLATFORM_A)
         slow = simulate_reference(plan, PLATFORM_A)
         for fast_rec, slow_rec in zip(fast.records, slow.records):
@@ -71,8 +71,8 @@ class TestPlatformBitIdentity:
         for flow_name in ("pytorch", "onnxruntime", "npu-offload"):
             flow = get_flow(flow_name)
             for kind in sorted(platform.kinds, key=lambda k: k.value):
-                plat = platform.cpu_only() if kind is DeviceKind.CPU else platform
-                plan = flow.lower(graph, use_gpu=kind)
+                plat, target = resolve_target(platform, kind)
+                plan = flow.lower(graph, target=target)
                 fast = simulate(plan, plat)
                 slow = simulate_reference(plan, plat)
                 ref = np.array([r.latency_s for r in slow.records])
@@ -83,7 +83,7 @@ class TestPlatformBitIdentity:
 
     def test_npu_target_offloads_only_gemm(self):
         graph = build_model("gpt2", batch_size=1)
-        plan = get_flow("npu-offload").lower(graph, use_gpu=DeviceKind.NPU)
+        plan = get_flow("npu-offload").lower(graph, target=DeviceKind.NPU)
         assert plan.target is DeviceKind.NPU
         npu_kernels = [k for k in plan.kernels if k.device is DeviceKind.NPU]
         assert npu_kernels and all(k.is_gemm for k in npu_kernels)
@@ -108,9 +108,10 @@ class TestPlatformBitIdentity:
         assert DeviceKind.NPU in profile.energy_j
         assert profile.energy_j[DeviceKind.NPU] > 0.0
 
-    def test_device_axis_rejects_unknown_mode(self):
-        spec = SweepSpec(models=("segformer",), devices=("tpu",))
-        with pytest.raises(RegistryError, match="tpu"):
+    @pytest.mark.parametrize("mode", ["tpu", "GPU"])
+    def test_device_axis_rejects_unknown_mode(self, mode):
+        spec = SweepSpec(models=("segformer",), devices=(mode,))
+        with pytest.raises(RegistryError, match=mode):
             spec.points()
 
     def test_device_axis_accepts_npu_mode(self):
@@ -126,10 +127,10 @@ class TestDerivedPlans:
     def test_derive_matches_full_lower(self, flow_name):
         flow = get_flow(flow_name)
         graph = build_model("swin-t", batch_size=1)
-        for source_gpu in (True, False):
-            source = flow.lower(graph, use_gpu=source_gpu)
-            derived = flow.derive_plan(source, use_gpu=not source_gpu)
-            direct = flow.lower(graph, use_gpu=not source_gpu)
+        for source_target, target in ((DeviceKind.GPU, DeviceKind.CPU), (DeviceKind.CPU, DeviceKind.GPU)):
+            source = flow.lower(graph, target=source_target)
+            derived = flow.derive_plan(source, target=target)
+            direct = flow.lower(graph, target=target)
             assert derived.kernels == direct.kernels
             assert derived.content_hash() == direct.content_hash()
 
@@ -138,9 +139,9 @@ class TestDerivedPlans:
 
         flow = get_flow("onnxruntime")
         graph = build_model("gpt2", batch_size=1)
-        plan = flow.lower(graph, use_gpu=True)
+        plan = flow.lower(graph)
         with pytest.raises(PlanError):
-            flow.derive_plan(plan, use_gpu=False)
+            flow.derive_plan(plan, target=DeviceKind.CPU)
 
 
 class TestContentHash:
@@ -159,8 +160,8 @@ class TestContentHash:
         assert a.content_hash() != build_model("swin-t", batch_size=2).content_hash()
 
     def test_plan_hash_covers_flow(self, tiny_transformer_graph):
-        eager = get_flow("pytorch").lower(tiny_transformer_graph, use_gpu=True)
-        trt = get_flow("tensorrt").lower(tiny_transformer_graph, use_gpu=True)
+        eager = get_flow("pytorch").lower(tiny_transformer_graph)
+        trt = get_flow("tensorrt").lower(tiny_transformer_graph)
         assert eager.content_hash() != trt.content_hash()
 
 
@@ -195,15 +196,15 @@ class TestPlanCache:
         cache = PlanCache()
         flow = get_flow("pytorch")
         graph = build_model("swin-t", batch_size=1)
-        first = cache.plan(flow, graph, use_gpu=True)
-        assert cache.plan(flow, graph, use_gpu=True) is first
+        first = cache.plan(flow, graph, target=DeviceKind.GPU)
+        assert cache.plan(flow, graph, target=DeviceKind.GPU) is first
         assert cache.stats.hits.get("plan") == 1
 
     def test_hit_returns_identical_profile(self):
         graph = build_model("swin-t", batch_size=1)
         flow = get_flow("pytorch")
-        cold = profile_graph(graph, flow, PLATFORM_A, use_gpu=True, iterations=3, seed=3)
-        warm = profile_graph(graph, flow, PLATFORM_A, use_gpu=True, iterations=3, seed=3)
+        cold = profile_graph(graph, flow, PLATFORM_A, iterations=3, seed=3)
+        warm = profile_graph(graph, flow, PLATFORM_A, iterations=3, seed=3)
         assert warm.total_latency_s == cold.total_latency_s
         assert warm.gpu_energy_j == cold.gpu_energy_j
         assert warm.peak_memory_bytes == cold.peak_memory_bytes
@@ -214,10 +215,10 @@ class TestPlanCache:
         cache = PlanCache()
         flow = get_flow("pytorch")
         graph = build_model("swin-t", batch_size=1)
-        first = cache.plan(flow, graph, use_gpu=True)
+        first = cache.plan(flow, graph, target=DeviceKind.GPU)
         out = graph.call(ops.GELU(), graph.outputs[0])
         graph.set_outputs(out)
-        second = cache.plan(flow, graph, use_gpu=True)
+        second = cache.plan(flow, graph, target=DeviceKind.GPU)
         assert second is not first
         assert second.num_kernels == first.num_kernels + 1
 
@@ -277,10 +278,10 @@ class TestPlanCache:
             return object()
 
         profile_args = (flow, graph, DeviceKind.GPU, PLATFORM_A, 1, 2, 0, "gpt2")
-        sibling = cache.plan(flow, graph, use_gpu=True)
+        sibling = cache.plan(flow, graph, target=DeviceKind.GPU)
         cached = (
             cache.memory(graph),
-            cache.serving_cost(flow, graph, True, PLATFORM_A, cost),
+            cache.serving_cost(flow, graph, DeviceKind.GPU, PLATFORM_A, cost),
             cache.transform("llm-int8", graph),
             cache.profile(*profile_args, measure),
             cache.taxonomy_rows(graph),
@@ -293,11 +294,11 @@ class TestPlanCache:
         monkeypatch.setattr(flow, "derive_plan", refuse)
         entries, before = len(cache), cache.stats.snapshot()
         with cache.disabled():
-            assert cache.plan(flow, graph, use_gpu=False).target is DeviceKind.CPU
-            assert cache.plan(flow, graph, use_gpu=True) is not sibling
+            assert cache.plan(flow, graph, target=DeviceKind.CPU).target is DeviceKind.CPU
+            assert cache.plan(flow, graph, target=DeviceKind.GPU) is not sibling
             fresh = (
                 cache.memory(graph),
-                cache.serving_cost(flow, graph, False, PLATFORM_A, cost),
+                cache.serving_cost(flow, graph, DeviceKind.CPU, PLATFORM_A, cost),
                 cache.transform("llm-int8", graph),
                 cache.profile(*profile_args, measure),
                 cache.taxonomy_rows(graph),
@@ -308,7 +309,7 @@ class TestPlanCache:
         assert cache.stats.snapshot() == before
         # outside the block the CPU lookup would derive from the sibling
         with pytest.raises(AssertionError, match="cached sibling"):
-            cache.plan(flow, graph, use_gpu=False)
+            cache.plan(flow, graph, target=DeviceKind.CPU)
 
     def test_direct_profiles_are_memoized(self, monkeypatch):
         import repro.profiler.profiler as profiler_module
@@ -446,6 +447,42 @@ def pool_starts(monkeypatch):
     return started
 
 
+def _point(platform_id: str, mode: str) -> SweepPoint:
+    return SweepPoint(
+        platform=platform_id, model="gpt2", flow="pytorch", batch_size=1,
+        device=mode, iterations=2,
+    )
+
+
+class TestOnePlacementDecision:
+    """Sweep points and serving engines resolve (platform, target) through
+    one resolver, so every layer agrees on where a mode runs."""
+
+    @pytest.mark.parametrize("platform_id", [p.platform_id for p in list_platforms()])
+    @pytest.mark.parametrize("mode", ["cpu", "gpu", "npu"])
+    def test_run_point_and_engine_resolve_the_same_pair(self, platform_id, mode):
+        from repro.serving import ServingConfig, ServingEngine
+
+        profile = run_point(_point(platform_id, mode)).profile
+        engine = ServingEngine(ServingConfig(model="gpt2", platform=platform_id, device=mode))
+        assert (profile.platform.platform_id, profile.target) == (
+            engine.platform.platform_id, engine.target
+        )
+
+    @pytest.mark.parametrize(
+        "platform_id, mode", [("A", "npu"), ("B", "npu"), ("A-cpu", "gpu")]
+    )
+    def test_a_missing_target_profiles_exactly_like_the_cpu_point(self, platform_id, mode):
+        missing = run_point(_point(platform_id, mode)).profile
+        cpu = run_point(_point(platform_id, "cpu")).profile
+        assert missing.target is DeviceKind.CPU
+        assert missing.platform.platform_id == cpu.platform.platform_id
+        assert missing.total_latency_s == cpu.total_latency_s
+        # no idle accelerator is charged
+        assert missing.energy_j == cpu.energy_j
+        assert set(missing.energy_j) == {DeviceKind.CPU}
+
+
 class TestSweepRunner:
     def test_cpu_point_uses_cpu_only_platform(self):
         point = SweepPoint(
@@ -471,7 +508,7 @@ class TestSweepRunner:
             direct = profile_graph(
                 build_model("segformer", batch_size=batch),
                 get_flow("pytorch"), PLATFORM_A,
-                use_gpu=True, batch_size=batch, iterations=2, seed=5,
+                batch_size=batch, iterations=2, seed=5,
             )
             assert record.profile.total_latency_s == direct.total_latency_s
 
